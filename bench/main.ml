@@ -452,6 +452,10 @@ let vm () =
         done;
         (Array.map median samples, outs)
       in
+      (* the sequential interpreter baseline, pool-free *)
+      let seq_opts =
+        { (Run_opts.interpreted Vm.Sequential) with Run_opts.domains = Some 1 }
+      in
       let prep ?(fuse = true) d =
         let opts =
           { Run_opts.default with Run_opts.domains = Some d; fuse }
@@ -466,7 +470,7 @@ let vm () =
       let nofuse_pr = prep ~fuse:false 1 in
       let mss, outss =
         time_rounds
-          (((fun () -> Vm.run ~order:Vm.Sequential g binds)
+          (((fun () -> Executor.run ~opts:seq_opts g binds)
            :: List.map
                 (fun (_, pr) () -> Executor.execute pr binds)
                 single_cfgs)

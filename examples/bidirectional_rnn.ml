@@ -124,7 +124,9 @@ let () =
   in
   let interp = Interp.run_program program inputs in
   let g = Build.build program in
-  let outs = Vm.run g inputs in
+  let outs =
+    Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront) g inputs
+  in
   Format.printf
     "compiled bidirectional program: %d block nodes; VM = interpreter: %b@."
     (List.length g.Ir.g_blocks)

@@ -81,4 +81,4 @@ let () =
   Format.printf "%d kernels (one persistent chain of %d wavefront steps)@."
     (Plan.total_kernels plan)
     (cfg.depth + cfg.seq_len - 1);
-  Format.printf "%a@." Engine.pp_metrics (Exec.metrics plan)
+  Format.printf "%a@." Engine.pp_metrics (Executor.metrics plan)

@@ -55,6 +55,6 @@ let () =
     (Ir.depth graph) (Ir.dimension graph);
 
   let plan = Pipeline.plan_of_graph graph in
-  let report = Exec.run plan in
+  let report = Executor.simulate plan in
   Format.printf "simulated on %s: %a@." Device.a100.Device.name
     Engine.pp_metrics report.Exec.r_metrics

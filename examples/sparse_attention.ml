@@ -24,7 +24,7 @@ let () =
     "L1(GB)" "L2(GB)";
   List.iter
     (fun (p : Plan.t) ->
-      let m = Exec.metrics p in
+      let m = Executor.metrics p in
       Format.printf "%-18s %10.3f %10.2f %10.2f %10.2f@." p.Plan.plan_name
         m.Engine.time_ms m.Engine.dram_gb m.Engine.l1_gb m.Engine.l2_gb)
     (Suites.bigbird cfg);

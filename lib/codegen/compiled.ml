@@ -56,6 +56,11 @@ type store = {
   cs_written : Bytes.t;
 }
 
+(* The interpreter's read-before-write error, verbatim. *)
+let unwritten name st =
+  err "block %s reads an unwritten cell of buffer %d — illegal order" name
+    st.cs_buffer.Ir.buf_id
+
 type cop = {
   co_srcs : src array;
   co_edges : Ir.edge option array;  (* read edge per operand, for shadow *)
@@ -101,14 +106,6 @@ type t = {
   ex_chunk : int option;
   ex_fallbacks : string list;
 }
-
-let strides dims =
-  let n = Array.length dims in
-  let st = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    st.(i) <- st.(i + 1) * dims.(i + 1)
-  done;
-  st
 
 (* Elementwise ops whose [_into] kernel may run with [dst] aliasing the
    full-shape operand (each reads index [i] before writing it), so they
@@ -214,24 +211,10 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
       let dim =
         match all_points with p :: _ -> Array.length p | [] -> 0
       in
-      let sched =
-        let s = Vm.schedule Vm.Wavefront b all_points in
-        match s with
-        | Vm.Fronts _ when race_guard -> (
-            match (Effects.block_race g b).Effects.rr_verdict with
-            | Effects.Proven _ -> s
-            | Effects.Unproven m ->
-                Vm.report_fallback b.Ir.blk_name
-                  ("same-front disjointness unproven: " ^ m);
-                fallbacks := b.Ir.blk_name :: !fallbacks;
-                Vm.schedule Vm.Sequential b all_points
-            | Effects.Race (_, m) ->
-                Vm.report_fallback b.Ir.blk_name
-                  ("statically-proven race: " ^ m);
-                fallbacks := b.Ir.blk_name :: !fallbacks;
-                Vm.schedule Vm.Sequential b all_points)
-        | _ -> s
+      let sched, fell_back =
+        Vm.guarded_schedule ~race_guard g Vm.Wavefront b all_points
       in
+      if fell_back <> None then fallbacks := b.Ir.blk_name :: !fallbacks;
       let stats = Vm.stats_of_schedule b.Ir.blk_name sched in
       (* Sequential orders give every point its own front id, exactly
          like the interpreter's shadow bookkeeping. *)
@@ -295,7 +278,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
                     b.Ir.blk_name e.Ir.e_buffer v st.cs_dims.(j))
               idx)
           all_points;
-        let sstrides = strides st.cs_dims in
+        let sstrides = Vm.strides st.cs_dims in
         let am = e.Ir.e_access in
         let w = Array.make (dim + 1) 0 in
         Array.iteri
@@ -745,10 +728,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
                         * Array.unsafe_get pts (p + k))
                   done;
                   if Bytes.unsafe_get st.cs_written !off = '\000' then
-                    err
-                      "block %s reads an unwritten cell of buffer %d — \
-                       illegal order"
-                      name st.cs_buffer.Ir.buf_id;
+                    unwritten name st;
                   Array.unsafe_set args ai (Array.unsafe_get st.cs_cells !off)
             done;
             (Array.unsafe_get cop.co_kernels w) args
@@ -774,10 +754,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
                           * Array.unsafe_get pts (p + k))
                     done;
                     if Bytes.unsafe_get sst.cs_written !soff = '\000' then
-                      err
-                        "block %s reads an unwritten cell of buffer %d — \
-                         illegal order"
-                        name sst.cs_buffer.Ir.buf_id;
+                      unwritten name sst;
                     Array.unsafe_get sst.cs_cells !soff
               in
               Tensor.copy_into v ~dst:(Array.unsafe_get st.cs_cells off)
@@ -821,10 +798,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
                 let st = stores.(si) in
                 let off = flat ws point in
                 if Bytes.get st.cs_written off = '\000' then
-                  err
-                    "block %s reads an unwritten cell of buffer %d — illegal \
-                     order"
-                    name st.cs_buffer.Ir.buf_id;
+                  unwritten name st;
                 args.(ai) <- st.cs_cells.(off)
           done;
           cop.co_kernels.(0) args scr.(tg.(oi))
@@ -853,10 +827,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
                 let sst = stores.(si) in
                 let soff = flat ws point in
                 if Bytes.get sst.cs_written soff = '\000' then
-                  err
-                    "block %s reads an unwritten cell of buffer %d — illegal \
-                     order"
-                    name sst.cs_buffer.Ir.buf_id;
+                  unwritten name sst;
                 sst.cs_cells.(soff)
           in
           Tensor.copy_into v ~dst:st.cs_cells.(off);
@@ -898,24 +869,8 @@ let load exe inputs =
           match List.assoc_opt st.cs_buffer.Ir.buf_name inputs with
           | None -> err "missing input %s" st.cs_buffer.Ir.buf_name
           | Some v ->
-              let dims = st.cs_buffer.Ir.buf_dims in
-              let pos = ref 0 in
-              let rec go depth v =
-                match v with
-                | Fractal.Leaf t ->
-                    if depth <> Array.length dims then
-                      err "input nesting depth does not match the buffer rank";
-                    st.cs_cells.(!pos) <- t;
-                    incr pos
-                | Fractal.Node elems ->
-                    if depth >= Array.length dims then
-                      err "input nesting exceeds the buffer rank";
-                    if Array.length elems <> dims.(depth) then
-                      err "input extent %d differs from buffer extent %d"
-                        (Array.length elems) dims.(depth);
-                    Array.iter (go (depth + 1)) elems
-              in
-              go 0 v;
+              Vm.iter_cells st.cs_buffer.Ir.buf_dims v (fun pos t ->
+                  st.cs_cells.(pos) <- t);
               Bytes.fill st.cs_written 0 (Bytes.length st.cs_written) '\001')
       | Ir.Intermediate | Ir.Output -> ())
     exe.ex_stores
@@ -940,37 +895,14 @@ let run_block chunk pool cb =
    path. *)
 let run_block_traced chunk pool cb =
   if not cb.cb_parallel then run_block chunk pool cb
-  else begin
-    let st = cb.cb_stats in
-    Trace.timed ~track:"vm" ~cat:"block"
-      ~args:
-        [
-          ("block", Trace.String cb.cb_name);
-          ("points", Trace.Int st.Vm.bs_points);
-          ("fronts", Trace.Int st.Vm.bs_fronts);
-          ("max_width", Trace.Int st.Vm.bs_max_width);
-          ("parallelism", Trace.Float (Vm.parallelism st));
-        ]
-      "vm.block"
-      (fun () ->
+  else
+    Vm.block_span cb.cb_name cb.cb_stats (fun () ->
         for f = 0 to Array.length cb.cb_fronts - 2 do
           let lo = cb.cb_fronts.(f) and hi = cb.cb_fronts.(f + 1) in
-          Trace.timed ~track:"vm" ~cat:"front"
-            ~args:
-              [
-                ("block", Trace.String cb.cb_name);
-                ("front", Trace.Int cb.cb_front_ids.(f));
-                ("width", Trace.Int (hi - lo));
-                ( "domains",
-                  Trace.Int
-                    (match pool with
-                    | Some p -> Domain_pool.size p
-                    | None -> 1) );
-              ]
-            "vm.front"
+          Vm.front_span ~block:cb.cb_name ~front:cb.cb_front_ids.(f)
+            ~width:(hi - lo) pool
             (fun () -> run_front chunk pool cb lo hi)
         done)
-  end
 
 let execute ?pool ?shadow exe =
   (match pool with
@@ -1010,22 +942,14 @@ let execute ?pool ?shadow exe =
 let outputs exe =
   List.filter_map
     (fun st ->
-      if st.cs_buffer.Ir.buf_role = Ir.Output then begin
-        let dims = st.cs_buffer.Ir.buf_dims in
-        let pos = ref 0 in
-        let rec go depth =
-          if depth = Array.length dims then begin
-            if Bytes.get st.cs_written !pos = '\000' then
-              err "output buffer %s has an unwritten cell"
-                st.cs_buffer.Ir.buf_name;
-            let t = Tensor.copy st.cs_cells.(!pos) in
-            incr pos;
-            Fractal.Leaf t
-          end
-          else Fractal.Node (Array.init dims.(depth) (fun _ -> go (depth + 1)))
-        in
-        Some (st.cs_buffer.Ir.buf_name, go 0)
-      end
+      let name = st.cs_buffer.Ir.buf_name in
+      if st.cs_buffer.Ir.buf_role = Ir.Output then
+        Some
+          ( name,
+            Vm.of_cells st.cs_buffer.Ir.buf_dims (fun pos ->
+                if Bytes.get st.cs_written pos = '\000' then
+                  err "output buffer %s has an unwritten cell" name;
+                Tensor.copy st.cs_cells.(pos)) )
       else None)
     (Array.to_list exe.ex_stores)
 

@@ -94,57 +94,3 @@ type report = {
   r_metrics : Engine.metrics;
   r_kernels : kernel_run list;
 }
-
-let resolve_plan device (p : Plan.t) =
-  let cache = Cache.create (float_of_int device.Device.l2_bytes) in
-  List.map (resolve_kernel device cache) p.Plan.kernels
-
-let run ?(device = Device.a100) ?trace (p : Plan.t) =
-  let go () =
-    let samples = Engine.timeline device (resolve_plan device p) in
-    {
-      r_plan = p.Plan.plan_name;
-      r_device = device;
-      r_metrics = Engine.metrics_of samples;
-      r_kernels =
-        List.map
-          (fun (s : Engine.sample) ->
-            {
-              kr_name = s.Engine.s_kernel.Kernel.k_name;
-              kr_start_us = s.Engine.s_start_us;
-              kr_time_us = s.Engine.s_time_us;
-              kr_metrics = Engine.sample_metrics s;
-            })
-          samples;
-    }
-  in
-  match trace with None -> go () | Some s -> Trace.with_sink s go
-
-let run_many ?(device = Device.a100) ?trace plans =
-  List.map (fun p -> (p.Plan.plan_name, run ~device ?trace p)) plans
-
-let metrics ?device p = (run ?device p).r_metrics
-let time_ms ?device p = (metrics ?device p).Engine.time_ms
-
-let profile ?(device = Device.a100) (p : Plan.t) =
-  let samples = Engine.timeline device (resolve_plan device p) in
-  Profile.make ~plan:p.Plan.plan_name ~device:device.Device.name
-    ~peak_gflops:device.Device.fp32_gflops
-    ~peak_dram_gbs:device.Device.dram_bw_gbs
-    (List.map
-       (fun (s : Engine.sample) ->
-         let k = s.Engine.s_kernel in
-         {
-           Profile.s_name = k.Kernel.k_name;
-           s_time_us = s.Engine.s_time_us;
-           s_flops = k.Kernel.flops;
-           s_dram_bytes = k.Kernel.dram_read +. k.Kernel.dram_write;
-           s_l2_bytes = k.Kernel.l2_bytes;
-           s_l1_bytes = k.Kernel.l1_bytes;
-           s_tasks = k.Kernel.parallel_tasks;
-           s_peak_gflops =
-             (if k.Kernel.uses_tensor_core then device.Device.tensor_gflops
-              else device.Device.fp32_gflops);
-           s_bound = Kernel.bound_name device k;
-         })
-       samples)

@@ -7,7 +7,12 @@
     effect behind the paper's Table 7.  The model is a byte-capacity
     LRU over logical buffers: a read of a resident buffer costs L2
     traffic only; misses and writes pass through L2 to DRAM.  Buffers
-    larger than the cache never become resident. *)
+    larger than the cache never become resident.
+
+    The simulator's entry points ({!Executor.simulate}, [metrics],
+    [time_ms], [profile]) live in {!Executor}; this module holds the
+    residency model and the report types they share with the
+    distributed pricing in [lib/dist]. *)
 
 (** The residency model itself, exposed so other pricing paths — the
     distributed simulator gives {e each device} its own cache — resolve
@@ -40,29 +45,3 @@ type report = {
   r_metrics : Engine.metrics;  (** run aggregate *)
   r_kernels : kernel_run list;  (** launch order; sums to [r_metrics] *)
 }
-
-val run : ?device:Device.t -> ?trace:Trace.sink -> Plan.t -> report
-(** Execute a plan (default device: {!Device.a100}).  [trace] installs
-    the sink for the duration, mirroring the simulated timeline as
-    ["gpu"]-track spans.
-    @deprecated Transition shim for one release: call
-    {!Executor.simulate} — the unified front door carries both value
-    execution and simulation. *)
-
-val run_many :
-  ?device:Device.t -> ?trace:Trace.sink -> Plan.t list ->
-  (string * report) list
-(** @deprecated Use {!Executor.simulate_many}. *)
-
-val metrics : ?device:Device.t -> Plan.t -> Engine.metrics
-(** [(run p).r_metrics] — for call sites that only want aggregates.
-    @deprecated Use {!Executor.metrics}. *)
-
-val time_ms : ?device:Device.t -> Plan.t -> float
-(** [(metrics p).time_ms] — the benchmark harness's shorthand.
-    @deprecated Use {!Executor.time_ms}. *)
-
-val profile : ?device:Device.t -> Plan.t -> Profile.t
-(** Execute and attribute: the per-kernel / per-block roofline report
-    over the same simulated timeline as {!run}.
-    @deprecated Use {!Executor.profile}. *)

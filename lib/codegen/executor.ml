@@ -79,7 +79,10 @@ let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
 let shadow_wanted (opts : Run_opts.t) =
   match opts.Run_opts.shadow with
   | Run_opts.Shadow_on -> true
-  | Run_opts.Shadow_env -> Vm.shadow_env ()
+  | Run_opts.Shadow_env -> (
+      match Sys.getenv_opt "FT_SHADOW" with
+      | Some ("1" | "true" | "on") -> true
+      | _ -> false)
   | Run_opts.Shadow_off -> false
 
 let cross_check g sh =
@@ -93,42 +96,21 @@ let cross_check g sh =
 let execute pr inputs =
   let g = pr.pr_graph in
   let opts = pr.pr_opts in
-  let want_shadow = shadow_wanted opts in
-  match pr.pr_engine with
-  | E_compiled exe ->
-      if want_shadow then begin
-        let sh = Shadow.create g in
-        let outs = Compiled.run ?pool:pr.pr_pool ~shadow:sh exe inputs in
-        cross_check g sh;
-        outs
-      end
-      else Compiled.run ?pool:pr.pr_pool exe inputs
-  | E_vm (order, _) ->
-      (* The interpreter defaults to the shared pool when given none;
-         an explicit [domains = Some 1] must therefore pass a real
-         size-1 pool to mean "single-threaded". *)
-      let pool =
-        match (pr.pr_pool, opts.Run_opts.domains) with
-        | (Some _ as p), _ -> p
-        | None, Some _ -> Some (explicit_pool 1)
-        | None, None -> None
-      in
-      let run shadow =
-        match pool with
-        | Some p ->
-            Vm.run ~order ~pool:p ?chunk:opts.Run_opts.chunk
-              ~race_guard:opts.Run_opts.race_guard ?shadow g inputs
-        | None ->
-            Vm.run ~order ?chunk:opts.Run_opts.chunk
-              ~race_guard:opts.Run_opts.race_guard ?shadow g inputs
-      in
-      if want_shadow then begin
-        let sh = Shadow.create g in
-        let outs = run (Some sh) in
-        cross_check g sh;
-        outs
-      end
-      else run None
+  let pool = pr.pr_pool in
+  let run ?shadow () =
+    match pr.pr_engine with
+    | E_compiled exe -> Compiled.run ?pool ?shadow exe inputs
+    | E_vm (order, _) ->
+        Vm.run ~order ?pool ?chunk:opts.Run_opts.chunk
+          ~race_guard:opts.Run_opts.race_guard ?shadow g inputs
+  in
+  if shadow_wanted opts then begin
+    let sh = Shadow.create g in
+    let outs = run ~shadow:sh () in
+    cross_check g sh;
+    outs
+  end
+  else run ()
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 
@@ -167,8 +149,56 @@ let compiled pr =
 
 (* ------------------------------ simulator front ----------------------- *)
 
-let simulate = Exec.run
-let simulate_many = Exec.run_many
-let metrics = Exec.metrics
-let time_ms = Exec.time_ms
-let profile = Exec.profile
+let resolve_plan device (p : Plan.t) =
+  let cache = Exec.Cache.create (float_of_int device.Device.l2_bytes) in
+  List.map (Exec.resolve_kernel device cache) p.Plan.kernels
+
+let simulate ?(device = Device.a100) ?trace (p : Plan.t) =
+  let go () =
+    let samples = Engine.timeline device (resolve_plan device p) in
+    {
+      Exec.r_plan = p.Plan.plan_name;
+      r_device = device;
+      r_metrics = Engine.metrics_of samples;
+      r_kernels =
+        List.map
+          (fun (s : Engine.sample) ->
+            {
+              Exec.kr_name = s.Engine.s_kernel.Kernel.k_name;
+              kr_start_us = s.Engine.s_start_us;
+              kr_time_us = s.Engine.s_time_us;
+              kr_metrics = Engine.sample_metrics s;
+            })
+          samples;
+    }
+  in
+  match trace with None -> go () | Some s -> Trace.with_sink s go
+
+let simulate_many ?(device = Device.a100) ?trace plans =
+  List.map (fun p -> (p.Plan.plan_name, simulate ~device ?trace p)) plans
+
+let metrics ?device p = (simulate ?device p).Exec.r_metrics
+let time_ms ?device p = (metrics ?device p).Engine.time_ms
+
+let profile ?(device = Device.a100) (p : Plan.t) =
+  let samples = Engine.timeline device (resolve_plan device p) in
+  Profile.make ~plan:p.Plan.plan_name ~device:device.Device.name
+    ~peak_gflops:device.Device.fp32_gflops
+    ~peak_dram_gbs:device.Device.dram_bw_gbs
+    (List.map
+       (fun (s : Engine.sample) ->
+         let k = s.Engine.s_kernel in
+         {
+           Profile.s_name = k.Kernel.k_name;
+           s_time_us = s.Engine.s_time_us;
+           s_flops = k.Kernel.flops;
+           s_dram_bytes = k.Kernel.dram_read +. k.Kernel.dram_write;
+           s_l2_bytes = k.Kernel.l2_bytes;
+           s_l1_bytes = k.Kernel.l1_bytes;
+           s_tasks = k.Kernel.parallel_tasks;
+           s_peak_gflops =
+             (if k.Kernel.uses_tensor_core then device.Device.tensor_gflops
+              else device.Device.fp32_gflops);
+           s_bound = Kernel.bound_name device k;
+         })
+       samples)

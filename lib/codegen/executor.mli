@@ -1,26 +1,25 @@
 (** The execution front door: one entry point, one options record.
 
-    Running a compiled graph used to mean choosing among [Vm.run]'s
-    optional arguments and the simulator's [Exec] calls, each with its
-    own spelling of domains/chunk/shadow.  This module unifies them: a
-    {!Run_opts.t} selects the engine and every execution knob, and
-    [run]/[prepare] + [execute] is the whole API.  The engines:
+    A {!Run_opts.t} selects the engine and every knob; [run] /
+    [prepare] + [execute] run a graph on values, [simulate] and friends
+    price a plan.  The engines, both scheduled by the one race guard
+    ({!Vm.guarded_schedule}) and bitwise-identical on every legal
+    graph:
 
     - [Run_opts.Compiled] (the default): {!Compiled} — straight-line
       block closures over arena-backed storage, zero steady-state
       allocation.  Graphs the compiler cannot cover fall back to the
       interpreting VM transparently ({!engine} reports it), preserving
       reference semantics — including runtime errors — exactly.
-    - [Run_opts.Interpret order]: the {!Vm} interpreter in the given
-      order — the reference semantics, and the only way to run the
-      deliberately-illegal [Reverse] order.
+    - [Run_opts.Interpret order]: the {!Vm} interpreter core — the
+      reference semantics, and the only way to run [Reverse].
 
-    Both engines produce bitwise-identical outputs on every legal
-    graph; the conformance suite pins that down. *)
+    This module owns the pool and the shadow policy: [FT_SHADOW] is
+    read here, never by {!Vm.run}. *)
 
 type prepared
 (** A graph readied for repeated execution: the compiled executable
-    (or the interpreter closure after a fallback), the resolved pool,
+    (or the interpreter's order after a fallback), the resolved pool,
     and the shadow policy.  Stateful — reusable across sequential
     [execute] calls, not thread-safe. *)
 
@@ -80,19 +79,20 @@ val reset_pools : unit -> unit
     benchmarks call this between measurements to keep baselines clean.
     Any [prepared] still holding a reset pool must not be executed. *)
 
-(** {1 Simulator front}
-
-    The cost-model side of execution, unified under the same roof —
-    thin delegates to {!Exec} so call sites need one module for both
-    value execution and simulation. *)
+(** {1 Simulator front} *)
 
 val simulate : ?device:Device.t -> ?trace:Trace.sink -> Plan.t -> Exec.report
+(** Run a plan on the simulated device (default {!Device.a100}) through
+    the {!Exec} L2 residency model; [trace] mirrors the timeline as
+    ["gpu"]-track spans. *)
+
 val simulate_many :
-  ?device:Device.t ->
-  ?trace:Trace.sink ->
-  Plan.t list ->
+  ?device:Device.t -> ?trace:Trace.sink -> Plan.t list ->
   (string * Exec.report) list
 
 val metrics : ?device:Device.t -> Plan.t -> Engine.metrics
 val time_ms : ?device:Device.t -> Plan.t -> float
+
 val profile : ?device:Device.t -> Plan.t -> Profile.t
+(** The per-kernel / per-block roofline report of {!simulate}'s
+    timeline. *)

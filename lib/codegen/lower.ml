@@ -4,10 +4,10 @@ let unsup fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 let normalize_col n i = if i < 0 then n + i else i
 
-(* Every kernel below mirrors Interp.eval_prim's computation exactly —
-   same Tensor loops, same order — through the opcode-dispatch [_into]
-   variants, so a compiled run is bitwise identical to the interpreter
-   while allocating nothing per point. *)
+(* Every kernel below mirrors the interpreter's primitive evaluation
+   exactly — same Tensor loops, same order — through the
+   opcode-dispatch [_into] variants, so a compiled run is bitwise
+   identical to the interpreter while allocating nothing per point. *)
 let kernel (p : Expr.prim) ~operand_shapes ~result_shape () =
   ignore result_shape;
   let nargs = List.length operand_shapes in

@@ -1,11 +1,7 @@
 (** One record for every execution knob — the argument of the unified
-    {!Executor} front door.
-
-    Before this existed, execution options sprawled across ad-hoc
-    optional arguments ([Vm.run ?order ?pool ?chunk ?race_guard
-    ?shadow], [Exec.run ?device ?trace], per-call race-guard toggles in
-    tests).  A [Run_opts.t] names them all once; callers build one with
-    [{ Run_opts.default with ... }] and hand it to {!Executor.run}. *)
+    {!Executor} front door.  Callers build one with
+    [{ Run_opts.default with ... }] (or {!interpreted}) and hand it to
+    {!Executor.run}. *)
 
 (** How to execute:
     - [Compiled]: the straight-line closure engine ({!Compiled}) —
@@ -13,13 +9,14 @@
       falls back to the interpreting VM (in wavefront order) when the
       graph uses a feature the compiler does not support, so results
       and errors are identical either way;
-    - [Interpret order]: the reference interpreter ({!Vm.run}) in the
+    - [Interpret order]: the reference interpreter core ({!Vm}) in the
       given order. *)
 type mode = Interpret of Vm.order | Compiled
 
 (** Shadow-memory recording: [Shadow_off] never records, [Shadow_env]
-    obeys [FT_SHADOW] (the default — what bare [Vm.run] always did),
-    [Shadow_on] records and cross-checks unconditionally. *)
+    (the default) records when [FT_SHADOW] is [1], [true] or [on] —
+    {!Executor} is the only place that reads it — and [Shadow_on]
+    records and cross-checks unconditionally. *)
 type shadow = Shadow_off | Shadow_env | Shadow_on
 
 type t = {

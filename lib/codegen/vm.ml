@@ -35,39 +35,49 @@ let alloc dims =
     st_cells = Array.make (Stdlib.max 1 (Array.fold_left ( * ) 1 dims)) None;
   }
 
-(* Flatten a nested FractalTensor into row-major cells. *)
-let load st value =
+(* Row-major walk of a nested FractalTensor that must be shaped
+   [dims]: [f pos t] for every leaf. *)
+let iter_cells dims value f =
   let pos = ref 0 in
   let rec go depth v =
     match v with
     | Fractal.Leaf t ->
-        if depth <> Array.length st.st_dims then
+        if depth <> Array.length dims then
           err "input nesting depth does not match the buffer rank";
-        st.st_cells.(!pos) <- Some t;
+        f !pos t;
         incr pos
     | Fractal.Node elems ->
-        if depth >= Array.length st.st_dims then
+        if depth >= Array.length dims then
           err "input nesting exceeds the buffer rank";
-        if Array.length elems <> st.st_dims.(depth) then
+        if Array.length elems <> dims.(depth) then
           err "input extent %d differs from buffer extent %d"
-            (Array.length elems) st.st_dims.(depth);
+            (Array.length elems) dims.(depth);
         Array.iter (go (depth + 1)) elems
   in
   go 0 value
 
-let unload name st =
+(* The nested FractalTensor shaped [dims] whose row-major leaves are
+   [cell pos]. *)
+let of_cells dims cell =
   let pos = ref 0 in
   let rec go depth =
-    if depth = Array.length st.st_dims then begin
-      match st.st_cells.(!pos) with
-      | Some t ->
-          incr pos;
-          Fractal.Leaf t
-      | None -> err "output buffer %s has an unwritten cell" name
+    if depth = Array.length dims then begin
+      let t = cell !pos in
+      incr pos;
+      Fractal.Leaf t
     end
-    else Fractal.Node (Array.init st.st_dims.(depth) (fun _ -> go (depth + 1)))
+    else Fractal.Node (Array.init dims.(depth) (fun _ -> go (depth + 1)))
   in
   go 0
+
+let load st value =
+  iter_cells st.st_dims value (fun pos t -> st.st_cells.(pos) <- Some t)
+
+let unload name st =
+  of_cells st.st_dims (fun pos ->
+      match st.st_cells.(pos) with
+      | Some t -> t
+      | None -> err "output buffer %s has an unwritten cell" name)
 
 (* How a block's points run:
    - [Ordered]: one strict sequence (the naive directional
@@ -169,6 +179,33 @@ let wavefront_stats (g : Ir.graph) =
         (schedule Wavefront b (Domain.enumerate b.Ir.blk_domain)))
     (Ir.dataflow_order g)
 
+(* The "vm"-track spans every engine emits for a wavefront block and
+   each of its anti-chains, so profiles cannot tell engines apart. *)
+let block_span name st body =
+  Trace.timed ~track:"vm" ~cat:"block"
+    ~args:
+      [
+        ("block", Trace.String name);
+        ("points", Trace.Int st.bs_points);
+        ("fronts", Trace.Int st.bs_fronts);
+        ("max_width", Trace.Int st.bs_max_width);
+        ("parallelism", Trace.Float (parallelism st));
+      ]
+    "vm.block" body
+
+let front_span ~block ~front ~width pool body =
+  Trace.timed ~track:"vm" ~cat:"front"
+    ~args:
+      [
+        ("block", Trace.String block);
+        ("front", Trace.Int front);
+        ("width", Trace.Int width);
+        ( "domains",
+          Trace.Int (match pool with Some p -> Domain_pool.size p | None -> 1)
+        );
+      ]
+    "vm.front" body
+
 (* Wavefront blocks whose same-front disjointness the static prover
    could not establish run sequentially instead — parallel execution
    of an unproven front would turn "unchecked assumption" into a
@@ -181,30 +218,124 @@ let fallback_handler =
         blk reason)
 
 let set_fallback_handler f = fallback_handler := f
-let report_fallback blk reason = !fallback_handler blk reason
 
-let shadow_env () =
-  match Sys.getenv_opt "FT_SHADOW" with
-  | Some ("1" | "true" | "on") -> true
-  | _ -> false
+(* The race guard, shared by every engine: a block only runs its
+   anti-chains in parallel when the static prover certifies same-front
+   disjointness.  Anything else — a proven race (which Verify would
+   have flagged) or an unproven verdict — downgrades to the
+   always-legal sequential order, reported through the handler. *)
+let race_downgrade g b =
+  match (Effects.block_race g b).Effects.rr_verdict with
+  | Effects.Proven _ -> None
+  | Effects.Unproven m -> Some ("same-front disjointness unproven: " ^ m)
+  | Effects.Race (_, m) -> Some ("statically-proven race: " ^ m)
+
+let guarded_schedule ?(race_guard = true) g order (b : Ir.block) points =
+  match schedule order b points with
+  | Fronts _ as s when race_guard -> (
+      match race_downgrade g b with
+      | None -> (s, None)
+      | Some why as reason ->
+          !fallback_handler b.Ir.blk_name why;
+          (schedule Sequential b points, reason))
+  | s -> (s, None)
+
+(* The read edges evaluation consults: per operand label, the block's
+   last read edge, unless a [blk_consts] literal shadows the label or
+   no operand uses it — a dead edge no execution ever reads. *)
+let live_reads (b : Ir.block) =
+  let reads = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Ir.edge) ->
+      if e.Ir.e_dir = Ir.Read then Hashtbl.replace reads e.Ir.e_label e)
+    b.Ir.blk_edges;
+  let used = Hashtbl.create 8 in
+  let use = function
+    | Ir.O_var tag when not (List.mem_assoc tag b.Ir.blk_consts) ->
+        Hashtbl.replace used tag ()
+    | Ir.O_var _ | Ir.O_op _ | Ir.O_const _ -> ()
+  in
+  List.iter
+    (fun (o : Ir.op_node) -> List.iter use o.Ir.operands)
+    b.Ir.blk_body;
+  List.iter use b.Ir.blk_results;
+  Hashtbl.fold
+    (fun tag e acc -> if Hashtbl.mem used tag then e :: acc else acc)
+    reads []
+
+(* One block's point evaluator over whatever stores [storage] resolves
+   buffer ids to.  A point is self-contained: every mutable value it
+   touches is either point-local ([results]) or a distinct cell of a
+   shared buffer — which is what lets a front run in parallel, and a
+   sharded run evaluate against per-device stores. *)
+let point_evaluator ?shadow ~(storage : int -> storage) (b : Ir.block) =
+  let reads = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Ir.edge) -> Hashtbl.replace reads e.Ir.e_label e)
+    (live_reads b);
+  let writes = Ir.writes b in
+  if List.length writes <> List.length b.Ir.blk_results then
+    err "block %s: %d write edges for %d results" b.Ir.blk_name
+      (List.length writes)
+      (List.length b.Ir.blk_results);
+  let read_cell front point (e : Ir.edge) =
+    let st = storage e.Ir.e_buffer in
+    if Access_map.out_dim e.Ir.e_access <> Array.length st.st_dims then
+      err "block %s: partial read of buffer %d is not executable"
+        b.Ir.blk_name e.Ir.e_buffer;
+    let idx = Access_map.apply e.Ir.e_access point in
+    Option.iter
+      (fun sh ->
+        Shadow.on_read sh ~block:b.Ir.blk_name ~front ~point
+          ~buffer:e.Ir.e_buffer idx)
+      shadow;
+    match st.st_cells.(ravel st idx) with
+    | Some t -> t
+    | None ->
+        err "block %s reads an unwritten cell of buffer %d — illegal order"
+          b.Ir.blk_name e.Ir.e_buffer
+  in
+  fun front point ->
+    let results = Array.make (List.length b.Ir.blk_body) (Tensor.scalar 0.) in
+    let operand = function
+      | Ir.O_const t -> t
+      | Ir.O_op k -> results.(k)
+      | Ir.O_var tag -> (
+          match List.assoc_opt tag b.Ir.blk_consts with
+          | Some t -> t
+          | None -> (
+              match Hashtbl.find_opt reads tag with
+              | Some e -> read_cell front point e
+              | None ->
+                  err "block %s: operand %s has no edge or literal"
+                    b.Ir.blk_name tag))
+    in
+    List.iteri
+      (fun i (o : Ir.op_node) ->
+        results.(i) <-
+          Interp.eval_prim o.Ir.op (List.map operand o.Ir.operands))
+      b.Ir.blk_body;
+    List.iter2
+      (fun (w : Ir.edge) result ->
+        let st = storage w.Ir.e_buffer in
+        let idx = Access_map.apply w.Ir.e_access point in
+        Option.iter
+          (fun sh ->
+            Shadow.on_write sh ~block:b.Ir.blk_name ~front ~point
+              ~buffer:w.Ir.e_buffer idx)
+          shadow;
+        let off = ravel st idx in
+        (match st.st_cells.(off) with
+        | Some _ ->
+            err "block %s writes a cell twice — single assignment violated"
+              b.Ir.blk_name
+        | None -> ());
+        st.st_cells.(off) <- Some (operand result))
+      writes b.Ir.blk_results
 
 let run ?(order = Wavefront) ?pool ?chunk ?(race_guard = true) ?shadow
     (g : Ir.graph) inputs =
   let chunk = match chunk with Some c when c > 0 -> Some c | _ -> None in
-  let pool =
-    match (pool, order) with
-    | (Some _ as p), _ -> p
-    | None, Wavefront -> Some (Domain_pool.get ())
-    | None, _ -> None
-  in
-  (* FT_SHADOW=1: create a recorder for this run and cross-check the
-     static verdicts against it before returning.  An explicit
-     [?shadow] recorder leaves finish/cross-check to the caller. *)
-  let shadow, auto_shadow =
-    match shadow with
-    | Some s -> (Some s, false)
-    | None -> if shadow_env () then (Some (Shadow.create g), true) else (None, false)
-  in
   let store = Hashtbl.create 16 in
   List.iter
     (fun (bf : Ir.buffer) ->
@@ -217,94 +348,11 @@ let run ?(order = Wavefront) ?pool ?chunk ?(race_guard = true) ?shadow
       | Ir.Intermediate | Ir.Output -> ());
       Hashtbl.replace store bf.Ir.buf_id st)
     g.Ir.g_buffers;
+  let storage = Hashtbl.find store in
   let exec_block (b : Ir.block) =
-    let reads = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Ir.edge) ->
-        if e.Ir.e_dir = Ir.Read then Hashtbl.replace reads e.Ir.e_label e)
-      b.Ir.blk_edges;
-    let writes = Ir.writes b in
-    if List.length writes <> List.length b.Ir.blk_results then
-      err "block %s: %d write edges for %d results" b.Ir.blk_name
-        (List.length writes)
-        (List.length b.Ir.blk_results);
-    let read_cell front point (e : Ir.edge) =
-      let st = Hashtbl.find store e.Ir.e_buffer in
-      if Access_map.out_dim e.Ir.e_access <> Array.length st.st_dims then
-        err "block %s: partial read of buffer %d is not executable"
-          b.Ir.blk_name e.Ir.e_buffer;
-      let idx = Access_map.apply e.Ir.e_access point in
-      Option.iter
-        (fun sh ->
-          Shadow.on_read sh ~block:b.Ir.blk_name ~front ~point
-            ~buffer:e.Ir.e_buffer idx)
-        shadow;
-      match st.st_cells.(ravel st idx) with
-      | Some t -> t
-      | None ->
-          err "block %s reads an unwritten cell of buffer %d — illegal order"
-            b.Ir.blk_name e.Ir.e_buffer
-    in
-    (* One iteration point, self-contained: every mutable value it
-       touches is either point-local ([results]) or a distinct cell of
-       a shared buffer — which is what lets a front run in parallel. *)
-    let exec_point front point =
-      let results = Array.make (List.length b.Ir.blk_body) (Tensor.scalar 0.) in
-      let operand point = function
-        | Ir.O_const t -> t
-        | Ir.O_op k -> results.(k)
-        | Ir.O_var tag -> (
-            match List.assoc_opt tag b.Ir.blk_consts with
-            | Some t -> t
-            | None -> (
-                match Hashtbl.find_opt reads tag with
-                | Some e -> read_cell front point e
-                | None ->
-                    err "block %s: operand %s has no edge or literal"
-                      b.Ir.blk_name tag))
-      in
-      List.iteri
-        (fun i (o : Ir.op_node) ->
-          results.(i) <-
-            Interp.eval_prim o.Ir.op (List.map (operand point) o.Ir.operands))
-        b.Ir.blk_body;
-      List.iter2
-        (fun (w : Ir.edge) result ->
-          let st = Hashtbl.find store w.Ir.e_buffer in
-          let idx = Access_map.apply w.Ir.e_access point in
-          Option.iter
-            (fun sh ->
-              Shadow.on_write sh ~block:b.Ir.blk_name ~front ~point
-                ~buffer:w.Ir.e_buffer idx)
-            shadow;
-          let off = ravel st idx in
-          (match st.st_cells.(off) with
-          | Some _ ->
-              err "block %s writes a cell twice — single assignment violated"
-                b.Ir.blk_name
-          | None -> ());
-          st.st_cells.(off) <- Some (operand point result))
-        writes b.Ir.blk_results
-    in
-    (* The race guard: a block only runs its anti-chains in parallel
-       when the static prover certifies same-front disjointness.
-       Anything else — a proven race (which Verify would have flagged)
-       or an unproven verdict — downgrades to the always-legal
-       sequential order. *)
-    let sched =
-      let s = schedule order b (Domain.enumerate b.Ir.blk_domain) in
-      match s with
-      | Fronts _ when race_guard -> (
-          match (Effects.block_race g b).Effects.rr_verdict with
-          | Effects.Proven _ -> s
-          | Effects.Unproven m ->
-              !fallback_handler b.Ir.blk_name
-                ("same-front disjointness unproven: " ^ m);
-              schedule Sequential b (Domain.enumerate b.Ir.blk_domain)
-          | Effects.Race (_, m) ->
-              !fallback_handler b.Ir.blk_name ("statically-proven race: " ^ m);
-              schedule Sequential b (Domain.enumerate b.Ir.blk_domain))
-      | _ -> s
+    let exec_point = point_evaluator ?shadow ~storage b in
+    let sched, _ =
+      guarded_schedule ~race_guard g order b (Domain.enumerate b.Ir.blk_domain)
     in
     (* Sequential orders give every point its own front id so the
        shadow recorder never sees two points share an anti-chain. *)
@@ -328,54 +376,21 @@ let run ?(order = Wavefront) ?pool ?chunk ?(race_guard = true) ?shadow
                 | _ -> Array.iter (exec_point front) pts
               in
               if Trace.active () then
-                Trace.timed ~track:"vm" ~cat:"front"
-                  ~args:
-                    [
-                      ("block", Trace.String b.Ir.blk_name);
-                      ("front", Trace.Int front);
-                      ("width", Trace.Int width);
-                      ( "domains",
-                        Trace.Int
-                          (match pool with
-                          | Some p -> Domain_pool.size p
-                          | None -> 1) );
-                    ]
-                  "vm.front" body
+                front_span ~block:b.Ir.blk_name ~front ~width pool body
               else body ())
             fronts
         in
-        if Trace.active () then begin
-          let st = stats_of_schedule b.Ir.blk_name (Fronts fronts) in
-          Trace.timed ~track:"vm" ~cat:"block"
-            ~args:
-              [
-                ("block", Trace.String b.Ir.blk_name);
-                ("points", Trace.Int st.bs_points);
-                ("fronts", Trace.Int st.bs_fronts);
-                ("max_width", Trace.Int st.bs_max_width);
-                ("parallelism", Trace.Float (parallelism st));
-              ]
-            "vm.block" run_fronts
-        end
+        if Trace.active () then
+          block_span b.Ir.blk_name
+            (stats_of_schedule b.Ir.blk_name (Fronts fronts))
+            run_fronts
         else run_fronts ()
   in
   List.iter exec_block (Ir.dataflow_order g);
-  (* auto (FT_SHADOW=1) mode: every static claim must have held up
-     against the recorded run — a contradiction is a hard failure, not
-     a warning *)
-  (match shadow with
-  | Some sh when auto_shadow -> (
-      let summary = Shadow.finish sh in
-      match Shadow.cross_check g summary sh with
-      | [] -> ()
-      | issues ->
-          err "shadow memory contradicts the static analysis: %s"
-            (String.concat "; " issues))
-  | _ -> ());
   List.filter_map
     (fun (bf : Ir.buffer) ->
       if bf.Ir.buf_role = Ir.Output then
-        Some (bf.Ir.buf_name, unload bf.Ir.buf_name (Hashtbl.find store bf.Ir.buf_id))
+        Some (bf.Ir.buf_name, unload bf.Ir.buf_name (storage bf.Ir.buf_id))
       else None)
     g.Ir.g_buffers
 

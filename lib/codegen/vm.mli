@@ -1,13 +1,19 @@
-(** Functional execution of a compiled ETDG.
+(** Functional execution of a compiled ETDG — the one interpreter core.
 
-    The simulator ({!Exec}) models cost; this module models {e values}:
-    it allocates real buffers, walks each block node's iteration domain
-    point by point, evaluates the operation nodes through
-    {!Interp.eval_prim}, and materialises every read and write through
-    the block's access maps.  Running it in wavefront order — the
-    schedule the reordering pass derives — and comparing against the
-    interpreter machine-checks, for every workload, that the compiled
-    schedule computes the same values as the program's semantics.
+    The simulator ({!Executor.simulate}) models cost; this module
+    models {e values}: it allocates real buffers, walks each block
+    node's iteration domain point by point, evaluates the operation
+    nodes through {!Interp.eval_prim}, and materialises every read and
+    write through the block's access maps.  Running it in wavefront
+    order — the schedule the reordering pass derives — and comparing
+    against the interpreter machine-checks, for every workload, that
+    the compiled schedule computes the same values as the program's
+    semantics.
+
+    Other engines share its pieces instead of copying them: the cell
+    store and {!point_evaluator} run every point of a sharded run
+    ([Dist_exec]), and the race guard {!guarded_schedule} picks the
+    schedule for {!run}, {!Compiled} and [Dist_exec] alike.
 
     Three orders are supported:
     - [Sequential]: directional lexicographic over each block's
@@ -39,6 +45,31 @@ type order = Sequential | Wavefront | Reverse
 
 exception Execution_error of string
 
+(** {1 Cell store} — one per buffer, row-major; [None] = unwritten *)
+
+type storage = {
+  st_dims : int array;
+  st_strides : int array;
+  st_cells : Tensor.t option array;
+}
+
+val alloc : int array -> storage
+val strides : int array -> int array
+val ravel : storage -> int array -> int
+
+val iter_cells : int array -> Fractal.t -> (int -> Tensor.t -> unit) -> unit
+(** [f pos t] for every leaf in row-major order; raises
+    [Execution_error] unless the value is shaped [dims]. *)
+
+val of_cells : int array -> (int -> Tensor.t) -> Fractal.t
+(** The value shaped [dims] whose row-major leaves are [cell pos]. *)
+
+val load : storage -> Fractal.t -> unit
+val unload : string -> storage -> Fractal.t
+(** The string names the buffer in the unwritten-cell error. *)
+
+(** {1 Schedules} *)
+
 (** How a block's points run: [Ordered] is one strict sequence (the
     directional lexicographic order or its reverse); [Fronts] is the
     wavefront anti-chains in hyperplane order, each an array of
@@ -56,14 +87,6 @@ val schedule : order -> Ir.block -> int array list -> schedule
     [Sequential] (right-directional foldr/scanr dimensions descend),
     its reverse for [Reverse], hyperplane anti-chains for
     [Wavefront]. *)
-
-val directional_points : Ir.block -> int array list -> int array list
-(** The naive legal order: lexicographic with each dimension iterated
-    in its recurrence direction. *)
-
-val shadow_env : unit -> bool
-(** Whether [FT_SHADOW] requests a shadow-memory recorder ([1], [true]
-    or [on]). *)
 
 type block_stats = {
   bs_block : string;  (** block name *)
@@ -85,15 +108,47 @@ val parallelism : block_stats -> float
 val stats_of_schedule : string -> schedule -> block_stats
 (** Shape of one block's schedule (see {!wavefront_stats}). *)
 
+val block_span : string -> block_stats -> (unit -> 'a) -> 'a
+
+val front_span :
+  block:string -> front:int -> width:int -> Domain_pool.t option ->
+  (unit -> 'a) -> 'a
+(** The ["vm.block"] / ["vm.front"] spans, shared with {!Compiled}. *)
+
 val set_fallback_handler : (string -> string -> unit) -> unit
 (** Observer of race-guard downgrades: called with the block name and
     the reason whenever a wavefront block runs sequentially because its
     same-front disjointness is not [Proven].  Default: a warning line
     on stderr. *)
 
-val report_fallback : string -> string -> unit
-(** Invoke the current fallback handler — the compiled executor routes
-    its plan-time downgrades through the same observer. *)
+val race_downgrade : Ir.graph -> Ir.block -> string option
+(** Why the race guard runs this block sequentially; [None] when
+    {!Effects.block_race} proves same-front disjointness. *)
+
+val guarded_schedule :
+  ?race_guard:bool -> Ir.graph -> order -> Ir.block -> int array list ->
+  schedule * string option
+(** The one race guard of {!run}, {!Compiled.compile} and
+    [Dist_exec.run]: {!schedule}, except that [Fronts] with a
+    {!race_downgrade} reason become the sequential schedule, with the
+    reason (also reported to the fallback handler).
+    [~race_guard:false] skips the check. *)
+
+(** {1 Evaluation} *)
+
+val live_reads : Ir.block -> Ir.edge list
+(** The read edges evaluation consults (no dead or literal-shadowed
+    labels). *)
+
+val point_evaluator :
+  ?shadow:Shadow.t -> storage:(int -> storage) -> Ir.block ->
+  int -> int array -> unit
+(** [point_evaluator ~storage b front point] evaluates [b]'s body at
+    [point] against the stores [storage] maps buffer ids to (checking
+    the block once, at partial application).  Safe to run
+    concurrently across one front; [shadow] records every access
+    under anti-chain [front].  Raises [Execution_error] on an
+    unwritten read, a double write or an unresolvable operand. *)
 
 val run :
   ?order:order ->
@@ -104,33 +159,27 @@ val run :
   Ir.graph ->
   (string * Fractal.t) list ->
   (string * Fractal.t) list
-(** @deprecated Direct calls are a transition shim for one release:
-    {!Executor.run} with a {!Run_opts.t} is the front door — it reaches
-    this interpreter via [Run_opts.mode = Interpret _] and the compiled
-    engine via [Compiled] — and every in-tree caller has migrated.
-
-    [run g inputs] executes the graph over the named input
+(** [run g inputs] executes the graph over the named input
     FractalTensors and returns the contents of every [Output] buffer as
-    a nested FractalTensor (in buffer order).  Default order:
-    [Wavefront], which executes each anti-chain across [pool]
-    (defaulting to the shared {!Domain_pool.get} pool; [Sequential] and
+    a nested FractalTensor (in buffer order).  This is what
+    {!Executor} runs for [Run_opts.Interpret order]; go through it
+    unless you need to own the shadow recorder.
+
+    Default order: [Wavefront], which executes each anti-chain across
+    [pool]; without a pool every front runs inline ([Sequential] and
     [Reverse] never touch a pool).  [chunk] (when positive) bounds how
     many points of a front one domain claims at a time — the
     auto-tuner's [vm_chunk] knob; values ≤ 0 or absent use the pool's
     default split.  Chunking never changes results: points of a front
     are mutually independent.
 
-    [race_guard] (default [true]): before running a block's anti-chains
-    in parallel, consult {!Effects.block_race}; a verdict other than
-    [Proven] downgrades that block to the sequential order and reports
-    through {!set_fallback_handler}.  Pass [false] only to study the
-    unguarded executor (tests do, under the shadow recorder).
+    [race_guard] (default [true]): see {!guarded_schedule}.  Pass
+    [false] only to study the unguarded executor (tests do, under the
+    shadow recorder).
 
-    [shadow]: record every cell access in the given {!Shadow} recorder;
-    the caller finishes and cross-checks it.  Without it, setting
-    [FT_SHADOW=1] in the environment makes the run create its own
-    recorder and cross-check the static verdicts before returning —
-    any contradiction raises [Execution_error].
+    [shadow]: record every cell access in the given {!Shadow}
+    recorder; the caller finishes and cross-checks it.  [run] reads no
+    environment variable — [FT_SHADOW] is {!Executor}'s business.
     @raise Execution_error on missing inputs or un-executable blocks.
     @raise Shadow.Violation on a recorded same-front overlap. *)
 

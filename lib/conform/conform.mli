@@ -18,6 +18,13 @@ type oracle_stat = {
   os_fail : int;
   os_unsupported : int;
       (** programs outside the compiled fragment (interpreter-only) *)
+  os_engines : (string * int) list;
+      (** compiled-family oracles: how many programs the front door ran
+          on ["compiled"] and on ["vm-fallback"] ({!Executor.engine});
+          empty for other oracles *)
+  os_fallback_reasons : (string * int) list;
+      (** histogram of {!Executor.fallback_reason} over this oracle's
+          ["vm-fallback"] programs, sorted by reason *)
 }
 
 type failure = {

@@ -3,7 +3,12 @@ type outcome =
   | Unsupported of string
   | Failed of string
 
-type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
+type run = {
+  r_oracle : string;
+  r_outcome : outcome;
+  r_wall_ms : float;
+  r_engine : (string * string option) option;
+}
 
 let all_oracles =
   [ "interp"; "vm-seq"; "vm-wave1"; "vm-wave2"; "vm-wave4"; "shadow";
@@ -118,11 +123,16 @@ let project (p : Expr.program) v = project_expr p.Expr.body v
 (* The oracles                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let vm_value g ?order ?pool ?chunk (p : Expr.program) inputs =
-  let outs = Vm.run ?order ?pool ?chunk g inputs in
+(* The interpreting VM through the front door, at an explicit domain
+   count: [Some 1] runs every front inline. *)
+let vm_value g ~order ~domains ?chunk (p : Expr.program) inputs =
+  let opts =
+    { (Run_opts.interpreted order) with Run_opts.domains = Some domains; chunk }
+  in
+  let outs = Executor.run ~opts g inputs in
   Value (Vm.output outs p.Expr.name)
 
-let tuned_oracle ctx (p : Expr.program) g inputs =
+let tuned_oracle (p : Expr.program) g inputs =
   (* Store a deliberately non-default configuration, resolve it back
      through the installed database, and demand that compiling and
      running under it changes nothing. *)
@@ -145,8 +155,8 @@ let tuned_oracle ctx (p : Expr.program) g inputs =
   | None -> Failed "stored tuned config did not resolve through Tune_db"
   | Some tile ->
       ignore (Pipeline.plan_cached ~tune:true p);
-      vm_value g ~order:Vm.Wavefront ~pool:(pool ctx 2)
-        ~chunk:tile.Tile.cfg_vm_chunk p inputs
+      vm_value g ~order:Vm.Wavefront ~domains:2 ~chunk:tile.Tile.cfg_vm_chunk
+        p inputs
 
 (* Wavefront execution under the shadow recorder: every cell access is
    logged with its anti-chain, same-front overlaps raise immediately,
@@ -171,13 +181,16 @@ let shadow_oracle ctx (p : Expr.program) g inputs =
    cross-checks the recorded accesses against the static analysis.  A
    graph outside the compiled fragment falls back to the interpreting
    VM inside Executor — still a legitimate differential point: the
-   front door must be value-transparent either way. *)
-let compiled_oracle ?(domains = 1) ?(arena = true) ?(fuse = true) ?pack
-    (p : Expr.program) g inputs =
+   front door must be value-transparent either way.  [engine] receives
+   which engine the front door picked, and why it fell back if it did. *)
+let compiled_oracle ~engine ?(domains = 1) ?(arena = true) ?(fuse = true)
+    ?pack (p : Expr.program) g inputs =
   let opts =
     { Run_opts.default with Run_opts.domains = Some domains; arena; fuse; pack }
   in
-  let outs = Executor.run ~opts g inputs in
+  let pr = Executor.prepare ~opts g in
+  engine := Some (Executor.engine pr, Executor.fallback_reason pr);
+  let outs = Executor.execute pr inputs in
   Value (Vm.output outs p.Expr.name)
 
 (* Hostile pack blocking: tiny, mutually-indivisible mc/kc/nc force
@@ -205,9 +218,10 @@ let cache_rt_oracle (p : Expr.program) g inputs =
     let plan2 = Pipeline.plan_cached p in
     if plan1 <> plan2 then
       Failed "plan changed across a disk-cache round trip"
-    else vm_value g ~order:Vm.Sequential p inputs
+    else vm_value g ~order:Vm.Sequential ~domains:1 p inputs
 
-let run_one ctx (p : Expr.program) inputs graph name =
+let run_one ctx ~engine (p : Expr.program) inputs graph name =
+  let compiled_oracle = compiled_oracle ~engine in
   match name with
   | "interp" -> (
       try Value (Interp.run_program p inputs)
@@ -219,15 +233,12 @@ let run_one ctx (p : Expr.program) inputs graph name =
       | `Ok g -> (
           try
             match name with
-            | "vm-seq" -> vm_value g ~order:Vm.Sequential p inputs
-            | "vm-wave1" ->
-                vm_value g ~order:Vm.Wavefront ~pool:(pool ctx 1) p inputs
-            | "vm-wave2" ->
-                vm_value g ~order:Vm.Wavefront ~pool:(pool ctx 2) p inputs
-            | "vm-wave4" ->
-                vm_value g ~order:Vm.Wavefront ~pool:(pool ctx 4) p inputs
+            | "vm-seq" -> vm_value g ~order:Vm.Sequential ~domains:1 p inputs
+            | "vm-wave1" -> vm_value g ~order:Vm.Wavefront ~domains:1 p inputs
+            | "vm-wave2" -> vm_value g ~order:Vm.Wavefront ~domains:2 p inputs
+            | "vm-wave4" -> vm_value g ~order:Vm.Wavefront ~domains:4 p inputs
             | "shadow" -> shadow_oracle ctx p g inputs
-            | "tuned" -> tuned_oracle ctx p g inputs
+            | "tuned" -> tuned_oracle p g inputs
             | "cache-rt" -> cache_rt_oracle p g inputs
             | "compiled" -> compiled_oracle p g inputs
             | "compiled2" -> compiled_oracle ~domains:2 p g inputs
@@ -253,7 +264,13 @@ let run_all ctx (p : Expr.program) inputs =
   List.map
     (fun name ->
       let t0 = Unix.gettimeofday () in
-      let outcome = run_one ctx p inputs graph name in
+      let engine = ref None in
+      let outcome = run_one ctx ~engine p inputs graph name in
       let t1 = Unix.gettimeofday () in
-      { r_oracle = name; r_outcome = outcome; r_wall_ms = (t1 -. t0) *. 1e3 })
+      {
+        r_oracle = name;
+        r_outcome = outcome;
+        r_wall_ms = (t1 -. t0) *. 1e3;
+        r_engine = !engine;
+      })
     ctx.cx_oracles

@@ -10,12 +10,14 @@
 
     Oracles:
     - ["interp"]   — the reference interpreter (defines semantics);
-    - ["vm-seq"]   — the VM in [Sequential] order;
+    - ["vm-seq"]   — the VM in [Sequential] order, through
+                     {!Executor} with [Run_opts.interpreted];
     - ["vm-wave1"] / ["vm-wave2"] / ["vm-wave4"]
-                   — the VM in [Wavefront] order on a 1/2/4-domain
-                     pool (schedule + parallelism invariance);
-    - ["shadow"]   — the VM in [Wavefront] order on a 2-domain pool
-                     under the {!Shadow} cell-level recorder: a
+                   — the VM in [Wavefront] order at 1/2/4 domains
+                     (schedule + parallelism invariance);
+    - ["shadow"]   — {!Vm.run} in [Wavefront] order on a 2-domain
+                     pool under an explicit {!Shadow} cell-level
+                     recorder: a
                      same-front overlap raises at the access, and the
                      recorded footprints are cross-checked against the
                      static verdicts of [Effects] after the run — a
@@ -76,7 +78,15 @@ type outcome =
                           violation (plan mismatch after a cache round
                           trip, tuned config not resolved) *)
 
-type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
+type run = {
+  r_oracle : string;
+  r_outcome : outcome;
+  r_wall_ms : float;
+  r_engine : (string * string option) option;
+      (** compiled-family oracles only: {!Executor.engine} of the
+          prepared program (["compiled"] or ["vm-fallback"]) and its
+          {!Executor.fallback_reason} *)
+}
 
 val all_oracles : string list
 (** In registry order; ["interp"] first. *)

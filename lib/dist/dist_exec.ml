@@ -1,28 +1,11 @@
-(* Functional distributed execution of a compiled ETDG.
-
-   The single-device {!Vm} owns one cell store per buffer; here every
-   simulated device owns a {e private} store (plus one for the host,
-   which holds program inputs and gathers outputs), and shards of a
-   block's iteration domain execute on real OCaml domains — one domain
-   per device — reading and writing only their own device's store.
-
-   Data movement is pull-based and explicit: before a front (or a
-   sequential same-owner segment) runs, the coordinator walks the read
-   access maps of its points and blits every cell a device needs but
-   does not hold from the cell's {e home} device (the device that wrote
-   it; the host for inputs), recording one transfer event per
-   (src, dst, buffer) triple per phase — the halo exchange emerges from
-   the access maps rather than being hand-declared.  Because a blit is
-   a bit-exact tensor copy and every point evaluates through the same
-   {!Interp.eval_prim} on the same operand values as {!Vm}, the
-   distributed run is bitwise identical to the single-device one by
-   construction — which the differential suite then checks rather than
-   assumes.
-
-   The home table doubles as a dynamic shard-legality monitor: two
-   devices (or two fronts) writing the same cell collide in the table
-   and fail the run, the runtime counterpart of {!Shard.verify}'s
-   static write-disjointness proof. *)
+(* Placement plus pull transfers over Vm's interpreter core (the
+   design is documented in dist_exec.mli).  Every device evaluates its
+   points through Vm.point_evaluator against its own stores, so a
+   sharded run is bitwise identical to Vm.run by construction — which
+   the differential suite checks rather than assumes.  The home table
+   doubles as a dynamic shard-legality monitor: two devices (or two
+   fronts) writing one cell collide in it and fail the run, the runtime
+   counterpart of Shard.verify's static write-disjointness proof. *)
 
 let host = -1
 
@@ -46,71 +29,6 @@ type log = {
 
 let err fmt = Format.kasprintf (fun s -> raise (Vm.Execution_error s)) fmt
 
-(* Same storage layout as Vm: row-major cells, strides precomputed. *)
-type storage = {
-  st_dims : int array;
-  st_strides : int array;
-  st_cells : Tensor.t option array;
-}
-
-let strides dims =
-  let n = Array.length dims in
-  let st = Array.make n 1 in
-  for i = n - 2 downto 0 do
-    st.(i) <- st.(i + 1) * dims.(i + 1)
-  done;
-  st
-
-let ravel st idx =
-  let off = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= st.st_dims.(i) then
-        err "buffer index %d out of extent %d (axis %d)" v st.st_dims.(i) i;
-      off := !off + (v * st.st_strides.(i)))
-    idx;
-  !off
-
-let alloc dims =
-  {
-    st_dims = dims;
-    st_strides = strides dims;
-    st_cells = Array.make (Stdlib.max 1 (Array.fold_left ( * ) 1 dims)) None;
-  }
-
-let load st value =
-  let pos = ref 0 in
-  let rec go depth v =
-    match v with
-    | Fractal.Leaf t ->
-        if depth <> Array.length st.st_dims then
-          err "input nesting depth does not match the buffer rank";
-        st.st_cells.(!pos) <- Some t;
-        incr pos
-    | Fractal.Node elems ->
-        if depth >= Array.length st.st_dims then
-          err "input nesting exceeds the buffer rank";
-        if Array.length elems <> st.st_dims.(depth) then
-          err "input extent %d differs from buffer extent %d"
-            (Array.length elems) st.st_dims.(depth);
-        Array.iter (go (depth + 1)) elems
-  in
-  go 0 value
-
-let unload name st =
-  let pos = ref 0 in
-  let rec go depth =
-    if depth = Array.length st.st_dims then begin
-      match st.st_cells.(!pos) with
-      | Some t ->
-          incr pos;
-          Fractal.Leaf t
-      | None -> err "output buffer %s has an unwritten cell" name
-    end
-    else Fractal.Node (Array.init st.st_dims.(depth) (fun _ -> go (depth + 1)))
-  in
-  go 0
-
 (* 4-byte/f32 convention, matching Effects.buffer_bytes and the plan
    emitter. *)
 let cell_bytes t = 4.0 *. float_of_int (Tensor.numel t)
@@ -132,163 +50,107 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
   let events = ref [] in
   let emit e = events := e :: !events in
   let fallbacks = ref [] in
+  (* One phase's transfers, aggregated per (src, dst, buffer name):
+     [pull] blits a cell from [src]'s store into [dst]'s and tallies
+     it, [flush] emits the tallies in key order. *)
+  let pull tally ~src ~dst buf off =
+    match (storage src buf).Vm.st_cells.(off) with
+    | None -> ()
+    | Some t ->
+        (storage dst buf).Vm.st_cells.(off) <- Some (blit t);
+        let key = (src, dst, (Ir.buffer g buf).Ir.buf_name) in
+        let bytes, cells =
+          match Hashtbl.find_opt tally key with
+          | Some bc -> bc
+          | None ->
+              let bc = (ref 0.0, ref 0) in
+              Hashtbl.add tally key bc;
+              bc
+        in
+        bytes := !bytes +. cell_bytes t;
+        incr cells
+  in
+  let flush tally =
+    Hashtbl.fold (fun k bc acc -> (k, bc) :: acc) tally []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.iter (fun ((src, dst, name), (bytes, cells)) ->
+           emit
+             (E_xfer
+                {
+                  x_src = src;
+                  x_dst = dst;
+                  x_bytes = !bytes;
+                  x_cells = !cells;
+                  x_label = name;
+                }))
+  in
   List.iter
     (fun (bf : Ir.buffer) ->
       (match bf.Ir.buf_role with
       | Ir.Input -> (
-          let st = alloc bf.Ir.buf_dims in
+          let st = Vm.alloc bf.Ir.buf_dims in
           (match List.assoc_opt bf.Ir.buf_name inputs with
-          | Some v -> load st v
+          | Some v -> Vm.load st v
           | None -> err "missing input %s" bf.Ir.buf_name);
           Array.iteri
             (fun off c ->
               if c <> None then Hashtbl.replace home (bf.Ir.buf_id, off) host)
-            st.st_cells;
+            st.Vm.st_cells;
           Hashtbl.replace host_store bf.Ir.buf_id st)
       | Ir.Intermediate | Ir.Output ->
-          Hashtbl.replace host_store bf.Ir.buf_id (alloc bf.Ir.buf_dims));
+          Hashtbl.replace host_store bf.Ir.buf_id (Vm.alloc bf.Ir.buf_dims));
       Array.iter
-        (fun s -> Hashtbl.replace s bf.Ir.buf_id (alloc bf.Ir.buf_dims))
+        (fun s -> Hashtbl.replace s bf.Ir.buf_id (Vm.alloc bf.Ir.buf_dims))
         stores)
     g.Ir.g_buffers;
   let exec_block (b : Ir.block) =
     let sh = Shard.block_shard plan b.Ir.blk_name in
     let owner p = Shard.owner sh p in
-    let reads = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Ir.edge) ->
-        if e.Ir.e_dir = Ir.Read then Hashtbl.replace reads e.Ir.e_label e)
-      b.Ir.blk_edges;
+    let evals =
+      Array.init ndev (fun d -> Vm.point_evaluator ~storage:(storage d) b)
+    in
+    (* Device [d]'s share of a front: reads and writes touch only
+       [d]'s stores, which is what makes the per-device fan-out safe.
+       A failing point names its device and block. *)
+    let run_shard d front pts =
+      try Array.iter (evals.(d) front) pts
+      with Vm.Execution_error m ->
+        err "device %d, block %s: %s" d b.Ir.blk_name m
+    in
     let writes = Ir.writes b in
-    if List.length writes <> List.length b.Ir.blk_results then
-      err "block %s: %d write edges for %d results" b.Ir.blk_name
-        (List.length writes)
-        (List.length b.Ir.blk_results);
-    (* Read edges an operand actually consumes: a label bound in
-       blk_consts resolves to the literal and its edge is dead, exactly
-       as in Vm's operand resolution — prefetching a dead edge would
-       demand cells no execution ever reads. *)
-    let used = Hashtbl.create 8 in
-    let use = function
-      | Ir.O_var tag ->
-          if not (List.mem_assoc tag b.Ir.blk_consts) then
-            Hashtbl.replace used tag ()
-      | Ir.O_op _ | Ir.O_const _ -> ()
-    in
-    List.iter (fun (o : Ir.op_node) -> List.iter use o.Ir.operands) b.Ir.blk_body;
-    List.iter use b.Ir.blk_results;
-    let live_reads =
-      Hashtbl.fold
-        (fun tag e acc -> if Hashtbl.mem used tag then e :: acc else acc)
-        reads []
-    in
-    let read_cell d point (e : Ir.edge) =
-      let st = storage d e.Ir.e_buffer in
-      if Access_map.out_dim e.Ir.e_access <> Array.length st.st_dims then
-        err "block %s: partial read of buffer %d is not executable"
-          b.Ir.blk_name e.Ir.e_buffer;
-      let idx = Access_map.apply e.Ir.e_access point in
-      match st.st_cells.(ravel st idx) with
-      | Some t -> t
-      | None ->
-          err "block %s reads an unwritten cell of buffer %d — illegal order"
-            b.Ir.blk_name e.Ir.e_buffer
-    in
-    (* One iteration point on device [d]: reads and writes touch only
-       [d]'s store, which is what makes the per-device fan-out safe. *)
-    let exec_point d point =
-      let results = Array.make (List.length b.Ir.blk_body) (Tensor.scalar 0.) in
-      let operand point = function
-        | Ir.O_const t -> t
-        | Ir.O_op k -> results.(k)
-        | Ir.O_var tag -> (
-            match List.assoc_opt tag b.Ir.blk_consts with
-            | Some t -> t
-            | None -> (
-                match Hashtbl.find_opt reads tag with
-                | Some e -> read_cell d point e
-                | None ->
-                    err "block %s: operand %s has no edge or literal"
-                      b.Ir.blk_name tag))
-      in
-      List.iteri
-        (fun i (o : Ir.op_node) ->
-          results.(i) <-
-            Interp.eval_prim o.Ir.op (List.map (operand point) o.Ir.operands))
-        b.Ir.blk_body;
-      List.iter2
-        (fun (w : Ir.edge) result ->
-          let st = storage d w.Ir.e_buffer in
-          let idx = Access_map.apply w.Ir.e_access point in
-          let off = ravel st idx in
-          (match st.st_cells.(off) with
-          | Some _ ->
-              err "block %s writes a cell twice — single assignment violated"
-                b.Ir.blk_name
-          | None -> ());
-          st.st_cells.(off) <- Some (operand point result))
-        writes b.Ir.blk_results
-    in
+    (* Prefetch only what evaluation consults: a dead edge would demand
+       cells no execution ever reads. *)
+    let live_reads = Vm.live_reads b in
     (* Coordinator: make every cell the points will read present on
        their owner devices, blitting from each cell's home.  A cell
        with no home yet may still be produced locally later in the
-       segment (a scan's own trail); if it never is, exec_point raises
-       the same illegal-order error Vm would. *)
+       segment (a scan's own trail); if it never is, the evaluator
+       raises the same illegal-order error Vm would. *)
     let fetch pts =
-      let pending : (int * int * string, float ref * int ref) Hashtbl.t =
-        Hashtbl.create 16
-      in
+      let tally = Hashtbl.create 16 in
       Array.iter
         (fun p ->
           let d = owner p in
           List.iter
             (fun (e : Ir.edge) ->
               let st = storage d e.Ir.e_buffer in
-              if Access_map.out_dim e.Ir.e_access = Array.length st.st_dims
+              if Access_map.out_dim e.Ir.e_access = Array.length st.Vm.st_dims
               then begin
-                let off = ravel st (Access_map.apply e.Ir.e_access p) in
-                if st.st_cells.(off) = None then
+                let off = Vm.ravel st (Access_map.apply e.Ir.e_access p) in
+                if st.Vm.st_cells.(off) = None then
                   match Hashtbl.find_opt home (e.Ir.e_buffer, off) with
-                  | None -> ()
-                  | Some h when h = d -> ()
-                  | Some h -> (
-                      let src = storage h e.Ir.e_buffer in
-                      match src.st_cells.(off) with
-                      | None -> ()
-                      | Some t ->
-                          st.st_cells.(off) <- Some (blit t);
-                          let name = (Ir.buffer g e.Ir.e_buffer).Ir.buf_name in
-                          let key = (h, d, name) in
-                          let bytes, cells =
-                            match Hashtbl.find_opt pending key with
-                            | Some bc -> bc
-                            | None ->
-                                let bc = (ref 0.0, ref 0) in
-                                Hashtbl.add pending key bc;
-                                bc
-                          in
-                          bytes := !bytes +. cell_bytes t;
-                          incr cells)
+                  | Some h when h <> d ->
+                      pull tally ~src:h ~dst:d e.Ir.e_buffer off
+                  | _ -> ()
               end)
             live_reads)
         pts;
-      Hashtbl.fold (fun k bc acc -> (k, bc) :: acc) pending []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun ((src, dst, name), (bytes, cells)) ->
-             emit
-               (E_xfer
-                  {
-                    x_src = src;
-                    x_dst = dst;
-                    x_bytes = !bytes;
-                    x_cells = !cells;
-                    x_label = name;
-                  }))
+      flush tally
     in
     (* Coordinator, after a front/segment: record who produced each
        written cell.  A collision is a cross-shard double write — the
        dynamic refutation of an illegal plan (same-device double writes
-       already failed inside exec_point). *)
+       already failed inside the evaluator). *)
     let record_homes pts =
       Array.iter
         (fun p ->
@@ -296,7 +158,7 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
           List.iter
             (fun (w : Ir.edge) ->
               let st = storage d w.Ir.e_buffer in
-              let off = ravel st (Access_map.apply w.Ir.e_access p) in
+              let off = Vm.ravel st (Access_map.apply w.Ir.e_access p) in
               let key = (w.Ir.e_buffer, off) in
               if Hashtbl.mem home key then
                 err
@@ -312,27 +174,18 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
       Array.iter (fun p -> counts.(owner p) <- counts.(owner p) + 1) pts;
       counts
     in
-    (* Race guard, mirroring Vm: anti-chains only run as fronts when
-       same-front disjointness is statically Proven (a per-device
-       partition of a proven front is a subset family, still disjoint);
-       otherwise the block downgrades to the sequential order. *)
-    let points = Domain.enumerate b.Ir.blk_domain in
-    let sched =
-      match Vm.schedule Vm.Wavefront b points with
-      | Vm.Fronts _ as s -> (
-          match (Effects.block_race g b).Effects.rr_verdict with
-          | Effects.Proven _ -> s
-          | Effects.Unproven m ->
-              let reason = "same-front disjointness unproven: " ^ m in
-              fallbacks := (b.Ir.blk_name, reason) :: !fallbacks;
-              Vm.report_fallback b.Ir.blk_name reason;
-              Vm.schedule Vm.Sequential b points
-          | Effects.Race (_, m) ->
-              let reason = "statically-proven race: " ^ m in
-              fallbacks := (b.Ir.blk_name, reason) :: !fallbacks;
-              Vm.report_fallback b.Ir.blk_name reason;
-              Vm.schedule Vm.Sequential b points)
-      | s -> s
+    (* A per-device partition of a proven front is a subset family,
+       still disjoint, so the shared race guard applies unchanged. *)
+    let sched, reason =
+      Vm.guarded_schedule g Vm.Wavefront b (Domain.enumerate b.Ir.blk_domain)
+    in
+    Option.iter (fun r -> fallbacks := (b.Ir.blk_name, r) :: !fallbacks) reason;
+    let phase pts run =
+      fetch pts;
+      run ();
+      record_homes pts;
+      emit
+        (E_front { ef_block = b.Ir.blk_name; ef_points = points_per_dev pts })
     in
     match sched with
     | Vm.Ordered ps ->
@@ -350,19 +203,12 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
               let seg, rest = split [] ps in
               (d, seg) :: segments rest
         in
-        List.iter
-          (fun (d, seg) ->
-            fetch seg;
-            Array.iter (exec_point d) seg;
-            record_homes seg;
-            emit
-              (E_front
-                 { ef_block = b.Ir.blk_name; ef_points = points_per_dev seg }))
+        List.iteri
+          (fun i (d, seg) -> phase seg (fun () -> run_shard d i seg))
           (segments ps)
     | Vm.Fronts fronts ->
         List.iter
-          (fun (_, pts) ->
-            fetch pts;
+          (fun (front, pts) ->
             let per_dev = Array.make ndev [] in
             Array.iter
               (fun p ->
@@ -372,15 +218,12 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
             let shards = Array.map (fun l -> Array.of_list (List.rev l)) per_dev in
             (* one OCaml domain per device; each device walks only its
                own shard of the front, against its own store *)
-            (match pool with
-            | Some pl when Array.length pts > 1 && ndev > 1 ->
-                Domain_pool.parallel_for ~chunk:1 pl ~lo:0 ~hi:ndev (fun d ->
-                    Array.iter (exec_point d) shards.(d))
-            | _ -> Array.iteri (fun d s -> Array.iter (exec_point d) s) shards);
-            record_homes pts;
-            emit
-              (E_front
-                 { ef_block = b.Ir.blk_name; ef_points = points_per_dev pts }))
+            phase pts (fun () ->
+                match pool with
+                | Some pl when Array.length pts > 1 && ndev > 1 ->
+                    Domain_pool.parallel_for ~chunk:1 pl ~lo:0 ~hi:ndev
+                      (fun d -> run_shard d front shards.(d))
+                | _ -> Array.iteri (fun d s -> run_shard d front s) shards))
           fronts
   in
   List.iter exec_block (Ir.dataflow_order g);
@@ -391,44 +234,17 @@ let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
       (fun (bf : Ir.buffer) ->
         if bf.Ir.buf_role <> Ir.Output then None
         else begin
-          let hst = Hashtbl.find host_store bf.Ir.buf_id in
-          let per_src : (int, float ref * int ref) Hashtbl.t =
-            Hashtbl.create 4
-          in
+          let buf = bf.Ir.buf_id in
+          let hst = storage host buf in
+          let tally = Hashtbl.create 4 in
           Array.iteri
             (fun off _ ->
-              match Hashtbl.find_opt home (bf.Ir.buf_id, off) with
-              | None | Some (-1) -> ()
-              | Some h -> (
-                  let src = storage h bf.Ir.buf_id in
-                  match src.st_cells.(off) with
-                  | None -> ()
-                  | Some t ->
-                      hst.st_cells.(off) <- Some (blit t);
-                      let bytes, cells =
-                        match Hashtbl.find_opt per_src h with
-                        | Some bc -> bc
-                        | None ->
-                            let bc = (ref 0.0, ref 0) in
-                            Hashtbl.add per_src h bc;
-                            bc
-                      in
-                      bytes := !bytes +. cell_bytes t;
-                      incr cells))
-            hst.st_cells;
-          Hashtbl.fold (fun k bc acc -> (k, bc) :: acc) per_src []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-          |> List.iter (fun (src, (bytes, cells)) ->
-                 emit
-                   (E_xfer
-                      {
-                        x_src = src;
-                        x_dst = host;
-                        x_bytes = !bytes;
-                        x_cells = !cells;
-                        x_label = bf.Ir.buf_name;
-                      }));
-          Some (bf.Ir.buf_name, unload bf.Ir.buf_name hst)
+              match Hashtbl.find_opt home (buf, off) with
+              | Some h when h <> host -> pull tally ~src:h ~dst:host buf off
+              | _ -> ())
+            hst.Vm.st_cells;
+          flush tally;
+          Some (bf.Ir.buf_name, Vm.unload bf.Ir.buf_name hst)
         end)
       g.Ir.g_buffers
   in

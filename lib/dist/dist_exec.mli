@@ -1,27 +1,31 @@
 (** Functional distributed execution: a shard plan, executed for real
     on OCaml domains — one per simulated device — with explicit
-    transfers.
+    transfers, over {!Vm}'s interpreter core.
 
-    Every device owns a private cell store (plus one for the host,
-    holding inputs and gathering outputs).  Before each wavefront front
-    (or same-owner sequential segment) runs, the coordinator pulls
-    every cell the front reads but its owner does not hold from the
-    cell's {e home} — the device that wrote it, or the host for inputs
-    — as a bit-exact blit, logged as one transfer per
-    (src, dst, buffer) per phase.  Halo exchange therefore emerges from
-    the access maps.  Compute within a front fans the per-device shards
-    out across a {!Domain_pool}; each shard touches only its own
-    device's store.
+    This module is placement plus pull transfers; it has no evaluator
+    of its own.  Every device owns private {!Vm.storage} cell stores
+    (plus the host's, holding inputs and gathering outputs), and each
+    device's share of a front runs through {!Vm.point_evaluator} bound
+    to that device's stores.  Before each wavefront front (or
+    same-owner sequential segment) runs, the coordinator pulls every
+    cell the front reads but its owner does not hold from the cell's
+    {e home} — the device that wrote it, or the host for inputs — as a
+    bit-exact blit, logged as one transfer per (src, dst, buffer) per
+    phase.  Halo exchange therefore emerges from the access maps.
+    Compute within a front fans the per-device shards out across a
+    {!Domain_pool}.
 
-    Values are bitwise identical to {!Vm} by construction (same
-    schedules, same {!Interp.eval_prim}, copies are blits); the home
-    table additionally fails the run on any cross-shard double write —
-    the dynamic counterpart of {!Shard.verify}.  The race guard mirrors
-    {!Vm}: blocks without a [Proven] same-front disjointness verdict
-    downgrade to sequential order (reported via {!Vm.report_fallback}
-    and returned in the log).
+    Values are bitwise identical to {!Vm.run} by construction (same
+    schedules, same evaluator, copies are blits); the home table
+    additionally fails the run on any cross-shard double write — the
+    dynamic counterpart of {!Shard.verify}.  The schedule comes from
+    the shared race guard {!Vm.guarded_schedule}: blocks without a
+    [Proven] same-front disjointness verdict run sequentially
+    (reported through the fallback handler and returned in the log).
 
-    Raises {!Vm.Execution_error} on the same conditions as {!Vm}. *)
+    Raises {!Vm.Execution_error} on the same conditions as {!Vm.run};
+    a failure while running a device's shard names the device and the
+    block. *)
 
 val host : int
 (** The host endpoint in transfer events ([-1]). *)
@@ -56,7 +60,9 @@ val run :
 (** Execute the graph under the shard plan.  Outputs are in buffer
     order, exactly as {!Vm.run} returns them.  Without a pool the
     per-device shards of a front run on the coordinator (still
-    sharded, still transferred — just not concurrent). *)
+    sharded, still transferred — just not concurrent).
+    @raise Vm.Execution_error as ["device D, block B: reason"] when a
+    point fails inside a device's shard. *)
 
 val xfer_totals : log -> int * float
 (** (transfer count, total bytes) over the whole run. *)

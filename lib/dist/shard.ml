@@ -266,18 +266,13 @@ let verify (g : Ir.graph) plan =
                [Proven] extends to the sharded run; anything weaker
                downgrades the block to sequential order at run time —
                record it so the plan's parallelism story is honest. *)
-            match (Effects.block_race g b).Effects.rr_verdict with
-            | Effects.Proven _ -> ()
-            | Effects.Unproven m ->
+            match Vm.race_downgrade g b with
+            | None -> ()
+            | Some why ->
                 push
                   (Diagnostic.notef ~context:ctx "D403"
                      "cross-device fronts fall back to sequential \
-                      order: %s" m)
-            | Effects.Race (_, m) ->
-                push
-                  (Diagnostic.notef ~context:ctx "D403"
-                     "cross-device fronts fall back to sequential \
-                      order: %s" m)
+                      order: %s" why)
           end)
     (Ir.dataflow_order g);
   Diagnostic.sort !diags

@@ -10,7 +10,7 @@
     regression is visible as "block X dropped from 61% to 12% of peak
     bandwidth" rather than a bare end-to-end number.
 
-    The module is deliberately dependency-free: callers ([Exec.profile])
+    The module is deliberately dependency-free: callers ([Executor.profile])
     translate simulator types into plain floats.  All derived numbers
     are computed here so text and JSON renderings always agree. *)
 

@@ -17,7 +17,7 @@ val analytical : ?device:Device.t -> (Knobs.candidate -> Plan.t) -> t
     problem size. *)
 
 val simulated : ?device:Device.t -> (Knobs.candidate -> Plan.t) -> t
-(** [Exec.time_ms] on the candidate's plan (µs): the full simulator
+(** [Executor.time_ms] on the candidate's plan (µs): the full simulator
     including the L2 residency model. *)
 
 val measured : ?repeats:int -> (Knobs.candidate -> float) -> t

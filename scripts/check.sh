@@ -9,6 +9,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One interpreter core: library interfaces carry no deprecated shims,
+# and only the reference interpreter (lib/fractal) and the VM
+# (lib/codegen/vm.ml) evaluate primitives through Interp.eval_prim —
+# any other engine reuses the VM's evaluator instead of copying it.
+echo "guard: no @deprecated in lib/**/*.mli"
+if grep -rn --include='*.mli' '@deprecated' lib; then
+  echo "check.sh: deprecated shim left in a library interface" >&2
+  exit 1
+fi
+echo "guard: Interp.eval_prim only in lib/fractal/ and lib/codegen/vm.ml"
+stray=$(grep -rn 'Interp.eval_prim' lib --include='*.ml' \
+  | grep -v -e '^lib/fractal/' -e '^lib/codegen/vm\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a second primitive evaluator outside the VM" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 

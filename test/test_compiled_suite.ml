@@ -54,6 +54,10 @@ let outputs_equal_exact a b =
        (fun (n1, v1) (n2, v2) -> n1 = n2 && Fractal.equal_exact v1 v2)
        a b
 
+let sequential =
+  Executor.run ~opts:{ (Run_opts.interpreted Vm.Sequential) with
+                       Run_opts.domains = Some 1 }
+
 let opts ?(arena = true) ?domains ?(shadow = Run_opts.Shadow_off)
     ?(fuse = true) ?pack () =
   { Run_opts.default with Run_opts.domains; arena; shadow; fuse; pack }
@@ -64,7 +68,7 @@ let compiled_tests =
       (fun () ->
         List.iter
           (fun (name, g, binds) ->
-            let reference = Vm.run ~order:Vm.Sequential g binds in
+            let reference = sequential g binds in
             let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
             checkb (name ^ " compiles") true (Executor.engine pr = "compiled");
             let got = Executor.execute pr binds in
@@ -74,7 +78,7 @@ let compiled_tests =
       (fun () ->
         List.iter
           (fun (name, g, binds) ->
-            let reference = Vm.run ~order:Vm.Sequential g binds in
+            let reference = sequential g binds in
             List.iter
               (fun d ->
                 let got = Executor.run ~opts:(opts ~domains:d ()) g binds in
@@ -234,7 +238,7 @@ let compiled_tests =
       `Quick (fun () ->
         List.iter
           (fun (name, g, binds) ->
-            let reference = Vm.run ~order:Vm.Sequential g binds in
+            let reference = sequential g binds in
             let got =
               Executor.run
                 ~opts:(opts ~domains:1 ~shadow:Run_opts.Shadow_on ())

@@ -325,6 +325,51 @@ let workloads :
     w "bigbird" (module Bigbird);
   ]
 
+(* A hand-built two-block graph that fails only on device 1: "fill"
+   writes cells 0-1 of [ts], "spread" maps all four cells of [ts] —
+   a legal, proven-parallel front whose device-1 half (points 2, 3)
+   reads cells nobody wrote. *)
+let half_filled_graph () =
+  let buf id name dims role =
+    { Ir.buf_id = id; buf_name = name; buf_dims = dims;
+      buf_elem = Shape.scalar; buf_role = role }
+  in
+  let edge b dir label =
+    { Ir.e_buffer = b; e_dir = dir; e_access = Access_map.identity 1;
+      e_label = label }
+  in
+  let tanh_block id name extent ~src ~dst =
+    {
+      Ir.blk_id = id;
+      blk_name = name;
+      blk_ops = [| Expr.Map |];
+      blk_domain = Domain.of_extents [| extent |];
+      blk_edges = [ edge src Ir.Read "x"; edge dst Ir.Write "y" ];
+      blk_children = [];
+      blk_body =
+        [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
+            operand_shapes = [ Shape.scalar ]; result_shape = Shape.scalar } ];
+      blk_results = [ Ir.O_op 0 ];
+      blk_consts = [];
+    }
+  in
+  {
+    Ir.g_name = "half-filled";
+    g_buffers =
+      [ buf 0 "xs" [| 2 |] Ir.Input; buf 1 "ts" [| 4 |] Ir.Intermediate;
+        buf 2 "zs" [| 4 |] Ir.Output ];
+    g_blocks =
+      [ tanh_block 0 "fill" 2 ~src:0 ~dst:1;
+        tanh_block 1 "spread" 4 ~src:1 ~dst:2 ];
+  }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let exec_tests =
   [
     Alcotest.test_case "every workload is bitwise-identical at 2 and 4 \
@@ -418,6 +463,29 @@ let exec_tests =
             checkb "busy <= makespan" true
               (busy <= rep.Dist.rp_sim.Engine.dm_time_ms +. 1e-9))
           rep.Dist.rp_sim.Engine.dm_busy_ms);
+    Alcotest.test_case "a failing shard names its device and block; the \
+                        pool survives" `Quick (fun () ->
+        let pool = Dist.pool 2 in
+        let g = half_filled_graph () in
+        let xs =
+          Fractal.tabulate 2 (fun i -> Fractal.Leaf (Tensor.scalar (float i)))
+        in
+        (match Dist.run ~devices:2 g [ ("xs", xs) ] with
+        | _ -> Alcotest.fail "a read of an unwritten cell executed"
+        | exception Vm.Execution_error m ->
+            checkb ("names device 1: " ^ m) true (contains m "device 1");
+            checkb ("names the block: " ^ m) true (contains m "block spread");
+            checkb ("device 0 is innocent: " ^ m) false
+              (contains m "device 0"));
+        let g, binds = (List.assoc "stacked_rnn" workloads) (Rng.create 3) in
+        let rep = Dist.run ~devices:2 g binds in
+        checkb "same pool" true (Dist.pool 2 == pool);
+        let compiled =
+          Executor.run ~opts:{ Run_opts.default with Run_opts.domains = Some 1 }
+            g binds
+        in
+        checkb "next run bitwise = compiled" true
+          (Dist.bitwise_equal rep.Dist.rp_outputs compiled));
   ]
 
 let suites =

@@ -118,7 +118,66 @@ let dead_store_graph () =
     g_blocks = [ block 0 "spill" (writer "tmp" 1); block 1 "keep" (writer "out" 2) ];
   }
 
+(* A same-front read-write race that the sequential order executes
+   legally: "fill" writes ys[0..3]; "chase" (a map, so one front)
+   writes ys[i+4] and reads ys[2i], so points 2 and 3 read cells that
+   their front siblings 0 and 2 write.  The race guard must downgrade
+   "chase" to sequential in every engine, and then every engine
+   computes the same values. *)
+let chase_graph () =
+  let tanh_block id name edges =
+    {
+      Ir.blk_id = id;
+      blk_name = name;
+      blk_ops = [| Expr.Map |];
+      blk_domain = Domain.of_extents [| 4 |];
+      blk_edges = edges;
+      blk_children = [];
+      blk_body =
+        [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
+            operand_shapes = [ Shape.scalar ];
+            result_shape = Shape.scalar } ];
+      blk_results = [ Ir.O_op 0 ];
+      blk_consts = [];
+    }
+  in
+  let edge b dir label m o =
+    { Ir.e_buffer = b; e_dir = dir; e_access = Access_map.make m o;
+      e_label = label }
+  in
+  {
+    Ir.g_name = "chase";
+    g_buffers = [ buf 0 "xs" [| 4 |] Ir.Input; buf 1 "ys" [| 8 |] Ir.Output ];
+    g_blocks =
+      [
+        tanh_block 0 "fill"
+          [ edge 0 Ir.Read "x" [| [| 1 |] |] [| 0 |];
+            edge 1 Ir.Write "y" [| [| 1 |] |] [| 0 |] ];
+        tanh_block 1 "chase"
+          [ edge 1 Ir.Read "x" [| [| 2 |] |] [| 0 |];
+            edge 1 Ir.Write "y" [| [| 1 |] |] [| 4 |] ];
+      ];
+  }
+
 let has_code code ds = List.exists (fun d -> d.Diagnostic.code = code) ds
+
+(* Run [f] with the race-guard fallback handler recording every
+   (block, reason) downgrade; the default stderr warning is restored
+   afterwards. *)
+let capture_fallbacks f =
+  let fired = ref [] in
+  Vm.set_fallback_handler (fun blk why -> fired := (blk, why) :: !fired);
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        Vm.set_fallback_handler (fun blk why ->
+            Printf.eprintf
+              "vm: warning: block %s falls back to sequential execution \
+               — %s\n%!"
+              blk why))
+      f
+  in
+  (List.rev !fired, result)
 
 (* ----------------------------- footprints -------------------------- *)
 
@@ -353,28 +412,55 @@ let shadow_tests =
         checkb "contradiction reported" true (issues <> []));
     Alcotest.test_case "race guard downgrades a racy block to sequential"
       `Quick (fun () ->
-        let fired = ref [] in
-        Vm.set_fallback_handler (fun blk _why -> fired := blk :: !fired);
-        Fun.protect
-          ~finally:(fun () ->
-            Vm.set_fallback_handler (fun blk why ->
-                Printf.eprintf
-                  "vm: warning: block %s falls back to sequential \
-                   execution — %s\n%!"
-                  blk why))
-          (fun () ->
-            let g = ww_racy_graph () in
-            let xs =
-              Fractal.tabulate 4 (fun _ -> Fractal.Leaf (Tensor.scalar 1.))
-            in
-            (* the graph violates single assignment by construction, so
-               even the sequential fallback must refuse to run it — the
-               point is that the guard fired before any parallel front *)
-            (match Vm.run ~order:Vm.Wavefront g [ ("xs", xs) ] with
-            | _ -> Alcotest.fail "racy graph executed"
-            | exception Vm.Execution_error _ -> ());
-            checkb "fallback handler saw the block" true
-              (List.mem "clobber" !fired)));
+        let fired, () =
+          capture_fallbacks (fun () ->
+              let g = ww_racy_graph () in
+              let xs =
+                Fractal.tabulate 4 (fun _ -> Fractal.Leaf (Tensor.scalar 1.))
+              in
+              (* the graph violates single assignment by construction, so
+                 even the sequential fallback must refuse to run it — the
+                 point is that the guard fired before any parallel front *)
+              match Vm.run ~order:Vm.Wavefront g [ ("xs", xs) ] with
+              | _ -> Alcotest.fail "racy graph executed"
+              | exception Vm.Execution_error _ -> ())
+        in
+        checkb "fallback handler saw the block" true
+          (List.mem_assoc "clobber" fired));
+    Alcotest.test_case "race guard: one (block, reason) list for every engine"
+      `Quick (fun () ->
+        let g = chase_graph () in
+        let env =
+          [ ("xs",
+             Fractal.tabulate 4 (fun i ->
+                 Fractal.Leaf (Tensor.scalar (0.25 *. float_of_int i)))) ]
+        in
+        let vm, vm_outs =
+          capture_fallbacks (fun () ->
+              Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront) g env)
+        in
+        let compiled, compiled_outs =
+          capture_fallbacks (fun () ->
+              let pr = Executor.prepare g in
+              checks "compiled engine" "compiled" (Executor.engine pr);
+              Executor.execute pr env)
+        in
+        let dist, rep =
+          capture_fallbacks (fun () -> Dist.run ~devices:2 g env)
+        in
+        let pairs = Alcotest.(list (pair string string)) in
+        checkb "the guard fired on chase" true
+          (match vm with
+           | [ ("chase", why) ] -> String.length why > 0
+           | _ -> false);
+        Alcotest.check pairs "compiled = interpreter" vm compiled;
+        Alcotest.check pairs "sharded = interpreter" vm dist;
+        Alcotest.check pairs "lg_fallbacks = handler" dist
+          rep.Dist.rp_log.Dist_exec.lg_fallbacks;
+        checkb "compiled values" true
+          (Dist.bitwise_equal vm_outs compiled_outs);
+        checkb "sharded values" true
+          (Dist.bitwise_equal vm_outs rep.Dist.rp_outputs));
     Alcotest.test_case "FT_SHADOW wavefront run matches sequential" `Quick
       (fun () ->
         let cfg = Stacked_rnn.default in

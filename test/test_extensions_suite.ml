@@ -108,8 +108,8 @@ let fusion_tests =
 
 (* --------------------- cross-system validation --------------------- *)
 
-let flops p = (Exec.metrics p).Engine.total_flops
-let dram p = (Exec.metrics p).Engine.dram_gb
+let flops p = (Executor.metrics p).Engine.total_flops
+let dram p = (Executor.metrics p).Engine.dram_gb
 
 (* Every system computes the same mathematics: simulated FLOP counts
    must agree across schedules (fusion changes *where* bytes go, not
@@ -147,7 +147,7 @@ let cross_tests =
           (Suites.stacked_lstm cfg));
     Alcotest.test_case "emitted plans are deterministic" `Quick (fun () ->
         let mk () =
-          Exec.metrics
+          Executor.metrics
             (Pipeline.plan_of_graph
                (Build.build (Bigbird.program Bigbird.paper)))
         in
@@ -217,13 +217,13 @@ let retention_tests =
         let plans = Suites.retention Retention.large in
         let ft = Suites.find plans "FractalTensor" in
         let triton = Suites.find plans "Triton" in
-        let d p = (Exec.metrics p).Engine.dram_gb in
+        let d p = (Executor.metrics p).Engine.dram_gb in
         (* the carried state never reaches HBM: both move only Q,K,V,O *)
         checkb "same compulsory DRAM" true
           (Float.abs (d ft -. d triton) /. d triton < 0.05);
         checkb "FT at least as fast" true
-          ((Exec.metrics ft).Engine.time_ms
-          <= (Exec.metrics triton).Engine.time_ms *. 1.01));
+          ((Executor.metrics ft).Engine.time_ms
+          <= (Executor.metrics triton).Engine.time_ms *. 1.01));
   ]
 
 (* --------------------- conv1d (window access end to end) ----------- *)
@@ -264,7 +264,7 @@ let conv_tests =
     Alcotest.test_case "conv1d graph validates and compiles" `Quick (fun () ->
         let g = Build.build (Conv1d.program Conv1d.large) in
         checkb "valid" true (Ir.validate g = Ok ());
-        let m = Exec.metrics (Pipeline.plan_of_graph g) in
+        let m = Executor.metrics (Pipeline.plan_of_graph g) in
         checkb "flops close to the closed form" true
           (let expected = float_of_int (Conv1d.flops Conv1d.large) in
            m.Engine.total_flops > expected *. 0.9
@@ -346,9 +346,9 @@ let pipeline_tests =
       (fun () ->
         List.iter
           (fun g ->
-            let full = Exec.metrics (Pipeline.plan_of_graph g) in
+            let full = Executor.metrics (Pipeline.plan_of_graph g) in
             let off =
-              Exec.metrics (Pipeline.plan_of_graph ~collapse_reuse:false g)
+              Executor.metrics (Pipeline.plan_of_graph ~collapse_reuse:false g)
             in
             checkb (g.Ir.g_name ^ " dram") true
               (off.Engine.dram_gb >= full.Engine.dram_gb);
@@ -364,7 +364,7 @@ let pipeline_tests =
           Pipeline.plan_of_graph
             (Build.build (Stacked_lstm.program Stacked_lstm.paper))
         in
-        let t d = (Exec.metrics ~device:d plan).Engine.time_ms in
+        let t d = (Executor.metrics ~device:d plan).Engine.time_ms in
         checkb "H100 faster than A100" true (t Device.h100 < t Device.a100);
         checkb "A100 faster than V100" true (t Device.a100 < t Device.v100));
     Alcotest.test_case "tree scan handles non-power-of-two lengths" `Quick

@@ -7,6 +7,9 @@
 
 let checkb = Alcotest.(check bool)
 
+(* The wavefront interpreter through the front door, ambient pool. *)
+let interpret = Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront)
+
 (* A random program family:
 
      xss.map { |xs| xs.<access>.<agg>(zeros) { |s, x| <udf> } }
@@ -209,7 +212,7 @@ let fuzz_test =
               | Error es ->
                   QCheck2.Test.fail_reportf "invalid graph: %s"
                     (String.concat "; " es));
-              match Vm.run g [ ("xss", xss) ] with
+              match interpret g [ ("xss", xss) ] with
               | exception Vm.Execution_error m ->
                   QCheck2.Test.fail_reportf "vm error: %s" m
               | outs ->
@@ -225,7 +228,7 @@ let nest_test =
       let cfg = { Stacked_rnn.batch = n; depth = d; seq_len = l; hidden = 3 } in
       let p = Stacked_rnn.program cfg in
       let inp = Stacked_rnn.gen_inputs (Rng.create (n + d + l)) cfg in
-      let outs = Vm.run (Build.build p) (Stacked_rnn.bindings inp) in
+      let outs = interpret (Build.build p) (Stacked_rnn.bindings inp) in
       Fractal.equal_approx
         (Vm.output outs "stacked_rnn")
         (Interp.run_program p (Stacked_rnn.bindings inp)))
@@ -269,7 +272,7 @@ let scanr_regression =
       in
       checkb "positive state offset" true
         (Array.exists (fun o -> o > 0) self.Ir.e_access.Access_map.offset);
-      let outs = Vm.run g [ ("xss", xss) ] in
+      let outs = interpret g [ ("xss", xss) ] in
       checkb "values" true
         (Fractal.equal_approx ~eps:1e-5 (Vm.output outs "fuzz")
            (Interp.run_program p [ ("xss", xss) ])))

@@ -97,7 +97,7 @@ let lint_test name =
 let profile_test name =
   Alcotest.test_case ("profile json: " ^ name) `Quick (fun () ->
       let plan = Pipeline.plan_file (example_path name) in
-      let prof = Exec.profile ~device:Device.a100 plan in
+      let prof = Executor.profile ~device:Device.a100 plan in
       let full = Profile.to_jsonv prof in
       check_valid ("profile " ^ name) (Jsonw.to_string full);
       check_golden ("profile-" ^ name) (Jsonw.to_string (redact full)))

@@ -341,7 +341,7 @@ let pipeline_tests =
           Pipeline.all_stages);
     Alcotest.test_case "per-kernel run metrics sum to the aggregate" `Quick
       (fun () ->
-        let r = Exec.run (Pipeline.plan_of_graph (lstm_graph ())) in
+        let r = Executor.simulate (Pipeline.plan_of_graph (lstm_graph ())) in
         let sum =
           List.fold_left
             (fun acc k -> Engine.add acc k.Exec.kr_metrics)
@@ -364,7 +364,7 @@ let pipeline_tests =
         close ~eps:1e-6 "flops" sum.Engine.total_flops m.Engine.total_flops);
     Alcotest.test_case "kernel starts tile the simulated stream" `Quick
       (fun () ->
-        let r = Exec.run (Pipeline.plan_of_graph (lstm_graph ())) in
+        let r = Executor.simulate (Pipeline.plan_of_graph (lstm_graph ())) in
         ignore
           (List.fold_left
              (fun cursor k ->
@@ -375,8 +375,8 @@ let pipeline_tests =
       (fun () ->
         let sink = Trace.make () in
         let plan = Pipeline.plan_of_graph (lstm_graph ()) in
-        let r1 = Exec.run ~trace:sink plan in
-        let r2 = Exec.run ~trace:sink plan in
+        let r1 = Executor.simulate ~trace:sink plan in
+        let r2 = Executor.simulate ~trace:sink plan in
         let gpu_spans =
           List.filter_map
             (function
@@ -392,11 +392,12 @@ let pipeline_tests =
         let t1 = r1.Exec.r_metrics.Engine.time_ms *. 1e3 in
         let second_start = List.nth gpu_spans (List.length r1.Exec.r_kernels) in
         close ~eps:1e-6 "appended" (fst second_start) t1);
-    Alcotest.test_case "Exec.profile matches Exec.run totals" `Quick
+    Alcotest.test_case "Executor.profile matches Executor.simulate totals"
+      `Quick
       (fun () ->
         let plan = Pipeline.plan_of_graph (lstm_graph ()) in
-        let m = Exec.metrics plan in
-        let p = Exec.profile plan in
+        let m = Executor.metrics plan in
+        let p = Executor.profile plan in
         checki "kernels" m.Engine.kernels p.Profile.p_kernels;
         close ~eps:1e-6 "time" p.Profile.p_time_ms m.Engine.time_ms;
         close ~eps:1e-6 "dram" p.Profile.p_dram_gb m.Engine.dram_gb;

@@ -93,7 +93,7 @@ let exec_tests =
                     [ Plan.read "w" 1e6 ]);
           }
         in
-        let m = Exec.metrics p in
+        let m = Executor.metrics p in
         (* only the first read misses *)
         checkb "dram" true (Float.abs (m.Engine.dram_gb -. 1e-3) < 1e-9);
         checkb "l2 saw all" true (Float.abs (m.Engine.l2_gb -. 4e-3) < 1e-9));
@@ -109,7 +109,7 @@ let exec_tests =
                     [ Plan.read "huge" big ]);
           }
         in
-        let m = Exec.metrics p in
+        let m = Executor.metrics p in
         checkb "both miss" true
           (Float.abs (m.Engine.dram_gb -. (2.0 *. big /. 1e9)) < 1e-9));
     Alcotest.test_case "eviction under capacity pressure" `Quick (fun () ->
@@ -126,7 +126,7 @@ let exec_tests =
               ];
           }
         in
-        let m = Exec.metrics p in
+        let m = Executor.metrics p in
         checkb "three misses" true
           (Float.abs (m.Engine.dram_gb -. (3.0 *. half /. 1e9)) < 1e-9));
     Alcotest.test_case "placement hints are honoured" `Quick (fun () ->
@@ -144,7 +144,7 @@ let exec_tests =
               ];
           }
         in
-        let m = Exec.metrics p in
+        let m = Executor.metrics p in
         checkb "dram" true (Float.abs (m.Engine.dram_gb -. 1e-3) < 1e-9);
         checkb "l2" true (Float.abs (m.Engine.l2_gb -. 3e-3) < 1e-9);
         checkb "l1 includes pinned" true (m.Engine.l1_gb >= 4e-3));
@@ -178,7 +178,7 @@ let emit_tests =
     Alcotest.test_case "flops match the workload's arithmetic" `Quick (fun () ->
         let cfg = Flash_attention.default in
         let g = Build.build (Flash_attention.program cfg) in
-        let m = Exec.metrics (Pipeline.plan_of_graph g) in
+        let m = Executor.metrics (Pipeline.plan_of_graph g) in
         let expected = float_of_int (Flash_attention.flops cfg) in
         (* emitted flops include the final normalisation and the
            online-softmax state updates, so somewhat more at this tiny
@@ -190,7 +190,7 @@ let emit_tests =
       (fun () ->
         let cfg = Stacked_rnn.paper in
         let g = Build.build (Stacked_rnn.program cfg) in
-        let m = Exec.metrics (Pipeline.plan_of_graph g) in
+        let m = Executor.metrics (Pipeline.plan_of_graph g) in
         let input_bytes =
           float_of_int
             (4 * cfg.Stacked_rnn.batch * cfg.Stacked_rnn.seq_len
@@ -203,7 +203,7 @@ let emit_tests =
            DRAM traffic: total DRAM is close to Q+K+V+O compulsory *)
         let cfg = Flash_attention.paper in
         let g = Build.build (Flash_attention.program cfg) in
-        let m = Exec.metrics (Pipeline.plan_of_graph g) in
+        let m = Executor.metrics (Pipeline.plan_of_graph g) in
         let compulsory =
           let bh = cfg.Flash_attention.batch * cfg.Flash_attention.heads in
           let tile = cfg.Flash_attention.block * cfg.Flash_attention.head_dim in
@@ -219,8 +219,8 @@ let emit_tests =
 
 (* ----------------------- evaluation-level claims ----------------------- *)
 
-let time p = (Exec.metrics p).Engine.time_ms
-let dram p = (Exec.metrics p).Engine.dram_gb
+let time p = (Executor.metrics p).Engine.time_ms
+let dram p = (Executor.metrics p).Engine.dram_gb
 let find = Suites.find
 
 let claims_tests =
@@ -309,7 +309,7 @@ let claims_tests =
     Alcotest.test_case "Table 7(1): CUTLASS L1 traffic dwarfs the rest" `Quick
       (fun () ->
         let plans = Suites.flash_attention Flash_attention.paper in
-        let l1 n = (Exec.metrics (find plans n)).Engine.l1_gb in
+        let l1 n = (Executor.metrics (find plans n)).Engine.l1_gb in
         checkb "CUTLASS worst" true
           (l1 "CUTLASS" > 3.0 *. l1 "FractalTensor");
         checkb "FT below FA-2" true (l1 "FractalTensor" < l1 "FlashAttention-2"));

@@ -6,7 +6,15 @@
 
 let checkb = Alcotest.(check bool)
 
-let run ?order program bindings = Vm.run ?order (Build.build program) bindings
+(* The interpreting VM through the front door; [domains] absent uses
+   the ambient pool, like every other caller. *)
+let interpret ?domains order g bindings =
+  Executor.run
+    ~opts:{ (Run_opts.interpreted order) with Run_opts.domains }
+    g bindings
+
+let run ?(order = Vm.Wavefront) program bindings =
+  interpret order (Build.build program) bindings
 
 let vm_tests =
   [
@@ -179,18 +187,13 @@ let diff_case name mk =
   Alcotest.test_case name `Quick (fun () ->
       let program, bindings = mk () in
       let g = Build.build program in
-      let seq = Vm.run ~order:Vm.Sequential g bindings in
-      let pool = Domain_pool.create ~domains:4 in
-      Fun.protect
-        ~finally:(fun () -> Domain_pool.shutdown pool)
-        (fun () ->
-          let par = Vm.run ~order:Vm.Wavefront ~pool g bindings in
-          checkb "bitwise" true
-            (List.length seq = List.length par
-            && List.for_all2
-                 (fun (n1, v1) (n2, v2) ->
-                   n1 = n2 && Fractal.equal_exact v1 v2)
-                 seq par)))
+      let seq = interpret Vm.Sequential g bindings in
+      let par = interpret ~domains:4 Vm.Wavefront g bindings in
+      checkb "bitwise" true
+        (List.length seq = List.length par
+        && List.for_all2
+             (fun (n1, v1) (n2, v2) -> n1 = n2 && Fractal.equal_exact v1 v2)
+             seq par))
 
 let vm_diff_tests =
   [
@@ -231,7 +234,7 @@ let vm_diff_tests =
         let inp = Retention.gen_inputs (Rng.create 41) cfg in
         (Retention.program cfg, Retention.bindings inp));
     Alcotest.test_case "global pool (FT_NUM_DOMAINS path)" `Quick (fun () ->
-        (* default ?pool: Wavefront picks up the shared pool *)
+        (* no explicit domains: Wavefront picks up the shared pool *)
         Domain_pool.set_num_domains (Some 4);
         Fun.protect
           ~finally:(fun () -> Domain_pool.set_num_domains None)
@@ -240,8 +243,8 @@ let vm_diff_tests =
             let inp = Stacked_rnn.gen_inputs (Rng.create 41) cfg in
             let g = Build.build (Stacked_rnn.program cfg) in
             let binds = Stacked_rnn.bindings inp in
-            let seq = Vm.run ~order:Vm.Sequential g binds in
-            let par = Vm.run ~order:Vm.Wavefront g binds in
+            let seq = interpret Vm.Sequential g binds in
+            let par = interpret Vm.Wavefront g binds in
             checkb "bitwise" true
               (List.for_all2
                  (fun (n1, v1) (n2, v2) ->
