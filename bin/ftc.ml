@@ -1199,6 +1199,11 @@ let shard_cmd =
                     ("strategy", Jsonw.String rep.Dist.rp_strategy);
                     ("link", Jsonw.String rep.Dist.rp_link.Device.link_name);
                     ("bitwise_equal", Jsonw.Bool bitwise);
+                    ("engine", Jsonw.String rep.Dist.rp_engine);
+                    ( "fallback_reason",
+                      match rep.Dist.rp_fallback_reason with
+                      | Some r -> Jsonw.String r
+                      | None -> Jsonw.Null );
                     ("transfers", Jsonw.Int rep.Dist.rp_xfers);
                     ("device_transfers", Jsonw.Int rep.Dist.rp_device_xfers);
                     ("transfer_gb", Jsonw.Float rep.Dist.rp_xfer_gb);
@@ -1227,6 +1232,10 @@ let shard_cmd =
           List.iter
             (fun d -> Format.printf "  %a@." (Diagnostic.pp ?path:None) d)
             rep.Dist.rp_diags;
+          Format.printf "engine: %s%s@." rep.Dist.rp_engine
+            (match rep.Dist.rp_fallback_reason with
+            | Some r -> " (" ^ r ^ ")"
+            | None -> "");
           Format.printf
             "executed: %d transfer(s), %d device-to-device, %.3f MB moved@."
             rep.Dist.rp_xfers rep.Dist.rp_device_xfers

@@ -49,6 +49,14 @@ type src =
   | S_cell of int * int array
       (* store index + flat-offset weights [base; w_0 .. w_{dim-1}] *)
 
+(* What an input cell, or a released panel, points at between runs. *)
+let unbound = Tensor.scalar 0.0
+
+(* An input operand's packed panel and the tensor it was packed from;
+   [unbound] once {!reset} released it, to be refilled in place from
+   the next tensor of its dims. *)
+type panel = { mutable pn_key : Tensor.t; pn_panel : Tensor.packed_b }
+
 type store = {
   cs_buffer : Ir.buffer;
   cs_dims : int array;
@@ -105,6 +113,7 @@ type t = {
   ex_workers : int;
   ex_chunk : int option;
   ex_fallbacks : string list;
+  ex_panels : panel list ref list;  (* every op's panel cache, for [reset] *)
 }
 
 (* Elementwise ops whose [_into] kernel may run with [dst] aliasing the
@@ -128,8 +137,8 @@ let un_op_of_prim (p : Expr.prim) =
   | Expr.Scale k -> Some (Tensor.Uscale k)
   | _ -> None
 
-let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
-    ?(fuse = true) ?pack (g : Ir.graph) =
+let compile ?(arena = true) ?(race_guard = true) ?schedule ?chunk
+    ?(workers = 1) ?(fuse = true) ?pack (g : Ir.graph) =
   let workers = Stdlib.max 1 workers in
   let chunk = match chunk with Some c when c > 0 -> Some c | _ -> None in
   let blocking =
@@ -205,14 +214,16 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
         buffers
     in
     (* ---- per-block compilation ---- *)
-    let fallbacks = ref [] in
+    let fallbacks = ref [] and panels = ref [] in
     let compile_block (b : Ir.block) =
       let all_points = Domain.enumerate b.Ir.blk_domain in
       let dim =
         match all_points with p :: _ -> Array.length p | [] -> 0
       in
       let sched, fell_back =
-        Vm.guarded_schedule ~race_guard g Vm.Wavefront b all_points
+        match schedule with
+        | Some f -> f b
+        | None -> Vm.guarded_schedule ~race_guard g Vm.Wavefront b all_points
       in
       if fell_back <> None then fallbacks := b.Ir.blk_name :: !fallbacks;
       let stats = Vm.stats_of_schedule b.Ir.blk_name sched in
@@ -469,20 +480,37 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
          work, and allocates nothing on a hit (no [assq_opt] option
          boxing — the steady state must stay at zero minor words);
          [cap] (2x the live cell count) only triggers on re-load
-         churn. *)
+         churn.  A panel {!reset} released is refilled in place, so a
+         re-bound executable repacks without allocating. *)
       let packed_of_arg ~cap ~transposed =
         let cache = ref [] in
-        let rec find (b : Tensor.t) = function
-          | (key, pb) :: _ when key == b -> pb
-          | _ :: tl -> find b tl
-          | [] ->
+        panels := cache :: !panels;
+        let released b e =
+          e.pn_key == unbound
+          && Tensor.packed_dims e.pn_panel
+             = (let s = Tensor.shape b in
+                let r = Shape.dim s 0 and c = Shape.dim s 1 in
+                if transposed then (c, r) else (r, c))
+        in
+        let pack b =
+          match List.find_opt (released b) !cache with
+          | Some e ->
+              Tensor.repack_b ~transposed e.pn_panel b;
+              e.pn_key <- b;
+              e.pn_panel
+          | None ->
               let pb =
                 Tensor.pack_b ~blocking
                   (if transposed then Tensor.transpose b else b)
               in
               if List.length !cache >= cap then cache := [];
-              cache := (b, pb) :: !cache;
+              cache := { pn_key = b; pn_panel = pb } :: !cache;
               pb
+        in
+        let rec find (b : Tensor.t) = function
+          | e :: _ when e.pn_key == b -> e.pn_panel
+          | _ :: tl -> find b tl
+          | [] -> pack b
         in
         fun (b : Tensor.t) -> find b !cache
       in
@@ -636,6 +664,12 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
           (List.map2
              (fun (w : Ir.edge) result ->
                let sti, wt = weights_of w in
+               (* Input cells are bound by aliasing the caller's
+                  tensors; a write there is left to the interpreter,
+                  which rejects it without touching them. *)
+               if stores.(sti).cs_buffer.Ir.buf_role = Ir.Input then
+                 unsup "block %s writes input buffer %d" b.Ir.blk_name
+                   w.Ir.e_buffer;
                let elem = stores.(sti).cs_buffer.Ir.buf_elem in
                let src, redge = resolve result in
                let src_shape =
@@ -856,6 +890,7 @@ let compile ?(arena = true) ?(race_guard = true) ?chunk ?(workers = 1)
       ex_workers = workers;
       ex_chunk = chunk;
       ex_fallbacks = List.rev !fallbacks;
+      ex_panels = !panels;
     }
   with Lower.Unsupported m -> unsup "%s" m
 
@@ -957,6 +992,35 @@ let run ?pool ?shadow exe inputs =
   load exe inputs;
   execute ?pool ?shadow exe;
   outputs exe
+
+(* ------------------------ external placement ------------------------ *)
+
+let reset exe =
+  Array.iter
+    (fun st ->
+      if st.cs_buffer.Ir.buf_role = Ir.Input then
+        Array.fill st.cs_cells 0 (Array.length st.cs_cells) unbound;
+      Bytes.fill st.cs_written 0 (Bytes.length st.cs_written) '\000')
+    exe.ex_stores;
+  List.iter (fun c -> List.iter (fun e -> e.pn_key <- unbound) !c) exe.ex_panels
+
+let exec_range exe block lo hi = exe.ex_blocks.(block).cb_exec_range 0 lo hi
+
+let bind_input exe ~store off t =
+  let st = exe.ex_stores.(store) in
+  st.cs_cells.(off) <- t;
+  Bytes.set st.cs_written off '\001'
+
+let copy_cell ~src ~dst ~store off =
+  let s = src.ex_stores.(store) and d = dst.ex_stores.(store) in
+  if Bytes.get s.cs_written off <> '\000' then begin
+    Tensor.copy_into s.cs_cells.(off) ~dst:d.cs_cells.(off);
+    Bytes.set d.cs_written off '\001'
+  end
+
+let written_cell exe ~store off =
+  let st = exe.ex_stores.(store) in
+  if Bytes.get st.cs_written off = '\000' then None else Some st.cs_cells.(off)
 
 let arena_floats exe =
   match exe.ex_arena with Some a -> Arena.floats a | None -> 0

@@ -49,6 +49,7 @@ type t
 val compile :
   ?arena:bool ->
   ?race_guard:bool ->
+  ?schedule:(Ir.block -> Vm.schedule * string option) ->
   ?chunk:int ->
   ?workers:int ->
   ?fuse:bool ->
@@ -58,9 +59,14 @@ val compile :
 (** [compile g] builds an executable for the wavefront schedule.
     [arena] (default [true]): back intermediates with the single
     liveness-sized arena.  [race_guard] (default [true]): downgrade
-    unproven blocks to sequential.  [chunk]: the pool claim size for
-    parallel fronts.  [workers] (default 1): how many domains may
-    execute fronts concurrently — sizes the per-worker kernel scratch;
+    unproven blocks to sequential.  [schedule]: each block's guarded
+    schedule and downgrade reason, as {!Vm.guarded_schedule} gives them
+    (the default, which [race_guard] configures) — a caller compiling
+    several executables of one graph computes it once, so the race
+    guard reports once and every executable numbers points alike.
+    [chunk]: the pool claim size for parallel fronts.  [workers]
+    (default 1): how many domains may execute fronts concurrently —
+    sizes the per-worker kernel scratch;
     {!execute}'s pool must not be larger.  [fuse] (default [true]):
     enable scratch-slot coalescing, GEMM epilogue swallowing and
     B-panel prepacking — bitwise-neutral; turn off only for
@@ -96,6 +102,38 @@ val run :
   (string * Fractal.t) list ->
   (string * Fractal.t) list
 (** [load]; [execute]; [outputs]. *)
+
+(** {1 External placement}
+
+    A sharded runner ([Dist_exec]) keeps one executable per device and
+    drives it directly: it decides which cells each executable holds
+    and which points it runs.  Stores are numbered by the buffer's
+    position in [g_buffers]; a block's points are numbered in schedule
+    order — the concatenation of its [Ordered] sequence or of its
+    [Fronts] arrays — and blocks by dataflow order. *)
+
+val reset : t -> unit
+(** Mark every cell of every store unwritten, inputs included, and
+    release the input bindings and the packed panels' source tensors —
+    the executable then holds none of a caller's tensors, and the next
+    run repacks (in place) whatever it is bound to, so a tensor changed
+    in place since is read afresh. *)
+
+val exec_range : t -> int -> int -> int -> unit
+(** [exec_range exe block lo hi] runs points [lo, hi) of the block on
+    worker 0, with the same checks as {!execute}.
+    @raise Vm.Execution_error on unwritten reads / double writes. *)
+
+val bind_input : t -> store:int -> int -> Tensor.t -> unit
+(** Alias one input cell to the tensor and mark it written. *)
+
+val copy_cell : src:t -> dst:t -> store:int -> int -> unit
+(** Copy one written intermediate or output cell between two
+    executables of the same graph and mark it written in [dst]; an
+    unwritten source cell copies nothing. *)
+
+val written_cell : t -> store:int -> int -> Tensor.t option
+(** The cell's tensor (not copied), when written. *)
 
 (** {1 Introspection} *)
 

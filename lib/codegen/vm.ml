@@ -218,6 +218,7 @@ let fallback_handler =
         blk reason)
 
 let set_fallback_handler f = fallback_handler := f
+let report_fallback blk reason = !fallback_handler blk reason
 
 (* The race guard, shared by every engine: a block only runs its
    anti-chains in parallel when the static prover certifies same-front
@@ -236,7 +237,7 @@ let guarded_schedule ?(race_guard = true) g order (b : Ir.block) points =
       match race_downgrade g b with
       | None -> (s, None)
       | Some why as reason ->
-          !fallback_handler b.Ir.blk_name why;
+          report_fallback b.Ir.blk_name why;
           (schedule Sequential b points, reason))
   | s -> (s, None)
 

@@ -121,6 +121,10 @@ val set_fallback_handler : (string -> string -> unit) -> unit
     same-front disjointness is not [Proven].  Default: a warning line
     on stderr. *)
 
+val report_fallback : string -> string -> unit
+(** Call the fallback handler with a block name and a reason — for
+    engines that replay a downgrade decided at an earlier prepare. *)
+
 val race_downgrade : Ir.graph -> Ir.block -> string option
 (** Why the race guard runs this block sequentially; [None] when
     {!Effects.block_race} proves same-front disjointness. *)
@@ -129,7 +133,7 @@ val guarded_schedule :
   ?race_guard:bool -> Ir.graph -> order -> Ir.block -> int array list ->
   schedule * string option
 (** The one race guard of {!run}, {!Compiled.compile} and
-    [Dist_exec.run]: {!schedule}, except that [Fronts] with a
+    [Dist_exec.prepare]: {!schedule}, except that [Fronts] with a
     {!race_downgrade} reason become the sequential schedule, with the
     reason (also reported to the fallback handler).
     [~race_guard:false] skips the check. *)

@@ -19,9 +19,10 @@ type oracle_stat = {
   os_unsupported : int;
       (** programs outside the compiled fragment (interpreter-only) *)
   os_engines : (string * int) list;
-      (** compiled-family oracles: how many programs the front door ran
-          on ["compiled"] and on ["vm-fallback"] ({!Executor.engine});
-          empty for other oracles *)
+      (** compiled-family and sharded oracles: how many programs the
+          front door ran on ["compiled"] and on ["vm-fallback"]
+          ({!Executor.engine}, {!Dist_exec.engine}); empty for other
+          oracles *)
   os_fallback_reasons : (string * int) list;
       (** histogram of {!Executor.fallback_reason} over this oracle's
           ["vm-fallback"] programs, sorted by reason *)

@@ -202,10 +202,15 @@ let stress_pack = { Tensor.mc = 3; kc = 48; nc = 40 }
 
 (* Distributed execution over N simulated devices: auto-partitioned
    shards on real domains, pull-based transfers between per-device
-   stores.  Raw VM-shaped outputs, so Conform's bitwise comparison
-   against vm-seq covers the whole transfer machinery. *)
-let sharded_oracle ctx ~devices (p : Expr.program) g inputs =
-  let outs = Dist.sharded_outputs ~pool:(pool ctx devices) ~devices g inputs in
+   executables — Dist.run's prepare/execute path without its
+   verification gate, pricing or cache.  Raw VM-shaped outputs, so
+   Conform's bitwise comparison against vm-seq covers the whole
+   transfer machinery; [engine] counts the runs that fell back to the
+   VM. *)
+let sharded_oracle ctx ~engine ~devices (p : Expr.program) g inputs =
+  let pr = Dist_exec.prepare ~plan:(Shard.partition ~devices g) g in
+  engine := Some (Dist_exec.engine pr, Dist_exec.fallback_reason pr);
+  let outs = Dist_exec.execute ~pool:(pool ctx devices) pr inputs in
   Value (Vm.output outs p.Expr.name)
 
 let cache_rt_oracle (p : Expr.program) g inputs =
@@ -247,8 +252,8 @@ let run_one ctx ~engine (p : Expr.program) inputs graph name =
             | "fused" ->
                 compiled_oracle ~pack:stress_pack p g inputs
             | "compiled-nofuse" -> compiled_oracle ~fuse:false p g inputs
-            | "sharded2" -> sharded_oracle ctx ~devices:2 p g inputs
-            | "sharded4" -> sharded_oracle ctx ~devices:4 p g inputs
+            | "sharded2" -> sharded_oracle ctx ~engine ~devices:2 p g inputs
+            | "sharded4" -> sharded_oracle ctx ~engine ~devices:4 p g inputs
             | other -> Failed (Printf.sprintf "unknown oracle %S" other)
           with e -> Failed (Printexc.to_string e)))
 

@@ -58,9 +58,10 @@
     - ["sharded2"] / ["sharded4"]
                    — the distributed executor ([lib/dist]) over 2 / 4
                      simulated devices: auto-partitioned shards on real
-                     OCaml domains, per-device stores, pull-based
-                     transfers — the whole halo-exchange machinery must
-                     not change a single bit.
+                     OCaml domains, one compiled executable per device
+                     (VM fallback outside the compiled fragment),
+                     pull-based transfers — the whole halo-exchange
+                     machinery must not change a single bit.
 
     VM-family oracles return the {e raw} VM output, which materialises
     fold/reduce accumulator history; {!project} maps it down to the
@@ -83,9 +84,9 @@ type run = {
   r_outcome : outcome;
   r_wall_ms : float;
   r_engine : (string * string option) option;
-      (** compiled-family oracles only: {!Executor.engine} of the
-          prepared program (["compiled"] or ["vm-fallback"]) and its
-          {!Executor.fallback_reason} *)
+      (** compiled-family and sharded oracles only: {!Executor.engine}
+          (or {!Dist_exec.engine}) of the prepared program
+          (["compiled"] or ["vm-fallback"]) and its fallback reason *)
 }
 
 val all_oracles : string list

@@ -2,11 +2,15 @@
 
     [run] partitions the graph ({!Shard.partition}), statically
     verifies the plan ({!Shard.verify} — an illegal plan raises
-    {!Illegal_plan} rather than executing), executes it functionally on
-    real OCaml domains with explicit transfers ({!Dist_exec.run}), and
+    {!Illegal_plan} rather than executing), plans every transfer and
+    compiles one executable per device ({!Dist_exec.prepare}), and
     prices the {e same} event log on the multi-device interconnect
     model ({!Engine.dist_run}) — so the simulated scaling curve and the
-    bitwise-checked values come from one run, not two stories.
+    bitwise-checked values come from one run, not two stories.  None of
+    that depends on input values, so it happens once per (graph,
+    devices, strategy, link, device) and is kept in a bounded cache of
+    prepared entries; each call then only executes
+    ({!Dist_exec.execute}) on real OCaml domains, one per device.
 
     Pricing: each front becomes per-device kernels, the block's plan
     specs scaled by the fraction of points the device ran
@@ -32,6 +36,8 @@ type report = {
   rp_xfer_gb : float;
   rp_device_xfers : int;   (** device↔device only: halo / pipeline traffic *)
   rp_sim : Engine.dist_metrics;
+  rp_engine : string;  (** ["compiled"] or ["vm-fallback"] *)
+  rp_fallback_reason : string option;  (** why, on ["vm-fallback"] *)
 }
 
 val run :
@@ -42,10 +48,35 @@ val run :
   Ir.graph ->
   (string * Fractal.t) list ->
   report
-(** Partition, verify, execute, price.  Defaults: auto strategy,
-    {!Device.nvlink}, {!Device.a100}.
-    @raise Illegal_plan on a statically refuted plan
+(** Partition, verify, plan, price — once per prepared entry — then
+    execute.  Defaults: auto strategy, {!Device.nvlink}, {!Device.a100}.
+    Entries are keyed by the graph's digest ([Marshal], as
+    {!Plan.digest}) plus devices, strategy, link and device; a call
+    with the very graph value an entry was last run with skips the
+    digest (graphs are treated as immutable).  A warm
+    call returns the entry's log and metrics (the same values as a cold
+    one) and reports the entry's race-guard downgrades through the
+    fallback handler again.  An entry is checked out while it runs, so
+    concurrent calls on one graph each get their own; failures to
+    prepare are not cached.  Inputs are read afresh on every call —
+    a tensor changed in place since the last call, weights included,
+    is repacked — and no entry keeps a caller's tensor once the call
+    returns.  Outputs are fresh tensors with off-heap data; their bytes
+    are counted, and once 1 MiB of them has been handed out the next
+    call starts with a minor collection ([Gc.minor]) — without it the
+    dead outputs of earlier calls would float up to the runtime's own
+    bound, the minor heap's size.
+    @raise Illegal_plan on a statically refuted plan (every call)
     @raise Vm.Execution_error on the executor's failure conditions *)
+
+val cache_limit : int
+(** Most prepared entries kept; the least recently used goes first. *)
+
+val cache_entries : unit -> int
+(** Prepared entries currently idle in the cache. *)
+
+val clear_cache : unit -> unit
+(** Drop every idle prepared entry. *)
 
 val differential :
   ?strategy:Shard.strategy ->
@@ -59,16 +90,6 @@ val differential :
     output against the single-device {!Executor.run} — the sharded
     differential. *)
 
-val sharded_outputs :
-  ?pool:Domain_pool.t ->
-  devices:int ->
-  Ir.graph ->
-  (string * Fractal.t) list ->
-  (string * Fractal.t) list
-(** Auto-partitioned functional execution only (no verification gate,
-    no pricing): the conformance oracle entry point — raw VM-shaped
-    outputs for {!Conform.check}'s bitwise comparison. *)
-
 val simulate :
   ?link:Device.link ->
   ?device:Device.t ->
@@ -76,7 +97,8 @@ val simulate :
   Dist_exec.log ->
   Engine.dist_metrics
 (** Price an execution log on the interconnect model (see module
-    doc). *)
+    doc).  A log a cached entry already priced, for the same graph,
+    link and device, is answered with the stored metrics. *)
 
 val bitwise_equal :
   (string * Fractal.t) list -> (string * Fractal.t) list -> bool

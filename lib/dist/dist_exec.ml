@@ -1,11 +1,14 @@
-(* Placement plus pull transfers over Vm's interpreter core (the
-   design is documented in dist_exec.mli).  Every device evaluates its
-   points through Vm.point_evaluator against its own stores, so a
-   sharded run is bitwise identical to Vm.run by construction — which
-   the differential suite checks rather than assumes.  The home table
-   doubles as a dynamic shard-legality monitor: two devices (or two
-   fronts) writing one cell collide in it and fail the run, the runtime
-   counterpart of Shard.verify's static write-disjointness proof. *)
+(* Placement plus pull transfers, planned once and run on either engine
+   (the design is documented in dist_exec.mli).  [prepare] walks the
+   guarded schedule symbolically: it knows which device holds which
+   cell after every phase, so it decides every pull, every home and
+   every cross-shard double write before a value exists.  [execute]
+   replays that plan: blits, then each device's point ranges through
+   its own compiled executable — or, for graphs the compiler rejects,
+   through Vm.point_evaluator against per-device cell stores.  Values
+   are bitwise identical to Vm.run by construction (same schedules,
+   same kernels, copies are blits), which the differential suite checks
+   rather than assumes. *)
 
 let host = -1
 
@@ -29,231 +32,435 @@ type log = {
 
 let err fmt = Format.kasprintf (fun s -> raise (Vm.Execution_error s)) fmt
 
-(* 4-byte/f32 convention, matching Effects.buffer_bytes and the plan
-   emitter. *)
-let cell_bytes t = 4.0 *. float_of_int (Tensor.numel t)
+(* The home of a cell nobody has written. *)
+let nowhere = -2
 
-let blit t =
-  let dst = Tensor.uninit (Tensor.shape t) in
-  Tensor.copy_into t ~dst;
-  dst
+(* A host input cell between calls. *)
+let unbound = Tensor.scalar 0.0
 
-let run ?pool ~(plan : Shard.plan) (g : Ir.graph) inputs =
+(* One phase: a wavefront front, or a maximal same-owner run of a
+   sequentially scheduled block. *)
+type phase = {
+  ph_block : int;  (* position in dataflow order *)
+  ph_front : int;  (* schedule front id, for the VM evaluator *)
+  ph_pulls : int array;  (* (src, dst, store, offset) quadruples, in order *)
+  ph_ranges : int array array;  (* per device: [lo; hi) pairs of point indices *)
+  ph_fan_out : bool;  (* at least two devices have points *)
+}
+
+type gather = {
+  ga_store : int;
+  ga_homes : int array;  (* device holding each cell, or [nowhere] *)
+}
+
+type runner =
+  | Compiled_runner of Compiled.t array  (* one executable per device *)
+  | Vm_runner of {
+      reason : string;  (* why Compiled.compile refused the graph *)
+      stores : Vm.storage array array;  (* device -> store *)
+      evals : (int -> int array -> unit) array array;  (* block -> device *)
+      points : int array array array;  (* block -> point index -> point *)
+    }
+
+type prepared = {
+  pr_devices : int;
+  pr_buffers : Ir.buffer array;  (* store index = position in g_buffers *)
+  pr_blocks : Ir.block array;  (* dataflow order *)
+  pr_phases : phase array;
+  pr_fail : string option;  (* raised once the phases have run *)
+  pr_gather : gather list;  (* output buffers, in buffer order *)
+  pr_log : log;
+  pr_host : Tensor.t array array;  (* input cells of the current call *)
+  pr_runner : runner;
+}
+
+let ncells dims = Stdlib.max 1 (Array.fold_left ( * ) 1 dims)
+
+(* Device [d]'s indices among [idx], as [lo; hi) pairs. *)
+let ranges ndev owner idx =
+  let acc = Array.make ndev [] in
+  Array.iter
+    (fun i ->
+      let d = owner.(i) in
+      match acc.(d) with
+      | (lo, hi) :: rest when hi = i -> acc.(d) <- (lo, i + 1) :: rest
+      | l -> acc.(d) <- (i, i + 1) :: l)
+    idx;
+  Array.map
+    (fun l ->
+      Array.of_list (List.concat_map (fun (lo, hi) -> [ lo; hi ]) (List.rev l)))
+    acc
+
+let span rs =
+  let n = ref 0 in
+  for k = 0 to (Array.length rs / 2) - 1 do
+    n := !n + rs.((2 * k) + 1) - rs.(2 * k)
+  done;
+  !n
+
+let prepare ~(plan : Shard.plan) (g : Ir.graph) =
   let ndev = plan.Shard.pl_devices in
-  (* stores.(d) is device d's private memory; one more for the host *)
-  let stores = Array.init ndev (fun _ -> Hashtbl.create 16) in
-  let host_store = Hashtbl.create 16 in
-  let store_of d = if d = host then host_store else stores.(d) in
-  let storage d buf = Hashtbl.find (store_of d) buf in
-  (* (buffer, cell offset) -> device that produced the cell *)
-  let home : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let buffers = Array.of_list g.Ir.g_buffers in
+  let store_ix = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (bf : Ir.buffer) -> Hashtbl.replace store_ix bf.Ir.buf_id i)
+    buffers;
+  let store id = Hashtbl.find store_ix id in
+  (* index arithmetic only: Vm.ravel and its out-of-extent error *)
+  let shape =
+    Array.map (fun (bf : Ir.buffer) -> Vm.alloc bf.Ir.buf_dims) buffers
+  in
+  let cell_bytes =
+    Array.map
+      (fun (bf : Ir.buffer) -> 4.0 *. float_of_int (Shape.numel bf.Ir.buf_elem))
+      buffers
+  in
+  (* home.(s).(off): the endpoint that produced the cell; present.(d)
+     marks what device d holds, written there or pulled *)
+  let home =
+    Array.map
+      (fun (bf : Ir.buffer) ->
+        Array.make (ncells bf.Ir.buf_dims)
+          (if bf.Ir.buf_role = Ir.Input then host else nowhere))
+      buffers
+  in
+  let present =
+    Array.init ndev (fun _ ->
+        Array.map
+          (fun (bf : Ir.buffer) -> Bytes.make (ncells bf.Ir.buf_dims) '\000')
+          buffers)
+  in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let fallbacks = ref [] in
-  (* One phase's transfers, aggregated per (src, dst, buffer name):
-     [pull] blits a cell from [src]'s store into [dst]'s and tallies
-     it, [flush] emits the tallies in key order. *)
-  let pull tally ~src ~dst buf off =
-    match (storage src buf).Vm.st_cells.(off) with
-    | None -> ()
-    | Some t ->
-        (storage dst buf).Vm.st_cells.(off) <- Some (blit t);
-        let key = (src, dst, (Ir.buffer g buf).Ir.buf_name) in
-        let bytes, cells =
-          match Hashtbl.find_opt tally key with
-          | Some bc -> bc
-          | None ->
-              let bc = (ref 0.0, ref 0) in
-              Hashtbl.add tally key bc;
-              bc
-        in
-        bytes := !bytes +. cell_bytes t;
-        incr cells
-  in
+  (* One phase's pulls, aggregated per (src, dst, buffer name) and
+     logged in key order. *)
   let flush tally =
     Hashtbl.fold (fun k bc acc -> (k, bc) :: acc) tally []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.iter (fun ((src, dst, name), (bytes, cells)) ->
            emit
              (E_xfer
-                {
-                  x_src = src;
-                  x_dst = dst;
-                  x_bytes = !bytes;
-                  x_cells = !cells;
-                  x_label = name;
-                }))
+                { x_src = src; x_dst = dst; x_bytes = !bytes; x_cells = !cells;
+                  x_label = name }))
   in
-  List.iter
-    (fun (bf : Ir.buffer) ->
-      (match bf.Ir.buf_role with
-      | Ir.Input -> (
-          let st = Vm.alloc bf.Ir.buf_dims in
-          (match List.assoc_opt bf.Ir.buf_name inputs with
-          | Some v -> Vm.load st v
-          | None -> err "missing input %s" bf.Ir.buf_name);
-          Array.iteri
-            (fun off c ->
-              if c <> None then Hashtbl.replace home (bf.Ir.buf_id, off) host)
-            st.Vm.st_cells;
-          Hashtbl.replace host_store bf.Ir.buf_id st)
-      | Ir.Intermediate | Ir.Output ->
-          Hashtbl.replace host_store bf.Ir.buf_id (Vm.alloc bf.Ir.buf_dims));
-      Array.iter
-        (fun s -> Hashtbl.replace s bf.Ir.buf_id (Vm.alloc bf.Ir.buf_dims))
-        stores)
-    g.Ir.g_buffers;
-  let exec_block (b : Ir.block) =
-    let sh = Shard.block_shard plan b.Ir.blk_name in
-    let owner p = Shard.owner sh p in
-    let evals =
-      Array.init ndev (fun d -> Vm.point_evaluator ~storage:(storage d) b)
+  let pull tally pulls ~src ~dst s off =
+    pulls := off :: s :: dst :: src :: !pulls;
+    let key = (src, dst, buffers.(s).Ir.buf_name) in
+    let bytes, cells =
+      match Hashtbl.find_opt tally key with
+      | Some bc -> bc
+      | None ->
+          let bc = (ref 0.0, ref 0) in
+          Hashtbl.add tally key bc;
+          bc
     in
-    (* Device [d]'s share of a front: reads and writes touch only
-       [d]'s stores, which is what makes the per-device fan-out safe.
-       A failing point names its device and block. *)
-    let run_shard d front pts =
-      try Array.iter (evals.(d) front) pts
-      with Vm.Execution_error m ->
-        err "device %d, block %s: %s" d b.Ir.blk_name m
-    in
-    let writes = Ir.writes b in
-    (* Prefetch only what evaluation consults: a dead edge would demand
-       cells no execution ever reads. *)
-    let live_reads = Vm.live_reads b in
-    (* Coordinator: make every cell the points will read present on
-       their owner devices, blitting from each cell's home.  A cell
-       with no home yet may still be produced locally later in the
-       segment (a scan's own trail); if it never is, the evaluator
-       raises the same illegal-order error Vm would. *)
-    let fetch pts =
-      let tally = Hashtbl.create 16 in
-      Array.iter
-        (fun p ->
-          let d = owner p in
-          List.iter
-            (fun (e : Ir.edge) ->
-              let st = storage d e.Ir.e_buffer in
-              if Access_map.out_dim e.Ir.e_access = Array.length st.Vm.st_dims
-              then begin
-                let off = Vm.ravel st (Access_map.apply e.Ir.e_access p) in
-                if st.Vm.st_cells.(off) = None then
-                  match Hashtbl.find_opt home (e.Ir.e_buffer, off) with
-                  | Some h when h <> d ->
-                      pull tally ~src:h ~dst:d e.Ir.e_buffer off
-                  | _ -> ()
-              end)
-            live_reads)
-        pts;
-      flush tally
-    in
-    (* Coordinator, after a front/segment: record who produced each
-       written cell.  A collision is a cross-shard double write — the
-       dynamic refutation of an illegal plan (same-device double writes
-       already failed inside the evaluator). *)
-    let record_homes pts =
-      Array.iter
-        (fun p ->
-          let d = owner p in
-          List.iter
-            (fun (w : Ir.edge) ->
-              let st = storage d w.Ir.e_buffer in
-              let off = Vm.ravel st (Access_map.apply w.Ir.e_access p) in
-              let key = (w.Ir.e_buffer, off) in
-              if Hashtbl.mem home key then
-                err
-                  "block %s writes a cell of buffer %d on two shards — \
-                   shard plan is illegal"
-                  b.Ir.blk_name w.Ir.e_buffer
-              else Hashtbl.replace home key d)
-            writes)
-        pts
-    in
-    let points_per_dev pts =
-      let counts = Array.make ndev 0 in
-      Array.iter (fun p -> counts.(owner p) <- counts.(owner p) + 1) pts;
-      counts
-    in
-    (* A per-device partition of a proven front is a subset family,
-       still disjoint, so the shared race guard applies unchanged. *)
-    let sched, reason =
-      Vm.guarded_schedule g Vm.Wavefront b (Domain.enumerate b.Ir.blk_domain)
-    in
-    Option.iter (fun r -> fallbacks := (b.Ir.blk_name, r) :: !fallbacks) reason;
-    let phase pts run =
-      fetch pts;
-      run ();
-      record_homes pts;
-      emit
-        (E_front { ef_block = b.Ir.blk_name; ef_points = points_per_dev pts })
-    in
-    match sched with
-    | Vm.Ordered ps ->
-        (* Sequential order: maximal same-owner runs, executed in turn
-           on the coordinator; transfers happen at run boundaries, the
-           point where a scan's trail crosses a shard boundary. *)
-        let rec segments = function
-          | [] -> []
-          | p :: _ as ps ->
-              let d = owner p in
-              let rec split acc = function
-                | q :: rest when owner q = d -> split (q :: acc) rest
-                | rest -> (Array.of_list (List.rev acc), rest)
-              in
-              let seg, rest = split [] ps in
-              (d, seg) :: segments rest
+    bytes := !bytes +. cell_bytes.(s);
+    incr cells
+  in
+  let blocks = Array.of_list (Ir.dataflow_order g) in
+  (* The shared race guard, once per block: it reports each downgrade
+     once, and every device executable numbers points by it. *)
+  let fallbacks = ref [] in
+  let scheds =
+    Array.map
+      (fun (b : Ir.block) ->
+        let ((_, reason) as s) =
+          Vm.guarded_schedule g Vm.Wavefront b (Domain.enumerate b.Ir.blk_domain)
         in
-        List.iteri
-          (fun i (d, seg) -> phase seg (fun () -> run_shard d i seg))
-          (segments ps)
-    | Vm.Fronts fronts ->
+        Option.iter
+          (fun r -> fallbacks := (b.Ir.blk_name, r) :: !fallbacks)
+          reason;
+        s)
+      blocks
+  in
+  let points =
+    Array.map
+      (fun (sched, _) ->
+        match sched with
+        | Vm.Ordered ps -> Array.of_list ps
+        | Vm.Fronts fs -> Array.concat (List.map snd fs))
+      scheds
+  in
+  let phases = ref [] in
+  (* Plan one phase: pull every cell its points read but their owner
+     lacks from the cell's home, then record who produced each written
+     cell.  A cell with no home yet may still be produced locally later
+     in the segment (a scan's own trail); if it never is, the evaluator
+     raises the same illegal-order error Vm would.  A cell written on
+     two shards (or twice, across phases) is the dynamic refutation of
+     an illegal plan; it fails the run after that phase, so every
+     device's earlier work still runs and a point's own errors come
+     first. *)
+  let plan_phase bi ~front ~owner idx ~fan_out =
+    let b = blocks.(bi) in
+    let pts = points.(bi) in
+    let tally = Hashtbl.create 16 and pulls = ref [] in
+    let live_reads = Vm.live_reads b in
+    Array.iter
+      (fun i ->
+        let d = owner.(i) in
         List.iter
-          (fun (front, pts) ->
-            let per_dev = Array.make ndev [] in
-            Array.iter
-              (fun p ->
-                let d = owner p in
-                per_dev.(d) <- p :: per_dev.(d))
-              pts;
-            let shards = Array.map (fun l -> Array.of_list (List.rev l)) per_dev in
-            (* one OCaml domain per device; each device walks only its
-               own shard of the front, against its own store *)
-            phase pts (fun () ->
-                match pool with
-                | Some pl when Array.length pts > 1 && ndev > 1 ->
-                    Domain_pool.parallel_for ~chunk:1 pl ~lo:0 ~hi:ndev
-                      (fun d -> run_shard d front shards.(d))
-                | _ -> Array.iteri (fun d s -> run_shard d front s) shards))
-          fronts
+          (fun (e : Ir.edge) ->
+            let s = store e.Ir.e_buffer in
+            let st = shape.(s) in
+            if Access_map.out_dim e.Ir.e_access = Array.length st.Vm.st_dims
+            then begin
+              let off = Vm.ravel st (Access_map.apply e.Ir.e_access pts.(i)) in
+              if Bytes.get present.(d).(s) off = '\000' then begin
+                let h = home.(s).(off) in
+                if h <> nowhere && h <> d then begin
+                  pull tally pulls ~src:h ~dst:d s off;
+                  Bytes.set present.(d).(s) off '\001'
+                end
+              end
+            end)
+          live_reads)
+      idx;
+    flush tally;
+    let rs = ranges ndev owner idx in
+    phases :=
+      {
+        ph_block = bi;
+        ph_front = front;
+        ph_pulls = Array.of_list (List.rev !pulls);
+        ph_ranges = rs;
+        ph_fan_out =
+          fan_out
+          && Array.fold_left (fun n r -> if r = [||] then n else n + 1) 0 rs > 1;
+      }
+      :: !phases;
+    Array.iter
+      (fun i ->
+        let d = owner.(i) in
+        List.iter
+          (fun (w : Ir.edge) ->
+            let s = store w.Ir.e_buffer in
+            let off =
+              Vm.ravel shape.(s) (Access_map.apply w.Ir.e_access pts.(i))
+            in
+            if home.(s).(off) <> nowhere then
+              err "block %s writes a cell of buffer %d on two shards — \
+                   shard plan is illegal"
+                b.Ir.blk_name w.Ir.e_buffer;
+            home.(s).(off) <- d;
+            Bytes.set present.(d).(s) off '\001')
+          (Ir.writes b))
+      idx;
+    emit (E_front { ef_block = b.Ir.blk_name; ef_points = Array.map span rs })
   in
-  List.iter exec_block (Ir.dataflow_order g);
-  (* Gather: blit every output cell from its home device back to the
-     host, one transfer per (device, buffer). *)
-  let outputs =
-    List.filter_map
-      (fun (bf : Ir.buffer) ->
-        if bf.Ir.buf_role <> Ir.Output then None
-        else begin
-          let buf = bf.Ir.buf_id in
-          let hst = storage host buf in
-          let tally = Hashtbl.create 4 in
-          Array.iteri
-            (fun off _ ->
-              match Hashtbl.find_opt home (buf, off) with
-              | Some h when h <> host -> pull tally ~src:h ~dst:host buf off
-              | _ -> ())
-            hst.Vm.st_cells;
-          flush tally;
-          Some (bf.Ir.buf_name, Vm.unload bf.Ir.buf_name hst)
-        end)
-      g.Ir.g_buffers
+  let plan_block bi (sched, _) =
+    let b = blocks.(bi) in
+    let sh = Shard.block_shard plan b.Ir.blk_name in
+    let owner = Array.map (Shard.owner sh) points.(bi) in
+    match sched with
+    | Vm.Ordered _ ->
+        (* sequential order: maximal same-owner runs, each on its
+           device in turn; transfers happen at run boundaries, the
+           point where a scan's trail crosses a shard boundary *)
+        let n = Array.length owner in
+        let rec segments seg lo =
+          if lo < n then begin
+            let hi = ref (lo + 1) in
+            while !hi < n && owner.(!hi) = owner.(lo) do incr hi done;
+            plan_phase bi ~front:seg ~owner (Array.init (!hi - lo) (( + ) lo))
+              ~fan_out:false;
+            segments (seg + 1) !hi
+          end
+        in
+        segments 0 0
+    | Vm.Fronts fronts ->
+        ignore
+          (List.fold_left
+             (fun lo (front, pts) ->
+               let w = Array.length pts in
+               plan_phase bi ~front ~owner (Array.init w (( + ) lo))
+                 ~fan_out:true;
+               lo + w)
+             0 fronts)
   in
-  ( outputs,
-    {
-      lg_devices = ndev;
-      lg_events = List.rev !events;
-      lg_fallbacks = List.rev !fallbacks;
-    } )
+  let fail =
+    match Array.iteri plan_block scheds with
+    | () -> None
+    | exception Vm.Execution_error m -> Some m
+  in
+  (* Gather: every output cell comes back to the host from its home,
+     one transfer per (device, buffer). *)
+  let gather =
+    if fail <> None then []
+    else
+      List.filter_map
+        (fun s ->
+          if buffers.(s).Ir.buf_role <> Ir.Output then None
+          else begin
+            let tally = Hashtbl.create 4 and pulls = ref [] in
+            Array.iteri
+              (fun off h ->
+                if h <> nowhere && h <> host then
+                  pull tally pulls ~src:h ~dst:host s off)
+              home.(s);
+            flush tally;
+            Some { ga_store = s; ga_homes = home.(s) }
+          end)
+        (List.init (Array.length buffers) Fun.id)
+  in
+  let runner =
+    let sched_of = Hashtbl.create 16 in
+    Array.iteri
+      (fun bi (b : Ir.block) ->
+        Hashtbl.replace sched_of b.Ir.blk_name scheds.(bi))
+      blocks;
+    let schedule (b : Ir.block) = Hashtbl.find sched_of b.Ir.blk_name in
+    match Array.init ndev (fun _ -> Compiled.compile ~schedule g) with
+    | exes -> Compiled_runner exes
+    | exception Compiled.Unsupported_graph reason ->
+        let stores =
+          Array.init ndev (fun _ ->
+              Array.map (fun (bf : Ir.buffer) -> Vm.alloc bf.Ir.buf_dims) buffers)
+        in
+        let evals =
+          Array.map
+            (fun b ->
+              Array.init ndev (fun d ->
+                  Vm.point_evaluator
+                    ~storage:(fun id -> stores.(d).(store id))
+                    b))
+            blocks
+        in
+        Vm_runner { reason; stores; evals; points }
+  in
+  {
+    pr_devices = ndev;
+    pr_buffers = buffers;
+    pr_blocks = blocks;
+    pr_phases = Array.of_list (List.rev !phases);
+    pr_fail = fail;
+    pr_gather = gather;
+    pr_log =
+      {
+        lg_devices = ndev;
+        lg_events = List.rev !events;
+        lg_fallbacks = List.rev !fallbacks;
+      };
+    pr_host =
+      Array.map
+        (fun (bf : Ir.buffer) ->
+          if bf.Ir.buf_role = Ir.Input then
+            Array.make (ncells bf.Ir.buf_dims) unbound
+          else [||])
+        buffers;
+    pr_runner = runner;
+  }
+
+let log pr = pr.pr_log
+
+let engine pr =
+  match pr.pr_runner with
+  | Compiled_runner _ -> "compiled"
+  | Vm_runner _ -> "vm-fallback"
+
+let fallback_reason pr =
+  match pr.pr_runner with
+  | Compiled_runner _ -> None
+  | Vm_runner r -> Some r.reason
+
+(* Forget the call: no device store, binding or packed panel keeps a
+   caller's tensor, so the next call starts clean even after a failure
+   and sees inputs changed in place since. *)
+let release pr =
+  Array.iter
+    (fun cells -> Array.fill cells 0 (Array.length cells) unbound)
+    pr.pr_host;
+  match pr.pr_runner with
+  | Compiled_runner exes -> Array.iter Compiled.reset exes
+  | Vm_runner r ->
+      Array.iter
+        (Array.iter (fun (st : Vm.storage) ->
+             Array.fill st.Vm.st_cells 0 (Array.length st.Vm.st_cells) None))
+        r.stores
+
+let run_phases ?pool pr inputs =
+  let ndev = pr.pr_devices in
+  Array.iteri
+    (fun s (bf : Ir.buffer) ->
+      if bf.Ir.buf_role = Ir.Input then
+        match List.assoc_opt bf.Ir.buf_name inputs with
+        | Some v ->
+            let cells = pr.pr_host.(s) in
+            Vm.iter_cells bf.Ir.buf_dims v (fun pos t -> cells.(pos) <- t)
+        | None -> err "missing input %s" bf.Ir.buf_name)
+    pr.pr_buffers;
+  (* The runner's three moves: a blit into device memory, a range of
+     one block's points on one device, and a device's cell. *)
+  let pull, run_range, cell =
+    match pr.pr_runner with
+    | Compiled_runner exes ->
+        ( (fun src dst s off ->
+            if src = host then
+              Compiled.bind_input exes.(dst) ~store:s off pr.pr_host.(s).(off)
+            else Compiled.copy_cell ~src:exes.(src) ~dst:exes.(dst) ~store:s off),
+          (fun d bi _front lo hi -> Compiled.exec_range exes.(d) bi lo hi),
+          fun d s off -> Compiled.written_cell exes.(d) ~store:s off )
+    | Vm_runner r ->
+        let cell d s off = r.stores.(d).(s).Vm.st_cells.(off) in
+        ( (fun src dst s off ->
+            let c =
+              if src = host then Some pr.pr_host.(s).(off) else cell src s off
+            in
+            Option.iter
+              (fun t ->
+                r.stores.(dst).(s).Vm.st_cells.(off) <- Some (Tensor.copy t))
+              c),
+          (fun d bi front lo hi ->
+            let ev = r.evals.(bi).(d) and pts = r.points.(bi) in
+            for i = lo to hi - 1 do
+              ev front pts.(i)
+            done),
+          cell )
+  in
+  (* Device [d]'s share of a phase touches only [d]'s memory, which is
+     what makes the per-device fan-out safe.  A failing point names its
+     device and block. *)
+  let run_shard ph d =
+    let rs = ph.ph_ranges.(d) in
+    try
+      for k = 0 to (Array.length rs / 2) - 1 do
+        run_range d ph.ph_block ph.ph_front rs.(2 * k) rs.((2 * k) + 1)
+      done
+    with Vm.Execution_error m ->
+      err "device %d, block %s: %s" d pr.pr_blocks.(ph.ph_block).Ir.blk_name m
+  in
+  Array.iter
+    (fun ph ->
+      let q = ph.ph_pulls in
+      for k = 0 to (Array.length q / 4) - 1 do
+        pull q.(4 * k) q.((4 * k) + 1) q.((4 * k) + 2) q.((4 * k) + 3)
+      done;
+      match pool with
+      | Some pl when ph.ph_fan_out ->
+          (* one OCaml domain per device *)
+          Domain_pool.parallel_for ~chunk:1 pl ~lo:0 ~hi:ndev (run_shard ph)
+      | _ ->
+          for d = 0 to ndev - 1 do
+            run_shard ph d
+          done)
+    pr.pr_phases;
+  Option.iter (fun m -> raise (Vm.Execution_error m)) pr.pr_fail;
+  List.map
+    (fun ga ->
+      let bf = pr.pr_buffers.(ga.ga_store) in
+      ( bf.Ir.buf_name,
+        Vm.of_cells bf.Ir.buf_dims (fun pos ->
+            let h = ga.ga_homes.(pos) in
+            match if h < 0 then None else cell h ga.ga_store pos with
+            | Some t -> Tensor.copy t
+            | None ->
+                err "output buffer %s has an unwritten cell" bf.Ir.buf_name) ))
+    pr.pr_gather
+
+let execute ?pool pr inputs =
+  Fun.protect
+    ~finally:(fun () -> release pr)
+    (fun () -> run_phases ?pool pr inputs)
 
 let xfer_totals log =
   List.fold_left

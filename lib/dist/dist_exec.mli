@@ -1,27 +1,34 @@
-(** Functional distributed execution: a shard plan, executed for real
-    on OCaml domains — one per simulated device — with explicit
-    transfers, over {!Vm}'s interpreter core.
+(** Functional distributed execution: a shard plan, planned once and
+    executed for real on OCaml domains — one per simulated device —
+    with explicit transfers, through the compiled block closures.
 
     This module is placement plus pull transfers; it has no evaluator
-    of its own.  Every device owns private {!Vm.storage} cell stores
-    (plus the host's, holding inputs and gathering outputs), and each
-    device's share of a front runs through {!Vm.point_evaluator} bound
-    to that device's stores.  Before each wavefront front (or
-    same-owner sequential segment) runs, the coordinator pulls every
-    cell the front reads but its owner does not hold from the cell's
-    {e home} — the device that wrote it, or the host for inputs — as a
-    bit-exact blit, logged as one transfer per (src, dst, buffer) per
-    phase.  Halo exchange therefore emerges from the access maps.
-    Compute within a front fans the per-device shards out across a
-    {!Domain_pool}.
+    of its own.  {!prepare} walks the guarded schedule
+    ({!Vm.guarded_schedule}, the race guard every engine shares)
+    symbolically.  Before each wavefront front (or same-owner
+    sequential segment) it pulls every cell the front reads but its
+    owner does not hold from the cell's {e home} — the device that
+    wrote it, or the host for inputs — aggregated into one logged
+    transfer per (src, dst, buffer) per phase.  Halo exchange therefore
+    emerges from the access maps.  None of this depends on values, so
+    the pulls, the homes, the cross-shard double-write check and the
+    event log are all fixed at prepare time.
+
+    {!execute} replays the plan: it binds the inputs, and per phase
+    blits the planned cells into the owning device's memory, then runs
+    each device's point ranges through that device's own {!Compiled}
+    executable (one per device, compiled once against the shared
+    schedule), one device per {!Domain_pool} domain.  A graph
+    {!Compiled.compile} rejects runs the same plan through
+    {!Vm.point_evaluator} against per-device cell stores instead
+    ({!engine} ["vm-fallback"], with {!fallback_reason}).
 
     Values are bitwise identical to {!Vm.run} by construction (same
-    schedules, same evaluator, copies are blits); the home table
-    additionally fails the run on any cross-shard double write — the
-    dynamic counterpart of {!Shard.verify}.  The schedule comes from
-    the shared race guard {!Vm.guarded_schedule}: blocks without a
-    [Proven] same-front disjointness verdict run sequentially
-    (reported through the fallback handler and returned in the log).
+    schedules, same kernels, copies are blits).  A cell written on two
+    shards fails the run after the phase that writes it — the dynamic
+    counterpart of {!Shard.verify}.  Blocks without a [Proven]
+    same-front disjointness verdict run sequentially, reported through
+    the fallback handler once per {!prepare} and listed in the log.
 
     Raises {!Vm.Execution_error} on the same conditions as {!Vm.run};
     a failure while running a device's shard names the device and the
@@ -33,7 +40,7 @@ val host : int
 type xfer = {
   x_src : int;  (** source device, or {!host} *)
   x_dst : int;
-  x_bytes : float;  (** 4-byte/f32 convention *)
+  x_bytes : float;  (** 4-byte/f32 convention over the buffer's element shape *)
   x_cells : int;    (** cells moved in this (aggregated) transfer *)
   x_label : string; (** buffer name *)
 }
@@ -51,18 +58,39 @@ type log = {
   lg_fallbacks : (string * string) list;  (** (block, reason) downgrades *)
 }
 
-val run :
+type prepared
+(** A plan bound to a graph: the static transfer plan, its log, and
+    the device executables (or stores).  Reusable across sequential
+    {!execute} calls, not thread-safe. *)
+
+val prepare : plan:Shard.plan -> Ir.graph -> prepared
+(** Schedule, place, plan every transfer, build the log, and compile
+    one executable per device.
+    @raise Vm.Execution_error on graphs the engines reject at plan
+    time. *)
+
+val execute :
   ?pool:Domain_pool.t ->
-  plan:Shard.plan ->
-  Ir.graph ->
+  prepared ->
   (string * Fractal.t) list ->
-  (string * Fractal.t) list * log
-(** Execute the graph under the shard plan.  Outputs are in buffer
-    order, exactly as {!Vm.run} returns them.  Without a pool the
-    per-device shards of a front run on the coordinator (still
-    sharded, still transferred — just not concurrent).
+  (string * Fractal.t) list
+(** One run.  Outputs are in buffer order, exactly as {!Vm.run}
+    returns them.  When it returns or raises, the prepared value holds
+    none of the inputs ({!Compiled.reset}), so the next call reads its
+    inputs afresh.  Without a pool the per-device shards of a front run
+    on the coordinator (still sharded, still transferred — just not
+    concurrent).
     @raise Vm.Execution_error as ["device D, block B: reason"] when a
     point fails inside a device's shard. *)
+
+val log : prepared -> log
+(** The run's event log — the same value for every {!execute}. *)
+
+val engine : prepared -> string
+(** ["compiled"] or ["vm-fallback"]. *)
+
+val fallback_reason : prepared -> string option
+(** Why {!Compiled.compile} refused the graph, on ["vm-fallback"]. *)
 
 val xfer_totals : log -> int * float
 (** (transfer count, total bytes) over the whole run. *)

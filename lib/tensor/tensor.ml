@@ -931,3 +931,34 @@ let pp fmt t =
   end
 
 let to_string t = Format.asprintf "%a" pp t
+
+(* [pack_b]'s panel order, refilled in place; with [transposed] the
+   operand is [b]ᵀ, read straight from [b].  Kept here, after every
+   kernel, rather than sharing [pack_b]'s loop: moving code above the
+   GEMM micro-kernels shifted their layout and cost them about 2%. *)
+let repack_b ?(transposed = false) pb b =
+  require_rank2 "Tensor.repack_b" b;
+  let r = Shape.dim b.shape 0 and c = Shape.dim b.shape 1 in
+  let k, n, sp, sj = if transposed then (c, r, 1, c) else (r, c, c, 1) in
+  if k <> pb.pb_k || n <> pb.pb_n then
+    invalid_arg "Tensor.repack_b: dims differ from the panel's";
+  let data = pb.pb_data and bd = b.data in
+  let pos = ref 0 in
+  let jc = ref 0 in
+  while !jc < n do
+    let en = Stdlib.min pb.pb_nc (n - !jc) in
+    let pc = ref 0 in
+    while !pc < k do
+      let ek = Stdlib.min pb.pb_kc (k - !pc) in
+      for p = !pc to !pc + ek - 1 do
+        let brow = (p * sp) + (!jc * sj) in
+        let row = !pos in
+        for j = 0 to en - 1 do
+          A.unsafe_set data (row + j) (A.unsafe_get bd (brow + (j * sj)))
+        done;
+        pos := row + en
+      done;
+      pc := !pc + ek
+    done;
+    jc := !jc + en
+  done

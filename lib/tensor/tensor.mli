@@ -240,6 +240,13 @@ val pack_b : ?blocking:pack_blocking -> t -> packed_b
 (** Pack a rank-2 [[k,n]] tensor.  Allocates the packed buffer (do it
     at plan time, not on the hot path). *)
 
+val repack_b : ?transposed:bool -> packed_b -> t -> unit
+(** Refill a panel in place, as {!pack_b} with the panel's blocking
+    would pack the tensor — or, with [transposed] (default [false]),
+    its {!transpose} — with no allocation.
+    @raise Invalid_argument when the operand's dims differ from the
+    panel's. *)
+
 val packed_dims : packed_b -> int * int
 (** The [(k, n)] dims the panel was packed from. *)
 

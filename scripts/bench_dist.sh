@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Distributed-execution benchmark: every builtin workload sharded
-# across 1/2/4/8 simulated devices.  Each row is ONE run: the graph
+# across 1/2/4/8 simulated devices.  Each row: the graph
 # auto-partitioned, executed functionally on real OCaml domains with
 # explicit transfers, bitwise-checked against the 1-device compiled
 # engine, and the same event log priced on the NVLink-class
 # interconnect model — so the scaling curve and the correctness check
 # come from the same execution.  Rows where the exchanges dominate the
-# compute report speedup_vs_1dev < 1; that is the honest answer at
-# that size, not a failure.
+# compute report speedup_vs_1dev < 1 (simulated); that is the honest
+# answer at that size, not a failure.  wall_ms (measured) is the
+# median of 5 warm Dist.run calls; compiled_1dev_ms is the 1-device
+# compiled engine on the same graph, timed the same way.
 #
 #   scripts/bench_dist.sh [DEVICES] [OUT]
 #

@@ -60,13 +60,16 @@ FT_SHADOW=1 dune exec --no-build bin/ftc.exe -- conform --seed 7 --budget 25
 
 # Sharded differential smoke: the distributed executor across two
 # simulated devices must be bitwise-identical to the single-device
-# compiled engine.  `ftc shard` already exits non-zero on a value
-# mismatch or a statically refuted plan; the grep pins the verdict
-# line so a silent output-format regression also fails.
+# compiled engine, and must run on the compiled closures.  `ftc shard`
+# already exits non-zero on a value mismatch or a statically refuted
+# plan; the greps pin the verdict line and the engine line, so a
+# silent output-format regression or a silent fall back to the VM also
+# fails.
 for w in stacked_rnn flash_attention; do
   echo "shard $w --devices 2"
-  dune exec --no-build bin/ftc.exe -- shard "$w" --devices 2 \
-    | grep "bitwise-identical" > /dev/null
+  out=$(dune exec --no-build bin/ftc.exe -- shard "$w" --devices 2)
+  grep "bitwise-identical" <<< "$out" > /dev/null
+  grep -x "engine: compiled" <<< "$out" > /dev/null
 done
 
 for f in examples/programs/*.ft; do

@@ -172,6 +172,11 @@ let cli_tests =
            match Str.search_forward re out 0 with
            | _ -> true
            | exception Not_found -> false);
+        checkb "engine line names the compiled engine" true
+          (let re = Str.regexp_string "engine: compiled\n" in
+           match Str.search_forward re out 0 with
+           | _ -> true
+           | exception Not_found -> false);
         checkb "stderr is silent on success" true (String.trim err = ""));
     Alcotest.test_case "shard --json: stdout is one document" `Quick
       (fun () ->
@@ -182,6 +187,11 @@ let cli_tests =
         check_json "shard" out;
         checkb "bitwise_equal true in document" true
           (let re = Str.regexp_string "\"bitwise_equal\":true" in
+           match Str.search_forward re out 0 with
+           | _ -> true
+           | exception Not_found -> false);
+        checkb "engine in document" true
+          (let re = Str.regexp_string "\"engine\":\"compiled\"" in
            match Str.search_forward re out 0 with
            | _ -> true
            | exception Not_found -> false));

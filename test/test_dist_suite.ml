@@ -363,6 +363,59 @@ let half_filled_graph () =
         tanh_block 1 "spread" 4 ~src:1 ~dst:2 ];
   }
 
+(* A hand-built one-block graph and plan where two devices write one
+   cell: "dup" maps both points of [xs] onto cell 0 of [ys], and the
+   plan gives each device one point.  With [ys]'s element shape
+   declared as [elem] <> scalar, or with the write aimed at the input
+   [xs] itself ([clobber]), Compiled.compile refuses the graph and the
+   VM runner takes it. *)
+let double_write ?(elem = Shape.scalar) ?(clobber = false) () =
+  let g =
+    {
+      Ir.g_name = "double-write";
+      g_buffers =
+        [ { Ir.buf_id = 0; buf_name = "xs"; buf_dims = [| 2 |];
+            buf_elem = Shape.scalar; buf_role = Ir.Input };
+          { Ir.buf_id = 1; buf_name = "ys"; buf_dims = [| 2 |];
+            buf_elem = elem; buf_role = Ir.Output } ];
+      g_blocks =
+        [
+          {
+            Ir.blk_id = 0;
+            blk_name = "dup";
+            blk_ops = [| Expr.Map |];
+            blk_domain = Domain.of_extents [| 2 |];
+            blk_edges =
+              [ { Ir.e_buffer = 0; e_dir = Ir.Read;
+                  e_access = Access_map.identity 1; e_label = "x" };
+                { Ir.e_buffer = (if clobber then 0 else 1); e_dir = Ir.Write;
+                  e_access = Access_map.make [| [| 0 |] |] [| 0 |];
+                  e_label = "y" } ];
+            blk_children = [];
+            blk_body =
+              [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
+                  operand_shapes = [ Shape.scalar ];
+                  result_shape = Shape.scalar } ];
+            blk_results = [ Ir.O_op 0 ];
+            blk_consts = [];
+          };
+        ];
+    }
+  in
+  let plan =
+    {
+      Shard.pl_devices = 2;
+      pl_forced = Some Shard.Batch;
+      pl_blocks =
+        [ ( "dup",
+            { Shard.sh_block = "dup"; sh_strategy = Shard.Batch; sh_axis = 0;
+              sh_lo = 0; sh_hi = 2; sh_chunk = 1; sh_halo = 0; sh_pin = 0;
+              sh_devices = 2 } ) ];
+    }
+  in
+  let xs = Fractal.tabulate 2 (fun i -> Fractal.Leaf (Tensor.scalar (float i))) in
+  (g, plan, [ ("xs", xs) ])
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -442,7 +495,7 @@ let exec_tests =
           }
         in
         checkb "refused" false (Shard.legal (Shard.verify g bad));
-        let outs, _ = Dist_exec.run ~plan:bad g binds in
+        let outs = Dist_exec.execute (Dist_exec.prepare ~plan:bad g) binds in
         checkb "still bitwise" true
           (Dist.bitwise_equal outs (Executor.run g binds)));
     Alcotest.test_case "the priced log conserves work and counts transfers"
@@ -488,9 +541,228 @@ let exec_tests =
           (Dist.bitwise_equal rep.Dist.rp_outputs compiled));
   ]
 
+(* ------------------------- prepared entries ------------------------- *)
+
+let compiled_1dev g binds =
+  Executor.run ~opts:{ Run_opts.default with Run_opts.domains = Some 1 } g binds
+
+let prepared_tests =
+  [
+    Alcotest.test_case "the sharded runner is the compiled engine on every \
+                        workload" `Quick (fun () ->
+        List.iter
+          (fun (name, mk) ->
+            let g, binds = mk (Rng.create 3) in
+            let rep = Dist.run ~devices:2 g binds in
+            Alcotest.(check string) name "compiled" rep.Dist.rp_engine;
+            checkb (name ^ " no reason") true (rep.Dist.rp_fallback_reason = None))
+          workloads);
+    Alcotest.test_case "warm runs equal cold ones at 2 and 4 devices" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, mk) ->
+            let g, binds = mk (Rng.create 3) in
+            List.iter
+              (fun devices ->
+                let tag = Printf.sprintf "%s N=%d" name devices in
+                Dist.clear_cache ();
+                let first = Dist.run ~devices g binds in
+                let warm = Dist.run ~devices g binds in
+                checkb (tag ^ " warm reuses the entry") true
+                  (warm.Dist.rp_log == first.Dist.rp_log);
+                Dist.clear_cache ();
+                let cold = Dist.run ~devices g binds in
+                checkb (tag ^ " cold prepares afresh") false
+                  (cold.Dist.rp_log == warm.Dist.rp_log);
+                checkb (tag ^ " log") true (warm.Dist.rp_log = cold.Dist.rp_log);
+                checkb (tag ^ " sim") true (warm.Dist.rp_sim = cold.Dist.rp_sim);
+                checkb (tag ^ " outputs") true
+                  (Dist.bitwise_equal warm.Dist.rp_outputs cold.Dist.rp_outputs);
+                checkb (tag ^ " = compiled") true
+                  (Dist.bitwise_equal warm.Dist.rp_outputs (compiled_1dev g binds)))
+              [ 2; 4 ])
+          workloads);
+    Alcotest.test_case "inputs changed in place between runs are read afresh"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, mk) ->
+            let g, binds = mk (Rng.create 3) in
+            let _, other = mk (Rng.create 4) in
+            let first = Dist.run ~devices:2 g binds in
+            (* same tensors, new contents: weights included *)
+            List.iter
+              (fun (n, v) ->
+                List.iter2
+                  (fun src dst -> Tensor.copy_into src ~dst)
+                  (Fractal.leaves (List.assoc n other))
+                  (Fractal.leaves v))
+              binds;
+            let second = Dist.run ~devices:2 g binds in
+            checkb (name ^ " reuses the entry") true
+              (second.Dist.rp_log == first.Dist.rp_log);
+            checkb (name ^ " = compiled on the new values") true
+              (Dist.bitwise_equal second.Dist.rp_outputs (compiled_1dev g binds));
+            checkb (name ^ " = a fresh run on copies") true
+              (Dist.bitwise_equal second.Dist.rp_outputs
+                 (Dist.run ~devices:2 g other).Dist.rp_outputs))
+          workloads);
+    Alcotest.test_case "every MiB of outputs handed out brings a minor \
+                        collection" `Quick (fun () ->
+        let bytes (rep : Dist.report) =
+          List.fold_left
+            (fun n (_, v) -> n + (8 * Fractal.numel v))
+            0 rep.Dist.rp_outputs
+        in
+        (* the workload returning the most, to keep the loop short *)
+        let g, binds, per_call =
+          workloads
+          |> List.map (fun (_, mk) ->
+                 let g, binds = mk (Rng.create 3) in
+                 (g, binds, bytes (Dist.run ~devices:2 g binds)))
+          |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+          |> List.hd
+        in
+        let mib = 1024 * 1024 in
+        let calls = (4 * mib / per_call) + 1 in
+        let before = (Gc.quick_stat ()).Gc.minor_collections in
+        for _ = 1 to calls do
+          ignore (Dist.run ~devices:2 g binds)
+        done;
+        (* other collections only add to the count *)
+        checkb "at least one per MiB" true
+          ((Gc.quick_stat ()).Gc.minor_collections - before
+           >= (calls * per_call / mib) - 1));
+    Alcotest.test_case "simulate answers a priced log from its entry" `Quick
+      (fun () ->
+        let g, binds = (List.assoc "stacked_lstm" workloads) (Rng.create 3) in
+        Dist.clear_cache ();
+        let rep = Dist.run ~devices:2 g binds in
+        checkb "stored metrics" true
+          (Dist.simulate g rep.Dist.rp_log == rep.Dist.rp_sim);
+        (* a copy of the log is priced afresh, to the same numbers *)
+        let copy =
+          { rep.Dist.rp_log with
+            Dist_exec.lg_events = List.map Fun.id rep.Dist.rp_log.Dist_exec.lg_events }
+        in
+        let fresh = Dist.simulate g copy in
+        checkb "fresh pricing" false (fresh == rep.Dist.rp_sim);
+        checkb "same metrics" true (fresh = rep.Dist.rp_sim));
+    Alcotest.test_case "an illegal plan raises on every call and is not \
+                        cached" `Quick (fun () ->
+        let g, _, binds = double_write () in
+        Dist.clear_cache ();
+        List.iter
+          (fun call ->
+            match Dist.run ~strategy:Shard.Batch ~devices:2 g binds with
+            | _ -> Alcotest.failf "call %d: an illegal plan executed" call
+            | exception Dist.Illegal_plan diags ->
+                checkb (Printf.sprintf "call %d: D400" call) true
+                  (List.exists (fun d -> d.Diagnostic.code = "D400") diags))
+          [ 1; 2 ];
+        checki "nothing cached" 0 (Dist.cache_entries ()));
+    Alcotest.test_case "a cross-shard double write fails on both runners"
+      `Quick (fun () ->
+        List.iter
+          (fun (engine, elem) ->
+            let g, plan, binds = double_write ~elem () in
+            let pr = Dist_exec.prepare ~plan g in
+            Alcotest.(check string) "runner" engine (Dist_exec.engine pr);
+            List.iter
+              (fun call ->
+                match Dist_exec.execute ~pool:(Dist.pool 2) pr binds with
+                | _ -> Alcotest.failf "%s call %d: double write executed" engine call
+                | exception Vm.Execution_error m ->
+                    checkb (engine ^ ": " ^ m) true
+                      (contains m "block dup writes a cell of buffer 1 on two shards"))
+              [ 1; 2 ])
+          [ ("compiled", Shape.scalar); ("vm-fallback", Shape.of_array [| 1 |]) ]);
+    Alcotest.test_case "a graph writing its input runs on the VM, which \
+                        refuses it without touching the caller's tensors"
+      `Quick (fun () ->
+        let g, plan, binds = double_write ~clobber:true () in
+        let snapshot = Fractal.map_leaves Tensor.copy (List.assoc "xs" binds) in
+        let pr = Executor.prepare g in
+        Alcotest.(check string) "executor" "vm-fallback" (Executor.engine pr);
+        checkb "reason" true
+          (match Executor.fallback_reason pr with
+          | Some r -> contains r "writes input buffer 0"
+          | None -> false);
+        let dpr = Dist_exec.prepare ~plan g in
+        Alcotest.(check string) "sharded runner" "vm-fallback" (Dist_exec.engine dpr);
+        (match Dist_exec.execute ~pool:(Dist.pool 2) dpr binds with
+        | _ -> Alcotest.fail "a write into an input executed"
+        | exception Vm.Execution_error _ -> ());
+        checkb "inputs untouched" true
+          (Fractal.equal_exact snapshot (List.assoc "xs" binds)));
+    Alcotest.test_case "a failed run leaves its entry and its neighbours \
+                        bitwise-correct" `Quick (fun () ->
+        let g, binds = (List.assoc "stacked_rnn" workloads) (Rng.create 3) in
+        Dist.clear_cache ();
+        let before = Dist.run ~devices:2 g binds in
+        let half = half_filled_graph () in
+        let xs =
+          Fractal.tabulate 2 (fun i -> Fractal.Leaf (Tensor.scalar (float i)))
+        in
+        let fail () =
+          match Dist.run ~devices:2 half [ ("xs", xs) ] with
+          | _ -> Alcotest.fail "a read of an unwritten cell executed"
+          | exception Vm.Execution_error m -> m
+        in
+        let m1 = fail () in
+        let m2 = fail () in
+        Alcotest.(check string) "the warm entry fails the same way" m1 m2;
+        let after = Dist.run ~devices:2 g binds in
+        checkb "same entry" true (after.Dist.rp_log == before.Dist.rp_log);
+        checkb "bitwise = compiled" true
+          (Dist.bitwise_equal after.Dist.rp_outputs (compiled_1dev g binds)));
+    Alcotest.test_case "the cache keeps cache_limit entries, evicting the \
+                        least recently used" `Quick (fun () ->
+        let g, binds = graph_and_inputs foldy_src in
+        let link i =
+          { Device.nvlink with Device.link_name = Printf.sprintf "link%d" i }
+        in
+        let run i = Dist.run ~link:(link i) ~devices:2 g binds in
+        Dist.clear_cache ();
+        let first = run 0 in
+        let logs = List.init Dist.cache_limit (fun i -> (run (i + 1)).Dist.rp_log) in
+        checki "at the limit" Dist.cache_limit (Dist.cache_entries ());
+        let newest = run Dist.cache_limit in
+        checkb "newest still warm" true
+          (newest.Dist.rp_log == List.nth logs (Dist.cache_limit - 1));
+        let again = run 0 in
+        checkb "oldest evicted" false (again.Dist.rp_log == first.Dist.rp_log);
+        checkb "same log" true (again.Dist.rp_log = first.Dist.rp_log);
+        checki "still at the limit" Dist.cache_limit (Dist.cache_entries ());
+        Dist.clear_cache ();
+        checki "cleared" 0 (Dist.cache_entries ()));
+    Alcotest.test_case "two domains run one graph concurrently, bitwise"
+      `Quick (fun () ->
+        let g, binds = (List.assoc "stacked_rnn" workloads) (Rng.create 3) in
+        let expected = compiled_1dev g binds in
+        Dist.clear_cache ();
+        (* both domains start together, so their runs overlap *)
+        let ready = Atomic.make 0 in
+        let go () =
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do
+            Stdlib.Domain.cpu_relax ()
+          done;
+          List.init 200 (fun _ -> (Dist.run ~devices:2 g binds).Dist.rp_outputs)
+        in
+        let other = Stdlib.Domain.spawn go in
+        let mine = go () in
+        let theirs = Stdlib.Domain.join other in
+        List.iter
+          (fun outs -> checkb "bitwise" true (Dist.bitwise_equal outs expected))
+          (mine @ theirs);
+        checkb "one entry per key survives" true (Dist.cache_entries () <= 2);
+        checkb "at least one kept" true (Dist.cache_entries () >= 1));
+  ]
+
 let suites =
   [
     ("dist.model", model_tests);
     ("dist.shard", shard_tests);
     ("dist.exec", exec_tests);
+    ("dist.prepared", prepared_tests);
   ]

@@ -489,6 +489,33 @@ let packed_tests =
            let pb = Tensor.pack_b ~blocking:{ Tensor.mc = 2; kc = 3; nc = 5 } b in
            Tensor.matmul_packed_into ~alpha:2.0 ~beta:1.0 ~dst:got a pb;
            Tensor.equal_bits got want));
+    Alcotest.test_case "repack_b refills a panel as pack_b packs it" `Quick
+      (fun () ->
+        let r = Rng.create 43 in
+        let blocking = { Tensor.mc = 2; kc = 3; nc = 5 } in
+        let b = Tensor.rand r (sh 7 11) and b' = Tensor.rand r (sh 7 11) in
+        let a = Tensor.rand r (sh 4 7) in
+        let pb = Tensor.pack_b ~blocking b in
+        Tensor.repack_b pb b';
+        let want = Tensor.uninit (sh 4 11) and got = Tensor.uninit (sh 4 11) in
+        Tensor.matmul_packed_into ~beta:0.0 ~dst:want a (Tensor.pack_b ~blocking b');
+        Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
+        checkb "bitwise" true (Tensor.equal_bits got want);
+        Alcotest.check_raises "other dims"
+          (Invalid_argument "Tensor.repack_b: dims differ from the panel's")
+          (fun () -> Tensor.repack_b pb (Tensor.rand r (sh 11 7)));
+        (* transposed: refilled from the untransposed tensor *)
+        let c = Tensor.rand r (sh 11 7) and c' = Tensor.rand r (sh 11 7) in
+        let pt = Tensor.pack_b ~blocking (Tensor.transpose c) in
+        let against x =
+          Tensor.matmul_packed_into ~beta:0.0 ~dst:want a
+            (Tensor.pack_b ~blocking (Tensor.transpose x));
+          Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pt;
+          Tensor.equal_bits got want
+        in
+        checkb "packed transpose" true (against c);
+        Tensor.repack_b ~transposed:true pt c';
+        checkb "transposed repack" true (against c'));
     Alcotest.test_case "pack_b default blocking matches at workload shapes"
       `Quick (fun () ->
         let r = Rng.create 41 in
