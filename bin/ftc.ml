@@ -436,13 +436,15 @@ let run_cmd =
             let plan = Pipeline.plan_of_graph ~tile g in
             Format.printf "compiled: %a@." Engine.pp_metrics
               (Executor.metrics plan);
-            (* execute the schedule for real on both engines — the
-               interpreter in sequential order as the reference, and
-               the compiled executor in wavefront order — and demand
-               bitwise-identical outputs: the differential check behind
-               the executor's determinism guarantee *)
+            (* execute the schedule for real, sequentially and in
+               parallel wavefront order, and demand bitwise-identical
+               outputs from both and the interpreter's value from the
+               wavefront run: the differential check behind the
+               engine's determinism guarantee *)
             let seq =
-              Executor.run ~opts:(Run_opts.interpreted Vm.Sequential) g env
+              Executor.run
+                ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential }
+                g env
             in
             (* a tuned config also carries the compiled engine's fusion
                and pack-blocking knobs — both bitwise-neutral, so the
@@ -457,20 +459,24 @@ let run_cmd =
             in
             let pr = Executor.prepare ~opts g in
             let par = Executor.execute pr env in
-            let bitwise =
+            let wave_ok =
               List.length seq = List.length par
               && List.for_all2
                    (fun (n1, v1) (n2, v2) ->
                      n1 = n2 && Fractal.equal_exact v1 v2)
                    seq par
             in
-            Format.printf "engine: %s%s@." (Executor.engine pr)
-              (match Executor.fallback_reason pr with
-              | None -> ""
-              | Some m -> " (" ^ m ^ ")");
-            Format.printf "vm: wavefront over %d domain(s) %s sequential@."
-              (Domain_pool.num_domains ())
-              (if bitwise then "bitwise-matches" else "DIFFERS from");
+            let interp_ok =
+              match Oracles.value p par with
+              | Some v -> Fractal.equal_exact v out
+              | None -> false
+            in
+            let verdict ok = if ok then "bitwise-matches" else "DIFFERS from" in
+            Format.printf
+              "compiled: wavefront over %d domain(s) %s sequential@."
+              (Domain_pool.num_domains ()) (verdict wave_ok);
+            Format.printf "compiled: wavefront output %s the interpreter@."
+              (verdict interp_ok);
             List.iter
               (fun (st : Vm.block_stats) ->
                 Format.printf
@@ -494,15 +500,15 @@ let run_cmd =
                 "measured: median %.3f ms over %d run(s), %.2f GFLOP/s@."
                 median repeat gflops
             end;
-            if not bitwise then exit 1)
+            if not (wave_ok && interp_ok) then exit 1)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
          "Parse, type-check, interpret and compile a .ft program file, then \
-          execute it for real — the interpreter sequentially as the \
-          reference and the compiled executor in parallel wavefront order — \
-          and check the outputs are bitwise identical")
+          execute it for real on the compiled engine, sequentially and in \
+          parallel wavefront order, and check both agree bitwise with each \
+          other and the wavefront outputs with the interpreter")
     Term.(
       const run $ Cli_args.ft_file $ Cli_args.domains_arg
       $ Cli_args.seed_arg ~default:7 $ Cli_args.repeat_arg)
@@ -960,9 +966,12 @@ let conform_cmd =
     (Cmd.info "conform"
        ~doc:
          "Differential + metamorphic conformance run: seeded random programs \
-          executed by every back end (interpreter, sequential VM, wavefront \
-          VM at several domain counts, tuned configs, cache round trips) \
-          with bitwise comparison, shrinking, and a minimized-repro corpus")
+          executed by every back end (the reference interpreter; the \
+          compiled engine in sequential order, in wavefront order at 1, 2 \
+          and 4 domains, under the shadow recorder, without the arena, \
+          with and without fusion, with tuned configs and across plan-cache \
+          round trips; sharded across 2 and 4 devices) with bitwise \
+          comparison, shrinking, and a minimized-repro corpus")
     Term.(
       const run
       $ Cli_args.seed_arg ~default:42
@@ -1199,11 +1208,6 @@ let shard_cmd =
                     ("strategy", Jsonw.String rep.Dist.rp_strategy);
                     ("link", Jsonw.String rep.Dist.rp_link.Device.link_name);
                     ("bitwise_equal", Jsonw.Bool bitwise);
-                    ("engine", Jsonw.String rep.Dist.rp_engine);
-                    ( "fallback_reason",
-                      match rep.Dist.rp_fallback_reason with
-                      | Some r -> Jsonw.String r
-                      | None -> Jsonw.Null );
                     ("transfers", Jsonw.Int rep.Dist.rp_xfers);
                     ("device_transfers", Jsonw.Int rep.Dist.rp_device_xfers);
                     ("transfer_gb", Jsonw.Float rep.Dist.rp_xfer_gb);
@@ -1232,10 +1236,6 @@ let shard_cmd =
           List.iter
             (fun d -> Format.printf "  %a@." (Diagnostic.pp ?path:None) d)
             rep.Dist.rp_diags;
-          Format.printf "engine: %s%s@." rep.Dist.rp_engine
-            (match rep.Dist.rp_fallback_reason with
-            | Some r -> " (" ^ r ^ ")"
-            | None -> "");
           Format.printf
             "executed: %d transfer(s), %d device-to-device, %.3f MB moved@."
             rep.Dist.rp_xfers rep.Dist.rp_device_xfers

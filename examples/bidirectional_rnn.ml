@@ -124,10 +124,9 @@ let () =
   in
   let interp = Interp.run_program program inputs in
   let g = Build.build program in
-  let outs =
-    Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront) g inputs
-  in
+  let outs = Executor.run g inputs in
   Format.printf
-    "compiled bidirectional program: %d block nodes; VM = interpreter: %b@."
+    "compiled bidirectional program: %d block nodes; compiled = \
+     interpreter: %b@."
     (List.length g.Ir.g_blocks)
-    (Fractal.equal_approx (Vm.output outs "bidirectional") interp)
+    (Fractal.equal_approx (List.assoc "bidirectional" outs) interp)

@@ -1,10 +1,11 @@
-(** The compiled plan executor: straight-line block closures over
-    preallocated storage.
+(** The compiled plan executor — the one engine that runs a plan on
+    values: straight-line block closures over preallocated storage.
 
-    The interpreting {!Vm} pays, at {e every} iteration point, for
-    operand-map application, hashtable store lookups, primitive
-    dispatch through {!Interp.eval_prim}, and a fresh tensor per
-    intermediate.  [Compiled.compile] hoists all of it to plan time:
+    Evaluating a block point by point through {!Interp.eval_prim}
+    would pay, at {e every} iteration point, for operand-map
+    application, store lookups, primitive dispatch and a fresh tensor
+    per intermediate.  [Compiled.compile] hoists all of it to plan
+    time:
 
     - {b kernels}: each block body op is lowered once ({!Lower.kernel})
       to a monomorphic destination-passing kernel — no per-point
@@ -17,11 +18,11 @@
       steady-state run loop performs {e zero} heap allocation (the
       [arena:false] variant preallocates per-cell tensors instead —
       same schedule, same values, for differential testing);
-    - {b schedule}: the wavefront anti-chains are precomputed into flat
-      int arrays ({!Vm.schedule} flattened), and blocks whose
-      same-front disjointness is not statically [Proven] are downgraded
-      to the sequential order at compile time (reported through
-      {!Vm.set_fallback_handler});
+    - {b schedule}: each block's schedule ({!Vm.schedule} in any
+      {!Vm.order}, wavefront by default) is precomputed into flat int
+      arrays, and blocks whose same-front disjointness is not
+      statically [Proven] are downgraded to the sequential order at
+      compile time (reported through {!Vm.set_fallback_handler});
     - {b fusion} ([fuse], default on): elementwise tails coalesce onto
       their producer's scratch slot (the chain computes in one tensor,
       often directly in the destination cell via the write-in-place
@@ -31,37 +32,40 @@
       ({!Tensor.pack_b}) shared by every point, front and worker; and
       each front executes as one batched range loop rather than a
       closure call per point;
-    - {b results}: bitwise identical to the interpreter — the kernels
-      reproduce its exact float operation order, and every fusion
-      transformation preserves the per-element value chain.
+    - {b results}: bitwise identical to the reference interpreter
+      ({!Interp}) after projection — the kernels reproduce its exact
+      float operation order, and every fusion transformation preserves
+      the per-element value chain.
 
     An executable owns its storage: it is reusable across runs
     ([load] / [execute] / [outputs]) but not thread-safe — callers that
-    want concurrent runs compile one executable each.  Graphs using
-    features the compiler does not cover raise {!Unsupported_graph} at
-    compile time; {!Executor} falls back to the interpreter, preserving
-    reference semantics (including runtime errors) exactly. *)
-
-exception Unsupported_graph of string
+    want concurrent runs compile one executable each.  A graph no
+    engine can run — partial buffer access, an access arity that does
+    not match the domain, an index out of extent, an operand of the
+    wrong rank or count, a write into an input, a stored value whose
+    shape differs from the buffer's element — raises
+    {!Vm.Execution_error} naming the block at compile time, before any
+    caller tensor is bound. *)
 
 type t
 
 val compile :
   ?arena:bool ->
-  ?race_guard:bool ->
-  ?schedule:(Ir.block -> Vm.schedule * string option) ->
+  ?schedule:(Ir.block -> int array list -> Vm.schedule * string option) ->
   ?chunk:int ->
   ?workers:int ->
   ?fuse:bool ->
   ?pack:Tensor.pack_blocking ->
   Ir.graph ->
   t
-(** [compile g] builds an executable for the wavefront schedule.
+(** [compile g] builds an executable for the wavefront schedule, or
+    for whatever schedule [schedule] gives.
     [arena] (default [true]): back intermediates with the single
-    liveness-sized arena.  [race_guard] (default [true]): downgrade
-    unproven blocks to sequential.  [schedule]: each block's guarded
-    schedule and downgrade reason, as {!Vm.guarded_schedule} gives them
-    (the default, which [race_guard] configures) — a caller compiling
+    liveness-sized arena.  [schedule b points]: block [b]'s guarded
+    schedule over its enumerated [points] and the downgrade reason, as
+    {!Vm.guarded_schedule} gives them (default: the race-guarded
+    [Wavefront] order, unproven blocks downgraded to sequential) —
+    {!Executor} picks [Run_opts.order] this way, and a caller compiling
     several executables of one graph computes it once, so the race
     guard reports once and every executable numbers points alike.
     [chunk]: the pool claim size for parallel fronts.  [workers]
@@ -73,9 +77,8 @@ val compile :
     differential testing.  [pack]: the mc/kc/nc blocking for prepacked
     panels (default {!Tensor.default_pack_blocking}); any choice gives
     identical bits.
-    @raise Unsupported_graph on uncovered graphs
-    @raise Vm.Execution_error on graphs the interpreter would also
-    reject at plan time (e.g. an operand with no edge or literal). *)
+    @raise Vm.Execution_error naming the block on a graph no engine can
+    run (see above, and an operand with no edge or literal). *)
 
 val load : t -> (string * Fractal.t) list -> unit
 (** Bind the named input FractalTensors (leaves are aliased, not
@@ -86,8 +89,8 @@ val execute : ?pool:Domain_pool.t -> ?shadow:Shadow.t -> t -> unit
 (** One run over the loaded inputs.  Without [pool] (or with a pool of
     size 1) every front runs inline on the caller — this path allocates
     zero minor words.  With [shadow], the run records every cell access
-    in the interpreter's exact event order (sequentially, preserving
-    front ids).
+    in schedule order (sequentially, preserving front ids; every point
+    of an [Ordered] schedule is its own front).
     @raise Vm.Execution_error on unwritten reads / double writes. *)
 
 val outputs : t -> (string * Fractal.t) list

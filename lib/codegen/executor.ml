@@ -1,15 +1,10 @@
 let err fmt = Format.kasprintf (fun s -> raise (Vm.Execution_error s)) fmt
 
-type engine_kind =
-  | E_compiled of Compiled.t
-  | E_vm of Vm.order * string option
-      (* fallback reason when compilation was requested *)
-
 type prepared = {
   pr_graph : Ir.graph;
   pr_opts : Run_opts.t;
   pr_pool : Domain_pool.t option;  (* resolved once, at prepare time *)
-  pr_engine : engine_kind;
+  pr_exe : Compiled.t;
 }
 
 (* Pools for explicit [domains = Some n] requests that do not match the
@@ -60,21 +55,17 @@ let resolve_pool (opts : Run_opts.t) =
 
 let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let pool = resolve_pool opts in
-  let engine =
-    match opts.Run_opts.mode with
-    | Run_opts.Interpret order -> E_vm (order, None)
-    | Run_opts.Compiled -> (
-        let workers =
-          match pool with Some p -> Domain_pool.size p | None -> 1
-        in
-        try
-          E_compiled
-            (Compiled.compile ~arena:opts.Run_opts.arena
-               ~race_guard:opts.Run_opts.race_guard ?chunk:opts.Run_opts.chunk
-               ~workers ~fuse:opts.Run_opts.fuse ?pack:opts.Run_opts.pack g)
-        with Compiled.Unsupported_graph m -> E_vm (Vm.Wavefront, Some m))
+  let workers = match pool with Some p -> Domain_pool.size p | None -> 1 in
+  let schedule =
+    Vm.guarded_schedule ~race_guard:opts.Run_opts.race_guard g
+      opts.Run_opts.order
   in
-  { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_engine = engine }
+  let exe =
+    Compiled.compile ~arena:opts.Run_opts.arena ~schedule
+      ?chunk:opts.Run_opts.chunk ~workers ~fuse:opts.Run_opts.fuse
+      ?pack:opts.Run_opts.pack g
+  in
+  { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_exe = exe }
 
 let shadow_wanted (opts : Run_opts.t) =
   match opts.Run_opts.shadow with
@@ -94,23 +85,15 @@ let cross_check g sh =
         (String.concat "; " issues)
 
 let execute pr inputs =
-  let g = pr.pr_graph in
-  let opts = pr.pr_opts in
   let pool = pr.pr_pool in
-  let run ?shadow () =
-    match pr.pr_engine with
-    | E_compiled exe -> Compiled.run ?pool ?shadow exe inputs
-    | E_vm (order, _) ->
-        Vm.run ~order ?pool ?chunk:opts.Run_opts.chunk
-          ~race_guard:opts.Run_opts.race_guard ?shadow g inputs
-  in
-  if shadow_wanted opts then begin
+  if shadow_wanted pr.pr_opts then begin
+    let g = pr.pr_graph in
     let sh = Shadow.create g in
-    let outs = run ~shadow:sh () in
+    let outs = Compiled.run ?pool ~shadow:sh pr.pr_exe inputs in
     cross_check g sh;
     outs
   end
-  else run ()
+  else Compiled.run ?pool pr.pr_exe inputs
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 
@@ -135,17 +118,8 @@ let prepare_cached ~key ?(opts = Run_opts.default) g =
 
 (* ------------------------------ introspection ------------------------ *)
 
-let engine pr =
-  match pr.pr_engine with
-  | E_compiled _ -> "compiled"
-  | E_vm (_, Some _) -> "vm-fallback"
-  | E_vm (order, None) -> Run_opts.mode_name (Run_opts.Interpret order)
-
-let fallback_reason pr =
-  match pr.pr_engine with E_vm (_, r) -> r | E_compiled _ -> None
-
-let compiled pr =
-  match pr.pr_engine with E_compiled c -> Some c | E_vm _ -> None
+let engine _ = "compiled"
+let compiled pr = Some pr.pr_exe
 
 (* ------------------------------ simulator front ----------------------- *)
 

@@ -1,36 +1,29 @@
 (** The execution front door: one entry point, one options record.
 
-    A {!Run_opts.t} selects the engine and every knob; [run] /
-    [prepare] + [execute] run a graph on values, [simulate] and friends
-    price a plan.  The engines, both scheduled by the one race guard
-    ({!Vm.guarded_schedule}) and bitwise-identical on every legal
-    graph:
-
-    - [Run_opts.Compiled] (the default): {!Compiled} — straight-line
-      block closures over arena-backed storage, zero steady-state
-      allocation.  Graphs the compiler cannot cover fall back to the
-      interpreting VM transparently ({!engine} reports it), preserving
-      reference semantics — including runtime errors — exactly.
-    - [Run_opts.Interpret order]: the {!Vm} interpreter core — the
-      reference semantics, and the only way to run [Reverse].
+    A {!Run_opts.t} sets every knob; [run] / [prepare] + [execute] run
+    a graph on values, [simulate] and friends price a plan.  There is
+    one value engine, {!Compiled}: straight-line block closures over
+    arena-backed storage, zero steady-state allocation, scheduled in
+    [Run_opts.order] by the one race guard ({!Vm.guarded_schedule}).
+    Its outputs are checked bitwise against the reference interpreter
+    ({!Interp}) by [ftc run] and [ftc conform].
 
     This module owns the pool and the shadow policy: [FT_SHADOW] is
-    read here, never by {!Vm.run}. *)
+    read here and nowhere else. *)
 
 type prepared
-(** A graph readied for repeated execution: the compiled executable
-    (or the interpreter's order after a fallback), the resolved pool,
-    and the shadow policy.  Stateful — reusable across sequential
-    [execute] calls, not thread-safe. *)
+(** A graph readied for repeated execution: the compiled executable, the
+    resolved pool, and the shadow policy.  Stateful — reusable across
+    sequential [execute] calls, not thread-safe. *)
 
 val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
-(** Resolve options (default {!Run_opts.default}) and compile.  With
-    [opts.mode = Compiled] this is where {!Compiled.compile} runs —
-    plan-time lowering, arena layout, schedule precomputation, race
-    verdicts; an {!Compiled.Unsupported_graph} graph silently falls
-    back to the interpreter (see {!engine}/{!fallback_reason}).
-    @raise Vm.Execution_error on graphs both engines reject at plan
-    time (e.g. an operand with no edge or literal). *)
+(** Resolve options (default {!Run_opts.default}) and compile: this is
+    where {!Compiled.compile} runs — plan-time lowering, arena layout,
+    schedule precomputation in [opts.order], race verdicts.
+    @raise Vm.Execution_error naming the block on a graph no engine can
+    run (partial access, arity or extent mismatch, operand count or
+    rank, a write into an input, a stored-shape mismatch, an operand
+    with no edge or literal). *)
 
 val execute :
   prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
@@ -61,15 +54,12 @@ val prepare_cached : key:string -> ?opts:Run_opts.t -> Ir.graph -> prepared
 (** {1 Introspection} *)
 
 val engine : prepared -> string
-(** Which engine will run: ["compiled"], ["interpret-seq"] /
-    ["interpret-wave"] / ["interpret-rev"] (requested interpretation), or
-    ["vm-fallback"] (compilation was requested but unsupported). *)
-
-val fallback_reason : prepared -> string option
-(** Why a [Compiled] request fell back to the interpreter, if it did. *)
+(** The engine that runs: always ["compiled"] (serving reports name
+    it). *)
 
 val compiled : prepared -> Compiled.t option
-(** The underlying executable when [engine = "compiled"]. *)
+(** The underlying executable — always [Some]; the option type is kept
+    for existing callers. *)
 
 val reset_pools : unit -> unit
 (** Shut down every pool cached for explicit [domains = Some n]

@@ -1,21 +1,21 @@
 (** Lowering of primitive operations to straight-line, allocation-free
     kernels over preallocated destinations.
 
-    The interpreting VM pays {!Interp.eval_prim}'s price at every
-    iteration point: a dispatch on the primitive, a fresh result
-    tensor, and (for the closure-based elementwise ops) a float boxing
-    per element.  [Lower.kernel] resolves all of that once, at plan
-    time: it returns a kernel closure specialised to the primitive and
-    the operands' declared shapes that computes into a caller-owned
-    destination using only the opcode-dispatch [Tensor] [_into]
-    kernels — the same loops in the same order as the interpreter, so
-    results are bitwise identical, with zero heap allocation in the
-    steady state. *)
+    Evaluating through {!Interp.eval_prim} pays, at every iteration point, a
+    dispatch on the primitive, a fresh result tensor, and (for the
+    closure-based elementwise ops) a float boxing per element.
+    [Lower.kernel] resolves all of that once, at plan time: it returns a
+    kernel closure specialised to the primitive and the operands' declared
+    shapes that computes into a caller-owned destination using only the
+    opcode-dispatch [Tensor] [_into] kernels — the same loops in the same
+    order as the interpreter, so results are bitwise identical, with zero
+    heap allocation in the steady state. *)
 
 exception Unsupported of string
-(** Raised at plan time for primitive/shape combinations the lowering
-    does not cover; the caller falls back to the interpreting VM, which
-    preserves the reference semantics (including its runtime errors). *)
+(** Raised at plan time for primitive/shape combinations no engine can
+    run (a wrong operand count or rank, a column range out of bounds);
+    {!Compiled.compile} reports it as {!Vm.Execution_error} naming the
+    block. *)
 
 val kernel :
   Expr.prim ->

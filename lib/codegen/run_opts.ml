@@ -1,9 +1,7 @@
-type mode = Interpret of Vm.order | Compiled
-
 type shadow = Shadow_off | Shadow_env | Shadow_on
 
 type t = {
-  mode : mode;
+  order : Vm.order;
   domains : int option;
   chunk : int option;
   race_guard : bool;
@@ -15,7 +13,7 @@ type t = {
 
 let default =
   {
-    mode = Compiled;
+    order = Vm.Wavefront;
     domains = None;
     chunk = None;
     race_guard = true;
@@ -25,18 +23,14 @@ let default =
     pack = None;
   }
 
-let interpreted order = { default with mode = Interpret order }
-
-let mode_name = function
-  | Interpret Vm.Sequential -> "interpret-seq"
-  | Interpret Vm.Wavefront -> "interpret-wave"
-  | Interpret Vm.Reverse -> "interpret-rev"
-  | Compiled -> "compiled"
-
 let to_string o =
   Printf.sprintf
-    "%s domains=%s chunk=%s race_guard=%b shadow=%s arena=%b fuse=%b pack=%s"
-    (mode_name o.mode)
+    "order=%s domains=%s chunk=%s race_guard=%b shadow=%s arena=%b fuse=%b \
+     pack=%s"
+    (match o.order with
+    | Vm.Sequential -> "sequential"
+    | Vm.Wavefront -> "wavefront"
+    | Vm.Reverse -> "reverse")
     (match o.domains with Some d -> string_of_int d | None -> "auto")
     (match o.chunk with Some c -> string_of_int c | None -> "auto")
     o.race_guard

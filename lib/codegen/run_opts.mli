@@ -1,17 +1,8 @@
 (** One record for every execution knob — the argument of the unified
     {!Executor} front door.  Callers build one with
-    [{ Run_opts.default with ... }] (or {!interpreted}) and hand it to
-    {!Executor.run}. *)
-
-(** How to execute:
-    - [Compiled]: the straight-line closure engine ({!Compiled}) —
-      schedules, kernels, strides and storage resolved at plan time;
-      falls back to the interpreting VM (in wavefront order) when the
-      graph uses a feature the compiler does not support, so results
-      and errors are identical either way;
-    - [Interpret order]: the reference interpreter core ({!Vm}) in the
-      given order. *)
-type mode = Interpret of Vm.order | Compiled
+    [{ Run_opts.default with ... }] and hand it to {!Executor.run}.
+    Every choice runs the one value engine, {!Compiled}; the knobs pick
+    its schedule, parallelism and storage, never a different engine. *)
 
 (** Shadow-memory recording: [Shadow_off] never records, [Shadow_env]
     (the default) records when [FT_SHADOW] is [1], [true] or [on] —
@@ -20,7 +11,12 @@ type mode = Interpret of Vm.order | Compiled
 type shadow = Shadow_off | Shadow_env | Shadow_on
 
 type t = {
-  mode : mode;
+  order : Vm.order;
+      (** the schedule every block follows ({!Vm.order}): [Wavefront]
+          (the default) fans each anti-chain out over the pool,
+          [Sequential] runs the naive directional order on one domain,
+          [Reverse] is the illegal order tests use to show an unwritten
+          read is caught. *)
   domains : int option;
       (** pool size; [None] uses the ambient {!Domain_pool.num_domains}.
           [Some 1] guarantees a pool-free, allocation-free run loop. *)
@@ -34,13 +30,12 @@ type t = {
   arena : bool;
       (** back compiled intermediates with the single liveness-sized
           {!Arena} (zero steady-state allocation); [false] gives each
-          cell its own preallocated tensor.  Interpreted modes ignore
-          it. *)
+          cell its own preallocated tensor. *)
   fuse : bool;
-      (** compiled engine only: scratch-slot coalescing, GEMM epilogue
-          swallowing and B-panel prepacking ({!Compiled.compile}'s
-          [fuse]).  Bitwise-neutral; [false] exists for differential
-          testing and the [compiled-nofuse] oracle. *)
+      (** scratch-slot coalescing, GEMM epilogue swallowing and B-panel
+          prepacking ({!Compiled.compile}'s [fuse]).  Bitwise-neutral;
+          [false] exists for differential testing and the
+          [compiled-nofuse] oracle. *)
   pack : Tensor.pack_blocking option;
       (** mc/kc/nc blocking for prepacked B panels; [None] uses
           {!Tensor.default_pack_blocking}.  Any choice gives identical
@@ -48,13 +43,8 @@ type t = {
 }
 
 val default : t
-(** [Compiled], ambient domains, default chunking, race guard on,
+(** [Wavefront], ambient domains, default chunking, race guard on,
     [Shadow_env], arena on, fusion on, default packing. *)
-
-val interpreted : Vm.order -> t
-(** [default] with [mode = Interpret order]. *)
-
-val mode_name : mode -> string
 
 val to_string : t -> string
 (** One-line rendering for reports and traces. *)

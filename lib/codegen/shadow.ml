@@ -66,8 +66,8 @@ let on_write t ~block ~front ~point ~buffer idx =
                   block front (vec_to_string w.w_point) (vec_to_string point)
                   (buf_name t buffer) (vec_to_string idx)))
       | Some _ ->
-          (* cross-front double write: the VM's single-assignment check
-             reports it; keep the first writer on record *)
+          (* cross-front double write: the engine's single-assignment
+             check reports it; keep the first writer on record *)
           ()
       | None ->
           Hashtbl.add t.cells key { w_block = block; w_front = front;

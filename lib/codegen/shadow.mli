@@ -1,15 +1,15 @@
-(** Dynamic shadow memory for the VM (debug mode).
+(** Dynamic shadow memory for the compiled engine (debug mode).
 
     When enabled ([FT_SHADOW=1], or an explicit recorder passed to
-    {!Vm.run}), the VM reports every cell-level read and write together
-    with the anti-chain (front) it executed in.  The recorder detects,
-    deterministically and independently of thread interleaving:
+    {!Compiled.execute}), the engine reports every cell-level read and write
+    together with the anti-chain (front) it executed in.  The recorder
+    detects, deterministically and independently of thread interleaving:
 
     - a same-front {b write-write} overlap: two iteration points of one
       anti-chain writing the same cell;
     - a same-front {b read-write} overlap: a point reading a cell that
       a {e sibling} point of the same anti-chain writes — the race the
-      VM itself cannot see (the read may happen to observe the value);
+      engine itself cannot see (the read may happen to observe the value);
 
     both raise {!Violation} immediately.  After the run,
     {!cross_check} validates the static verdicts of {!Effects} against

@@ -4,12 +4,6 @@ exception Execution_error of string
 
 let err fmt = Format.kasprintf (fun s -> raise (Execution_error s)) fmt
 
-type storage = {
-  st_dims : int array;
-  st_strides : int array; (* computed once in [alloc], not per access *)
-  st_cells : Tensor.t option array;
-}
-
 let strides dims =
   let n = Array.length dims in
   let st = Array.make n 1 in
@@ -17,23 +11,6 @@ let strides dims =
     st.(i) <- st.(i + 1) * dims.(i + 1)
   done;
   st
-
-let ravel st idx =
-  let off = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v < 0 || v >= st.st_dims.(i) then
-        err "buffer index %d out of extent %d (axis %d)" v st.st_dims.(i) i;
-      off := !off + (v * st.st_strides.(i)))
-    idx;
-  !off
-
-let alloc dims =
-  {
-    st_dims = dims;
-    st_strides = strides dims;
-    st_cells = Array.make (Stdlib.max 1 (Array.fold_left ( * ) 1 dims)) None;
-  }
 
 (* Row-major walk of a nested FractalTensor that must be shaped
    [dims]: [f pos t] for every leaf. *)
@@ -69,15 +46,6 @@ let of_cells dims cell =
     else Fractal.Node (Array.init dims.(depth) (fun _ -> go (depth + 1)))
   in
   go 0
-
-let load st value =
-  iter_cells st.st_dims value (fun pos t -> st.st_cells.(pos) <- Some t)
-
-let unload name st =
-  of_cells st.st_dims (fun pos ->
-      match st.st_cells.(pos) with
-      | Some t -> t
-      | None -> err "output buffer %s has an unwritten cell" name)
 
 (* How a block's points run:
    - [Ordered]: one strict sequence (the naive directional
@@ -263,136 +231,3 @@ let live_reads (b : Ir.block) =
   Hashtbl.fold
     (fun tag e acc -> if Hashtbl.mem used tag then e :: acc else acc)
     reads []
-
-(* One block's point evaluator over whatever stores [storage] resolves
-   buffer ids to.  A point is self-contained: every mutable value it
-   touches is either point-local ([results]) or a distinct cell of a
-   shared buffer — which is what lets a front run in parallel, and a
-   sharded run evaluate against per-device stores. *)
-let point_evaluator ?shadow ~(storage : int -> storage) (b : Ir.block) =
-  let reads = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Ir.edge) -> Hashtbl.replace reads e.Ir.e_label e)
-    (live_reads b);
-  let writes = Ir.writes b in
-  if List.length writes <> List.length b.Ir.blk_results then
-    err "block %s: %d write edges for %d results" b.Ir.blk_name
-      (List.length writes)
-      (List.length b.Ir.blk_results);
-  let read_cell front point (e : Ir.edge) =
-    let st = storage e.Ir.e_buffer in
-    if Access_map.out_dim e.Ir.e_access <> Array.length st.st_dims then
-      err "block %s: partial read of buffer %d is not executable"
-        b.Ir.blk_name e.Ir.e_buffer;
-    let idx = Access_map.apply e.Ir.e_access point in
-    Option.iter
-      (fun sh ->
-        Shadow.on_read sh ~block:b.Ir.blk_name ~front ~point
-          ~buffer:e.Ir.e_buffer idx)
-      shadow;
-    match st.st_cells.(ravel st idx) with
-    | Some t -> t
-    | None ->
-        err "block %s reads an unwritten cell of buffer %d — illegal order"
-          b.Ir.blk_name e.Ir.e_buffer
-  in
-  fun front point ->
-    let results = Array.make (List.length b.Ir.blk_body) (Tensor.scalar 0.) in
-    let operand = function
-      | Ir.O_const t -> t
-      | Ir.O_op k -> results.(k)
-      | Ir.O_var tag -> (
-          match List.assoc_opt tag b.Ir.blk_consts with
-          | Some t -> t
-          | None -> (
-              match Hashtbl.find_opt reads tag with
-              | Some e -> read_cell front point e
-              | None ->
-                  err "block %s: operand %s has no edge or literal"
-                    b.Ir.blk_name tag))
-    in
-    List.iteri
-      (fun i (o : Ir.op_node) ->
-        results.(i) <-
-          Interp.eval_prim o.Ir.op (List.map operand o.Ir.operands))
-      b.Ir.blk_body;
-    List.iter2
-      (fun (w : Ir.edge) result ->
-        let st = storage w.Ir.e_buffer in
-        let idx = Access_map.apply w.Ir.e_access point in
-        Option.iter
-          (fun sh ->
-            Shadow.on_write sh ~block:b.Ir.blk_name ~front ~point
-              ~buffer:w.Ir.e_buffer idx)
-          shadow;
-        let off = ravel st idx in
-        (match st.st_cells.(off) with
-        | Some _ ->
-            err "block %s writes a cell twice — single assignment violated"
-              b.Ir.blk_name
-        | None -> ());
-        st.st_cells.(off) <- Some (operand result))
-      writes b.Ir.blk_results
-
-let run ?(order = Wavefront) ?pool ?chunk ?(race_guard = true) ?shadow
-    (g : Ir.graph) inputs =
-  let chunk = match chunk with Some c when c > 0 -> Some c | _ -> None in
-  let store = Hashtbl.create 16 in
-  List.iter
-    (fun (bf : Ir.buffer) ->
-      let st = alloc bf.Ir.buf_dims in
-      (match bf.Ir.buf_role with
-      | Ir.Input -> (
-          match List.assoc_opt bf.Ir.buf_name inputs with
-          | Some v -> load st v
-          | None -> err "missing input %s" bf.Ir.buf_name)
-      | Ir.Intermediate | Ir.Output -> ());
-      Hashtbl.replace store bf.Ir.buf_id st)
-    g.Ir.g_buffers;
-  let storage = Hashtbl.find store in
-  let exec_block (b : Ir.block) =
-    let exec_point = point_evaluator ?shadow ~storage b in
-    let sched, _ =
-      guarded_schedule ~race_guard g order b (Domain.enumerate b.Ir.blk_domain)
-    in
-    (* Sequential orders give every point its own front id so the
-       shadow recorder never sees two points share an anti-chain. *)
-    let seq_front = ref (-1) in
-    let exec_seq point =
-      incr seq_front;
-      exec_point !seq_front point
-    in
-    match sched with
-    | Ordered points -> List.iter exec_seq points
-    | Fronts fronts ->
-        let run_fronts () =
-          List.iter
-            (fun (front, pts) ->
-              let width = Array.length pts in
-              let body () =
-                match pool with
-                | Some p when width > 1 ->
-                    Domain_pool.parallel_for ?chunk p ~lo:0 ~hi:width
-                      (fun i -> exec_point front pts.(i))
-                | _ -> Array.iter (exec_point front) pts
-              in
-              if Trace.active () then
-                front_span ~block:b.Ir.blk_name ~front ~width pool body
-              else body ())
-            fronts
-        in
-        if Trace.active () then
-          block_span b.Ir.blk_name
-            (stats_of_schedule b.Ir.blk_name (Fronts fronts))
-            run_fronts
-        else run_fronts ()
-  in
-  List.iter exec_block (Ir.dataflow_order g);
-  List.filter_map
-    (fun (bf : Ir.buffer) ->
-      if bf.Ir.buf_role = Ir.Output then
-        Some (bf.Ir.buf_name, unload bf.Ir.buf_name (storage bf.Ir.buf_id))
-      else None)
-    g.Ir.g_buffers
-
-let output outs name = List.assoc name outs

@@ -1,19 +1,14 @@
-(** Functional execution of a compiled ETDG — the one interpreter core.
+(** Schedules for running a compiled ETDG on values, and the pieces
+    every value engine shares.
 
-    The simulator ({!Executor.simulate}) models cost; this module
-    models {e values}: it allocates real buffers, walks each block
-    node's iteration domain point by point, evaluates the operation
-    nodes through {!Interp.eval_prim}, and materialises every read and
-    write through the block's access maps.  Running it in wavefront
-    order — the schedule the reordering pass derives — and comparing
-    against the interpreter machine-checks, for every workload, that
-    the compiled schedule computes the same values as the program's
-    semantics.
-
-    Other engines share its pieces instead of copying them: the cell
-    store and {!point_evaluator} run every point of a sharded run
-    ([Dist_exec]), and the race guard {!guarded_schedule} picks the
-    schedule for {!run}, {!Compiled} and [Dist_exec] alike.
+    {!Compiled} is the one engine that runs a plan on values; the
+    sharded runner ([Dist_exec]) drives one {!Compiled} executable per
+    device.  [Interp] stays the reference semantics both are checked
+    against.  This module holds what they share: the iteration orders
+    and the schedules they induce, the one race guard
+    ({!guarded_schedule}), the live read edges, per-block schedule
+    statistics, the trace spans, the row-major cell walk of a nested
+    FractalTensor, and {!Execution_error}.
 
     Three orders are supported:
     - [Sequential]: directional lexicographic over each block's
@@ -22,7 +17,7 @@
       always legal; strictly single-threaded;
     - [Wavefront]: points grouped into anti-chains by the hyperplane
       value [Σ_{i ∈ dep} t_i]; fronts execute in hyperplane order and
-      the points {e within} each front fan out across a
+      the points {e within} each front may fan out across a
       {!Domain_pool}.  Points of one front are mutually independent
       whenever the schedule is legal (the static verifier in
       [lib/analysis] is the safety net), and each point writes a
@@ -31,7 +26,7 @@
       depend on the order its siblings run — bitwise identical to
       [Sequential] for legal schedules;
     - [Reverse]: reverse lexicographic — illegal for any
-      dependence-carrying block; used by tests to show the executor
+      dependence-carrying block; used by tests to show the engine
       detects bad schedules (reads of unwritten cells) instead of
       silently producing garbage.
 
@@ -44,18 +39,14 @@
 type order = Sequential | Wavefront | Reverse
 
 exception Execution_error of string
+(** Raised by every value engine: at prepare time on a graph no engine
+    can run (naming the block), at run time on a missing or mis-shaped
+    input, an unwritten read or a double write. *)
 
-(** {1 Cell store} — one per buffer, row-major; [None] = unwritten *)
+(** {1 Cells} *)
 
-type storage = {
-  st_dims : int array;
-  st_strides : int array;
-  st_cells : Tensor.t option array;
-}
-
-val alloc : int array -> storage
 val strides : int array -> int array
-val ravel : storage -> int array -> int
+(** Row-major strides of a buffer shaped [dims]. *)
 
 val iter_cells : int array -> Fractal.t -> (int -> Tensor.t -> unit) -> unit
 (** [f pos t] for every leaf in row-major order; raises
@@ -64,26 +55,20 @@ val iter_cells : int array -> Fractal.t -> (int -> Tensor.t -> unit) -> unit
 val of_cells : int array -> (int -> Tensor.t) -> Fractal.t
 (** The value shaped [dims] whose row-major leaves are [cell pos]. *)
 
-val load : storage -> Fractal.t -> unit
-val unload : string -> storage -> Fractal.t
-(** The string names the buffer in the unwritten-cell error. *)
-
 (** {1 Schedules} *)
 
 (** How a block's points run: [Ordered] is one strict sequence (the
     directional lexicographic order or its reverse); [Fronts] is the
     wavefront anti-chains in hyperplane order, each an array of
-    mutually-independent points.  Exposed so the compiled executor
-    ({!Compiled}) can precompute exactly the schedule this interpreter
-    would follow — flattened to int arrays at plan time — and stay
-    bitwise-identical to it. *)
+    mutually-independent points.  {!Compiled} flattens it to int
+    arrays at plan time; the sharded runner places its points. *)
 type schedule =
   | Ordered of int array list
   | Fronts of (int * int array array) list
 
 val schedule : order -> Ir.block -> int array list -> schedule
-(** [schedule order b points] groups the block's iteration points the
-    way {!run} executes them: directional lexicographic for
+(** [schedule order b points] groups the block's iteration points for
+    [order]: directional lexicographic for
     [Sequential] (right-directional foldr/scanr dimensions descend),
     its reverse for [Reverse], hyperplane anti-chains for
     [Wavefront]. *)
@@ -113,7 +98,7 @@ val block_span : string -> block_stats -> (unit -> 'a) -> 'a
 val front_span :
   block:string -> front:int -> width:int -> Domain_pool.t option ->
   (unit -> 'a) -> 'a
-(** The ["vm.block"] / ["vm.front"] spans, shared with {!Compiled}. *)
+(** The ["vm.block"] / ["vm.front"] spans {!Compiled} emits. *)
 
 val set_fallback_handler : (string -> string -> unit) -> unit
 (** Observer of race-guard downgrades: called with the block name and
@@ -132,60 +117,14 @@ val race_downgrade : Ir.graph -> Ir.block -> string option
 val guarded_schedule :
   ?race_guard:bool -> Ir.graph -> order -> Ir.block -> int array list ->
   schedule * string option
-(** The one race guard of {!run}, {!Compiled.compile} and
-    [Dist_exec.prepare]: {!schedule}, except that [Fronts] with a
-    {!race_downgrade} reason become the sequential schedule, with the
-    reason (also reported to the fallback handler).
+(** The one race guard of {!Compiled.compile} and [Dist_exec.prepare]:
+    {!schedule}, except that [Fronts] with a {!race_downgrade} reason
+    become the sequential schedule, with the reason (also reported to
+    the fallback handler).
     [~race_guard:false] skips the check. *)
 
-(** {1 Evaluation} *)
+(** {1 Reads} *)
 
 val live_reads : Ir.block -> Ir.edge list
-(** The read edges evaluation consults (no dead or literal-shadowed
-    labels). *)
-
-val point_evaluator :
-  ?shadow:Shadow.t -> storage:(int -> storage) -> Ir.block ->
-  int -> int array -> unit
-(** [point_evaluator ~storage b front point] evaluates [b]'s body at
-    [point] against the stores [storage] maps buffer ids to (checking
-    the block once, at partial application).  Safe to run
-    concurrently across one front; [shadow] records every access
-    under anti-chain [front].  Raises [Execution_error] on an
-    unwritten read, a double write or an unresolvable operand. *)
-
-val run :
-  ?order:order ->
-  ?pool:Domain_pool.t ->
-  ?chunk:int ->
-  ?race_guard:bool ->
-  ?shadow:Shadow.t ->
-  Ir.graph ->
-  (string * Fractal.t) list ->
-  (string * Fractal.t) list
-(** [run g inputs] executes the graph over the named input
-    FractalTensors and returns the contents of every [Output] buffer as
-    a nested FractalTensor (in buffer order).  This is what
-    {!Executor} runs for [Run_opts.Interpret order]; go through it
-    unless you need to own the shadow recorder.
-
-    Default order: [Wavefront], which executes each anti-chain across
-    [pool]; without a pool every front runs inline ([Sequential] and
-    [Reverse] never touch a pool).  [chunk] (when positive) bounds how
-    many points of a front one domain claims at a time — the
-    auto-tuner's [vm_chunk] knob; values ≤ 0 or absent use the pool's
-    default split.  Chunking never changes results: points of a front
-    are mutually independent.
-
-    [race_guard] (default [true]): see {!guarded_schedule}.  Pass
-    [false] only to study the unguarded executor (tests do, under the
-    shadow recorder).
-
-    [shadow]: record every cell access in the given {!Shadow}
-    recorder; the caller finishes and cross-checks it.  [run] reads no
-    environment variable — [FT_SHADOW] is {!Executor}'s business.
-    @raise Execution_error on missing inputs or un-executable blocks.
-    @raise Shadow.Violation on a recorded same-front overlap. *)
-
-val output : (string * Fractal.t) list -> string -> Fractal.t
-(** Select one output by buffer name. @raise Not_found *)
+(** The read edges a point's evaluation consults (no dead or
+    literal-shadowed labels). *)

@@ -5,8 +5,6 @@ type oracle_stat = {
   os_pass : int;
   os_fail : int;
   os_unsupported : int;
-  os_engines : (string * int) list;
-  os_fallback_reasons : (string * int) list;
 }
 
 type failure = {
@@ -57,7 +55,7 @@ let program_compiled_expected (p : Expr.program) = expr_compiled p.Expr.body
 (* Checking one program                                              *)
 (* ---------------------------------------------------------------- *)
 
-let check_runs ctx ~expect_compiled (p : Expr.program) inputs =
+let check ctx ~expect_compiled (p : Expr.program) inputs =
   let runs = Oracles.run_all ctx p inputs in
   let value name =
     List.find_map
@@ -68,7 +66,7 @@ let check_runs ctx ~expect_compiled (p : Expr.program) inputs =
       runs
   in
   let interp_v = value "interp" in
-  let seq_raw = value "vm-seq" in
+  let seq_raw = value "compiled-seq" in
   List.map
     (fun r ->
       let name = r.Oracles.r_oracle in
@@ -81,13 +79,13 @@ let check_runs ctx ~expect_compiled (p : Expr.program) inputs =
         | Oracles.Value v -> (
             if name = "interp" then V_pass
             else
-              (* every VM-family oracle must match vm-seq bitwise;
-                 vm-seq itself (and any oracle running without vm-seq)
-                 must match the interpreter after projection *)
+              (* every engine oracle must match compiled-seq bitwise;
+                 compiled-seq itself (and any oracle running without
+                 it) must match the interpreter after projection *)
               match (seq_raw, interp_v) with
-              | Some sv, _ when name <> "vm-seq" ->
+              | Some sv, _ when name <> "compiled-seq" ->
                   if Fractal.equal_exact v sv then V_pass
-                  else V_fail "diverges bitwise from vm-seq"
+                  else V_fail "diverges bitwise from compiled-seq"
               | _, Some iv ->
                   if Fractal.equal_exact (Oracles.project p v) iv then V_pass
                   else V_fail "diverges bitwise from the interpreter"
@@ -95,16 +93,6 @@ let check_runs ctx ~expect_compiled (p : Expr.program) inputs =
       in
       (name, verdict))
     runs
-  |> fun verdicts -> (runs, verdicts)
-
-let check ctx ~expect_compiled p inputs =
-  snd (check_runs ctx ~expect_compiled p inputs)
-
-let count k l = List.length (List.filter (( = ) k) l)
-
-(* Sorted (key, count) histogram of a list of keys. *)
-let histogram keys =
-  List.map (fun k -> (k, count k keys)) (List.sort_uniq compare keys)
 
 let first_fail verdicts =
   List.find_map
@@ -136,8 +124,6 @@ let run ?(oracles = Oracles.all_oracles) ?corpus_dir ?(meta_iters = 3) ~seed
   List.iter (fun t -> Hashtbl.replace coverage t 0) Gen.all_tags;
   let failures = ref [] in
   let compiled = ref 0 in
-  (* (oracle, engine, fallback reason) of every compiled-family run *)
-  let census = ref [] in
   let check_spec sp =
     check ctx ~expect_compiled:(Gen.compiled_expected sp) (Gen.program sp)
       (Gen.inputs sp)
@@ -150,17 +136,7 @@ let run ?(oracles = Oracles.all_oracles) ?corpus_dir ?(meta_iters = 3) ~seed
         Hashtbl.replace coverage t
           (1 + try Hashtbl.find coverage t with Not_found -> 0))
       (Gen.tags sp);
-    let runs, verdicts =
-      check_runs ctx ~expect_compiled:(Gen.compiled_expected sp)
-        (Gen.program sp) (Gen.inputs sp)
-    in
-    List.iter
-      (fun (r : Oracles.run) ->
-        Option.iter
-          (fun (engine, reason) ->
-            census := (r.Oracles.r_oracle, engine, reason) :: !census)
-          r.Oracles.r_engine)
-      runs;
+    let verdicts = check_spec sp in
     List.iter
       (fun (o, v) ->
         bump o (fun (p, x, u) ->
@@ -199,21 +175,7 @@ let run ?(oracles = Oracles.all_oracles) ?corpus_dir ?(meta_iters = 3) ~seed
     List.map
       (fun o ->
         let p, x, u = try Hashtbl.find stats o with Not_found -> (0, 0, 0) in
-        let mine = List.filter (fun (o', _, _) -> o' = o) !census in
-        {
-          os_oracle = o;
-          os_pass = p;
-          os_fail = x;
-          os_unsupported = u;
-          os_engines =
-            (let engines = List.map (fun (_, e, _) -> e) mine in
-             if mine = [] then []
-             else
-               List.map (fun e -> (e, count e engines))
-                 [ "compiled"; "vm-fallback" ]);
-          os_fallback_reasons =
-            histogram (List.filter_map (fun (_, _, r) -> r) mine);
-        })
+        { os_oracle = o; os_pass = p; os_fail = x; os_unsupported = u })
       oracles
   in
   let coverage =
@@ -271,16 +233,8 @@ let report_to_text rp =
   pf "oracles:\n";
   List.iter
     (fun s ->
-      pf "  %-10s pass %-4d fail %-4d unsupported %d\n" s.os_oracle s.os_pass
+      pf "  %-16s pass %-4d fail %-4d unsupported %d\n" s.os_oracle s.os_pass
         s.os_fail s.os_unsupported)
-    rp.rp_oracle_stats;
-  List.iter
-    (fun s ->
-      if s.os_engines <> [] then
-        pf "  %-16s engines: %s\n" s.os_oracle
-          (String.concat ", "
-             (List.map (fun (e, n) -> Printf.sprintf "%s %d" e n)
-                (s.os_engines @ s.os_fallback_reasons))))
     rp.rp_oracle_stats;
   let meta_fail =
     List.length (List.filter (fun t -> not t.Metamorphic.t_ok) rp.rp_metamorphic)
@@ -314,7 +268,6 @@ let report_to_text rp =
   Buffer.contents buf
 
 let report_to_jsonv rp =
-  let counts kv = Jsonw.Obj (List.map (fun (k, n) -> (k, Jsonw.Int n)) kv) in
   Jsonw.Obj
     [
       ("seed", Jsonw.Int rp.rp_seed);
@@ -327,19 +280,12 @@ let report_to_jsonv rp =
           (List.map
              (fun s ->
                Jsonw.Obj
-                 ([
-                    ("oracle", Jsonw.String s.os_oracle);
-                    ("pass", Jsonw.Int s.os_pass);
-                    ("fail", Jsonw.Int s.os_fail);
-                    ("unsupported", Jsonw.Int s.os_unsupported);
-                  ]
-                 @
-                 if s.os_engines = [] then []
-                 else
-                   [
-                     ("engines", counts s.os_engines);
-                     ("fallback_reasons", counts s.os_fallback_reasons);
-                   ]))
+                 [
+                   ("oracle", Jsonw.String s.os_oracle);
+                   ("pass", Jsonw.Int s.os_pass);
+                   ("fail", Jsonw.Int s.os_fail);
+                   ("unsupported", Jsonw.Int s.os_unsupported);
+                 ])
              rp.rp_oracle_stats) );
       ( "coverage",
         Jsonw.Obj (List.map (fun (t, n) -> (t, Jsonw.Int n)) rp.rp_coverage) );

@@ -3,9 +3,9 @@
 
     One {!run} draws [budget] random programs ({!Gen}), executes each
     through every selected oracle ({!Oracles}), compares bitwise
-    ({!Fractal.equal_exact}) — VM-family oracles raw against
-    ["vm-seq"], projected ["vm-seq"] against ["interp"] — then runs
-    the {!Metamorphic} laws.  Every differential counterexample is
+    ({!Fractal.equal_exact}) — engine oracles raw against
+    ["compiled-seq"], projected ["compiled-seq"] against ["interp"] —
+    then runs the {!Metamorphic} laws.  Every differential counterexample is
     shrunk ({!Shrink}) and, when a corpus directory is given,
     persisted as a replayable [.ft] file ({!Corpus}).  Everything is
     deterministic in the seed. *)
@@ -18,14 +18,6 @@ type oracle_stat = {
   os_fail : int;
   os_unsupported : int;
       (** programs outside the compiled fragment (interpreter-only) *)
-  os_engines : (string * int) list;
-      (** compiled-family and sharded oracles: how many programs the
-          front door ran on ["compiled"] and on ["vm-fallback"]
-          ({!Executor.engine}, {!Dist_exec.engine}); empty for other
-          oracles *)
-  os_fallback_reasons : (string * int) list;
-      (** histogram of {!Executor.fallback_reason} over this oracle's
-          ["vm-fallback"] programs, sorted by reason *)
 }
 
 type failure = {

@@ -155,7 +155,7 @@ let run_fused_nofuse rng =
     let g = Build.build p in
     let run fuse pack =
       let opts = { Run_opts.default with Run_opts.fuse; pack } in
-      Vm.output (Executor.run ~opts g inputs) p.Expr.name
+      List.assoc p.Expr.name (Executor.run ~opts g inputs)
     in
     Fractal.equal_exact
       (run true (Some Oracles.stress_pack))

@@ -3,17 +3,12 @@ type outcome =
   | Unsupported of string
   | Failed of string
 
-type run = {
-  r_oracle : string;
-  r_outcome : outcome;
-  r_wall_ms : float;
-  r_engine : (string * string option) option;
-}
+type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 
 let all_oracles =
-  [ "interp"; "vm-seq"; "vm-wave1"; "vm-wave2"; "vm-wave4"; "shadow";
-    "tuned"; "cache-rt"; "compiled"; "compiled2"; "compiled4";
-    "compiled-noarena"; "fused"; "compiled-nofuse"; "sharded2"; "sharded4" ]
+  [ "interp"; "compiled-seq"; "shadow"; "tuned"; "cache-rt"; "compiled";
+    "compiled2"; "compiled4"; "compiled-noarena"; "fused"; "compiled-nofuse";
+    "sharded2"; "sharded4" ]
 
 (* ---------------------------------------------------------------- *)
 (* Context: pools + private cache/tune directories                   *)
@@ -96,7 +91,7 @@ let close ctx =
     Tune_db.clear_memory ())
 
 (* ---------------------------------------------------------------- *)
-(* Projection: raw VM output -> interpreter view                     *)
+(* Projection: raw engine output -> interpreter view                 *)
 (* ---------------------------------------------------------------- *)
 
 let rec project_expr (e : Expr.t) (v : Fractal.t) =
@@ -119,18 +114,43 @@ let rec project_expr (e : Expr.t) (v : Fractal.t) =
 
 let project (p : Expr.program) v = project_expr p.Expr.body v
 
+(* Zip per-component values back into the interpreter's tuples, whose
+   components meet at the leaves. *)
+let rec zip = function
+  | [] -> invalid_arg "Oracles.zip"
+  | Fractal.Leaf _ :: _ as comps -> Fractal.Node (Array.of_list comps)
+  | Fractal.Node first :: _ as comps ->
+      Fractal.Node
+        (Array.mapi
+           (fun i _ -> zip (List.map (fun c -> Fractal.get c i) comps))
+           first)
+
+let value (p : Expr.program) outs =
+  let name = p.Expr.name in
+  match List.assoc_opt name outs with
+  | Some v -> Some (project p v)
+  | None -> (
+      let rec comps i =
+        match List.assoc_opt (Printf.sprintf "%s.%d" name i) outs with
+        | Some v -> project p v :: comps (i + 1)
+        | None -> []
+      in
+      match comps 0 with [] -> None | cs -> Some (zip cs))
+
 (* ---------------------------------------------------------------- *)
 (* The oracles                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* The interpreting VM through the front door, at an explicit domain
-   count: [Some 1] runs every front inline. *)
-let vm_value g ~order ~domains ?chunk (p : Expr.program) inputs =
+(* The compiled engine through the front door, Run_opts defaults
+   otherwise: [Shadow_env] keeps corpus replay under FT_SHADOW=1
+   cross-checking the recorded accesses against the static analysis. *)
+let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?chunk
+    ?(arena = true) ?(fuse = true) ?pack (p : Expr.program) g inputs =
   let opts =
-    { (Run_opts.interpreted order) with Run_opts.domains = Some domains; chunk }
+    { Run_opts.default with
+      Run_opts.order; domains = Some domains; chunk; arena; fuse; pack }
   in
-  let outs = Executor.run ~opts g inputs in
-  Value (Vm.output outs p.Expr.name)
+  Value (List.assoc p.Expr.name (Executor.run ~opts g inputs))
 
 let tuned_oracle (p : Expr.program) g inputs =
   (* Store a deliberately non-default configuration, resolve it back
@@ -155,43 +175,22 @@ let tuned_oracle (p : Expr.program) g inputs =
   | None -> Failed "stored tuned config did not resolve through Tune_db"
   | Some tile ->
       ignore (Pipeline.plan_cached ~tune:true p);
-      vm_value g ~order:Vm.Wavefront ~domains:2 ~chunk:tile.Tile.cfg_vm_chunk
-        p inputs
+      compiled_oracle ~domains:2 ~chunk:tile.Tile.cfg_vm_chunk p g inputs
 
-(* Wavefront execution under the shadow recorder: every cell access is
+(* The compiled engine under the shadow recorder: every cell access is
    logged with its anti-chain, same-front overlaps raise immediately,
    and the recorded footprints/liveness must agree with the static
    verdicts of Effects — a contradiction fails the oracle even when
    the output value is right. *)
-let shadow_oracle ctx (p : Expr.program) g inputs =
+let shadow_oracle (p : Expr.program) g inputs =
   let sh = Shadow.create g in
-  let outs =
-    Vm.run ~order:Vm.Wavefront ~pool:(pool ctx 2) ~shadow:sh g inputs
-  in
-  let summary = Shadow.finish sh in
-  match Shadow.cross_check g summary sh with
-  | [] -> Value (Vm.output outs p.Expr.name)
+  let outs = Compiled.run ~shadow:sh (Compiled.compile g) inputs in
+  match Shadow.cross_check g (Shadow.finish sh) sh with
+  | [] -> Value (List.assoc p.Expr.name outs)
   | issues ->
       Failed
         ("shadow memory contradicts the static analysis: "
         ^ String.concat "; " issues)
-
-(* The compiled executor through the unified front door.  Run_opts
-   defaults keep [Shadow_env], so corpus replay under FT_SHADOW=1 also
-   cross-checks the recorded accesses against the static analysis.  A
-   graph outside the compiled fragment falls back to the interpreting
-   VM inside Executor — still a legitimate differential point: the
-   front door must be value-transparent either way.  [engine] receives
-   which engine the front door picked, and why it fell back if it did. *)
-let compiled_oracle ~engine ?(domains = 1) ?(arena = true) ?(fuse = true)
-    ?pack (p : Expr.program) g inputs =
-  let opts =
-    { Run_opts.default with Run_opts.domains = Some domains; arena; fuse; pack }
-  in
-  let pr = Executor.prepare ~opts g in
-  engine := Some (Executor.engine pr, Executor.fallback_reason pr);
-  let outs = Executor.execute pr inputs in
-  Value (Vm.output outs p.Expr.name)
 
 (* Hostile pack blocking: tiny, mutually-indivisible mc/kc/nc force
    every edge case in the packed micro-kernel (partial panels, odd
@@ -203,15 +202,13 @@ let stress_pack = { Tensor.mc = 3; kc = 48; nc = 40 }
 (* Distributed execution over N simulated devices: auto-partitioned
    shards on real domains, pull-based transfers between per-device
    executables — Dist.run's prepare/execute path without its
-   verification gate, pricing or cache.  Raw VM-shaped outputs, so
-   Conform's bitwise comparison against vm-seq covers the whole
-   transfer machinery; [engine] counts the runs that fell back to the
-   VM. *)
-let sharded_oracle ctx ~engine ~devices (p : Expr.program) g inputs =
+   verification gate, pricing or cache.  Raw outputs, so Conform's
+   bitwise comparison against compiled-seq covers the whole transfer
+   machinery. *)
+let sharded_oracle ctx ~devices (p : Expr.program) g inputs =
   let pr = Dist_exec.prepare ~plan:(Shard.partition ~devices g) g in
-  engine := Some (Dist_exec.engine pr, Dist_exec.fallback_reason pr);
   let outs = Dist_exec.execute ~pool:(pool ctx devices) pr inputs in
-  Value (Vm.output outs p.Expr.name)
+  Value (List.assoc p.Expr.name outs)
 
 let cache_rt_oracle (p : Expr.program) g inputs =
   let key = Pipeline.program_key p in
@@ -223,10 +220,9 @@ let cache_rt_oracle (p : Expr.program) g inputs =
     let plan2 = Pipeline.plan_cached p in
     if plan1 <> plan2 then
       Failed "plan changed across a disk-cache round trip"
-    else vm_value g ~order:Vm.Sequential ~domains:1 p inputs
+    else compiled_oracle ~order:Vm.Sequential p g inputs
 
-let run_one ctx ~engine (p : Expr.program) inputs graph name =
-  let compiled_oracle = compiled_oracle ~engine in
+let run_one ctx (p : Expr.program) inputs graph name =
   match name with
   | "interp" -> (
       try Value (Interp.run_program p inputs)
@@ -238,22 +234,18 @@ let run_one ctx ~engine (p : Expr.program) inputs graph name =
       | `Ok g -> (
           try
             match name with
-            | "vm-seq" -> vm_value g ~order:Vm.Sequential ~domains:1 p inputs
-            | "vm-wave1" -> vm_value g ~order:Vm.Wavefront ~domains:1 p inputs
-            | "vm-wave2" -> vm_value g ~order:Vm.Wavefront ~domains:2 p inputs
-            | "vm-wave4" -> vm_value g ~order:Vm.Wavefront ~domains:4 p inputs
-            | "shadow" -> shadow_oracle ctx p g inputs
+            | "compiled-seq" -> compiled_oracle ~order:Vm.Sequential p g inputs
+            | "shadow" -> shadow_oracle p g inputs
             | "tuned" -> tuned_oracle p g inputs
             | "cache-rt" -> cache_rt_oracle p g inputs
             | "compiled" -> compiled_oracle p g inputs
             | "compiled2" -> compiled_oracle ~domains:2 p g inputs
             | "compiled4" -> compiled_oracle ~domains:4 p g inputs
             | "compiled-noarena" -> compiled_oracle ~arena:false p g inputs
-            | "fused" ->
-                compiled_oracle ~pack:stress_pack p g inputs
+            | "fused" -> compiled_oracle ~pack:stress_pack p g inputs
             | "compiled-nofuse" -> compiled_oracle ~fuse:false p g inputs
-            | "sharded2" -> sharded_oracle ctx ~engine ~devices:2 p g inputs
-            | "sharded4" -> sharded_oracle ctx ~engine ~devices:4 p g inputs
+            | "sharded2" -> sharded_oracle ctx ~devices:2 p g inputs
+            | "sharded4" -> sharded_oracle ctx ~devices:4 p g inputs
             | other -> Failed (Printf.sprintf "unknown oracle %S" other)
           with e -> Failed (Printexc.to_string e)))
 
@@ -269,13 +261,7 @@ let run_all ctx (p : Expr.program) inputs =
   List.map
     (fun name ->
       let t0 = Unix.gettimeofday () in
-      let engine = ref None in
-      let outcome = run_one ctx ~engine p inputs graph name in
+      let outcome = run_one ctx p inputs graph name in
       let t1 = Unix.gettimeofday () in
-      {
-        r_oracle = name;
-        r_outcome = outcome;
-        r_wall_ms = (t1 -. t0) *. 1e3;
-        r_engine = !engine;
-      })
+      { r_oracle = name; r_outcome = outcome; r_wall_ms = (t1 -. t0) *. 1e3 })
     ctx.cx_oracles

@@ -16,8 +16,6 @@ type report = {
   rp_xfer_gb : float;
   rp_device_xfers : int;  (* halo / pipeline traffic, endpoints on devices *)
   rp_sim : Engine.dist_metrics;
-  rp_engine : string;  (* "compiled" or "vm-fallback" *)
-  rp_fallback_reason : string option;
 }
 
 (* One pool per device count, shared across runs (domain spawn is the
@@ -295,8 +293,6 @@ let run ?strategy ?(link = Device.nvlink) ?(device = Device.a100) ~devices g
     rp_xfer_gb = en.en_xfer_bytes /. 1e9;
     rp_device_xfers = en.en_device_xfers;
     rp_sim = en.en_sim;
-    rp_engine = Dist_exec.engine en.en_exec;
-    rp_fallback_reason = Dist_exec.fallback_reason en.en_exec;
   }
 
 let bitwise_equal a b =

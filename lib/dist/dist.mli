@@ -36,8 +36,6 @@ type report = {
   rp_xfer_gb : float;
   rp_device_xfers : int;   (** device↔device only: halo / pipeline traffic *)
   rp_sim : Engine.dist_metrics;
-  rp_engine : string;  (** ["compiled"] or ["vm-fallback"] *)
-  rp_fallback_reason : string option;  (** why, on ["vm-fallback"] *)
 }
 
 val run :

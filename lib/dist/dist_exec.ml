@@ -1,14 +1,15 @@
-(* Placement plus pull transfers, planned once and run on either engine
-   (the design is documented in dist_exec.mli).  [prepare] walks the
+(* Placement plus pull transfers, planned once and run on per-device
+   compiled executables (the design is documented in dist_exec.mli).
+   [prepare] compiles the executables first, so a graph no engine can
+   run is refused before anything is planned; then it walks the
    guarded schedule symbolically: it knows which device holds which
    cell after every phase, so it decides every pull, every home and
    every cross-shard double write before a value exists.  [execute]
    replays that plan: blits, then each device's point ranges through
-   its own compiled executable — or, for graphs the compiler rejects,
-   through Vm.point_evaluator against per-device cell stores.  Values
-   are bitwise identical to Vm.run by construction (same schedules,
-   same kernels, copies are blits), which the differential suite checks
-   rather than assumes. *)
+   its own executable.  Values are bitwise identical to the 1-device
+   compiled engine by construction (same schedules, same kernels,
+   copies are blits), which the differential suite checks rather than
+   assumes. *)
 
 let host = -1
 
@@ -42,7 +43,6 @@ let unbound = Tensor.scalar 0.0
    sequentially scheduled block. *)
 type phase = {
   ph_block : int;  (* position in dataflow order *)
-  ph_front : int;  (* schedule front id, for the VM evaluator *)
   ph_pulls : int array;  (* (src, dst, store, offset) quadruples, in order *)
   ph_ranges : int array array;  (* per device: [lo; hi) pairs of point indices *)
   ph_fan_out : bool;  (* at least two devices have points *)
@@ -53,15 +53,6 @@ type gather = {
   ga_homes : int array;  (* device holding each cell, or [nowhere] *)
 }
 
-type runner =
-  | Compiled_runner of Compiled.t array  (* one executable per device *)
-  | Vm_runner of {
-      reason : string;  (* why Compiled.compile refused the graph *)
-      stores : Vm.storage array array;  (* device -> store *)
-      evals : (int -> int array -> unit) array array;  (* block -> device *)
-      points : int array array array;  (* block -> point index -> point *)
-    }
-
 type prepared = {
   pr_devices : int;
   pr_buffers : Ir.buffer array;  (* store index = position in g_buffers *)
@@ -71,7 +62,7 @@ type prepared = {
   pr_gather : gather list;  (* output buffers, in buffer order *)
   pr_log : log;
   pr_host : Tensor.t array array;  (* input cells of the current call *)
-  pr_runner : runner;
+  pr_exes : Compiled.t array;  (* one executable per device *)
 }
 
 let ncells dims = Stdlib.max 1 (Array.fold_left ( * ) 1 dims)
@@ -106,9 +97,17 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
     (fun i (bf : Ir.buffer) -> Hashtbl.replace store_ix bf.Ir.buf_id i)
     buffers;
   let store id = Hashtbl.find store_ix id in
-  (* index arithmetic only: Vm.ravel and its out-of-extent error *)
-  let shape =
-    Array.map (fun (bf : Ir.buffer) -> Vm.alloc bf.Ir.buf_dims) buffers
+  (* index arithmetic only: the executables proved every access in
+     bounds at compile time *)
+  let strides =
+    Array.map (fun (bf : Ir.buffer) -> Vm.strides bf.Ir.buf_dims) buffers
+  in
+  let offset s (e : Ir.edge) point =
+    let st = strides.(s) in
+    let off = ref 0 in
+    Array.iteri (fun i v -> off := !off + (v * st.(i)))
+      (Access_map.apply e.Ir.e_access point);
+    !off
   in
   let cell_bytes =
     Array.map
@@ -173,6 +172,15 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
         s)
       blocks
   in
+  let exes =
+    let sched_of = Hashtbl.create 16 in
+    Array.iteri
+      (fun bi (b : Ir.block) ->
+        Hashtbl.replace sched_of b.Ir.blk_name scheds.(bi))
+      blocks;
+    let schedule (b : Ir.block) _ = Hashtbl.find sched_of b.Ir.blk_name in
+    Array.init ndev (fun _ -> Compiled.compile ~schedule g)
+  in
   let points =
     Array.map
       (fun (sched, _) ->
@@ -182,16 +190,15 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
       scheds
   in
   let phases = ref [] in
-  (* Plan one phase: pull every cell its points read but their owner
-     lacks from the cell's home, then record who produced each written
-     cell.  A cell with no home yet may still be produced locally later
-     in the segment (a scan's own trail); if it never is, the evaluator
-     raises the same illegal-order error Vm would.  A cell written on
-     two shards (or twice, across phases) is the dynamic refutation of
-     an illegal plan; it fails the run after that phase, so every
-     device's earlier work still runs and a point's own errors come
-     first. *)
-  let plan_phase bi ~front ~owner idx ~fan_out =
+  (* Plan one phase: pull every cell its points read but their owner lacks
+     from the cell's home, then record who produced each written cell.  A
+     cell with no home yet may still be produced locally later in the
+     segment (a scan's own trail); if it never is, the executable raises its
+     illegal-order (unwritten read) error.  A cell written on two shards (or
+     twice, across phases) is the dynamic refutation of an illegal plan; it
+     fails the run after that phase, so every device's earlier work still
+     runs and a point's own errors come first. *)
+  let plan_phase bi ~owner idx ~fan_out =
     let b = blocks.(bi) in
     let pts = points.(bi) in
     let tally = Hashtbl.create 16 and pulls = ref [] in
@@ -202,16 +209,12 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
         List.iter
           (fun (e : Ir.edge) ->
             let s = store e.Ir.e_buffer in
-            let st = shape.(s) in
-            if Access_map.out_dim e.Ir.e_access = Array.length st.Vm.st_dims
-            then begin
-              let off = Vm.ravel st (Access_map.apply e.Ir.e_access pts.(i)) in
-              if Bytes.get present.(d).(s) off = '\000' then begin
-                let h = home.(s).(off) in
-                if h <> nowhere && h <> d then begin
-                  pull tally pulls ~src:h ~dst:d s off;
-                  Bytes.set present.(d).(s) off '\001'
-                end
+            let off = offset s e pts.(i) in
+            if Bytes.get present.(d).(s) off = '\000' then begin
+              let h = home.(s).(off) in
+              if h <> nowhere && h <> d then begin
+                pull tally pulls ~src:h ~dst:d s off;
+                Bytes.set present.(d).(s) off '\001'
               end
             end)
           live_reads)
@@ -221,7 +224,6 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
     phases :=
       {
         ph_block = bi;
-        ph_front = front;
         ph_pulls = Array.of_list (List.rev !pulls);
         ph_ranges = rs;
         ph_fan_out =
@@ -235,9 +237,7 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
         List.iter
           (fun (w : Ir.edge) ->
             let s = store w.Ir.e_buffer in
-            let off =
-              Vm.ravel shape.(s) (Access_map.apply w.Ir.e_access pts.(i))
-            in
+            let off = offset s w pts.(i) in
             if home.(s).(off) <> nowhere then
               err "block %s writes a cell of buffer %d on two shards — \
                    shard plan is illegal"
@@ -258,23 +258,22 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
            device in turn; transfers happen at run boundaries, the
            point where a scan's trail crosses a shard boundary *)
         let n = Array.length owner in
-        let rec segments seg lo =
+        let rec segments lo =
           if lo < n then begin
             let hi = ref (lo + 1) in
             while !hi < n && owner.(!hi) = owner.(lo) do incr hi done;
-            plan_phase bi ~front:seg ~owner (Array.init (!hi - lo) (( + ) lo))
+            plan_phase bi ~owner (Array.init (!hi - lo) (( + ) lo))
               ~fan_out:false;
-            segments (seg + 1) !hi
+            segments !hi
           end
         in
-        segments 0 0
+        segments 0
     | Vm.Fronts fronts ->
         ignore
           (List.fold_left
-             (fun lo (front, pts) ->
+             (fun lo (_, pts) ->
                let w = Array.length pts in
-               plan_phase bi ~front ~owner (Array.init w (( + ) lo))
-                 ~fan_out:true;
+               plan_phase bi ~owner (Array.init w (( + ) lo)) ~fan_out:true;
                lo + w)
              0 fronts)
   in
@@ -303,31 +302,6 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
           end)
         (List.init (Array.length buffers) Fun.id)
   in
-  let runner =
-    let sched_of = Hashtbl.create 16 in
-    Array.iteri
-      (fun bi (b : Ir.block) ->
-        Hashtbl.replace sched_of b.Ir.blk_name scheds.(bi))
-      blocks;
-    let schedule (b : Ir.block) = Hashtbl.find sched_of b.Ir.blk_name in
-    match Array.init ndev (fun _ -> Compiled.compile ~schedule g) with
-    | exes -> Compiled_runner exes
-    | exception Compiled.Unsupported_graph reason ->
-        let stores =
-          Array.init ndev (fun _ ->
-              Array.map (fun (bf : Ir.buffer) -> Vm.alloc bf.Ir.buf_dims) buffers)
-        in
-        let evals =
-          Array.map
-            (fun b ->
-              Array.init ndev (fun d ->
-                  Vm.point_evaluator
-                    ~storage:(fun id -> stores.(d).(store id))
-                    b))
-            blocks
-        in
-        Vm_runner { reason; stores; evals; points }
-  in
   {
     pr_devices = ndev;
     pr_buffers = buffers;
@@ -348,20 +322,10 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
             Array.make (ncells bf.Ir.buf_dims) unbound
           else [||])
         buffers;
-    pr_runner = runner;
+    pr_exes = exes;
   }
 
 let log pr = pr.pr_log
-
-let engine pr =
-  match pr.pr_runner with
-  | Compiled_runner _ -> "compiled"
-  | Vm_runner _ -> "vm-fallback"
-
-let fallback_reason pr =
-  match pr.pr_runner with
-  | Compiled_runner _ -> None
-  | Vm_runner r -> Some r.reason
 
 (* Forget the call: no device store, binding or packed panel keeps a
    caller's tensor, so the next call starts clean even after a failure
@@ -370,13 +334,7 @@ let release pr =
   Array.iter
     (fun cells -> Array.fill cells 0 (Array.length cells) unbound)
     pr.pr_host;
-  match pr.pr_runner with
-  | Compiled_runner exes -> Array.iter Compiled.reset exes
-  | Vm_runner r ->
-      Array.iter
-        (Array.iter (fun (st : Vm.storage) ->
-             Array.fill st.Vm.st_cells 0 (Array.length st.Vm.st_cells) None))
-        r.stores
+  Array.iter Compiled.reset pr.pr_exes
 
 let run_phases ?pool pr inputs =
   let ndev = pr.pr_devices in
@@ -389,34 +347,7 @@ let run_phases ?pool pr inputs =
             Vm.iter_cells bf.Ir.buf_dims v (fun pos t -> cells.(pos) <- t)
         | None -> err "missing input %s" bf.Ir.buf_name)
     pr.pr_buffers;
-  (* The runner's three moves: a blit into device memory, a range of
-     one block's points on one device, and a device's cell. *)
-  let pull, run_range, cell =
-    match pr.pr_runner with
-    | Compiled_runner exes ->
-        ( (fun src dst s off ->
-            if src = host then
-              Compiled.bind_input exes.(dst) ~store:s off pr.pr_host.(s).(off)
-            else Compiled.copy_cell ~src:exes.(src) ~dst:exes.(dst) ~store:s off),
-          (fun d bi _front lo hi -> Compiled.exec_range exes.(d) bi lo hi),
-          fun d s off -> Compiled.written_cell exes.(d) ~store:s off )
-    | Vm_runner r ->
-        let cell d s off = r.stores.(d).(s).Vm.st_cells.(off) in
-        ( (fun src dst s off ->
-            let c =
-              if src = host then Some pr.pr_host.(s).(off) else cell src s off
-            in
-            Option.iter
-              (fun t ->
-                r.stores.(dst).(s).Vm.st_cells.(off) <- Some (Tensor.copy t))
-              c),
-          (fun d bi front lo hi ->
-            let ev = r.evals.(bi).(d) and pts = r.points.(bi) in
-            for i = lo to hi - 1 do
-              ev front pts.(i)
-            done),
-          cell )
-  in
+  let exes = pr.pr_exes in
   (* Device [d]'s share of a phase touches only [d]'s memory, which is
      what makes the per-device fan-out safe.  A failing point names its
      device and block. *)
@@ -424,7 +355,7 @@ let run_phases ?pool pr inputs =
     let rs = ph.ph_ranges.(d) in
     try
       for k = 0 to (Array.length rs / 2) - 1 do
-        run_range d ph.ph_block ph.ph_front rs.(2 * k) rs.((2 * k) + 1)
+        Compiled.exec_range exes.(d) ph.ph_block rs.(2 * k) rs.((2 * k) + 1)
       done
     with Vm.Execution_error m ->
       err "device %d, block %s: %s" d pr.pr_blocks.(ph.ph_block).Ir.blk_name m
@@ -433,7 +364,11 @@ let run_phases ?pool pr inputs =
     (fun ph ->
       let q = ph.ph_pulls in
       for k = 0 to (Array.length q / 4) - 1 do
-        pull q.(4 * k) q.((4 * k) + 1) q.((4 * k) + 2) q.((4 * k) + 3)
+        let src = q.(4 * k) and dst = q.((4 * k) + 1) in
+        let s = q.((4 * k) + 2) and off = q.((4 * k) + 3) in
+        if src = host then
+          Compiled.bind_input exes.(dst) ~store:s off pr.pr_host.(s).(off)
+        else Compiled.copy_cell ~src:exes.(src) ~dst:exes.(dst) ~store:s off
       done;
       match pool with
       | Some pl when ph.ph_fan_out ->
@@ -451,7 +386,11 @@ let run_phases ?pool pr inputs =
       ( bf.Ir.buf_name,
         Vm.of_cells bf.Ir.buf_dims (fun pos ->
             let h = ga.ga_homes.(pos) in
-            match if h < 0 then None else cell h ga.ga_store pos with
+            let cell =
+              if h < 0 then None
+              else Compiled.written_cell exes.(h) ~store:ga.ga_store pos
+            in
+            match cell with
             | Some t -> Tensor.copy t
             | None ->
                 err "output buffer %s has an unwritten cell" bf.Ir.buf_name) ))

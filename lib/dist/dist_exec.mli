@@ -18,21 +18,19 @@
     blits the planned cells into the owning device's memory, then runs
     each device's point ranges through that device's own {!Compiled}
     executable (one per device, compiled once against the shared
-    schedule), one device per {!Domain_pool} domain.  A graph
-    {!Compiled.compile} rejects runs the same plan through
-    {!Vm.point_evaluator} against per-device cell stores instead
-    ({!engine} ["vm-fallback"], with {!fallback_reason}).
+    schedule), one device per {!Domain_pool} domain.
 
-    Values are bitwise identical to {!Vm.run} by construction (same
-    schedules, same kernels, copies are blits).  A cell written on two
-    shards fails the run after the phase that writes it — the dynamic
-    counterpart of {!Shard.verify}.  Blocks without a [Proven]
-    same-front disjointness verdict run sequentially, reported through
-    the fallback handler once per {!prepare} and listed in the log.
+    Values are bitwise identical to the 1-device compiled engine by
+    construction (same schedules, same kernels, copies are blits).  A cell
+    written on two shards fails the run after the phase that writes it — the
+    dynamic counterpart of {!Shard.verify}.  Blocks without a [Proven]
+    same-front disjointness verdict run sequentially, reported through the
+    fallback handler once per {!prepare} and listed in the log.
 
-    Raises {!Vm.Execution_error} on the same conditions as {!Vm.run};
-    a failure while running a device's shard names the device and the
-    block. *)
+    Raises {!Vm.Execution_error} on the same conditions as
+    {!Compiled}: at {!prepare} on a graph no engine can run, naming the
+    block; at {!execute} on a failure while running a device's shard,
+    naming the device and the block. *)
 
 val host : int
 (** The host endpoint in transfer events ([-1]). *)
@@ -60,37 +58,30 @@ type log = {
 
 type prepared
 (** A plan bound to a graph: the static transfer plan, its log, and
-    the device executables (or stores).  Reusable across sequential
+    the device executables.  Reusable across sequential
     {!execute} calls, not thread-safe. *)
 
 val prepare : plan:Shard.plan -> Ir.graph -> prepared
-(** Schedule, place, plan every transfer, build the log, and compile
-    one executable per device.
-    @raise Vm.Execution_error on graphs the engines reject at plan
-    time. *)
+(** Schedule, compile one executable per device, place, plan every
+    transfer and build the log.
+    @raise Vm.Execution_error naming the block on a graph
+    {!Compiled.compile} refuses — before any caller tensor is bound. *)
 
 val execute :
   ?pool:Domain_pool.t ->
   prepared ->
   (string * Fractal.t) list ->
   (string * Fractal.t) list
-(** One run.  Outputs are in buffer order, exactly as {!Vm.run}
-    returns them.  When it returns or raises, the prepared value holds
-    none of the inputs ({!Compiled.reset}), so the next call reads its
-    inputs afresh.  Without a pool the per-device shards of a front run
-    on the coordinator (still sharded, still transferred — just not
-    concurrent).
+(** One run.  Outputs are in buffer order, exactly as {!Compiled.outputs}
+    returns them.  When it returns or raises, the prepared value holds none
+    of the inputs ({!Compiled.reset}), so the next call reads its inputs
+    afresh.  Without a pool the per-device shards of a front run on the
+    coordinator (still sharded, still transferred — just not concurrent).
     @raise Vm.Execution_error as ["device D, block B: reason"] when a
     point fails inside a device's shard. *)
 
 val log : prepared -> log
 (** The run's event log — the same value for every {!execute}. *)
-
-val engine : prepared -> string
-(** ["compiled"] or ["vm-fallback"]. *)
-
-val fallback_reason : prepared -> string option
-(** Why {!Compiled.compile} refused the graph, on ["vm-fallback"]. *)
 
 val xfer_totals : log -> int * float
 (** (transfer count, total bytes) over the whole run. *)

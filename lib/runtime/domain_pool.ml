@@ -173,7 +173,7 @@ let parallel_for ?chunk pool ~lo ~hi f =
   end
 
 (* Like [parallel_for], but the body also receives the index of the
-   domain running it — the compiled VM uses it to pick per-worker
+   domain running it — the compiled engine uses it to pick per-worker
    scratch buffers.  The inline path (trivial pool, single iteration,
    issued from a worker) passes 0 and performs no allocation at all;
    that path is what makes `domains=1` a strict no-op passthrough. *)

@@ -1,7 +1,7 @@
 (** A fixed pool of worker domains for data-parallel loops.
 
-    The reference executor ({!Vm}) computes wavefront anti-chains whose
-    points are independent by construction; this pool is how those
+    The wavefront schedule ({!Vm.schedule}) groups points into anti-chains
+    whose points are independent by construction; this pool is how those
     points (and the benchmark harness's table cells) actually run on
     multiple cores.  Design constraints, in order:
 

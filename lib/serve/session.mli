@@ -20,4 +20,4 @@ val prepared : t -> width:int -> Executor.prepared
 
 val widths_prepared : t -> int list
 val engine : t -> width:int -> string
-(** ["compiled"] / ["vm-fallback"] / ... for one width. *)
+(** The engine that runs one width's step program ({!Executor.engine}). *)

@@ -196,8 +196,8 @@ let relu = map (fun x -> if x > 0.0 then x else 0.0)
 
    [map2_into f] calls an unknown closure per element, and on this
    compiler every such call boxes its float arguments — fatal for the
-   compiled VM's zero-allocation steady state.  The variants below take
-   the operator as a constant constructor matched {e inside} the loop
+   compiled engine's zero-allocation steady state.  The variants below
+   take the operator as a constant constructor matched {e inside} the loop
    (a test and branch, no closure, no boxing) while mirroring
    [map2_into]'s broadcast dispatch and loop order case for case, so
    results are bitwise identical to the closure path. *)
@@ -709,8 +709,8 @@ let softmax t =
 let softmax_inplace t = softmax_into t ~dst:t
 
 (* Destination-passing mirrors of the remaining pure structural ops the
-   VM interprets, for the compiled engine's preallocated scratch.  Loop
-   order matches the allocating variant in each case, and none of them
+   interpreter evaluates, for the compiled engine's preallocated scratch.
+   Loop order matches the allocating variant in each case, and none of them
    allocate (no [Bigarray.Array1.sub], whose view header is a heap
    block — plain element loops instead). *)
 

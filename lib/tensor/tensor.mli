@@ -110,7 +110,7 @@ val mul_into : t -> t -> dst:t -> unit
 
 (** {2 Opcode-dispatch kernels}
 
-    The compiled VM must not allocate in its steady state, but calling
+    The compiled engine must not allocate in its steady state, but calling
     a closure per element ([map2_into f]) boxes every float argument on
     this compiler.  These variants take the operator as a constant
     constructor matched inside the loop instead; broadcast dispatch and

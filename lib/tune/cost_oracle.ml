@@ -9,8 +9,8 @@
      the property tests rely on.
    - [simulated]: [Executor.time_ms] — the full simulator including the
      L2 residency model.  Still fast, but stateful across kernels.
-   - [measured]: caller-supplied runner (wall-clock of the reference
-     VM and/or the simulator), median of [repeats] runs.
+   - [measured]: caller-supplied runner (wall-clock of the compiled
+     engine and/or the simulator), median of [repeats] runs.
 
    Costs are microseconds (analytical/simulated) or whatever the
    runner returns (measured) — searches only compare, never mix

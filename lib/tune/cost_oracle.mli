@@ -22,7 +22,7 @@ val simulated : ?device:Device.t -> (Knobs.candidate -> Plan.t) -> t
 
 val measured : ?repeats:int -> (Knobs.candidate -> float) -> t
 (** Median of [repeats] (default 3) calls to the supplied runner —
-    e.g. wall-clock of the reference VM executing the candidate. *)
+    e.g. wall-clock of the compiled engine executing the candidate. *)
 
 val plan_cost : ?device:Device.t -> Plan.t -> float
 (** The analytical model itself: per kernel, the max of wave-quantized

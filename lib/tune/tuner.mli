@@ -14,7 +14,7 @@
 type oracle_kind =
   | Sim      (** {!Cost_oracle.analytical} on the device model *)
   | Measure  (** {!Cost_oracle.measured}: simulated device time plus
-                 wall-clock of the reference VM, median of 3 *)
+                 wall-clock of the compiled engine, median of 3 *)
 
 val oracle_kind_name : oracle_kind -> string
 (** ["sim"] / ["measure"] — the [ftc tune --oracle] vocabulary. *)

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # VM wall-clock benchmark: the parallel wavefront executor on real
 # multicore hardware.  Runs the stacked-LSTM and flash-attention
-# workloads — the sequential interpreter as the baseline, the compiled
-# executor (straight-line closures over an arena) in wavefront order at
-# 1/2/4 domains — median-of-N, and writes the records (time, engine,
-# speedup vs sequential, bitwise-equality check, hardware core count)
-# to BENCH_vm.json.
+# workloads — the reference interpreter (Interp) as the baseline, the
+# compiled executor (straight-line closures over an arena) in wavefront
+# order at 1/2/4 domains — median-of-N, and writes the records (time,
+# engine, speedup vs the interpreter, bitwise-equality check in the
+# interpreter's view, hardware core count) to BENCH_vm.json.
 #
 #   scripts/bench_vm.sh [REPEAT] [DOMAINS] [OUT]
 #

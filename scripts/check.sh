@@ -9,30 +9,37 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One interpreter core: library interfaces carry no deprecated shims,
-# and only the reference interpreter (lib/fractal) and the VM
-# (lib/codegen/vm.ml) evaluate primitives through Interp.eval_prim —
-# any other engine reuses the VM's evaluator instead of copying it.
+# One value engine: library interfaces carry no deprecated shims, only
+# the reference interpreter (lib/fractal) evaluates primitives through
+# Interp.eval_prim, and the compiled engine is the only thing that runs
+# a plan on values — the retired VM execution path stays retired.
 echo "guard: no @deprecated in lib/**/*.mli"
 if grep -rn --include='*.mli' '@deprecated' lib; then
   echo "check.sh: deprecated shim left in a library interface" >&2
   exit 1
 fi
-echo "guard: Interp.eval_prim only in lib/fractal/ and lib/codegen/vm.ml"
+echo "guard: Interp.eval_prim only in lib/fractal/"
 stray=$(grep -rn 'Interp.eval_prim' lib --include='*.ml' \
-  | grep -v -e '^lib/fractal/' -e '^lib/codegen/vm\.ml:' || true)
+  | grep -v -e '^lib/fractal/' || true)
 if [ -n "$stray" ]; then
   echo "$stray"
-  echo "check.sh: a second primitive evaluator outside the VM" >&2
+  echo "check.sh: a second primitive evaluator outside the interpreter" >&2
+  exit 1
+fi
+echo "guard: no VM execution path in lib/, bin/ or bench/main.ml"
+if grep -rnE 'Vm\.run|point_evaluator|Unsupported_graph|vm-fallback|Run_opts\.interpreted' \
+  lib bin bench/main.ml; then
+  echo "check.sh: a second engine crept back in" >&2
   exit 1
 fi
 
 dune build
 dune runtest
 
-# Differential VM suite at both ends of the domain-count range: the
-# parallel wavefront executor must be bitwise-identical to sequential
-# execution whether the pool is trivial or genuinely concurrent.
+# Differential suite at both ends of the domain-count range: the
+# compiled engine in wavefront order must be bitwise-identical to the
+# same engine in sequential order whether the pool is trivial or
+# genuinely concurrent.
 for n in 1 4; do
   echo "vm-diff suite at FT_NUM_DOMAINS=$n"
   FT_NUM_DOMAINS=$n dune exec --no-build test/test_main.exe -- test vm-diff \
@@ -40,9 +47,11 @@ for n in 1 4; do
 done
 
 # Conformance sweep: seeded random programs through every oracle
-# (interpreter, sequential VM, wavefront VM at 1/2/4 domains, the
-# shadow-memory recorder, tuned configs, plan-cache roundtrip) plus
-# the metamorphic access laws.
+# (interpreter; the compiled engine in sequential order, in wavefront
+# order at 1/2/4 domains, under the shadow-memory recorder, without
+# the arena, with and without fusion, with tuned configs and across a
+# plan-cache roundtrip; sharded over 2 and 4 devices) plus the
+# metamorphic access laws.
 # The text report includes the per-oracle pass counts.  Then replay
 # the minimized-repro corpus — the regression programs the harness
 # wrote for previously-found compiler bugs.
@@ -51,7 +60,7 @@ dune exec --no-build bin/ftc.exe -- conform --seed 42 --budget 50
 echo "conform: corpus replay"
 dune exec --no-build bin/ftc.exe -- conform --replay test/corpus
 
-# One sweep with the VM's shadow memory armed: every cell access is
+# One sweep with the shadow memory armed: every cell access is
 # recorded per anti-chain and cross-checked against the static
 # memory-effect verdicts after each run — a static "disjoint" that a
 # dynamic overlap contradicts fails the sweep.
@@ -60,16 +69,13 @@ FT_SHADOW=1 dune exec --no-build bin/ftc.exe -- conform --seed 7 --budget 25
 
 # Sharded differential smoke: the distributed executor across two
 # simulated devices must be bitwise-identical to the single-device
-# compiled engine, and must run on the compiled closures.  `ftc shard`
-# already exits non-zero on a value mismatch or a statically refuted
-# plan; the greps pin the verdict line and the engine line, so a
-# silent output-format regression or a silent fall back to the VM also
-# fails.
+# compiled engine.  `ftc shard` already exits non-zero on a value
+# mismatch or a statically refuted plan; the grep pins the verdict
+# line, so a silent output-format regression also fails.
 for w in stacked_rnn flash_attention; do
   echo "shard $w --devices 2"
   out=$(dune exec --no-build bin/ftc.exe -- shard "$w" --devices 2)
   grep "bitwise-identical" <<< "$out" > /dev/null
-  grep -x "engine: compiled" <<< "$out" > /dev/null
 done
 
 for f in examples/programs/*.ft; do
@@ -133,11 +139,11 @@ dune exec --no-build bin/ftc.exe -- profile "$tune_target" --format text \
 dune exec --no-build bin/ftc.exe -- cache stats
 
 # VM benchmark smoke: regenerate BENCH_vm.json and demand the compiled
-# wavefront executor at one domain is never slower than the sequential
-# interpreter (and stays bitwise-identical).  The per-block dispatch,
-# stride math and storage the interpreter re-derives per cell are all
-# resolved at plan time, so a regression here means the compiled path
-# lost its reason to exist.
+# wavefront executor at one domain is never slower than the reference
+# interpreter (Interp.run_program) and stays bitwise-identical to it in
+# the interpreter's view.  The per-point dispatch, stride math and
+# storage the interpreter re-derives are all resolved at plan time, so
+# a regression here means the compiled path lost its reason to exist.
 if command -v python3 > /dev/null 2>&1; then
   echo "bench_vm smoke (repeat 5, domains 1,2,4)"
   scripts/bench_vm.sh 5 1,2,4 BENCH_vm.json > /dev/null
@@ -147,15 +153,15 @@ recs = json.load(open("BENCH_vm.json"))
 rows = [r for r in recs if r["order"] == "wavefront" and r["domains"] == 1]
 assert rows, "BENCH_vm.json has no wavefront@1-domain records"
 bad = [r for r in rows
-       if r["speedup_vs_sequential"] < 1.0 or not r["bitwise_equal"]]
+       if r["speedup_vs_interp"] < 1.0 or not r["bitwise_equal"]]
 for r in rows:
     tag = "FAIL" if r in bad else "ok"
     print(f"  {tag} {r['workload']}: {r['engine']} wavefront@1 "
-          f"{r['speedup_vs_sequential']:.2f}x sequential, "
+          f"{r['speedup_vs_interp']:.2f}x interp, "
           f"bitwise_equal={r['bitwise_equal']}")
 if bad:
     raise SystemExit("bench_vm smoke: compiled wavefront lost to the "
-                     "sequential interpreter at one domain")
+                     "reference interpreter at one domain")
 
 # Fusion gate: on every workload the fused compiled engine must be at
 # least as fast as the same engine with fusion off.  A workload with

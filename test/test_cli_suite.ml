@@ -145,7 +145,7 @@ let cli_tests =
         let code, out, err =
           run_ftc
             "conform --replay corpus/conform-11a05bcc4b.ft --oracles \
-             interp,vm-seq"
+             interp,compiled-seq"
         in
         checki "exit code" 0 code;
         checkb "PASS line on stdout" true
@@ -159,7 +159,7 @@ let cli_tests =
         let code, out, _ =
           run_ftc
             "conform --replay corpus/conform-11a05bcc4b.ft --oracles \
-             interp,vm-seq --json"
+             interp,compiled-seq --json"
         in
         checki "exit code" 0 code;
         check_json "conform replay" out);
@@ -169,11 +169,6 @@ let cli_tests =
         checki "exit code" 0 code;
         checkb "bitwise verdict on stdout" true
           (let re = Str.regexp_string "bitwise-identical" in
-           match Str.search_forward re out 0 with
-           | _ -> true
-           | exception Not_found -> false);
-        checkb "engine line names the compiled engine" true
-          (let re = Str.regexp_string "engine: compiled\n" in
            match Str.search_forward re out 0 with
            | _ -> true
            | exception Not_found -> false);
@@ -187,11 +182,6 @@ let cli_tests =
         check_json "shard" out;
         checkb "bitwise_equal true in document" true
           (let re = Str.regexp_string "\"bitwise_equal\":true" in
-           match Str.search_forward re out 0 with
-           | _ -> true
-           | exception Not_found -> false);
-        checkb "engine in document" true
-          (let re = Str.regexp_string "\"engine\":\"compiled\"" in
            match Str.search_forward re out 0 with
            | _ -> true
            | exception Not_found -> false));

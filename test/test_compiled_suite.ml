@@ -1,52 +1,56 @@
 (* The compiled executor: for every workload, the straight-line
-   closure engine must be *bitwise* identical to the interpreting VM —
-   with and without the arena, at one and several domains — and its
-   steady-state execute loop must allocate zero minor words. *)
+   closure engine must be *bitwise* identical to the reference
+   interpreter and to its own sequential order — with and without the
+   arena, at one and several domains — and its steady-state execute
+   loop must allocate zero minor words. *)
 
 let checkb = Alcotest.(check bool)
 
-(* name, graph builder, bindings — one entry per workload family *)
-let workloads () =
+(* name, program, bindings — one entry per workload family *)
+let programs () =
   [
     ( "stacked_rnn",
-      Build.build (Stacked_rnn.program Stacked_rnn.default),
+      Stacked_rnn.program Stacked_rnn.default,
       Stacked_rnn.bindings
         (Stacked_rnn.gen_inputs (Rng.create 7) Stacked_rnn.default) );
     ( "stacked_lstm",
-      Build.build (Stacked_lstm.program Stacked_lstm.default),
+      Stacked_lstm.program Stacked_lstm.default,
       Stacked_lstm.bindings
         (Stacked_lstm.gen_inputs (Rng.create 7) Stacked_lstm.default) );
     ( "grid_rnn",
-      Build.build (Grid_rnn.program Grid_rnn.default),
+      Grid_rnn.program Grid_rnn.default,
       Grid_rnn.bindings (Grid_rnn.gen_inputs (Rng.create 7) Grid_rnn.default)
     );
     ( "dilated_rnn",
-      Build.build (Dilated_rnn.program Dilated_rnn.default),
+      Dilated_rnn.program Dilated_rnn.default,
       Dilated_rnn.bindings
         (Dilated_rnn.gen_inputs (Rng.create 7) Dilated_rnn.default) );
     ( "b2b_gemm",
-      Build.build (B2b_gemm.program B2b_gemm.default),
+      B2b_gemm.program B2b_gemm.default,
       B2b_gemm.bindings (B2b_gemm.gen_inputs (Rng.create 7) B2b_gemm.default)
     );
     ( "flash_attention",
-      Build.build (Flash_attention.program Flash_attention.default),
+      Flash_attention.program Flash_attention.default,
       Flash_attention.bindings
         (Flash_attention.gen_inputs (Rng.create 7) Flash_attention.default) );
     ( "bigbird",
-      Build.build (Bigbird.program Bigbird.default),
+      Bigbird.program Bigbird.default,
       Bigbird.bindings (Bigbird.gen_inputs (Rng.create 7) Bigbird.default) );
     ( "selective_scan",
-      Build.build (Selective_scan.program Selective_scan.default),
+      Selective_scan.program Selective_scan.default,
       Selective_scan.bindings
         (Selective_scan.gen_inputs (Rng.create 7) Selective_scan.default) );
     ( "retention",
-      Build.build (Retention.program Retention.default),
+      Retention.program Retention.default,
       Retention.bindings
         (Retention.gen_inputs (Rng.create 7) Retention.default) );
     ( "conv1d",
-      Build.build (Conv1d.program Conv1d.default),
+      Conv1d.program Conv1d.default,
       Conv1d.bindings (Conv1d.gen_inputs (Rng.create 7) Conv1d.default) );
   ]
+
+let workloads () =
+  List.map (fun (name, p, binds) -> (name, Build.build p, binds)) (programs ())
 
 let outputs_equal_exact a b =
   List.length a = List.length b
@@ -55,8 +59,9 @@ let outputs_equal_exact a b =
        a b
 
 let sequential =
-  Executor.run ~opts:{ (Run_opts.interpreted Vm.Sequential) with
-                       Run_opts.domains = Some 1 }
+  Executor.run
+    ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential;
+            domains = Some 1 }
 
 let opts ?(arena = true) ?domains ?(shadow = Run_opts.Shadow_off)
     ?(fuse = true) ?pack () =
@@ -67,13 +72,17 @@ let compiled_tests =
     Alcotest.test_case "compiled = interpreter bitwise, every workload" `Quick
       (fun () ->
         List.iter
-          (fun (name, g, binds) ->
-            let reference = sequential g binds in
-            let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
-            checkb (name ^ " compiles") true (Executor.engine pr = "compiled");
-            let got = Executor.execute pr binds in
-            checkb (name ^ " bitwise") true (outputs_equal_exact reference got))
-          (workloads ()));
+          (fun (name, p, binds) ->
+            let g = Build.build p in
+            let reference = Interp.run_program p binds in
+            let got = Executor.run ~opts:(opts ~domains:1 ()) g binds in
+            checkb (name ^ " bitwise") true
+              (match Oracles.value p got with
+              | Some v -> Fractal.equal_exact v reference
+              | None -> false);
+            checkb (name ^ " = sequential order") true
+              (outputs_equal_exact (sequential g binds) got))
+          (programs ()));
     Alcotest.test_case "compiled multi-domain stays bitwise identical" `Quick
       (fun () ->
         List.iter
@@ -209,23 +218,9 @@ let compiled_tests =
               (s.Compiled.fs_groups = 0 && s.Compiled.fs_fused_ops = 0
               && s.Compiled.fs_swallowed = 0 && s.Compiled.fs_packed = 0))
           (stats_of (opts ~domains:1 ~fuse:false ()) lstm));
-    Alcotest.test_case "engine names: compiled, interpret, cache" `Quick
-      (fun () ->
+    Alcotest.test_case "prepare_cached: one entry per key and options"
+      `Quick (fun () ->
         let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
-        checkb "compiled" true
-          (Executor.engine (Executor.prepare g) = "compiled");
-        checkb "interpret-seq" true
-          (Executor.engine
-             (Executor.prepare
-                ~opts:(Run_opts.interpreted Vm.Sequential)
-                g)
-          = "interpret-seq");
-        checkb "interpret-wave" true
-          (Executor.engine
-             (Executor.prepare
-                ~opts:(Run_opts.interpreted Vm.Wavefront)
-                g)
-          = "interpret-wave");
         let o = opts ~domains:1 () in
         let p1 = Executor.prepare_cached ~key:"test-rnn" ~opts:o g in
         let p2 = Executor.prepare_cached ~key:"test-rnn" ~opts:o g in

@@ -37,27 +37,6 @@ let run_passes () =
    with
   | Some s -> checki "interp verdict on every program" 20 (s.Conform.os_pass + s.Conform.os_fail + s.Conform.os_unsupported)
   | None -> Alcotest.fail "no interp oracle stat");
-  (* engine census: every compiled-family or sharded run that reached
-     the front door is counted on exactly one engine; other oracles
-     carry none *)
-  List.iter
-    (fun s ->
-      let total = List.fold_left (fun a (_, n) -> a + n) 0 in
-      let census = total s.Conform.os_engines in
-      match s.Conform.os_oracle with
-      | "compiled" | "compiled2" | "compiled4" | "compiled-noarena" | "fused"
-      | "compiled-nofuse" | "sharded2" | "sharded4" ->
-          Alcotest.(check (list string))
-            (s.Conform.os_oracle ^ " engines") [ "compiled"; "vm-fallback" ]
-            (List.map fst s.Conform.os_engines);
-          checki (s.Conform.os_oracle ^ " census")
-            (s.Conform.os_pass + s.Conform.os_fail)
-            census;
-          checki (s.Conform.os_oracle ^ " reasons")
-            (List.assoc "vm-fallback" s.Conform.os_engines)
-            (total s.Conform.os_fallback_reasons)
-      | o -> checki (o ^ " has no census") 0 census)
-    r.Conform.rp_oracle_stats;
   checkb "metamorphic trials ran" true (r.Conform.rp_metamorphic <> []);
   if not (Conform.passed r) then
     Alcotest.failf "conformance run failed:@.%s" (Conform.report_to_text r)

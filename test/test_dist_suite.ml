@@ -365,11 +365,8 @@ let half_filled_graph () =
 
 (* A hand-built one-block graph and plan where two devices write one
    cell: "dup" maps both points of [xs] onto cell 0 of [ys], and the
-   plan gives each device one point.  With [ys]'s element shape
-   declared as [elem] <> scalar, or with the write aimed at the input
-   [xs] itself ([clobber]), Compiled.compile refuses the graph and the
-   VM runner takes it. *)
-let double_write ?(elem = Shape.scalar) ?(clobber = false) () =
+   plan gives each device one point. *)
+let double_write () =
   let g =
     {
       Ir.g_name = "double-write";
@@ -377,7 +374,7 @@ let double_write ?(elem = Shape.scalar) ?(clobber = false) () =
         [ { Ir.buf_id = 0; buf_name = "xs"; buf_dims = [| 2 |];
             buf_elem = Shape.scalar; buf_role = Ir.Input };
           { Ir.buf_id = 1; buf_name = "ys"; buf_dims = [| 2 |];
-            buf_elem = elem; buf_role = Ir.Output } ];
+            buf_elem = Shape.scalar; buf_role = Ir.Output } ];
       g_blocks =
         [
           {
@@ -388,7 +385,7 @@ let double_write ?(elem = Shape.scalar) ?(clobber = false) () =
             blk_edges =
               [ { Ir.e_buffer = 0; e_dir = Ir.Read;
                   e_access = Access_map.identity 1; e_label = "x" };
-                { Ir.e_buffer = (if clobber then 0 else 1); e_dir = Ir.Write;
+                { Ir.e_buffer = 1; e_dir = Ir.Write;
                   e_access = Access_map.make [| [| 0 |] |] [| 0 |];
                   e_label = "y" } ];
             blk_children = [];
@@ -415,6 +412,54 @@ let double_write ?(elem = Shape.scalar) ?(clobber = false) () =
   in
   let xs = Fractal.tabulate 2 (fun i -> Fractal.Leaf (Tensor.scalar (float i))) in
   (g, plan, [ ("xs", xs) ])
+
+(* One-block graphs no engine can run, one per check Compiled.compile
+   makes before any value exists: "bad" maps [xs] (two scalars) to
+   [ys], with one thing wrong. *)
+let malformed =
+  let graph ?(elem = Shape.scalar) ?(read = Access_map.identity 1)
+      ?(dst = 1) () =
+    {
+      Ir.g_name = "malformed";
+      g_buffers =
+        [ { Ir.buf_id = 0; buf_name = "xs"; buf_dims = [| 2 |];
+            buf_elem = Shape.scalar; buf_role = Ir.Input };
+          { Ir.buf_id = 1; buf_name = "ys"; buf_dims = [| 2 |];
+            buf_elem = elem; buf_role = Ir.Output } ];
+      g_blocks =
+        [
+          {
+            Ir.blk_id = 0;
+            blk_name = "bad";
+            blk_ops = [| Expr.Map |];
+            blk_domain = Domain.of_extents [| 2 |];
+            blk_edges =
+              [ { Ir.e_buffer = 0; e_dir = Ir.Read; e_access = read;
+                  e_label = "x" };
+                { Ir.e_buffer = dst; e_dir = Ir.Write;
+                  e_access = Access_map.identity 1; e_label = "y" } ];
+            blk_children = [];
+            blk_body =
+              [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
+                  operand_shapes = [ Shape.scalar ];
+                  result_shape = Shape.scalar } ];
+            blk_results = [ Ir.O_op 0 ];
+            blk_consts = [];
+          };
+        ];
+    }
+  in
+  [
+    ("input write", "writes input buffer 0", graph ~dst:0 ());
+    ( "stored-shape mismatch", "stored value shape",
+      graph ~elem:(Shape.of_array [| 1 |]) () );
+    ( "partial access", "partial access of buffer 0",
+      graph ~read:(Access_map.make ~in_dim:1 [||] [||]) () );
+    ( "arity mismatch", "access arity 2 over a 1-dimensional domain",
+      graph ~read:(Access_map.make [| [| 1; 0 |] |] [| 0 |]) () );
+    ( "out-of-extent index", "index 2 out of extent 2",
+      graph ~read:(Access_map.make [| [| 1 |] |] [| 1 |]) () );
+  ]
 
 let contains s sub =
   let n = String.length sub in
@@ -548,15 +593,6 @@ let compiled_1dev g binds =
 
 let prepared_tests =
   [
-    Alcotest.test_case "the sharded runner is the compiled engine on every \
-                        workload" `Quick (fun () ->
-        List.iter
-          (fun (name, mk) ->
-            let g, binds = mk (Rng.create 3) in
-            let rep = Dist.run ~devices:2 g binds in
-            Alcotest.(check string) name "compiled" rep.Dist.rp_engine;
-            checkb (name ^ " no reason") true (rep.Dist.rp_fallback_reason = None))
-          workloads);
     Alcotest.test_case "warm runs equal cold ones at 2 and 4 devices" `Quick
       (fun () ->
         List.iter
@@ -660,40 +696,45 @@ let prepared_tests =
                   (List.exists (fun d -> d.Diagnostic.code = "D400") diags))
           [ 1; 2 ];
         checki "nothing cached" 0 (Dist.cache_entries ()));
-    Alcotest.test_case "a cross-shard double write fails on both runners"
+    Alcotest.test_case "a cross-shard double write fails on every call"
       `Quick (fun () ->
+        let g, plan, binds = double_write () in
+        let pr = Dist_exec.prepare ~plan g in
         List.iter
-          (fun (engine, elem) ->
-            let g, plan, binds = double_write ~elem () in
-            let pr = Dist_exec.prepare ~plan g in
-            Alcotest.(check string) "runner" engine (Dist_exec.engine pr);
-            List.iter
-              (fun call ->
-                match Dist_exec.execute ~pool:(Dist.pool 2) pr binds with
-                | _ -> Alcotest.failf "%s call %d: double write executed" engine call
-                | exception Vm.Execution_error m ->
-                    checkb (engine ^ ": " ^ m) true
-                      (contains m "block dup writes a cell of buffer 1 on two shards"))
-              [ 1; 2 ])
-          [ ("compiled", Shape.scalar); ("vm-fallback", Shape.of_array [| 1 |]) ]);
-    Alcotest.test_case "a graph writing its input runs on the VM, which \
-                        refuses it without touching the caller's tensors"
-      `Quick (fun () ->
-        let g, plan, binds = double_write ~clobber:true () in
-        let snapshot = Fractal.map_leaves Tensor.copy (List.assoc "xs" binds) in
-        let pr = Executor.prepare g in
-        Alcotest.(check string) "executor" "vm-fallback" (Executor.engine pr);
-        checkb "reason" true
-          (match Executor.fallback_reason pr with
-          | Some r -> contains r "writes input buffer 0"
-          | None -> false);
-        let dpr = Dist_exec.prepare ~plan g in
-        Alcotest.(check string) "sharded runner" "vm-fallback" (Dist_exec.engine dpr);
-        (match Dist_exec.execute ~pool:(Dist.pool 2) dpr binds with
-        | _ -> Alcotest.fail "a write into an input executed"
-        | exception Vm.Execution_error _ -> ());
-        checkb "inputs untouched" true
-          (Fractal.equal_exact snapshot (List.assoc "xs" binds)));
+          (fun call ->
+            match Dist_exec.execute ~pool:(Dist.pool 2) pr binds with
+            | _ -> Alcotest.failf "call %d: double write executed" call
+            | exception Vm.Execution_error m ->
+                checkb m true
+                  (contains m
+                     "block dup writes a cell of buffer 1 on two shards"))
+          [ 1; 2 ]);
+    Alcotest.test_case "a graph no engine can run is refused at prepare, \
+                        naming the block" `Quick (fun () ->
+        List.iter
+          (fun (case, why, g) ->
+            let xs =
+              Fractal.tabulate 2 (fun i ->
+                  Fractal.Leaf (Tensor.scalar (float i)))
+            in
+            let snapshot = Fractal.map_leaves Tensor.copy xs in
+            let refused entry f =
+              match f () with
+              | _ -> Alcotest.failf "%s: %s accepted the graph" case entry
+              | exception Vm.Execution_error m ->
+                  checkb (Printf.sprintf "%s via %s: %s" case entry m) true
+                    (contains m "block bad" && contains m why)
+            in
+            refused "Executor.prepare" (fun () -> Executor.prepare g);
+            refused "Executor.run" (fun () -> Executor.run g [ ("xs", xs) ]);
+            refused "Dist_exec.prepare" (fun () ->
+                Dist_exec.prepare ~plan:(Shard.partition ~devices:2 g) g);
+            Dist.clear_cache ();
+            refused "Dist.run" (fun () -> Dist.run ~devices:2 g [ ("xs", xs) ]);
+            checki (case ^ ": nothing cached") 0 (Dist.cache_entries ());
+            checkb (case ^ ": inputs untouched") true
+              (Fractal.equal_exact snapshot xs))
+          malformed);
     Alcotest.test_case "a failed run leaves its entry and its neighbours \
                         bitwise-correct" `Quick (fun () ->
         let g, binds = (List.assoc "stacked_rnn" workloads) (Rng.create 3) in

@@ -421,7 +421,7 @@ let shadow_tests =
               (* the graph violates single assignment by construction, so
                  even the sequential fallback must refuse to run it — the
                  point is that the guard fired before any parallel front *)
-              match Vm.run ~order:Vm.Wavefront g [ ("xs", xs) ] with
+              match Executor.run g [ ("xs", xs) ] with
               | _ -> Alcotest.fail "racy graph executed"
               | exception Vm.Execution_error _ -> ())
         in
@@ -435,32 +435,32 @@ let shadow_tests =
              Fractal.tabulate 4 (fun i ->
                  Fractal.Leaf (Tensor.scalar (0.25 *. float_of_int i)))) ]
         in
-        let vm, vm_outs =
+        (* the sequential order never consults the guard *)
+        let seq, seq_outs =
           capture_fallbacks (fun () ->
-              Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront) g env)
+              Executor.run
+                ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential }
+                g env)
         in
         let compiled, compiled_outs =
-          capture_fallbacks (fun () ->
-              let pr = Executor.prepare g in
-              checks "compiled engine" "compiled" (Executor.engine pr);
-              Executor.execute pr env)
+          capture_fallbacks (fun () -> Executor.run g env)
         in
         let dist, rep =
           capture_fallbacks (fun () -> Dist.run ~devices:2 g env)
         in
         let pairs = Alcotest.(list (pair string string)) in
+        Alcotest.check pairs "sequential: no downgrade" [] seq;
         checkb "the guard fired on chase" true
-          (match vm with
+          (match compiled with
            | [ ("chase", why) ] -> String.length why > 0
            | _ -> false);
-        Alcotest.check pairs "compiled = interpreter" vm compiled;
-        Alcotest.check pairs "sharded = interpreter" vm dist;
+        Alcotest.check pairs "sharded = compiled" compiled dist;
         Alcotest.check pairs "lg_fallbacks = handler" dist
           rep.Dist.rp_log.Dist_exec.lg_fallbacks;
         checkb "compiled values" true
-          (Dist.bitwise_equal vm_outs compiled_outs);
+          (Dist.bitwise_equal seq_outs compiled_outs);
         checkb "sharded values" true
-          (Dist.bitwise_equal vm_outs rep.Dist.rp_outputs));
+          (Dist.bitwise_equal seq_outs rep.Dist.rp_outputs));
     Alcotest.test_case "FT_SHADOW wavefront run matches sequential" `Quick
       (fun () ->
         let cfg = Stacked_rnn.default in
@@ -468,13 +468,19 @@ let shadow_tests =
         let g = Build.build (Stacked_rnn.program cfg) in
         let env = Stacked_rnn.bindings inp in
         let sh = Shadow.create g in
-        let par = Vm.run ~order:Vm.Wavefront ~shadow:sh g env in
+        let par = Compiled.run ~shadow:sh (Compiled.compile g) env in
         let summary = Shadow.finish sh in
         checkb "no static/dynamic contradiction" true
           (Shadow.cross_check g summary sh = []);
         checkb "events recorded" true
           (summary.Shadow.sh_reads > 0 && summary.Shadow.sh_writes > 0);
-        let seq = Vm.run ~order:Vm.Sequential g env in
+        let seq =
+          Executor.run
+            ~opts:
+              { Run_opts.default with
+                Run_opts.order = Vm.Sequential; shadow = Run_opts.Shadow_off }
+            g env
+        in
         checkb "bitwise equal under the recorder" true
           (List.for_all2
              (fun (n1, v1) (n2, v2) -> n1 = n2 && Fractal.equal_exact v1 v2)

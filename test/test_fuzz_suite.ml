@@ -1,14 +1,11 @@
 (* Differential fuzzing of the compiler: random programs in the
-   supported fragment are built, compiled (Build → validate → Vm in
-   wavefront order) and executed; the result must equal the
-   interpreter's, which defines the semantics.  Any divergence is a
-   compiler bug: a wrong access map, region domain, result operand or
-   schedule. *)
+   supported fragment are built, compiled (Build → validate → the
+   compiled engine in wavefront order) and executed; the result must
+   equal the interpreter's, which defines the semantics.  Any
+   divergence is a compiler bug: a wrong access map, region domain,
+   result operand or schedule. *)
 
 let checkb = Alcotest.(check bool)
-
-(* The wavefront interpreter through the front door, ambient pool. *)
-let interpret = Executor.run ~opts:(Run_opts.interpreted Vm.Wavefront)
 
 (* A random program family:
 
@@ -212,11 +209,11 @@ let fuzz_test =
               | Error es ->
                   QCheck2.Test.fail_reportf "invalid graph: %s"
                     (String.concat "; " es));
-              match interpret g [ ("xss", xss) ] with
+              match Executor.run g [ ("xss", xss) ] with
               | exception Vm.Execution_error m ->
-                  QCheck2.Test.fail_reportf "vm error: %s" m
+                  QCheck2.Test.fail_reportf "execution error: %s" m
               | outs ->
-                  let got = vm_view spec (Vm.output outs "fuzz") in
+                  let got = vm_view spec (List.assoc "fuzz" outs) in
                   Fractal.equal_approx ~eps:1e-4 got (interp_view spec reference))))
 
 (* A second family: two-aggregate nests (the running example's shape)
@@ -228,9 +225,9 @@ let nest_test =
       let cfg = { Stacked_rnn.batch = n; depth = d; seq_len = l; hidden = 3 } in
       let p = Stacked_rnn.program cfg in
       let inp = Stacked_rnn.gen_inputs (Rng.create (n + d + l)) cfg in
-      let outs = interpret (Build.build p) (Stacked_rnn.bindings inp) in
+      let outs = Executor.run (Build.build p) (Stacked_rnn.bindings inp) in
       Fractal.equal_approx
-        (Vm.output outs "stacked_rnn")
+        (List.assoc "stacked_rnn" outs)
         (Interp.run_program p (Stacked_rnn.bindings inp)))
 
 (* Regression for the bug this fuzzer originally found: scanr compiled
@@ -272,9 +269,9 @@ let scanr_regression =
       in
       checkb "positive state offset" true
         (Array.exists (fun o -> o > 0) self.Ir.e_access.Access_map.offset);
-      let outs = interpret g [ ("xss", xss) ] in
+      let outs = Executor.run g [ ("xss", xss) ] in
       checkb "values" true
-        (Fractal.equal_approx ~eps:1e-5 (Vm.output outs "fuzz")
+        (Fractal.equal_approx ~eps:1e-5 (List.assoc "fuzz" outs)
            (Interp.run_program p [ ("xss", xss) ])))
 
 (* Independent reference for access-operator semantics: on a sequence

@@ -1,20 +1,18 @@
-(* The functional executor: for every workload the compiled ETDG,
-   executed point by point in wavefront order (with adversarial
-   intra-front shuffling), must compute the same values as the
-   imperative reference — and an illegal order must be *detected*, not
-   silently mis-computed. *)
+(* The schedules on values: for every workload the compiled ETDG,
+   executed in sequential and wavefront order, must compute the same
+   values as the imperative reference — and an illegal order must be
+   *detected*, not silently mis-computed. *)
 
 let checkb = Alcotest.(check bool)
 
-(* The interpreting VM through the front door; [domains] absent uses
-   the ambient pool, like every other caller. *)
-let interpret ?domains order g bindings =
-  Executor.run
-    ~opts:{ (Run_opts.interpreted order) with Run_opts.domains }
-    g bindings
+(* The compiled engine through the front door in [order]; [domains]
+   absent uses the ambient pool, like every other caller. *)
+let execute ?domains order g bindings =
+  Executor.run ~opts:{ Run_opts.default with Run_opts.order; domains } g
+    bindings
 
 let run ?(order = Vm.Wavefront) program bindings =
-  interpret order (Build.build program) bindings
+  execute order (Build.build program) bindings
 
 let vm_tests =
   [
@@ -29,7 +27,7 @@ let vm_tests =
               run ~order (Stacked_rnn.program cfg) (Stacked_rnn.bindings inp)
             in
             checkb "equal" true
-              (Fractal.equal_approx (Vm.output outs "stacked_rnn") r))
+              (Fractal.equal_approx (List.assoc "stacked_rnn" outs) r))
           [ Vm.Sequential; Vm.Wavefront ]);
     Alcotest.test_case "stacked LSTM: full (c, h) history matches" `Quick
       (fun () ->
@@ -39,15 +37,16 @@ let vm_tests =
         let outs =
           run (Stacked_lstm.program cfg) (Stacked_lstm.bindings inp)
         in
-        checkb "c" true (Fractal.equal_approx (Vm.output outs "stacked_lstm.0") csss);
-        checkb "h" true (Fractal.equal_approx (Vm.output outs "stacked_lstm.1") hsss));
+        let comp i = List.assoc (Printf.sprintf "stacked_lstm.%d" i) outs in
+        checkb "c" true (Fractal.equal_approx (comp 0) csss);
+        checkb "h" true (Fractal.equal_approx (comp 1) hsss));
     Alcotest.test_case "grid RNN: 3-D wavefront executes correctly" `Quick
       (fun () ->
         let cfg = Grid_rnn.default in
         let inp = Grid_rnn.gen_inputs (Rng.create 3) cfg in
         let outs = run (Grid_rnn.program cfg) (Grid_rnn.bindings inp) in
         checkb "equal" true
-          (Fractal.equal_approx (Vm.output outs "grid_rnn")
+          (Fractal.equal_approx (List.assoc "grid_rnn" outs)
              (Grid_rnn.reference cfg inp)));
     Alcotest.test_case "dilated RNN through interleaved access maps" `Quick
       (fun () ->
@@ -56,14 +55,14 @@ let vm_tests =
         let outs = run (Dilated_rnn.program cfg) (Dilated_rnn.bindings inp) in
         checkb "equal" true
           (Fractal.equal_approx
-             (Dilated_rnn.flatten_output cfg (Vm.output outs "dilated_rnn"))
+             (Dilated_rnn.flatten_output cfg (List.assoc "dilated_rnn" outs))
              (Dilated_rnn.reference cfg inp)));
     Alcotest.test_case "b2b GEMM with rank-0 operand buffers" `Quick (fun () ->
         let cfg = B2b_gemm.default in
         let inp = B2b_gemm.gen_inputs (Rng.create 3) cfg in
         let outs = run (B2b_gemm.program cfg) (B2b_gemm.bindings inp) in
         checkb "equal" true
-          (Fractal.equal_approx (Vm.output outs "b2b_gemm")
+          (Fractal.equal_approx (List.assoc "b2b_gemm" outs)
              (B2b_gemm.reference cfg inp)));
     Alcotest.test_case "FlashAttention: register state + normalisation" `Quick
       (fun () ->
@@ -74,7 +73,7 @@ let vm_tests =
         in
         checkb "equal" true
           (Fractal.equal_approx
-             (Vm.output outs "flash_attention")
+             (List.assoc "flash_attention" outs)
              (Flash_attention.reference cfg inp)));
     Alcotest.test_case "BigBird: window maps and component blocks" `Quick
       (fun () ->
@@ -82,7 +81,7 @@ let vm_tests =
         let inp = Bigbird.gen_inputs (Rng.create 3) cfg in
         let outs = run (Bigbird.program cfg) (Bigbird.bindings inp) in
         checkb "equal" true
-          (Fractal.equal_approx (Vm.output outs "bigbird")
+          (Fractal.equal_approx (List.assoc "bigbird" outs)
              (Bigbird.reference cfg inp)));
     Alcotest.test_case "selective scan and retention (§7 extensions)" `Quick
       (fun () ->
@@ -93,13 +92,13 @@ let vm_tests =
         in
         checkb "selective scan" true
           (Fractal.equal_approx
-             (Vm.output outs "selective_scan")
+             (List.assoc "selective_scan" outs)
              (Selective_scan.reference cfg inp));
         let cfg = Retention.default in
         let inp = Retention.gen_inputs (Rng.create 3) cfg in
         let outs = run (Retention.program cfg) (Retention.bindings inp) in
         checkb "retention" true
-          (Fractal.equal_approx ~eps:1e-4 (Vm.output outs "retention")
+          (Fractal.equal_approx ~eps:1e-4 (List.assoc "retention" outs)
              (Retention.reference cfg inp)));
     Alcotest.test_case "conv1d: final accumulator slice is the convolution"
       `Quick (fun () ->
@@ -112,7 +111,7 @@ let vm_tests =
               Soac.map
                 (fun per_pos -> Fractal.get per_pos (cfg.Conv1d.taps - 1))
                 per_n)
-            (Vm.output outs "conv1d")
+            (List.assoc "conv1d" outs)
         in
         checkb "equal" true (Fractal.equal_approx final (Conv1d.reference cfg inp)));
     Alcotest.test_case "an illegal order is detected, not mis-computed" `Quick
@@ -147,7 +146,7 @@ let vm_props =
            let outs =
              run (Stacked_rnn.program cfg) (Stacked_rnn.bindings inp)
            in
-           Fractal.equal_approx (Vm.output outs "stacked_rnn")
+           Fractal.equal_approx (List.assoc "stacked_rnn" outs)
              (Stacked_rnn.reference cfg inp)));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:8
@@ -157,7 +156,7 @@ let vm_props =
            let cfg = { Grid_rnn.batch = 2; depth; rows; cols; hidden = 4 } in
            let inp = Grid_rnn.gen_inputs (Rng.create (rows * cols)) cfg in
            let outs = run (Grid_rnn.program cfg) (Grid_rnn.bindings inp) in
-           Fractal.equal_approx (Vm.output outs "grid_rnn")
+           Fractal.equal_approx (List.assoc "grid_rnn" outs)
              (Grid_rnn.reference cfg inp)));
   ]
 
@@ -187,8 +186,8 @@ let diff_case name mk =
   Alcotest.test_case name `Quick (fun () ->
       let program, bindings = mk () in
       let g = Build.build program in
-      let seq = interpret Vm.Sequential g bindings in
-      let par = interpret ~domains:4 Vm.Wavefront g bindings in
+      let seq = execute Vm.Sequential g bindings in
+      let par = execute ~domains:4 Vm.Wavefront g bindings in
       checkb "bitwise" true
         (List.length seq = List.length par
         && List.for_all2
@@ -243,8 +242,8 @@ let vm_diff_tests =
             let inp = Stacked_rnn.gen_inputs (Rng.create 41) cfg in
             let g = Build.build (Stacked_rnn.program cfg) in
             let binds = Stacked_rnn.bindings inp in
-            let seq = interpret Vm.Sequential g binds in
-            let par = interpret Vm.Wavefront g binds in
+            let seq = execute Vm.Sequential g binds in
+            let par = execute Vm.Wavefront g binds in
             checkb "bitwise" true
               (List.for_all2
                  (fun (n1, v1) (n2, v2) ->
