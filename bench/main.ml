@@ -421,7 +421,7 @@ let vm () =
            the sequential interpreter and the compiled executor at one
            domain, the pair the check.sh gate compares — before any
            pool exists, then the pooled domain counts, then
-           [Executor.reset_pools] so the next workload starts clean.
+           [Domain_pool.reset] so the next workload starts clean.
 
          The last round's outputs feed the bitwise check, in the
          interpreter's view ([Oracles.value], untimed).  The sequential
@@ -512,7 +512,7 @@ let vm () =
           let mss, outss = time_rounds [ compiled (prep d) ] in
           report d mss.(0) outss.(0))
         pooled;
-      Executor.reset_pools ())
+      Domain_pool.reset ())
     workloads
 
 (* ------------------------------------------------------------------ *)
@@ -978,9 +978,7 @@ let dist () =
             ~device_xfers:rp.Dist.rp_device_xfers
             ~xfer_gb:rp.Dist.rp_xfer_gb ~wall_ms ~compiled_1dev_ms ~bitwise)
         counts;
-      Dist.clear_cache ();
-      Dist.reset_pools ();
-      Executor.reset_pools ())
+      Domain_pool.reset ())
     workloads
 
 (* ------------------------------------------------------------------ *)

@@ -7,51 +7,15 @@ type prepared = {
   pr_exe : Compiled.t;
 }
 
-(* Pools for explicit [domains = Some n] requests that do not match the
-   ambient shared pool.  Cached per size for the process lifetime —
-   spawning domains is expensive, and benchmark/conformance loops
-   prepare many executables at the same few sizes. *)
-let pools : (int, Domain_pool.t) Hashtbl.t = Hashtbl.create 4
-let pools_mu = Mutex.create ()
-
-let explicit_pool n =
-  let shared = Domain_pool.get () in
-  if Domain_pool.size shared = n then shared
-  else begin
-    Mutex.lock pools_mu;
-    let p =
-      match Hashtbl.find_opt pools n with
-      | Some p -> p
-      | None ->
-          let p = Domain_pool.create ~domains:n in
-          Hashtbl.add pools n p;
-          p
-    in
-    Mutex.unlock pools_mu;
-    p
-  end
-
-(* Idle OCaml 5 domains still join every stop-the-world minor
-   collection, so cached pools tax allocation-heavy code running
-   alongside them.  Benchmarks shut them down between measurements to
-   keep baselines clean; prepared plans holding a reset pool must not
-   be executed afterwards. *)
-let reset_pools () =
-  Mutex.lock pools_mu;
-  let ps = Hashtbl.fold (fun _ p acc -> p :: acc) pools [] in
-  Hashtbl.reset pools;
-  Mutex.unlock pools_mu;
-  List.iter Domain_pool.shutdown ps
-
 (* [None] means "run inline": no pool object at all, which is what lets
    the compiled engine's steady state stay allocation-free. *)
 let resolve_pool (opts : Run_opts.t) =
-  match opts.Run_opts.domains with
-  | Some n when n > 1 -> Some (explicit_pool n)
-  | Some _ -> None
-  | None ->
-      let shared = Domain_pool.get () in
-      if Domain_pool.size shared > 1 then Some shared else None
+  let n =
+    match opts.Run_opts.domains with
+    | Some n -> n
+    | None -> Domain_pool.num_domains ()
+  in
+  if n > 1 then Some (Domain_pool.sized n) else None
 
 let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let pool = resolve_pool opts in
@@ -99,22 +63,17 @@ let run ?opts g inputs = execute (prepare ?opts g) inputs
 
 (* ---- prepared cache (in-memory: compiled closures cannot marshal) ---- *)
 
-let cache : (string, prepared) Hashtbl.t = Hashtbl.create 16
-let cache_mu = Mutex.create ()
+(* Above the measured peak of live entries (see DESIGN.md, "Caches"). *)
+let cache_limit = 128
+let cache : (string, prepared) Bounded_cache.t =
+  Bounded_cache.create ~limit:cache_limit
 
 let prepare_cached ~key ?(opts = Run_opts.default) g =
-  let k = key ^ "\x00" ^ Run_opts.to_string opts in
-  Mutex.lock cache_mu;
-  let hit = Hashtbl.find_opt cache k in
-  Mutex.unlock cache_mu;
-  match hit with
-  | Some pr -> pr
-  | None ->
-      let pr = prepare ~opts g in
-      Mutex.lock cache_mu;
-      Hashtbl.replace cache k pr;
-      Mutex.unlock cache_mu;
-      pr
+  Bounded_cache.find_or_add cache
+    (key ^ "\x00" ^ Run_opts.to_string opts)
+    (fun () -> prepare ~opts g)
+
+let cache_stats () = Bounded_cache.stats cache
 
 (* ------------------------------ introspection ------------------------ *)
 
@@ -147,9 +106,6 @@ let simulate ?(device = Device.a100) ?trace (p : Plan.t) =
     }
   in
   match trace with None -> go () | Some s -> Trace.with_sink s go
-
-let simulate_many ?(device = Device.a100) ?trace plans =
-  List.map (fun p -> (p.Plan.plan_name, simulate ~device ?trace p)) plans
 
 let metrics ?device p = (simulate ?device p).Exec.r_metrics
 let time_ms ?device p = (metrics ?device p).Engine.time_ms

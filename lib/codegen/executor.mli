@@ -8,12 +8,13 @@
     Its outputs are checked bitwise against the reference interpreter
     ({!Interp}) by [ftc run] and [ftc conform].
 
-    This module owns the pool and the shadow policy: [FT_SHADOW] is
-    read here and nowhere else. *)
+    This module resolves the pool and owns the shadow policy:
+    [FT_SHADOW] is read here and nowhere else. *)
 
 type prepared
 (** A graph readied for repeated execution: the compiled executable, the
-    resolved pool, and the shadow policy.  Stateful — reusable across
+    resolved pool ({!Domain_pool.sized}; once reset, fronts run inline),
+    and the shadow policy.  Stateful — reusable across
     sequential [execute] calls, not thread-safe. *)
 
 val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
@@ -44,12 +45,15 @@ val run :
 (** [execute (prepare ?opts g) inputs] — the one-shot spelling. *)
 
 val prepare_cached : key:string -> ?opts:Run_opts.t -> Ir.graph -> prepared
-(** Like {!prepare}, memoised on [(key, opts)] for the process
-    lifetime.  [key] must identify the graph — use
+(** Like {!prepare}, memoised on [(key, opts)] in a {!Bounded_cache}
+    of {!cache_limit} entries.  [key] must identify the graph — use
     {!Pipeline.program_key} / {!Pipeline.source_key} digests (compiled
     closures cannot be marshalled, so unlike the plan cache this table
     is in-memory only).  Callers sharing a cached [prepared] must not
     execute it concurrently. *)
+
+val cache_limit : int
+val cache_stats : unit -> Bounded_cache.stats
 
 (** {1 Introspection} *)
 
@@ -61,24 +65,12 @@ val compiled : prepared -> Compiled.t option
 (** The underlying executable — always [Some]; the option type is kept
     for existing callers. *)
 
-val reset_pools : unit -> unit
-(** Shut down every pool cached for explicit [domains = Some n]
-    requests (the ambient shared pool is untouched).  Idle OCaml 5
-    domains still join each stop-the-world minor collection, so a
-    cached pool taxes allocation-heavy code running alongside it —
-    benchmarks call this between measurements to keep baselines clean.
-    Any [prepared] still holding a reset pool must not be executed. *)
-
 (** {1 Simulator front} *)
 
 val simulate : ?device:Device.t -> ?trace:Trace.sink -> Plan.t -> Exec.report
 (** Run a plan on the simulated device (default {!Device.a100}) through
     the {!Exec} L2 residency model; [trace] mirrors the timeline as
     ["gpu"]-track spans. *)
-
-val simulate_many :
-  ?device:Device.t -> ?trace:Trace.sink -> Plan.t list ->
-  (string * Exec.report) list
 
 val metrics : ?device:Device.t -> Plan.t -> Engine.metrics
 val time_ms : ?device:Device.t -> Plan.t -> float

@@ -197,13 +197,6 @@ let compile ?(verify = true) ?(fatal = true) ?trace ?(collapse_reuse = true)
       compile_from ~stage_checks:verify ~emit_check:verify ~fatal
         ~collapse_reuse ~tile ~stages ~init_results:init g)
 
-let compile_graph ?(verify = true) ?(fatal = true) ?trace
-    ?(collapse_reuse = true) ?(tile = Tile.default_config)
-    ?(stages = default_stages) g =
-  with_trace trace (fun () ->
-      compile_from ~stage_checks:verify ~emit_check:verify ~fatal
-        ~collapse_reuse ~tile ~stages ~init_results:[] g)
-
 (* The terse compile-to-plan paths verify the graph once, just before
    emission — per-stage checking is [compile]'s job. *)
 let plan_of_graph ?(verify = true) ?(collapse_reuse = true)
@@ -219,7 +212,7 @@ let plan ?(verify = true) ?(collapse_reuse = true)
 (* ---------------------------- plan cache --------------------------- *)
 
 module Cache = struct
-  type stats = { hits : int; misses : int; disk_hits : int }
+  type stats = { hits : int; misses : int; disk_hits : int; evictions : int }
 
   (* Bump when Plan.t (or anything reachable from it) changes layout:
      stale disk entries then fail the version check and recompile.
@@ -229,22 +222,23 @@ module Cache = struct
      here keeps disk plans and compiled artifacts in lockstep. *)
   let version = 3
 
-  let table : (string, Plan.t) Hashtbl.t = Hashtbl.create 16
-  let m = Mutex.create ()
-  let hits = ref 0
-  let misses = ref 0
-  let disk_hits = ref 0
+  (* Above the measured peak of live entries (see DESIGN.md, "Caches"). *)
+  let limit = 64
+  let table : (string, Plan.t) Bounded_cache.t = Bounded_cache.create ~limit
+
+  (* A memory miss answered from disk is a disk hit, not a miss. *)
+  let disk_hits = Atomic.make 0
 
   let stats () =
-    Mutex.protect m (fun () ->
-        { hits = !hits; misses = !misses; disk_hits = !disk_hits })
+    let { Bounded_cache.hits; misses; evictions; _ } =
+      Bounded_cache.stats table
+    in
+    let disk_hits = Atomic.get disk_hits in
+    { hits; misses = misses - disk_hits; disk_hits; evictions }
 
   let clear () =
-    Mutex.protect m (fun () ->
-        Hashtbl.reset table;
-        hits := 0;
-        misses := 0;
-        disk_hits := 0)
+    Bounded_cache.clear table;
+    Atomic.set disk_hits 0
 
   let dir () =
     match Sys.getenv_opt "FT_PLAN_CACHE" with
@@ -289,31 +283,20 @@ module Cache = struct
      the same key just compiles twice and last-write-wins — both
      results are equal by construction. *)
   let find_or_compile key compute =
-    let cached =
-      Mutex.protect m (fun () -> Hashtbl.find_opt table key)
-    in
-    match cached with
-    | Some plan ->
-        Mutex.protect m (fun () -> incr hits);
-        plan
-    | None -> (
+    Bounded_cache.find_or_add table key (fun () ->
         match disk_read key with
         | Some plan ->
-            Mutex.protect m (fun () ->
-                incr disk_hits;
-                Hashtbl.replace table key plan);
+            Atomic.incr disk_hits;
             plan
         | None ->
-            Mutex.protect m (fun () -> incr misses);
             let plan = compute () in
-            Mutex.protect m (fun () -> Hashtbl.replace table key plan);
             disk_write key plan;
             plan)
 
-  let mem key = Mutex.protect m (fun () -> Hashtbl.mem table key)
+  let mem key = Bounded_cache.peek table key <> None
 
   let store key (plan : Plan.t) =
-    Mutex.protect m (fun () -> Hashtbl.replace table key plan);
+    Bounded_cache.put table key plan;
     disk_write key plan
 
   let on_disk key =

@@ -82,18 +82,6 @@ val compile :
     ({!set_tune_source}) and applies the best-known config — no search
     runs at compile time. *)
 
-val compile_graph :
-  ?verify:bool ->
-  ?fatal:bool ->
-  ?trace:Trace.sink ->
-  ?collapse_reuse:bool ->
-  ?tile:Tile.config ->
-  ?stages:stage list ->
-  Ir.graph ->
-  t
-(** Like {!compile} for an already-built ETDG (no [Build] stage
-    result). *)
-
 val plan :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
   Expr.program -> Plan.t
@@ -137,14 +125,20 @@ val tuned_config_for : string -> Tile.config option
     cache can only ever cost a compile, never an error. *)
 
 module Cache : sig
-  type stats = { hits : int; misses : int; disk_hits : int }
+  type stats = { hits : int; misses : int; disk_hits : int; evictions : int }
   (** [hits]: served from memory; [disk_hits]: loaded from
       [FT_PLAN_CACHE] (then kept in memory); [misses]: compiled. *)
+
+  val limit : int
+  (** Most plans kept in memory; disk entries are never evicted. *)
 
   val stats : unit -> stats
   val clear : unit -> unit
   (** Drop all in-memory entries and zero the counters (disk entries
       are left alone). *)
+
+  val find_or_compile : string -> (unit -> Plan.t) -> Plan.t
+  (** Memory, then disk, then [compute ()] (written to disk). *)
 
   val mem : string -> bool
   (** Is this key in the in-memory table? *)

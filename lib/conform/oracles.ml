@@ -11,12 +11,11 @@ let all_oracles =
     "sharded2"; "sharded4" ]
 
 (* ---------------------------------------------------------------- *)
-(* Context: pools + private cache/tune directories                   *)
+(* Context: private cache/tune directories                           *)
 (* ---------------------------------------------------------------- *)
 
 type ctx = {
   cx_oracles : string list;
-  mutable cx_pools : (int * Domain_pool.t) list;
   cx_cache_dir : string;
   cx_tune_dir : string;
   cx_prev_cache : string option;
@@ -60,7 +59,6 @@ let create ?(oracles = all_oracles) () =
   Tune_db.clear_memory ();
   {
     cx_oracles = oracles;
-    cx_pools = [];
     cx_cache_dir = cache_dir;
     cx_tune_dir = tune_dir;
     cx_prev_cache = prev_cache;
@@ -70,19 +68,9 @@ let create ?(oracles = all_oracles) () =
 
 let selected ctx = ctx.cx_oracles
 
-let pool ctx n =
-  match List.assoc_opt n ctx.cx_pools with
-  | Some p -> p
-  | None ->
-      let p = Domain_pool.create ~domains:n in
-      ctx.cx_pools <- (n, p) :: ctx.cx_pools;
-      p
-
 let close ctx =
   if not ctx.cx_closed then (
     ctx.cx_closed <- true;
-    List.iter (fun (_, p) -> Domain_pool.shutdown p) ctx.cx_pools;
-    ctx.cx_pools <- [];
     remove_dir ctx.cx_cache_dir;
     remove_dir ctx.cx_tune_dir;
     Unix.putenv "FT_PLAN_CACHE" (Option.value ctx.cx_prev_cache ~default:"");
@@ -205,9 +193,9 @@ let stress_pack = { Tensor.mc = 3; kc = 48; nc = 40 }
    verification gate, pricing or cache.  Raw outputs, so Conform's
    bitwise comparison against compiled-seq covers the whole transfer
    machinery. *)
-let sharded_oracle ctx ~devices (p : Expr.program) g inputs =
+let sharded_oracle ~devices (p : Expr.program) g inputs =
   let pr = Dist_exec.prepare ~plan:(Shard.partition ~devices g) g in
-  let outs = Dist_exec.execute ~pool:(pool ctx devices) pr inputs in
+  let outs = Dist_exec.execute ~pool:(Dist.pool devices) pr inputs in
   Value (List.assoc p.Expr.name outs)
 
 let cache_rt_oracle (p : Expr.program) g inputs =
@@ -222,7 +210,7 @@ let cache_rt_oracle (p : Expr.program) g inputs =
       Failed "plan changed across a disk-cache round trip"
     else compiled_oracle ~order:Vm.Sequential p g inputs
 
-let run_one ctx (p : Expr.program) inputs graph name =
+let run_one (p : Expr.program) inputs graph name =
   match name with
   | "interp" -> (
       try Value (Interp.run_program p inputs)
@@ -244,8 +232,8 @@ let run_one ctx (p : Expr.program) inputs graph name =
             | "compiled-noarena" -> compiled_oracle ~arena:false p g inputs
             | "fused" -> compiled_oracle ~pack:stress_pack p g inputs
             | "compiled-nofuse" -> compiled_oracle ~fuse:false p g inputs
-            | "sharded2" -> sharded_oracle ctx ~devices:2 p g inputs
-            | "sharded4" -> sharded_oracle ctx ~devices:4 p g inputs
+            | "sharded2" -> sharded_oracle ~devices:2 p g inputs
+            | "sharded4" -> sharded_oracle ~devices:4 p g inputs
             | other -> Failed (Printf.sprintf "unknown oracle %S" other)
           with e -> Failed (Printexc.to_string e)))
 
@@ -261,7 +249,7 @@ let run_all ctx (p : Expr.program) inputs =
   List.map
     (fun name ->
       let t0 = Unix.gettimeofday () in
-      let outcome = run_one ctx p inputs graph name in
+      let outcome = run_one p inputs graph name in
       let t1 = Unix.gettimeofday () in
       { r_oracle = name; r_outcome = outcome; r_wall_ms = (t1 -. t0) *. 1e3 })
     ctx.cx_oracles

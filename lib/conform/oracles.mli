@@ -86,11 +86,10 @@ val stress_pack : Tensor.pack_blocking
     odd k-remainders through the packed micro-kernel. *)
 
 type ctx
-(** Shared oracle state: lazily created domain pools and private
-    temporary directories installed as [FT_PLAN_CACHE] / [FT_TUNE_DB]
-    for the lifetime of the context (previous values restored on
-    {!close}), so a conformance run never touches — and is never
-    contaminated by — the user's caches. *)
+(** Shared oracle state: private temporary directories installed as
+    [FT_PLAN_CACHE] / [FT_TUNE_DB] for the lifetime of the context
+    (previous values restored on {!close}), so a conformance run never
+    touches — and is never contaminated by — the user's caches. *)
 
 val create : ?oracles:string list -> unit -> ctx
 (** [oracles] restricts the registry (unknown names raise
@@ -99,8 +98,8 @@ val create : ?oracles:string list -> unit -> ctx
 val selected : ctx -> string list
 
 val close : ctx -> unit
-(** Shut pools down, remove the temporary directories, restore the
-    environment.  Idempotent. *)
+(** Remove the temporary directories and restore the environment.
+    Idempotent. *)
 
 val run_all : ctx -> Expr.program -> (string * Fractal.t) list -> run list
 (** Execute the program through every selected oracle.  Never raises:

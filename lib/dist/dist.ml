@@ -18,29 +18,7 @@ type report = {
   rp_sim : Engine.dist_metrics;
 }
 
-(* One pool per device count, shared across runs (domain spawn is the
-   expensive part) — same shape as Executor's explicit-domains cache. *)
-let pools : (int, Domain_pool.t) Hashtbl.t = Hashtbl.create 4
-let pools_mu = Mutex.create ()
-
-let pool devices =
-  Mutex.lock pools_mu;
-  let p =
-    match Hashtbl.find_opt pools devices with
-    | Some p -> p
-    | None ->
-        let p = Domain_pool.create ~domains:devices in
-        Hashtbl.replace pools devices p;
-        p
-  in
-  Mutex.unlock pools_mu;
-  p
-
-let reset_pools () =
-  Mutex.lock pools_mu;
-  Hashtbl.iter (fun _ p -> Domain_pool.shutdown p) pools;
-  Hashtbl.reset pools;
-  Mutex.unlock pools_mu
+let pool = Domain_pool.sized
 
 (* ------------------------------ pricing ------------------------------ *)
 
@@ -121,16 +99,15 @@ let price ~link ~device (g : Ir.graph) (log : Dist_exec.log) =
 
 (* ----------------------------- prepared runs ----------------------------- *)
 
+(* The cache key: graph digest, devices, strategy, link, device. *)
+type key = string * int * Shard.strategy option * Device.link * Device.t
+
 (* Everything a run needs that does not depend on input values:
    partition, legality, the static transfer plan, the device
    executables, and the priced log. *)
 type entry = {
+  en_key : key;
   en_graph : Ir.graph;
-  en_digest : string;  (* of the graph *)
-  en_devices : int;
-  en_strategy : Shard.strategy option;
-  en_link : Device.link;
-  en_device : Device.t;
   en_plan : Shard.plan;
   en_diags : Diagnostic.t list;
   en_exec : Dist_exec.prepared;
@@ -143,47 +120,14 @@ type entry = {
 
 let cache_limit = 16
 
-(* Idle entries, most recently used first.  A running entry is checked
-   out (absent from the list), so concurrent runs of one graph never
-   share executables: the second prepares its own. *)
-let idle : entry list ref = ref []
-let idle_mu = Mutex.create ()
+(* Idle entries, exclusive: a running entry is checked out, so concurrent
+   runs of one graph never share executables. *)
+let cache : (key, entry) Bounded_cache.t =
+  Bounded_cache.create ~limit:cache_limit
 
-let with_idle f =
-  Mutex.lock idle_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock idle_mu) f
-
-(* Remove and return the first idle entry satisfying [p]. *)
-let take p =
-  with_idle (fun () ->
-      let rec go skipped = function
-        | [] -> None
-        | en :: rest when p en ->
-            idle := List.rev_append skipped rest;
-            Some en
-        | en :: rest -> go (en :: skipped) rest
-      in
-      go [] !idle)
-
-(* The cache key, graph aside. *)
-let same_params en ~devices ~strategy ~link ~device =
-  en.en_devices = devices && en.en_strategy = strategy && en.en_link = link
-  && en.en_device = device
-
-let checkin en =
-  let same e =
-    e.en_digest = en.en_digest
-    && same_params e ~devices:en.en_devices ~strategy:en.en_strategy
-         ~link:en.en_link ~device:en.en_device
-  in
-  with_idle (fun () ->
-      idle :=
-        List.filteri
-          (fun i _ -> i < cache_limit)
-          (en :: List.filter (fun e -> not (same e)) !idle))
-
-let clear_cache () = with_idle (fun () -> idle := [])
-let cache_entries () = with_idle (fun () -> List.length !idle)
+let clear_cache () = Bounded_cache.clear cache
+let cache_entries () = (Bounded_cache.stats cache).Bounded_cache.entries
+let cache_stats () = Bounded_cache.stats cache
 
 let graph_digest g = Digest.string (Marshal.to_string g [])
 
@@ -195,12 +139,8 @@ let prepare ?strategy ~link ~device ~devices g ~digest =
   let log = Dist_exec.log exec in
   let xfers, bytes = Dist_exec.xfer_totals log in
   {
+    en_key = (digest, devices, strategy, link, device);
     en_graph = g;
-    en_digest = digest;
-    en_devices = devices;
-    en_strategy = strategy;
-    en_link = link;
-    en_device = device;
     en_plan = plan;
     en_diags = diags;
     en_exec = exec;
@@ -223,22 +163,19 @@ let prepare ?strategy ~link ~device ~devices g ~digest =
    entry priced is answered from the entry. *)
 let simulate ?(link = Device.nvlink) ?(device = Device.a100) g log =
   let priced =
-    with_idle (fun () ->
-        List.find_opt
-          (fun en ->
-            Dist_exec.log en.en_exec == log
-            && en.en_link = link && en.en_device = device)
-          !idle)
+    Bounded_cache.peek_where cache (fun (_, _, _, l, d) en ->
+        Dist_exec.log en.en_exec == log && l = link && d = device)
   in
   match priced with
-  | Some en when en.en_graph == g || en.en_digest = graph_digest g -> en.en_sim
+  | Some ({ en_key = digest, _, _, _, _; _ } as en)
+    when en.en_graph == g || digest = graph_digest g ->
+      en.en_sim
   | _ -> price ~link ~device g log
 
 (* An entry for the call: the same graph value first (no digest to
    compute on the warm path), then any graph with the same digest, else
    a fresh prepare. *)
 let checkout ?strategy ~link ~device ~devices g =
-  let params en = same_params en ~devices ~strategy ~link ~device in
   let warm en =
     (* the race guard decided at prepare; report it on every run *)
     List.iter
@@ -246,11 +183,19 @@ let checkout ?strategy ~link ~device ~devices g =
       (Dist_exec.log en.en_exec).Dist_exec.lg_fallbacks;
     en
   in
-  match take (fun en -> en.en_graph == g && params en) with
+  let same_params (_, n, s, l, d) =
+    n = devices && s = strategy && l = link && d = device
+  in
+  match
+    Bounded_cache.take_where cache (fun k en ->
+        en.en_graph == g && same_params k)
+  with
   | Some en -> warm en
   | None -> (
       let digest = graph_digest g in
-      match take (fun en -> en.en_digest = digest && params en) with
+      match
+        Bounded_cache.take cache (digest, devices, strategy, link, device)
+      with
       | Some en -> warm { en with en_graph = g }
       | None -> prepare ?strategy ~link ~device ~devices g ~digest)
 
@@ -277,7 +222,7 @@ let run ?strategy ?(link = Device.nvlink) ?(device = Device.a100) ~devices g
   account_outputs en.en_output_bytes;
   let outputs =
     Fun.protect
-      ~finally:(fun () -> checkin en)
+      ~finally:(fun () -> Bounded_cache.put cache en.en_key en)
       (fun () -> Dist_exec.execute ~pool:(pool devices) en.en_exec inputs)
   in
   {

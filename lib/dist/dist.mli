@@ -68,13 +68,17 @@ val run :
     @raise Vm.Execution_error on the executor's failure conditions *)
 
 val cache_limit : int
-(** Most prepared entries kept; the least recently used goes first. *)
+(** Most prepared entries kept, in an exclusive-mode {!Bounded_cache}:
+    the least recently used goes first; a running entry is never evicted. *)
 
 val cache_entries : unit -> int
 (** Prepared entries currently idle in the cache. *)
 
 val clear_cache : unit -> unit
-(** Drop every idle prepared entry. *)
+(** Drop every idle prepared entry and zero the counters. *)
+
+val cache_stats : unit -> Bounded_cache.stats
+(** One hit or one miss per {!run}. *)
 
 val differential :
   ?strategy:Shard.strategy ->
@@ -103,9 +107,4 @@ val bitwise_equal :
 (** Same names, every output {!Fractal.equal_exact}. *)
 
 val pool : int -> Domain_pool.t
-(** The shared pool for a device count (one domain per device), created
-    on first use. *)
-
-val reset_pools : unit -> unit
-(** Shut down and drop every cached pool (test isolation / serving
-    teardown). *)
+(** [Domain_pool.sized]: one domain per device. *)

@@ -125,58 +125,45 @@ let run_job pool job =
     Mutex.unlock pool.submit_m
   end
 
-let reraise_first exn_slot =
-  match Atomic.get exn_slot with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let chunked_job ~lo ~chunk ~nchunks exn_slot run_chunk =
-  let next = Atomic.make 0 in
-  fun () ->
-    let continue = ref true in
-    while !continue do
-      let c = Atomic.fetch_and_add next 1 in
-      if c >= nchunks then continue := false
-      else if Atomic.get exn_slot = None then begin
-        let clo = lo + (c * chunk) in
-        try run_chunk c clo (clo + chunk)
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set exn_slot None (Some (e, bt)))
-      end
-    done
-
-let parallel_for ?chunk pool ~lo ~hi f =
-  let n = hi - lo in
-  if n <= 0 then ()
-  else if size pool = 1 || n = 1 || Domain.DLS.get in_worker_key then
-    for i = lo to hi - 1 do
-      f i
+(* [run_chunk c clo chi] over the [nchunks] chunks of [chunk] indices
+   from [lo], claimed through an atomic cursor — inline on a trivial
+   pool, for one chunk, or from inside a worker.  The first exception
+   is re-raised, with its backtrace, once the loop quiesces. *)
+let run_chunks pool ~lo ~chunk ~nchunks run_chunk =
+  if pool.nworkers = 0 || nchunks = 1 || Domain.DLS.get in_worker_key then
+    for c = 0 to nchunks - 1 do
+      run_chunk c (lo + (c * chunk)) (lo + ((c + 1) * chunk))
     done
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Domain_pool.parallel_for: chunk must be >= 1"
-      | None -> Stdlib.max 1 (n / (size pool * 4))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let exn_slot = Atomic.make None in
-    let job =
-      chunked_job ~lo ~chunk ~nchunks exn_slot (fun _ clo chi ->
-          for i = clo to Stdlib.min hi chi - 1 do
-            f i
-          done)
-    in
-    run_job pool job;
-    reraise_first exn_slot
+    let next = Atomic.make 0 and exn_slot = Atomic.make None in
+    run_job pool (fun () ->
+        let continue = ref true in
+        while !continue do
+          let c = Atomic.fetch_and_add next 1 in
+          if c >= nchunks then continue := false
+          else if Atomic.get exn_slot = None then begin
+            let clo = lo + (c * chunk) in
+            try run_chunk c clo (clo + chunk)
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              ignore (Atomic.compare_and_set exn_slot None (Some (e, bt)))
+          end
+        done);
+    match Atomic.get exn_slot with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
   end
 
-(* Like [parallel_for], but the body also receives the index of the
-   domain running it — the compiled engine uses it to pick per-worker
-   scratch buffers.  The inline path (trivial pool, single iteration,
-   issued from a worker) passes 0 and performs no allocation at all;
-   that path is what makes `domains=1` a strict no-op passthrough. *)
+let chunk_size ~default = function
+  | Some c when c >= 1 -> c
+  | Some _ -> invalid_arg "Domain_pool: chunk must be >= 1"
+  | None -> default
+
+(* The body also receives the index of the domain running it — the
+   compiled engine uses it to pick per-worker scratch buffers.  The
+   inline path (trivial pool, single iteration, issued from a worker)
+   passes 0 and performs no allocation at all; that path is what makes
+   `domains=1` a strict no-op passthrough. *)
 let parallel_for_workers ?chunk pool ~lo ~hi f =
   let n = hi - lo in
   if n <= 0 then ()
@@ -185,25 +172,17 @@ let parallel_for_workers ?chunk pool ~lo ~hi f =
       f 0 i
     done
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ ->
-          invalid_arg "Domain_pool.parallel_for_workers: chunk must be >= 1"
-      | None -> Stdlib.max 1 (n / (size pool * 4))
-    in
-    let nchunks = (n + chunk - 1) / chunk in
-    let exn_slot = Atomic.make None in
-    let job =
-      chunked_job ~lo ~chunk ~nchunks exn_slot (fun _ clo chi ->
-          let w = Domain.DLS.get worker_ix_key in
-          for i = clo to Stdlib.min hi chi - 1 do
-            f w i
-          done)
-    in
-    run_job pool job;
-    reraise_first exn_slot
+    let chunk = chunk_size ~default:(Stdlib.max 1 (n / (size pool * 4))) chunk in
+    run_chunks pool ~lo ~chunk ~nchunks:((n + chunk - 1) / chunk)
+      (fun _ clo chi ->
+        let w = Domain.DLS.get worker_ix_key in
+        for i = clo to Stdlib.min hi chi - 1 do
+          f w i
+        done)
   end
+
+let parallel_for ?chunk pool ~lo ~hi f =
+  parallel_for_workers ?chunk pool ~lo ~hi (fun _ i -> f i)
 
 (* The default reduce chunk is a pure function of the range length so
    that the chunk partials — and therefore the float association — are
@@ -212,12 +191,7 @@ let map_reduce ?chunk pool ~lo ~hi ~map ~combine ~init =
   let n = hi - lo in
   if n <= 0 then init
   else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Domain_pool.map_reduce: chunk must be >= 1"
-      | None -> Stdlib.max 1 ((n + 63) / 64)
-    in
+    let chunk = chunk_size ~default:(Stdlib.max 1 ((n + 63) / 64)) chunk in
     let nchunks = (n + chunk - 1) / chunk in
     let partials = Array.make nchunks init in
     let fold_chunk c clo chi =
@@ -227,16 +201,7 @@ let map_reduce ?chunk pool ~lo ~hi ~map ~combine ~init =
       done;
       partials.(c) <- !acc
     in
-    if size pool = 1 || nchunks = 1 || Domain.DLS.get in_worker_key then
-      for c = 0 to nchunks - 1 do
-        let clo = lo + (c * chunk) in
-        fold_chunk c clo (clo + chunk)
-      done
-    else begin
-      let exn_slot = Atomic.make None in
-      run_job pool (chunked_job ~lo ~chunk ~nchunks exn_slot fold_chunk);
-      reraise_first exn_slot
-    end;
+    run_chunks pool ~lo ~chunk ~nchunks fold_chunk;
     Array.fold_left combine init partials
   end
 
@@ -251,7 +216,7 @@ let map_array pool f a =
     out
   end
 
-(* ------------------------- the shared pool ------------------------- *)
+(* ------------------------ the pool registry ------------------------ *)
 
 let default_num_domains () =
   match Sys.getenv_opt "FT_NUM_DOMAINS" with
@@ -267,20 +232,28 @@ let set_num_domains n = override := n
 let num_domains () =
   match !override with Some n -> Stdlib.max 1 n | None -> default_num_domains ()
 
-let global : t option ref = ref None
-let global_m = Mutex.create ()
+(* Not a cache: evicting a pool would stop it under its holders, and
+   there is one entry per domain count asked for. *)
+let registry : (int * t) list ref = ref []
+let registry_m = Mutex.create ()
 
-let get () =
-  let want = num_domains () in
-  Mutex.lock global_m;
-  let pool =
-    match !global with
-    | Some p when size p = want -> p
-    | existing ->
-        (match existing with Some p -> shutdown p | None -> ());
-        let p = create ~domains:want in
-        global := Some p;
-        p
+let sized n =
+  let n = Stdlib.max 1 n in
+  Mutex.protect registry_m (fun () ->
+      match List.assoc_opt n !registry with
+      | Some p -> p
+      | None ->
+          let p = create ~domains:n in
+          registry := (n, p) :: !registry;
+          p)
+
+let get () = sized (num_domains ())
+
+let reset () =
+  let pools =
+    Mutex.protect registry_m (fun () ->
+        let ps = !registry in
+        registry := [];
+        ps)
   in
-  Mutex.unlock global_m;
-  pool
+  List.iter (fun (_, p) -> shutdown p) pools

@@ -21,9 +21,10 @@
       corrupting it.  This is what the serving layer's broker/scheduler
       domains rely on.
 
-    The global pool ({!get}) sizes itself from the [FT_NUM_DOMAINS]
-    environment variable (or {!set_num_domains}, the CLI's hook), so
-    [FT_NUM_DOMAINS=4 ftc run prog.ft] is the whole user interface. *)
+    One registry holds a pool per domain count ({!sized}); the ambient
+    pool ({!get}) is sized by [FT_NUM_DOMAINS] (or {!set_num_domains},
+    the CLI's hook), so [FT_NUM_DOMAINS=4 ftc run prog.ft] is the whole
+    user interface. *)
 
 type t
 
@@ -82,21 +83,28 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f a] is [Array.map f a] with the elements computed
     across the pool (element order preserved in the result). *)
 
-(** {1 The shared pool} *)
+(** {1 The pool registry} *)
 
 val default_num_domains : unit -> int
 (** [FT_NUM_DOMAINS] when set to a positive integer, otherwise
     [Domain.recommended_domain_count ()]. *)
 
 val num_domains : unit -> int
-(** The size the global pool will have: the {!set_num_domains}
+(** The size the ambient pool will have: the {!set_num_domains}
     override when present, else {!default_num_domains}. *)
 
 val set_num_domains : int option -> unit
-(** Override (or clear the override of) the global pool size — the CLI
-    knob behind [--domains].  Takes effect on the next {!get}, which
-    recreates the pool if the size changed. *)
+(** Override (or clear the override of) the ambient pool size — the CLI
+    knob behind [--domains].  Takes effect on the next {!get}. *)
+
+val sized : int -> t
+(** The registry's pool of [max 1 n] domains, created on first use and
+    shared by every caller asking for that size. *)
 
 val get : unit -> t
-(** The process-wide pool, created on first use with {!num_domains}
-    workers and transparently recreated when that number changes. *)
+(** [sized (num_domains ())].  A resize switches pools; none stops. *)
+
+val reset : unit -> unit
+(** Shut down every registry pool (idle domains still join each
+    stop-the-world minor collection, so benchmarks reset between
+    measurements).  A holder of a reset pool runs its loops inline. *)

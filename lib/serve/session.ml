@@ -7,13 +7,16 @@
    prefix is the isolation boundary — two tenants serving the same
    program never share a prepared executable (a prepared is stateful
    and single-consumer), while within a tenant every width is compiled
-   once and reused for the life of the process. *)
+   once and reused for as long as the width ladder fits the cache. *)
+
+(* Above the measured peak of live widths (see DESIGN.md, "Caches"). *)
+let width_limit = 16
 
 type t = {
   ssn_tenant : string;
   ssn_servable : Servable.t;
   ssn_opts : Run_opts.t;
-  ssn_prepared : (int, Executor.prepared) Hashtbl.t;
+  ssn_prepared : (int, Executor.prepared) Bounded_cache.t;
 }
 
 let create ?(tenant = "default") ?(opts = Run_opts.default) sv =
@@ -21,7 +24,7 @@ let create ?(tenant = "default") ?(opts = Run_opts.default) sv =
     ssn_tenant = tenant;
     ssn_servable = sv;
     ssn_opts = opts;
-    ssn_prepared = Hashtbl.create 7;
+    ssn_prepared = Bounded_cache.create ~limit:width_limit;
   }
 
 let tenant t = t.ssn_tenant
@@ -29,9 +32,7 @@ let servable t = t.ssn_servable
 let opts t = t.ssn_opts
 
 let prepared t ~width =
-  match Hashtbl.find_opt t.ssn_prepared width with
-  | Some pr -> pr
-  | None ->
+  Bounded_cache.find_or_add t.ssn_prepared width (fun () ->
       let prog = t.ssn_servable.Servable.sv_step width in
       let key = Pipeline.program_key prog in
       (* Warm the plan cache (FT_PLAN_CACHE shares it across
@@ -53,13 +54,9 @@ let prepared t ~width =
         }
       in
       let g = Build.build prog in
-      let pr =
-        Executor.prepare_cached ~key:(t.ssn_tenant ^ ":" ^ key) ~opts g
-      in
-      Hashtbl.replace t.ssn_prepared width pr;
-      pr
+      Executor.prepare_cached ~key:(t.ssn_tenant ^ ":" ^ key) ~opts g)
 
-let widths_prepared t =
-  Hashtbl.fold (fun w _ acc -> w :: acc) t.ssn_prepared [] |> List.sort compare
+let widths_prepared t = List.sort compare (Bounded_cache.keys t.ssn_prepared)
+let cache_stats t = Bounded_cache.stats t.ssn_prepared
 
 let engine t ~width = Executor.engine (prepared t ~width)

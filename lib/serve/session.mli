@@ -7,6 +7,9 @@
     prepared executable while each width compiles at most once per
     process. *)
 
+val width_limit : int
+(** Most widths a session keeps prepared (a {!Bounded_cache}). *)
+
 type t
 
 val create : ?tenant:string -> ?opts:Run_opts.t -> Servable.t -> t
@@ -19,5 +22,6 @@ val prepared : t -> width:int -> Executor.prepared
     installed) supplies chunk/fuse/pack, [opts] everything else. *)
 
 val widths_prepared : t -> int list
+val cache_stats : t -> Bounded_cache.stats
 val engine : t -> width:int -> string
 (** The engine that runs one width's step program ({!Executor.engine}). *)

@@ -28,23 +28,28 @@ type record = {
   tr_seed : int;
 }
 
-type stats = { hits : int; misses : int; disk_hits : int; stores : int }
+type stats = {
+  hits : int; misses : int; disk_hits : int; stores : int; evictions : int;
+}
 
-let table : (string, record) Hashtbl.t = Hashtbl.create 16
-let hits = ref 0
-let misses = ref 0
-let disk_hits = ref 0
-let stores = ref 0
+(* Above the measured peak of live records (see DESIGN.md, "Caches"). *)
+let limit = 64
+let table : (string, record) Bounded_cache.t = Bounded_cache.create ~limit
+
+(* A memory miss answered from disk is a disk hit, not a miss. *)
+let disk_hits = Atomic.make 0
+let stores = Atomic.make 0
 
 let stats () =
-  { hits = !hits; misses = !misses; disk_hits = !disk_hits; stores = !stores }
+  let { Bounded_cache.hits; misses; evictions; _ } = Bounded_cache.stats table in
+  let disk_hits = Atomic.get disk_hits in
+  { hits; misses = misses - disk_hits; disk_hits; stores = Atomic.get stores;
+    evictions }
 
 let clear_memory () =
-  Hashtbl.reset table;
-  hits := 0;
-  misses := 0;
-  disk_hits := 0;
-  stores := 0
+  Bounded_cache.clear table;
+  Atomic.set disk_hits 0;
+  Atomic.set stores 0
 
 let device_digest (d : Device.t) =
   Digest.to_hex (Digest.string (Marshal.to_string d []))
@@ -88,26 +93,22 @@ let write_disk path (r : record) =
 
 let lookup ~key ~device =
   let mk = mem_key ~key ~device in
-  match Hashtbl.find_opt table mk with
-  | Some r ->
-      incr hits;
-      Some r
+  match Bounded_cache.find table mk with
+  | Some r -> Some r
   | None -> (
       match Option.bind (entry_path ~key ~device) read_disk with
       | Some r ->
-          incr disk_hits;
-          Hashtbl.replace table mk r;
+          Atomic.incr disk_hits;
+          Bounded_cache.put table mk r;
           Some r
-      | None ->
-          incr misses;
-          None)
+      | None -> None)
 
 let better (a : record) (b : record) = a.tr_cost <= b.tr_cost
 
 let store (r : record) =
   let mk = mem_key ~key:r.tr_key ~device:r.tr_device in
   let keep =
-    match Hashtbl.find_opt table mk with
+    match Bounded_cache.peek table mk with
     | Some old when better old r -> false
     | _ -> (
         match entry_path ~key:r.tr_key ~device:r.tr_device with
@@ -115,14 +116,14 @@ let store (r : record) =
             match read_disk path with
             | Some old when better old r ->
                 (* disk already holds a better config: adopt it *)
-                Hashtbl.replace table mk old;
+                Bounded_cache.put table mk old;
                 false
             | _ -> true)
         | None -> true)
   in
   if keep then begin
-    incr stores;
-    Hashtbl.replace table mk r;
+    Atomic.incr stores;
+    Bounded_cache.put table mk r;
     match entry_path ~key:r.tr_key ~device:r.tr_device with
     | Some path -> write_disk path r
     | None -> ()

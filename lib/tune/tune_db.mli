@@ -35,7 +35,12 @@ type record = {
   tr_seed : int;
 }
 
-type stats = { hits : int; misses : int; disk_hits : int; stores : int }
+type stats = {
+  hits : int; misses : int; disk_hits : int; stores : int; evictions : int;
+}
+
+val limit : int
+(** Most records kept in memory; disk entries are never evicted. *)
 
 val device_digest : Device.t -> string
 

@@ -32,6 +32,24 @@ if grep -rnE 'Vm\.run|point_evaluator|Unsupported_graph|vm-fallback|Run_opts\.in
   echo "check.sh: a second engine crept back in" >&2
   exit 1
 fi
+# One bounded cache and one pool registry: a module-level keyed table
+# is a hand-rolled cache with no limit, and a pool created outside the
+# runtime is a second registry.
+echo "guard: keyed caches only through Bounded_cache, pools only through Domain_pool"
+stray=$(grep -rnE --include='*.ml' \
+  '^\s*let [a-z_]+( *:[^=]*)? *= *Hashtbl\.create [0-9]+\s*$' lib \
+  | grep -v '^lib/runtime/bounded_cache\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a module-level Hashtbl outside Bounded_cache" >&2
+  exit 1
+fi
+stray=$(grep -rn 'Domain_pool\.create' lib | grep -v '^lib/runtime/' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a pool created outside the Domain_pool registry" >&2
+  exit 1
+fi
 
 dune build
 dune runtest

@@ -798,6 +798,29 @@ let prepared_tests =
           (mine @ theirs);
         checkb "one entry per key survives" true (Dist.cache_entries () <= 2);
         checkb "at least one kept" true (Dist.cache_entries () >= 1));
+    Alcotest.test_case "the cache counts one hit or miss per run and every \
+                        eviction" `Quick (fun () ->
+        let g, binds = graph_and_inputs foldy_src in
+        let link i =
+          { Device.nvlink with Device.link_name = Printf.sprintf "link%d" i }
+        in
+        let run ?(g = g) i = Dist.run ~link:(link i) ~devices:2 g binds in
+        Dist.clear_cache ();
+        let logs = List.init Dist.cache_limit (fun i -> (run i).Dist.rp_log) in
+        (* the same graph value, then an equal copy found by digest *)
+        checkb "warm" true ((run 0).Dist.rp_log == List.hd logs);
+        let copy : Ir.graph = Marshal.from_string (Marshal.to_string g []) 0 in
+        checkb "warm by digest" true
+          ((run ~g:copy 0).Dist.rp_log == List.hd logs);
+        (* link 1 is now the least recently used *)
+        ignore (run Dist.cache_limit);
+        checkb "evicted" false ((run 1).Dist.rp_log == List.nth logs 1);
+        let s = Dist.cache_stats () in
+        checki "hits" 2 s.Bounded_cache.hits;
+        checki "misses" (Dist.cache_limit + 2) s.Bounded_cache.misses;
+        checki "evictions" 2 s.Bounded_cache.evictions;
+        checki "entries" Dist.cache_limit s.Bounded_cache.entries;
+        Dist.clear_cache ());
   ]
 
 let suites =

@@ -1,7 +1,9 @@
 (* The multicore runtime: Domain_pool's loops (correctness,
-   determinism, chunking edge cases, exception propagation) and the
-   compiled-plan cache (hit/miss accounting, option-sensitive keys,
-   the FT_PLAN_CACHE disk roundtrip). *)
+   determinism, chunking edge cases, exception propagation) and its
+   registry, Bounded_cache's two modes, and the caches at their limits:
+   the compiled-plan cache (hit/miss accounting, option-sensitive keys,
+   the FT_PLAN_CACHE disk roundtrip) and the prepared-executable
+   cache. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -99,9 +101,9 @@ let runtime_tests =
         Domain_pool.set_num_domains (Some 1);
         checki "shrunk" 1 (Domain_pool.size (Domain_pool.get ()));
         Domain_pool.set_num_domains None);
-    Alcotest.test_case "reset_pools: teardown, then a concurrent submit \
-                        burst re-initialises cleanly" `Quick (fun () ->
-        (* The serving teardown pattern: explicit-domain pools are shut
+    Alcotest.test_case "Domain_pool.reset: teardown, then a concurrent \
+                        submit burst re-initialises cleanly" `Quick (fun () ->
+        (* The serving teardown pattern: the registry's pools are shut
            down, then several submitter domains hit the executor at
            once.  The pool must be rebuilt lazily exactly once and the
            concurrent whole-loop submissions serialize on the pool's
@@ -117,7 +119,7 @@ let runtime_tests =
           { Run_opts.default with Run_opts.domains = Some 2 }
         in
         let baseline = Executor.run ~opts g binds in
-        Executor.reset_pools ();
+        Domain_pool.reset ();
         (* one prepared per submitter — a shared prepared must not be
            executed concurrently — all re-binding the re-created pool *)
         let prs = Array.init 4 (fun _ -> Executor.prepare ~opts g) in
@@ -142,7 +144,103 @@ let runtime_tests =
                   true (bitwise outs))
               (Stdlib.Domain.join d))
           workers;
-        Executor.reset_pools ());
+        Domain_pool.reset ());
+    Alcotest.test_case "the registry: a resize never shuts down a pool"
+      `Quick (fun () ->
+        Domain_pool.set_num_domains (Some 2);
+        let two = Domain_pool.get () in
+        Domain_pool.set_num_domains (Some 1);
+        checki "resized" 1 (Domain_pool.size (Domain_pool.get ()));
+        Domain_pool.set_num_domains (Some 2);
+        checkb "back to the first pool" true (Domain_pool.get () == two);
+        checkb "the sharded runner shares it" true
+          (Dist.pool 2 == Domain_pool.get ());
+        checkb "so does an explicit size" true (Domain_pool.sized 2 == two);
+        Domain_pool.set_num_domains None);
+    Alcotest.test_case "a prepared built before a resize runs bitwise = \
+                        Interp" `Quick (fun () ->
+        let cfg =
+          { Stacked_rnn.batch = 2; depth = 2; seq_len = 4; hidden = 8 }
+        in
+        let p = Stacked_rnn.program cfg in
+        let binds =
+          Stacked_rnn.bindings (Stacked_rnn.gen_inputs (Rng.create 5) cfg)
+        in
+        Domain_pool.set_num_domains (Some 2);
+        let two = Domain_pool.get () in
+        let pr = Executor.prepare (Build.build p) in
+        Domain_pool.set_num_domains (Some 1);
+        ignore (Domain_pool.get ());
+        let got = Executor.execute pr binds in
+        Domain_pool.set_num_domains None;
+        checkb "bitwise = Interp" true
+          (match Oracles.value p got with
+          | Some v -> Fractal.equal_exact v (Interp.run_program p binds)
+          | None -> false);
+        checkb "its pool is still registered" true
+          (Domain_pool.sized 2 == two));
+  ]
+
+(* ---------------------------- bounded cache ------------------------- *)
+
+let check_stats what (s : Bounded_cache.stats) ~hits ~misses ~evictions
+    ~entries =
+  checki (what ^ ": hits") hits s.Bounded_cache.hits;
+  checki (what ^ ": misses") misses s.Bounded_cache.misses;
+  checki (what ^ ": evictions") evictions s.Bounded_cache.evictions;
+  checki (what ^ ": entries") entries s.Bounded_cache.entries
+
+let bounded_cache_tests =
+  [
+    Alcotest.test_case "shared mode: one past the limit evicts the least \
+                        recently used" `Quick (fun () ->
+        let c = Bounded_cache.create ~limit:4 in
+        List.iter (fun k -> Bounded_cache.put c k (k * 10)) [ 0; 1; 2; 3 ];
+        Alcotest.(check (option int)) "hit" (Some 0) (Bounded_cache.find c 0);
+        Alcotest.(check (option int)) "miss" None (Bounded_cache.find c 9);
+        (* 1 is now the least recently used; peeking does not touch it *)
+        Alcotest.(check (option int)) "peek" (Some 10) (Bounded_cache.peek c 1);
+        Bounded_cache.put c 4 40;
+        Alcotest.(check (option int)) "evicted" None (Bounded_cache.peek c 1);
+        Alcotest.(check (list int)) "survivors" [ 0; 2; 3; 4 ]
+          (List.sort compare (Bounded_cache.keys c));
+        (* replacing a live key never evicts *)
+        Bounded_cache.put c 4 41;
+        check_stats "after put" (Bounded_cache.stats c) ~hits:1 ~misses:1
+          ~evictions:1 ~entries:4;
+        let made = ref 0 in
+        let make v () = incr made; v in
+        checki "find_or_add hit" 41 (Bounded_cache.find_or_add c 4 (make 0));
+        checki "find_or_add miss" 50 (Bounded_cache.find_or_add c 5 (make 50));
+        checki "made once" 1 !made;
+        check_stats "after find_or_add" (Bounded_cache.stats c) ~hits:2
+          ~misses:2 ~evictions:2 ~entries:4;
+        Bounded_cache.clear c;
+        check_stats "cleared" (Bounded_cache.stats c) ~hits:0 ~misses:0
+          ~evictions:0 ~entries:0);
+    Alcotest.test_case "exclusive mode: a checked-out entry survives \
+                        eviction" `Quick (fun () ->
+        let c = Bounded_cache.create ~limit:3 in
+        List.iter (fun k -> Bounded_cache.put c k (ref k)) [ 0; 1; 2 ];
+        let out = Option.get (Bounded_cache.take c 0) in
+        checkb "not handed out twice" true (Bounded_cache.take c 0 = None);
+        (* three new keys push both idle entries out *)
+        List.iter (fun k -> Bounded_cache.put c k (ref k)) [ 3; 4; 5 ];
+        checkb "idle entries evicted" true
+          (Bounded_cache.peek c 1 = None && Bounded_cache.peek c 2 = None);
+        Bounded_cache.put c 0 out;
+        checkb "checked back in, the same entry" true
+          (match Bounded_cache.peek c 0 with Some v -> v == out | None -> false);
+        checkb "take_where finds it by value" true
+          (match Bounded_cache.take_where c (fun _ v -> v == out) with
+          | Some v -> v == out
+          | None -> false);
+        check_stats "exclusive" (Bounded_cache.stats c) ~hits:2 ~misses:1
+          ~evictions:3 ~entries:2;
+        checkb "a take_where miss" true
+          (Bounded_cache.take_where c (fun k _ -> k = 99) = None);
+        check_stats "is uncounted" (Bounded_cache.stats c) ~hits:2 ~misses:1
+          ~evictions:3 ~entries:2);
   ]
 
 let runtime_props =
@@ -334,10 +432,54 @@ let plan_cache_tests =
                 let s = Pipeline.Cache.stats () in
                 checki "one compile" 1 s.Pipeline.Cache.misses;
                 checki "one hit" 1 s.Pipeline.Cache.hits)));
+    Alcotest.test_case "the plan cache keeps Cache.limit plans, evicting \
+                        the least recently used" `Quick (fun () ->
+        Unix.putenv "FT_PLAN_CACHE" "";
+        Pipeline.Cache.clear ();
+        let plan = Pipeline.plan (prog ()) in
+        let limit = Pipeline.Cache.limit in
+        let key i = Printf.sprintf "limit-%d" i in
+        let get i = Pipeline.Cache.find_or_compile (key i) (fun () -> plan) in
+        for i = 0 to limit - 1 do
+          ignore (get i)
+        done;
+        ignore (get 0);
+        ignore (get limit);
+        checkb "the touched plan stays" true (Pipeline.Cache.mem (key 0));
+        checkb "the least recently used goes" false
+          (Pipeline.Cache.mem (key 1));
+        checkb "the newest is in" true (Pipeline.Cache.mem (key limit));
+        let s = Pipeline.Cache.stats () in
+        checki "hits" 1 s.Pipeline.Cache.hits;
+        checki "misses" (limit + 1) s.Pipeline.Cache.misses;
+        checki "evictions" 1 s.Pipeline.Cache.evictions;
+        Pipeline.Cache.clear ());
+    Alcotest.test_case "prepare_cached keeps cache_limit executables, \
+                        evicting the least recently used" `Quick (fun () ->
+        let g = Build.build (prog ()) in
+        let limit = Executor.cache_limit in
+        let prep i = Executor.prepare_cached ~key:(Printf.sprintf "limit-%d" i) g in
+        let s0 = Executor.cache_stats () in
+        let prs = Array.init limit prep in
+        (* whatever other callers left is now older than every key here *)
+        let s1 = Executor.cache_stats () in
+        checki "full" limit s1.Bounded_cache.entries;
+        checki "earlier entries evicted" s0.Bounded_cache.entries
+          (s1.Bounded_cache.evictions - s0.Bounded_cache.evictions);
+        checkb "hit" true (prep 0 == prs.(0));
+        ignore (prep limit);
+        checkb "the least recently used goes" false (prep 1 == prs.(1));
+        let s2 = Executor.cache_stats () in
+        checki "hits" 1 (s2.Bounded_cache.hits - s1.Bounded_cache.hits);
+        checki "misses" 2 (s2.Bounded_cache.misses - s1.Bounded_cache.misses);
+        checki "evictions" 2
+          (s2.Bounded_cache.evictions - s1.Bounded_cache.evictions);
+        checki "still full" limit s2.Bounded_cache.entries);
   ]
 
 let suites =
   [
     ("runtime", runtime_tests @ runtime_props);
+    ("bounded-cache", bounded_cache_tests);
     ("plan-cache", plan_cache_tests);
   ]

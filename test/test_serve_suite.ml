@@ -214,6 +214,25 @@ let session_tests =
         checkb "widths tracked" true
           (List.mem 2 (Session.widths_prepared sa));
         checkb "engine known" true (Session.engine sa ~width:2 <> ""));
+    Alcotest.test_case "a session keeps width_limit widths, evicting the \
+                        least recently used" `Quick (fun () ->
+        let sv = Servable.selective_scan ~seq_len:4 ~hidden:4 in
+        let s = Session.create ~tenant:"limit" sv in
+        let limit = Session.width_limit in
+        for w = 1 to limit do
+          ignore (Session.prepared s ~width:w)
+        done;
+        ignore (Session.prepared s ~width:1);
+        ignore (Session.prepared s ~width:(limit + 1));
+        let widths = Session.widths_prepared s in
+        checkb "the touched width stays" true (List.mem 1 widths);
+        checkb "the least recently used goes" false (List.mem 2 widths);
+        checkb "the newest is in" true (List.mem (limit + 1) widths);
+        let st = Session.cache_stats s in
+        checki "hits" 1 st.Bounded_cache.hits;
+        checki "misses" (limit + 1) st.Bounded_cache.misses;
+        checki "evictions" 1 st.Bounded_cache.evictions;
+        checki "entries" limit st.Bounded_cache.entries);
   ]
 
 (* ----------------- the correctness keystone ----------------------- *)

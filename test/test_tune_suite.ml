@@ -318,6 +318,33 @@ let db_truncated_and_version_skew () =
       | Some r -> checkb "recovered" true (r.Tune_db.tr_cost = 3.0)
       | None -> Alcotest.fail "store did not recover a corrupt entry")
 
+(* The in-memory table keeps Tune_db.limit records, the least recently
+   used going first; memory only, so no disk entry answers a miss. *)
+let db_at_limit () =
+  Unix.putenv Tune_db.env_var "";
+  Tune_db.clear_memory ();
+  let device = Tune_db.device_digest Device.a100 in
+  let key i = Printf.sprintf "limit-%d" i in
+  let store i =
+    Tune_db.store { (sample_record ~cost:1.0) with Tune_db.tr_key = key i }
+  in
+  let found i = Tune_db.lookup ~key:(key i) ~device <> None in
+  for i = 0 to Tune_db.limit - 1 do
+    store i
+  done;
+  checkb "hit" true (found 0);
+  store Tune_db.limit;
+  checkb "the least recently used goes" false (found 1);
+  checkb "the touched record stays" true (found 0);
+  checkb "the newest is in" true (found Tune_db.limit);
+  let s = Tune_db.stats () in
+  checki "hits" 3 s.Tune_db.hits;
+  checki "misses" 1 s.Tune_db.misses;
+  checki "disk hits" 0 s.Tune_db.disk_hits;
+  checki "stores" (Tune_db.limit + 1) s.Tune_db.stores;
+  checki "evictions" 1 s.Tune_db.evictions;
+  Tune_db.clear_memory ()
+
 (* ---------------------------------------------------------------- *)
 (* Pipeline plumbing: tile configs key the cache; defaults unchanged. *)
 
@@ -366,6 +393,8 @@ let suites =
           db_corruption_is_miss;
         Alcotest.test_case "db truncation / version skew read as miss" `Quick
           db_truncated_and_version_skew;
+        Alcotest.test_case "db keeps Tune_db.limit records, evicting the \
+                            least recently used" `Quick db_at_limit;
         Alcotest.test_case "tile configs key the plan cache" `Quick tile_keys;
       ] );
   ]
