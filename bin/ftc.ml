@@ -986,10 +986,6 @@ let serve_cmd =
        prepared step programs, exactly as they do to [ftc run] *)
     Tune_db.install ();
     let opts = { Run_opts.default with Run_opts.domains } in
-    let resolve f =
-      if Sys.file_exists f then Serve.servable_of_file f
-      else Serve.servable_of_name f
-    in
     if bench then begin
       let cfg =
         {
@@ -1059,11 +1055,14 @@ let serve_cmd =
       let bad_total = ref 0 in
       List.iter
         (fun f ->
-          match resolve f with
+          match
+            Result.bind (Serve.program_of f) (fun p ->
+                Result.map (fun sv -> (p, sv)) (Servable.of_program p))
+          with
           | Error e ->
               Format.eprintf "serve: %s@." e;
               exit 1
-          | Ok sv ->
+          | Ok (p, sv) ->
               let pl =
                 Loadgen.plan ~seed ~n:requests ~rate
                   ~len_lo:(max 1 (sv.Servable.sv_seq_len / 2))
@@ -1077,13 +1076,16 @@ let serve_cmd =
               let rs_solo = Loadgen.requests sv ~seed pl in
               let s = Serve.solo ~opts sv rs_solo in
               let bad = Serve.mismatches o.oc_completed s.oc_completed in
-              bad_total := !bad_total + bad;
+              let bad_ref = Serve.reference_mismatches p o.oc_completed in
+              bad_total := !bad_total + bad + bad_ref;
               Format.printf "workload %s (engine %s)@." sv.Servable.sv_name
                 o.Serve.oc_engine;
               Format.printf "%a@." Metrics.pp o.Serve.oc_metrics;
               Format.printf "batched %s solo service (%d request(s))@."
                 (if bad = 0 then "bitwise-matches" else "DIFFERS from")
-                (List.length o.Serve.oc_completed))
+                (List.length o.Serve.oc_completed);
+              Format.printf "responses %s the reference interpreter@."
+                (if bad_ref = 0 then "bitwise-match" else "DIFFER from"))
         files;
       if !bad_total > 0 then exit 1
     end

@@ -73,6 +73,8 @@ let check ctx ~expect_compiled (p : Expr.program) inputs =
       let verdict =
         match r.Oracles.r_outcome with
         | Oracles.Failed m -> V_fail m
+        | Oracles.Held -> V_pass
+        | Oracles.Skipped _ -> V_unsupported
         | Oracles.Unsupported m ->
             if expect_compiled then V_fail ("fragment regression: " ^ m)
             else V_unsupported

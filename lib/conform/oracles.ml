@@ -1,6 +1,8 @@
 type outcome =
   | Value of Fractal.t
+  | Held
   | Unsupported of string
+  | Skipped of string
   | Failed of string
 
 type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
@@ -8,7 +10,7 @@ type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 let all_oracles =
   [ "interp"; "compiled-seq"; "shadow"; "tuned"; "cache-rt"; "compiled";
     "compiled2"; "compiled4"; "compiled-noarena"; "fused"; "compiled-nofuse";
-    "sharded2"; "sharded4" ]
+    "sharded2"; "sharded4"; "serve" ]
 
 (* ---------------------------------------------------------------- *)
 (* Context: private cache/tune directories                           *)
@@ -210,11 +212,36 @@ let cache_rt_oracle (p : Expr.program) g inputs =
       Failed "plan changed across a disk-cache round trip"
     else compiled_oracle ~order:Vm.Sequential p g inputs
 
+(* Serving: when a step program derives from the program, serve its
+   batch rows as requests joining on a seeded schedule, batched (up to
+   4 wide) and solo, and demand both bitwise equal to each other and to
+   the interpreter's response.  Underivable programs are skipped. *)
+let serve_oracle (p : Expr.program) inputs =
+  match Servable.of_program p with
+  | Error m -> Skipped m
+  | Ok sv ->
+      let rng = Rng.create 2024 and rows = Servable.rows p inputs in
+      let arrivals = Array.map (fun _ -> Rng.int rng (Array.length rows + 1)) rows in
+      Array.sort compare arrivals;
+      let requests () =
+        Array.mapi
+          (fun id tokens ->
+            Request.make ~id ~arrival:arrivals.(id) ~state0:(fst sv.Servable.sv_pad) ~tokens ())
+          rows
+      in
+      let batched = (Serve.run_requests ~max_batch:4 sv (requests ())).Serve.oc_completed in
+      let solo = (Serve.solo sv (requests ())).Serve.oc_completed in
+      if Serve.mismatches batched solo > 0 then Failed "batched service differs from solo"
+      else if Serve.reference_mismatches p batched > 0 then
+        Failed "served responses differ from the interpreter"
+      else Held
+
 let run_one (p : Expr.program) inputs graph name =
   match name with
   | "interp" -> (
       try Value (Interp.run_program p inputs)
       with e -> Failed (Printexc.to_string e))
+  | "serve" -> ( try serve_oracle p inputs with e -> Failed (Printexc.to_string e))
   | _ -> (
       match graph with
       | `Unsupported msg -> Unsupported msg

@@ -57,9 +57,15 @@
                      simulated devices: auto-partitioned shards on real
                      OCaml domains, one compiled executable per device,
                      pull-based transfers — the whole halo-exchange
-                     machinery must not change a single bit.
+                     machinery must not change a single bit;
+    - ["serve"]    — when [Servable.of_program] derives a step program,
+                     the batch rows served as requests on a seeded join
+                     schedule, batched and solo: both must match each
+                     other and the interpreter's response bit for bit.
+                     It checks itself ({!Held}); an underivable program
+                     is {!Skipped}.
 
-    Every oracle but ["interp"] returns the {e raw} engine output,
+    Every oracle but ["interp"] and ["serve"] returns the {e raw} engine output,
     which materialises fold/reduce accumulator history; {!project}
     maps it down to the interpreter's view.  The driver compares them
     raw against ["compiled-seq"] (invariance) and projected
@@ -67,10 +73,14 @@
 
 type outcome =
   | Value of Fractal.t  (** raw output of this back end *)
+  | Held  (** the oracle's own bitwise check held (["serve"]) *)
   | Unsupported of string
       (** the program is outside the compiled fragment
           ([Build.Unsupported]) — fine for interpreter-only programs,
           a regression otherwise *)
+  | Skipped of string
+      (** the program is outside what this oracle covers (["serve"]:
+          no step program derives) — never a regression *)
   | Failed of string  (** any other exception, or a transparency
                           violation (plan mismatch after a cache round
                           trip, tuned config not resolved) *)

@@ -32,7 +32,6 @@ val evict : t -> int -> Request.t option
 val slots : t -> Request.t option array
 (** The live slot array (not a copy). *)
 
-val active : t -> Request.t list
 (** Occupants in slot order. *)
 
 val compact : t -> unit

@@ -20,12 +20,7 @@ type t = {
   nonempty : Condition.t;
   q : Request.t Queue.t;
   mutable closed : bool;
-  mutable submitted : int;
-  mutable accepted : int;
-  mutable rejected : int;
 }
-
-type stats = { st_submitted : int; st_accepted : int; st_rejected : int }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Broker.create: capacity must be >= 1";
@@ -36,12 +31,7 @@ let create ~capacity =
     nonempty = Condition.create ();
     q = Queue.create ();
     closed = false;
-    submitted = 0;
-    accepted = 0;
-    rejected = 0;
   }
-
-let capacity b = b.cap
 
 let with_lock b f =
   Mutex.lock b.m;
@@ -50,15 +40,12 @@ let with_lock b f =
 let accept_locked b r =
   r.Request.rq_submit_s <- Unix.gettimeofday ();
   Queue.push r b.q;
-  b.accepted <- b.accepted + 1;
   Condition.signal b.nonempty
 
 (* Non-blocking admission: reject when full or closed. *)
 let try_submit b r =
   with_lock b (fun () ->
-      b.submitted <- b.submitted + 1;
       if b.closed || Queue.length b.q >= b.cap then begin
-        b.rejected <- b.rejected + 1;
         r.Request.rq_status <- Request.Rejected;
         false
       end
@@ -71,12 +58,10 @@ let try_submit b r =
    Returns [false] only if the broker closed while waiting. *)
 let submit b r =
   with_lock b (fun () ->
-      b.submitted <- b.submitted + 1;
       while (not b.closed) && Queue.length b.q >= b.cap do
         Condition.wait b.nonfull b.m
       done;
       if b.closed then begin
-        b.rejected <- b.rejected + 1;
         r.Request.rq_status <- Request.Rejected;
         false
       end
@@ -111,14 +96,4 @@ let close b =
       Condition.broadcast b.nonfull;
       Condition.broadcast b.nonempty)
 
-let closed b = with_lock b (fun () -> b.closed)
-
 let drained b = with_lock b (fun () -> b.closed && Queue.is_empty b.q)
-
-let stats b =
-  with_lock b (fun () ->
-      {
-        st_submitted = b.submitted;
-        st_accepted = b.accepted;
-        st_rejected = b.rejected;
-      })

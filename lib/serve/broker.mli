@@ -9,12 +9,8 @@
 
 type t
 
-type stats = { st_submitted : int; st_accepted : int; st_rejected : int }
-
 val create : capacity:int -> t
 (** @raise Invalid_argument when [capacity < 1]. *)
-
-val capacity : t -> int
 
 val try_submit : t -> Request.t -> bool
 (** Non-blocking; [false] marks the request [Rejected] (queue full or
@@ -32,8 +28,5 @@ val pending : t -> int
 val close : t -> unit
 (** Idempotent; wakes all blocked producers. *)
 
-val closed : t -> bool
 val drained : t -> bool
 (** Closed and empty — the scheduler's termination test. *)
-
-val stats : t -> stats

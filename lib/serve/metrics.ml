@@ -80,7 +80,6 @@ let occupancy_histogram m =
   |> List.sort compare
 
 let completed m = m.completed
-let rejected m = m.rejected
 let ticks m = m.ticks
 let tokens m = m.tokens
 let exec_ms m = m.exec_ms

@@ -23,18 +23,12 @@ val percentile : t -> float -> float
 (** Nearest-rank percentile of completed-request latency in ms; [nan]
     with no completions. *)
 
-val throughput_rps : t -> float
 val tokens_per_s : t -> float
 val mean_occupancy : t -> float
-val occupancy_histogram : t -> (int * int) list
-(** [(active rows, ticks at that occupancy)], ascending. *)
-
 val completed : t -> int
-val rejected : t -> int
 val ticks : t -> int
 val tokens : t -> int
 val exec_ms : t -> float
-val wall_s : t -> float
 
 val jsonv : t -> Jsonw.t
 val pp : Format.formatter -> t -> unit

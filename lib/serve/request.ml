@@ -1,6 +1,6 @@
 (* One inference request: a sequence of per-tick input tokens plus the
    carried state the servable threads between ticks.  The scheduler
-   mutates position/state/emissions as the request advances through the
+   mutates position and state as the request advances through the
    shared batch; everything needed to re-serve the request from scratch
    (initial state, token array) is immutable, so a request can be reset
    and replayed — the differential tests re-run the same request solo
@@ -20,7 +20,6 @@ type t = {
   mutable rq_status : status;
   mutable rq_pos : int; (* tokens consumed so far *)
   mutable rq_state : Fractal.t;
-  mutable rq_emits : Fractal.t list; (* newest first *)
   mutable rq_response : Fractal.t option;
   mutable rq_submit_s : float;
   mutable rq_done_s : float;
@@ -41,7 +40,6 @@ let make ~id ?(tenant = "default") ?(arrival = 0) ~state0 ~tokens () =
     rq_status = Queued;
     rq_pos = 0;
     rq_state = state0;
-    rq_emits = [];
     rq_response = None;
     rq_submit_s = 0.;
     rq_done_s = 0.;
@@ -56,7 +54,6 @@ let reset r =
   r.rq_status <- Queued;
   r.rq_pos <- 0;
   r.rq_state <- r.rq_state0;
-  r.rq_emits <- [];
   r.rq_response <- None;
   r.rq_submit_s <- 0.;
   r.rq_done_s <- 0.;
@@ -66,15 +63,7 @@ let reset r =
 let finished r = r.rq_pos >= r.rq_len
 let next_token r = r.rq_tokens.(r.rq_pos)
 
-let emissions r = List.rev r.rq_emits
-
 let latency_ms r =
   if r.rq_status = Done && r.rq_done_s >= r.rq_submit_s then
     (r.rq_done_s -. r.rq_submit_s) *. 1e3
   else Float.nan
-
-let status_name = function
-  | Queued -> "queued"
-  | Running -> "running"
-  | Done -> "done"
-  | Rejected -> "rejected"

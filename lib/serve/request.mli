@@ -19,7 +19,6 @@ type t = {
   mutable rq_status : status;
   mutable rq_pos : int;  (** tokens consumed so far *)
   mutable rq_state : Fractal.t;
-  mutable rq_emits : Fractal.t list;  (** newest first *)
   mutable rq_response : Fractal.t option;
   mutable rq_submit_s : float;
   mutable rq_done_s : float;
@@ -43,8 +42,5 @@ val reset : t -> unit
 
 val finished : t -> bool
 val next_token : t -> Fractal.t
-val emissions : t -> Fractal.t list
 val latency_ms : t -> float
 (** Submit-to-done wall latency; [nan] until the request completes. *)
-
-val status_name : status -> string

@@ -40,7 +40,6 @@ let create ?(tick_ms = 0.) ?(compact = true) ?(max_ticks = 0) ~session ~broker
   }
 
 let now t = Atomic.get t.sch_tick
-let batch t = t.sch_batch
 
 let admit t =
   let tick = now t in

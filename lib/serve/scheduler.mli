@@ -27,8 +27,6 @@ val create :
 val now : t -> int
 (** The current virtual tick (readable from any domain). *)
 
-val batch : t -> Batch.t
-
 val run : ?on_complete:(Request.t -> unit) -> t -> Request.t list
 (** Serve until the broker is drained (closed and empty) and every
     admitted request has completed; returns completions in completion

@@ -1,77 +1,35 @@
-(* A servable workload: a whole-sequence program recast as a *step*
-   program over a shared batch dimension.
-
-   The example programs compute full sequences in one run — useless for
-   serving, where requests arrive at different times and leave at
-   different times.  But every recurrent body here is a left fold: the
-   value after token [t] depends only on the carried state after
-   [t - 1] and the token itself.  So each workload family gets a step
-   program over batch width [W] that consumes exactly one token per
-   slot and returns each slot's new carried state; the scheduler
-   re-feeds that state next tick.  The step body is the original cell
-   body — same primitive ops on the same shapes — and every slot's
-   math is local to its own leaves (the batch [map] has no cross-slot
-   dependence), which is what makes batched execution bitwise-identical
-   to running the same request alone at width 1.
-
-   One step program exists per (family, width); widths are bucketed by
-   the scheduler so the set stays small and the executor's prepared
-   cache stays hot. *)
+(* A servable: a whole-sequence program recast as a step program over a
+   shared batch dimension.  A left scan or fold is a (state, token) ->
+   state step; [derive] peels it off the program (servable.mli states
+   the accepted shapes) and lifts it over width [W].  [row_check] admits
+   only cells whose output row [i] depends on input row [i] alone, so a
+   batched run is bitwise the solo run of every slot and pad rows never
+   perturb live ones. *)
 
 let shape l = Shape.of_array (Array.of_list l)
 
 type t = {
   sv_name : string;
-  sv_seq_len : int;  (** default tokens per request, from the program *)
+  sv_seq_len : int;
   sv_shared : (string * Fractal.t) list;
-      (** weight inputs, identical for every request and width *)
   sv_new_request : Rng.t -> len:int -> Fractal.t * Fractal.t array;
-      (** (initial carried state, tokens) for a fresh request *)
   sv_pad : Fractal.t * Fractal.t;
-      (** (state, token) occupying empty slots; must execute to finite
-          values so a padded run can never poison the shared batch *)
-  sv_step : int -> Expr.program;  (** the step program at a width *)
+  sv_step : int -> Expr.program;
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
-      (** executor inputs from per-slot (state, token) rows *)
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
-      (** per-slot new state out of one executor run *)
   sv_finish : Fractal.t -> Fractal.t;
-      (** the response: a pure function of the final carried state *)
 }
 
-(* The executor returns one buffer per tuple component ([prog.0],
-   [prog.1], ...) or a single buffer named after the program. *)
-let single_out = function
-  | [ (_, v) ] -> v
-  | outs ->
-      failwith
-        (Printf.sprintf "Servable: expected one output buffer, got %d"
-           (List.length outs))
-
-let out_component outs name ix =
-  let key = Printf.sprintf "%s.%d" name ix in
-  match List.assoc_opt key outs with
-  | Some v -> v
-  | None -> failwith ("Servable: missing output component " ^ key)
-
-(* ------------------- row-batched mux/demux ------------------------ *)
-
-(* Workloads whose cell math is row-independent — elementwise ops, and
-   matmuls whose left-operand rows don't interact — can carry the
-   whole batch as ONE [width, cols] tensor: the compiled plan then
-   runs one cell per tick instead of one per slot, so per-cell
-   dispatch amortizes over the batch and a [W,H] @ [H,H] GEMM replaces
-   [W] row-vector matmuls.  [pack_rows] gathers one [1,cols] leaf per
-   slot into row [i]; [slice_row] cuts a row back out.  Both are raw
+(* [pack_rows] gathers one [1,cols] leaf per slot into row [i] of a
+   [width, cols] tensor; [slice_row] cuts a row back out.  Both are raw
    blits on the underlying bigarray buffers. *)
 let pack_rows ~width ~cols pick rows =
   let dst = Tensor.uninit (shape [ width; cols ]) in
   let db = Tensor.buffer dst in
   Array.iteri
     (fun i r ->
-      Bigarray.Array1.blit
-        (Tensor.buffer (Fractal.as_leaf (pick r)))
+      Bigarray.Array1.blit (Tensor.buffer (pick r))
         (Bigarray.Array1.sub db (i * cols) cols))
     rows;
   Fractal.Leaf dst
@@ -83,489 +41,528 @@ let slice_row ~cols t i =
     (Tensor.buffer dst);
   dst
 
-(* ------------------------- stacked RNN ---------------------------- *)
+(* A state or a token is one leaf, or a flat tuple of leaves. *)
+let part ~tuple v k = Fractal.as_leaf (if tuple then Fractal.get v k else v)
 
-(* Original (Listing 1): s_{d,t} = s_{d-1,t} @ w_d + s_{d,t-1}, layer 0
-   reading the raw token.  Carried state per request: the [depth]
-   previous-time outputs, one per layer.
+let assemble ~tuple n leaf =
+  if tuple then Fractal.Node (Array.init n (fun k -> Fractal.Leaf (leaf k)))
+  else Fractal.Leaf (leaf 0)
 
-   Row-batched: all slots' below-layer values ride as ONE [width,
-   hidden] tensor, so each layer is a single [W,H] @ [H,H] GEMM + add
-   instead of [W] row-vector matmuls.  Each output row depends only on
-   the matching input row (matmul rows don't interact and the k-loop
-   accumulation order per output element is width-independent), so the
-   batched result is bitwise identical to width-1 — checked by the
-   differential suite, not assumed. *)
-let rnn_step ~depth ~hidden width =
-  let rows = shape [ width; hidden ] in
-  let weight = shape [ hidden; hidden ] in
+(* ------------------------- the derivation ------------------------- *)
+
+exception Reject of string
+
+let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
+let show e = Format.asprintf "%a" Expr.pp e
+let comps = function Expr.Zip es -> es | e -> [ e ]
+
+let row_cols what = function
+  | Expr.Tensor_ty s when Shape.rank s = 2 && Shape.dim s 0 = 1 -> Shape.dim s 1
+  | ty ->
+      reject "%s is %s; widening needs per-request [1,C] leaves" what
+        (Expr.ty_to_string ty)
+
+let rec names_in (e : Expr.t) acc =
+  match e with
+  | Var v -> v :: acc
+  | Lit _ -> acc
+  | Tuple es | Zip es | Prim (_, es) -> List.fold_right names_in es acc
+  | Proj (e, _) | Access (_, e) | Index (e, _) -> names_in e acc
+  | Let (x, e1, e2) -> x :: names_in e1 (names_in e2 acc)
+  | Soac { fn; init; xs; _ } ->
+      let acc = Option.fold ~none:acc ~some:(fun i -> names_in i acc) init in
+      fn.params @ names_in fn.body (names_in xs acc)
+
+let proj (e : Expr.t) k =
+  match e with Tuple es -> List.nth es k | e -> Proj (e, k)
+
+(* Capture-free: the substituted names are fresh for the program, and a
+   cell that passed [row_check] binds nothing but [let]. *)
+let rec subst m (e : Expr.t) : Expr.t =
+  match e with
+  | Var v -> Option.value (List.assoc_opt v m) ~default:e
+  | Lit _ | Soac _ | Access _ | Zip _ -> e
+  | Tuple es -> Tuple (List.map (subst m) es)
+  | Prim (p, es) -> Prim (p, List.map (subst m) es)
+  | Proj (e1, k) -> proj (subst m e1) k
+  | Index (e1, is) -> Index (subst m e1, is)
+  | Let (x, e1, e2) -> Let (x, subst m e1, subst (List.remove_assoc x m) e2)
+
+(* Does a value depend on the request?  Per component of a tuple. *)
+type cls = Shared | Row | Tup of cls list
+
+let rec row_cls : Expr.ty -> cls = function
+  | Tuple_ty ts -> Tup (List.map row_cls ts)
+  | _ -> Row
+
+(* The row-independence check: every per-request value is one [1,C] row
+   per request, and each operation on one computes output row [i] from
+   input row [i] alone, with shared operands that do not change with the
+   width: elementwise ops (a shared operand has the row's own shape or
+   is a scalar, so it broadcasts by row), [Matmul] / [Matmul_t] with a
+   shared right-hand side, and the row-wise [Row_*], [Softmax], [Cols]
+   and [Concat_cols]. *)
+let rec row_check tenv cenv (e : Expr.t) : cls =
+  let check = row_check tenv cenv in
+  match e with
+  | Var v -> (
+      match List.assoc_opt v cenv with
+      | Some c -> c
+      | None -> reject "the cell reads %s, which carries requests" v)
+  | Lit _ -> Shared
+  | Tuple es -> Tup (List.map check es)
+  | Proj (e1, k) -> ( match check e1 with Tup cs -> List.nth cs k | c -> c)
+  | Let (x, e1, e2) ->
+      row_check ((x, Typecheck.infer tenv e1) :: tenv) ((x, check e1) :: cenv) e2
+  | Index (e1, _) when check e1 = Shared -> Shared
+  | Index _ -> reject "the cell indexes a per-request value"
+  | Prim (p, args) -> (
+      let cs = List.map check args in
+      let ty e = Typecheck.infer tenv e in
+      let elementwise = List.mem p [ Add; Sub; Mul; Div; Maximum ] in
+      match (p, cs, args) with
+      | _ when List.for_all (( = ) Shared) cs -> Shared
+      | _, [ Row; Row ], _ when elementwise -> Row
+      | _, [ Row; Shared ], [ r; s ] | _, [ Shared; Row ], [ s; r ]
+        when elementwise && (ty s = ty r || ty s = Tensor_ty (Shape.of_array [||])) ->
+          Row
+      | ( ( Tanh | Sigmoid | Exp | Neg | Relu | Scale _ | Softmax | Row_max
+          | Row_sum | Cols _ ),
+          [ Row ],
+          _ )
+      | (Matmul | Matmul_t), [ Row; Shared ], _ ->
+          ignore (row_cols (Expr.prim_name p) (ty e));
+          Row
+      | Concat_cols, cs, _ when List.for_all (( = ) Row) cs -> Row
+      | _ -> reject "%s is not row-independent on these operands" (Expr.prim_name p))
+  | Soac _ | Access _ | Zip _ ->
+      reject "the cell holds a sequence operation; only tensor math widens row by row"
+
+(* Shared inputs follow one fixed-seed rule: a single stream, each leaf
+   uniform in [-1,1] scaled by 0.5 over its row count. *)
+let shared_values shared =
+  let rng = Rng.create 20240901 in
+  let rec value : Expr.ty -> Fractal.t = function
+    | Tensor_ty s ->
+        let rows = if Shape.rank s = 0 then 1 else Shape.dim s 0 in
+        Leaf (Tensor.scale (0.5 /. float_of_int rows) (Tensor.rand rng s))
+    | List_ty (n, t) -> Fractal.tabulate n (fun _ -> value t)
+    | Tuple_ty ts -> Node (Array.of_list (List.map value ts))
+  in
+  List.map (fun (v, ty) -> (v, value ty)) shared
+
+(* The first batch row of [p]'s output under the reference interpreter.
+   The interpreter takes every extent from the input values, so this is
+   [p] declared at the extents of [inputs]. *)
+let source_row p inputs = Fractal.get (Interp.run_program p inputs) 0
+
+(* A recognized program: its servable, the reference response to a
+   request's tokens, and the tokens of its batch rows. *)
+type derived = {
+  sv : t;
+  reference : Fractal.t array -> Fractal.t;
+  rows : (string * Fractal.t) list -> Fractal.t array array;
+}
+
+let step_name (p : Expr.program) width = Printf.sprintf "%s.step%d" p.name width
+
+let derive (p : Expr.program) =
   let open Expr in
-  {
-    name = Printf.sprintf "stacked_rnn.step%d" width;
-    inputs =
-      [
-        ("xs", Tensor_ty rows);
-        ("ss", List_ty (depth, Tensor_ty rows));
-        ("ws", List_ty (depth, Tensor_ty weight));
-      ];
-    body =
-      scanl_e ~init:(Var "xs")
-        ~params:[ "below"; "w"; "s" ]
-        ~body:(Add @@@ [ Matmul @@@ [ Var "below"; Var "w" ]; Var "s" ])
-        (Zip [ Var "ws"; Var "ss" ]);
-  }
-
-let stacked_rnn ~depth ~seq_len ~hidden =
-  let token = shape [ 1; hidden ] in
-  let weight = shape [ hidden; hidden ] in
-  let wrng = Rng.create 20240901 in
-  let wscale = 0.5 /. float_of_int hidden in
-  let ws =
-    Fractal.tabulate depth (fun _ ->
-        Fractal.Leaf (Tensor.scale wscale (Tensor.rand wrng weight)))
+  let x, params, agg =
+    match p.body with
+    | Soac { kind = Map; xs; fn; _ } -> (xs, fn.params, fn.body)
+    | _ -> reject "the body is not a map over requests, X.map { |..| AGG }"
   in
-  let zero_state =
-    Fractal.tabulate depth (fun _ -> Fractal.Leaf (Tensor.zeros token))
+  let rows =
+    List.map
+      (function
+        | Var v when List.mem_assoc v p.inputs -> v
+        | e -> reject "the request map runs over %s, not inputs" (show e))
+      (comps x)
   in
-  {
-    sv_name = "stacked_rnn";
-    sv_seq_len = seq_len;
-    sv_shared = [ ("ws", ws) ];
-    sv_new_request =
-      (fun rng ~len ->
-        ( zero_state,
-          Array.init len (fun _ -> Fractal.Leaf (Tensor.rand rng token)) ));
-    sv_pad = (zero_state, Fractal.Leaf (Tensor.zeros token));
-    sv_step = rnn_step ~depth ~hidden;
-    sv_env =
-      (fun ~width rows ->
-        assert (Array.length rows = width);
-        [
-          ("xs", pack_rows ~width ~cols:hidden snd rows);
-          ( "ss",
-            Fractal.tabulate depth (fun d ->
-                pack_rows ~width ~cols:hidden
-                  (fun (st, _) -> Fractal.get st d)
-                  rows) );
-          ("ws", ws);
-        ]);
-    sv_demux =
-      (fun ~width outs ->
-        let layers =
-          Array.map Fractal.as_leaf (Fractal.children (single_out outs))
+  if List.length rows <> List.length params then
+    reject "the request map must bind one parameter per input it zips";
+  let scan_kind = function
+    | Scanl -> true
+    | Foldl -> false
+    | k -> reject "AGG is a %s, not a left scan or fold" (soac_kind_name k)
+  in
+  (* S2 first: its inner scan runs over the outer state, and [D] reads
+     no map parameter *)
+  let layered, scan, seq, seed, st, tps, cell =
+    match agg with
+    | Soac
+        { kind; init = Some seq; xs = d;
+          fn = { params = ss :: dps;
+                 body = Soac { kind = Scanl; init = Some seed; xs = Var ss';
+                               fn = { params = st :: tps; body } } } }
+      when ss = ss' && not (List.exists (fun v -> List.mem v params) (free_vars d)) ->
+        (Some (d, dps), scan_kind kind, seq, seed, st, tps, body)
+    | Soac { kind; init = Some seed; xs; fn = { params = st :: tps; body } } ->
+        (None, scan_kind kind, xs, seed, st, tps, body)
+    | Soac { kind; _ } -> reject "AGG is a %s, not a seeded left scan or fold" (soac_kind_name kind)
+    | e -> reject "AGG is %s, not a seeded left scan or fold" (show e)
+  in
+  (* token data: one component per distinct variable the sequence zips;
+     a map parameter is the request's own stream, and an input is owned
+     by each request when served *)
+  let is_stream v = List.mem v params || (List.mem_assoc v p.inputs && not (List.mem v rows)) in
+  let seq_vars =
+    List.map
+      (function
+        | Var v when is_stream v -> v
+        | e -> reject "the sequence reads %s; it must zip map parameters and inputs" (show e))
+      (comps seq)
+  in
+  let sources =
+    List.fold_left (fun acc v -> if List.mem v acc then acc else acc @ [ v ]) [] seq_vars
+  in
+  List.iter
+    (fun v -> if not (List.mem v sources) then reject "map parameter %s is not in the sequence" v)
+    params;
+  let param v = List.find_index (String.equal v) params in
+  let index v = Option.get (List.find_index (String.equal v) sources) in
+  let elem what = function List_ty (n, t) -> (n, t) | _ -> reject "%s is not a list" what in
+  let env =
+    List.map2 (fun v r -> (v, snd (elem r (List.assoc r p.inputs)))) params rows @ p.inputs
+  in
+  let seq_len, elem_ty = elem "the sequence" (Typecheck.infer env seq) in
+  let tok_cols =
+    Array.of_list
+      (List.map (fun v -> row_cols ("token " ^ v) (snd (elem v (List.assoc v env)))) sources)
+  in
+  let tok_tuple = Array.length tok_cols > 1 in
+  let shared = List.filter (fun (v, _) -> not (List.mem v rows || List.mem v sources)) p.inputs in
+  let shared_only what e =
+    List.iter
+      (fun v ->
+        if not (List.mem_assoc v shared) then
+          reject "the %s reads %s, which carries requests" what v)
+      (free_vars e)
+  in
+  shared_only "seed" seed;
+  let st_ty = Typecheck.infer shared seed in
+  let st_tuple, st_cols =
+    match st_ty with
+    | Tuple_ty ts -> (true, Array.of_list (List.map (row_cols "a state part") ts))
+    | t -> (false, [| row_cols "the state" t |])
+  in
+  (* step names, fresh for everything the program binds *)
+  let used = List.map fst p.inputs @ names_in p.body [] in
+  let rec fresh b = if List.mem b used then fresh (b ^ "'") else b in
+  let names base cols = Array.mapi (fun k _ -> fresh (Printf.sprintf "%s%d" base k)) cols in
+  let tok_in = names "tok" tok_cols and t_par = names "t" tok_cols in
+  let st_in = names "st" st_cols and s_par = names "s" st_cols in
+  let below = fresh "below" in
+  let vars names = List.map (fun v -> Var v) (Array.to_list names) in
+  let elem_of names =
+    match seq with
+    | Zip _ -> Tuple (List.map (fun v -> Var names.(index v)) seq_vars)
+    | _ -> Var names.(0)
+  in
+  (* the cell's token parameters: one binds the whole element, k
+     destructure it *)
+  let tok_binds =
+    let e = if layered = None then elem_of t_par else Var below in
+    match (tps, elem_ty) with
+    | [], _ -> []
+    | [ tp ], ty -> [ (tp, e, ty) ]
+    | tps, Tuple_ty ts when List.length ts = List.length tps ->
+        List.mapi (fun k tp -> (tp, proj e k, List.nth ts k)) tps
+    | _ -> reject "the cell's token parameters do not match the sequence"
+  in
+  let layers, d_binds, d_comps =
+    match layered with
+    | None -> (1, [], [])
+    | Some (d, dps) ->
+        shared_only "layer sequence" d;
+        if List.length dps <> List.length (comps d) then
+          reject "the layer parameters must bind each component of %s" (show d);
+        let ls = List.map (fun c -> elem (show c) (Typecheck.infer shared c)) (comps d) in
+        (fst (List.hd ls), List.combine dps (List.map snd ls), comps d)
+  in
+  let tenv = ((st, st_ty) :: List.map (fun (v, _, ty) -> (v, ty)) tok_binds) @ d_binds @ shared in
+  let cenv =
+    ((st, row_cls st_ty) :: List.map (fun (v, _, ty) -> (v, row_cls ty)) tok_binds)
+    @ List.map (fun (v, _) -> (v, Shared)) (d_binds @ shared)
+  in
+  if row_check tenv cenv cell <> row_cls st_ty then
+    reject "the cell's new state does not depend on the request in every component";
+  let state = if st_tuple then Tuple (vars s_par) else Var s_par.(0) in
+  let body = subst ((st, state) :: List.map (fun (v, e, _) -> (v, e)) tok_binds) cell in
+  let step_shared =
+    let fv = free_vars body @ List.concat_map free_vars d_comps in
+    List.filter (fun (v, _) -> List.mem v fv) shared
+  in
+  let step width =
+    let ins names cols wrap =
+      Array.to_list
+        (Array.mapi (fun k v -> (v, wrap (Tensor_ty (shape [ width; cols.(k) ])))) names)
+    in
+    let over n ty = List_ty (n, ty) in
+    let inputs, body =
+      match layered with
+      | None ->
+          (* the builder wants a collection operator, so the batch block
+             rides as a one-element map *)
+          ( ins st_in st_cols (over 1) @ ins tok_in tok_cols (over 1),
+            map_e ~params:(Array.to_list (Array.append s_par t_par)) ~body
+              (Zip (vars st_in @ vars tok_in)) )
+      | Some _ ->
+          ( ins tok_in tok_cols Fun.id @ ins st_in st_cols (over layers),
+            scanl_e ~init:(elem_of tok_in)
+              ~params:((below :: List.map fst d_binds) @ Array.to_list s_par)
+              ~body (Zip (d_comps @ vars st_in)) )
+    in
+    { name = step_name p width; inputs = inputs @ step_shared; body }
+  in
+  (match Build.build (step 2) with
+  | _ -> ()
+  | exception (Build.Unsupported m | Typecheck.Type_error m) ->
+      reject "the derived step program does not compile: %s" m);
+  (* Generated values.  An S2 request carries one state per layer; the
+     leaf pickers of mux and demux are fixed here, so a tick does only
+     the row blits. *)
+  let shared_v = shared_values shared in
+  let seed = Interp.eval shared_v seed in
+  let stacked = Option.is_some layered in
+  let state0 = if stacked then Fractal.tabulate layers (fun _ -> seed) else seed in
+  let tok_shapes = Array.map (fun c -> shape [ 1; c ]) tok_cols in
+  let token gen =
+    assemble ~tuple:tok_tuple (Array.length tok_shapes) (fun k -> gen tok_shapes.(k))
+  in
+  let step_env = List.filter (fun (v, _) -> List.mem_assoc v step_shared) shared_v in
+  let toks =
+    Array.mapi (fun j x -> (x, tok_cols.(j), fun (_, tok) -> part ~tuple:tok_tuple tok j)) tok_in
+  in
+  let states =
+    Array.mapi
+      (fun k x ->
+        let pick d =
+          if stacked then fun (st, _) -> part ~tuple:st_tuple (Fractal.get st d) k
+          else fun (st, _) -> part ~tuple:st_tuple st k
         in
-        Array.init width (fun i ->
-            Fractal.Node
-              (Array.map
-                 (fun t -> Fractal.Leaf (slice_row ~cols:hidden t i))
-                 layers)));
-    sv_finish = (fun st -> Fractal.get st (depth - 1));
-  }
-
-(* ------------------------- stacked LSTM --------------------------- *)
-
-(* Original (Listing 2) cell, verbatim ops; carried state per request
-   is the per-layer (c, h) at the previous time step, kept as a
-   two-node fractal [crow; hrow] so the executor sees plain leaf
-   inputs (tuple-typed inputs are outside the compiled fragment).
-
-   Row-batched like the RNN: each layer's gates become four
-   [W,H] @ [H,H] GEMMs over the stacked batch, the [1,H] biases
-   row-broadcast (each row sees exactly the width-1 add), and the
-   sigmoid/tanh/mul algebra is elementwise — all row-independent, so
-   bitwise identity to solo service is preserved. *)
-let lstm_step ~depth ~hidden width =
-  let rows = shape [ width; hidden ] in
-  let weight = shape [ hidden; hidden ] in
-  let open Expr in
-  let gate k =
-    Add
-    @@@ [
-          Add
-          @@@ [
-                Matmul @@@ [ Proj (Var "below", 1); Index (Var "ws", [ k ]) ];
-                Matmul @@@ [ Var "h"; Index (Var "us", [ k ]) ];
-              ];
-          Index (Var "bs", [ k ]);
-        ]
+        (x, st_cols.(k), Array.init layers pick))
+      st_in
   in
-  let cell =
-    Let
-      ( "gi",
-        gate 0,
-        Let
-          ( "gf",
-            gate 1,
-            Let
-              ( "go",
-                gate 2,
-                Let
-                  ( "gc",
-                    gate 3,
-                    Let
-                      ( "c'",
-                        Add
-                        @@@ [
-                              Mul @@@ [ Sigmoid @@@ [ Var "gf" ]; Var "c" ];
-                              Mul
-                              @@@ [
-                                    Sigmoid @@@ [ Var "gi" ];
-                                    Tanh @@@ [ Var "gc" ];
-                                  ];
-                            ],
-                        Tuple
-                          [
-                            Var "c'";
-                            Mul
-                            @@@ [ Sigmoid @@@ [ Var "go" ]; Tanh @@@ [ Var "c'" ] ];
-                          ] ) ) ) ) )
+  let sv_env ~width rows =
+    let pack cols pick = pack_rows ~width ~cols pick rows in
+    let state (x, cols, picks) env = (x, Fractal.Node (Array.map (pack cols) picks)) :: env in
+    let token (x, cols, pick) env =
+      (x, if stacked then pack cols pick else Fractal.Node [| pack cols pick |]) :: env
+    in
+    Array.fold_right token toks (Array.fold_right state states step_env)
   in
-  {
-    name = Printf.sprintf "stacked_lstm.step%d" width;
-    inputs =
-      [
-        ("xs", Tensor_ty rows);
-        ("cs", List_ty (depth, Tensor_ty rows));
-        ("hs", List_ty (depth, Tensor_ty rows));
-        ("wss", List_ty (depth, List_ty (4, Tensor_ty weight)));
-        ("uss", List_ty (depth, List_ty (4, Tensor_ty weight)));
-        ("bss", List_ty (depth, List_ty (4, Tensor_ty (shape [ 1; hidden ]))));
-      ];
-    body =
-      scanl_e
-        ~init:(Tuple [ Lit (Tensor.zeros rows); Var "xs" ])
-        ~params:[ "below"; "ws"; "us"; "bs"; "c"; "h" ]
-        ~body:cell
-        (Zip [ Var "wss"; Var "uss"; Var "bss"; Var "cs"; Var "hs" ]);
-  }
-
-let stacked_lstm ~depth ~seq_len ~hidden =
-  let token = shape [ 1; hidden ] in
-  let weight = shape [ hidden; hidden ] in
-  let wrng = Rng.create 20240902 in
-  let wscale = 1.0 /. float_of_int hidden in
-  let gates f = Fractal.tabulate 4 (fun _ -> Fractal.Leaf (f ())) in
-  let wss =
-    Fractal.tabulate depth (fun _ ->
-        gates (fun () -> Tensor.scale wscale (Tensor.rand wrng weight)))
+  let sv_demux ~width outs =
+    (* a one-component state is the only output *)
+    let out k =
+      if st_tuple then List.assoc (Printf.sprintf "%s.%d" (step_name p width) k) outs
+      else snd (List.hd outs)
+    in
+    let outs =
+      Array.mapi (fun k _ -> Array.map Fractal.as_leaf (Fractal.children (out k))) st_cols
+    in
+    let leaf i d k = Fractal.Leaf (slice_row ~cols:st_cols.(k) outs.(k).(d) i) in
+    let state i d =
+      if st_tuple then Fractal.Node (Array.init (Array.length st_cols) (leaf i d))
+      else leaf i d 0
+    in
+    Array.init width (fun i ->
+        if stacked then Fractal.Node (Array.init layers (state i)) else state i 0)
   in
-  let uss =
-    Fractal.tabulate depth (fun _ ->
-        gates (fun () -> Tensor.scale wscale (Tensor.rand wrng weight)))
+  (* the response: the source's output at the request's last token *)
+  let last len v = Fractal.get v (len - 1) in
+  let sv =
+    {
+      sv_name = p.name;
+      sv_seq_len = seq_len;
+      sv_shared = shared_v;
+      sv_new_request =
+        (fun rng ~len ->
+          let gen = Tensor.rand rng in
+          (state0, Array.init len (fun _ -> token gen)));
+      sv_pad = (state0, token Tensor.zeros);
+      sv_step = step;
+      sv_env;
+      sv_demux;
+      sv_finish = (if stacked && not scan then last layers else Fun.id);
+    }
   in
-  let bss =
-    Fractal.tabulate depth (fun _ ->
-        gates (fun () -> Tensor.rand wrng token))
+  let reference tokens =
+    let stream v =
+      Fractal.Node (Array.map (fun t -> Fractal.Leaf (part ~tuple:tok_tuple t (index v))) tokens)
+    in
+    let value (v, _) =
+      match List.find_index (String.equal v) rows with
+      | Some j -> (v, Fractal.Node [| stream (List.nth params j) |])
+      | None when List.mem v sources -> (v, stream v)
+      | None -> (v, List.assoc v shared_v)
+    in
+    let row = source_row p (List.map value p.inputs) and last = last (Array.length tokens) in
+    match (layered, scan) with
+    | None, false -> row
+    | Some _, true -> Fractal.Node (Array.map last (Fractal.children row))
+    | None, true | Some _, false -> last row
   in
-  let zrow () =
-    Fractal.tabulate depth (fun _ -> Fractal.Leaf (Tensor.zeros token))
-  in
-  let zero_state = Fractal.Node [| zrow (); zrow () |] in
-  {
-    sv_name = "stacked_lstm";
-    sv_seq_len = seq_len;
-    sv_shared = [ ("wss", wss); ("uss", uss); ("bss", bss) ];
-    sv_new_request =
-      (fun rng ~len ->
-        ( zero_state,
-          Array.init len (fun _ -> Fractal.Leaf (Tensor.rand rng token)) ));
-    sv_pad = (zero_state, Fractal.Leaf (Tensor.zeros token));
-    sv_step = lstm_step ~depth ~hidden;
-    sv_env =
-      (fun ~width rows ->
-        assert (Array.length rows = width);
-        let plane side =
-          Fractal.tabulate depth (fun d ->
-              pack_rows ~width ~cols:hidden
-                (fun (st, _) -> Fractal.get (Fractal.get st side) d)
-                rows)
+  let batch_rows inputs =
+    let get v = List.assoc v inputs in
+    Array.init (Fractal.length (get (List.hd rows))) (fun i ->
+        let seq v =
+          match param v with Some j -> Fractal.get (get (List.nth rows j)) i | None -> get v
         in
-        [
-          ("xs", pack_rows ~width ~cols:hidden snd rows);
-          ("cs", plane 0);
-          ("hs", plane 1);
-          ("wss", wss);
-          ("uss", uss);
-          ("bss", bss);
-        ]);
-    sv_demux =
-      (fun ~width outs ->
-        let name = Printf.sprintf "stacked_lstm.step%d" width in
-        let plane v =
-          Array.map Fractal.as_leaf (Fractal.children (out_component outs name v))
-        in
-        let cs' = plane 0 and hs' = plane 1 in
-        let row layers i =
-          Fractal.Node
-            (Array.map
-               (fun t -> Fractal.Leaf (slice_row ~cols:hidden t i))
-               layers)
-        in
-        Array.init width (fun i ->
-            Fractal.Node [| row cs' i; row hs' i |]));
-    sv_finish =
-      (fun st -> Fractal.get (Fractal.get st 1) (depth - 1));
-  }
+        let seqs = Array.of_list (List.map seq sources) in
+        Array.init seq_len (fun t ->
+            assemble ~tuple:tok_tuple (Array.length seqs) (fun k ->
+                Fractal.as_leaf (Fractal.get seqs.(k) t))))
+  in
+  { sv; reference; rows = batch_rows }
 
 (* ----------------------- attention block -------------------------- *)
 
-(* One online-softmax accumulation step (the body of
-   [attention_block.ft]'s reduce).  A request is one query block; its
-   tokens are (k, v) block pairs.  The query is constant across the
-   request's life, so it rides inside every token rather than the
-   state — pass-through state components are outside the compiled
-   fragment, and the leaves are shared, so this costs nothing. *)
-let attn_step ~rows ~dmodel width =
-  let qk = shape [ rows; dmodel ] in
-  let col = shape [ rows; 1 ] in
-  let open Expr in
-  {
-    name = Printf.sprintf "attention_block.step%d" width;
-    inputs =
-      [
-        ("qs", List_ty (width, Tensor_ty qk));
-        ("ms", List_ty (width, Tensor_ty col));
-        ("ss", List_ty (width, Tensor_ty col));
-        ("os", List_ty (width, Tensor_ty qk));
-        ("ks", List_ty (width, Tensor_ty qk));
-        ("vs", List_ty (width, Tensor_ty qk));
-      ];
-    body =
-      map_e
-        ~params:[ "q"; "m"; "s"; "o"; "k"; "v" ]
-        ~body:
-          (Let
-             ( "t1",
-               Matmul_t @@@ [ Var "q"; Var "k" ],
-               Let
-                 ( "m2",
-                   Maximum @@@ [ Var "m"; Row_max @@@ [ Var "t1" ] ],
-                   Let
-                     ( "p",
-                       Exp @@@ [ Sub @@@ [ Var "t1"; Var "m2" ] ],
-                       Let
-                         ( "a",
-                           Exp @@@ [ Sub @@@ [ Var "m"; Var "m2" ] ],
-                           Tuple
-                             [
-                               Var "m2";
-                               Add
-                               @@@ [
-                                     Mul @@@ [ Var "a"; Var "s" ];
-                                     Row_sum @@@ [ Var "p" ];
-                                   ];
-                               Add
-                               @@@ [
-                                     Mul @@@ [ Var "a"; Var "o" ];
-                                     Matmul @@@ [ Var "p"; Var "v" ];
-                                   ];
-                             ] ) ) ) ))
-        (Zip [ Var "qs"; Var "ms"; Var "ss"; Var "os"; Var "ks"; Var "vs" ]);
-  }
-
-(* o / s with s broadcast across columns — the [acc.2 / acc.1]
-   finalization, done outside the step so every tick stays one shape. *)
-let div_rows o s =
-  let os = Tensor.shape o in
-  Tensor.init os (fun ix -> Tensor.get o ix /. Tensor.get1 s ix.(0))
-
-let attention ~rows ~dmodel ~seq_len =
-  let qk = shape [ rows; dmodel ] in
-  let col = shape [ rows; 1 ] in
-  let zero_state =
-    Fractal.Node
-      [|
-        Fractal.Leaf (Tensor.full col (-1e30));
-        Fractal.Leaf (Tensor.zeros col);
-        Fractal.Leaf (Tensor.zeros qk);
-      |]
+(* The exception, recognized by name: a request is one query block with
+   (q, k, v) tokens — K/V are shared in the source but owned by each
+   request when served.  The state is the reduce's accumulator, the step
+   one online-softmax accumulation per slot, and the source's finishing
+   divide is the response. *)
+let attention (p : Expr.program) =
+  let qk, seq_len =
+    match (List.assoc_opt "qs" p.inputs, List.assoc_opt "ks" p.inputs) with
+    | Some (List_ty (_, Tensor_ty q)), Some (List_ty (len, _)) when Shape.rank q = 2 ->
+        (q, len)
+    | _ -> reject "expected qs: [N]f32[r,d] and ks: [L]f32[r,d]"
   in
-  let pad_token =
-    Fractal.Node
-      [|
-        Fractal.Leaf (Tensor.zeros qk);
-        Fractal.Leaf (Tensor.zeros qk);
-        Fractal.Leaf (Tensor.zeros qk);
-      |]
-  in
-  {
-    sv_name = "attention_block";
-    sv_seq_len = seq_len;
-    sv_shared = [];
-    sv_new_request =
-      (fun rng ~len ->
-        let q = Fractal.Leaf (Tensor.rand rng qk) in
-        ( zero_state,
-          Array.init len (fun _ ->
-              Fractal.Node
-                [|
-                  q;
-                  Fractal.Leaf (Tensor.rand rng qk);
-                  Fractal.Leaf (Tensor.rand rng qk);
-                |]) ));
-    sv_pad = (zero_state, pad_token);
-    sv_step = attn_step ~rows ~dmodel;
-    sv_env =
-      (fun ~width rows_arr ->
-        assert (Array.length rows_arr = width);
-        let st i = Array.map (fun (s, _) -> Fractal.get s i) rows_arr in
-        let tok i = Array.map (fun (_, t) -> Fractal.get t i) rows_arr in
+  let col = shape [ Shape.dim qk 0; 1 ] in
+  let leaves ts = Fractal.Node (Array.map (fun t -> Fractal.Leaf t) ts) in
+  let zero_state = leaves [| Tensor.full col (-1e30); Tensor.zeros col; Tensor.zeros qk |] in
+  let step width =
+    let over ty = Expr.List_ty (width, Tensor_ty ty) in
+    {
+      Expr.name = step_name p width;
+      inputs =
         [
-          ("qs", Fractal.Node (tok 0));
-          ("ms", Fractal.Node (st 0));
-          ("ss", Fractal.Node (st 1));
-          ("os", Fractal.Node (st 2));
-          ("ks", Fractal.Node (tok 1));
-          ("vs", Fractal.Node (tok 2));
-        ]);
-    sv_demux =
-      (fun ~width outs ->
-        let name = Printf.sprintf "attention_block.step%d" width in
-        let m2 = out_component outs name 0
-        and s2 = out_component outs name 1
-        and o2 = out_component outs name 2 in
-        Array.init width (fun w ->
-            Fractal.Node
-              [| Fractal.get m2 w; Fractal.get s2 w; Fractal.get o2 w |]));
-    sv_finish =
-      (fun st ->
-        let s = Fractal.as_leaf (Fractal.get st 1)
-        and o = Fractal.as_leaf (Fractal.get st 2) in
-        Fractal.Leaf (div_rows o s));
-  }
-
-(* ----------------------- selective scan --------------------------- *)
-
-(* h' = a * h + b — the decode-time SSM recurrence; a token is the
-   (a, b) gate/value pair.
-
-   This servable is row-batched: the whole batch is ONE
-   [width, hidden] tensor per operand and the step is a single
-   elementwise expression with no per-slot cells, so the compiled
-   plan's per-cell dispatch cost amortizes over the batch instead of
-   being paid once per slot.  Elementwise ops are row-independent, so
-   row [i] of the batched result is bitwise identical to the width-1
-   computation on that slot's row — the keystone property holds by
-   construction.  Mux/demux are raw row blits on the underlying
-   bigarray buffers. *)
-let scan_step ~hidden width =
-  let rows = shape [ width; hidden ] in
-  let open Expr in
-  {
-    name = Printf.sprintf "selective_scan.step%d" width;
-    inputs =
-      [
-        (* singleton lists: the builder wants a collection operator, so
-           the batch block rides as a one-element map *)
-        ("hs", List_ty (1, Tensor_ty rows));
-        ("gs", List_ty (1, Tensor_ty rows));
-        ("us", List_ty (1, Tensor_ty rows));
-      ];
-    body =
-      map_e
-        ~params:[ "h"; "a"; "b" ]
-        ~body:(Add @@@ [ Mul @@@ [ Var "a"; Var "h" ]; Var "b" ])
-        (Zip [ Var "hs"; Var "gs"; Var "us" ]);
-  }
-
-let selective_scan ~seq_len ~hidden =
-  let token = shape [ 1; hidden ] in
-  let zero_state = Fractal.Leaf (Tensor.zeros token) in
-  {
-    sv_name = "selective_scan";
-    sv_seq_len = seq_len;
-    sv_shared = [];
-    sv_new_request =
-      (fun rng ~len ->
-        ( zero_state,
-          Array.init len (fun _ ->
-              Fractal.Node
-                [|
-                  Fractal.Leaf (Tensor.sigmoid (Tensor.rand rng token));
-                  Fractal.Leaf (Tensor.rand rng token);
-                |]) ));
-    sv_pad =
-      ( zero_state,
-        Fractal.Node
-          [| Fractal.Leaf (Tensor.zeros token); Fractal.Leaf (Tensor.zeros token) |]
-      );
-    sv_step = scan_step ~hidden;
-    sv_env =
-      (fun ~width rows ->
-        assert (Array.length rows = width);
-        let one v = Fractal.Node [| v |] in
-        [
-          ("hs", one (pack_rows ~width ~cols:hidden fst rows));
-          ("gs", one (pack_rows ~width ~cols:hidden (fun (_, t) -> Fractal.get t 0) rows));
-          ("us", one (pack_rows ~width ~cols:hidden (fun (_, t) -> Fractal.get t 1) rows));
-        ]);
-    sv_demux =
-      (fun ~width outs ->
-        let block = Fractal.as_leaf (Fractal.get (single_out outs) 0) in
-        Array.init width (fun i ->
-            Fractal.Leaf (slice_row ~cols:hidden block i)));
-    sv_finish = (fun st -> st);
-  }
-
-(* ------------------------- dispatch ------------------------------- *)
-
-(* Recognize a whole-sequence example program by name and input
-   signature and derive the servable's dimensions from its types, so
-   [ftc serve examples/programs/stacked_rnn.ft] serves exactly the
-   shapes the file declares. *)
-let of_program (p : Expr.program) : (t, string) result =
-  let open Expr in
-  let find n = List.assoc_opt n p.inputs in
-  let leaf_dims = function
-    | Tensor_ty s -> Some (Shape.dims s)
-    | _ -> None
+          ("qs", over qk); ("ms", over col); ("ss", over col); ("os", over qk);
+          ("ks", over qk); ("vs", over qk);
+        ];
+      body =
+        Parse.expr
+          {|zip(qs, ms, ss, os, ks, vs).map { |q, m, s, o, k, v|
+              let t1 = q @T k in
+              let m2 = max(m, rowmax(t1)) in
+              let p = exp(t1 - m2) in
+              let a = exp(m - m2) in
+              (m2, a * s + rowsum(p), a * o + p @ v) }|};
+    }
   in
-  match p.name with
-  | "stacked_rnn" -> (
-      match (find "xss", find "ws") with
-      | Some (List_ty (_, List_ty (seq_len, tok))), Some (List_ty (depth, _))
-        -> (
-          match leaf_dims tok with
-          | Some [| 1; hidden |] ->
-              Ok (stacked_rnn ~depth ~seq_len ~hidden)
-          | _ -> Error "stacked_rnn: token must be [1,H]")
-      | _ -> Error "stacked_rnn: unexpected input signature")
-  | "stacked_lstm" -> (
-      match (find "xss", find "wss") with
-      | Some (List_ty (_, List_ty (seq_len, tok))), Some (List_ty (depth, _))
-        -> (
-          match leaf_dims tok with
-          | Some [| 1; hidden |] ->
-              Ok (stacked_lstm ~depth ~seq_len ~hidden)
-          | _ -> Error "stacked_lstm: token must be [1,H]")
-      | _ -> Error "stacked_lstm: unexpected input signature")
-  | "attention_block" -> (
-      match (find "qs", find "ks") with
-      | Some (List_ty (_, q)), Some (List_ty (seq_len, _)) -> (
-          match leaf_dims q with
-          | Some [| rows; dmodel |] -> Ok (attention ~rows ~dmodel ~seq_len)
-          | _ -> Error "attention_block: query must be [rows,d]")
-      | _ -> Error "attention_block: unexpected input signature")
-  | "selective_scan" -> (
-      match find "ass" with
-      | Some (List_ty (_, List_ty (seq_len, tok))) -> (
-          match leaf_dims tok with
-          | Some [| 1; hidden |] -> Ok (selective_scan ~seq_len ~hidden)
-          | _ -> Error "selective_scan: token must be [1,H]")
-      | _ -> Error "selective_scan: unexpected input signature")
-  | n ->
-      Error
-        (Printf.sprintf
-           "no step-program recipe for %S (servable: stacked_rnn, \
-            stacked_lstm, attention_block, selective_scan)"
-           n)
+  let column slots f i = Fractal.Node (Array.map (fun slot -> Fractal.get (f slot) i) slots) in
+  let sv =
+    {
+      sv_name = p.name;
+      sv_seq_len = seq_len;
+      sv_shared = [];
+      sv_new_request =
+        (fun rng ~len ->
+          let q = Tensor.rand rng qk in
+          let token _ = leaves [| q; Tensor.rand rng qk; Tensor.rand rng qk |] in
+          (zero_state, Array.init len token));
+      sv_pad = (zero_state, leaves (Array.init 3 (fun _ -> Tensor.zeros qk)));
+      sv_step = step;
+      sv_env =
+        (fun ~width:_ slots ->
+          let st = column slots fst and tok = column slots snd in
+          [
+            ("qs", tok 0); ("ms", st 0); ("ss", st 1); ("os", st 2);
+            ("ks", tok 1); ("vs", tok 2);
+          ]);
+      sv_demux =
+        (fun ~width outs ->
+          let out k = List.assoc (Printf.sprintf "%s.%d" (step_name p width) k) outs in
+          Array.init width (fun w -> Fractal.Node (Array.init 3 (fun k -> Fractal.get (out k) w))));
+      sv_finish =
+        (fun st ->
+          let acc k = Fractal.as_leaf (Fractal.get st k) in
+          Fractal.Leaf (Tensor.div (acc 2) (acc 1)));
+    }
+  in
+  let reference tokens =
+    let tok = column tokens Fun.id in
+    source_row p
+      [ ("qs", Fractal.Node [| Fractal.get tokens.(0) 0 |]); ("ks", tok 1); ("vs", tok 2) ]
+  in
+  { sv; reference; rows = (fun _ -> invalid_arg "Servable.rows: attention_block") }
 
-let builtin = function
-  | "stacked_rnn" -> Some (stacked_rnn ~depth:3 ~seq_len:8 ~hidden:32)
-  | "stacked_lstm" -> Some (stacked_lstm ~depth:3 ~seq_len:8 ~hidden:32)
-  | "attention_block" -> Some (attention ~rows:16 ~dmodel:32 ~seq_len:12)
-  | "selective_scan" -> Some (selective_scan ~seq_len:16 ~hidden:64)
-  | _ -> None
+(* ------------------------- entry points --------------------------- *)
 
-let builtin_names =
-  [ "stacked_rnn"; "stacked_lstm"; "attention_block"; "selective_scan" ]
+let recognize (p : Expr.program) =
+  match if p.name = "attention_block" then attention p else derive p with
+  | d -> Ok d
+  | exception e ->
+      let m =
+        match e with
+        | Reject m | Typecheck.Type_error m | Invalid_argument m | Failure m
+        | Interp.Runtime_error m ->
+            m
+        | e -> Printexc.to_string e
+      in
+      Error (Printf.sprintf "%s: no step program derives: %s" p.name m)
+
+let of_program p = Result.map (fun d -> d.sv) (recognize p)
+let recognized p = match recognize p with Ok d -> d | Error m -> invalid_arg ("Servable: " ^ m)
+let reference p tokens = (recognized p).reference tokens
+let rows p inputs = (recognized p).rows inputs
+(* ---------------------------- builtins ---------------------------- *)
+
+(* Serving-sized sources of the four workloads, run through the same
+   derivation as any [.ft] file. *)
+let builtins =
+  [
+    ( "stacked_rnn",
+      {|program stacked_rnn
+input xss: [8][8]f32[1,32]
+input ws: [3]f32[32,32]
+return xss.map { |xs|
+  ws.scanl(xs) { |sbar, w| sbar.scanl(zeros[1,32]) { |s, x| x @ w + s } } }|} );
+    ( "stacked_lstm",
+      {|program stacked_lstm
+input xss: [8][8]f32[1,32]
+input css0: [8]f32[1,32]
+input wss: [3][4]f32[32,32]
+input uss: [3][4]f32[32,32]
+input bss: [3][4]f32[1,32]
+return xss.map { |xs|
+  zip(wss, uss, bss).foldl(zip(css0, xs)) { |ss, ws, us, bs|
+    ss.scanl((zeros[1,32], zeros[1,32])) { |ch, cb, hb|
+      let gi = hb @ ws[0] + ch.1 @ us[0] + bs[0] in
+      let gf = hb @ ws[1] + ch.1 @ us[1] + bs[1] in
+      let go = hb @ ws[2] + ch.1 @ us[2] + bs[2] in
+      let gc = hb @ ws[3] + ch.1 @ us[3] + bs[3] in
+      let c2 = sigmoid(gf) * ch.0 + sigmoid(gi) * tanh(gc) in
+      (c2, sigmoid(go) * tanh(c2)) } } }|} );
+    ( "attention_block",
+      {|program attention_block
+input qs: [8]f32[16,32]
+input ks: [12]f32[16,32]
+input vs: [12]f32[16,32]
+return qs.map { |q|
+  let acc = zip(ks, vs).reduce((full[16,1](-1e30), zeros[16,1], zeros[16,32])) { |mso, k, v|
+    let t1 = q @T k in
+    let m2 = max(mso.0, rowmax(t1)) in
+    let p = exp(t1 - m2) in
+    let a = exp(mso.0 - m2) in
+    (m2, a * mso.1 + rowsum(p), a * mso.2 + p @ v) } in
+  acc.2 / acc.1 }|} );
+    ( "selective_scan",
+      {|program selective_scan
+input ass: [8][16]f32[1,64]
+input bss: [8][16]f32[1,64]
+return zip(ass, bss).map { |gs, us|
+  zip(gs, us).scanl(zeros[1,64]) { |h, a, b| a * h + b } }|} );
+  ]
+
+let builtin_names = List.map fst builtins
+let builtin_program name = Option.map Parse.program (List.assoc_opt name builtins)
+
+let builtin name =
+  Option.map
+    (fun p ->
+      match of_program p with Ok sv -> sv | Error m -> invalid_arg ("Servable.builtin: " ^ m))
+    (builtin_program name)

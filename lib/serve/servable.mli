@@ -1,17 +1,16 @@
-(** Workloads recast for serving: whole-sequence example programs as
-    per-tick {e step programs} over a shared batch dimension.
-
-    Every recurrent body in the example set is a left fold, so the
-    value after token [t] is a function of the carried state after
-    [t-1] and the token alone.  A servable packages that observation:
-    the initial carried state and token stream of a fresh request, a
-    step program over batch width [W] whose per-slot cell is the
-    original program's cell (same primitive ops, same shapes), and the
-    demux/finish maps back out of an executor run.  Because the batch
-    [map] has no cross-slot dependence and padded slots execute to
-    finite values on their own leaves, batched execution is
-    bitwise-identical to serving the same request alone — the property
-    the differential suite pins down. *)
+(** Workloads recast for serving: a whole-sequence program as a
+    per-tick {e step program} over a shared batch dimension, derived
+    from the program's own left fold.  {!of_program} accepts a body
+    [X.map { |params| AGG }] — the [map] is the request axis — with
+    [AGG] either (S1) [SEQ.scanl|foldl(seed) { |h, tok..| CELL }] or
+    (S2) [D.scanl|foldl(SEQ) { |ss, d..| ss.scanl(seed) { |st, tok..| CELL } }]
+    with [D] shared, whose step swaps the scans and carries one state
+    per layer.  [SEQ] zips map parameters and inputs; an input it reads
+    is token data, owned by each request.  The step widens every
+    per-request [1,C] leaf to [W,C], which needs a row-independent
+    [CELL] (DESIGN.md, "Serving"): row [i] of a batched run is then
+    bitwise the solo run of slot [i].  [attention_block] is the one
+    program recognized by name. *)
 
 type t = {
   sv_name : string;
@@ -21,8 +20,8 @@ type t = {
   sv_new_request : Rng.t -> len:int -> Fractal.t * Fractal.t array;
       (** (initial carried state, tokens) for a fresh request *)
   sv_pad : Fractal.t * Fractal.t;
-      (** (state, token) occupying empty slots; must execute to finite
-          values so a padded run can never poison the shared batch *)
+      (** (state, token) occupying empty slots: a fresh request's state
+          and zero tokens, finite so a pad never poisons the batch *)
   sv_step : int -> Expr.program;  (** the step program at a width *)
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
@@ -34,17 +33,27 @@ type t = {
 }
 
 val of_program : Expr.program -> (t, string) result
-(** Recognize a whole-sequence example program (by name and input
-    signature) and derive the servable's dimensions from its declared
-    types — the [ftc serve FILE.ft] path. *)
+(** Derive the servable of a type-checked program at the dimensions it
+    declares.  Never raises: an underivable program is an [Error]
+    naming the rule that failed. *)
+
+val reference : Expr.program -> Fractal.t array -> Fractal.t
+(** The reference interpreter's response to a request's tokens:
+    [Interp.run_program] on the program declared at batch 1 and the
+    request's length, tokens in slot 0, shared inputs as
+    {!of_program}'s, taken at the last token.
+    @raise Invalid_argument when {!of_program} is an [Error]. *)
+
+val rows : Expr.program -> (string * Fractal.t) list -> Fractal.t array array
+(** The tokens of each batch row of the program's inputs, to serve the
+    rows as requests.  @raise Invalid_argument as {!reference}, and on
+    [attention_block]. *)
 
 val builtin : string -> t option
-(** Servables at serving-sized default dimensions, keyed by workload
-    name — the [ftc serve --bench] path needs no [.ft] file. *)
+(** The servable of a {!builtin_program}. *)
+
+val builtin_program : string -> Expr.program option
+(** Serving-sized [.ft] sources of the builtin workloads — the
+    [ftc serve --bench] path needs no file. *)
 
 val builtin_names : string list
-
-val stacked_rnn : depth:int -> seq_len:int -> hidden:int -> t
-val stacked_lstm : depth:int -> seq_len:int -> hidden:int -> t
-val attention : rows:int -> dmodel:int -> seq_len:int -> t
-val selective_scan : seq_len:int -> hidden:int -> t

@@ -18,23 +18,24 @@
    request set — batched vs solo, across domain counts, across
    join/leave schedules. *)
 
-let servable_of_file path : (Servable.t, string) result =
-  match Parse.program_file path with
-  | exception Parse.Syntax_error { line; col; message } ->
-      Error (Printf.sprintf "%s:%d:%d: %s" path line col message)
-  | p -> (
-      match Typecheck.check_program p with
-      | exception Typecheck.Type_error m ->
-          Error (Printf.sprintf "%s: type error: %s" path m)
-      | _ -> Servable.of_program p)
+let program_of path : (Expr.program, string) result =
+  match Servable.builtin_program path with
+  | Some p when not (Sys.file_exists path) -> Ok p
+  | _ -> (
+      match Parse.program_file path with
+      | exception Parse.Syntax_error { line; col; message } ->
+          Error (Printf.sprintf "%s:%d:%d: %s" path line col message)
+      | exception Sys_error _ ->
+          Error
+            (Printf.sprintf "no file or builtin servable %S (builtins: %s)"
+               path (String.concat ", " Servable.builtin_names))
+      | p -> (
+          match Typecheck.check_program p with
+          | exception Typecheck.Type_error m ->
+              Error (Printf.sprintf "%s: type error: %s" path m)
+          | _ -> Ok p))
 
-let servable_of_name name : (Servable.t, string) result =
-  match Servable.builtin name with
-  | Some sv -> Ok sv
-  | None ->
-      Error
-        (Printf.sprintf "no builtin servable %S (have: %s)" name
-           (String.concat ", " Servable.builtin_names))
+let servable_of_file path = Result.bind (program_of path) Servable.of_program
 
 type outcome = {
   oc_metrics : Metrics.t;
@@ -44,29 +45,38 @@ type outcome = {
   oc_shed : int;  (** open-loop only: arrivals dropped at the door *)
 }
 
-let run_requests ?(tenant = "default") ?(opts = Run_opts.default)
-    ?(max_batch = 8) ?queue ?(tick_ms = 0.) ?(compact = true) sv rs =
-  let queue = Option.value queue ~default:(Stdlib.max 1 (Array.length rs)) in
+(* One scheduler run over a fresh broker and session; [drive] feeds the
+   broker while the scheduler runs and returns the count it shed. *)
+let serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ?max_ticks sv
+    drive =
   let broker = Broker.create ~capacity:queue in
   let session = Session.create ~tenant ~opts sv in
   let metrics = Metrics.create () in
   let sch =
-    Scheduler.create ~tick_ms ~compact ~session ~broker ~max_batch ~metrics ()
+    Scheduler.create ~tick_ms ~compact ?max_ticks ~session ~broker ~max_batch
+      ~metrics ()
   in
   let t0 = Unix.gettimeofday () in
-  Loadgen.submit_all broker rs;
+  let finish_drive = drive broker sch in
   let completed = Scheduler.run sch in
-  let wall = Unix.gettimeofday () -. t0 in
+  let shed = finish_drive () in
   {
     oc_metrics = metrics;
     oc_completed = completed;
-    oc_wall_s = wall;
+    oc_wall_s = Unix.gettimeofday () -. t0;
     oc_engine =
       (match Session.widths_prepared session with
       | w :: _ -> Session.engine session ~width:w
       | [] -> "idle");
-    oc_shed = 0;
+    oc_shed = shed;
   }
+
+let run_requests ?(tenant = "default") ?(opts = Run_opts.default)
+    ?(max_batch = 8) ?queue ?(tick_ms = 0.) ?(compact = true) sv rs =
+  let queue = Option.value queue ~default:(Stdlib.max 1 (Array.length rs)) in
+  serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact sv (fun broker _ ->
+      Loadgen.submit_all broker rs;
+      fun () -> 0)
 
 (* Each request served entirely alone — the reference semantics the
    batched path must reproduce bit for bit. *)
@@ -77,30 +87,12 @@ let solo ?(tenant = "default") ?(opts = Run_opts.default) sv rs =
 let run_open_loop ?(tenant = "default") ?(opts = Run_opts.default)
     ?(max_batch = 8) ~queue ?(tick_ms = 0.) ?(compact = true)
     ?(max_ticks = 0) sv rs =
-  let broker = Broker.create ~capacity:queue in
-  let session = Session.create ~tenant ~opts sv in
-  let metrics = Metrics.create () in
-  let sch =
-    Scheduler.create ~tick_ms ~compact ~max_ticks ~session ~broker ~max_batch
-      ~metrics ()
-  in
-  let t0 = Unix.gettimeofday () in
-  let producer =
-    Loadgen.spawn broker ~clock:(fun () -> Scheduler.now sch) rs
-  in
-  let completed = Scheduler.run sch in
-  let shed = Stdlib.Domain.join producer in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    oc_metrics = metrics;
-    oc_completed = completed;
-    oc_wall_s = wall;
-    oc_engine =
-      (match Session.widths_prepared session with
-      | w :: _ -> Session.engine session ~width:w
-      | [] -> "idle");
-    oc_shed = shed;
-  }
+  serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ~max_ticks sv
+    (fun broker sch ->
+      let producer =
+        Loadgen.spawn broker ~clock:(fun () -> Scheduler.now sch) rs
+      in
+      fun () -> Stdlib.Domain.join producer)
 
 (* Bitwise comparison of two servings of the same request set, matched
    by id: response and full final carried state must be identical. *)
@@ -123,6 +115,16 @@ let mismatches (a : Request.t list) (b : Request.t list) =
           in
           if resp_ok && state_ok then bad else bad + 1)
     0 a
+
+(* Completed requests whose response differs bitwise from the
+   reference interpreter's on the source program. *)
+let reference_mismatches p (rs : Request.t list) =
+  let differs (r : Request.t) =
+    match r.rq_response with
+    | Some v -> not (Fractal.equal_exact v (Servable.reference p r.rq_tokens))
+    | None -> true
+  in
+  List.length (List.filter differs rs)
 
 (* ------------------------------ bench ----------------------------- *)
 
@@ -241,7 +243,7 @@ let bench ?(cfg = default_bench_cfg) names =
   let records, errors =
     List.fold_left
       (fun (recs, errs) name ->
-        match servable_of_name name with
+        match servable_of_file name with
         | Ok sv -> (bench_servable ~cfg sv :: recs, errs)
         | Error e -> (recs, (name, e) :: errs))
       ([], []) names

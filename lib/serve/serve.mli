@@ -2,11 +2,11 @@
     wired together, plus the measurement and differential entry points
     behind [ftc serve]. *)
 
-val servable_of_file : string -> (Servable.t, string) result
-(** Parse, type-check and recognize a [.ft] example program. *)
+val program_of : string -> (Expr.program, string) result
+(** A [.ft] file, parsed and type-checked, or else a builtin's source. *)
 
-val servable_of_name : string -> (Servable.t, string) result
-(** A builtin servable at serving-sized dimensions. *)
+val servable_of_file : string -> (Servable.t, string) result
+(** The servable derived from {!program_of}. *)
 
 type outcome = {
   oc_metrics : Metrics.t;
@@ -54,6 +54,11 @@ val mismatches : Request.t list -> Request.t list -> int
 (** Requests matched by id across two servings; a mismatch is any
     difference — by {!Fractal.equal_exact} — in response or final
     carried state, or a request present on one side only. *)
+
+val reference_mismatches : Expr.program -> Request.t list -> int
+(** Completed requests whose response differs — by
+    {!Fractal.equal_exact} — from {!Servable.reference} on the source
+    program, or that have none. *)
 
 type bench_cfg = {
   bc_seed : int;

@@ -27,9 +27,7 @@ let create ?(tenant = "default") ?(opts = Run_opts.default) sv =
     ssn_prepared = Bounded_cache.create ~limit:width_limit;
   }
 
-let tenant t = t.ssn_tenant
 let servable t = t.ssn_servable
-let opts t = t.ssn_opts
 
 let prepared t ~width =
   Bounded_cache.find_or_add t.ssn_prepared width (fun () ->

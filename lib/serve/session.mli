@@ -13,9 +13,7 @@ val width_limit : int
 type t
 
 val create : ?tenant:string -> ?opts:Run_opts.t -> Servable.t -> t
-val tenant : t -> string
 val servable : t -> Servable.t
-val opts : t -> Run_opts.t
 
 val prepared : t -> width:int -> Executor.prepared
 (** Compile-once access; the tuned config (when the tune DB is

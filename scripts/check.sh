@@ -96,6 +96,41 @@ for w in stacked_rnn flash_attention; do
   grep "bitwise-identical" <<< "$out" > /dev/null
 done
 
+# Serving: every example a step program derives from is served, and
+# batched service must be bitwise-identical to solo service and to the
+# reference interpreter (`ftc serve` exits 1 otherwise).  The recurrent
+# examples and the attention block must be among the served.
+served=""
+for f in examples/programs/*.ft; do
+  status=0
+  out=$(dune exec --no-build bin/ftc.exe -- serve "$f" --requests 8 2>&1) || status=$?
+  if grep "no step program derives" <<< "$out" > /dev/null; then
+    echo "serve $f: not derivable"
+    continue
+  fi
+  echo "serve $f"
+  if [ "$status" -ne 0 ]; then
+    echo "$out"
+    echo "check.sh: serving $f failed" >&2
+    exit 1
+  fi
+  grep "batched bitwise-matches solo" <<< "$out" > /dev/null
+  grep "responses bitwise-match the reference interpreter" <<< "$out" > /dev/null
+  served="$served $(basename "$f" .ft)"
+done
+for w in stacked_rnn selective_scan attention_block; do
+  if ! grep -w "$w" <<< "$served" > /dev/null; then
+    echo "check.sh: $w is no longer served" >&2
+    exit 1
+  fi
+done
+
+# Serving fuzz: generated programs whose step program derives are
+# served batched and solo and checked bitwise against the interpreter.
+echo "conform --oracles serve (seed 11, budget 300)"
+out=$(dune exec --no-build bin/ftc.exe -- conform --seed 11 --budget 300 --oracles serve)
+grep -E "^  serve +pass [1-9][0-9]* +fail 0 " <<< "$out"
+
 for f in examples/programs/*.ft; do
   echo "lint $f"
   dune exec --no-build bin/ftc.exe -- lint "$f"

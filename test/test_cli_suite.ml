@@ -163,6 +163,29 @@ let cli_tests =
         in
         checki "exit code" 0 code;
         check_json "conform replay" out);
+    Alcotest.test_case "serve an underivable program: the failed rule \
+                        on stderr, exit 1" `Quick (fun () ->
+        let code, out, err = run_ftc ("serve " ^ example "ffn_block") in
+        checki "exit code" 1 code;
+        checkb "stdout is silent" true (String.trim out = "");
+        let has s =
+          match Str.search_forward (Str.regexp_string s) err 0 with
+          | _ -> true
+          | exception Not_found -> false
+        in
+        checkb "names the rule" true (has "not a seeded left scan or fold");
+        checkb "no list of workload names" false (has "stacked_lstm"));
+    Alcotest.test_case "serve a derived program: matches solo and the \
+                        interpreter, exit 0" `Quick (fun () ->
+        let code, out, _ = run_ftc ("serve " ^ example "selective_scan" ^ " --requests 6") in
+        checki "exit code" 0 code;
+        List.iter
+          (fun s ->
+            checkb s true
+              (match Str.search_forward (Str.regexp_string s) out 0 with
+              | _ -> true
+              | exception Not_found -> false))
+          [ "batched bitwise-matches solo"; "responses bitwise-match the reference interpreter" ]);
     Alcotest.test_case "shard: bitwise-identical at 2 devices, exit 0" `Quick
       (fun () ->
         let code, out, err = run_ftc "shard stacked_rnn --devices 2" in

@@ -14,6 +14,18 @@ let toy_request ?(arrival = 0) id =
     ~tokens:[| Fractal.Leaf (Tensor.ones (Shape.of_array [| 1; 2 |])) |]
     ()
 
+(* A selective-scan servable at the given dimensions, derived from its
+   source like any served program. *)
+let selective_scan ~seq_len ~hidden =
+  Printf.sprintf
+    {|program selective_scan
+input ass: [2][%d]f32[1,%d]
+input bss: [2][%d]f32[1,%d]
+return zip(ass, bss).map { |gs, us|
+  zip(gs, us).scanl(zeros[1,%d]) { |h, a, b| a * h + b } }|}
+    seq_len hidden seq_len hidden hidden
+  |> Parse.program |> Servable.of_program |> Result.get_ok
+
 (* ------------------------------ batch ----------------------------- *)
 
 let batch_tests =
@@ -128,7 +140,7 @@ let loadgen_tests =
         checkb "monotone" true (sorted = List.sort compare sorted));
     Alcotest.test_case "request contents independent of plan order" `Quick
       (fun () ->
-        let sv = Servable.selective_scan ~seq_len:6 ~hidden:4 in
+        let sv = selective_scan ~seq_len:6 ~hidden:4 in
         let pl = Loadgen.plan ~seed:5 ~n:6 ~rate:1.0 ~len_lo:2 ~len_hi:6 in
         let a = Loadgen.requests sv ~seed:99 pl
         and b = Loadgen.requests sv ~seed:99 pl in
@@ -203,7 +215,7 @@ let session_tests =
   [
     Alcotest.test_case "per-tenant prepared isolation; per-width memoizing"
       `Quick (fun () ->
-        let sv = Servable.selective_scan ~seq_len:4 ~hidden:4 in
+        let sv = selective_scan ~seq_len:4 ~hidden:4 in
         let sa = Session.create ~tenant:"a" sv in
         let sb = Session.create ~tenant:"b" sv in
         let pa = Session.prepared sa ~width:2 in
@@ -216,7 +228,7 @@ let session_tests =
         checkb "engine known" true (Session.engine sa ~width:2 <> ""));
     Alcotest.test_case "a session keeps width_limit widths, evicting the \
                         least recently used" `Quick (fun () ->
-        let sv = Servable.selective_scan ~seq_len:4 ~hidden:4 in
+        let sv = selective_scan ~seq_len:4 ~hidden:4 in
         let s = Session.create ~tenant:"limit" sv in
         let limit = Session.width_limit in
         for w = 1 to limit do
@@ -275,18 +287,175 @@ let differential_tests =
         [ (1, 42, true); (2, 43, false); (4, 44, true) ])
     Servable.builtin_names
 
+(* --------------- served response = the interpreter ---------------- *)
+
+(* Every served response must be bitwise the reference interpreter's
+   output on the source program, declared at the request's length with
+   the request's tokens in batch slot 0 — batched and solo, at every
+   domain count.  Programs covered: the example files the derivation
+   accepts by shape alone, and every builtin. *)
+let oracle_tests =
+  let sources =
+    List.map
+      (fun f -> (f ^ ".ft", fun () -> Parse.program_file ("../examples/programs/" ^ f ^ ".ft")))
+      [ "stacked_rnn"; "selective_scan" ]
+    @ List.map
+        (fun n -> ("builtin " ^ n, fun () -> Option.get (Servable.builtin_program n)))
+        Servable.builtin_names
+  in
+  List.concat_map
+    (fun (label, source) ->
+      List.map
+        (fun domains ->
+          Alcotest.test_case
+            (Printf.sprintf "%s: served = Interp (domains %d)" label domains)
+            `Quick (fun () ->
+              let p = source () in
+              let sv = Result.get_ok (Servable.of_program p) in
+              let opts = { Run_opts.default with Run_opts.domains = Some domains } in
+              let pl =
+                Loadgen.plan ~seed:domains ~n:6 ~rate:0.8
+                  ~len_lo:(Stdlib.max 1 (sv.Servable.sv_seq_len / 2))
+                  ~len_hi:sv.Servable.sv_seq_len
+              in
+              let b = Serve.run_requests ~opts ~max_batch:4 sv (Loadgen.requests sv ~seed:5 pl) in
+              let s = Serve.solo ~opts sv (Loadgen.requests sv ~seed:5 pl) in
+              checki "everything served" 6 (List.length b.Serve.oc_completed);
+              checki "batched vs solo" 0
+                (Serve.mismatches b.Serve.oc_completed s.Serve.oc_completed);
+              checki "batched vs Interp" 0 (Serve.reference_mismatches p b.Serve.oc_completed);
+              checki "solo vs Interp" 0 (Serve.reference_mismatches p s.Serve.oc_completed)))
+        [ 1; 2; 4 ])
+    sources
+
+(* ----------------------- the derivation rule ---------------------- *)
+
+let digest v =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun t ->
+      let buf = Tensor.buffer t in
+      for i = 0 to Bigarray.Array1.dim buf - 1 do
+        Buffer.add_int64_le b (Int64.bits_of_float buf.{i})
+      done)
+    (Fractal.leaves v);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The benchmark's served stacked RNN (depth 3, seq 64, hidden 32). *)
+let serve_rnn =
+  Parse.program
+    {|program stacked_rnn
+input xss: [8][64]f32[1,32]
+input ws:  [3]f32[32,32]
+return xss.map { |xs|
+  ws.scanl(xs) { |sbar, w|
+    sbar.scanl(zeros[1,32]) { |s, x|
+      x @ w + s } } }|}
+
+let rejects what src fragment =
+  Alcotest.test_case ("rejects " ^ what) `Quick (fun () ->
+      match Servable.of_program (Parse.program src) with
+      | Ok _ -> Alcotest.failf "%s: derived a step program" what
+      | Error m ->
+          checkb (Printf.sprintf "%S names %S" m fragment) true
+            (Str.string_match (Str.regexp (".*" ^ Str.quote fragment)) m 0))
+
+let derive_tests =
+  [
+    Alcotest.test_case "serve_stacked_rnn: the step is the hand-written \
+                        stacked RNN step at widths 1, 2, 4, 8" `Quick
+      (fun () ->
+        let sv = Result.get_ok (Servable.of_program serve_rnn) in
+        List.iter
+          (fun w ->
+            let rows = Shape.of_array [| w; 32 |] in
+            let expected =
+              Expr.
+                {
+                  name = Printf.sprintf "stacked_rnn.step%d" w;
+                  inputs =
+                    [
+                      ("tok0", Tensor_ty rows);
+                      ("st0", List_ty (3, Tensor_ty rows));
+                      ("ws", List_ty (3, Tensor_ty (Shape.of_array [| 32; 32 |])));
+                    ];
+                  body =
+                    scanl_e ~init:(Var "tok0")
+                      ~params:[ "below"; "w"; "s0" ]
+                      ~body:(Add @@@ [ Matmul @@@ [ Var "below"; Var "w" ]; Var "s0" ])
+                      (Zip [ Var "ws"; Var "st0" ]);
+                }
+            in
+            checkb (Printf.sprintf "width %d" w) true (sv.Servable.sv_step w = expected))
+          [ 1; 2; 4; 8 ]);
+    Alcotest.test_case "serve_stacked_rnn: weights and tokens pinned to \
+                        the hand-written servable's bytes" `Quick (fun () ->
+        let sv = Result.get_ok (Servable.of_program serve_rnn) in
+        Alcotest.(check string) "ws" "7a123c685c217b6d72a29d94bbd643fa"
+          (digest (List.assoc "ws" sv.Servable.sv_shared));
+        let pl = Loadgen.plan ~seed:7 ~n:1 ~rate:1e9 ~len_lo:64 ~len_hi:64 in
+        let r = (Loadgen.requests sv ~seed:7 pl).(0) in
+        Alcotest.(check string) "first request's tokens"
+          "f57ac516e965dd2a9feb53b03bcbd50c"
+          (digest (Fractal.Node r.Request.rq_tokens)));
+    Alcotest.test_case "an LSTM in Listing 2 form: tuple state and tokens \
+                        split into one input per component" `Quick (fun () ->
+        let p = Option.get (Servable.builtin_program "stacked_lstm") in
+        let step = (Result.get_ok (Servable.of_program p)).Servable.sv_step 4 in
+        Alcotest.(check (list string)) "step inputs"
+          [ "tok0"; "tok1"; "st0"; "st1"; "wss"; "uss"; "bss" ]
+          (List.map fst step.Expr.inputs));
+    rejects "a body with no fold (ffn_block)"
+      {|program ffn_block
+input xs: [4]f32[8,16]
+input w: f32[16,16]
+return xs.map { |x| x @ w }|}
+      "not a seeded left scan or fold";
+    rejects "a cell mixing rows"
+      {|program mix
+input xss: [2][5]f32[1,1]
+return xss.map { |xs| xs.scanl(zeros[1,1]) { |s, x| s @T x } }|}
+      "matmul_t is not row-independent";
+    rejects "a per-request leaf wider than one row"
+      {|program wide
+input xss: [2][5]f32[2,4]
+return xss.map { |xs| xs.scanl(zeros[2,4]) { |s, x| s + x } }|}
+      "widening needs per-request [1,C] leaves";
+    rejects "a sequence through an access operator"
+      {|program strided
+input xss: [2][6]f32[1,4]
+return xss.map { |xs| xs.stride(0, 2).scanl(zeros[1,4]) { |s, x| s + x } }|}
+      "it must zip map parameters and inputs";
+    Alcotest.test_case "of_program never raises on an ill-typed program" `Quick
+      (fun () ->
+        let p =
+          Parse.program
+            {|program p
+input xss: [2][3]f32[1,4]
+return xss.map { |xs| xs.scanl(zeros[1,4]) { |s, x| s @ y } }|}
+        in
+        checkb "an Error" true (Result.is_error (Servable.of_program p)));
+    Alcotest.test_case "conform's serve oracle: generated programs serve \
+                        batched = solo = Interp" `Quick (fun () ->
+        let r = Conform.run ~oracles:[ "serve" ] ~seed:7 ~budget:120 () in
+        let s = List.find (fun s -> s.Conform.os_oracle = "serve") r.Conform.rp_oracle_stats in
+        checkb "some generated programs derive" true (s.Conform.os_pass > 0);
+        checki "failures" 0 s.Conform.os_fail;
+        checkb "passed" true (Conform.passed r));
+  ]
+
 (* ----------------------- serving behaviour ------------------------ *)
 
 let serving_tests =
   [
     Alcotest.test_case "empty request set completes without hanging" `Quick
       (fun () ->
-        let sv = Servable.selective_scan ~seq_len:4 ~hidden:4 in
+        let sv = selective_scan ~seq_len:4 ~hidden:4 in
         let o = Serve.run_requests sv [||] in
         checki "nothing served" 0 (List.length o.Serve.oc_completed));
     Alcotest.test_case "open loop under overload sheds but completes rest"
       `Quick (fun () ->
-        let sv = Servable.selective_scan ~seq_len:8 ~hidden:4 in
+        let sv = selective_scan ~seq_len:8 ~hidden:4 in
         let pl = Loadgen.plan ~seed:7 ~n:24 ~rate:8.0 ~len_lo:4 ~len_hi:8 in
         let rs = Loadgen.requests sv ~seed:7 pl in
         let o =
@@ -299,7 +468,7 @@ let serving_tests =
           o.Serve.oc_completed);
     Alcotest.test_case "late arrivals join mid-flight (continuous batching)"
       `Quick (fun () ->
-        let sv = Servable.selective_scan ~seq_len:8 ~hidden:4 in
+        let sv = selective_scan ~seq_len:8 ~hidden:4 in
         (* one long request up front, a burst arriving at tick 3: the
            burst must join while the first is still running *)
         let mk id arrival len =
@@ -373,6 +542,8 @@ let suites =
     ("serve-metrics", metrics_tests);
     ("serve-session", session_tests);
     ("serve-differential", differential_tests);
+    ("serve-oracle", oracle_tests);
+    ("serve-derive", derive_tests);
     ("serve-behaviour", serving_tests);
     ("serve-pool", pool_concurrency_tests);
   ]
