@@ -1,61 +1,88 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (§6) on the simulated A100, plus wall-clock
-   micro-benchmarks (Bechamel) of the compiler and the reference
-   executor themselves.
+   measurements of the compiled engine, its kernels, the serving layer
+   and the sharded executor, and Bechamel micro-benchmarks of the
+   compiler and the reference executor themselves.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe fig2       -- one experiment
      (fig2 | fig7 | fig8 | table7 | ablation | devices | vm | kernels |
-      tuned | micro)
+      tuned | serve | dist | micro)
 
-   Flags: --json OUT      dump every measurement as a JSON array
-          --repeat N      timed runs per vm/dist measurement (median-of-N)
-          --warmup N      untimed runs before timing (default 1)
-          --domains 1,2,4 pool sizes the vm experiment sweeps          *)
+   Flags: --json OUT      write every record to OUT (Schema's shape)
+          --repeat N      timed rounds per wall-clock measurement (median)
+          --warmup N      untimed rounds before timing (default 1)
+          --domains 1,2,4 pool sizes the vm experiment sweeps
+          --devices 1,2,4,8  device counts the dist experiment sweeps
+          --requests N    closed-loop requests per serve workload
+
+   The vm, kernels, serve and dist experiments gate their own records
+   (Schema's gates): one ok/FAIL line per row, exit 1 on any failure,
+   after the records are written. *)
 
 let section title =
   Format.printf "@.%s@.%s@." title (String.make (String.length title) '=')
 
-(* --json OUT: every measurement that feeds a printed table is also
-   recorded and dumped as a JSON array at exit, one record per
-   (experiment, workload, plan, device) with the full metrics. *)
 let json_path : string option ref = ref None
-let records : Jsonw.t list ref = ref []
+let records : Schema.t list ref = ref []
 
 (* Table cells are measured across the domain pool, so appends race;
    the globals below the mutex are only written between experiments. *)
 let records_m = Mutex.create ()
-
-let push_record r =
-  if !json_path <> None then
-    Mutex.protect records_m (fun () -> records := r :: !records)
-
 let cur_experiment = ref ""
+let cur_seed : int option ref = ref None
 let cur_title = ref ""
 let set_title t = cur_title := t
+let repeat = ref 5
+let warmup = ref 1
+
+(* The one record writer.  Method defaults to the wall-clock rounds
+   (--repeat/--warmup, interleaved); environment to the ambient pool. *)
+let record ~workload ~layer ~metric ~unit_ ?(source = Schema.Measured)
+    ~statistic ?(repeat = !repeat) ?(warmup = !warmup) ?(interleaved = true)
+    ?(domains = Domain_pool.num_domains ()) ?(bitwise = true) value =
+  let r =
+    {
+      Schema.experiment = !cur_experiment;
+      workload;
+      layer;
+      metric;
+      unit_;
+      value;
+      source;
+      repeat;
+      warmup;
+      interleaved;
+      statistic;
+      domains;
+      seed = !cur_seed;
+      bitwise;
+    }
+  in
+  Mutex.protect records_m (fun () -> records := r :: !records)
+
+let start experiment seed =
+  cur_experiment := experiment;
+  cur_seed := seed
 
 (* [title] must be passed explicitly from parallel cells — the
    [cur_title] global is only meaningful on the sequential path. *)
-let record ?title device (p : Plan.t) (m : Engine.metrics) =
-  let title = match title with Some t -> t | None -> !cur_title in
-  push_record
-    (Jsonw.Obj
-       [
-         ("experiment", Jsonw.String !cur_experiment);
-         ("workload", Jsonw.String title);
-         ("plan", Jsonw.String p.Plan.plan_name);
-         ("device", Jsonw.String device.Device.name);
-         ("time_ms", Jsonw.Float m.Engine.time_ms);
-         ("dram_gb", Jsonw.Float m.Engine.dram_gb);
-         ("l2_gb", Jsonw.Float m.Engine.l2_gb);
-         ("l1_gb", Jsonw.Float m.Engine.l1_gb);
-         ("kernels", Jsonw.Int m.Engine.kernels);
-         ("total_flops", Jsonw.Float m.Engine.total_flops);
-       ])
-
-let measure ?(device = Device.a100) ?title plan =
-  let m = Executor.metrics ~device plan in
-  record ?title device plan m;
+let measure ?(device = Device.a100) ?title (p : Plan.t) =
+  let m = Executor.metrics ~device p in
+  let workload = match title with Some t -> t | None -> !cur_title in
+  let layer = p.Plan.plan_name ^ " on " ^ device.Device.name in
+  List.iter
+    (fun (metric, unit_, v) ->
+      record ~workload ~layer ~metric ~unit_ ~source:Schema.Simulated
+        ~statistic:"model" ~repeat:1 ~warmup:0 ~interleaved:false v)
+    [
+      ("time_ms", "ms", m.Engine.time_ms);
+      ("dram_gb", "GB", m.Engine.dram_gb);
+      ("l2_gb", "GB", m.Engine.l2_gb);
+      ("l1_gb", "GB", m.Engine.l1_gb);
+      ("kernels", "count", float_of_int m.Engine.kernels);
+      ("total_flops", "flop", m.Engine.total_flops);
+    ];
   m
 
 let time_of ?title plan = (measure ?title plan).Engine.time_ms
@@ -72,7 +99,7 @@ let ms v = Printf.sprintf "%.3f" v
 (* ------------------------------------------------------------------ *)
 
 let fig2 () =
-  cur_experiment := "fig2";
+  start "fig2" None;
   section "Figure 2: stacked RNN time (ms) vs depth (batch 256, hidden 256, len 64)";
   let depths = [ 1; 4; 8; 12; 16; 20; 24; 28; 32 ] in
   let header = List.map string_of_int depths in
@@ -142,7 +169,7 @@ let run_suite label plans =
     plans
 
 let fig7 () =
-  cur_experiment := "fig7";
+  start "fig7" None;
   section "Figure 7: end-to-end execution time per DNN workload";
   run_suite "stacked LSTM (batch 256, depth 32, len 64, hidden 256)"
     (Suites.stacked_lstm Stacked_lstm.paper);
@@ -205,7 +232,7 @@ let fig8_model name mk_suite depths = fig8_sweep name "depth" mk_suite depths
 let fig8_seq name mk_suite lens = fig8_sweep name "seq len" mk_suite lens
 
 let fig8 () =
-  cur_experiment := "fig8";
+  start "fig8" None;
   section "Figure 8: RNN scaling (middle = batch 256 hidden 256; large = hidden 1024)";
   let depths = [ 4; 8; 12; 16; 20; 24; 28; 32 ] in
   List.iter
@@ -256,7 +283,7 @@ let table7_block title plans =
     plans
 
 let table7 () =
-  cur_experiment := "table7";
+  start "table7" None;
   section "Table 7: bytes of access to GPU DRAM / L1 / L2";
   table7_block "(1) FlashAttention"
     (Suites.flash_attention Flash_attention.paper);
@@ -267,7 +294,7 @@ let table7 () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  cur_experiment := "ablation";
+  start "ablation" None;
   section "Ablation: what the coarsening pass buys (DESIGN.md)";
   let show title g =
     set_title title;
@@ -306,7 +333,7 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 
 let devices () =
-  cur_experiment := "devices";
+  start "devices" None;
   section "Portability: FractalTensor plans across device models (§7)";
   let targets = [ Device.v100; Device.a100; Device.h100 ] in
   Format.printf "%-18s" "workload";
@@ -334,8 +361,6 @@ let devices () =
 (* VM: real wall clock of the parallel wavefront executor              *)
 (* ------------------------------------------------------------------ *)
 
-let repeat = ref 5
-let warmup = ref 1
 let domain_counts = ref [ 1; 2; 4 ]
 
 let median xs =
@@ -344,27 +369,34 @@ let median xs =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-let record_vm ~workload ~order ~engine ~domains ~time_ms ~speedup ~bitwise =
-  let hw = Stdlib.Domain.recommended_domain_count () in
-  push_record
-    (Jsonw.Obj
-       [
-         ("experiment", Jsonw.String "vm");
-         ("workload", Jsonw.String workload);
-         ("order", Jsonw.String order);
-         ("engine", Jsonw.String engine);
-         ("domains", Jsonw.Int domains);
-         ("time_ms", Jsonw.Float time_ms);
-         ("repeats", Jsonw.Int !repeat);
-         ("warmup", Jsonw.Int !warmup);
-         ("speedup_vs_interp", Jsonw.Float speedup);
-         ("bitwise_equal", Jsonw.Bool bitwise);
-         ("hw_cores", Jsonw.Int hw);
-         ("domains_oversubscribed", Jsonw.Bool (domains > hw));
-       ])
+let wall_ms f =
+  let t0 = Unix.gettimeofday () in
+  ignore (f ());
+  (Unix.gettimeofday () -. t0) *. 1e3
+
+(* Interleaved rounds: [!warmup] untimed samples of each config, then
+   [!repeat] rounds that take one sample of each config in turn, so
+   slow machine drift (thermal throttling, cgroup contention over a
+   long CI run — it flipped thin margins by ±10% when configs were
+   timed back-to-back) hits every side of a ratio alike.  Each sampler
+   returns its own sample; the result is each config's median. *)
+let interleaved_medians samplers =
+  List.iter
+    (fun s ->
+      for _ = 1 to !warmup do
+        ignore (s () : float)
+      done)
+    samplers;
+  let samples = Array.make (List.length samplers) [] in
+  for _round = 1 to Stdlib.max 1 !repeat do
+    List.iteri (fun i s -> samples.(i) <- s () :: samples.(i)) samplers
+  done;
+  Array.map median samples
+
+let warm_median_ms f = (interleaved_medians [ (fun () -> wall_ms f) ]).(0)
 
 let vm () =
-  cur_experiment := "vm";
+  start "vm" (Some 11);
   section "VM: wavefront wall clock vs domain count (real multicore execution)";
   let hw = Stdlib.Domain.recommended_domain_count () in
   Format.printf "hardware cores available: %d@." hw;
@@ -406,22 +438,14 @@ let vm () =
             st.Vm.bs_block st.Vm.bs_points st.Vm.bs_fronts st.Vm.bs_max_width
             (Vm.parallelism st))
         (Vm.wavefront_stats g);
-      (* Measurement design, shaped by two failure modes seen on a
-         1-core container:
-
-         - Slow drift (thermal throttling, cgroup contention over a
-           long CI run) flipped thin margins by ±10% when baseline and
-           candidate were timed back-to-back.  Fix: interleave — each
-           round times every config once, medians are taken per config
-           across rounds, so drift hits both sides of a ratio equally.
-         - Idle OCaml 5 domains join every stop-the-world minor
-           collection, so a live multi-domain pool taxes the
-           allocation-heavy interpreter baseline (measured 65 → 111 ms
-           with six idle workers).  Fix: time the pool-free configs —
-           the sequential interpreter and the compiled executor at one
-           domain, the pair the check.sh gate compares — before any
-           pool exists, then the pooled domain counts, then
-           [Domain_pool.reset] so the next workload starts clean.
+      (* Idle OCaml 5 domains join every stop-the-world minor
+         collection, so a live multi-domain pool taxes the
+         allocation-heavy interpreter baseline (measured 65 → 111 ms
+         with six idle workers).  So the pool-free configs — the
+         sequential interpreter and the compiled executor at one
+         domain, the pair the vm gate compares — are timed, interleaved,
+         before any pool exists, then the pooled domain counts, then
+         [Domain_pool.reset] so the next workload starts clean.
 
          The last round's outputs feed the bitwise check, in the
          interpreter's view ([Oracles.value], untimed).  The sequential
@@ -429,27 +453,13 @@ let vm () =
          the wavefront rows run the compiled executor through the
          unified front door — prepared once per domain count and
          reused, so the timed loop sees only the steady state. *)
-      let repeat = Stdlib.max 1 !repeat in
       let time_rounds execs =
-        List.iter
-          (fun e ->
-            for _ = 1 to !warmup do
-              ignore (e () : unit -> Fractal.t option)
-            done)
-          execs;
-        let n = List.length execs in
-        let samples = Array.make n [] in
-        let outs = Array.make n (fun () -> None) in
-        for _round = 1 to repeat do
-          List.iteri
-            (fun i e ->
-              let t0 = Unix.gettimeofday () in
-              outs.(i) <- e ();
-              samples.(i) <-
-                ((Unix.gettimeofday () -. t0) *. 1e3) :: samples.(i))
-            execs
-        done;
-        (Array.map median samples, outs)
+        let outs = Array.make (List.length execs) (fun () -> None) in
+        let mss =
+          interleaved_medians
+            (List.mapi (fun i e () -> wall_ms (fun () -> outs.(i) <- e ())) execs)
+        in
+        (mss, outs)
       in
       (* each run returns its value in the interpreter's view, projected
          only when asked, outside the timed region *)
@@ -461,6 +471,12 @@ let vm () =
         let outs = Executor.execute pr binds in
         fun () -> Oracles.value program outs
       in
+      let record_cfg ?interleaved ~layer ~domains ~bitwise med speedup =
+        record ~workload:wname ~layer ~metric:"time_ms" ~unit_:"ms"
+          ~statistic:"median" ?interleaved ~domains ~bitwise med;
+        record ~workload:wname ~layer ~metric:"speedup_vs_interp" ~unit_:"x"
+          ~statistic:"ratio" ?interleaved ~domains ~bitwise speedup
+      in
       let prep ?(fuse = true) d =
         let opts =
           { Run_opts.default with Run_opts.domains = Some d; fuse }
@@ -471,7 +487,7 @@ let vm () =
       let single_cfgs = List.map (fun d -> (d, prep d)) singles in
       (* fusion ablation rides along at one domain: same engine, same
          schedule, epilogue fusion and panel packing switched off — the
-         pair the check.sh fusion gate compares *)
+         pair the vm gate's fusion row compares *)
       let nofuse_pr = prep ~fuse:false 1 in
       let mss, outss =
         time_rounds
@@ -481,9 +497,8 @@ let vm () =
       let seq_ms = mss.(0) in
       let reference = outss.(0) () in
       Format.printf "  %-34s %10.3f ms@." "interpreter (baseline)" seq_ms;
-      record_vm ~workload:wname ~order:"sequential" ~engine:"interp"
-        ~domains:1 ~time_ms:seq_ms ~speedup:1.0 ~bitwise:true;
-      let report ?(engine = "compiled") d med value =
+      record_cfg ~layer:"sequential/interp" ~domains:1 ~bitwise:true seq_ms 1.0;
+      let report ?(engine = "compiled") ?interleaved d med value =
         let bitwise =
           match (value (), reference) with
           | Some v, Some r -> Fractal.equal_exact v r
@@ -499,8 +514,8 @@ let vm () =
         if not bitwise then
           Format.printf
             "  WARNING: compiled output differs from the interpreter@.";
-        record_vm ~workload:wname ~order:"wavefront" ~engine ~domains:d
-          ~time_ms:med ~speedup ~bitwise
+        record_cfg ?interleaved ~layer:("wavefront/" ^ engine) ~domains:d
+          ~bitwise med speedup
       in
       List.iteri
         (fun i (d, _) -> report d mss.(i + 1) outss.(i + 1))
@@ -510,7 +525,7 @@ let vm () =
       List.iter
         (fun d ->
           let mss, outss = time_rounds [ compiled (prep d) ] in
-          report d mss.(0) outss.(0))
+          report ~interleaved:false d mss.(0) outss.(0))
         pooled;
       Domain_pool.reset ())
     workloads
@@ -528,26 +543,8 @@ let vm () =
    is also checked bitwise — a kernel variant that wins by changing
    results is a bug, not a speedup. *)
 
-let record_kernel ~shape ~kernel ~variant ~iters ~time_ms ~gflops ~speedup
-    ~bitwise =
-  push_record
-    (Jsonw.Obj
-       [
-         ("experiment", Jsonw.String "kernels");
-         ("shape", Jsonw.String shape);
-         ("kernel", Jsonw.String kernel);
-         ("variant", Jsonw.String variant);
-         ("iters", Jsonw.Int iters);
-         ("time_ms", Jsonw.Float time_ms);
-         ("gflops", Jsonw.Float gflops);
-         ("repeats", Jsonw.Int !repeat);
-         ("warmup", Jsonw.Int !warmup);
-         ("speedup_vs_baseline", Jsonw.Float speedup);
-         ("bitwise_equal", Jsonw.Bool bitwise);
-       ])
-
 let kernels () =
-  cur_experiment := "kernels";
+  start "kernels" (Some 17);
   section "Kernels: packed GEMM + fused epilogues (wall clock, GFLOP/s)";
   let rng = Rng.create 17 in
   let shapes =
@@ -558,8 +555,8 @@ let kernels () =
       ("b2b GEMM (8192x64 @ 64x64)", 8192, 64, 64);
     ]
   in
-  let repeat = Stdlib.max 1 !repeat in
-  Format.printf "median of %d rounds, %d warmup@." repeat !warmup;
+  Format.printf "median of %d rounds, %d warmup@." (Stdlib.max 1 !repeat)
+    !warmup;
   print_row "kernel / shape"
     [ "baseline"; "candidate"; "speedup"; "bitwise" ];
   let bench ~shape ~kernel ~flops ~check base cand =
@@ -567,23 +564,14 @@ let kernels () =
     let iters =
       Stdlib.max 1 (int_of_float (2e6 /. Stdlib.max 1.0 flops))
     in
-    let run f =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        f ()
-      done;
-      (Unix.gettimeofday () -. t0) *. 1e3
+    let run f () =
+      wall_ms (fun () ->
+          for _ = 1 to iters do
+            f ()
+          done)
     in
-    for _ = 1 to !warmup do
-      ignore (run base);
-      ignore (run cand)
-    done;
-    let sb = ref [] and sc = ref [] in
-    for _round = 1 to repeat do
-      sb := run base :: !sb;
-      sc := run cand :: !sc
-    done;
-    let mb = median !sb and mc = median !sc in
+    let mss = interleaved_medians [ run base; run cand ] in
+    let mb = mss.(0) and mc = mss.(1) in
     let gf ms = flops *. float_of_int iters /. (ms *. 1e6) in
     let bitwise = check () in
     let speedup = mb /. mc in
@@ -595,12 +583,18 @@ let kernels () =
         Printf.sprintf "%.2fx" speedup;
         (if bitwise then "equal" else "DIFFER");
       ];
-    let rec_v variant ms other =
-      record_kernel ~shape ~kernel ~variant ~iters ~time_ms:ms
-        ~gflops:(gf ms) ~speedup:other ~bitwise
-    in
-    rec_v "baseline" mb 1.0;
-    rec_v "candidate" mc speedup
+    List.iter
+      (fun (variant, ms, vs_base) ->
+        let layer = kernel ^ "/" ^ variant in
+        let rk ?statistic metric unit_ v =
+          record ~workload:shape ~layer ~metric ~unit_ ~domains:1 ~bitwise
+            ~statistic:(Option.value statistic ~default:"median") v
+        in
+        rk "time_ms" "ms" ms;
+        rk "gflops" "GFLOP/s" (gf ms);
+        rk ~statistic:"ratio" "speedup_vs_baseline" "x" vs_base;
+        rk ~statistic:"config" "iters" "count" (float_of_int iters))
+      [ ("baseline", mb, 1.0); ("candidate", mc, speedup) ]
   in
   List.iter
     (fun (shape, m, k, n) ->
@@ -617,7 +611,7 @@ let kernels () =
         ~check:(fun () ->
           Tensor.matmul_into ~beta:0.0 ~dst:d1 a b;
           Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb;
-          Tensor.data d1 = Tensor.data d2)
+          Tensor.equal_bits d1 d2)
         (fun () -> Tensor.matmul_into ~beta:0.0 ~dst:d1 a b)
         (fun () -> Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb);
       (* fused epilogue vs the three-kernel chain it replaces *)
@@ -634,7 +628,7 @@ let kernels () =
         ~check:(fun () ->
           chain ();
           fused ();
-          Tensor.data d1 = Tensor.data d2)
+          Tensor.equal_bits d1 d2)
         chain fused)
     shapes
 
@@ -647,9 +641,9 @@ let kernels () =
    here is deterministic: rerunning the experiment reproduces the
    exact trajectory and winner. *)
 let tuned () =
-  cur_experiment := "tuned";
-  section "Tuned: default vs auto-tuned configs (analytical oracle, greedy, seed 2024)";
   let budget = 32 and seed = 2024 in
+  start "tuned" (Some seed);
+  section "Tuned: default vs auto-tuned configs (analytical oracle, greedy, seed 2024)";
   let cases =
     [
       ( "fig2",
@@ -698,34 +692,34 @@ let tuned () =
           (Pipeline.plan ~collapse_reuse:cfg.Knobs.c_collapse
              ~tile:cfg.Knobs.c_tile p)
       in
+      let speedup = if best > 0. then dflt /. best else 1. in
       print_row title
         [
           Printf.sprintf "%.1f us" dflt;
           Printf.sprintf "%.1f us" best;
-          Printf.sprintf "%.2fx" (if best > 0. then dflt /. best else 1.);
+          Printf.sprintf "%.2fx" speedup;
           ms sim_default;
           ms sim_tuned;
         ];
       Format.printf "    config: %s@." (Knobs.to_string cfg);
-      push_record
-        (Jsonw.Obj
-           [
-             ("experiment", Jsonw.String "tuned");
-             ("figure", Jsonw.String fig);
-             ("workload", Jsonw.String title);
-             ("strategy", Jsonw.String (Search.strategy_name res.Search.r_strategy));
-             ("oracle", Jsonw.String "sim");
-             ("budget", Jsonw.Int budget);
-             ("seed", Jsonw.Int seed);
-             ("evaluations", Jsonw.Int (List.length res.Search.r_evals));
-             ("default_cost_us", Jsonw.Float dflt);
-             ("tuned_cost_us", Jsonw.Float best);
-             ( "speedup",
-               Jsonw.Float (if best > 0. then dflt /. best else 1.) );
-             ("config", Jsonw.String (Knobs.to_string cfg));
-             ("sim_default_ms", Jsonw.Float sim_default);
-             ("sim_tuned_ms", Jsonw.Float sim_tuned);
-           ]))
+      let strategy = Search.strategy_name res.Search.r_strategy in
+      let tuned = "tuned " ^ Knobs.to_string cfg in
+      List.iter
+        (fun (config, metric, unit_, statistic, v) ->
+          record ~workload:title
+            ~layer:(Printf.sprintf "%s %s/sim %s" fig strategy config)
+            ~metric ~unit_ ~source:Schema.Simulated ~statistic ~repeat:1
+            ~warmup:0 ~interleaved:false v)
+        [
+          ("default", "cost_us", "us", "model", dflt);
+          ("default", "sim_time_ms", "ms", "model", sim_default);
+          (tuned, "cost_us", "us", "model", best);
+          (tuned, "sim_time_ms", "ms", "model", sim_tuned);
+          (tuned, "speedup_vs_default", "x", "ratio", speedup);
+          ( tuned, "evaluations", "count", "count",
+            float_of_int (List.length res.Search.r_evals) );
+          (tuned, "budget", "count", "config", float_of_int budget);
+        ])
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -785,6 +779,125 @@ let micro () =
     results
 
 (* ------------------------------------------------------------------ *)
+(* Serve: continuous batching vs one request at a time                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Per builtin servable: closed-loop saturation throughput batched vs
+   solo, interleaved and compared by median, with the bitwise
+   differential on the last round's results; then one open-loop run of
+   seeded Poisson arrivals through the bounded admission queue for
+   latency percentiles under backpressure.  The open loop deliberately
+   overloads: [rate] arrivals per tick at mean length ~3/4 seq_len
+   offer more tokens per tick than [max_batch] rows serve, so the queue
+   must fill and the door must shed — the regime the serve gate reads. *)
+
+let requests = ref 32
+
+let serve () =
+  let seed = 2024 and max_batch = 8 and queue = 4 and rate = 2.0 in
+  let tick_ms = 0.2 and domains = Domain_pool.num_domains () in
+  start "serve" (Some seed);
+  section "Serve: continuous batching vs solo, open-loop latency under backpressure";
+  print_row "workload"
+    [ "speedup"; "batched t/s"; "solo t/s"; "occupancy"; "mismatches"; "p99 ms" ];
+  List.iter
+    (fun name ->
+      let sv =
+        match Serve.servable_of_file name with
+        | Ok sv -> sv
+        | Error e -> failwith ("serve: " ^ e)
+      in
+      let plan seed n rate =
+        Loadgen.plan ~seed ~n ~rate
+          ~len_lo:(Stdlib.max 1 (sv.Servable.sv_seq_len / 2))
+          ~len_hi:sv.Servable.sv_seq_len
+      in
+      (* arrival ticks collapse to 0 at rate 1e9: a saturated queue *)
+      let closed = plan seed !requests 1e9 in
+      let last = Array.make 2 None in
+      let sample i serve_all () =
+        let o = serve_all (Loadgen.requests sv ~seed closed) in
+        last.(i) <- Some o;
+        o.Serve.oc_wall_s
+      in
+      let walls =
+        interleaved_medians
+          [
+            sample 0 (Serve.run_requests ~tenant:"bench" ~max_batch sv);
+            sample 1 (Serve.solo ~tenant:"bench" sv);
+          ]
+      in
+      let b = Option.get last.(0) and s = Option.get last.(1) in
+      let bad = Serve.mismatches b.Serve.oc_completed s.Serve.oc_completed in
+      let o =
+        Serve.run_open_loop ~tenant:"bench" ~max_batch ~queue ~tick_ms sv
+          (Loadgen.requests sv ~seed:(seed + 1)
+             (plan (seed + 1) (!requests * 2) rate))
+      in
+      let m = o.Serve.oc_metrics in
+      let speedup = walls.(1) /. Float.max 1e-9 walls.(0) in
+      print_row sv.Servable.sv_name
+        [
+          Printf.sprintf "%.2fx" speedup;
+          Printf.sprintf "%.0f" (Metrics.tokens_per_s b.Serve.oc_metrics);
+          Printf.sprintf "%.0f" (Metrics.tokens_per_s s.Serve.oc_metrics);
+          Printf.sprintf "%.2f" (Metrics.mean_occupancy b.Serve.oc_metrics);
+          string_of_int bad;
+          Printf.sprintf "%.2f" (Metrics.percentile m 99.);
+        ];
+      let put ?repeat ?warmup ?interleaved ?bitwise layer rows =
+        List.iter
+          (fun (metric, unit_, statistic, v) ->
+            record ~workload:sv.Servable.sv_name
+              ~layer:(b.Serve.oc_engine ^ "/" ^ layer)
+              ~metric ~unit_ ~statistic ?repeat ?warmup ?interleaved ~domains
+              ?bitwise v)
+          rows
+      in
+      let fi = float_of_int in
+      put "closed/batched" ~bitwise:(bad = 0)
+        [
+          ("requests", "count", "config", fi !requests);
+          ("max_batch", "count", "config", fi max_batch);
+          ("seq_len", "tokens", "config", fi sv.Servable.sv_seq_len);
+          ("wall_s", "s", "median", walls.(0));
+          ("speedup_vs_solo", "x", "ratio", speedup);
+          ("tokens_per_s", "1/s", "last round", Metrics.tokens_per_s b.Serve.oc_metrics);
+          ("mean_occupancy", "rows", "last round", Metrics.mean_occupancy b.Serve.oc_metrics);
+          ("bitwise_mismatches", "count", "count", fi bad);
+        ];
+      put "closed/solo" ~bitwise:(bad = 0)
+        [
+          ("wall_s", "s", "median", walls.(1));
+          ("tokens_per_s", "1/s", "last round", Metrics.tokens_per_s s.Serve.oc_metrics);
+        ];
+      put "open" ~repeat:1 ~warmup:0 ~interleaved:false
+        ([
+           ("max_batch", "count", "config", fi max_batch);
+           ("queue", "count", "config", fi queue);
+           ("rate_per_tick", "1/tick", "config", rate);
+           ("tick_ms", "ms", "config", tick_ms);
+           ("offered", "count", "config", fi (!requests * 2));
+           ("shed", "count", "count", fi o.Serve.oc_shed);
+           ("completed", "count", "count", fi (Metrics.completed m));
+           ("ticks", "count", "count", fi (Metrics.ticks m));
+           ("tokens", "count", "count", fi (Metrics.tokens m));
+           ("wall_s", "s", "single run", Metrics.wall_s m);
+           ("exec_ms", "ms", "single run", Metrics.exec_ms m);
+           ("latency_p50_ms", "ms", "p50", Metrics.percentile m 50.);
+           ("latency_p95_ms", "ms", "p95", Metrics.percentile m 95.);
+           ("latency_p99_ms", "ms", "p99", Metrics.percentile m 99.);
+           ("throughput_rps", "1/s", "single run", Metrics.throughput_rps m);
+           ("tokens_per_s", "1/s", "single run", Metrics.tokens_per_s m);
+           ("mean_occupancy", "rows", "single run", Metrics.mean_occupancy m);
+         ]
+        @ List.map
+            (fun (occ, ticks) ->
+              (Printf.sprintf "ticks_at_occupancy_%d" occ, "count", "count", fi ticks))
+            (Metrics.occupancy_histogram m)))
+    Servable.builtin_names
+
+(* ------------------------------------------------------------------ *)
 (* Dist: sharded execution across simulated devices                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -795,57 +908,15 @@ let micro () =
    The curve and the checked values come from one run, not two
    stories.  Rows where the transfers dominate are honest about losing:
    speedup_vs_1dev < 1 (simulated).  wall_ms is measured: the median of
-   warm Dist.run calls on the prepared entry, next to compiled_1dev_ms,
-   the same graph on the 1-device compiled engine, timed the same way. *)
+   warm Dist.run calls on the prepared entry, next to the same graph on
+   the 1-device compiled engine (layer "compiled 1-device"), timed the
+   same way.  Each device runs on its own domain, so a row's device
+   count is its environment's domain count. *)
 
 let device_counts = ref [ 1; 2; 4; 8 ]
 
-let record_dist ~workload ~devices ~strategy ~sim_ms ~sim_1dev_ms ~xfers
-    ~device_xfers ~xfer_gb ~wall_ms ~compiled_1dev_ms ~bitwise =
-  push_record
-    (Jsonw.Obj
-       [
-         ("experiment", Jsonw.String "dist");
-         ("workload", Jsonw.String workload);
-         ("devices", Jsonw.Int devices);
-         ("strategy", Jsonw.String strategy);
-         ("link", Jsonw.String "nvlink");
-         ("sim_time_ms", Jsonw.Float sim_ms);
-         ("speedup_vs_1dev", Jsonw.Float (sim_1dev_ms /. sim_ms));
-         ("transfers", Jsonw.Int xfers);
-         ("device_transfers", Jsonw.Int device_xfers);
-         ("transfer_gb", Jsonw.Float xfer_gb);
-         ("wall_ms", Jsonw.Float wall_ms);
-         ("compiled_1dev_ms", Jsonw.Float compiled_1dev_ms);
-         ("repeats", Jsonw.Int !repeat);
-         ("warmup", Jsonw.Int !warmup);
-         ("statistic", Jsonw.String "median");
-         ("hw_cores", Jsonw.Int (Stdlib.Domain.recommended_domain_count ()));
-         ( "source",
-           Jsonw.Obj
-             [
-               ("sim_time_ms", Jsonw.String "simulated");
-               ("speedup_vs_1dev", Jsonw.String "simulated");
-               ("wall_ms", Jsonw.String "measured");
-               ("compiled_1dev_ms", Jsonw.String "measured");
-             ] );
-         ("bitwise_equal", Jsonw.Bool bitwise);
-       ])
-
-(* Median wall time in ms of [!repeat] calls after [!warmup] untimed
-   ones. *)
-let warm_median_ms f =
-  for _ = 1 to !warmup do
-    ignore (f ())
-  done;
-  median
-    (List.init (Stdlib.max 1 !repeat) (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         ignore (f ());
-         (Unix.gettimeofday () -. t0) *. 1e3))
-
 let dist () =
-  cur_experiment := "dist";
+  start "dist" (Some 23);
   section
     "Dist: sharded execution across simulated devices (every row \
      bitwise-checked vs the 1-device compiled engine)";
@@ -928,11 +999,8 @@ let dist () =
     ]
   in
   (* speedups are quoted against the 1-device row of the same model, so
-     make sure it exists even under a custom --devices list *)
-  let counts =
-    if List.mem 1 !device_counts then !device_counts
-    else 1 :: !device_counts
-  in
+     it must exist, and run first, under any --devices list *)
+  let counts = List.sort_uniq compare (1 :: !device_counts) in
   Format.printf
     "sim: simulated A100s on NVLink (model output); wall: measured median \
      of %d warm Dist.run calls after %d warm-up, %d hardware core(s)@."
@@ -951,6 +1019,9 @@ let dist () =
         warm_median_ms (fun () -> Executor.execute pr binds)
       in
       Format.printf "  1-device compiled engine: wall %9.3f ms@."
+        compiled_1dev_ms;
+      record ~workload:wname ~layer:"compiled 1-device" ~metric:"wall_ms"
+        ~unit_:"ms" ~statistic:"median" ~interleaved:false ~domains:1
         compiled_1dev_ms;
       let sim_1dev = ref nan in
       List.iter
@@ -973,15 +1044,55 @@ let dist () =
           if not bitwise then
             Format.printf
               "  WARNING: sharded output differs from the 1-device engine@.";
-          record_dist ~workload:wname ~devices:n ~strategy:rp.Dist.rp_strategy
-            ~sim_ms ~sim_1dev_ms:!sim_1dev ~xfers:rp.Dist.rp_xfers
-            ~device_xfers:rp.Dist.rp_device_xfers
-            ~xfer_gb:rp.Dist.rp_xfer_gb ~wall_ms ~compiled_1dev_ms ~bitwise)
+          List.iter
+            (fun (metric, unit_, source, statistic, v) ->
+              record ~workload:wname
+                ~layer:(rp.Dist.rp_strategy ^ "/nvlink")
+                ~metric ~unit_ ~source ~statistic ~interleaved:false
+                ~domains:n ~bitwise v)
+            [
+              ("sim_time_ms", "ms", Schema.Simulated, "model", sim_ms);
+              ( "speedup_vs_1dev", "x", Schema.Simulated, "ratio",
+                !sim_1dev /. sim_ms );
+              ( "transfers", "count", Schema.Measured, "count",
+                float_of_int rp.Dist.rp_xfers );
+              ( "device_transfers", "count", Schema.Measured, "count",
+                float_of_int rp.Dist.rp_device_xfers );
+              ("transfer_gb", "GB", Schema.Measured, "count", rp.Dist.rp_xfer_gb);
+              ("wall_ms", "ms", Schema.Measured, "median", wall_ms);
+            ])
         counts;
       Domain_pool.reset ())
     workloads
 
 (* ------------------------------------------------------------------ *)
+
+let experiments =
+  [
+    ("fig2", fig2, None);
+    ("fig7", fig7, None);
+    ("fig8", fig8, None);
+    ("table7", table7, None);
+    ("ablation", ablation, None);
+    ("devices", devices, None);
+    ("vm", vm, Some Schema.vm);
+    ("kernels", kernels, Some Schema.kernels);
+    ("tuned", tuned, None);
+    ("serve", serve, Some Schema.serve);
+    ("dist", dist, Some Schema.dist);
+    ("micro", micro, None);
+  ]
+
+(* An experiment's gate over its own records: one ok/FAIL line per row. *)
+let gate name check =
+  Format.printf "@.gate %s@." name;
+  let rows =
+    check (List.filter (fun r -> r.Schema.experiment = name) (List.rev !records))
+  in
+  List.iter
+    (fun (ok, line) -> Format.printf "  %s %s@." (if ok then "ok" else "FAIL") line)
+    rows;
+  List.for_all fst rows
 
 let () =
   (* argv: flags and [EXPERIMENT] in any order *)
@@ -995,6 +1106,21 @@ let () =
         prerr_endline (name ^ " requires a positive integer");
         exit 1
   in
+  let counts_flag name v counts rest parse =
+    let positive s =
+      match int_of_string_opt (String.trim s) with
+      | Some n when n > 0 -> n
+      | _ -> raise Exit
+    in
+    match List.map positive (String.split_on_char ',' v) with
+    | ns ->
+        counts := ns;
+        parse rest
+    | exception Exit ->
+        prerr_endline
+          (name ^ " requires a comma-separated list of positive integers");
+        exit 1
+  in
   let rec parse = function
     | [] -> ()
     | "--json" :: path :: rest ->
@@ -1002,6 +1128,8 @@ let () =
         parse rest
     | "--repeat" :: v :: rest ->
         int_flag "--repeat" v (fun n -> repeat := n) rest parse
+    | "--requests" :: v :: rest ->
+        int_flag "--requests" v (fun n -> requests := n) rest parse
     | "--warmup" :: v :: rest -> (
         match int_of_string_opt v with
         | Some n when n >= 0 ->
@@ -1010,39 +1138,11 @@ let () =
         | _ ->
             prerr_endline "--warmup requires a non-negative integer";
             exit 1)
-    | "--domains" :: v :: rest -> (
-        let parts = String.split_on_char ',' v in
-        match
-          List.map
-            (fun s ->
-              match int_of_string_opt (String.trim s) with
-              | Some n when n > 0 -> n
-              | _ -> raise Exit)
-            parts
-        with
-        | ds when ds <> [] ->
-            domain_counts := ds;
-            parse rest
-        | _ | (exception Exit) ->
-            prerr_endline "--domains requires a comma-separated list of positive integers";
-            exit 1)
-    | "--devices" :: v :: rest -> (
-        let parts = String.split_on_char ',' v in
-        match
-          List.map
-            (fun s ->
-              match int_of_string_opt (String.trim s) with
-              | Some n when n > 0 -> n
-              | _ -> raise Exit)
-            parts
-        with
-        | ds when ds <> [] ->
-            device_counts := ds;
-            parse rest
-        | _ | (exception Exit) ->
-            prerr_endline "--devices requires a comma-separated list of positive integers";
-            exit 1)
-    | ("--json" | "--repeat" | "--warmup" | "--domains" | "--devices") :: [] ->
+    | "--domains" :: v :: rest -> counts_flag "--domains" v domain_counts rest parse
+    | "--devices" :: v :: rest -> counts_flag "--devices" v device_counts rest parse
+    | ( "--json" | "--repeat" | "--requests" | "--warmup" | "--domains"
+      | "--devices" )
+      :: [] ->
         prerr_endline "flag requires an argument";
         exit 1
     | arg :: rest ->
@@ -1050,42 +1150,34 @@ let () =
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let selected =
+    if !which = "all" then experiments
+    else List.filter (fun (name, _, _) -> name = !which) experiments
+  in
+  if selected = [] then begin
+    Format.printf "unknown experiment %s (%s|all)@." !which
+      (String.concat "|" (List.map (fun (name, _, _) -> name) experiments));
+    exit 1
+  end;
   Format.printf
     "FractalTensor reproduction benchmarks (simulated %s)@."
     Device.a100.Device.name;
-  (match !which with
-  | "fig2" -> fig2 ()
-  | "fig7" -> fig7 ()
-  | "fig8" -> fig8 ()
-  | "table7" -> table7 ()
-  | "ablation" -> ablation ()
-  | "devices" -> devices ()
-  | "vm" -> vm ()
-  | "kernels" -> kernels ()
-  | "tuned" -> tuned ()
-  | "dist" -> dist ()
-  | "micro" -> micro ()
-  | "all" ->
-      fig2 ();
-      fig7 ();
-      fig8 ();
-      table7 ();
-      ablation ();
-      devices ();
-      vm ();
-      kernels ();
-      tuned ();
-      dist ();
-      micro ()
-  | other ->
-      Format.printf "unknown experiment %s (fig2|fig7|fig8|table7|ablation|devices|vm|kernels|tuned|dist|micro|all)@." other;
-      exit 1);
+  let passed =
+    List.fold_left
+      (fun passed (name, run, check) ->
+        run ();
+        match check with Some c -> gate name c && passed | None -> passed)
+      true selected
+  in
   (match !json_path with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Jsonw.to_string (Jsonw.List (List.rev !records)));
-      output_char oc '\n';
-      close_out oc;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Jsonw.to_string (Schema.document (List.rev !records)));
+          output_char oc '\n');
       Format.printf "wrote %d records to %s@." (List.length !records) path);
-  Format.printf "@."
+  Format.printf "@.";
+  if not passed then begin
+    prerr_endline "bench: a gate failed (FAIL rows above)";
+    exit 1
+  end

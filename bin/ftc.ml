@@ -978,133 +978,57 @@ let conform_cmd =
       $ budget $ oracles $ corpus $ replay $ Cli_args.json_flag $ meta_iters)
 
 let serve_cmd =
-  let run files bench json max_batch tick queue requests rate repeat seed
-      domains =
+  let run files max_batch tick requests rate seed domains =
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
     (* tuned configs apply transparently to the serving session's
        prepared step programs, exactly as they do to [ftc run] *)
     Tune_db.install ();
     let opts = { Run_opts.default with Run_opts.domains } in
-    if bench then begin
-      let cfg =
-        {
-          Serve.bc_seed = seed;
-          bc_requests = requests;
-          bc_max_batch = max_batch;
-          (* --repeat keeps its shared default of 1, but a 1-repeat
-             median is pure noise — lift an unset flag to the bench
-             default *)
-          bc_repeat =
-            (if repeat > 1 then repeat
-             else Serve.default_bench_cfg.Serve.bc_repeat);
-          bc_queue = queue;
-          bc_rate = rate;
-          bc_tick_ms =
-            Option.value tick
-              ~default:Serve.default_bench_cfg.Serve.bc_tick_ms;
-          bc_domains = domains;
-        }
-      in
-      let names =
-        match files with [] -> Servable.builtin_names | fs -> fs
-      in
-      let doc, errors = Serve.bench ~cfg names in
-      List.iter (fun (n, e) -> Format.eprintf "serve: %s: %s@." n e) errors;
-      if json then print_endline (Jsonw.to_string doc)
-      else begin
-        let get k kvs = List.assoc_opt k kvs in
-        (match doc with
-        | Jsonw.Obj top -> (
-            match get "workloads" top with
-            | Some (Jsonw.List ws) ->
-                Format.printf "%-18s %10s %12s %12s %6s %10s@." "workload"
-                  "speedup" "batched t/s" "solo t/s" "occ" "mismatches";
-                List.iter
-                  (function
-                    | Jsonw.Obj kvs ->
-                        let s k =
-                          match get k kvs with
-                          | Some (Jsonw.Float x) -> x
-                          | Some (Jsonw.Int i) -> float_of_int i
-                          | _ -> nan
-                        in
-                        let name =
-                          match get "workload" kvs with
-                          | Some (Jsonw.String n) -> n
-                          | _ -> "?"
-                        in
-                        Format.printf "%-18s %10.3f %12.0f %12.0f %6.2f %10.0f@."
-                          name (s "speedup_vs_solo")
-                          (s "batched_tokens_per_s") (s "solo_tokens_per_s")
-                          (s "mean_occupancy") (s "bitwise_mismatches")
-                    | _ -> ())
-                  ws
-            | _ -> ())
-        | _ -> ())
-      end;
-      if errors <> [] then exit 1
-    end
-    else begin
-      if files = [] then begin
-        Format.eprintf
-          "serve: need a FILE.ft (or builtin: %s), or --bench@."
-          (String.concat ", " Servable.builtin_names);
-        exit 1
-      end;
-      let bad_total = ref 0 in
-      List.iter
-        (fun f ->
-          match
-            Result.bind (Serve.program_of f) (fun p ->
-                Result.map (fun sv -> (p, sv)) (Servable.of_program p))
-          with
-          | Error e ->
-              Format.eprintf "serve: %s@." e;
-              exit 1
-          | Ok (p, sv) ->
-              let pl =
-                Loadgen.plan ~seed ~n:requests ~rate
-                  ~len_lo:(max 1 (sv.Servable.sv_seq_len / 2))
-                  ~len_hi:sv.Servable.sv_seq_len
-              in
-              let rs = Loadgen.requests sv ~seed pl in
-              let o =
-                Serve.run_requests ~opts ~max_batch
-                  ?tick_ms:tick sv rs
-              in
-              let rs_solo = Loadgen.requests sv ~seed pl in
-              let s = Serve.solo ~opts sv rs_solo in
-              let bad = Serve.mismatches o.oc_completed s.oc_completed in
-              let bad_ref = Serve.reference_mismatches p o.oc_completed in
-              bad_total := !bad_total + bad + bad_ref;
-              Format.printf "workload %s (engine %s)@." sv.Servable.sv_name
-                o.Serve.oc_engine;
-              Format.printf "%a@." Metrics.pp o.Serve.oc_metrics;
-              Format.printf "batched %s solo service (%d request(s))@."
-                (if bad = 0 then "bitwise-matches" else "DIFFERS from")
-                (List.length o.Serve.oc_completed);
-              Format.printf "responses %s the reference interpreter@."
-                (if bad_ref = 0 then "bitwise-match" else "DIFFER from"))
-        files;
-      if !bad_total > 0 then exit 1
-    end
+    if files = [] then begin
+      Format.eprintf "serve: need a FILE.ft (or builtin: %s)@."
+        (String.concat ", " Servable.builtin_names);
+      exit 1
+    end;
+    let bad_total = ref 0 in
+    List.iter
+      (fun f ->
+        match
+          Result.bind (Serve.program_of f) (fun p ->
+              Result.map (fun sv -> (p, sv)) (Servable.of_program p))
+        with
+        | Error e ->
+            Format.eprintf "serve: %s@." e;
+            exit 1
+        | Ok (p, sv) ->
+            let pl =
+              Loadgen.plan ~seed ~n:requests ~rate
+                ~len_lo:(max 1 (sv.Servable.sv_seq_len / 2))
+                ~len_hi:sv.Servable.sv_seq_len
+            in
+            let rs = Loadgen.requests sv ~seed pl in
+            let o = Serve.run_requests ~opts ~max_batch ?tick_ms:tick sv rs in
+            let rs_solo = Loadgen.requests sv ~seed pl in
+            let s = Serve.solo ~opts sv rs_solo in
+            let bad = Serve.mismatches o.oc_completed s.oc_completed in
+            let bad_ref = Serve.reference_mismatches p o.oc_completed in
+            bad_total := !bad_total + bad + bad_ref;
+            Format.printf "workload %s (engine %s)@." sv.Servable.sv_name
+              o.Serve.oc_engine;
+            Format.printf "%a@." Metrics.pp o.Serve.oc_metrics;
+            Format.printf "batched %s solo service (%d request(s))@."
+              (if bad = 0 then "bitwise-matches" else "DIFFERS from")
+              (List.length o.Serve.oc_completed);
+            Format.printf "responses %s the reference interpreter@."
+              (if bad_ref = 0 then "bitwise-match" else "DIFFER from"))
+      files;
+    if !bad_total > 0 then exit 1
   in
   let files =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILE"
-          ~doc:
-            "Programs to serve: .ft example files or builtin workload names \
-             (default with --bench: every builtin)")
-  in
-  let bench =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Benchmark mode: interleaved batched-vs-solo closed-loop medians \
-             plus an open-loop bounded-queue run per workload")
+          ~doc:"Programs to serve: .ft example files or builtin workload names")
   in
   let max_batch =
     Arg.(
@@ -1119,12 +1043,6 @@ let serve_cmd =
           ~doc:
             "Tick deadline in milliseconds (wall pacing); unset runs in \
              virtual time")
-  in
-  let queue =
-    Arg.(
-      value & opt int 4
-      & info [ "queue" ] ~docv:"N"
-          ~doc:"Broker queue bound for the open-loop (backpressure) phase")
   in
   let requests =
     Arg.(
@@ -1144,8 +1062,7 @@ let serve_cmd =
           every tick is one executor run, and batched service is checked \
           bitwise against serving each request alone")
     Term.(
-      const run $ files $ bench $ Cli_args.json_flag $ max_batch $ tick
-      $ queue $ requests $ rate $ Cli_args.repeat_arg
+      const run $ files $ max_batch $ tick $ requests $ rate
       $ Cli_args.seed_arg ~default:2024
       $ Cli_args.domains_arg)
 

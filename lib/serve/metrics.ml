@@ -1,12 +1,10 @@
 (* Serving telemetry: latency percentiles, throughput, and the
    batch-occupancy histogram — the numbers that say whether continuous
-   batching actually bought anything.  Rendered through Observe.Jsonw
-   so BENCH_serve.json and `ftc serve --json` share one writer. *)
+   batching actually bought anything. *)
 
 type t = {
   mutable latencies_ms : float list; (* completed requests, newest first *)
   mutable completed : int;
-  mutable rejected : int;
   mutable tokens : int; (* request tokens advanced (padding excluded) *)
   mutable ticks : int;
   mutable exec_ms : float; (* wall time inside Executor.execute *)
@@ -19,7 +17,6 @@ let create () =
   {
     latencies_ms = [];
     completed = 0;
-    rejected = 0;
     tokens = 0;
     ticks = 0;
     exec_ms = 0.;
@@ -41,8 +38,6 @@ let on_tick m ~active ~advanced ~exec_ms =
 let on_complete m r =
   m.completed <- m.completed + 1;
   m.latencies_ms <- Request.latency_ms r :: m.latencies_ms
-
-let on_reject m = m.rejected <- m.rejected + 1
 
 let wall_s m =
   let t1 = if m.t_stop > 0. then m.t_stop else Unix.gettimeofday () in
@@ -84,37 +79,11 @@ let ticks m = m.ticks
 let tokens m = m.tokens
 let exec_ms m = m.exec_ms
 
-let jsonv m =
-  Jsonw.Obj
-    [
-      ("completed", Jsonw.Int m.completed);
-      ("rejected", Jsonw.Int m.rejected);
-      ("ticks", Jsonw.Int m.ticks);
-      ("tokens", Jsonw.Int m.tokens);
-      ("wall_s", Jsonw.Float (wall_s m));
-      ("exec_ms", Jsonw.Float m.exec_ms);
-      ( "latency_ms",
-        Jsonw.Obj
-          [
-            ("p50", Jsonw.Float (percentile m 50.));
-            ("p95", Jsonw.Float (percentile m 95.));
-            ("p99", Jsonw.Float (percentile m 99.));
-          ] );
-      ("throughput_rps", Jsonw.Float (throughput_rps m));
-      ("tokens_per_s", Jsonw.Float (tokens_per_s m));
-      ("mean_occupancy", Jsonw.Float (mean_occupancy m));
-      ( "occupancy_histogram",
-        Jsonw.Obj
-          (List.map
-             (fun (occ, t) -> (string_of_int occ, Jsonw.Int t))
-             (occupancy_histogram m)) );
-    ]
-
 let pp ppf m =
   Format.fprintf ppf
-    "completed %d, rejected %d, %d ticks / %d tokens in %.3f s@\n\
+    "completed %d, %d ticks / %d tokens in %.3f s@\n\
      latency p50 %.3f ms, p95 %.3f ms, p99 %.3f ms@\n\
      throughput %.1f req/s (%.1f tok/s), mean occupancy %.2f"
-    m.completed m.rejected m.ticks m.tokens (wall_s m) (percentile m 50.)
+    m.completed m.ticks m.tokens (wall_s m) (percentile m 50.)
     (percentile m 95.) (percentile m 99.) (throughput_rps m) (tokens_per_s m)
     (mean_occupancy m)

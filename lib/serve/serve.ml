@@ -1,7 +1,7 @@
 (* The serving front door: wire servable + broker + session + scheduler
-   together, and measure.
+   together.
 
-   Two measurement modes matter:
+   Two drive modes matter:
 
    - closed loop ([run_requests]): a fixed request set queued up front,
      served to completion — the saturation-throughput measurement, and
@@ -125,133 +125,3 @@ let reference_mismatches p (rs : Request.t list) =
     | None -> true
   in
   List.length (List.filter differs rs)
-
-(* ------------------------------ bench ----------------------------- *)
-
-type bench_cfg = {
-  bc_seed : int;
-  bc_requests : int;
-  bc_max_batch : int;
-  bc_repeat : int;
-  bc_queue : int;  (** open-loop queue bound (backpressure) *)
-  bc_rate : float;  (** open-loop arrivals per tick *)
-  bc_tick_ms : float;  (** open-loop tick deadline (wall pacing) *)
-  bc_domains : int option;
-}
-
-(* Open-loop defaults deliberately overload: [bc_rate] arrivals per
-   tick at mean length ~3/4 seq_len offers more tokens per tick than
-   [bc_max_batch] can serve, so the bounded queue must fill and the
-   door must shed — the backpressure regime the p99 gate runs in. *)
-let default_bench_cfg =
-  {
-    bc_seed = 2024;
-    bc_requests = 32;
-    bc_max_batch = 8;
-    bc_repeat = 7;
-    bc_queue = 4;
-    bc_rate = 2.0;
-    bc_tick_ms = 0.2;
-    bc_domains = None;
-  }
-
-let median a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  a.(Array.length a / 2)
-
-(* Throughput (closed loop, saturation) + latency (open loop, bounded
-   queue) for one workload.  Batched and solo runs are interleaved
-   within each repeat so machine noise hits both alike; the bitwise
-   differential runs on the final repeat's results. *)
-let bench_servable ?(cfg = default_bench_cfg) sv =
-  let opts =
-    { Run_opts.default with Run_opts.domains = cfg.bc_domains }
-  in
-  let pl =
-    Loadgen.plan ~seed:cfg.bc_seed ~n:cfg.bc_requests ~rate:1e9
-      ~len_lo:(Stdlib.max 1 (sv.Servable.sv_seq_len / 2))
-      ~len_hi:sv.Servable.sv_seq_len
-  in
-  (* arrival ticks collapse to 0 at rate 1e9: a saturated queue *)
-  let batched_wall = Array.make cfg.bc_repeat 0. in
-  let solo_wall = Array.make cfg.bc_repeat 0. in
-  let last = ref None in
-  for rep = 0 to cfg.bc_repeat - 1 do
-    let rs = Loadgen.requests sv ~seed:cfg.bc_seed pl in
-    let b =
-      run_requests ~tenant:"bench" ~opts ~max_batch:cfg.bc_max_batch sv rs
-    in
-    batched_wall.(rep) <- b.oc_wall_s;
-    let rs_solo = Loadgen.requests sv ~seed:cfg.bc_seed pl in
-    let s = solo ~tenant:"bench" ~opts sv rs_solo in
-    solo_wall.(rep) <- s.oc_wall_s;
-    last := Some (b, s)
-  done;
-  let b, s = Option.get !last in
-  let bad = mismatches b.oc_completed s.oc_completed in
-  let bm = median batched_wall and sm = median solo_wall in
-  (* Open loop under backpressure: arrivals faster than the queue
-     bound absorbs, so rejection must engage and p99 must stay
-     finite. *)
-  let open_pl =
-    Loadgen.plan ~seed:(cfg.bc_seed + 1) ~n:(cfg.bc_requests * 2)
-      ~rate:cfg.bc_rate
-      ~len_lo:(Stdlib.max 1 (sv.Servable.sv_seq_len / 2))
-      ~len_hi:sv.Servable.sv_seq_len
-  in
-  let open_rs = Loadgen.requests sv ~seed:(cfg.bc_seed + 1) open_pl in
-  let o =
-    run_open_loop ~tenant:"bench" ~opts ~max_batch:cfg.bc_max_batch
-      ~queue:cfg.bc_queue ~tick_ms:cfg.bc_tick_ms sv open_rs
-  in
-  for _ = 1 to o.oc_shed do
-    Metrics.on_reject o.oc_metrics
-  done;
-  let stats_o = Metrics.jsonv o.oc_metrics in
-  Jsonw.Obj
-    [
-      ("workload", Jsonw.String sv.Servable.sv_name);
-      ("engine", Jsonw.String b.oc_engine);
-      ("seq_len", Jsonw.Int sv.Servable.sv_seq_len);
-      ("requests", Jsonw.Int cfg.bc_requests);
-      ("max_batch", Jsonw.Int cfg.bc_max_batch);
-      ( "domains",
-        match cfg.bc_domains with
-        | Some d -> Jsonw.Int d
-        | None -> Jsonw.Null );
-      ("repeat", Jsonw.Int cfg.bc_repeat);
-      ("batched_wall_s", Jsonw.Float bm);
-      ("solo_wall_s", Jsonw.Float sm);
-      ("speedup_vs_solo", Jsonw.Float (sm /. Float.max 1e-9 bm));
-      ("batched_tokens_per_s", Jsonw.Float (Metrics.tokens_per_s b.oc_metrics));
-      ("solo_tokens_per_s", Jsonw.Float (Metrics.tokens_per_s s.oc_metrics));
-      ("mean_occupancy", Jsonw.Float (Metrics.mean_occupancy b.oc_metrics));
-      ("bitwise_mismatches", Jsonw.Int bad);
-      ( "open_loop",
-        Jsonw.Obj
-          [
-            ("queue", Jsonw.Int cfg.bc_queue);
-            ("rate_per_tick", Jsonw.Float cfg.bc_rate);
-            ("offered", Jsonw.Int (Array.length open_rs));
-            ("shed", Jsonw.Int o.oc_shed);
-            ("stats", stats_o);
-          ] );
-    ]
-
-let bench ?(cfg = default_bench_cfg) names =
-  let records, errors =
-    List.fold_left
-      (fun (recs, errs) name ->
-        match servable_of_file name with
-        | Ok sv -> (bench_servable ~cfg sv :: recs, errs)
-        | Error e -> (recs, (name, e) :: errs))
-      ([], []) names
-  in
-  ( Jsonw.Obj
-      [
-        ("bench", Jsonw.String "serve");
-        ("seed", Jsonw.Int cfg.bc_seed);
-        ("workloads", Jsonw.List (List.rev records));
-      ],
-    List.rev errors )

@@ -1,6 +1,6 @@
 (** The serving front door: servable + broker + session + scheduler
-    wired together, plus the measurement and differential entry points
-    behind [ftc serve]. *)
+    wired together, plus the drive and differential entry points behind
+    [ftc serve] and the serve benchmark. *)
 
 val program_of : string -> (Expr.program, string) result
 (** A [.ft] file, parsed and type-checked, or else a builtin's source. *)
@@ -59,25 +59,3 @@ val reference_mismatches : Expr.program -> Request.t list -> int
 (** Completed requests whose response differs — by
     {!Fractal.equal_exact} — from {!Servable.reference} on the source
     program, or that have none. *)
-
-type bench_cfg = {
-  bc_seed : int;
-  bc_requests : int;
-  bc_max_batch : int;
-  bc_repeat : int;
-  bc_queue : int;  (** open-loop queue bound (backpressure) *)
-  bc_rate : float;  (** open-loop arrivals per tick *)
-  bc_tick_ms : float;  (** open-loop tick deadline (wall pacing) *)
-  bc_domains : int option;
-}
-
-val default_bench_cfg : bench_cfg
-
-val bench_servable : ?cfg:bench_cfg -> Servable.t -> Jsonw.t
-(** Interleaved batched-vs-solo closed-loop medians (throughput,
-    speedup, bitwise mismatch count) plus an open-loop bounded-queue
-    run (latency percentiles under backpressure) for one workload. *)
-
-val bench : ?cfg:bench_cfg -> string list -> Jsonw.t * (string * string) list
-(** {!bench_servable} over builtin names; unknown names come back as
-    [(name, error)] pairs instead of records. *)

@@ -4,7 +4,10 @@
 # GEMM+bias+tanh epilogue against the three-kernel chain it replaces,
 # at the per-cell shapes the workloads actually run (LSTM gate, RNN
 # cell, FFN block, back-to-back GEMM).  Median-of-N with warmup,
-# every pair checked bitwise; records go to BENCH_kernels.json.
+# every pair checked bitwise; records go to BENCH_kernels.json.  The
+# kernels gate (every candidate bitwise-equal and >= 1.0x its baseline)
+# prints one ok/FAIL line per candidate and fails the script on any
+# FAIL.
 #
 #   scripts/bench_kernels.sh [REPEAT] [OUT]
 #
@@ -18,4 +21,3 @@ OUT="${2:-BENCH_kernels.json}"
 dune build bench/main.exe
 dune exec --no-build bench/main.exe -- kernels \
   --repeat "$REPEAT" --json "$OUT"
-echo "wrote $OUT"

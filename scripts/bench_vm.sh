@@ -5,7 +5,10 @@
 # compiled executor (straight-line closures over an arena) in wavefront
 # order at 1/2/4 domains — median-of-N, and writes the records (time,
 # engine, speedup vs the interpreter, bitwise-equality check in the
-# interpreter's view, hardware core count) to BENCH_vm.json.
+# interpreter's view, hardware core count) to BENCH_vm.json.  The vm
+# gate (compiled at one domain, fused or not, >= 1.0x the interpreter
+# and bitwise-equal; fused >= 0.90x unfused) prints one ok/FAIL line
+# per row and fails the script on any FAIL.
 #
 #   scripts/bench_vm.sh [REPEAT] [DOMAINS] [OUT]
 #
@@ -22,4 +25,3 @@ OUT="${3:-BENCH_vm.json}"
 dune build bench/main.exe
 dune exec --no-build bench/main.exe -- vm \
   --repeat "$REPEAT" --domains "$DOMAINS" --json "$OUT"
-echo "wrote $OUT"

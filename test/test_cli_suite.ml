@@ -186,6 +186,17 @@ let cli_tests =
               | _ -> true
               | exception Not_found -> false))
           [ "batched bitwise-matches solo"; "responses bitwise-match the reference interpreter" ]);
+    Alcotest.test_case "serve has no bench mode: its flags are usage \
+                        errors" `Quick (fun () ->
+        (* the serving benchmark is bench/main.exe serve *)
+        List.iter
+          (fun flags ->
+            let code, out, _ =
+              run_ftc ("serve " ^ example "selective_scan" ^ " " ^ flags)
+            in
+            checki flags 124 code;
+            checkb (flags ^ ": stdout is silent") true (String.trim out = ""))
+          [ "--bench"; "--json"; "--repeat 3"; "--queue 4" ]);
     Alcotest.test_case "shard: bitwise-identical at 2 devices, exit 0" `Quick
       (fun () ->
         let code, out, err = run_ftc "shard stacked_rnn --devices 2" in
