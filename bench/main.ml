@@ -531,21 +531,25 @@ let vm () =
     workloads
 
 (* ------------------------------------------------------------------ *)
-(* Kernels: packed vs naive GEMM, fused vs unfused epilogues           *)
+(* Kernels: native GEMM tier vs the OCaml reference loops              *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock GFLOP/s of the two kernel-level optimisations the fused
-   compiled engine is built on, at the per-cell shapes the workloads
-   actually run.  Each timed sample executes the kernel [iters] times
-   so that tiny shapes (an LSTM gate GEMM is 73 Kflop) rise above
-   clock granularity; rounds interleave baseline and candidate so
-   machine drift hits both sides of every ratio equally.  Every pair
-   is also checked bitwise — a kernel variant that wins by changing
-   results is a bug, not a speedup. *)
+(* Wall-clock GFLOP/s of the native GEMM tier against the OCaml
+   reference loops it must match bit for bit, at the per-cell shapes the
+   workloads actually run.  Every candidate's baseline is the OCaml
+   reference: native unpacked, native packed, and the native packed GEMM
+   with a fused bias+tanh epilogue (against the reference GEMM followed
+   by separate bias and tanh passes).  Native packed vs native unpacked
+   is recorded as an ungated ratio per shape.  Each timed sample
+   executes the kernel [iters] times so that tiny shapes (an LSTM gate
+   GEMM is 73 Kflop) rise above clock granularity; rounds interleave
+   every variant of a shape so machine drift hits both sides of every
+   ratio equally.  Every candidate is also checked bitwise — a kernel
+   variant that wins by changing results is a bug, not a speedup. *)
 
 let kernels () =
   start "kernels" (Some 17);
-  section "Kernels: packed GEMM + fused epilogues (wall clock, GFLOP/s)";
+  section "Kernels: native GEMM vs the OCaml reference (wall clock, GFLOP/s)";
   let rng = Rng.create 17 in
   let shapes =
     [
@@ -559,10 +563,10 @@ let kernels () =
     !warmup;
   print_row "kernel / shape"
     [ "baseline"; "candidate"; "speedup"; "bitwise" ];
-  let bench ~shape ~kernel ~flops ~check base cand =
-    (* one timed sample = [iters] kernel executions, >= ~2 ms each *)
+  (* one timed sample = [iters] executions of each variant, >= ~20 Mflop *)
+  let timed ~flops variants =
     let iters =
-      Stdlib.max 1 (int_of_float (2e6 /. Stdlib.max 1.0 flops))
+      Stdlib.max 1 (int_of_float (2e7 /. Stdlib.max 1.0 flops))
     in
     let run f () =
       wall_ms (fun () ->
@@ -570,10 +574,10 @@ let kernels () =
             f ()
           done)
     in
-    let mss = interleaved_medians [ run base; run cand ] in
-    let mb = mss.(0) and mc = mss.(1) in
+    (iters, interleaved_medians (List.map run variants))
+  in
+  let report ~shape ~kernel ~flops ~iters ~bitwise mb mc =
     let gf ms = flops *. float_of_int iters /. (ms *. 1e6) in
-    let bitwise = check () in
     let speedup = mb /. mc in
     print_row
       (Printf.sprintf "%s %s" kernel shape)
@@ -601,35 +605,47 @@ let kernels () =
       let a = Tensor.rand rng (Shape.of_array [| m; k |]) in
       let b = Tensor.rand rng (Shape.of_array [| k; n |]) in
       let bias = Tensor.rand rng (Shape.of_array [| 1; n |]) in
-      let d1 = Tensor.zeros (Shape.of_array [| m; n |]) in
-      let d2 = Tensor.zeros (Shape.of_array [| m; n |]) in
+      let dst () = Tensor.zeros (Shape.of_array [| m; n |]) in
+      let d0 = dst () and d1 = dst () and d2 = dst () in
       let flops = 2.0 *. float_of_int (m * k * n) in
-      (* packed vs naive GEMM: pack once outside the timed region —
-         that is the reuse the fused engine gets across a front *)
+      (* pack once outside the timed region — that is the reuse the
+         compiled engine gets across a front *)
       let pb = Tensor.pack_b b in
-      bench ~shape ~kernel:"gemm-packed" ~flops
-        ~check:(fun () ->
-          Tensor.matmul_into ~beta:0.0 ~dst:d1 a b;
-          Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb;
-          Tensor.equal_bits d1 d2)
-        (fun () -> Tensor.matmul_into ~beta:0.0 ~dst:d1 a b)
-        (fun () -> Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb);
-      (* fused epilogue vs the three-kernel chain it replaces *)
+      let reference () = Tensor.Reference.matmul_into ~beta:0.0 ~dst:d0 a b in
+      let native () = Tensor.matmul_into ~beta:0.0 ~dst:d1 a b in
+      let packed () = Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb in
+      let iters, mss = timed ~flops [ reference; native; packed ] in
+      reference ();
+      native ();
+      packed ();
+      report ~shape ~kernel:"gemm-native" ~flops ~iters
+        ~bitwise:(Tensor.equal_bits d1 d0) mss.(0) mss.(1);
+      report ~shape ~kernel:"gemm-native-packed" ~flops ~iters
+        ~bitwise:(Tensor.equal_bits d2 d0) mss.(0) mss.(2);
+      (* packed vs unpacked, both native: informs whether packing
+         still earns its code; not gated *)
+      record ~workload:shape ~layer:"gemm-native-packed/candidate"
+        ~metric:"speedup_vs_native_unpacked" ~unit_:"x" ~statistic:"ratio"
+        ~domains:1
+        ~bitwise:(Tensor.equal_bits d2 d1)
+        (mss.(1) /. mss.(2));
+      Format.printf "  %-40s %.2fx@." "native packed vs native unpacked"
+        (mss.(1) /. mss.(2));
+      (* fused epilogue vs the reference three-kernel chain *)
       let ep = Tensor.epilogue ~bias ~act:Tensor.Utanh () in
       let chain () =
-        Tensor.matmul_into ~beta:0.0 ~dst:d1 a b;
-        Tensor.binop_into Tensor.Badd d1 bias ~dst:d1;
-        Tensor.unop_into Tensor.Utanh d1 ~dst:d1
+        reference ();
+        Tensor.binop_into Tensor.Badd d0 bias ~dst:d0;
+        Tensor.unop_into Tensor.Utanh d0 ~dst:d0
       in
       let fused () =
         Tensor.matmul_packed_into ~beta:0.0 ~epilogue:ep ~dst:d2 a pb
       in
-      bench ~shape ~kernel:"gemm-bias-tanh" ~flops
-        ~check:(fun () ->
-          chain ();
-          fused ();
-          Tensor.equal_bits d1 d2)
-        chain fused)
+      let iters, mss = timed ~flops [ chain; fused ] in
+      chain ();
+      fused ();
+      report ~shape ~kernel:"gemm-bias-tanh" ~flops ~iters
+        ~bitwise:(Tensor.equal_bits d2 d0) mss.(0) mss.(1))
     shapes
 
 (* ------------------------------------------------------------------ *)

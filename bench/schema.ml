@@ -139,8 +139,8 @@ let vm rs : row list =
           | _ -> (false, Printf.sprintf "%s: missing fused/nofuse pair" wl))
         (workloads at1)
 
-(* Every packed or fused kernel is bitwise-equal to, and at least as
-   fast as, the baseline it replaces. *)
+(* Every native kernel is bitwise-equal to, and at least as fast as,
+   its OCaml reference baseline. *)
 let kernels rs : row list =
   let cands =
     List.filter

@@ -224,7 +224,7 @@ let[@inline] apply2 op (x : float) (y : float) =
    call, and [binop_into] is the compiled executor's hot path). *)
 let binop_full_check t dst =
   if not (Shape.equal t.shape dst.shape) then
-    invalid_arg "Tensor.map2_into: dst shape mismatch"
+    invalid_arg "Tensor.binop_into: dst shape mismatch"
 
 let binop_into op a b ~dst =
   let ad = a.data and bd = b.data and dd = dst.data in
@@ -280,7 +280,7 @@ let binop_into op a b ~dst =
   end
   else
     invalid_arg
-      (Printf.sprintf "Tensor.map2: incompatible shapes %s and %s"
+      (Printf.sprintf "Tensor.binop_into: incompatible shapes %s and %s"
          (Shape.to_string a.shape) (Shape.to_string b.shape))
 
 let[@inline] apply1 op (x : float) =
@@ -387,88 +387,145 @@ let mul_tanh_into a b ~dst =
     A.unsafe_set dd i (A.unsafe_get ad i *. Stdlib.tanh (A.unsafe_get bd i))
   done
 
-(* Destination-passing GEMM core: dst = alpha * a @ b + beta * dst.
-   The k-major inner loop streams rows of [b] (cache-resident for the
-   hidden sizes used here); blocking the [p] loop bounds the [b]
-   working set for the larger shapes without changing the per-element
-   accumulation order (pp ascends, p within pp ascends — the same
-   order as the unblocked loop, so results are bit-identical). *)
-let matmul_into ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false) ?epilogue
-    ~dst a b =
+(* GEMM ----------------------------------------------------------------
+
+   Two tiers compute the same accumulation dst[i,j] += alpha*a[i,p]*b[p,j]:
+   per output element, contributions are added in ascending [p], each as
+   [d +. (alpha *. a) *. b], and a [p] whose [alpha *. a] is zero is
+   skipped.
+
+   - The OCaml loops below are the reference.  [matmul] (the
+     interpreter's GEMM) and the {!Reference} functions run only them.
+   - [matmul_into] and [matmul_packed_into] hand the accumulation of a
+     [beta = 0.] call to the native kernels in gemm_stubs.c, which keep
+     the same per-element order and never fuse a multiply and an add.
+     Their results differ from the reference only when a NaN meets a
+     NaN (the C compiler may swap the operands of a commutative op, and
+     x86 keeps the first operand's payload).  A NaN that enters the sum
+     stays in the output, so each stub returns the NaN count of [dst];
+     when it is non-zero the call refills [dst] and re-runs the OCaml
+     loop.  Other [beta] values run the OCaml loop directly: their
+     original [dst] is gone once the kernel has written it. *)
+
+external gemm_acc_native :
+  buffer ->
+  buffer ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) = "ft_gemm_acc_byte" "ft_gemm_acc"
+[@@noalloc]
+
+external gemm_packed_acc_native :
+  buffer ->
+  buffer ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) = "ft_gemm_packed_acc_byte" "ft_gemm_packed_acc"
+[@@noalloc]
+
+external align_pad : buffer -> (int[@untagged])
+  = "ft_align_pad_byte" "ft_align_pad"
+[@@noalloc]
+
+(* dst <- beta * dst; [beta = 0.] overwrites without reading. *)
+let apply_beta beta (dd : buffer) total =
+  if beta = 0.0 then A.fill dd 0.0
+  else if beta <> 1.0 then
+    for i = 0 to total - 1 do
+      A.unsafe_set dd i (beta *. A.unsafe_get dd i)
+    done
+
+let check_gemm name ~dst ~m ~k ~k' ~n =
+  if k <> k' then
+    invalid_arg (Printf.sprintf "%s: inner dims %d and %d differ" name k k');
+  if Shape.dim dst.shape 0 <> m || Shape.dim dst.shape 1 <> n then
+    invalid_arg
+      (Printf.sprintf "%s: dst shape %s, expected [%d,%d]" name
+         (Shape.to_string dst.shape) m n)
+
+(* The reference accumulation.  The k-major inner loop streams rows of
+   [b]; blocking the [p] loop bounds the [b] working set for the larger
+   shapes without changing the per-element accumulation order (pp
+   ascends, p within pp ascends — the order of the unblocked loop). *)
+let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k ~n =
+  let kc = 256 in
+  let pp = ref 0 in
+  while !pp < k do
+    let p_hi = Stdlib.min k (!pp + kc) in
+    for i = 0 to m - 1 do
+      let arow = i * k and orow = i * n in
+      for p = !pp to p_hi - 1 do
+        let av = alpha *. A.unsafe_get ad (arow + p) in
+        if av <> 0.0 then begin
+          let brow = p * n in
+          for j = 0 to n - 1 do
+            A.unsafe_set dd (orow + j)
+              (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get bd (brow + j)))
+          done
+        end
+      done
+    done;
+    pp := p_hi
+  done
+
+(* dst[i,j] += alpha * <a row i, b row j>: both rows contiguous.  Runs
+   on OCaml in both tiers. *)
+let gemm_acc_transposed ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k
+    ~n =
+  for i = 0 to m - 1 do
+    let arow = i * k and orow = i * n in
+    for j = 0 to n - 1 do
+      let brow = j * k in
+      let acc = ref 0.0 in
+      for p = 0 to k - 1 do
+        acc := !acc +. (A.unsafe_get ad (arow + p) *. A.unsafe_get bd (brow + p))
+      done;
+      A.unsafe_set dd (orow + j) (A.unsafe_get dd (orow + j) +. (alpha *. !acc))
+    done
+  done
+
+let matmul_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false)
+    ?epilogue ~dst a b =
   require_rank2 "Tensor.matmul_into" a;
   require_rank2 "Tensor.matmul_into" b;
   require_rank2 "Tensor.matmul_into" dst;
   if dst.data == a.data || dst.data == b.data then
     invalid_arg "Tensor.matmul_into: dst must not alias an operand";
   let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
-  let k', n =
-    if transpose_b then (Shape.dim b.shape 1, Shape.dim b.shape 0)
-    else (Shape.dim b.shape 0, Shape.dim b.shape 1)
-  in
-  if k <> k' then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_into: inner dims %d and %d differ" k k');
-  if Shape.dim dst.shape 0 <> m || Shape.dim dst.shape 1 <> n then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_into: dst shape %s, expected [%d,%d]"
-         (Shape.to_string dst.shape) m n);
+  let k' = Shape.dim b.shape (if transpose_b then 1 else 0) in
+  let n = Shape.dim b.shape (if transpose_b then 0 else 1) in
+  check_gemm "Tensor.matmul_into" ~dst ~m ~k ~k' ~n;
   let ad = a.data and bd = b.data and dd = dst.data in
-  if beta = 0.0 then A.fill dd 0.0
-  else if beta <> 1.0 then
-    for i = 0 to (m * n) - 1 do
-      A.unsafe_set dd i (beta *. A.unsafe_get dd i)
-    done;
-  if transpose_b then
-    (* dst[i,j] += alpha * <a row i, b row j>: both rows contiguous. *)
-    for i = 0 to m - 1 do
-      let arow = i * k and orow = i * n in
-      for j = 0 to n - 1 do
-        let brow = j * k in
-        let acc = ref 0.0 in
-        for p = 0 to k - 1 do
-          acc :=
-            !acc +. (A.unsafe_get ad (arow + p) *. A.unsafe_get bd (brow + p))
-        done;
-        A.unsafe_set dd (orow + j) (A.unsafe_get dd (orow + j) +. (alpha *. !acc))
-      done
-    done
-  else begin
-    let kc = 256 in
-    let pp = ref 0 in
-    while !pp < k do
-      let p_hi = Stdlib.min k (!pp + kc) in
-      for i = 0 to m - 1 do
-        let arow = i * k and orow = i * n in
-        for p = !pp to p_hi - 1 do
-          let av = alpha *. A.unsafe_get ad (arow + p) in
-          if av <> 0.0 then begin
-            let brow = p * n in
-            for j = 0 to n - 1 do
-              A.unsafe_set dd (orow + j)
-                (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get bd (brow + j)))
-            done
-          end
-        done
-      done;
-      pp := p_hi
-    done
+  apply_beta beta dd (m * n);
+  if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
+  else if not (native && beta = 0.0) then gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
+  else if gemm_acc_native dd ad bd m k n alpha > 0 then begin
+    A.fill dd 0.0;
+    gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
   end;
   match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 
+let matmul_into ?alpha ?beta ?transpose_b ?epilogue ~dst a b =
+  matmul_into_tier ~native:true ?alpha ?beta ?transpose_b ?epilogue ~dst a b
+
 (* Packed, cache-blocked GEMM ---------------------------------------
 
-   [pack_b] copies a [k,n] B operand into mc/kc/nc panel order once;
-   [matmul_packed_into] then streams the panels with a register-tiled
-   micro-kernel (the contraction loop unrolled by 4, the output row
-   kept in a register accumulator across the quad).  Values are copied
+   [pack_b] copies a [k,n] B operand into kc/nc panel order once;
+   [matmul_packed_into] then streams the panels.  Values are copied
    unchanged and, per output element, contributions are still added in
    globally ascending [p] order with the same [alpha *. a] zero-skip —
-   jc/ic blocking only reorders work {e across} output elements, never
+   jc/pc blocking only reorders work {e across} output elements, never
    within one — so results are bit-identical to [matmul_into] for any
-   blocking choice.  OCaml floats are true IEEE float64 with separate
-   multiply and add (no FMA contraction), so the register accumulator
-   follows the identical rounding sequence as the memory round-trips
-   it replaces. *)
+   blocking choice. *)
 
 type pack_blocking = { mc : int; kc : int; nc : int }
 
@@ -479,134 +536,127 @@ type packed_b = {
   pb_n : int;
   pb_kc : int;
   pb_nc : int;
-  pb_mc : int;
+  pb_off : int;  (* where the first panel starts in [pb_data] *)
   pb_data : buffer;
 }
 
 let packed_dims pb = (pb.pb_k, pb.pb_n)
 
-let pack_b ?(blocking = default_pack_blocking) b =
-  require_rank2 "Tensor.pack_b" b;
-  let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
-  let clamp c lim = if c <= 0 then Stdlib.max 1 lim else Stdlib.min c (Stdlib.max 1 lim) in
-  let kc = clamp blocking.kc k and nc = clamp blocking.nc n in
-  let mc = if blocking.mc <= 0 then 64 else blocking.mc in
-  let data = alloc (Stdlib.max 1 (k * n)) in
-  let bd = b.data in
-  let pos = ref 0 in
+(* [pack_b]'s panel order, refilled in place; with [transposed] the
+   operand is [b]ᵀ, read straight from [b]. *)
+let repack_b ?(transposed = false) pb b =
+  require_rank2 "Tensor.repack_b" b;
+  let r = Shape.dim b.shape 0 and c = Shape.dim b.shape 1 in
+  let k, n, sp, sj = if transposed then (c, r, 1, c) else (r, c, c, 1) in
+  if k <> pb.pb_k || n <> pb.pb_n then
+    invalid_arg "Tensor.repack_b: dims differ from the panel's";
+  let data = pb.pb_data and bd = b.data in
+  let pos = ref pb.pb_off in
   let jc = ref 0 in
   while !jc < n do
-    let en = Stdlib.min nc (n - !jc) in
+    let en = Stdlib.min pb.pb_nc (n - !jc) in
     let pc = ref 0 in
     while !pc < k do
-      let ek = Stdlib.min kc (k - !pc) in
+      let ek = Stdlib.min pb.pb_kc (k - !pc) in
       for p = !pc to !pc + ek - 1 do
-        let brow = (p * n) + !jc in
+        let brow = (p * sp) + (!jc * sj) in
         let row = !pos in
         for j = 0 to en - 1 do
-          A.unsafe_set data (row + j) (A.unsafe_get bd (brow + j))
+          A.unsafe_set data (row + j) (A.unsafe_get bd (brow + (j * sj)))
         done;
         pos := row + en
       done;
       pc := !pc + ek
     done;
     jc := !jc + en
-  done;
-  { pb_k = k; pb_n = n; pb_kc = kc; pb_nc = nc; pb_mc = mc; pb_data = data }
+  done
 
-let matmul_packed_into ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst a pb =
-  require_rank2 "Tensor.matmul_packed_into" a;
-  require_rank2 "Tensor.matmul_packed_into" dst;
-  if dst.data == a.data then
-    invalid_arg "Tensor.matmul_packed_into: dst must not alias an operand";
-  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
-  let n = pb.pb_n in
-  if k <> pb.pb_k then
-    invalid_arg
-      (Printf.sprintf "Tensor.matmul_packed_into: inner dims %d and %d differ"
-         k pb.pb_k);
-  if Shape.dim dst.shape 0 <> m || Shape.dim dst.shape 1 <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Tensor.matmul_packed_into: dst shape %s, expected [%d,%d]"
-         (Shape.to_string dst.shape) m n);
-  let ad = a.data and dd = dst.data and pd = pb.pb_data in
-  if beta = 0.0 then A.fill dd 0.0
-  else if beta <> 1.0 then
-    for i = 0 to (m * n) - 1 do
-      A.unsafe_set dd i (beta *. A.unsafe_get dd i)
-    done;
-  let kc = pb.pb_kc and nc = pb.pb_nc and mc = pb.pb_mc in
-  (* [panel] walks pb_data: the (jc,pc) panel holds [ek] rows of
-     width [en], row [p - pc] starting at [panel + (p - pc) * en]. *)
-  let panel = ref 0 in
+let pack_b ?(blocking = default_pack_blocking) b =
+  require_rank2 "Tensor.pack_b" b;
+  let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
+  let clamp c lim = if c <= 0 then Stdlib.max 1 lim else Stdlib.min c (Stdlib.max 1 lim) in
+  (* The panels start [pb_off] doubles in, on a 64-byte boundary: a
+     full-width AVX-512 load that straddles two cache lines halves the
+     native kernel's throughput (24 against 12-14 GFLOP/s on 4x96x96).
+     An offset, not a [Bigarray.Array1.sub] view: a view per panel
+     cost the compile-heavy e2e workload 0.5 MB of peak RSS. *)
+  let data = alloc (Stdlib.max 1 (k * n) + 7) in
+  let pb =
+    {
+      pb_k = k;
+      pb_n = n;
+      pb_kc = clamp blocking.kc k;
+      pb_nc = clamp blocking.nc n;
+      pb_off = align_pad data;
+      pb_data = data;
+    }
+  in
+  repack_b pb b;
+  pb
+
+(* The reference packed accumulation: a plain walk over the panels.
+   The (jc,pc) panel holds [ek] rows of width [en], row [p] starting at
+   [panel + p * en]. *)
+let gemm_packed_acc_ocaml ~alpha (ad : buffer) pb (dd : buffer) ~m ~k =
+  let n = pb.pb_n and kc = pb.pb_kc and nc = pb.pb_nc and pd = pb.pb_data in
+  let panel = ref pb.pb_off in
   let jc = ref 0 in
   while !jc < n do
     let en = Stdlib.min nc (n - !jc) in
     let pc = ref 0 in
     while !pc < k do
       let ek = Stdlib.min kc (k - !pc) in
-      let ic = ref 0 in
-      while !ic < m do
-        let im = Stdlib.min mc (m - !ic) in
-        for i = !ic to !ic + im - 1 do
-          let arow = (i * k) + !pc and orow = (i * n) + !jc in
-          let p = ref 0 in
-          while !p + 4 <= ek do
-            let q = !p in
-            let av0 = alpha *. A.unsafe_get ad (arow + q)
-            and av1 = alpha *. A.unsafe_get ad (arow + q + 1)
-            and av2 = alpha *. A.unsafe_get ad (arow + q + 2)
-            and av3 = alpha *. A.unsafe_get ad (arow + q + 3) in
-            if av0 <> 0.0 && av1 <> 0.0 && av2 <> 0.0 && av3 <> 0.0 then begin
-              (* Register micro-kernel: one dst load/store per quad. *)
-              let r0 = !panel + (q * en) in
-              let r1 = r0 + en and r2 = r0 + (2 * en) and r3 = r0 + (3 * en) in
-              for j = 0 to en - 1 do
-                let acc = A.unsafe_get dd (orow + j) in
-                let acc = acc +. (av0 *. A.unsafe_get pd (r0 + j)) in
-                let acc = acc +. (av1 *. A.unsafe_get pd (r1 + j)) in
-                let acc = acc +. (av2 *. A.unsafe_get pd (r2 + j)) in
-                let acc = acc +. (av3 *. A.unsafe_get pd (r3 + j)) in
-                A.unsafe_set dd (orow + j) acc
-              done
-            end
-            else
-              (* A zero in the quad: fall back to the scalar per-p loop
-                 (same ascending order, same skip) for these four. *)
-              for pq = q to q + 3 do
-                let av = alpha *. A.unsafe_get ad (arow + pq) in
-                if av <> 0.0 then begin
-                  let row = !panel + (pq * en) in
-                  for j = 0 to en - 1 do
-                    A.unsafe_set dd (orow + j)
-                      (A.unsafe_get dd (orow + j)
-                      +. (av *. A.unsafe_get pd (row + j)))
-                  done
-                end
-              done;
-            p := !p + 4
-          done;
-          for pq = !p to ek - 1 do
-            let av = alpha *. A.unsafe_get ad (arow + pq) in
-            if av <> 0.0 then begin
-              let row = !panel + (pq * en) in
-              for j = 0 to en - 1 do
-                A.unsafe_set dd (orow + j)
-                  (A.unsafe_get dd (orow + j)
-                  +. (av *. A.unsafe_get pd (row + j)))
-              done
-            end
-          done
-        done;
-        ic := !ic + im
+      for i = 0 to m - 1 do
+        let arow = (i * k) + !pc and orow = (i * n) + !jc in
+        for p = 0 to ek - 1 do
+          let av = alpha *. A.unsafe_get ad (arow + p) in
+          if av <> 0.0 then begin
+            let row = !panel + (p * en) in
+            for j = 0 to en - 1 do
+              A.unsafe_set dd (orow + j)
+                (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get pd (row + j)))
+            done
+          end
+        done
       done;
       panel := !panel + (ek * en);
       pc := !pc + ek
     done;
     jc := !jc + en
-  done;
+  done
+
+let matmul_packed_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst
+    a pb =
+  require_rank2 "Tensor.matmul_packed_into" a;
+  require_rank2 "Tensor.matmul_packed_into" dst;
+  if dst.data == a.data then
+    invalid_arg "Tensor.matmul_packed_into: dst must not alias an operand";
+  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
+  let n = pb.pb_n in
+  check_gemm "Tensor.matmul_packed_into" ~dst ~m ~k ~k':pb.pb_k ~n;
+  let ad = a.data and dd = dst.data in
+  apply_beta beta dd (m * n);
+  if not (native && beta = 0.0) then gemm_packed_acc_ocaml ~alpha ad pb dd ~m ~k
+  else if
+    gemm_packed_acc_native dd ad pb.pb_data pb.pb_off m k n pb.pb_kc pb.pb_nc
+      alpha
+    > 0
+  then begin
+    A.fill dd 0.0;
+    gemm_packed_acc_ocaml ~alpha ad pb dd ~m ~k
+  end;
   match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
+
+let matmul_packed_into ?alpha ?beta ?epilogue ~dst a pb =
+  matmul_packed_into_tier ~native:true ?alpha ?beta ?epilogue ~dst a pb
+
+module Reference = struct
+  let matmul_into ?alpha ?beta ?transpose_b ?epilogue ~dst a b =
+    matmul_into_tier ~native:false ?alpha ?beta ?transpose_b ?epilogue ~dst a b
+
+  let matmul_packed_into ?alpha ?beta ?epilogue ~dst a pb =
+    matmul_packed_into_tier ~native:false ?alpha ?beta ?epilogue ~dst a pb
+end
 
 let matmul a b =
   require_rank2 "Tensor.matmul" a;
@@ -617,7 +667,7 @@ let matmul a b =
     invalid_arg
       (Printf.sprintf "Tensor.matmul: inner dims %d and %d differ" k k');
   let out = uninit (Shape.of_array [| m; n |]) in
-  matmul_into ~beta:0.0 ~dst:out a b;
+  Reference.matmul_into ~beta:0.0 ~dst:out a b;
   out
 
 let transpose t =
@@ -931,34 +981,3 @@ let pp fmt t =
   end
 
 let to_string t = Format.asprintf "%a" pp t
-
-(* [pack_b]'s panel order, refilled in place; with [transposed] the
-   operand is [b]ᵀ, read straight from [b].  Kept here, after every
-   kernel, rather than sharing [pack_b]'s loop: moving code above the
-   GEMM micro-kernels shifted their layout and cost them about 2%. *)
-let repack_b ?(transposed = false) pb b =
-  require_rank2 "Tensor.repack_b" b;
-  let r = Shape.dim b.shape 0 and c = Shape.dim b.shape 1 in
-  let k, n, sp, sj = if transposed then (c, r, 1, c) else (r, c, c, 1) in
-  if k <> pb.pb_k || n <> pb.pb_n then
-    invalid_arg "Tensor.repack_b: dims differ from the panel's";
-  let data = pb.pb_data and bd = b.data in
-  let pos = ref 0 in
-  let jc = ref 0 in
-  while !jc < n do
-    let en = Stdlib.min pb.pb_nc (n - !jc) in
-    let pc = ref 0 in
-    while !pc < k do
-      let ek = Stdlib.min pb.pb_kc (k - !pc) in
-      for p = !pc to !pc + ek - 1 do
-        let brow = (p * sp) + (!jc * sj) in
-        let row = !pos in
-        for j = 0 to en - 1 do
-          A.unsafe_set data (row + j) (A.unsafe_get bd (brow + (j * sj)))
-        done;
-        pos := row + en
-      done;
-      pc := !pc + ek
-    done;
-    jc := !jc + en
-  done

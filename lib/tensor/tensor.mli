@@ -204,29 +204,37 @@ val matmul_into :
     [dst <- alpha * a@b + beta * dst] (defaults [alpha = 1.],
     [beta = 1.]; [beta = 0.] overwrites without reading [dst], so an
     {!uninit} destination is legal).  [transpose_b] contracts against
-    [b]'s rows ([a@bᵀ]) without materialising the transpose.  Blocked
-    over the contraction dimension; the per-element accumulation order
-    is fixed, so results are reproducible bit for bit.  [epilogue], if
-    given, is applied to [dst] after accumulation completes.
+    [b]'s rows ([a@bᵀ]) without materialising the transpose.
+    [epilogue], if given, is applied to [dst] after accumulation
+    completes.
+
+    A [beta = 0.] call without [transpose_b] accumulates in native
+    code: a register-tiled C kernel, cloned for AVX-512F, AVX2 and
+    baseline x86-64 and picked when the library loads.  Per output
+    element it adds in ascending [p], skips a [p] whose [alpha *. a] is
+    zero and never fuses a multiply and an add, so its result is bitwise
+    equal to {!Reference.matmul_into}'s OCaml loop.  The two could
+    differ only where a NaN meets a NaN (operand order picks the
+    payload), so when the kernel leaves a NaN in [dst] the call refills
+    [dst] and re-runs the OCaml loop.  Other calls run the OCaml loop.
     @raise Invalid_argument on shape mismatch or if [dst] aliases an
     operand. *)
 
 (** {2 Packed, cache-blocked GEMM}
 
-    [pack_b] copies a [[k,n]] B operand into mc/kc/nc panel order once
-    so that every subsequent [matmul_packed_into] against it — across
-    the rows of a wavefront, across points, across workers — streams
-    cache-resident panels through a register-tiled micro-kernel (the
-    contraction loop unrolled by 4 with the output row held in a
-    register accumulator).  Packing copies values unchanged and the
+    [pack_b] copies a [[k,n]] B operand into kc/nc panel order once so
+    that every subsequent [matmul_packed_into] against it — across the
+    rows of a wavefront, across points, across workers — streams
+    cache-resident panels.  Packing copies values unchanged and the
     per-output-element accumulation order (ascending [p], zero-skip on
     [alpha *. a]) is exactly {!matmul_into}'s, so results are
     bit-identical for {e any} blocking choice. *)
 
 type pack_blocking = { mc : int; kc : int; nc : int }
 (** Rows of A per block, contraction-panel height, B-panel width.
-    Non-positive entries mean "whole extent" (kc/nc) or the default
-    (mc). *)
+    Non-positive entries mean "whole extent" (kc/nc).  The kernels walk
+    the rows of each panel in order, so [mc] does not change how they
+    run; it stays a tuning knob of the plan. *)
 
 val default_pack_blocking : pack_blocking
 (** [{mc = 64; kc = 256; nc = 256}] — kc matches {!matmul_into}'s
@@ -256,13 +264,40 @@ val matmul_packed_into :
 (** [matmul_packed_into ~dst a pb] computes
     [dst <- alpha * a@b + beta * dst] against a pre-packed B;
     allocation-free and bitwise-identical to {!matmul_into} on the
-    unpacked operand.
+    unpacked operand.  Tiers as in {!matmul_into}: a [beta = 0.] call
+    runs the native kernel panel by panel, with the same NaN fallback
+    to {!Reference.matmul_packed_into}'s plain panel-order loop.
     @raise Invalid_argument on shape mismatch or if [dst] aliases [a]. *)
+
+(** {2 The OCaml reference GEMM}
+
+    The OCaml loops the native kernels must match bit for bit, and the
+    NaN fallback of both.  {!matmul} (the interpreter's GEMM) runs them
+    too, so every differential between the interpreter and the compiled
+    engine compares native code against independent code.  Same
+    arguments, checks and results as the functions above. *)
+
+module Reference : sig
+  val matmul_into :
+    ?alpha:float ->
+    ?beta:float ->
+    ?transpose_b:bool ->
+    ?epilogue:epilogue ->
+    dst:t ->
+    t ->
+    t ->
+    unit
+
+  val matmul_packed_into :
+    ?alpha:float -> ?beta:float -> ?epilogue:epilogue -> dst:t -> t -> packed_b
+    -> unit
+end
 
 (** {1 Linear algebra} *)
 
 val matmul : t -> t -> t
-(** [matmul a b] for 2-D [a : [m,k]] and [b : [k,n]].  Cache-blocked.
+(** [matmul a b] for 2-D [a : [m,k]] and [b : [k,n]], on the OCaml
+    reference loop ({!Reference.matmul_into}).  Cache-blocked.
     @raise Invalid_argument on rank or inner-dimension mismatch. *)
 
 val transpose : t -> t

@@ -51,6 +51,38 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+# Native kernels stay under the bitwise contract: every C stub stanza
+# is built without multiply-add contraction and without flags that
+# tie the binary to the build host or let the compiler reassociate,
+# and the reference interpreter (lib/fractal) never calls a
+# destination-passing kernel, so it stays on the OCaml GEMM loops.
+echo "guard: foreign_stubs keep -ffp-contract=off and no unsafe float flags"
+stray=$(find lib -name dune -exec awk '
+  /\(foreign_stubs/ { inside = 1; depth = 0; text = ""
+                      line = substr($0, index($0, "(foreign_stubs")) }
+  !/\(foreign_stubs/ { line = $0 }
+  inside {
+    text = text " " line
+    depth += gsub(/\(/, "(", line) - gsub(/\)/, ")", line)
+    if (depth <= 0) {
+      if (text !~ /-ffp-contract=off/)
+        print FILENAME ": foreign_stubs without -ffp-contract=off"
+      if (text ~ /-march=native|-ffast-math|-Ofast|-mfma/)
+        print FILENAME ": foreign_stubs with -march=native, -ffast-math, -Ofast or -mfma"
+      inside = 0
+    }
+  }' {} +)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a C stub may break bitwise equality with the OCaml loops" >&2
+  exit 1
+fi
+echo "guard: lib/fractal calls no *_into kernel"
+if grep -nE '[A-Za-z0-9_]_into\b' lib/fractal/*.ml; then
+  echo "check.sh: the reference interpreter reaches the native kernels" >&2
+  exit 1
+fi
+
 # Bench gates are OCaml (bench/schema.ml), not Python: no Python
 # program inline in scripts/, only the one-line JSON re-validation.
 echo "guard: no inline Python in scripts/"
@@ -208,8 +240,9 @@ dune exec --no-build bin/ftc.exe -- cache stats
 #           (Interp.run_program) and stays bitwise-identical to it in
 #           the interpreter's view; fused is >= 0.90x unfused (clock
 #           noise on a workload with no fusible tail)
-#   kernels every packed/fused kernel is bitwise-equal to, and at least
-#           as fast as, the baseline it replaces
+#   kernels every native GEMM kernel (unpacked, packed, packed with a
+#           fused epilogue) is bitwise-equal to, and at least as fast
+#           as, its OCaml reference baseline
 #   serve   batched service is bitwise-identical to solo service and
 #           the open-loop p99 stays finite under deliberate overload
 #           on every workload; the bounded queue sheds somewhere

@@ -325,6 +325,17 @@ let into_tests =
   let bits_equal = Tensor.equal_bits in
   let rng () = Rng.create 77 in
   [
+    Alcotest.test_case "binop_into names itself in its errors" `Quick
+      (fun () ->
+        let a = Tensor.zeros (Shape.of_array [| 2; 3 |]) in
+        Alcotest.check_raises "dst"
+          (Invalid_argument "Tensor.binop_into: dst shape mismatch")
+          (fun () -> Tensor.binop_into Tensor.Badd a a ~dst:(Tensor.zeros (Shape.of_array [| 3; 2 |])));
+        Alcotest.check_raises "operands"
+          (Invalid_argument
+             "Tensor.binop_into: incompatible shapes [2,3] and [3,2]")
+          (fun () ->
+            Tensor.binop_into Tensor.Bmul a (Tensor.zeros (Shape.of_array [| 3; 2 |])) ~dst:a));
     Alcotest.test_case "map2_into covers every broadcast form" `Quick
       (fun () ->
         let r = rng () in
@@ -451,8 +462,7 @@ let into_tests =
 let packed_tests =
   let sh m n = Shape.of_array [| m; n |] in
   let sparse_rand r shape =
-    (* Exact zeros with ~25% probability, to exercise the zero-skip
-       and the quad fallback path. *)
+    (* Exact zeros with ~25% probability, to exercise the zero-skip. *)
     Tensor.init shape (fun _ ->
         if Rng.int r 4 = 0 then 0.0 else Rng.uniform r ~lo:(-1.0) ~hi:1.0)
   in
@@ -590,6 +600,124 @@ let packed_tests =
         checkb "aliased" true (Tensor.equal_bits aliased want));
   ]
 
+(* The native GEMM tier against the OCaml reference loops, bit for bit.
+   Shapes cover m = 1, k past the 256-wide contraction block, widths
+   that leave a partial 32- and 8-wide j-tile, and the workload shapes;
+   values cover signed zeros (the zero-skip), infinities (which make
+   NaNs inside the sum) and NaNs with random payloads and signs in [a],
+   in [b] and in both — where only the NaN fallback keeps the tiers
+   equal. *)
+let native_tests =
+  let sh m n = Shape.of_array [| m; n |] in
+  let shapes =
+    [
+      (1, 40, 70);
+      (3, 300, 20);
+      (5, 17, 45);
+      (2, 9, 3);
+      (4, 96, 96);
+      (8192, 64, 64);
+      (1, 128, 128);
+      (32, 32, 64);
+    ]
+  in
+  let alphas = [ 1.0; 0.5; -2.0 ] in
+  let blockings =
+    [
+      ("default", Tensor.default_pack_blocking);
+      ("3/48/40", { Tensor.mc = 3; kc = 48; nc = 40 });
+      ("1/1/1", { Tensor.mc = 1; kc = 1; nc = 1 });
+    ]
+  in
+  let nan_of r =
+    (* a quiet or signalling NaN with a random payload and sign *)
+    let payload = Int64.logand (Rng.int64 r) 0x000F_FFFF_FFFF_FFFFL in
+    let payload = if payload = 0L then 1L else payload in
+    let sign = if Rng.int r 2 = 0 then 0L else Int64.min_int in
+    Int64.float_of_bits
+      (Int64.logor sign (Int64.logor 0x7FF0_0000_0000_0000L payload))
+  in
+  (* ~1/10 signed zeros, then ~1/25 specials of the given kinds *)
+  let operand r ~inf ~nan shape =
+    Tensor.init shape (fun _ ->
+        match Rng.int r 50 with
+        | 0 | 1 | 2 -> 0.0
+        | 3 | 4 -> -0.0
+        | 5 when inf -> infinity
+        | 6 when inf -> neg_infinity
+        | 7 when nan -> nan_of r
+        | _ -> Rng.uniform r ~lo:(-1.0) ~hi:1.0)
+  in
+  let kinds =
+    [
+      ("finite", (false, false), (false, false));
+      ("inf", (true, false), (true, false));
+      ("nan in a", (false, true), (false, false));
+      ("nan in b", (false, false), (false, true));
+      ("nan in both", (true, true), (true, true));
+    ]
+  in
+  let case (m, k, n) =
+    Alcotest.test_case
+      (Printf.sprintf "%dx%dx%d: native = OCaml reference bitwise" m k n)
+      `Quick (fun () ->
+        let r = Rng.create ((m * 7919) + (k * 31) + n) in
+        (* the large shape runs each value kind once, alpha cycling *)
+        let alphas_for i =
+          if m * k * n > 1_000_000 then [ List.nth alphas (i mod 3) ]
+          else alphas
+        in
+        List.iteri
+          (fun i (kind, (ainf, anan), (binf, bnan)) ->
+            let a = operand r ~inf:ainf ~nan:anan (sh m k) in
+            let b = operand r ~inf:binf ~nan:bnan (sh k n) in
+            List.iter
+              (fun alpha ->
+                let label what =
+                  Printf.sprintf "%s, %s, alpha %g" what kind alpha
+                in
+                let want = Tensor.uninit (sh m n) in
+                Tensor.Reference.matmul_into ~alpha ~beta:0.0 ~dst:want a b;
+                let got = Tensor.full (sh m n) nan in
+                Tensor.matmul_into ~alpha ~beta:0.0 ~dst:got a b;
+                checkb (label "unpacked") true (Tensor.equal_bits got want);
+                List.iter
+                  (fun (bname, blocking) ->
+                    let pb = Tensor.pack_b ~blocking b in
+                    let reference = Tensor.uninit (sh m n) in
+                    Tensor.Reference.matmul_packed_into ~alpha ~beta:0.0
+                      ~dst:reference a pb;
+                    checkb
+                      (label ("packed reference " ^ bname))
+                      true
+                      (Tensor.equal_bits reference want);
+                    Tensor.matmul_packed_into ~alpha ~beta:0.0 ~dst:got a pb;
+                    checkb
+                      (label ("packed " ^ bname))
+                      true (Tensor.equal_bits got want))
+                  (if m * k * n > 1_000_000 then [ List.hd blockings ]
+                   else blockings))
+              (alphas_for i))
+          kinds)
+  in
+  List.map case shapes
+  @ [
+      Alcotest.test_case "beta 1 and transpose_b stay on the OCaml loop"
+        `Quick (fun () ->
+          let r = Rng.create 5 in
+          let a = operand r ~inf:false ~nan:true (sh 6 40) in
+          let b = operand r ~inf:false ~nan:true (sh 40 33) in
+          let acc = Tensor.rand r (sh 6 33) in
+          let want = Tensor.copy acc and got = Tensor.copy acc in
+          Tensor.Reference.matmul_into ~alpha:0.5 ~dst:want a b;
+          Tensor.matmul_into ~alpha:0.5 ~dst:got a b;
+          checkb "beta 1" true (Tensor.equal_bits got want);
+          let bt = Tensor.transpose b in
+          Tensor.Reference.matmul_into ~beta:0.0 ~transpose_b:true ~dst:want a bt;
+          Tensor.matmul_into ~beta:0.0 ~transpose_b:true ~dst:got a bt;
+          checkb "transpose_b" true (Tensor.equal_bits got want));
+    ]
+
 let suites =
   [
     ("shape", shape_tests @ shape_props);
@@ -597,5 +725,6 @@ let suites =
     ("tensor", tensor_tests @ tensor_props);
     ("tensor-into", into_tests);
     ("tensor-packed", packed_tests);
+    ("tensor-native", native_tests);
     ("kernels", kernels_tests);
   ]
