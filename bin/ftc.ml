@@ -447,14 +447,13 @@ let run_cmd =
                 g env
             in
             (* a tuned config also carries the compiled engine's fusion
-               and pack-blocking knobs — both bitwise-neutral, so the
-               differential check below is unaffected *)
+               knob — bitwise-neutral, so the differential check below
+               is unaffected *)
             let opts =
               {
                 Run_opts.default with
                 Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
                 fuse = tile.Tile.cfg_fuse;
-                pack = tile.Tile.cfg_pack;
               }
             in
             let pr = Executor.prepare ~opts g in
@@ -565,7 +564,6 @@ let profile_cmd =
                     Run_opts.default with
                     Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
                     fuse = tile.Tile.cfg_fuse;
-                    pack = tile.Tile.cfg_pack;
                   }
                 g
             in
@@ -979,6 +977,13 @@ let conform_cmd =
 
 let serve_cmd =
   let run files max_batch tick requests rate seed domains =
+    let usage msg =
+      Format.eprintf "serve: %s@." msg;
+      exit 1
+    in
+    if requests < 0 then usage "--requests must be at least 0";
+    if max_batch < 1 then usage "--max-batch must be at least 1";
+    if not (rate > 0.0) then usage "--rate must be positive";
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
     (* tuned configs apply transparently to the serving session's

@@ -31,9 +31,9 @@
      that, [Matmul]/[Matmul_t] heads swallow a fused
      fixed-bias [Add] and/or activation tail into a GEMM epilogue
      ({!Tensor.apply_epilogue} — same per-element value chain), and
-     fixed (block-constant) B operands are prepacked at compile time
-     into cache-blocked panels shared read-only by every point, front
-     and worker ({!Tensor.pack_b}); both transformations are
+     fixed (block-constant) B operands are copied at compile time to
+     an aligned buffer shared read-only by every point, front and
+     worker ({!Tensor.pack_b}); both transformations are
      bitwise-neutral by construction.  Composed with the write-in-place
      redirect, an entire fused chain computes directly in its
      destination cell. *)
@@ -49,13 +49,13 @@ type src =
   | S_cell of int * int array
       (* store index + flat-offset weights [base; w_0 .. w_{dim-1}] *)
 
-(* What an input cell, or a released panel, points at between runs. *)
+(* What an input cell, or a released copy, points at between runs. *)
 let unbound = Tensor.scalar 0.0
 
-(* An input operand's packed panel and the tensor it was packed from;
+(* An input operand's aligned copy and the tensor it was copied from;
    [unbound] once {!reset} released it, to be refilled in place from
    the next tensor of its dims. *)
-type panel = { mutable pn_key : Tensor.t; pn_panel : Tensor.packed_b }
+type copy = { mutable cp_key : Tensor.t; cp_packed : Tensor.packed_b }
 
 type store = {
   cs_buffer : Ir.buffer;
@@ -90,7 +90,7 @@ type fusion_stats = {
   fs_groups : int;  (* fusion groups with >= 2 members *)
   fs_fused_ops : int;  (* ops coalesced into another op's slot *)
   fs_swallowed : int;  (* tails folded into GEMM epilogues *)
-  fs_packed : int;  (* GEMMs dispatched through a prepacked B panel *)
+  fs_packed : int;  (* GEMMs dispatched through an aligned B copy *)
 }
 
 type cblock = {
@@ -113,7 +113,7 @@ type t = {
   ex_workers : int;
   ex_chunk : int option;
   ex_fallbacks : string list;
-  ex_panels : panel list ref list;  (* every op's panel cache, for [reset] *)
+  ex_copies : copy list ref list;  (* every op's copy cache, for [reset] *)
 }
 
 (* Elementwise ops whose [_into] kernel may run with [dst] aliasing the
@@ -138,12 +138,9 @@ let un_op_of_prim (p : Expr.prim) =
   | _ -> None
 
 let compile ?(arena = true) ?schedule ?chunk
-    ?(workers = 1) ?(fuse = true) ?pack (g : Ir.graph) =
+    ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
   let workers = Stdlib.max 1 workers in
   let chunk = match chunk with Some c when c > 0 -> Some c | _ -> None in
-  let blocking =
-    match pack with Some p -> p | None -> Tensor.default_pack_blocking
-  in
   let dummy = Tensor.scalar 0.0 in
   (* ---- storage: one preallocated tensor per buffer cell ---- *)
   let role_names role =
@@ -215,7 +212,7 @@ let compile ?(arena = true) ?schedule ?chunk
       buffers
   in
   (* ---- per-block compilation ---- *)
-  let fallbacks = ref [] and panels = ref [] in
+  let fallbacks = ref [] and copies = ref [] in
   let compile_block (b : Ir.block) =
     let all_points = Domain.enumerate b.Ir.blk_domain in
     let dim =
@@ -475,19 +472,19 @@ let compile ?(arena = true) ?schedule ?chunk
           | None -> 1)
       | _ -> 1
     in
-    (* args.(1) -> its packed panel, packing on first sight.  The
+    (* args.(1) -> its aligned copy, copying on first sight.  The
        cache walk is a handful of pointer compares against GEMM-sized
        work, and allocates nothing on a hit (no [assq_opt] option
        boxing — the steady state must stay at zero minor words);
        [cap] (2x the live cell count) only triggers on re-load
-       churn.  A panel {!reset} released is refilled in place, so a
+       churn.  A copy {!reset} released is refilled in place, so a
        re-bound executable repacks without allocating. *)
     let packed_of_arg ~cap ~transposed =
       let cache = ref [] in
-      panels := cache :: !panels;
+      copies := cache :: !copies;
       let released b e =
-        e.pn_key == unbound
-        && Tensor.packed_dims e.pn_panel
+        e.cp_key == unbound
+        && Tensor.packed_dims e.cp_packed
            = (let s = Tensor.shape b in
               let r = Shape.dim s 0 and c = Shape.dim s 1 in
               if transposed then (c, r) else (r, c))
@@ -495,20 +492,20 @@ let compile ?(arena = true) ?schedule ?chunk
       let pack b =
         match List.find_opt (released b) !cache with
         | Some e ->
-            Tensor.repack_b ~transposed e.pn_panel b;
-            e.pn_key <- b;
-            e.pn_panel
+            Tensor.repack_b ~transposed e.cp_packed b;
+            e.cp_key <- b;
+            e.cp_packed
         | None ->
             let pb =
-              Tensor.pack_b ~blocking
+              Tensor.pack_b
                 (if transposed then Tensor.transpose b else b)
             in
             if List.length !cache >= cap then cache := [];
-            cache := { pn_key = b; pn_panel = pb } :: !cache;
+            cache := { cp_key = b; cp_packed = pb } :: !cache;
             pb
       in
       let rec find (b : Tensor.t) = function
-        | e :: _ when e.pn_key == b -> e.pn_panel
+        | e :: _ when e.cp_key == b -> e.cp_packed
         | _ :: tl -> find b tl
         | [] -> pack b
       in
@@ -531,13 +528,13 @@ let compile ?(arena = true) ?schedule ?chunk
             let kernels =
               match o.Ir.op with
               | Expr.Matmul when fuse && fixed_rank2 srcs 1 ->
-                  (* Prepack the block-constant B panel once; the
-                     packed buffer is read-only and shared by every
-                     point, front and worker. *)
+                  (* Copy the block-constant B once; the aligned copy
+                     is read-only and shared by every point, front and
+                     worker. *)
                   let bt =
                     match srcs.(1) with S_fixed t -> t | _ -> assert false
                   in
-                  let pb = Tensor.pack_b ~blocking bt in
+                  let pb = Tensor.pack_b bt in
                   incr packed_count;
                   Array.init workers (fun _ ->
                       fun (args : Tensor.t array) dst ->
@@ -552,7 +549,7 @@ let compile ?(arena = true) ?schedule ?chunk
                     | S_fixed t -> Tensor.transpose t
                     | _ -> assert false
                   in
-                  let pb = Tensor.pack_b ~blocking bt in
+                  let pb = Tensor.pack_b bt in
                   incr packed_count;
                   Array.init workers (fun _ ->
                       fun (args : Tensor.t array) dst ->
@@ -714,7 +711,7 @@ let compile ?(arena = true) ?schedule ?chunk
        per-front dispatch cost (scratch/offset lookups, closure
        calls) is paid once per range, not once per point, and the N
        homogeneous points of an anti-chain stream through the same
-       kernels and prepacked panels as a single batched loop. *)
+       kernels and aligned B copies as a single batched loop. *)
     let exec_range w lo hi =
       let scr = scratch.(w) in
       let offs = woffs.(w) in
@@ -895,7 +892,7 @@ let compile ?(arena = true) ?schedule ?chunk
     ex_workers = workers;
     ex_chunk = chunk;
     ex_fallbacks = List.rev !fallbacks;
-    ex_panels = !panels;
+    ex_copies = !copies;
   }
 
 (* ------------------------------ running ------------------------------ *)
@@ -1005,7 +1002,7 @@ let reset exe =
         Array.fill st.cs_cells 0 (Array.length st.cs_cells) unbound;
       Bytes.fill st.cs_written 0 (Bytes.length st.cs_written) '\000')
     exe.ex_stores;
-  List.iter (fun c -> List.iter (fun e -> e.pn_key <- unbound) !c) exe.ex_panels
+  List.iter (fun c -> List.iter (fun e -> e.cp_key <- unbound) !c) exe.ex_copies
 
 let exec_range exe block lo hi = exe.ex_blocks.(block).cb_exec_range 0 lo hi
 

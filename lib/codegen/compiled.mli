@@ -27,10 +27,11 @@
       their producer's scratch slot (the chain computes in one tensor,
       often directly in the destination cell via the write-in-place
       redirect); GEMMs swallow a fused fixed-bias [Add] and/or
-      activation into a {!Tensor.matmul_into} epilogue; block-constant
-      B operands are prepacked once into cache-blocked panels
-      ({!Tensor.pack_b}) shared by every point, front and worker; and
-      each front executes as one batched range loop rather than a
+      activation into a {!Tensor.matmul_into} epilogue; a block-constant
+      B operand is copied once to an aligned buffer ({!Tensor.pack_b})
+      shared by every point, front and worker, and a B operand read
+      from an input cell is copied once per load into a per-worker
+      cache (transposed for [Matmul_t]); and each front executes as one batched range loop rather than a
       closure call per point;
     - {b results}: bitwise identical to the reference interpreter
       ({!Interp}) after projection — the kernels reproduce its exact
@@ -55,7 +56,6 @@ val compile :
   ?chunk:int ->
   ?workers:int ->
   ?fuse:bool ->
-  ?pack:Tensor.pack_blocking ->
   Ir.graph ->
   t
 (** [compile g] builds an executable for the wavefront schedule, or
@@ -73,10 +73,8 @@ val compile :
     sizes the per-worker kernel scratch;
     {!execute}'s pool must not be larger.  [fuse] (default [true]):
     enable scratch-slot coalescing, GEMM epilogue swallowing and
-    B-panel prepacking — bitwise-neutral; turn off only for
-    differential testing.  [pack]: the mc/kc/nc blocking for prepacked
-    panels (default {!Tensor.default_pack_blocking}); any choice gives
-    identical bits.
+    aligned B-operand copies — bitwise-neutral; turn off only for
+    differential testing.
     @raise Vm.Execution_error naming the block on a graph no engine can
     run (see above, and an operand with no edge or literal). *)
 

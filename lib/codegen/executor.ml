@@ -26,8 +26,7 @@ let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   in
   let exe =
     Compiled.compile ~arena:opts.Run_opts.arena ~schedule
-      ?chunk:opts.Run_opts.chunk ~workers ~fuse:opts.Run_opts.fuse
-      ?pack:opts.Run_opts.pack g
+      ?chunk:opts.Run_opts.chunk ~workers ~fuse:opts.Run_opts.fuse g
   in
   { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_exe = exe }
 

@@ -8,7 +8,6 @@ type t = {
   shadow : shadow;
   arena : bool;
   fuse : bool;
-  pack : Tensor.pack_blocking option;
 }
 
 let default =
@@ -20,13 +19,11 @@ let default =
     shadow = Shadow_env;
     arena = true;
     fuse = true;
-    pack = None;
   }
 
 let to_string o =
   Printf.sprintf
-    "order=%s domains=%s chunk=%s race_guard=%b shadow=%s arena=%b fuse=%b \
-     pack=%s"
+    "order=%s domains=%s chunk=%s race_guard=%b shadow=%s arena=%b fuse=%b"
     (match o.order with
     | Vm.Sequential -> "sequential"
     | Vm.Wavefront -> "wavefront"
@@ -39,6 +36,3 @@ let to_string o =
     | Shadow_env -> "env"
     | Shadow_on -> "on")
     o.arena o.fuse
-    (match o.pack with
-    | Some { Tensor.mc; kc; nc } -> Printf.sprintf "%d/%d/%d" mc kc nc
-    | None -> "default")

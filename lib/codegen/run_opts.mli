@@ -32,19 +32,15 @@ type t = {
           {!Arena} (zero steady-state allocation); [false] gives each
           cell its own preallocated tensor. *)
   fuse : bool;
-      (** scratch-slot coalescing, GEMM epilogue swallowing and B-panel
-          prepacking ({!Compiled.compile}'s [fuse]).  Bitwise-neutral;
-          [false] exists for differential testing and the
-          [compiled-nofuse] oracle. *)
-  pack : Tensor.pack_blocking option;
-      (** mc/kc/nc blocking for prepacked B panels; [None] uses
-          {!Tensor.default_pack_blocking}.  Any choice gives identical
-          bits (the tuner searches it for speed only). *)
+      (** scratch-slot coalescing, GEMM epilogue swallowing and aligned
+          B-operand copies ({!Compiled.compile}'s [fuse]).
+          Bitwise-neutral; [false] exists for differential testing and
+          the [compiled-nofuse] oracle. *)
 }
 
 val default : t
 (** [Wavefront], ambient domains, default chunking, race guard on,
-    [Shadow_env], arena on, fusion on, default packing. *)
+    [Shadow_env], arena on, fusion on. *)
 
 val to_string : t -> string
 (** One-line rendering for reports and traces. *)

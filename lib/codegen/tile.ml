@@ -47,7 +47,6 @@ type config = {
   cfg_elem_chunk : int;
   cfg_vm_chunk : int;
   cfg_fuse : bool;
-  cfg_pack : Tensor.pack_blocking option;
 }
 
 let default_tiles = { t_m = default_tile; t_n = default_tile; t_k = 32 }
@@ -59,7 +58,6 @@ let default_config =
     cfg_elem_chunk = 0;
     cfg_vm_chunk = 0;
     cfg_fuse = true;
-    cfg_pack = None;
   }
 
 let is_default c = c = default_config
@@ -85,12 +83,7 @@ let config_to_string c =
     @ (if c.cfg_vm_chunk > 0 then
          [ Printf.sprintf "vm_chunk=%d" c.cfg_vm_chunk ]
        else [])
-    @ (if c.cfg_fuse then [] else [ "fuse=off" ])
-    @
-    match c.cfg_pack with
-    | Some { Tensor.mc; kc; nc } ->
-        [ Printf.sprintf "pack=%d/%d/%d" mc kc nc ]
-    | None -> []
+    @ if c.cfg_fuse then [] else [ "fuse=off" ]
   in
   if parts = [] then "default" else String.concat "," parts
 

@@ -77,12 +77,9 @@ type config = {
           default *)
   cfg_fuse : bool;
       (** the compiled engine's kernel-fusion knob (scratch-slot
-          coalescing, GEMM epilogue swallowing, B-panel prepacking) —
+          coalescing, GEMM epilogue swallowing, aligned B copies) —
           bitwise-neutral, searchable for speed; the emitter models the
           extra elementwise round-trips of [false] *)
-  cfg_pack : Tensor.pack_blocking option;
-      (** mc/kc/nc blocking for prepacked B panels; [None] =
-          {!Tensor.default_pack_blocking} *)
 }
 
 val default_tiles : tiles

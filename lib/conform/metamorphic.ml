@@ -138,9 +138,9 @@ let law_names = access_law_names @ [ "fused_nofuse" ]
 (* Fusion transparency as a law: one program, two engine
    configurations.  The subject program is drawn from the access-law
    pool (its LHS), so the compiled executor sees folds, scans,
-   reverses and gathers; the left side runs with fusion on under the
-   hostile {!Oracles.stress_pack} blocking, the right side with fusion
-   off (every op its own kernel, no epilogues, no packing).  Exact
+   reverses and gathers; the left side runs with fusion on, the right
+   side with fusion off (every op its own kernel, no epilogues, no
+   aligned B copies).  Exact
    equality is the bar: fusion only reassociates scratch storage and
    loop structure, never the per-element float operation order. *)
 let run_fused_nofuse rng =
@@ -153,13 +153,11 @@ let run_fused_nofuse rng =
     let inputs = gen_inputs rng ~batch:b ~seq:n ~width:w in
     Typecheck.check_program p |> ignore;
     let g = Build.build p in
-    let run fuse pack =
-      let opts = { Run_opts.default with Run_opts.fuse; pack } in
+    let run fuse =
+      let opts = { Run_opts.default with Run_opts.fuse } in
       List.assoc p.Expr.name (Executor.run ~opts g inputs)
     in
-    Fractal.equal_exact
-      (run true (Some Oracles.stress_pack))
-      (run false None)
+    Fractal.equal_exact (run true) (run false)
   with
   | true -> { t_law = "fused_nofuse"; t_ok = true; t_detail = detail }
   | false ->

@@ -26,11 +26,9 @@
     - [gather_reverse]  — [xs.reverse() = xs.gather(n-1, …, 0)]
     - [fused_nofuse]    — one program drawn from the access-law pool,
                           run through the compiled executor with
-                          fusion on (under the hostile
-                          {!Oracles.stress_pack} GEMM blocking) and
-                          with fusion off: kernel fusion, epilogues
-                          and panel packing must be value-transparent
-                          bit for bit. *)
+                          fusion on and with fusion off: kernel
+                          fusion, epilogues and aligned B copies must
+                          be value-transparent bit for bit. *)
 
 type trial = {
   t_law : string;

@@ -9,7 +9,7 @@ type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 
 let all_oracles =
   [ "interp"; "compiled-seq"; "shadow"; "tuned"; "cache-rt"; "compiled";
-    "compiled2"; "compiled4"; "compiled-noarena"; "fused"; "compiled-nofuse";
+    "compiled2"; "compiled4"; "compiled-noarena"; "compiled-nofuse";
     "sharded2"; "sharded4"; "serve" ]
 
 (* ---------------------------------------------------------------- *)
@@ -135,10 +135,10 @@ let value (p : Expr.program) outs =
    otherwise: [Shadow_env] keeps corpus replay under FT_SHADOW=1
    cross-checking the recorded accesses against the static analysis. *)
 let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?chunk
-    ?(arena = true) ?(fuse = true) ?pack (p : Expr.program) g inputs =
+    ?(arena = true) ?(fuse = true) (p : Expr.program) g inputs =
   let opts =
     { Run_opts.default with
-      Run_opts.order; domains = Some domains; chunk; arena; fuse; pack }
+      Run_opts.order; domains = Some domains; chunk; arena; fuse }
   in
   Value (List.assoc p.Expr.name (Executor.run ~opts g inputs))
 
@@ -181,13 +181,6 @@ let shadow_oracle (p : Expr.program) g inputs =
       Failed
         ("shadow memory contradicts the static analysis: "
         ^ String.concat "; " issues)
-
-(* Hostile pack blocking: tiny, mutually-indivisible mc/kc/nc force
-   every edge case in the packed micro-kernel (partial panels, odd
-   k-remainders for the unroll-by-4 path).  Bitwise equality with the
-   interpreter under this blocking is the strongest cheap evidence
-   that packing is value-transparent for ANY blocking. *)
-let stress_pack = { Tensor.mc = 3; kc = 48; nc = 40 }
 
 (* Distributed execution over N simulated devices: auto-partitioned
    shards on real domains, pull-based transfers between per-device
@@ -257,7 +250,6 @@ let run_one (p : Expr.program) inputs graph name =
             | "compiled2" -> compiled_oracle ~domains:2 p g inputs
             | "compiled4" -> compiled_oracle ~domains:4 p g inputs
             | "compiled-noarena" -> compiled_oracle ~arena:false p g inputs
-            | "fused" -> compiled_oracle ~pack:stress_pack p g inputs
             | "compiled-nofuse" -> compiled_oracle ~fuse:false p g inputs
             | "sharded2" -> sharded_oracle ~devices:2 p g inputs
             | "sharded4" -> sharded_oracle ~devices:4 p g inputs

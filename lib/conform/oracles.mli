@@ -42,16 +42,11 @@
                    — the compiled engine with [arena = false]
                      (dedicated per-cell tensors): storage layout must
                      not change a single bit;
-    - ["fused"]    — the compiled engine with fusion on (the
-                     default) under a deliberately hostile pack
-                     blocking (tiny, mutually-indivisible mc/kc/nc):
-                     partial panels and odd k-remainders in the packed
-                     micro-kernel must still be bitwise-identical;
     - ["compiled-nofuse"]
                    — the compiled engine with [fuse = false]: every
                      op runs as its own kernel through its own scratch
-                     slot, no epilogues, no packing — fusion must not
-                     change a single bit;
+                     slot, no epilogues, no aligned B copies — fusion
+                     must not change a single bit;
     - ["sharded2"] / ["sharded4"]
                    — the distributed executor ([lib/dist]) over 2 / 4
                      simulated devices: auto-partitioned shards on real
@@ -89,11 +84,6 @@ type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 
 val all_oracles : string list
 (** In registry order; ["interp"] first. *)
-
-val stress_pack : Tensor.pack_blocking
-(** The hostile GEMM pack blocking used by the ["fused"] oracle:
-    tiny, mutually-indivisible mc/kc/nc that force partial panels and
-    odd k-remainders through the packed micro-kernel. *)
 
 type ctx
 (** Shared oracle state: private temporary directories installed as

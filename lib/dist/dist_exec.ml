@@ -327,7 +327,7 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
 
 let log pr = pr.pr_log
 
-(* Forget the call: no device store, binding or packed panel keeps a
+(* Forget the call: no device store, binding or packed copy keeps a
    caller's tensor, so the next call starts clean even after a failure
    and sees inputs changed in place since. *)
 let release pr =

@@ -35,8 +35,8 @@ let prepared t ~width =
       let key = Pipeline.program_key prog in
       (* Warm the plan cache (FT_PLAN_CACHE shares it across
          processes) and pick up any tuned config for this digest; the
-         tuned tile carries the compiled engine's chunk/fuse/pack
-         knobs, all bitwise-neutral. *)
+         tuned tile carries the compiled engine's chunk/fuse knobs,
+         both bitwise-neutral. *)
       ignore (Pipeline.plan_cached ~tune:true prog);
       let tile =
         Option.value
@@ -48,7 +48,6 @@ let prepared t ~width =
           t.ssn_opts with
           Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
           fuse = tile.Tile.cfg_fuse;
-          pack = tile.Tile.cfg_pack;
         }
       in
       let g = Build.build prog in

@@ -17,7 +17,7 @@ val servable : t -> Servable.t
 
 val prepared : t -> width:int -> Executor.prepared
 (** Compile-once access; the tuned config (when the tune DB is
-    installed) supplies chunk/fuse/pack, [opts] everything else. *)
+    installed) supplies chunk/fuse, [opts] everything else. *)
 
 val widths_prepared : t -> int list
 val cache_stats : t -> Bounded_cache.stats

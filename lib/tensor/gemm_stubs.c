@@ -1,16 +1,16 @@
 /* Native GEMM accumulation for Tensor.matmul_into (non-transposed) and
    Tensor.matmul_packed_into.
 
-   Both stubs compute dst[i,j] += alpha * a[i,p] * b[p,j] with the exact
-   per-element float sequence of the OCaml reference loops in tensor.ml:
+   The stub computes dst[i,j] += alpha * a[i,p] * b[p,j] with the exact
+   per-element float sequence of the OCaml reference loop in tensor.ml:
    contributions are added in ascending p, each as
    acc + (alpha * a[i,p]) * b[p,j], and a p with alpha * a[i,p] == 0 is
    skipped.  Vectorizing across output columns never reorders one
    element's sum, and the build passes -ffp-contract=off, so no multiply
    and add are fused.  Results are therefore bitwise equal to the OCaml
-   loops as long as no NaN meets a NaN: a compiler may swap the operands
+   loop as long as no NaN meets a NaN: a compiler may swap the operands
    of a commutative add or multiply, and x86 keeps the first operand's
-   payload.  Any NaN that enters the sum stays in the output, so each
+   payload.  Any NaN that enters the sum stays in the output, so the
    stub returns the number of NaNs in dst and the OCaml caller re-runs
    the reference loop whenever that count is non-zero.
 
@@ -18,7 +18,7 @@
    the clone is picked once, when the library is loaded.
 
    Shape checks, the alias check, beta and the epilogue stay in OCaml;
-   these stubs only accumulate. */
+   the stub only accumulates. */
 
 #include <stdint.h>
 #include <caml/mlvalues.h>
@@ -89,15 +89,17 @@ static intnat count_nans(const double *d, long len)
   return nans;
 }
 
-/* The contraction blocking of the unpacked OCaml loop (tensor.ml). */
+/* The contraction blocking of the OCaml loop (tensor.ml).  b is a
+   row-major [k, n] operand starting boff doubles into its buffer: 0 for
+   a tensor, the aligned start of the copy for a Tensor.pack_b. */
 #define KC 256
 
-intnat ft_gemm_acc(value vd, value va, value vb, intnat m, intnat k,
-                   intnat n, double alpha)
+intnat ft_gemm_acc(value vd, value va, value vb, intnat boff, intnat m,
+                   intnat k, intnat n, double alpha)
 {
   double *d = (double *)Caml_ba_data_val(vd);
   const double *a = (const double *)Caml_ba_data_val(va);
-  const double *b = (const double *)Caml_ba_data_val(vb);
+  const double *b = (const double *)Caml_ba_data_val(vb) + boff;
   for (long pp = 0; pp < k; pp += KC) {
     long ek = k - pp < KC ? k - pp : KC;
     ft_gemm_block(d, n, a + pp, k, b + pp * n, n, m, ek, n, alpha);
@@ -110,41 +112,11 @@ value ft_gemm_acc_byte(value *argv, int argn)
   (void)argn;
   return Val_long(ft_gemm_acc(argv[0], argv[1], argv[2], Long_val(argv[3]),
                               Long_val(argv[4]), Long_val(argv[5]),
-                              Double_val(argv[6])));
-}
-
-/* The panel walk of Tensor.pack_b: panels start off doubles into the
-   buffer, ordered by jc then pc, the (jc, pc) panel holding ek rows of
-   width en. */
-intnat ft_gemm_packed_acc(value vd, value va, value vpanels, intnat off,
-                          intnat m, intnat k, intnat n, intnat kc, intnat nc,
-                          double alpha)
-{
-  double *d = (double *)Caml_ba_data_val(vd);
-  const double *a = (const double *)Caml_ba_data_val(va);
-  const double *panel = (const double *)Caml_ba_data_val(vpanels) + off;
-  for (long jc = 0; jc < n; jc += nc) {
-    long en = n - jc < nc ? n - jc : nc;
-    for (long pc = 0; pc < k; pc += kc) {
-      long ek = k - pc < kc ? k - pc : kc;
-      ft_gemm_block(d + jc, n, a + pc, k, panel, en, m, ek, en, alpha);
-      panel += ek * en;
-    }
-  }
-  return count_nans(d, m * n);
-}
-
-value ft_gemm_packed_acc_byte(value *argv, int argn)
-{
-  (void)argn;
-  return Val_long(ft_gemm_packed_acc(
-      argv[0], argv[1], argv[2], Long_val(argv[3]), Long_val(argv[4]),
-      Long_val(argv[5]), Long_val(argv[6]), Long_val(argv[7]),
-      Long_val(argv[8]), Double_val(argv[9])));
+                              Long_val(argv[6]), Double_val(argv[7])));
 }
 
 /* How many doubles to skip from the start of a buffer to reach a 64-byte
-   boundary: where Tensor.pack_b starts the panels. */
+   boundary: where Tensor.pack_b starts its copy. */
 intnat ft_align_pad(value vb)
 {
   uintptr_t addr = (uintptr_t)Caml_ba_data_val(vb);

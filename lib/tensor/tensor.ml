@@ -397,12 +397,12 @@ let mul_tanh_into a b ~dst =
    - The OCaml loops below are the reference.  [matmul] (the
      interpreter's GEMM) and the {!Reference} functions run only them.
    - [matmul_into] and [matmul_packed_into] hand the accumulation of a
-     [beta = 0.] call to the native kernels in gemm_stubs.c, which keep
+     [beta = 0.] call to the native kernel in gemm_stubs.c, which keeps
      the same per-element order and never fuse a multiply and an add.
      Their results differ from the reference only when a NaN meets a
      NaN (the C compiler may swap the operands of a commutative op, and
      x86 keeps the first operand's payload).  A NaN that enters the sum
-     stays in the output, so each stub returns the NaN count of [dst];
+     stays in the output, so the stub returns the NaN count of [dst];
      when it is non-zero the call refills [dst] and re-runs the OCaml
      loop.  Other [beta] values run the OCaml loop directly: their
      original [dst] is gone once the kernel has written it. *)
@@ -414,22 +414,9 @@ external gemm_acc_native :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
+  (int[@untagged]) ->
   (float[@unboxed]) ->
   (int[@untagged]) = "ft_gemm_acc_byte" "ft_gemm_acc"
-[@@noalloc]
-
-external gemm_packed_acc_native :
-  buffer ->
-  buffer ->
-  buffer ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (int[@untagged]) = "ft_gemm_packed_acc_byte" "ft_gemm_packed_acc"
 [@@noalloc]
 
 external align_pad : buffer -> (int[@untagged])
@@ -452,11 +439,13 @@ let check_gemm name ~dst ~m ~k ~k' ~n =
       (Printf.sprintf "%s: dst shape %s, expected [%d,%d]" name
          (Shape.to_string dst.shape) m n)
 
-(* The reference accumulation.  The k-major inner loop streams rows of
+(* The reference accumulation, [b] read as a row-major [k,n] operand
+   starting [boff] into [bd].  The k-major inner loop streams rows of
    [b]; blocking the [p] loop bounds the [b] working set for the larger
    shapes without changing the per-element accumulation order (pp
    ascends, p within pp ascends — the order of the unblocked loop). *)
-let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k ~n =
+let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) ~boff (dd : buffer) ~m ~k
+    ~n =
   let kc = 256 in
   let pp = ref 0 in
   while !pp < k do
@@ -466,7 +455,7 @@ let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k ~n =
       for p = !pp to p_hi - 1 do
         let av = alpha *. A.unsafe_get ad (arow + p) in
         if av <> 0.0 then begin
-          let brow = p * n in
+          let brow = boff + (p * n) in
           for j = 0 to n - 1 do
             A.unsafe_set dd (orow + j)
               (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get bd (brow + j)))
@@ -476,6 +465,16 @@ let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k ~n =
     done;
     pp := p_hi
   done
+
+(* The accumulation of both tiers; the native kernel's NaN count sends
+   the call back to the OCaml loop on a refilled [dst]. *)
+let gemm_acc ~native ~alpha ~beta ad bd ~boff dd ~m ~k ~n =
+  if not (native && beta = 0.0) then
+    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
+  else if gemm_acc_native dd ad bd boff m k n alpha > 0 then begin
+    A.fill dd 0.0;
+    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
+  end
 
 (* dst[i,j] += alpha * <a row i, b row j>: both rows contiguous.  Runs
    on OCaml in both tiers. *)
@@ -507,123 +506,57 @@ let matmul_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false)
   let ad = a.data and bd = b.data and dd = dst.data in
   apply_beta beta dd (m * n);
   if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
-  else if not (native && beta = 0.0) then gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
-  else if gemm_acc_native dd ad bd m k n alpha > 0 then begin
-    A.fill dd 0.0;
-    gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
-  end;
+  else gemm_acc ~native ~alpha ~beta ad bd ~boff:0 dd ~m ~k ~n;
   match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 
 let matmul_into ?alpha ?beta ?transpose_b ?epilogue ~dst a b =
   matmul_into_tier ~native:true ?alpha ?beta ?transpose_b ?epilogue ~dst a b
 
-(* Packed, cache-blocked GEMM ---------------------------------------
+(* Packed GEMM --------------------------------------------------------
 
-   [pack_b] copies a [k,n] B operand into kc/nc panel order once;
-   [matmul_packed_into] then streams the panels.  Values are copied
-   unchanged and, per output element, contributions are still added in
-   globally ascending [p] order with the same [alpha *. a] zero-skip —
-   jc/pc blocking only reorders work {e across} output elements, never
-   within one — so results are bit-identical to [matmul_into] for any
-   blocking choice. *)
-
-type pack_blocking = { mc : int; kc : int; nc : int }
-
-let default_pack_blocking = { mc = 64; kc = 256; nc = 256 }
+   [pack_b] copies a [k,n] B operand once, row-major, to a 64-byte
+   boundary; [matmul_packed_into] runs [matmul_into]'s accumulation
+   against the copy.  Values are copied unchanged, so results are
+   bit-identical to [matmul_into] on the source. *)
 
 type packed_b = {
   pb_k : int;
   pb_n : int;
-  pb_kc : int;
-  pb_nc : int;
-  pb_off : int;  (* where the first panel starts in [pb_data] *)
+  pb_off : int;  (* where the copy starts in [pb_data] *)
   pb_data : buffer;
 }
 
 let packed_dims pb = (pb.pb_k, pb.pb_n)
 
-(* [pack_b]'s panel order, refilled in place; with [transposed] the
-   operand is [b]ᵀ, read straight from [b]. *)
+(* [pack_b]'s copy, refilled in place; with [transposed] the operand is
+   [b]ᵀ, read straight from [b]. *)
 let repack_b ?(transposed = false) pb b =
   require_rank2 "Tensor.repack_b" b;
   let r = Shape.dim b.shape 0 and c = Shape.dim b.shape 1 in
-  let k, n, sp, sj = if transposed then (c, r, 1, c) else (r, c, c, 1) in
+  let k, n = if transposed then (c, r) else (r, c) in
   if k <> pb.pb_k || n <> pb.pb_n then
-    invalid_arg "Tensor.repack_b: dims differ from the panel's";
-  let data = pb.pb_data and bd = b.data in
-  let pos = ref pb.pb_off in
-  let jc = ref 0 in
-  while !jc < n do
-    let en = Stdlib.min pb.pb_nc (n - !jc) in
-    let pc = ref 0 in
-    while !pc < k do
-      let ek = Stdlib.min pb.pb_kc (k - !pc) in
-      for p = !pc to !pc + ek - 1 do
-        let brow = (p * sp) + (!jc * sj) in
-        let row = !pos in
-        for j = 0 to en - 1 do
-          A.unsafe_set data (row + j) (A.unsafe_get bd (brow + (j * sj)))
-        done;
-        pos := row + en
-      done;
-      pc := !pc + ek
-    done;
-    jc := !jc + en
+    invalid_arg "Tensor.repack_b: dims differ from the copy's";
+  let data = pb.pb_data and bd = b.data and off = pb.pb_off in
+  let sp, sj = if transposed then (1, k) else (n, 1) in
+  for p = 0 to k - 1 do
+    let row = off + (p * n) in
+    for j = 0 to n - 1 do
+      A.unsafe_set data (row + j) (A.unsafe_get bd ((p * sp) + (j * sj)))
+    done
   done
 
-let pack_b ?(blocking = default_pack_blocking) b =
+let pack_b b =
   require_rank2 "Tensor.pack_b" b;
   let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
-  let clamp c lim = if c <= 0 then Stdlib.max 1 lim else Stdlib.min c (Stdlib.max 1 lim) in
-  (* The panels start [pb_off] doubles in, on a 64-byte boundary: a
+  (* The copy starts [pb_off] doubles in, on a 64-byte boundary: a
      full-width AVX-512 load that straddles two cache lines halves the
      native kernel's throughput (24 against 12-14 GFLOP/s on 4x96x96).
-     An offset, not a [Bigarray.Array1.sub] view: a view per panel
-     cost the compile-heavy e2e workload 0.5 MB of peak RSS. *)
+     An offset, not a [Bigarray.Array1.sub] view: a view per copy cost
+     the compile-heavy e2e workload 0.5 MB of peak RSS. *)
   let data = alloc (Stdlib.max 1 (k * n) + 7) in
-  let pb =
-    {
-      pb_k = k;
-      pb_n = n;
-      pb_kc = clamp blocking.kc k;
-      pb_nc = clamp blocking.nc n;
-      pb_off = align_pad data;
-      pb_data = data;
-    }
-  in
+  let pb = { pb_k = k; pb_n = n; pb_off = align_pad data; pb_data = data } in
   repack_b pb b;
   pb
-
-(* The reference packed accumulation: a plain walk over the panels.
-   The (jc,pc) panel holds [ek] rows of width [en], row [p] starting at
-   [panel + p * en]. *)
-let gemm_packed_acc_ocaml ~alpha (ad : buffer) pb (dd : buffer) ~m ~k =
-  let n = pb.pb_n and kc = pb.pb_kc and nc = pb.pb_nc and pd = pb.pb_data in
-  let panel = ref pb.pb_off in
-  let jc = ref 0 in
-  while !jc < n do
-    let en = Stdlib.min nc (n - !jc) in
-    let pc = ref 0 in
-    while !pc < k do
-      let ek = Stdlib.min kc (k - !pc) in
-      for i = 0 to m - 1 do
-        let arow = (i * k) + !pc and orow = (i * n) + !jc in
-        for p = 0 to ek - 1 do
-          let av = alpha *. A.unsafe_get ad (arow + p) in
-          if av <> 0.0 then begin
-            let row = !panel + (p * en) in
-            for j = 0 to en - 1 do
-              A.unsafe_set dd (orow + j)
-                (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get pd (row + j)))
-            done
-          end
-        done
-      done;
-      panel := !panel + (ek * en);
-      pc := !pc + ek
-    done;
-    jc := !jc + en
-  done
 
 let matmul_packed_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst
     a pb =
@@ -634,17 +567,9 @@ let matmul_packed_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst
   let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
   let n = pb.pb_n in
   check_gemm "Tensor.matmul_packed_into" ~dst ~m ~k ~k':pb.pb_k ~n;
-  let ad = a.data and dd = dst.data in
+  let dd = dst.data in
   apply_beta beta dd (m * n);
-  if not (native && beta = 0.0) then gemm_packed_acc_ocaml ~alpha ad pb dd ~m ~k
-  else if
-    gemm_packed_acc_native dd ad pb.pb_data pb.pb_off m k n pb.pb_kc pb.pb_nc
-      alpha
-    > 0
-  then begin
-    A.fill dd 0.0;
-    gemm_packed_acc_ocaml ~alpha ad pb dd ~m ~k
-  end;
+  gemm_acc ~native ~alpha ~beta a.data pb.pb_data ~boff:pb.pb_off dd ~m ~k ~n;
   match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 
 let matmul_packed_into ?alpha ?beta ?epilogue ~dst a pb =

@@ -220,59 +220,51 @@ val matmul_into :
     @raise Invalid_argument on shape mismatch or if [dst] aliases an
     operand. *)
 
-(** {2 Packed, cache-blocked GEMM}
+(** {2 Packed GEMM}
 
-    [pack_b] copies a [[k,n]] B operand into kc/nc panel order once so
-    that every subsequent [matmul_packed_into] against it — across the
-    rows of a wavefront, across points, across workers — streams
-    cache-resident panels.  Packing copies values unchanged and the
-    per-output-element accumulation order (ascending [p], zero-skip on
-    [alpha *. a]) is exactly {!matmul_into}'s, so results are
-    bit-identical for {e any} blocking choice. *)
-
-type pack_blocking = { mc : int; kc : int; nc : int }
-(** Rows of A per block, contraction-panel height, B-panel width.
-    Non-positive entries mean "whole extent" (kc/nc).  The kernels walk
-    the rows of each panel in order, so [mc] does not change how they
-    run; it stays a tuning knob of the plan. *)
-
-val default_pack_blocking : pack_blocking
-(** [{mc = 64; kc = 256; nc = 256}] — kc matches {!matmul_into}'s
-    contraction blocking. *)
+    [pack_b] copies a [[k,n]] B operand once, row-major, into a buffer
+    of its own that starts on a 64-byte boundary, so every subsequent
+    [matmul_packed_into] against it — across the rows of a wavefront,
+    across points, across workers — reads aligned rows.  Tensors that
+    come back through [Marshal] or another [malloc]'d buffer are not
+    64-byte aligned, and the native kernel's full-width loads then
+    straddle cache lines.  The copy holds the values unchanged and the
+    accumulation is {!matmul_into}'s, so results are bit-identical to
+    {!matmul_into} on the source. *)
 
 type packed_b
-(** A B operand repacked into panel order; read-only and safe to share
-    across domains. *)
+(** A B operand copied to an aligned buffer; read-only and safe to
+    share across domains. *)
 
-val pack_b : ?blocking:pack_blocking -> t -> packed_b
-(** Pack a rank-2 [[k,n]] tensor.  Allocates the packed buffer (do it
-    at plan time, not on the hot path). *)
+val pack_b : t -> packed_b
+(** Copy a rank-2 [[k,n]] tensor.  Allocates the copy (do it at plan
+    time, not on the hot path). *)
 
 val repack_b : ?transposed:bool -> packed_b -> t -> unit
-(** Refill a panel in place, as {!pack_b} with the panel's blocking
-    would pack the tensor — or, with [transposed] (default [false]),
-    its {!transpose} — with no allocation.
+(** Refill a copy in place from a tensor of the same dims — or, with
+    [transposed] (default [false]), from the tensor whose
+    {!transpose} has them — with no allocation.
     @raise Invalid_argument when the operand's dims differ from the
-    panel's. *)
+    copy's. *)
 
 val packed_dims : packed_b -> int * int
-(** The [(k, n)] dims the panel was packed from. *)
+(** The [(k, n)] dims of the copied operand. *)
 
 val matmul_packed_into :
   ?alpha:float -> ?beta:float -> ?epilogue:epilogue -> dst:t -> t -> packed_b
   -> unit
 (** [matmul_packed_into ~dst a pb] computes
-    [dst <- alpha * a@b + beta * dst] against a pre-packed B;
+    [dst <- alpha * a@b + beta * dst] against a packed B;
     allocation-free and bitwise-identical to {!matmul_into} on the
-    unpacked operand.  Tiers as in {!matmul_into}: a [beta = 0.] call
-    runs the native kernel panel by panel, with the same NaN fallback
-    to {!Reference.matmul_packed_into}'s plain panel-order loop.
+    source operand.  Tiers as in {!matmul_into}: a [beta = 0.] call
+    runs the same native kernel on the aligned copy, with the same NaN
+    fallback to {!Reference.matmul_packed_into}.
     @raise Invalid_argument on shape mismatch or if [dst] aliases [a]. *)
 
 (** {2 The OCaml reference GEMM}
 
-    The OCaml loops the native kernels must match bit for bit, and the
-    NaN fallback of both.  {!matmul} (the interpreter's GEMM) runs them
+    The OCaml loops the native kernel must match bit for bit, and its
+    NaN fallback.  {!matmul} (the interpreter's GEMM) runs them
     too, so every differential between the interpreter and the compiled
     engine compares native code against independent code.  Same
     arguments, checks and results as the functions above. *)

@@ -18,7 +18,6 @@ type space = {
   s_vm_chunks : int list;
   s_collapse : bool list;
   s_fuse : bool list;
-  s_packs : Tensor.pack_blocking option list;
   s_smem_limit : int;
 }
 
@@ -46,17 +45,6 @@ let tile_menu =
 let elem_chunk_menu = [ 0; 4096; 16384; 65536 ]
 let vm_chunk_menu = [ 0; 1; 2; 4 ]
 
-(* B-panel blockings for the compiled engine's packed GEMM; index 0 =
-   None = the engine default.  Any choice is bitwise-neutral, so the
-   menu trades only cache behaviour. *)
-let pack_menu =
-  [
-    None;
-    Some { Tensor.mc = 32; kc = 128; nc = 128 };
-    Some { Tensor.mc = 64; kc = 256; nc = 512 };
-    Some { Tensor.mc = 128; kc = 512; nc = 256 };
-  ]
-
 let site_of_kernel (ks : Plan.kernel_spec) =
   match ks.Plan.ks_gemm with
   | None -> None
@@ -83,14 +71,13 @@ let of_plan ?(device = Device.a100) (p : Plan.t) =
     s_vm_chunks = vm_chunk_menu;
     s_collapse = [ true; false ];
     s_fuse = [ true; false ];
-    s_packs = pack_menu;
     s_smem_limit = device.Device.l1_bytes_per_sm;
   }
 
 (* ------------------------- point encoding ------------------------- *)
 
 (* Axis order: one axis per gemm site (values: 0 = legacy, i =
-   s_tiles[i-1]), then elem chunk, vm chunk, collapse, fuse, pack. *)
+   s_tiles[i-1]), then elem chunk, vm chunk, collapse, fuse. *)
 
 let axes sp =
   let site_axis = List.length sp.s_tiles + 1 in
@@ -101,7 +88,6 @@ let axes sp =
         List.length sp.s_vm_chunks;
         List.length sp.s_collapse;
         List.length sp.s_fuse;
-        List.length sp.s_packs;
       ])
 
 let default_point sp = Array.make (Array.length (axes sp)) 0
@@ -127,7 +113,6 @@ let decode sp pt =
   let vm = List.nth sp.s_vm_chunks pt.(n_sites + 1) in
   let collapse = List.nth sp.s_collapse pt.(n_sites + 2) in
   let fuse = List.nth sp.s_fuse pt.(n_sites + 3) in
-  let pack = List.nth sp.s_packs pt.(n_sites + 4) in
   {
     c_tile =
       {
@@ -136,7 +121,6 @@ let decode sp pt =
         cfg_elem_chunk = elem;
         cfg_vm_chunk = vm;
         cfg_fuse = fuse;
-        cfg_pack = pack;
       };
     c_collapse = collapse;
   }

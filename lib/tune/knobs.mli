@@ -4,12 +4,11 @@
     A space is extracted from the {e default-config} plan of a program
     ({!of_plan}): every kernel carrying a per-cell matmul
     ([Plan.ks_gemm]) contributes a {e tile site} — one
-    {!Tile.tiles} choice for that block — and five global axes
+    {!Tile.tiles} choice for that block — and four global axes
     complete the space: elementwise chunk size, VM front chunk size,
     reuse collapsing (the §5.2 ablation knob, here a searchable
-    boolean), the compiled engine's kernel-fusion switch, and the
-    mc/kc/nc blocking of its prepacked B panels (both bitwise-neutral
-    — they move only time).
+    boolean) and the compiled engine's kernel-fusion switch
+    (bitwise-neutral — it moves only time).
 
     Points are mixed-radix index vectors ([int array]); index 0 on
     every axis is the default value, so the all-zeros point decodes to
@@ -33,8 +32,6 @@ type space = {
   s_vm_chunks : int list;      (** always starts with 0 = pool default *)
   s_collapse : bool list;      (** [true] first: reuse collapsing on *)
   s_fuse : bool list;          (** [true] first: compiled kernel fusion on *)
-  s_packs : Tensor.pack_blocking option list;
-      (** B-panel blockings; [None] first = engine default *)
   s_smem_limit : int;          (** device shared memory per SM, bytes *)
 }
 
@@ -53,7 +50,7 @@ val of_plan : ?device:Device.t -> Plan.t -> space
 
 val axes : space -> int array
 (** Axis sizes, in order: one per site ([|s_tiles| + 1]: 0 is
-    "untiled"), then elem chunks, VM chunks, collapse, fuse, pack. *)
+    "untiled"), then elem chunks, VM chunks, collapse, fuse. *)
 
 val default_point : space -> int array
 (** All zeros. *)

@@ -12,9 +12,10 @@
 
 let env_var = "FT_TUNE_DB"
 
-(* 2: Tile.config gained cfg_fuse/cfg_pack (records under Marshal are
-   layout-sensitive; version skew reads as a miss, never an error). *)
-let version = 2
+(* 3: Tile.config lost its pack-blocking field (2 had added it with
+   cfg_fuse).  Records under Marshal are layout-sensitive; version skew
+   reads as a miss, never an error. *)
+let version = 3
 
 type record = {
   tr_key : string;

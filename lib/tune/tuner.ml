@@ -49,7 +49,6 @@ let measure_runner ~device ~plan_of ~graph ~env (c : Knobs.candidate) =
           Run_opts.default with
           Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
           fuse = tile.Tile.cfg_fuse;
-          pack = tile.Tile.cfg_pack;
         }
       graph
   in
@@ -138,16 +137,6 @@ let config_to_jsonv (c : Knobs.candidate) =
       ("elem_chunk", Jsonw.Int t.Tile.cfg_elem_chunk);
       ("vm_chunk", Jsonw.Int t.Tile.cfg_vm_chunk);
       ("fuse", Jsonw.Bool t.Tile.cfg_fuse);
-      ( "pack",
-        match t.Tile.cfg_pack with
-        | Some { Tensor.mc; kc; nc } ->
-            Jsonw.Obj
-              [
-                ("mc", Jsonw.Int mc);
-                ("kc", Jsonw.Int kc);
-                ("nc", Jsonw.Int nc);
-              ]
-        | None -> Jsonw.Null );
       ("collapse_reuse", Jsonw.Bool c.Knobs.c_collapse);
       ("pretty", Jsonw.String (Knobs.to_string c));
     ]

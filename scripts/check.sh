@@ -240,7 +240,8 @@ dune exec --no-build bin/ftc.exe -- cache stats
 #           (Interp.run_program) and stays bitwise-identical to it in
 #           the interpreter's view; fused is >= 0.90x unfused (clock
 #           noise on a workload with no fusible tail)
-#   kernels every native GEMM kernel (unpacked, packed, packed with a
+#   kernels every native GEMM row (unpacked; gemm-native-packed,
+#           native on an aligned copy of b; the aligned copy with a
 #           fused epilogue) is bitwise-equal to, and at least as fast
 #           as, its OCaml reference baseline
 #   serve   batched service is bitwise-identical to solo service and

@@ -40,6 +40,17 @@ let check_json what s =
    type error: matmul of mismatched shapes) and one the parser rejects
    — committed fixtures under test/fixtures/. *)
 let bad_types_ft = "fixtures/cli-bad-types.ft"
+
+(* `ftc serve` with one bad numeric flag: a one-line diagnostic naming
+   the flag on stderr, nothing on stdout, exit 1. *)
+let serve_rejects flag name =
+  let code, out, err = run_ftc ("serve " ^ example "selective_scan" ^ " " ^ flag) in
+  checki (flag ^ ": exit code") 1 code;
+  checkb (flag ^ ": stdout is silent") true (String.trim out = "");
+  let err = String.trim err in
+  checkb (flag ^ ": one line naming the flag") true
+    (String.starts_with ~prefix:("serve: " ^ name) err
+    && not (String.contains err '\n'))
 let bad_syntax_ft = "fixtures/cli-bad-syntax.ft"
 
 (* The doc paragraph of [flag] in `ftc cmd --help=plain`: the option
@@ -197,6 +208,16 @@ let cli_tests =
             checki flags 124 code;
             checkb (flags ^ ": stdout is silent") true (String.trim out = ""))
           [ "--bench"; "--json"; "--repeat 3"; "--queue 4" ]);
+    Alcotest.test_case "serve: --requests below 0 is a diagnostic, exit 1"
+      `Quick (fun () -> serve_rejects "--requests=-1" "--requests");
+    Alcotest.test_case "serve: --max-batch below 1 is a diagnostic, exit 1"
+      `Quick (fun () ->
+        serve_rejects "--max-batch=0" "--max-batch";
+        serve_rejects "--max-batch=-1" "--max-batch");
+    Alcotest.test_case "serve: --rate not positive is a diagnostic, exit 1"
+      `Quick (fun () ->
+        serve_rejects "--rate=0" "--rate";
+        serve_rejects "--rate=-1" "--rate");
     Alcotest.test_case "shard: bitwise-identical at 2 devices, exit 0" `Quick
       (fun () ->
         let code, out, err = run_ftc "shard stacked_rnn --devices 2" in

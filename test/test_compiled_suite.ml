@@ -64,8 +64,8 @@ let sequential =
             domains = Some 1 }
 
 let opts ?(arena = true) ?domains ?(shadow = Run_opts.Shadow_off)
-    ?(fuse = true) ?pack () =
-  { Run_opts.default with Run_opts.domains; arena; shadow; fuse; pack }
+    ?(fuse = true) () =
+  { Run_opts.default with Run_opts.domains; arena; shadow; fuse }
 
 let compiled_tests =
   [
@@ -175,18 +175,6 @@ let compiled_tests =
               Executor.run ~opts:(opts ~domains:1 ~fuse:false ()) g binds
             in
             checkb name true (outputs_equal_exact fused unfused))
-          (workloads ()));
-    Alcotest.test_case "hostile pack blocking stays bitwise" `Quick (fun () ->
-        (* tiny, mutually-indivisible mc/kc/nc force partial panels and
-           odd k-remainders through the packed micro-kernel *)
-        let pack = { Tensor.mc = 3; kc = 48; nc = 40 } in
-        List.iter
-          (fun (name, g, binds) ->
-            let dflt = Executor.run ~opts:(opts ~domains:1 ()) g binds in
-            let hostile =
-              Executor.run ~opts:(opts ~domains:1 ~pack ()) g binds
-            in
-            checkb name true (outputs_equal_exact dflt hostile))
           (workloads ()));
     Alcotest.test_case "fusion stats: ops fuse, GEMMs pack, tails swallow"
       `Quick (fun () ->

@@ -456,9 +456,8 @@ let into_tests =
   ]
 
 (* Packed GEMM and fused epilogues: bitwise identity against the
-   reference kernels for arbitrary shapes and blockings (edge tiles,
-   the alpha-zero skip, the unroll-by-4 tail) — the invariant the
-   compiled engine's fusion pass relies on. *)
+   reference kernels for arbitrary shapes (edge tiles, the alpha-zero
+   skip) — the invariant the compiled engine's fusion pass relies on. *)
 let packed_tests =
   let sh m n = Shape.of_array [| m; n |] in
   let sparse_rand r shape =
@@ -473,15 +472,13 @@ let packed_tests =
          QCheck2.Gen.(
            pair
              (triple (int_range 1 9) (int_range 1 19) (int_range 1 13))
-             (triple (int_range 1 7) (int_range 1 9) (int_bound 1000)))
-         (fun ((m, k, n), (kc, nc, seed)) ->
+             (int_bound 1000))
+         (fun ((m, k, n), seed) ->
            let r = Rng.create (seed + 1) in
            let a = sparse_rand r (sh m k) and b = Tensor.rand r (sh k n) in
            let want = Tensor.uninit (sh m n) in
            Tensor.matmul_into ~beta:0.0 ~dst:want a b;
-           let pb =
-             Tensor.pack_b ~blocking:{ Tensor.mc = (m / 2) + 1; kc; nc } b
-           in
+           let pb = Tensor.pack_b b in
            let got = Tensor.uninit (sh m n) in
            Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
            Tensor.equal_bits got want));
@@ -496,37 +493,36 @@ let packed_tests =
            let want = Tensor.copy acc0 in
            Tensor.matmul_into ~alpha:2.0 ~beta:1.0 ~dst:want a b;
            let got = Tensor.copy acc0 in
-           let pb = Tensor.pack_b ~blocking:{ Tensor.mc = 2; kc = 3; nc = 5 } b in
+           let pb = Tensor.pack_b b in
            Tensor.matmul_packed_into ~alpha:2.0 ~beta:1.0 ~dst:got a pb;
            Tensor.equal_bits got want));
     Alcotest.test_case "repack_b refills a panel as pack_b packs it" `Quick
       (fun () ->
         let r = Rng.create 43 in
-        let blocking = { Tensor.mc = 2; kc = 3; nc = 5 } in
         let b = Tensor.rand r (sh 7 11) and b' = Tensor.rand r (sh 7 11) in
         let a = Tensor.rand r (sh 4 7) in
-        let pb = Tensor.pack_b ~blocking b in
+        let pb = Tensor.pack_b b in
         Tensor.repack_b pb b';
         let want = Tensor.uninit (sh 4 11) and got = Tensor.uninit (sh 4 11) in
-        Tensor.matmul_packed_into ~beta:0.0 ~dst:want a (Tensor.pack_b ~blocking b');
+        Tensor.matmul_packed_into ~beta:0.0 ~dst:want a (Tensor.pack_b b');
         Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
         checkb "bitwise" true (Tensor.equal_bits got want);
         Alcotest.check_raises "other dims"
-          (Invalid_argument "Tensor.repack_b: dims differ from the panel's")
+          (Invalid_argument "Tensor.repack_b: dims differ from the copy's")
           (fun () -> Tensor.repack_b pb (Tensor.rand r (sh 11 7)));
         (* transposed: refilled from the untransposed tensor *)
         let c = Tensor.rand r (sh 11 7) and c' = Tensor.rand r (sh 11 7) in
-        let pt = Tensor.pack_b ~blocking (Tensor.transpose c) in
+        let pt = Tensor.pack_b (Tensor.transpose c) in
         let against x =
           Tensor.matmul_packed_into ~beta:0.0 ~dst:want a
-            (Tensor.pack_b ~blocking (Tensor.transpose x));
+            (Tensor.pack_b (Tensor.transpose x));
           Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pt;
           Tensor.equal_bits got want
         in
         checkb "packed transpose" true (against c);
         Tensor.repack_b ~transposed:true pt c';
         checkb "transposed repack" true (against c'));
-    Alcotest.test_case "pack_b default blocking matches at workload shapes"
+    Alcotest.test_case "pack_b matches at workload shapes"
       `Quick (fun () ->
         let r = Rng.create 41 in
         List.iter
@@ -606,7 +602,8 @@ let packed_tests =
    values cover signed zeros (the zero-skip), infinities (which make
    NaNs inside the sum) and NaNs with random payloads and signs in [a],
    in [b] and in both — where only the NaN fallback keeps the tiers
-   equal. *)
+   equal.  [pack_b] and [repack_b] also copy sources that start off a
+   64-byte boundary, the one job packing keeps. *)
 let native_tests =
   let sh m n = Shape.of_array [| m; n |] in
   let shapes =
@@ -622,13 +619,6 @@ let native_tests =
     ]
   in
   let alphas = [ 1.0; 0.5; -2.0 ] in
-  let blockings =
-    [
-      ("default", Tensor.default_pack_blocking);
-      ("3/48/40", { Tensor.mc = 3; kc = 48; nc = 40 });
-      ("1/1/1", { Tensor.mc = 1; kc = 1; nc = 1 });
-    ]
-  in
   let nan_of r =
     (* a quiet or signalling NaN with a random payload and sign *)
     let payload = Int64.logand (Rng.int64 r) 0x000F_FFFF_FFFF_FFFFL in
@@ -681,22 +671,14 @@ let native_tests =
                 let got = Tensor.full (sh m n) nan in
                 Tensor.matmul_into ~alpha ~beta:0.0 ~dst:got a b;
                 checkb (label "unpacked") true (Tensor.equal_bits got want);
-                List.iter
-                  (fun (bname, blocking) ->
-                    let pb = Tensor.pack_b ~blocking b in
-                    let reference = Tensor.uninit (sh m n) in
-                    Tensor.Reference.matmul_packed_into ~alpha ~beta:0.0
-                      ~dst:reference a pb;
-                    checkb
-                      (label ("packed reference " ^ bname))
-                      true
-                      (Tensor.equal_bits reference want);
-                    Tensor.matmul_packed_into ~alpha ~beta:0.0 ~dst:got a pb;
-                    checkb
-                      (label ("packed " ^ bname))
-                      true (Tensor.equal_bits got want))
-                  (if m * k * n > 1_000_000 then [ List.hd blockings ]
-                   else blockings))
+                let pb = Tensor.pack_b b in
+                let reference = Tensor.uninit (sh m n) in
+                Tensor.Reference.matmul_packed_into ~alpha ~beta:0.0
+                  ~dst:reference a pb;
+                checkb (label "packed reference") true
+                  (Tensor.equal_bits reference want);
+                Tensor.matmul_packed_into ~alpha ~beta:0.0 ~dst:got a pb;
+                checkb (label "packed") true (Tensor.equal_bits got want))
               (alphas_for i))
           kinds)
   in
@@ -716,6 +698,46 @@ let native_tests =
           Tensor.Reference.matmul_into ~beta:0.0 ~transpose_b:true ~dst:want a bt;
           Tensor.matmul_into ~beta:0.0 ~transpose_b:true ~dst:got a bt;
           checkb "transpose_b" true (Tensor.equal_bits got want));
+      Alcotest.test_case "pack_b and repack_b of a misaligned source" `Quick
+        (fun () ->
+          let r = Rng.create 11 in
+          let m, k, n = (5, 37, 45) in
+          let a = operand r ~inf:false ~nan:false (sh m k) in
+          (* a [rows,cols] source starting [shift] doubles into its
+             buffer: shifts 0..7 cover every 8-byte residue of a 64-byte
+             line, so seven of them start 1-7 doubles off the boundary *)
+          let shifted ~nan shift rows cols =
+            let src = operand r ~inf:false ~nan (sh rows cols) in
+            let buf =
+              Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+                ((rows * cols) + shift)
+            in
+            let view = Bigarray.Array1.sub buf shift (rows * cols) in
+            Bigarray.Array1.blit (Tensor.buffer src) view;
+            Tensor.of_buffer (sh rows cols) view
+          in
+          let want = Tensor.uninit (sh m n) and got = Tensor.uninit (sh m n) in
+          let check label pb b =
+            Tensor.Reference.matmul_into ~beta:0.0 ~dst:want a b;
+            Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
+            checkb (label ^ ", native") true (Tensor.equal_bits got want);
+            Tensor.Reference.matmul_packed_into ~beta:0.0 ~dst:got a pb;
+            checkb (label ^ ", reference") true (Tensor.equal_bits got want)
+          in
+          let pt = Tensor.pack_b (Tensor.zeros (sh k n)) in
+          List.iter
+            (fun nan ->
+              for shift = 0 to 7 do
+                let label what =
+                  Printf.sprintf "%s, shift %d, nan %b" what shift nan
+                in
+                let b = shifted ~nan shift k n in
+                check (label "pack_b") (Tensor.pack_b b) b;
+                let c = shifted ~nan shift n k in
+                Tensor.repack_b ~transposed:true pt c;
+                check (label "repack_b transposed") pt (Tensor.transpose c)
+              done)
+            [ false; true ]);
     ]
 
 let suites =
