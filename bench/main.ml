@@ -534,6 +534,86 @@ let vm () =
 (* Kernels: native GEMM tier vs the OCaml reference loops              *)
 (* ------------------------------------------------------------------ *)
 
+(* ns per element of the native elementwise tier against the
+   Tensor.Reference loops, at the cell-tail shapes the workloads run:
+   an RNN step's [1,64] and [1,128], a batched [16,128], and flash
+   attention's [32,32] score tile.  Each sample runs [iters] calls,
+   about 2e5 elements; operands are uniform in [-3,3), so tanh takes
+   both of its ranges.  The bias+tanh row is the GEMM epilogue
+   (add_bias_act_into with a [1,n] bias, in place), timed with the copy
+   that restores its operand before every call on both sides.  Each
+   candidate is checked bitwise against its baseline. *)
+let elementwise rng =
+  section "Kernels: native elementwise vs Tensor.Reference (wall clock, ns per element)";
+  print_row "kernel / shape" [ "baseline"; "candidate"; "speedup"; "bitwise" ];
+  let shapes = [ (1, 64); (1, 128); (16, 128); (32, 32) ] in
+  List.iter
+    (fun (m, n) ->
+      let shape = Printf.sprintf "[%d,%d]" m n in
+      let sh = Shape.of_array [| m; n |] in
+      let a = Tensor.scale 3.0 (Tensor.rand rng sh) in
+      let b = Tensor.scale 3.0 (Tensor.rand rng sh) in
+      let bias = Tensor.rand rng (Shape.of_array [| 1; n |]) in
+      let numel = m * n in
+      let iters = Stdlib.max 1 (200_000 / numel) in
+      let binop op ~reference dst =
+        if reference then Tensor.Reference.binop_into op a b ~dst
+        else Tensor.binop_into op a b ~dst
+      in
+      let unop op ~reference dst =
+        if reference then Tensor.Reference.unop_into op a ~dst
+        else Tensor.unop_into op a ~dst
+      in
+      let bias_tanh ~reference dst =
+        Tensor.copy_into a ~dst;
+        if reference then
+          Tensor.Reference.add_bias_act_into ~bias ~act:Tensor.Utanh ~dst
+        else Tensor.add_bias_act_into ~bias ~act:Tensor.Utanh ~dst
+      in
+      List.iter
+        (fun (kernel, run) ->
+          let d0 = Tensor.uninit sh and d1 = Tensor.uninit sh in
+          let sample reference dst () =
+            wall_ms (fun () ->
+                for _ = 1 to iters do
+                  run ~reference dst
+                done)
+          in
+          let mss = interleaved_medians [ sample true d0; sample false d1 ] in
+          run ~reference:true d0;
+          run ~reference:false d1;
+          let bitwise = Tensor.equal_bits d1 d0 in
+          let ns ms = ms *. 1e6 /. float_of_int (iters * numel) in
+          let speedup = mss.(0) /. mss.(1) in
+          print_row
+            (Printf.sprintf "%s %s" kernel shape)
+            [
+              Printf.sprintf "%.2f ns/el" (ns mss.(0));
+              Printf.sprintf "%.2f ns/el" (ns mss.(1));
+              Printf.sprintf "%.2fx" speedup;
+              (if bitwise then "equal" else "DIFFER");
+            ];
+          List.iter
+            (fun (variant, ms, vs_base) ->
+              let rk ?(statistic = "median") metric unit_ v =
+                record ~workload:shape ~layer:(kernel ^ "/" ^ variant) ~metric
+                  ~unit_ ~domains:1 ~bitwise ~statistic v
+              in
+              rk "time_ms" "ms" ms;
+              rk "ns_per_elem" "ns" (ns ms);
+              rk ~statistic:"ratio" "speedup_vs_baseline" "x" vs_base;
+              rk ~statistic:"config" "iters" "count" (float_of_int iters))
+            [ ("baseline", mss.(0), 1.0); ("candidate", mss.(1), speedup) ])
+        [
+          ("ew-add", binop Tensor.Badd);
+          ("ew-mul", binop Tensor.Bmul);
+          ("ew-tanh", unop Tensor.Utanh);
+          ("ew-sigmoid", unop Tensor.Usigmoid);
+          ("ew-exp", unop Tensor.Uexp);
+          ("ew-bias-tanh", bias_tanh);
+        ])
+    shapes
+
 (* Wall-clock GFLOP/s of the native GEMM tier against the OCaml
    reference loops it must match bit for bit, at the per-cell shapes the
    workloads actually run.  Every candidate's baseline is the OCaml
@@ -546,8 +626,8 @@ let vm () =
    GEMM is 73 Kflop) rise above clock granularity; rounds interleave
    every variant of a shape so machine drift hits both sides of every
    ratio equally.  Every candidate is also checked bitwise — a kernel
-   variant that wins by changing results is a bug, not a speedup. *)
-
+   variant that wins by changing results is a bug, not a speedup.  The
+   elementwise rows above follow. *)
 let kernels () =
   start "kernels" (Some 17);
   section "Kernels: native GEMM vs the OCaml reference (wall clock, GFLOP/s)";
@@ -636,8 +716,8 @@ let kernels () =
       let ep = Tensor.epilogue ~bias ~act:Tensor.Utanh () in
       let chain () =
         reference ();
-        Tensor.binop_into Tensor.Badd d0 bias ~dst:d0;
-        Tensor.unop_into Tensor.Utanh d0 ~dst:d0
+        Tensor.Reference.binop_into Tensor.Badd d0 bias ~dst:d0;
+        Tensor.Reference.unop_into Tensor.Utanh d0 ~dst:d0
       in
       let fused () =
         Tensor.matmul_packed_into ~beta:0.0 ~epilogue:ep ~dst:d2 a pb
@@ -647,7 +727,8 @@ let kernels () =
       fused ();
       report ~shape ~kernel:"gemm-bias-tanh" ~flops ~iters
         ~bitwise:(Tensor.equal_bits d2 d0) mss.(0) mss.(1))
-    shapes
+    shapes;
+  elementwise rng
 
 (* ------------------------------------------------------------------ *)
 (* Tuned: default vs auto-tuned configuration per workload             *)
@@ -1093,7 +1174,7 @@ let experiments =
     ("ablation", ablation, None);
     ("devices", devices, None);
     ("vm", vm, Some Schema.vm);
-    ("kernels", kernels, Some Schema.kernels);
+    ("kernels", kernels, Some (fun rs -> Schema.kernels rs @ Schema.gemm_epilogue rs));
     ("tuned", tuned, None);
     ("serve", serve, Some Schema.serve);
     ("dist", dist, Some Schema.dist);

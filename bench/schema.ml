@@ -140,7 +140,8 @@ let vm rs : row list =
         (workloads at1)
 
 (* Every native kernel is bitwise-equal to, and at least as fast as,
-   its OCaml reference baseline. *)
+   its OCaml reference baseline.  A GEMM row reports GFLOP/s, an
+   elementwise row ns per element. *)
 let kernels rs : row list =
   let cands =
     List.filter
@@ -153,15 +154,44 @@ let kernels rs : row list =
   else
     List.map
       (fun r ->
-        let gflops =
+        let rate =
           match find rs ~workload:r.workload ~layer:r.layer "gflops" with
-          | Some g -> g.value
-          | None -> nan
+          | Some g -> Printf.sprintf "%.2f GFLOP/s" g.value
+          | None -> (
+              match find rs ~workload:r.workload ~layer:r.layer "ns_per_elem" with
+              | Some t -> Printf.sprintf "%.2f ns/elem" t.value
+              | None -> "no rate")
         in
         ( r.value >= 1.0 && r.bitwise,
-          Printf.sprintf "%s %s: %.2f GFLOP/s, %.2fx baseline, bitwise %s"
-            r.layer r.workload gflops r.value (verdict r.bitwise) ))
+          Printf.sprintf "%s %s: %s, %.2fx baseline, bitwise %s" r.layer
+            r.workload rate r.value (verdict r.bitwise) ))
       cands
+
+(* A GEMM with the fused bias+tanh epilogue keeps at least half the
+   GFLOP/s of the same GEMM on the aligned copy without one, on every
+   shape: the elementwise tail costs at most as much as the GEMM. *)
+let gemm_epilogue rs : row list =
+  let gflops workload kernel =
+    Option.map
+      (fun r -> r.value)
+      (find rs ~workload ~layer:(kernel ^ "/candidate") "gflops")
+  in
+  let shapes =
+    workloads
+      (List.filter (fun r -> r.layer = "gemm-bias-tanh/candidate") rs)
+  in
+  if shapes = [] then [ (false, "no gemm-bias-tanh records") ]
+  else
+    List.map
+      (fun wl ->
+        match (gflops wl "gemm-bias-tanh", gflops wl "gemm-native-packed") with
+        | Some e, Some p ->
+            ( e >= 0.5 *. p,
+              Printf.sprintf
+                "gemm-bias-tanh %s: %.2f GFLOP/s, %.2fx gemm-native-packed (floor 0.50x)"
+                wl e (e /. p) )
+        | _ -> (false, Printf.sprintf "gemm-bias-tanh %s: missing a GFLOP/s record" wl))
+      shapes
 
 (* Batched service equals solo service bit for bit and the open-loop
    p99 stays finite under overload on every workload; the bounded

@@ -143,6 +143,27 @@ let kernel_tests =
         check_fail "empty" (Schema.kernels []));
   ]
 
+let epilogue_rows ~fused ~packed =
+  [
+    rec_ ~workload:"s" ~layer:"gemm-bias-tanh/candidate" "gflops" fused;
+    rec_ ~workload:"s" ~layer:"gemm-native-packed/candidate" "gflops" packed;
+  ]
+
+let epilogue_tests =
+  [
+    Alcotest.test_case "gemm_epilogue: 0.5x packed passes, 0.499x fails" `Quick
+      (fun () ->
+        check_pass "at floor"
+          (Schema.gemm_epilogue (epilogue_rows ~fused:5.0 ~packed:10.0));
+        check_fail "below"
+          (Schema.gemm_epilogue (epilogue_rows ~fused:4.99 ~packed:10.0)));
+    Alcotest.test_case "gemm_epilogue: a shape without its packed row fails"
+      `Quick (fun () ->
+        check_fail "no packed"
+          (Schema.gemm_epilogue [ List.hd (epilogue_rows ~fused:5.0 ~packed:1.0) ]);
+        check_fail "empty" (Schema.gemm_epilogue []));
+  ]
+
 let serve_rows ?(workload = "w") ~bad ~p99 ~shed () =
   [
     rec_ ~workload ~bitwise:(bad = 0.) "bitwise_mismatches" bad;
@@ -206,6 +227,7 @@ let () =
       ("writer", writer_tests);
       ("gate-vm", vm_tests);
       ("gate-kernels", kernel_tests);
+      ("gate-gemm-epilogue", epilogue_tests);
       ("gate-serve", serve_tests);
       ("gate-dist", dist_tests);
     ]

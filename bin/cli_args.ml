@@ -38,6 +38,18 @@ let show_format_arg =
     & opt (enum [ ("text", `Text); ("dot", `Dot) ]) `Text
     & info [ "format" ] ~docv:"FORMAT" ~doc:"Output format: text or dot")
 
+(* A count flag below 1 is a usage error of the subcommand, reported the
+   same way everywhere: "CMD: --FLAG must be at least 1" on stderr,
+   exit 1. *)
+let require_at_least_1 cmd flag n =
+  if n < 1 then begin
+    Format.eprintf "%s: --%s must be at least 1@." cmd flag;
+    exit 1
+  end
+
+(* [--domains], when given, must be at least 1. *)
+let check_domains cmd domains = Option.iter (require_at_least_1 cmd "domains") domains
+
 let domains_arg =
   Arg.(
     value

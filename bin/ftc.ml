@@ -394,6 +394,8 @@ let simulate_cmd =
 
 let run_cmd =
   let run path domains seed repeat =
+    Cli_args.check_domains "run" domains;
+    Cli_args.require_at_least_1 "run" "repeat" repeat;
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
     match Parse.program_file path with
@@ -514,6 +516,7 @@ let run_cmd =
 
 let profile_cmd =
   let run path format device domains seed =
+    Cli_args.check_domains "profile" domains;
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
     match Parse.program_file path with
@@ -664,10 +667,7 @@ let analyze_cmd =
 
 let tune_cmd =
   let run path budget strategy oracle seed device format =
-    if budget < 1 then begin
-      Format.eprintf "tune: --budget must be at least 1@.";
-      exit 1
-    end;
+    Cli_args.require_at_least_1 "tune" "budget" budget;
     match
       Tuner.tune_file ~device ~seed ~strategy ~budget ~oracle path
     with
@@ -857,6 +857,7 @@ let cache_cmd =
 
 let conform_cmd =
   let run seed budget oracles corpus replay json meta_iters =
+    Cli_args.require_at_least_1 "conform" "budget" budget;
     let oracles =
       match oracles with [] -> Oracles.all_oracles | names -> names
     in
@@ -982,8 +983,9 @@ let serve_cmd =
       exit 1
     in
     if requests < 0 then usage "--requests must be at least 0";
-    if max_batch < 1 then usage "--max-batch must be at least 1";
+    Cli_args.require_at_least_1 "serve" "max-batch" max_batch;
     if not (rate > 0.0) then usage "--rate must be positive";
+    Cli_args.check_domains "serve" domains;
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
     (* tuned configs apply transparently to the serving session's
@@ -1073,10 +1075,7 @@ let serve_cmd =
 
 let shard_cmd =
   let run target devices strategy link device seed json =
-    if devices < 1 then begin
-      Format.eprintf "shard: --devices must be at least 1@.";
-      exit 1
-    end;
+    Cli_args.require_at_least_1 "shard" "devices" devices;
     let p =
       if Sys.file_exists target then (
         match Parse.program_file target with

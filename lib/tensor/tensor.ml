@@ -1,5 +1,147 @@
 module A = Bigarray.Array1
 
+(* Fmath: the repository's exp, tanh and sigmoid.
+
+   Each is a fixed sequence of IEEE double [+ - * /], compares, table
+   lookups and exact powers of two: no libm call and no fused
+   multiply-add.  The C
+   elementwise kernels (elementwise_stubs.c) evaluate the same sequence
+   per element, vectorized across elements with selects where this
+   module branches, so the two tiers agree bit for bit and neither depends on
+   the host's libm.  A NaN argument is returned unchanged.
+
+   exp: x = (128 k + j) ln2/128 + r with |r| <= ln2/256 (the index
+   rounded by the 1.5 * 2^52 trick, ln2/128 split so the product with
+   the index is exact), exp r - 1 by its Taylor polynomial to degree 5
+   (truncation error below 2^-60 on that range), then
+   2^(j/128) (1 + tail + (exp r - 1)) from a 128-entry table of
+   2^(j/128) with its rounding tail, scaled by 2^k in two exact halves
+   (so subnormal results round at the last multiply).  This is the
+   table-driven scheme of glibc's
+   and ARM's optimized-routines exp, without the fused multiply-add;
+   there is no division.
+
+   tanh: x itself below 2^-28, where x is tanh x correctly rounded;
+   below 0.625 the Cephes (Moshier) rational approximation
+   x + x^3 P(x^2) / Q(x^2), relative error below 6e-19 on that range;
+   up to 22 it is 1 - 2 / (exp 2|x| + 1) with the sign of x; beyond, +-1.
+
+   sigmoid: e / (1 + e) for x < 0 and 1 / (1 + e) otherwise, with
+   e = exp (-|x|), so exp never overflows and no tie in [1 +. e] loses
+   the tail of a tiny result. *)
+
+module Fmath = struct
+  (* 128 / ln 2, and ln 2 / 128 split so that [kd *. ln2hin] is exact
+     for every |kd| < 2^18 *)
+  let invln2n = 0x1.71547652b82fep+7
+  let ln2hin = 0x1.62e42fef80000p-8
+  let ln2lon = 0x1.1cf79abc9e3b4p-43
+
+  (* 1.5 * 2^52: adding it rounds to the nearest integer *)
+  let shift = 6755399441055744.0
+  let exp_overflow = 7.09782712893383973096e+02
+  let exp_underflow = -7.45133219101941108420e+02
+
+  (* 2^(j/128) = hi *. (1 + tail) for j in [0, 128), stored as the
+     pairs [hi; tail].  Computed once in double-double arithmetic from
+     seven square roots of 2 (Dekker's exact products, IEEE sqrt), so
+     every host builds the same table; the C kernels read this one. *)
+  let exp_table : (float, Bigarray.float64_elt, Bigarray.c_layout) A.t =
+    let split a =
+      let c = 134217729.0 *. a in
+      let h = c -. (c -. a) in
+      (h, a -. h)
+    in
+    let two_prod a b =
+      let p = a *. b in
+      let ah, al = split a and bh, bl = split b in
+      (p, ((ah *. bh) -. p +. (ah *. bl) +. (al *. bh)) +. (al *. bl))
+    in
+    let norm h l =
+      let s = h +. l in
+      (s, l -. (s -. h))
+    in
+    let mul (ah, al) (bh, bl) =
+      let p, e = two_prod ah bh in
+      norm p (e +. ((ah *. bl) +. (al *. bh)))
+    in
+    let sqrt (ah, al) =
+      let s = Float.sqrt ah in
+      let p, e = two_prod s s in
+      norm s ((ah -. p -. e +. al) /. (2.0 *. s))
+    in
+    let step = ref (2.0, 0.0) in
+    for _ = 1 to 7 do
+      step := sqrt !step
+    done;
+    let t = A.create Bigarray.Float64 Bigarray.C_layout 256 in
+    let p = ref (1.0, 0.0) in
+    for j = 0 to 127 do
+      let h, l = !p in
+      A.set t (2 * j) h;
+      A.set t ((2 * j) + 1) (l /. h);
+      p := mul !p !step
+    done;
+    t
+
+  (* 2^j for j in [-538, 513], the halves of any 2^k exp needs *)
+  let pow2_lo = -538
+
+  let pow2 =
+    Array.init 1052 (fun i ->
+        Int64.float_of_bits (Int64.shift_left (Int64.of_int (i + pow2_lo + 1023)) 52))
+
+  let[@inline] exp x =
+    if x <> x then x
+    else if x > exp_overflow then infinity
+    else if x < exp_underflow then 0.0
+    else
+      let kd = (x *. invln2n) +. shift -. shift in
+      let ki = int_of_float kd in
+      let r = x -. (kd *. ln2hin) -. (kd *. ln2lon) in
+      let j = 2 * (ki land 127) and k = ki asr 7 in
+      let r2 = r *. r in
+      let tmp =
+        A.unsafe_get exp_table (j + 1) +. r
+        +. (r2 *. (0.5 +. (r *. 0x1.5555555555555p-3)))
+        +. (r2 *. r2 *. (0x1.5555555555555p-5 +. (r *. 0x1.1111111111111p-7)))
+      in
+      (* 2^k in two halves: every intermediate stays normal, and a
+         subnormal result rounds at the last multiply *)
+      let k1 = k asr 1 in
+      let s = A.unsafe_get exp_table j *. Array.unsafe_get pow2 (k1 - pow2_lo) in
+      (s +. (s *. tmp)) *. Array.unsafe_get pow2 (k - k1 - pow2_lo)
+
+  let tp0 = -9.64399179425052238628e-1
+  let tp1 = -9.92877231001918586564e1
+  let tp2 = -1.61468768441708447952e3
+  let tq0 = 1.12811678491632931402e2
+  let tq1 = 2.23548839060100448583e3
+  let tq2 = 4.84406305325125486048e3
+  let tanh_tiny = 0x1p-28
+  let tanh_small = 0.625
+  let tanh_one = 22.0
+
+  let[@inline] tanh x =
+    if x <> x then x
+    else
+      let z = Float.abs x in
+      if z < tanh_tiny then x
+      else if z < tanh_small then
+        let s = x *. x in
+        x +. (x *. s *. (((tp0 *. s) +. tp1) *. s +. tp2) /. ((((s +. tq0) *. s) +. tq1) *. s +. tq2))
+      else if z > tanh_one then if x < 0.0 then -1.0 else 1.0
+      else
+        let t = 1.0 -. (2.0 /. (exp (z +. z) +. 1.0)) in
+        if x < 0.0 then -.t else t
+
+  let[@inline] sigmoid x =
+    if x <> x then x
+    else
+      let e = exp (-.Float.abs x) in
+      (if x < 0.0 then e else 1.0) /. (1.0 +. e)
+end
+
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
 
 type t = { shape : Shape.t; data : buffer }
@@ -71,6 +213,7 @@ let buffer t = t.data
 let data t = Array.init (numel t) (fun i -> A.unsafe_get t.data i)
 let get t idx = A.unsafe_get t.data (Shape.ravel t.shape idx)
 let get1 t i = A.get t.data i
+
 
 let to_scalar t =
   if numel t <> 1 then
@@ -164,43 +307,42 @@ let map2_into f a b ~dst =
       (Printf.sprintf "Tensor.map2: incompatible shapes %s and %s"
          (Shape.to_string a.shape) (Shape.to_string b.shape))
 
+(* The full (non-broadcast) shape of a binary op's result. *)
+let broadcast_shape a b =
+  if Shape.equal a.shape b.shape then a.shape
+  else if Shape.rank b.shape = 0 then a.shape
+  else if Shape.rank a.shape = 0 then b.shape
+  else if col_vector_against a b || row_vector_against a b then a.shape
+  else if col_vector_against b a || row_vector_against b a then b.shape
+  else
+    invalid_arg
+      (Printf.sprintf "Tensor.map2: incompatible shapes %s and %s"
+         (Shape.to_string a.shape) (Shape.to_string b.shape))
+
 let map2 f a b =
-  let out_shape =
-    if Shape.equal a.shape b.shape then a.shape
-    else if Shape.rank b.shape = 0 then a.shape
-    else if Shape.rank a.shape = 0 then b.shape
-    else if col_vector_against a b || row_vector_against a b then a.shape
-    else if col_vector_against b a || row_vector_against b a then b.shape
-    else
-      invalid_arg
-        (Printf.sprintf "Tensor.map2: incompatible shapes %s and %s"
-           (Shape.to_string a.shape) (Shape.to_string b.shape))
-  in
-  let out = uninit out_shape in
+  let out = uninit (broadcast_shape a b) in
   map2_into f a b ~dst:out;
   out
-
-let maximum = map2 Float.max
-let add = map2 ( +. )
-let sub = map2 ( -. )
-let mul = map2 ( *. )
-let div = map2 ( /. )
-let scale k = map (fun x -> k *. x)
-let neg = map (fun x -> -.x)
-let exp = map Stdlib.exp
-let tanh = map Stdlib.tanh
-let sigmoid = map (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x)))
-let relu = map (fun x -> if x > 0.0 then x else 0.0)
 
 (* Opcode-dispatch kernels ------------------------------------------
 
    [map2_into f] calls an unknown closure per element, and on this
    compiler every such call boxes its float arguments — fatal for the
-   compiled engine's zero-allocation steady state.  The variants below
-   take the operator as a constant constructor matched {e inside} the loop
-   (a test and branch, no closure, no boxing) while mirroring
-   [map2_into]'s broadcast dispatch and loop order case for case, so
-   results are bitwise identical to the closure path. *)
+   compiled engine's zero-allocation steady state.  The kernels below
+   take the operator as a constant constructor instead.  Two tiers
+   implement them:
+
+   - {!Reference}: OCaml loops that match the operator {e inside} the
+     loop (a test and branch, no closure, no boxing) and mirror
+     [map2_into]'s broadcast dispatch and loop order case for case.
+     The interpreter's allocating wrappers ([add], [tanh], [softmax],
+     …) run only these.
+   - The top-level [*_into] kernels, at the end of this file, hand the
+     same loops to elementwise_stubs.c, which keeps every element's
+     float sequence and falls back to {!Reference} where a NaN meets a
+     NaN.
+
+   exp, tanh and sigmoid are {!Fmath}'s in both tiers. *)
 
 type bin_op = Badd | Bsub | Bmul | Bdiv | Bmax
 type un_op = Utanh | Usigmoid | Uexp | Uneg | Urelu | Uscale of float
@@ -220,97 +362,52 @@ let[@inline] apply2 op (x : float) (y : float) =
   | Bdiv -> x /. y
   | Bmax -> fmax x y
 
+let[@inline] apply1 op (x : float) =
+  match op with
+  | Utanh -> Fmath.tanh x
+  | Usigmoid -> Fmath.sigmoid x
+  | Uexp -> Fmath.exp x
+  | Uneg -> -.x
+  | Urelu -> if x > 0.0 then x else 0.0
+  | Uscale k -> k *. x
+
 (* Toplevel (not a local closure: a closure would allocate on every
    call, and [binop_into] is the compiled executor's hot path). *)
 let binop_full_check t dst =
   if not (Shape.equal t.shape dst.shape) then
     invalid_arg "Tensor.binop_into: dst shape mismatch"
 
-let binop_into op a b ~dst =
-  let ad = a.data and bd = b.data and dd = dst.data in
-  if Shape.equal a.shape b.shape then begin
-    binop_full_check a dst;
-    for i = 0 to numel a - 1 do
-      A.unsafe_set dd i (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd i))
-    done
-  end
-  else if Shape.rank b.shape = 0 then begin
-    binop_full_check a dst;
-    let v = A.get bd 0 in
-    for i = 0 to numel a - 1 do
-      A.unsafe_set dd i (apply2 op (A.unsafe_get ad i) v)
-    done
-  end
-  else if Shape.rank a.shape = 0 then begin
-    binop_full_check b dst;
-    let v = A.get ad 0 in
-    for i = 0 to numel b - 1 do
-      A.unsafe_set dd i (apply2 op v (A.unsafe_get bd i))
-    done
-  end
-  else if col_vector_against a b then begin
-    binop_full_check a dst;
-    let n = Shape.dim a.shape 1 in
-    for i = 0 to numel a - 1 do
-      A.unsafe_set dd i (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd (i / n)))
-    done
-  end
-  else if col_vector_against b a then begin
-    binop_full_check b dst;
-    let n = Shape.dim b.shape 1 in
-    for i = 0 to numel b - 1 do
-      A.unsafe_set dd i (apply2 op (A.unsafe_get ad (i / n)) (A.unsafe_get bd i))
-    done
-  end
-  else if row_vector_against a b then begin
-    binop_full_check a dst;
-    let n = Shape.dim a.shape 1 in
-    for i = 0 to numel a - 1 do
-      A.unsafe_set dd i
-        (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd (i mod n)))
-    done
-  end
-  else if row_vector_against b a then begin
-    binop_full_check b dst;
-    let n = Shape.dim b.shape 1 in
-    for i = 0 to numel b - 1 do
-      A.unsafe_set dd i
-        (apply2 op (A.unsafe_get ad (i mod n)) (A.unsafe_get bd i))
-    done
-  end
-  else
-    invalid_arg
-      (Printf.sprintf "Tensor.binop_into: incompatible shapes %s and %s"
-         (Shape.to_string a.shape) (Shape.to_string b.shape))
+let binop_shape_error a b =
+  invalid_arg
+    (Printf.sprintf "Tensor.binop_into: incompatible shapes %s and %s"
+       (Shape.to_string a.shape) (Shape.to_string b.shape))
 
-let[@inline] apply1 op (x : float) =
-  match op with
-  | Utanh -> Stdlib.tanh x
-  | Usigmoid -> 1.0 /. (1.0 +. Stdlib.exp (-.x))
-  | Uexp -> Stdlib.exp x
-  | Uneg -> -.x
-  | Urelu -> if x > 0.0 then x else 0.0
-  | Uscale k -> k *. x
-
-let unop_into op src ~dst =
+let unop_check src dst =
   if not (Shape.equal src.shape dst.shape) then
-    invalid_arg "Tensor.unop_into: shape mismatch";
-  let sd = src.data and dd = dst.data in
-  for i = 0 to numel src - 1 do
-    A.unsafe_set dd i (apply1 op (A.unsafe_get sd i))
-  done
-
-let add_into a b ~dst = binop_into Badd a b ~dst
-let sub_into a b ~dst = binop_into Bsub a b ~dst
-let mul_into a b ~dst = binop_into Bmul a b ~dst
-
-let map_inplace f t = map_into f t ~dst:t
-let tanh_inplace t = map_inplace Stdlib.tanh t
-let sigmoid_inplace t = map_inplace (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x))) t
+    invalid_arg "Tensor.unop_into: shape mismatch"
 
 let require_rank2 name t =
   if Shape.rank t.shape <> 2 then
     invalid_arg (name ^ ": expected a rank-2 tensor")
+
+let require_dims2 name t m n =
+  if Shape.rank t.shape <> 2 || Shape.dim t.shape 0 <> m
+     || Shape.dim t.shape 1 <> n
+  then invalid_arg (name ^ ": dst shape mismatch")
+
+let bias_shape_error bias dst =
+  invalid_arg
+    (Printf.sprintf "Tensor.add_bias_act_into: bias shape %s against %s"
+       (Shape.to_string bias.shape) (Shape.to_string dst.shape))
+
+let mul_tanh_check a b dst =
+  if not (Shape.equal a.shape b.shape && Shape.equal a.shape dst.shape) then
+    invalid_arg "Tensor.mul_tanh_into: shape mismatch"
+
+let softmax_check src dst =
+  require_rank2 "Tensor.softmax" src;
+  if not (Shape.equal src.shape dst.shape) then
+    invalid_arg "Tensor.softmax_into: shape mismatch"
 
 (* GEMM epilogues ---------------------------------------------------
 
@@ -328,64 +425,11 @@ type epilogue = { ep_bias : t option; ep_act : un_op option }
 
 let epilogue ?bias ?act () = { ep_bias = bias; ep_act = act }
 
-(* dst.(i) <- act (dst.(i) + bias.(..)) in one pass, no allocation.
-   Exposed directly (non-optional labels, so callers on zero-alloc
-   paths never box an option) and used by [apply_epilogue]. *)
-let add_bias_act_into ~bias ~act ~dst =
-  let bd = bias.data and dd = dst.data in
-  let total = numel dst in
-  if Shape.equal bias.shape dst.shape then
-    for i = 0 to total - 1 do
-      A.unsafe_set dd i (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd i))
-    done
-  else if Shape.rank bias.shape = 0 then begin
-    let v = A.get bd 0 in
-    for i = 0 to total - 1 do
-      A.unsafe_set dd i (apply1 act (A.unsafe_get dd i +. v))
-    done
-  end
-  else if col_vector_against dst bias then begin
-    let n = Shape.dim dst.shape 1 in
-    for i = 0 to total - 1 do
-      A.unsafe_set dd i
-        (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd (i / n)))
-    done
-  end
-  else if row_vector_against dst bias then begin
-    let n = Shape.dim dst.shape 1 in
-    for i = 0 to total - 1 do
-      A.unsafe_set dd i
-        (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd (i mod n)))
-    done
-  end
-  else
-    invalid_arg
-      (Printf.sprintf "Tensor.add_bias_act_into: bias shape %s against %s"
-         (Shape.to_string bias.shape) (Shape.to_string dst.shape))
-
 let epilogue_bias_ok ~bias ~dst =
   Shape.equal bias.shape dst.shape
   || Shape.rank bias.shape = 0
   || col_vector_against dst bias
   || row_vector_against dst bias
-
-let apply_epilogue ep ~dst =
-  match (ep.ep_bias, ep.ep_act) with
-  | None, None -> ()
-  | Some bias, Some act -> add_bias_act_into ~bias ~act ~dst
-  | Some bias, None -> binop_into Badd dst bias ~dst
-  | None, Some act -> unop_into act dst ~dst
-
-(* dst.(i) <- a.(i) *. tanh (b.(i)); [dst] may alias [a] (index [i] is
-   read before it is written).  Bitwise-identical to the two-pass
-   [unop_into Utanh b ~dst:tmp; binop_into Bmul a tmp ~dst] chain. *)
-let mul_tanh_into a b ~dst =
-  if not (Shape.equal a.shape b.shape && Shape.equal a.shape dst.shape) then
-    invalid_arg "Tensor.mul_tanh_into: shape mismatch";
-  let ad = a.data and bd = b.data and dd = dst.data in
-  for i = 0 to numel a - 1 do
-    A.unsafe_set dd i (A.unsafe_get ad i *. Stdlib.tanh (A.unsafe_get bd i))
-  done
 
 (* GEMM ----------------------------------------------------------------
 
@@ -407,22 +451,6 @@ let mul_tanh_into a b ~dst =
      loop.  Other [beta] values run the OCaml loop directly: their
      original [dst] is gone once the kernel has written it. *)
 
-external gemm_acc_native :
-  buffer ->
-  buffer ->
-  buffer ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (int[@untagged]) = "ft_gemm_acc_byte" "ft_gemm_acc"
-[@@noalloc]
-
-external align_pad : buffer -> (int[@untagged])
-  = "ft_align_pad_byte" "ft_align_pad"
-[@@noalloc]
-
 (* dst <- beta * dst; [beta = 0.] overwrites without reading. *)
 let apply_beta beta (dd : buffer) total =
   if beta = 0.0 then A.fill dd 0.0
@@ -438,6 +466,17 @@ let check_gemm name ~dst ~m ~k ~k' ~n =
     invalid_arg
       (Printf.sprintf "%s: dst shape %s, expected [%d,%d]" name
          (Shape.to_string dst.shape) m n)
+
+let check_matmul_into ~transpose_b ~dst a b =
+  require_rank2 "Tensor.matmul_into" a;
+  require_rank2 "Tensor.matmul_into" b;
+  require_rank2 "Tensor.matmul_into" dst;
+  if dst.data == a.data || dst.data == b.data then
+    invalid_arg "Tensor.matmul_into: dst must not alias an operand";
+  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
+  let k' = Shape.dim b.shape (if transpose_b then 1 else 0) in
+  let n = Shape.dim b.shape (if transpose_b then 0 else 1) in
+  check_gemm "Tensor.matmul_into" ~dst ~m ~k ~k' ~n
 
 (* The reference accumulation, [b] read as a row-major [k,n] operand
    starting [boff] into [bd].  The k-major inner loop streams rows of
@@ -466,16 +505,6 @@ let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) ~boff (dd : buffer) ~m ~k
     pp := p_hi
   done
 
-(* The accumulation of both tiers; the native kernel's NaN count sends
-   the call back to the OCaml loop on a refilled [dst]. *)
-let gemm_acc ~native ~alpha ~beta ad bd ~boff dd ~m ~k ~n =
-  if not (native && beta = 0.0) then
-    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
-  else if gemm_acc_native dd ad bd boff m k n alpha > 0 then begin
-    A.fill dd 0.0;
-    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
-  end
-
 (* dst[i,j] += alpha * <a row i, b row j>: both rows contiguous.  Runs
    on OCaml in both tiers. *)
 let gemm_acc_transposed ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k
@@ -491,26 +520,6 @@ let gemm_acc_transposed ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k
       A.unsafe_set dd (orow + j) (A.unsafe_get dd (orow + j) +. (alpha *. !acc))
     done
   done
-
-let matmul_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false)
-    ?epilogue ~dst a b =
-  require_rank2 "Tensor.matmul_into" a;
-  require_rank2 "Tensor.matmul_into" b;
-  require_rank2 "Tensor.matmul_into" dst;
-  if dst.data == a.data || dst.data == b.data then
-    invalid_arg "Tensor.matmul_into: dst must not alias an operand";
-  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
-  let k' = Shape.dim b.shape (if transpose_b then 1 else 0) in
-  let n = Shape.dim b.shape (if transpose_b then 0 else 1) in
-  check_gemm "Tensor.matmul_into" ~dst ~m ~k ~k' ~n;
-  let ad = a.data and bd = b.data and dd = dst.data in
-  apply_beta beta dd (m * n);
-  if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
-  else gemm_acc ~native ~alpha ~beta ad bd ~boff:0 dd ~m ~k ~n;
-  match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
-
-let matmul_into ?alpha ?beta ?transpose_b ?epilogue ~dst a b =
-  matmul_into_tier ~native:true ?alpha ?beta ?transpose_b ?epilogue ~dst a b
 
 (* Packed GEMM --------------------------------------------------------
 
@@ -545,43 +554,233 @@ let repack_b ?(transposed = false) pb b =
     done
   done
 
-let pack_b b =
-  require_rank2 "Tensor.pack_b" b;
-  let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
-  (* The copy starts [pb_off] doubles in, on a 64-byte boundary: a
-     full-width AVX-512 load that straddles two cache lines halves the
-     native kernel's throughput (24 against 12-14 GFLOP/s on 4x96x96).
-     An offset, not a [Bigarray.Array1.sub] view: a view per copy cost
-     the compile-heavy e2e workload 0.5 MB of peak RSS. *)
-  let data = alloc (Stdlib.max 1 (k * n) + 7) in
-  let pb = { pb_k = k; pb_n = n; pb_off = align_pad data; pb_data = data } in
-  repack_b pb b;
-  pb
-
-let matmul_packed_into_tier ~native ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst
-    a pb =
+let check_matmul_packed_into ~dst a pb =
   require_rank2 "Tensor.matmul_packed_into" a;
   require_rank2 "Tensor.matmul_packed_into" dst;
   if dst.data == a.data then
     invalid_arg "Tensor.matmul_packed_into: dst must not alias an operand";
-  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
-  let n = pb.pb_n in
-  check_gemm "Tensor.matmul_packed_into" ~dst ~m ~k ~k':pb.pb_k ~n;
-  let dd = dst.data in
-  apply_beta beta dd (m * n);
-  gemm_acc ~native ~alpha ~beta a.data pb.pb_data ~boff:pb.pb_off dd ~m ~k ~n;
-  match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
+  check_gemm "Tensor.matmul_packed_into" ~dst ~m:(Shape.dim a.shape 0)
+    ~k:(Shape.dim a.shape 1) ~k':pb.pb_k ~n:pb.pb_n
 
-let matmul_packed_into ?alpha ?beta ?epilogue ~dst a pb =
-  matmul_packed_into_tier ~native:true ?alpha ?beta ?epilogue ~dst a pb
+(* Softmax of rows [lo, hi) of an [_, n] source.  Works in place: the
+   max pass only reads, the exp pass reads index [base+j] just before
+   overwriting it, and the divide pass touches already-written cells. *)
+let softmax_rows (sd : buffer) (dd : buffer) ~n ~lo ~hi =
+  for i = lo to hi - 1 do
+    let base = i * n in
+    let mx = ref (A.unsafe_get sd base) in
+    for j = 1 to n - 1 do
+      let v = A.unsafe_get sd (base + j) in
+      if v > !mx then mx := v
+    done;
+    let z = ref 0.0 in
+    for j = 0 to n - 1 do
+      let e = Fmath.exp (A.unsafe_get sd (base + j) -. !mx) in
+      A.unsafe_set dd (base + j) e;
+      z := !z +. e
+    done;
+    for j = 0 to n - 1 do
+      A.unsafe_set dd (base + j) (A.unsafe_get dd (base + j) /. !z)
+    done
+  done
 
 module Reference = struct
-  let matmul_into ?alpha ?beta ?transpose_b ?epilogue ~dst a b =
-    matmul_into_tier ~native:false ?alpha ?beta ?transpose_b ?epilogue ~dst a b
+  let binop_into op a b ~dst =
+    let ad = a.data and bd = b.data and dd = dst.data in
+    if Shape.equal a.shape b.shape then begin
+      binop_full_check a dst;
+      for i = 0 to numel a - 1 do
+        A.unsafe_set dd i (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd i))
+      done
+    end
+    else if Shape.rank b.shape = 0 then begin
+      binop_full_check a dst;
+      let v = A.get bd 0 in
+      for i = 0 to numel a - 1 do
+        A.unsafe_set dd i (apply2 op (A.unsafe_get ad i) v)
+      done
+    end
+    else if Shape.rank a.shape = 0 then begin
+      binop_full_check b dst;
+      let v = A.get ad 0 in
+      for i = 0 to numel b - 1 do
+        A.unsafe_set dd i (apply2 op v (A.unsafe_get bd i))
+      done
+    end
+    else if col_vector_against a b then begin
+      binop_full_check a dst;
+      let n = Shape.dim a.shape 1 in
+      for i = 0 to numel a - 1 do
+        A.unsafe_set dd i
+          (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd (i / n)))
+      done
+    end
+    else if col_vector_against b a then begin
+      binop_full_check b dst;
+      let n = Shape.dim b.shape 1 in
+      for i = 0 to numel b - 1 do
+        A.unsafe_set dd i
+          (apply2 op (A.unsafe_get ad (i / n)) (A.unsafe_get bd i))
+      done
+    end
+    else if row_vector_against a b then begin
+      binop_full_check a dst;
+      let n = Shape.dim a.shape 1 in
+      for i = 0 to numel a - 1 do
+        A.unsafe_set dd i
+          (apply2 op (A.unsafe_get ad i) (A.unsafe_get bd (i mod n)))
+      done
+    end
+    else if row_vector_against b a then begin
+      binop_full_check b dst;
+      let n = Shape.dim b.shape 1 in
+      for i = 0 to numel b - 1 do
+        A.unsafe_set dd i
+          (apply2 op (A.unsafe_get ad (i mod n)) (A.unsafe_get bd i))
+      done
+    end
+    else binop_shape_error a b
 
-  let matmul_packed_into ?alpha ?beta ?epilogue ~dst a pb =
-    matmul_packed_into_tier ~native:false ?alpha ?beta ?epilogue ~dst a pb
+  let unop_into op src ~dst =
+    unop_check src dst;
+    let sd = src.data and dd = dst.data in
+    let len = numel src in
+    (* two elements per iteration: two independent Fmath chains in
+       flight, which keeps the interpreter's exp and sigmoid near libm's
+       cost; values are the plain loop's *)
+    for h = 0 to (len / 2) - 1 do
+      let i = 2 * h in
+      let x0 = apply1 op (A.unsafe_get sd i) in
+      let x1 = apply1 op (A.unsafe_get sd (i + 1)) in
+      A.unsafe_set dd i x0;
+      A.unsafe_set dd (i + 1) x1
+    done;
+    if len land 1 = 1 then
+      A.unsafe_set dd (len - 1) (apply1 op (A.unsafe_get sd (len - 1)))
+
+  (* dst.(i) <- act (dst.(i) + bias.(..)) in one pass. *)
+  let add_bias_act_into ~bias ~act ~dst =
+    let bd = bias.data and dd = dst.data in
+    let total = numel dst in
+    if Shape.equal bias.shape dst.shape then
+      for i = 0 to total - 1 do
+        A.unsafe_set dd i (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd i))
+      done
+    else if Shape.rank bias.shape = 0 then begin
+      let v = A.get bd 0 in
+      for i = 0 to total - 1 do
+        A.unsafe_set dd i (apply1 act (A.unsafe_get dd i +. v))
+      done
+    end
+    else if col_vector_against dst bias then begin
+      let n = Shape.dim dst.shape 1 in
+      for i = 0 to total - 1 do
+        A.unsafe_set dd i
+          (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd (i / n)))
+      done
+    end
+    else if row_vector_against dst bias then begin
+      let n = Shape.dim dst.shape 1 in
+      for i = 0 to total - 1 do
+        A.unsafe_set dd i
+          (apply1 act (A.unsafe_get dd i +. A.unsafe_get bd (i mod n)))
+      done
+    end
+    else bias_shape_error bias dst
+
+  let apply_epilogue ep ~dst =
+    match (ep.ep_bias, ep.ep_act) with
+    | None, None -> ()
+    | Some bias, Some act -> add_bias_act_into ~bias ~act ~dst
+    | Some bias, None -> binop_into Badd dst bias ~dst
+    | None, Some act -> unop_into act dst ~dst
+
+  (* dst.(i) <- a.(i) *. tanh (b.(i)); [dst] may alias [a] (index [i] is
+     read before it is written).  Bitwise-identical to the two-pass
+     [unop_into Utanh b ~dst:tmp; binop_into Bmul a tmp ~dst] chain. *)
+  let mul_tanh_into a b ~dst =
+    mul_tanh_check a b dst;
+    let ad = a.data and bd = b.data and dd = dst.data in
+    for i = 0 to numel a - 1 do
+      A.unsafe_set dd i (A.unsafe_get ad i *. Fmath.tanh (A.unsafe_get bd i))
+    done
+
+  let row_max_into src ~dst =
+    require_rank2 "Tensor.row_max" src;
+    let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+    require_dims2 "Tensor.row_max_into" dst m 1;
+    let sd = src.data and dd = dst.data in
+    for i = 0 to m - 1 do
+      let acc = ref (A.unsafe_get sd (i * n)) in
+      for j = 1 to n - 1 do
+        acc := fmax !acc (A.unsafe_get sd ((i * n) + j))
+      done;
+      A.unsafe_set dd i !acc
+    done
+
+  let row_sum_into src ~dst =
+    require_rank2 "Tensor.row_sum" src;
+    let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+    require_dims2 "Tensor.row_sum_into" dst m 1;
+    let sd = src.data and dd = dst.data in
+    for i = 0 to m - 1 do
+      let acc = ref (A.unsafe_get sd (i * n)) in
+      for j = 1 to n - 1 do
+        acc := !acc +. A.unsafe_get sd ((i * n) + j)
+      done;
+      A.unsafe_set dd i !acc
+    done
+
+  let softmax_into src ~dst =
+    softmax_check src dst;
+    softmax_rows src.data dst.data ~n:(Shape.dim src.shape 1) ~lo:0
+      ~hi:(Shape.dim src.shape 0)
+
+  let matmul_into ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false) ?epilogue
+      ~dst a b =
+    check_matmul_into ~transpose_b ~dst a b;
+    let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
+    let n = Shape.dim dst.shape 1 in
+    let ad = a.data and bd = b.data and dd = dst.data in
+    apply_beta beta dd (m * n);
+    if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
+    else gemm_acc_ocaml ~alpha ad bd ~boff:0 dd ~m ~k ~n;
+    match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
+
+  let matmul_packed_into ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst a pb =
+    check_matmul_packed_into ~dst a pb;
+    let m = Shape.dim a.shape 0 and k = pb.pb_k and n = pb.pb_n in
+    apply_beta beta dst.data (m * n);
+    gemm_acc_ocaml ~alpha a.data pb.pb_data ~boff:pb.pb_off dst.data ~m ~k ~n;
+    match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 end
+
+(* The allocating operations.  Everything from here to the native tier
+   runs on OCaml alone: the reference interpreter (lib/fractal) calls
+   only these, and scripts/check.sh fails if one of them is defined
+   after the first [external]. *)
+
+let binary op a b =
+  let out = uninit (broadcast_shape a b) in
+  Reference.binop_into op a b ~dst:out;
+  out
+
+let unary op t =
+  let out = uninit t.shape in
+  Reference.unop_into op t ~dst:out;
+  out
+
+let maximum = binary Bmax
+let add = binary Badd
+let sub = binary Bsub
+let mul = binary Bmul
+let div = binary Bdiv
+let scale k = unary (Uscale k)
+let neg = unary Uneg
+let exp = unary Uexp
+let tanh = unary Utanh
+let sigmoid = unary Usigmoid
+let relu = unary Urelu
 
 let matmul a b =
   require_rank2 "Tensor.matmul" a;
@@ -632,93 +831,25 @@ let max t =
 
 let mean t = sum t /. float_of_int (numel t)
 
-let row_reduce name f init t =
+let row_reduce name into t =
   require_rank2 name t;
-  let m = Shape.dim t.shape 0 and n = Shape.dim t.shape 1 in
-  ignore init;
-  let out = uninit (Shape.of_array [| m; 1 |]) in
-  for i = 0 to m - 1 do
-    let acc = ref (A.unsafe_get t.data (i * n)) in
-    for j = 1 to n - 1 do
-      acc := f !acc (A.unsafe_get t.data ((i * n) + j))
-    done;
-    A.unsafe_set out.data i !acc
-  done;
+  let out = uninit (Shape.of_array [| Shape.dim t.shape 0; 1 |]) in
+  into t ~dst:out;
   out
 
-let row_max t = row_reduce "Tensor.row_max" Float.max neg_infinity t
-let row_sum t = row_reduce "Tensor.row_sum" ( +. ) 0.0 t
-
-(* Works in place: the max pass only reads, the exp pass reads index
-   [base+j] just before overwriting it, and the divide pass touches
-   already-written cells. *)
-let softmax_into src ~dst =
-  require_rank2 "Tensor.softmax" src;
-  if not (Shape.equal src.shape dst.shape) then
-    invalid_arg "Tensor.softmax_into: shape mismatch";
-  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
-  let sd = src.data and dd = dst.data in
-  for i = 0 to m - 1 do
-    let base = i * n in
-    let mx = ref (A.unsafe_get sd base) in
-    for j = 1 to n - 1 do
-      let v = A.unsafe_get sd (base + j) in
-      if v > !mx then mx := v
-    done;
-    let z = ref 0.0 in
-    for j = 0 to n - 1 do
-      let e = Stdlib.exp (A.unsafe_get sd (base + j) -. !mx) in
-      A.unsafe_set dd (base + j) e;
-      z := !z +. e
-    done;
-    for j = 0 to n - 1 do
-      A.unsafe_set dd (base + j) (A.unsafe_get dd (base + j) /. !z)
-    done
-  done
+let row_max t = row_reduce "Tensor.row_max" Reference.row_max_into t
+let row_sum t = row_reduce "Tensor.row_sum" Reference.row_sum_into t
 
 let softmax t =
   let out = uninit t.shape in
-  softmax_into t ~dst:out;
+  Reference.softmax_into t ~dst:out;
   out
-
-let softmax_inplace t = softmax_into t ~dst:t
 
 (* Destination-passing mirrors of the remaining pure structural ops the
    interpreter evaluates, for the compiled engine's preallocated scratch.
    Loop order matches the allocating variant in each case, and none of them
    allocate (no [Bigarray.Array1.sub], whose view header is a heap
    block — plain element loops instead). *)
-
-let require_dims2 name t m n =
-  if Shape.rank t.shape <> 2 || Shape.dim t.shape 0 <> m
-     || Shape.dim t.shape 1 <> n
-  then invalid_arg (name ^ ": dst shape mismatch")
-
-let row_max_into src ~dst =
-  require_rank2 "Tensor.row_max" src;
-  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
-  require_dims2 "Tensor.row_max_into" dst m 1;
-  let sd = src.data and dd = dst.data in
-  for i = 0 to m - 1 do
-    let acc = ref (A.unsafe_get sd (i * n)) in
-    for j = 1 to n - 1 do
-      acc := fmax !acc (A.unsafe_get sd ((i * n) + j))
-    done;
-    A.unsafe_set dd i !acc
-  done
-
-let row_sum_into src ~dst =
-  require_rank2 "Tensor.row_sum" src;
-  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
-  require_dims2 "Tensor.row_sum_into" dst m 1;
-  let sd = src.data and dd = dst.data in
-  for i = 0 to m - 1 do
-    let acc = ref (A.unsafe_get sd (i * n)) in
-    for j = 1 to n - 1 do
-      acc := !acc +. A.unsafe_get sd ((i * n) + j)
-    done;
-    A.unsafe_set dd i !acc
-  done
 
 let transpose_into src ~dst =
   require_rank2 "Tensor.transpose" src;
@@ -906,3 +1037,240 @@ let pp fmt t =
   end
 
 let to_string t = Format.asprintf "%a" pp t
+
+(* The native tier ------------------------------------------------------
+
+   Everything below may reach C.  The elementwise kernels hand their
+   loops to elementwise_stubs.c after the shape checks; the GEMMs hand a
+   [beta = 0.] accumulation to gemm_stubs.c.  Each C loop computes the
+   reference's float sequence per element, and each entry point sends
+   the call back to {!Reference} where the two could differ: a binary op
+   meeting two NaNs. *)
+
+external binop_native :
+  (int[@untagged]) ->
+  buffer ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "ft_binop_byte" "ft_binop"
+[@@noalloc]
+
+external unop_native :
+  (int[@untagged]) -> (float[@unboxed]) -> buffer -> buffer -> (int[@untagged])
+  -> unit = "ft_unop_byte" "ft_unop"
+[@@noalloc]
+
+external bias_act_native :
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  buffer ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "ft_bias_act_byte" "ft_bias_act"
+[@@noalloc]
+
+external mul_tanh_native :
+  buffer -> buffer -> buffer -> (int[@untagged]) -> (int[@untagged])
+  = "ft_mul_tanh_byte" "ft_mul_tanh"
+[@@noalloc]
+
+external row_max_native :
+  buffer -> buffer -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "ft_row_max_byte" "ft_row_max"
+[@@noalloc]
+
+external row_sum_native :
+  buffer -> buffer -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "ft_row_sum_byte" "ft_row_sum"
+[@@noalloc]
+
+external softmax_native :
+  buffer -> buffer -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "ft_softmax_byte" "ft_softmax"
+[@@noalloc]
+
+external gemm_acc_native :
+  buffer ->
+  buffer ->
+  buffer ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (float[@unboxed]) ->
+  (int[@untagged]) = "ft_gemm_acc_byte" "ft_gemm_acc"
+[@@noalloc]
+
+external align_pad : buffer -> (int[@untagged])
+  = "ft_align_pad_byte" "ft_align_pad"
+[@@noalloc]
+
+external set_exp_table : buffer -> unit = "ft_set_exp_table" [@@noalloc]
+
+(* The C exp reads Fmath's table, so the two tiers share one copy. *)
+let () = set_exp_table Fmath.exp_table
+
+(* The stubs' opcodes: constructor order. *)
+let bin_code = function Badd -> 0 | Bsub -> 1 | Bmul -> 2 | Bdiv -> 3 | Bmax -> 4
+
+let un_code = function
+  | Utanh -> 0
+  | Usigmoid -> 1
+  | Uexp -> 2
+  | Uneg -> 3
+  | Urelu -> 4
+  | Uscale _ -> 5
+
+let un_factor = function Uscale k -> k | _ -> 0.0
+
+(* [Uscale nan] multiplies two NaNs wherever [x] is one. *)
+let un_nan_pair = function Uscale k -> k <> k | _ -> false
+
+(* One broadcast case: operand X read at [X.(r * xrs + j * xcs)] over an
+   [m,n] iteration space, [full] the operand [dst] must match. *)
+let binop_run op a b ~dst ~full ars acs brs bcs m n =
+  binop_full_check full dst;
+  if binop_native (bin_code op) dst.data a.data ars acs b.data brs bcs m n <> 0
+  then Reference.binop_into op a b ~dst
+
+let binop_into op a b ~dst =
+  if Shape.equal a.shape b.shape then
+    binop_run op a b ~dst ~full:a 0 1 0 1 1 (numel a)
+  else if Shape.rank b.shape = 0 then
+    binop_run op a b ~dst ~full:a 0 1 0 0 1 (numel a)
+  else if Shape.rank a.shape = 0 then
+    binop_run op a b ~dst ~full:b 0 0 0 1 1 (numel b)
+  else if col_vector_against a b then
+    let m = Shape.dim a.shape 0 and n = Shape.dim a.shape 1 in
+    binop_run op a b ~dst ~full:a n 1 1 0 m n
+  else if col_vector_against b a then
+    let m = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
+    binop_run op a b ~dst ~full:b 1 0 n 1 m n
+  else if row_vector_against a b then
+    let m = Shape.dim a.shape 0 and n = Shape.dim a.shape 1 in
+    binop_run op a b ~dst ~full:a n 1 0 1 m n
+  else if row_vector_against b a then
+    let m = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
+    binop_run op a b ~dst ~full:b 0 1 n 1 m n
+  else binop_shape_error a b
+
+let unop_into op src ~dst =
+  unop_check src dst;
+  if un_nan_pair op then Reference.unop_into op src ~dst
+  else unop_native (un_code op) (un_factor op) dst.data src.data (numel src)
+
+let add_into a b ~dst = binop_into Badd a b ~dst
+let sub_into a b ~dst = binop_into Bsub a b ~dst
+let mul_into a b ~dst = binop_into Bmul a b ~dst
+let map_inplace f t = map_into f t ~dst:t
+let tanh_inplace t = unop_into Utanh t ~dst:t
+let sigmoid_inplace t = unop_into Usigmoid t ~dst:t
+
+let bias_act_run ~bias ~act ~dst brs bcs m n =
+  if
+    un_nan_pair act
+    || bias_act_native (un_code act) (un_factor act) dst.data bias.data brs bcs
+         m n
+       <> 0
+  then Reference.add_bias_act_into ~bias ~act ~dst
+
+(* dst.(i) <- act (dst.(i) + bias.(..)) in one pass, no allocation.
+   Exposed directly (non-optional labels, so callers on zero-alloc
+   paths never box an option) and used by [apply_epilogue]. *)
+let add_bias_act_into ~bias ~act ~dst =
+  if Shape.equal bias.shape dst.shape then
+    bias_act_run ~bias ~act ~dst 0 1 1 (numel dst)
+  else if Shape.rank bias.shape = 0 then
+    bias_act_run ~bias ~act ~dst 0 0 1 (numel dst)
+  else if col_vector_against dst bias then
+    bias_act_run ~bias ~act ~dst 1 0 (Shape.dim dst.shape 0)
+      (Shape.dim dst.shape 1)
+  else if row_vector_against dst bias then
+    bias_act_run ~bias ~act ~dst 0 1 (Shape.dim dst.shape 0)
+      (Shape.dim dst.shape 1)
+  else bias_shape_error bias dst
+
+let apply_epilogue ep ~dst =
+  match (ep.ep_bias, ep.ep_act) with
+  | None, None -> ()
+  | Some bias, Some act -> add_bias_act_into ~bias ~act ~dst
+  | Some bias, None -> binop_into Badd dst bias ~dst
+  | None, Some act -> unop_into act dst ~dst
+
+let mul_tanh_into a b ~dst =
+  mul_tanh_check a b dst;
+  if mul_tanh_native dst.data a.data b.data (numel a) <> 0 then
+    Reference.mul_tanh_into a b ~dst
+
+let row_max_into src ~dst =
+  require_rank2 "Tensor.row_max" src;
+  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+  require_dims2 "Tensor.row_max_into" dst m 1;
+  row_max_native dst.data src.data m n
+
+let row_sum_into src ~dst =
+  require_rank2 "Tensor.row_sum" src;
+  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+  require_dims2 "Tensor.row_sum_into" dst m 1;
+  if row_sum_native dst.data src.data m n > 0 then
+    Reference.row_sum_into src ~dst
+
+(* The stub stops before the first row holding a NaN; the reference
+   finishes from there. *)
+let softmax_into src ~dst =
+  softmax_check src dst;
+  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+  let lo = softmax_native dst.data src.data m n in
+  if lo < m then softmax_rows src.data dst.data ~n ~lo ~hi:m
+
+let softmax_inplace t = softmax_into t ~dst:t
+
+(* The accumulation of a native GEMM: [beta = 0.] calls run the C
+   kernel, whose NaN count sends the call back to the OCaml loop on a
+   refilled [dst]. *)
+let gemm_acc ~alpha ~beta ad bd ~boff dd ~m ~k ~n =
+  if beta <> 0.0 then gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
+  else if gemm_acc_native dd ad bd boff m k n alpha > 0 then begin
+    A.fill dd 0.0;
+    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
+  end
+
+let matmul_into ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false) ?epilogue
+    ~dst a b =
+  check_matmul_into ~transpose_b ~dst a b;
+  let m = Shape.dim a.shape 0 and k = Shape.dim a.shape 1 in
+  let n = Shape.dim dst.shape 1 in
+  let ad = a.data and bd = b.data and dd = dst.data in
+  apply_beta beta dd (m * n);
+  if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
+  else gemm_acc ~alpha ~beta ad bd ~boff:0 dd ~m ~k ~n;
+  match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
+
+let pack_b b =
+  require_rank2 "Tensor.pack_b" b;
+  let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
+  (* The copy starts [pb_off] doubles in, on a 64-byte boundary: a
+     full-width AVX-512 load that straddles two cache lines halves the
+     native kernel's throughput (24 against 12-14 GFLOP/s on 4x96x96).
+     An offset, not a [Bigarray.Array1.sub] view: a view per copy cost
+     the compile-heavy e2e workload 0.5 MB of peak RSS. *)
+  let data = alloc (Stdlib.max 1 (k * n) + 7) in
+  let pb = { pb_k = k; pb_n = n; pb_off = align_pad data; pb_data = data } in
+  repack_b pb b;
+  pb
+
+let matmul_packed_into ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst a pb =
+  check_matmul_packed_into ~dst a pb;
+  let m = Shape.dim a.shape 0 and k = pb.pb_k and n = pb.pb_n in
+  apply_beta beta dst.data (m * n);
+  gemm_acc ~alpha ~beta a.data pb.pb_data ~boff:pb.pb_off dst.data ~m ~k ~n;
+  match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst

@@ -15,6 +15,37 @@ type t
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** The underlying storage type. *)
 
+(** {1 Owned math}
+
+    The repository's own [exp], [tanh] and sigmoid, which every
+    elementwise kernel of both tiers uses.  Each is a fixed sequence of
+    IEEE double [+ - * /], compares, table lookups and exact powers of
+    two — no libm call, no fused multiply-add — so its result is the
+    same on every host.  The native elementwise kernels evaluate the same sequence per
+    element, which keeps them bit for bit equal to {!Reference}.  A NaN
+    argument is returned unchanged (same payload and sign).
+
+    Measured against glibc over the accuracy sweep in
+    [test/test_tensor_suite.ml]: [exp] is within 1 ulp, [tanh] and
+    [sigmoid] within 2 ulp (of the same sigmoid formula over glibc's
+    [exp]); special values agree exactly. *)
+
+module Fmath : sig
+  val exp : float -> float
+  (** Reduction by ln2/128, a 128-entry table of 2^(j/128) and a
+      degree-5 polynomial; [+inf] above 709.78..., [0.] below
+      -745.13.... *)
+
+  val tanh : float -> float
+  (** [x] below [|x| = 2^-28]; Cephes' rational approximation below
+      0.625; then [1 - 2 / (exp 2|x| + 1)] with the sign of [x]; [+-1.]
+      above 22. *)
+
+  val sigmoid : float -> float
+  (** [e / (1 + e)] for [x < 0], else [1 / (1 + e)], with
+      [e = exp (-|x|)]. *)
+end
+
 (** {1 Construction} *)
 
 val create : Shape.t -> float array -> t
@@ -83,6 +114,8 @@ val neg : t -> t
 val exp : t -> t
 val tanh : t -> t
 val sigmoid : t -> t
+(** {!Fmath}'s [exp], [tanh] and [sigmoid], elementwise. *)
+
 val relu : t -> t
 
 (** {1 In-place / destination-passing}
@@ -113,10 +146,21 @@ val mul_into : t -> t -> dst:t -> unit
     The compiled engine must not allocate in its steady state, but calling
     a closure per element ([map2_into f]) boxes every float argument on
     this compiler.  These variants take the operator as a constant
-    constructor matched inside the loop instead; broadcast dispatch and
-    loop order mirror {!map2_into} case for case, so results are
-    bitwise identical to the closure path (including [Bmax], which
-    restates [Float.max]'s exact body). *)
+    constructor instead; broadcast dispatch mirrors {!map2_into} case
+    for case ([Bmax] restates [Float.max]'s exact body, NaN and
+    signed-zero rules included).
+
+    They run in native code: vectorized C loops, cloned for AVX-512F,
+    AVX2 and baseline x86-64, that compute each element's value with
+    the float sequence of the same-named {!Reference} loop and never
+    fuse a multiply and an add, so results are bitwise equal to it.
+    The two could differ only where a binary op meets two NaNs (operand
+    order picks the payload), so a binary kernel that finds such a pair
+    writes nothing and runs the {!Reference} loop instead (softmax from
+    the first row holding a NaN on; [row_sum_into] re-runs when a sum
+    is NaN).  exp, tanh and sigmoid are {!Fmath}'s.  [dst] must be
+    either the full-shape operand itself or disjoint from every
+    operand. *)
 
 type bin_op = Badd | Bsub | Bmul | Bdiv | Bmax
 type un_op = Utanh | Usigmoid | Uexp | Uneg | Urelu | Uscale of float
@@ -261,15 +305,26 @@ val matmul_packed_into :
     fallback to {!Reference.matmul_packed_into}.
     @raise Invalid_argument on shape mismatch or if [dst] aliases [a]. *)
 
-(** {2 The OCaml reference GEMM}
+(** {2 The OCaml reference tier}
 
-    The OCaml loops the native kernel must match bit for bit, and its
-    NaN fallback.  {!matmul} (the interpreter's GEMM) runs them
-    too, so every differential between the interpreter and the compiled
-    engine compares native code against independent code.  Same
-    arguments, checks and results as the functions above. *)
+    The OCaml loops every native kernel must match bit for bit, and the
+    target of their NaN fallbacks.  The interpreter's allocating
+    operations ({!add}, {!tanh}, {!softmax}, {!row_max}, {!matmul}, …)
+    run only these, so every differential between the interpreter and
+    the compiled engine compares native code against independent code.
+    Each member takes the same arguments, performs the same shape
+    checks (with the same messages) and produces the same bits as the
+    top-level function of the same name. *)
 
 module Reference : sig
+  val binop_into : bin_op -> t -> t -> dst:t -> unit
+  val unop_into : un_op -> t -> dst:t -> unit
+  val add_bias_act_into : bias:t -> act:un_op -> dst:t -> unit
+  val mul_tanh_into : t -> t -> dst:t -> unit
+  val row_max_into : t -> dst:t -> unit
+  val row_sum_into : t -> dst:t -> unit
+  val softmax_into : t -> dst:t -> unit
+
   val matmul_into :
     ?alpha:float ->
     ?beta:float ->
@@ -279,6 +334,7 @@ module Reference : sig
     t ->
     t ->
     unit
+  (** Applies an [epilogue] with the reference elementwise loops. *)
 
   val matmul_packed_into :
     ?alpha:float -> ?beta:float -> ?epilogue:epilogue -> dst:t -> t -> packed_b

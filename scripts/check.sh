@@ -77,9 +77,44 @@ if [ -n "$stray" ]; then
   echo "check.sh: a C stub may break bitwise equality with the OCaml loops" >&2
   exit 1
 fi
-echo "guard: lib/fractal calls no *_into kernel"
-if grep -nE '[A-Za-z0-9_]_into\b' lib/fractal/*.ml; then
+echo "guard: lib/fractal calls no *_into kernel and no Kernels function"
+if grep -nE '[A-Za-z0-9_]_into\b|\bKernels\.' lib/fractal/*.ml; then
   echo "check.sh: the reference interpreter reaches the native kernels" >&2
+  exit 1
+fi
+# Every Tensor value the interpreter uses (Tensor.add, Tensor.softmax,
+# Tensor.row_max, …) is defined in tensor.ml above the first
+# `external`, so it can reach only OCaml code: Tensor.Reference, not a
+# native kernel.
+echo "guard: the Tensor values lib/fractal uses are defined above tensor.ml's first external"
+tensor_ml=lib/tensor/tensor.ml
+first_external=$( (grep -n '^external' "$tensor_ml" || true) | head -1 | cut -d: -f1)
+stray=""
+for name in $(grep -ohE 'Tensor\.[a-z_][A-Za-z0-9_]*' lib/fractal/*.ml \
+    | cut -d. -f2 | sort -u); do
+  line=$( (grep -nE "^let( rec)?(\[@[a-z]+\])? $name\b" "$tensor_ml" || true) \
+    | head -1 | cut -d: -f1)
+  if [ -z "$line" ]; then
+    grep -qE "^type $name\b" "$tensor_ml" \
+      || stray="$stray Tensor.$name (no top-level definition found)"
+  elif [ -n "$first_external" ] && [ "$line" -gt "$first_external" ]; then
+    stray="$stray Tensor.$name (line $line)"
+  fi
+done
+if [ -n "$stray" ]; then
+  echo "below line $first_external:$stray"
+  echo "check.sh: an interpreter operation may reach native code" >&2
+  exit 1
+fi
+
+# Outputs do not depend on the host's libm: exp, tanh and sigmoid are
+# Tensor.Fmath's in OCaml and their transcriptions in the C stubs.
+echo "guard: no libm exp or tanh in lib/"
+stray=$(grep -rnE --include='*.ml' '\b(Stdlib|Float)\.(exp|tanh)\b' lib || true)
+stray="$stray$(grep -rnE --include='*.c' '\b(exp|expm1|tanh)\(' lib || true)"
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: an output depends on the host's libm" >&2
   exit 1
 fi
 
@@ -242,8 +277,10 @@ dune exec --no-build bin/ftc.exe -- cache stats
 #           noise on a workload with no fusible tail)
 #   kernels every native GEMM row (unpacked; gemm-native-packed,
 #           native on an aligned copy of b; the aligned copy with a
-#           fused epilogue) is bitwise-equal to, and at least as fast
-#           as, its OCaml reference baseline
+#           fused epilogue) and every native elementwise row (ew-*) is
+#           bitwise-equal to, and at least as fast as, its OCaml
+#           reference baseline; gemm-bias-tanh keeps >= 0.5x
+#           gemm-native-packed's GFLOP/s on every shape
 #   serve   batched service is bitwise-identical to solo service and
 #           the open-loop p99 stays finite under deliberate overload
 #           on every workload; the bounded queue sheds somewhere

@@ -41,16 +41,29 @@ let check_json what s =
    — committed fixtures under test/fixtures/. *)
 let bad_types_ft = "fixtures/cli-bad-types.ft"
 
-(* `ftc serve` with one bad numeric flag: a one-line diagnostic naming
-   the flag on stderr, nothing on stdout, exit 1. *)
-let serve_rejects flag name =
-  let code, out, err = run_ftc ("serve " ^ example "selective_scan" ^ " " ^ flag) in
+(* `ftc CMD ARGS FLAG` with one bad numeric flag: a one-line diagnostic
+   naming the flag on stderr, nothing on stdout, exit 1. *)
+let rejects cmd args flag name =
+  let code, out, err = run_ftc (String.concat " " [ cmd; args; flag ]) in
   checki (flag ^ ": exit code") 1 code;
   checkb (flag ^ ": stdout is silent") true (String.trim out = "");
   let err = String.trim err in
   checkb (flag ^ ": one line naming the flag") true
-    (String.starts_with ~prefix:("serve: " ^ name) err
+    (String.starts_with ~prefix:(cmd ^ ": " ^ name) err
     && not (String.contains err '\n'))
+
+let serve_rejects = rejects "serve" (example "selective_scan")
+
+(* A count below 1: "CMD: --FLAG must be at least 1". *)
+let count_rejected cmd args name values =
+  Alcotest.test_case
+    (Printf.sprintf "%s: %s below 1 is a diagnostic, exit 1" cmd name)
+    `Quick (fun () ->
+      List.iter
+        (fun v ->
+          rejects cmd args (Printf.sprintf "%s=%d" name v)
+            (name ^ " must be at least 1"))
+        values)
 let bad_syntax_ft = "fixtures/cli-bad-syntax.ft"
 
 (* The doc paragraph of [flag] in `ftc cmd --help=plain`: the option
@@ -214,6 +227,11 @@ let cli_tests =
       `Quick (fun () ->
         serve_rejects "--max-batch=0" "--max-batch";
         serve_rejects "--max-batch=-1" "--max-batch");
+    count_rejected "run" (example "stacked_rnn") "--domains" [ 0; -3 ];
+    count_rejected "run" (example "stacked_rnn") "--repeat" [ 0; -2 ];
+    count_rejected "profile" (example "stacked_rnn") "--domains" [ -1 ];
+    count_rejected "serve" (example "selective_scan") "--domains" [ 0 ];
+    count_rejected "conform" "" "--budget" [ 0; -1 ];
     Alcotest.test_case "serve: --rate not positive is a diagnostic, exit 1"
       `Quick (fun () ->
         serve_rejects "--rate=0" "--rate";

@@ -286,7 +286,7 @@ let kernels_tests =
           Tensor.mul_into gate c ~dst:gate;
           Tensor.add_into c' gate ~dst:c';
           activated 2 Tensor.sigmoid_inplace;
-          Tensor.map_into Stdlib.tanh c' ~dst:h';
+          Tensor.map_into Tensor.Fmath.tanh c' ~dst:h';
           Tensor.mul_into gate h' ~dst:h';
           (c', h')
         in
@@ -387,11 +387,11 @@ let into_tests =
         let x = Tensor.rand r (Shape.of_array [| 4; 6 |]) in
         let t = Tensor.copy x in
         Tensor.tanh_inplace t;
-        checkb "tanh" true (bits_equal t (Tensor.map Stdlib.tanh x));
+        checkb "tanh" true (bits_equal t (Tensor.map Tensor.Fmath.tanh x));
         let s = Tensor.copy x in
         Tensor.sigmoid_inplace s;
         checkb "sigmoid" true
-          (bits_equal s (Tensor.map (fun v -> 1. /. (1. +. exp (-.v))) x));
+          (bits_equal s (Tensor.map Tensor.Fmath.sigmoid x));
         let sm = Tensor.copy x in
         Tensor.softmax_inplace sm;
         checkb "softmax" true (bits_equal sm (Tensor.softmax x)));
@@ -426,11 +426,11 @@ let into_tests =
             (Tensor.add (Tensor.matmul x ws.(g)) (Tensor.matmul h us.(g)))
             bs.(g)
         in
-        let sigmoid = Tensor.map (fun v -> 1. /. (1. +. exp (-.v))) in
+        let sigmoid = Tensor.map Tensor.Fmath.sigmoid in
         let i = sigmoid (pre 0) and f = sigmoid (pre 1) in
-        let o = sigmoid (pre 2) and c_tilde = Tensor.map Stdlib.tanh (pre 3) in
+        let o = sigmoid (pre 2) and c_tilde = Tensor.map Tensor.Fmath.tanh (pre 3) in
         let c_want = Tensor.add (Tensor.mul f c) (Tensor.mul i c_tilde) in
-        let h_want = Tensor.mul o (Tensor.map Stdlib.tanh c_want) in
+        let h_want = Tensor.mul o (Tensor.map Tensor.Fmath.tanh c_want) in
         let c', h' = Kernels.lstm_cell ~x ~h ~c ~ws ~us ~bs in
         checkb "c'" true (Tensor.equal_approx ~eps:1e-12 c' c_want);
         checkb "h'" true (Tensor.equal_approx ~eps:1e-12 h' h_want));
@@ -445,7 +445,7 @@ let into_tests =
         checkb "rnn_cell" true
           (Tensor.equal_approx ~eps:1e-12
              (Kernels.rnn_cell ~x ~h ~w ~u ~b)
-             (Tensor.map Stdlib.tanh
+             (Tensor.map Tensor.Fmath.tanh
                 (Tensor.add
                    (Tensor.add (Tensor.matmul x w) (Tensor.matmul h u))
                    b)));
@@ -740,6 +740,389 @@ let native_tests =
             [ false; true ]);
     ]
 
+(* The native elementwise tier against [Tensor.Reference], bit for bit.
+   Every kernel runs every broadcast case it accepts, with [dst] fresh
+   and, where allowed, aliasing the full-shape operand; full shapes
+   [2,L] for L = 1..17 and [16,128] (2048 elements), so vector bodies
+   and every tail length run.  Values mix signed zeros, subnormals,
+   infinities, exp's overflow and underflow range, tanh's saturation
+   range and NaNs with random payloads and signs — in one operand and
+   in both, where only the NaN fallbacks keep the tiers equal. *)
+let elementwise_tests =
+  let sh dims = Shape.of_array dims in
+  let nan_of r =
+    let payload = Int64.logand (Rng.int64 r) 0x000F_FFFF_FFFF_FFFFL in
+    let payload = if payload = 0L then 1L else payload in
+    let sign = if Rng.int r 2 = 0 then 0L else Int64.min_int in
+    Int64.float_of_bits
+      (Int64.logor sign (Int64.logor 0x7FF0_0000_0000_0000L payload))
+  in
+  let operand r ~nan shape =
+    Tensor.init shape (fun _ ->
+        match Rng.int r 40 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | 2 -> 4.9e-324
+        | 3 -> -2.5e-310
+        | 4 -> infinity
+        | 5 -> neg_infinity
+        | 6 -> Rng.uniform r ~lo:(-800.0) ~hi:800.0
+        | 7 -> Rng.uniform r ~lo:(-25.0) ~hi:25.0
+        | 8 | 9 when nan -> nan_of r
+        | _ -> Rng.uniform r ~lo:(-2.0) ~hi:2.0)
+  in
+  let widths = List.init 17 (fun i -> i + 1) in
+  let fulls = List.map (fun n -> (2, n)) widths @ [ (16, 128) ] in
+  (* (name, a shape, b shape, which operand is full) for a [m,n] result *)
+  let cases m n =
+    [
+      ("same", [| m; n |], [| m; n |], `A);
+      ("b scalar", [| m; n |], [||], `A);
+      ("a scalar", [||], [| m; n |], `B);
+      ("b column", [| m; n |], [| m; 1 |], `A);
+      ("a column", [| m; 1 |], [| m; n |], `B);
+      ("b row", [| m; n |], [| 1; n |], `A);
+      ("a row", [| 1; n |], [| m; n |], `B);
+    ]
+  in
+  let kinds = [ ("no nan", false, false); ("nan in a", true, false);
+                ("nan in b", false, true); ("nan in both", true, true) ] in
+  let ops = Tensor.[ ("add", Badd); ("sub", Bsub); ("mul", Bmul);
+                     ("div", Bdiv); ("max", Bmax) ] in
+  let acts = Tensor.[ ("tanh", Utanh); ("sigmoid", Usigmoid); ("exp", Uexp);
+                      ("neg", Uneg); ("relu", Urelu); ("scale", Uscale (-0.75));
+                      ("scale nan", Uscale (nan_of (Rng.create 3))) ] in
+  let same label got want = checkb label true (Tensor.equal_bits got want) in
+  (* a fresh NaN-filled dst for each tier *)
+  let fresh label ~like run_native run_reference =
+    let got = Tensor.full (Tensor.shape like) nan in
+    let want = Tensor.full (Tensor.shape like) nan in
+    run_native got;
+    run_reference want;
+    same (label ^ ", fresh dst") got want
+  in
+  let binop_case (m, n) =
+    Alcotest.test_case
+      (Printf.sprintf "[%d,%d]: binop_into = Reference bitwise" m n)
+      `Quick (fun () ->
+        let r = Rng.create ((m * 131) + n) in
+        List.iter
+          (fun (case, ash, bsh, full) ->
+            List.iter
+              (fun (kind, anan, bnan) ->
+                let a = operand r ~nan:anan (sh ash)
+                and b = operand r ~nan:bnan (sh bsh) in
+                List.iter
+                  (fun (name, op) ->
+                    let label = Printf.sprintf "%s, %s, %s" name case kind in
+                    let fa = match full with `A -> a | `B -> b in
+                    fresh label ~like:fa
+                      (fun dst -> Tensor.binop_into op a b ~dst)
+                      (fun dst -> Tensor.Reference.binop_into op a b ~dst);
+                    (* dst is a copy of the full operand, passed in its place *)
+                    let aliased into =
+                      let d = Tensor.copy fa in
+                      (match full with
+                      | `A -> into op d b ~dst:d
+                      | `B -> into op a d ~dst:d);
+                      d
+                    in
+                    let got = aliased Tensor.binop_into
+                    and want = aliased Tensor.Reference.binop_into in
+                    same (label ^ ", dst aliases the full operand") got want)
+                  ops)
+              kinds)
+          (cases m n))
+  in
+  let unary_case (m, n) =
+    Alcotest.test_case
+      (Printf.sprintf "[%d,%d]: unop_into, mul_tanh_into = Reference bitwise" m n)
+      `Quick (fun () ->
+        let r = Rng.create ((m * 137) + n) in
+        List.iter
+          (fun (kind, anan, bnan) ->
+            let a = operand r ~nan:anan (sh [| m; n |])
+            and b = operand r ~nan:bnan (sh [| m; n |]) in
+            List.iter
+              (fun (name, op) ->
+                fresh (name ^ ", " ^ kind) ~like:a
+                  (fun dst -> Tensor.unop_into op a ~dst)
+                  (fun dst -> Tensor.Reference.unop_into op a ~dst);
+                let got = Tensor.copy a and want = Tensor.copy a in
+                Tensor.unop_into op got ~dst:got;
+                Tensor.Reference.unop_into op want ~dst:want;
+                same (name ^ ", " ^ kind ^ ", in place") got want)
+              acts;
+            fresh ("mul_tanh, " ^ kind) ~like:a
+              (fun dst -> Tensor.mul_tanh_into a b ~dst)
+              (fun dst -> Tensor.Reference.mul_tanh_into a b ~dst);
+            let got = Tensor.copy a and want = Tensor.copy a in
+            Tensor.mul_tanh_into got b ~dst:got;
+            Tensor.Reference.mul_tanh_into want b ~dst:want;
+            same ("mul_tanh, " ^ kind ^ ", dst aliases a") got want)
+          kinds)
+  in
+  let bias_case (m, n) =
+    Alcotest.test_case
+      (Printf.sprintf "[%d,%d]: add_bias_act_into = Reference bitwise" m n)
+      `Quick (fun () ->
+        let r = Rng.create ((m * 139) + n) in
+        List.iter
+          (fun (bname, bsh) ->
+            List.iter
+              (fun (kind, dnan, bnan) ->
+                let d0 = operand r ~nan:dnan (sh [| m; n |])
+                and bias = operand r ~nan:bnan (sh bsh) in
+                List.iter
+                  (fun (name, act) ->
+                    let got = Tensor.copy d0 and want = Tensor.copy d0 in
+                    Tensor.add_bias_act_into ~bias ~act ~dst:got;
+                    Tensor.Reference.add_bias_act_into ~bias ~act ~dst:want;
+                    same (Printf.sprintf "%s, %s bias, %s" name bname kind) got
+                      want)
+                  acts)
+              kinds)
+          [ ("full", [| m; n |]); ("scalar", [||]); ("column", [| m; 1 |]);
+            ("row", [| 1; n |]) ])
+  in
+  let rows_case (m, n) =
+    Alcotest.test_case
+      (Printf.sprintf "[%d,%d]: row_max, row_sum, softmax = Reference bitwise" m n)
+      `Quick (fun () ->
+        let r = Rng.create ((m * 149) + n) in
+        List.iter
+          (fun (kind, nan, _) ->
+            let src = operand r ~nan (sh [| m; n |]) in
+            (* finite rows too: softmax of a row with an infinity is all
+               NaN, which would hide a wrong exp *)
+            let finite = Tensor.rand r (sh [| m; n |]) in
+            List.iter
+              (fun (what, src) ->
+                let label s = Printf.sprintf "%s, %s, %s" s what kind in
+                let col () = Tensor.full (sh [| m; 1 |]) Float.nan in
+                let got = col () and want = col () in
+                Tensor.row_max_into src ~dst:got;
+                Tensor.Reference.row_max_into src ~dst:want;
+                same (label "row_max") got want;
+                Tensor.row_sum_into src ~dst:got;
+                Tensor.Reference.row_sum_into src ~dst:want;
+                same (label "row_sum") got want;
+                fresh (label "softmax") ~like:src
+                  (fun dst -> Tensor.softmax_into src ~dst)
+                  (fun dst -> Tensor.Reference.softmax_into src ~dst);
+                let got = Tensor.copy src and want = Tensor.copy src in
+                Tensor.softmax_into got ~dst:got;
+                Tensor.Reference.softmax_into want ~dst:want;
+                same (label "softmax in place") got want)
+              [ ("mixed", src); ("finite", finite) ])
+          kinds)
+  in
+  let errors =
+    Alcotest.test_case "both tiers raise the same shape errors" `Quick
+      (fun () ->
+        let z dims = Tensor.zeros (sh dims) in
+        let a = z [| 2; 3 |] and t = z [| 3; 2 |] in
+        let raises label msg native reference =
+          Alcotest.check_raises (label ^ ", native") (Invalid_argument msg)
+            native;
+          Alcotest.check_raises (label ^ ", reference") (Invalid_argument msg)
+            reference
+        in
+        raises "binop dst" "Tensor.binop_into: dst shape mismatch"
+          (fun () -> Tensor.binop_into Tensor.Badd a a ~dst:t)
+          (fun () -> Tensor.Reference.binop_into Tensor.Badd a a ~dst:t);
+        raises "binop operands"
+          "Tensor.binop_into: incompatible shapes [2,3] and [3,2]"
+          (fun () -> Tensor.binop_into Tensor.Bmul a t ~dst:a)
+          (fun () -> Tensor.Reference.binop_into Tensor.Bmul a t ~dst:a);
+        raises "unop" "Tensor.unop_into: shape mismatch"
+          (fun () -> Tensor.unop_into Tensor.Utanh a ~dst:t)
+          (fun () -> Tensor.Reference.unop_into Tensor.Utanh a ~dst:t);
+        raises "bias" "Tensor.add_bias_act_into: bias shape [3,2] against [2,3]"
+          (fun () -> Tensor.add_bias_act_into ~bias:t ~act:Tensor.Utanh ~dst:a)
+          (fun () ->
+            Tensor.Reference.add_bias_act_into ~bias:t ~act:Tensor.Utanh ~dst:a);
+        raises "mul_tanh" "Tensor.mul_tanh_into: shape mismatch"
+          (fun () -> Tensor.mul_tanh_into a t ~dst:a)
+          (fun () -> Tensor.Reference.mul_tanh_into a t ~dst:a);
+        raises "softmax" "Tensor.softmax_into: shape mismatch"
+          (fun () -> Tensor.softmax_into a ~dst:t)
+          (fun () -> Tensor.Reference.softmax_into a ~dst:t);
+        raises "softmax rank" "Tensor.softmax: expected a rank-2 tensor"
+          (fun () -> Tensor.softmax_into (z [| 6 |]) ~dst:(z [| 6 |]))
+          (fun () -> Tensor.Reference.softmax_into (z [| 6 |]) ~dst:(z [| 6 |]));
+        raises "row_max" "Tensor.row_max_into: dst shape mismatch"
+          (fun () -> Tensor.row_max_into a ~dst:(z [| 3; 1 |]))
+          (fun () -> Tensor.Reference.row_max_into a ~dst:(z [| 3; 1 |]));
+        raises "row_sum" "Tensor.row_sum_into: dst shape mismatch"
+          (fun () -> Tensor.row_sum_into a ~dst:(z [| 2; 2 |]))
+          (fun () -> Tensor.Reference.row_sum_into a ~dst:(z [| 2; 2 |])))
+  in
+  List.concat_map
+    (fun full -> [ binop_case full; unary_case full; bias_case full; rows_case full ])
+    fulls
+  @ [ errors ]
+
+(* Fmath against glibc.  Each function is swept over more than 10^5
+   fixed points: signed zeros, subnormals, infinities, the extremes of
+   the finite range, 64 floats either side of exp's overflow and
+   underflow thresholds and of tanh's and sigmoid's range switches and
+   saturation, and a grid of 200001 points over [-30, 30].  The maximum
+   ulp distance is printed; exp must stay within 1 ulp, tanh and sigmoid
+   within 2 (sigmoid's libm counterpart is the same formula over
+   [Stdlib.exp]), and the special values must agree bit for bit.  A
+   quiet NaN comes back unchanged from both sides.  The interpreter's
+   per-element cost ([Tensor.Reference.unop_into]) is printed against
+   the same loop over libm, and the median per-round ratio must stay
+   within 1.5x, so the interpreter and [ftc conform] do not slow
+   down. *)
+let fmath_tests =
+  (* floats ordered as integers: the ulp distance is their difference *)
+  let ordered x =
+    let b = Int64.bits_of_float x in
+    if Int64.compare b 0L < 0 then Int64.sub Int64.min_int b else b
+  in
+  let ulps x y =
+    if Float.is_nan x || Float.is_nan y then
+      if Float.is_nan x && Float.is_nan y then 0L else Int64.max_int
+    else Int64.abs (Int64.sub (ordered x) (ordered y))
+  in
+  let libm_sigmoid x =
+    if Float.is_nan x then x
+    else
+      let e = Stdlib.exp (-.Float.abs x) in
+      (if x < 0.0 then e else 1.0) /. (1.0 +. e)
+  in
+  let neighbours x =
+    List.init 129 (fun i ->
+        let k = Int64.of_int (i - 64) in
+        if x = 0.0 then Int64.float_of_bits (Int64.abs k)
+        else Int64.float_of_bits (Int64.add (Int64.bits_of_float x) k))
+  in
+  let specials =
+    [ 0.0; -0.0; infinity; neg_infinity; nan; Float.of_string "-nan";
+      Int64.float_of_bits 0x7FF8_0000_DEAD_BEEFL; 4.9e-324; -4.9e-324;
+      2.2250738585072009e-308; -2.2250738585072014e-308; max_float;
+      -.max_float; min_float ]
+  in
+  let edges =
+    List.concat_map
+      (fun x -> neighbours x @ neighbours (-.x))
+      [ 7.09782712893383973096e+02; 7.45133219101941108420e+02; 708.39641853226408;
+        0.625; 19.06; 22.0; 36.7368005696771; 37.0; 1e-8; 3.7252902984e-09 ]
+  in
+  let grid = List.init 200_001 (fun i -> -30.0 +. (float_of_int i *. 3e-4)) in
+  let points = specials @ edges @ grid in
+  let sweep name ours libm bound =
+    Alcotest.test_case
+      (Printf.sprintf "%s: within %Ld ulp of libm over %d points" name bound
+         (List.length points))
+      `Quick (fun () ->
+        let worst = ref 0L and at = ref 0.0 in
+        List.iter
+          (fun x ->
+            let d = ulps (ours x) (libm x) in
+            if Int64.compare d !worst > 0 then begin
+              worst := d;
+              at := x
+            end)
+          points;
+        Printf.printf "%s: max %Ld ulp from libm (at %h)\n" name !worst !at;
+        checkb (Printf.sprintf "%s max ulp %Ld <= %Ld" name !worst bound) true
+          (Int64.compare !worst bound <= 0);
+        List.iter
+          (fun x ->
+            checkb
+              (Printf.sprintf "%s %h: special value bit for bit" name x)
+              true
+              (Int64.equal
+                 (Int64.bits_of_float (ours x))
+                 (Int64.bits_of_float (libm x))))
+          specials)
+  in
+  (* The interpreter's loop (Tensor.Reference.unop_into) against the
+     same loop over libm; the libm loops call externals directly, so
+     neither side boxes a float. *)
+  let module A = Bigarray.Array1 in
+  let n = 4096 in
+  let src = Tensor.init (Shape.of_array [| n |]) (fun i ->
+      -30.0 +. (float_of_int i.(0) *. 60.0 /. float_of_int n)) in
+  let dst = Tensor.uninit (Shape.of_array [| n |]) in
+  let sd = Tensor.buffer src and dd = Tensor.buffer dst in
+  (* 11 rounds, each timing both sides back to back (alternating which
+     goes first): the median of the per-round ratios, so a slow phase
+     of the shared host hits both sides of a ratio alike *)
+  let timed ours libm =
+    let reps = 100 in
+    let ns run =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        run ()
+      done;
+      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int (reps * n)
+    in
+    let rounds =
+      Array.init 11 (fun i ->
+          if i land 1 = 0 then
+            let o = ns ours in
+            (o, ns libm)
+          else
+            let l = ns libm in
+            (ns ours, l))
+    in
+    let median xs =
+      let xs = Array.copy xs in
+      Array.sort compare xs;
+      xs.(Array.length xs / 2)
+    in
+    ( median (Array.map fst rounds),
+      median (Array.map snd rounds),
+      median (Array.map (fun (o, l) -> o /. l) rounds) )
+  in
+  let cost name op libm_loop =
+    Alcotest.test_case (name ^ ": OCaml cost within 1.5x of libm") `Quick
+      (fun () ->
+        let ours, libm, ratio =
+          timed (fun () -> Tensor.Reference.unop_into op src ~dst) libm_loop
+        in
+        Printf.printf "%s: %.2f ns/elem, libm %.2f ns/elem, %.2fx\n" name ours
+          libm ratio;
+        checkb (Printf.sprintf "%s cost %.2fx libm" name ratio) true
+          (ratio <= 1.5))
+  in
+  let exp_libm () =
+    for i = 0 to n - 1 do
+      A.unsafe_set dd i (Stdlib.exp (A.unsafe_get sd i))
+    done
+  and tanh_libm () =
+    for i = 0 to n - 1 do
+      A.unsafe_set dd i (Stdlib.tanh (A.unsafe_get sd i))
+    done
+  and sigmoid_libm () =
+    for i = 0 to n - 1 do
+      let x = A.unsafe_get sd i in
+      let e = Stdlib.exp (-.Float.abs x) in
+      A.unsafe_set dd i ((if x < 0.0 then e else 1.0) /. (1.0 +. e))
+    done
+  in
+  [
+    sweep "exp" Tensor.Fmath.exp Stdlib.exp 1L;
+    sweep "tanh" Tensor.Fmath.tanh Stdlib.tanh 2L;
+    sweep "sigmoid" Tensor.Fmath.sigmoid libm_sigmoid 2L;
+    cost "exp" Tensor.Uexp exp_libm;
+    cost "tanh" Tensor.Utanh tanh_libm;
+    cost "sigmoid" Tensor.Usigmoid sigmoid_libm;
+    Alcotest.test_case "the reference loops inline Fmath: no allocation"
+      `Quick (fun () ->
+        List.iter
+          (fun op ->
+            Tensor.Reference.unop_into op src ~dst;
+            let w0 = Gc.minor_words () in
+            Tensor.Reference.unop_into op src ~dst;
+            checkb "minor words" true (Gc.minor_words () -. w0 < 1.0))
+          Tensor.[ Uexp; Utanh; Usigmoid ]);
+  ]
+
 let suites =
   [
     ("shape", shape_tests @ shape_props);
@@ -747,6 +1130,7 @@ let suites =
     ("tensor", tensor_tests @ tensor_props);
     ("tensor-into", into_tests);
     ("tensor-packed", packed_tests);
-    ("tensor-native", native_tests);
+    ("tensor-native", native_tests @ elementwise_tests);
     ("kernels", kernels_tests);
+    ("fmath", fmath_tests);
   ]
