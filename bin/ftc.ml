@@ -451,14 +451,7 @@ let run_cmd =
             (* a tuned config also carries the compiled engine's fusion
                knob — bitwise-neutral, so the differential check below
                is unaffected *)
-            let opts =
-              {
-                Run_opts.default with
-                Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
-                fuse = tile.Tile.cfg_fuse;
-              }
-            in
-            let pr = Executor.prepare ~opts g in
+            let pr = Executor.prepare ~opts:(Run_opts.with_tile tile Run_opts.default) g in
             let par = Executor.execute pr env in
             let wave_ok =
               List.length seq = List.length par
@@ -560,16 +553,7 @@ let profile_cmd =
               List.map (fun (x, t) -> (x, random_value r t)) p.Expr.inputs
             in
             let g = Build.build p in
-            let pr =
-              Executor.prepare
-                ~opts:
-                  {
-                    Run_opts.default with
-                    Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
-                    fuse = tile.Tile.cfg_fuse;
-                  }
-                g
-            in
+            let pr = Executor.prepare ~opts:(Run_opts.with_tile tile Run_opts.default) g in
             Trace.with_sink sink (fun () -> ignore (Executor.execute pr env));
             let prof = Executor.profile ~device plan in
             let tuned_str =

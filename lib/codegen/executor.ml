@@ -20,10 +20,7 @@ let resolve_pool (opts : Run_opts.t) =
 let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let pool = resolve_pool opts in
   let workers = match pool with Some p -> Domain_pool.size p | None -> 1 in
-  let schedule =
-    Vm.guarded_schedule ~race_guard:opts.Run_opts.race_guard g
-      opts.Run_opts.order
-  in
+  let schedule = Vm.guarded_schedule g opts.Run_opts.order in
   let exe =
     Compiled.compile ~arena:opts.Run_opts.arena ~schedule
       ?chunk:opts.Run_opts.chunk ~workers ~fuse:opts.Run_opts.fuse g

@@ -29,9 +29,14 @@ val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
 val execute :
   prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
 (** One run over the named inputs; returns every [Output] buffer in
-    buffer order.  Honors the prepared options: domains (pool), chunk,
-    race guard, shadow.  When shadow recording is active (explicitly,
-    or [FT_SHADOW=1] under the default [Shadow_env] policy) the run is
+    buffer order, as fresh copies.  Honors the prepared options: domains
+    (pool), chunk, shadow; the race guard always runs.  Input tensors
+    must not be mutated in place between two runs of one [prepared]:
+    the aligned copies of GEMM operands are keyed by tensor identity
+    and outlive the run, so a tensor bound again is read as it was when
+    first copied.  Bind a fresh tensor to change an input's values.
+    When shadow recording is active (explicitly, or [FT_SHADOW=1]
+    under the default [Shadow_env] policy) the run is
     recorded, finished and cross-checked against the static analysis;
     a contradiction raises [Vm.Execution_error].
     @raise Vm.Execution_error on missing inputs / un-executable blocks

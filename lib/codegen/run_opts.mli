@@ -23,9 +23,6 @@ type t = {
   chunk : int option;
       (** points of a front one domain claims at a time (the tuner's
           [vm_chunk] knob); [None] or non-positive = pool default. *)
-  race_guard : bool;
-      (** consult {!Effects.block_race} before fanning a block out;
-          anything but [Proven] downgrades that block to sequential. *)
   shadow : shadow;
   arena : bool;
       (** back compiled intermediates with the single liveness-sized
@@ -39,8 +36,12 @@ type t = {
 }
 
 val default : t
-(** [Wavefront], ambient domains, default chunking, race guard on,
-    [Shadow_env], arena on, fusion on. *)
+(** [Wavefront], ambient domains, default chunking, [Shadow_env],
+    arena on, fusion on. *)
+
+val with_tile : Tile.config -> t -> t
+(** [o] with a tuned config's compiled-engine knobs: [chunk] from
+    [cfg_vm_chunk], [fuse] from [cfg_fuse].  Both are bitwise-neutral. *)
 
 val to_string : t -> string
 (** One-line rendering for reports and traces. *)

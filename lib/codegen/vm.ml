@@ -199,9 +199,9 @@ let race_downgrade g b =
   | Effects.Unproven m -> Some ("same-front disjointness unproven: " ^ m)
   | Effects.Race (_, m) -> Some ("statically-proven race: " ^ m)
 
-let guarded_schedule ?(race_guard = true) g order (b : Ir.block) points =
+let guarded_schedule g order (b : Ir.block) points =
   match schedule order b points with
-  | Fronts _ as s when race_guard -> (
+  | Fronts _ as s -> (
       match race_downgrade g b with
       | None -> (s, None)
       | Some why as reason ->

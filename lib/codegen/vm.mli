@@ -115,13 +115,12 @@ val race_downgrade : Ir.graph -> Ir.block -> string option
     {!Effects.block_race} proves same-front disjointness. *)
 
 val guarded_schedule :
-  ?race_guard:bool -> Ir.graph -> order -> Ir.block -> int array list ->
+  Ir.graph -> order -> Ir.block -> int array list ->
   schedule * string option
 (** The one race guard of {!Compiled.compile} and [Dist_exec.prepare]:
     {!schedule}, except that [Fronts] with a {!race_downgrade} reason
     become the sequential schedule, with the reason (also reported to
-    the fallback handler).
-    [~race_guard:false] skips the check. *)
+    the fallback handler). *)
 
 (** {1 Reads} *)
 

@@ -1,10 +1,13 @@
 (* A servable: a whole-sequence program recast as a step program over a
    shared batch dimension.  A left scan or fold is a (state, token) ->
    state step; [derive] peels it off the program (servable.mli states
-   the accepted shapes) and lifts it over width [W].  [row_check] admits
-   only cells whose output row [i] depends on input row [i] alone, so a
-   batched run is bitwise the solo run of every slot and pad rows never
-   perturb live ones. *)
+   the accepted shapes) and lays it out over width [W] in one of two
+   ways.  Widened: every per-request [1,C] leaf becomes row [i] of a
+   [W,C] tensor, legal when [row_check] admits the cell (output row [i]
+   depends on input row [i] alone).  Per slot: the cell maps over [W]
+   lists of each request's own leaves, always legal.  Either way a
+   batched run is bitwise the solo run of every slot, and pad slots
+   never perturb live ones. *)
 
 let shape l = Shape.of_array (Array.of_list l)
 
@@ -23,7 +26,9 @@ type t = {
 
 (* [pack_rows] gathers one [1,cols] leaf per slot into row [i] of a
    [width, cols] tensor; [slice_row] cuts a row back out.  Both are raw
-   blits on the underlying bigarray buffers. *)
+   blits on the underlying bigarray buffers.  (A view of the row would
+   skip a copy, but its small custom block paces the major GC so much
+   slower that peak RSS doubled on the served stacked RNN.) *)
 let pack_rows ~width ~cols pick rows =
   let dst = Tensor.uninit (shape [ width; cols ]) in
   let db = Tensor.buffer dst in
@@ -42,11 +47,8 @@ let slice_row ~cols t i =
   dst
 
 (* A state or a token is one leaf, or a flat tuple of leaves. *)
-let part ~tuple v k = Fractal.as_leaf (if tuple then Fractal.get v k else v)
-
-let assemble ~tuple n leaf =
-  if tuple then Fractal.Node (Array.init n (fun k -> Fractal.Leaf (leaf k)))
-  else Fractal.Leaf (leaf 0)
+let part ~tuple v k = if tuple then Fractal.get v k else v
+let assemble ~tuple n leaf = if tuple then Fractal.Node (Array.init n leaf) else leaf 0
 
 (* ------------------------- the derivation ------------------------- *)
 
@@ -56,8 +58,8 @@ let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
 let show e = Format.asprintf "%a" Expr.pp e
 let comps = function Expr.Zip es -> es | e -> [ e ]
 
-let row_cols what = function
-  | Expr.Tensor_ty s when Shape.rank s = 2 && Shape.dim s 0 = 1 -> Shape.dim s 1
+let one_row what = function
+  | Expr.Tensor_ty s when Shape.rank s = 2 && Shape.dim s 0 = 1 -> ()
   | ty ->
       reject "%s is %s; widening needs per-request [1,C] leaves" what
         (Expr.ty_to_string ty)
@@ -76,17 +78,29 @@ let rec names_in (e : Expr.t) acc =
 let proj (e : Expr.t) k =
   match e with Tuple es -> List.nth es k | e -> Proj (e, k)
 
-(* Capture-free: the substituted names are fresh for the program, and a
-   cell that passed [row_check] binds nothing but [let]. *)
+(* Capture-free: the substituted expressions name only step names,
+   which are fresh for everything the program binds; a binder of the
+   substituted name stops it. *)
 let rec subst m (e : Expr.t) : Expr.t =
+  let under params = List.filter (fun (v, _) -> not (List.mem v params)) m in
   match e with
   | Var v -> Option.value (List.assoc_opt v m) ~default:e
-  | Lit _ | Soac _ | Access _ | Zip _ -> e
+  | Lit _ -> e
   | Tuple es -> Tuple (List.map (subst m) es)
+  | Zip es -> Zip (List.map (subst m) es)
   | Prim (p, es) -> Prim (p, List.map (subst m) es)
   | Proj (e1, k) -> proj (subst m e1) k
+  | Access (a, e1) -> Access (a, subst m e1)
   | Index (e1, is) -> Index (subst m e1, is)
-  | Let (x, e1, e2) -> Let (x, subst m e1, subst (List.remove_assoc x m) e2)
+  | Let (x, e1, e2) -> Let (x, subst m e1, subst (under [ x ]) e2)
+  | Soac s ->
+      Soac
+        {
+          s with
+          init = Option.map (subst m) s.init;
+          xs = subst m s.xs;
+          fn = { s.fn with body = subst (under s.fn.params) s.fn.body };
+        }
 
 (* Does a value depend on the request?  Per component of a tuple. *)
 type cls = Shared | Row | Tup of cls list
@@ -131,7 +145,7 @@ let rec row_check tenv cenv (e : Expr.t) : cls =
           [ Row ],
           _ )
       | (Matmul | Matmul_t), [ Row; Shared ], _ ->
-          ignore (row_cols (Expr.prim_name p) (ty e));
+          one_row (Expr.prim_name p) (ty e);
           Row
       | Concat_cols, cs, _ when List.for_all (( = ) Row) cs -> Row
       | _ -> reject "%s is not row-independent on these operands" (Expr.prim_name p))
@@ -156,7 +170,7 @@ let shared_values shared =
    [p] declared at the extents of [inputs]. *)
 let source_row p inputs = Fractal.get (Interp.run_program p inputs) 0
 
-(* A recognized program: its servable, the reference response to a
+(* A derived program: its servable, the reference response to a
    request's tokens, and the tokens of its batch rows. *)
 type derived = {
   sv : t;
@@ -182,9 +196,14 @@ let derive (p : Expr.program) =
   in
   if List.length rows <> List.length params then
     reject "the request map must bind one parameter per input it zips";
+  (* AGG = let x = FOLD in FINISH: FINISH turns the final state into
+     the response *)
+  let agg, finish =
+    match agg with Let (v, (Soac _ as fold), fin) -> (fold, Some (v, fin)) | e -> (e, None)
+  in
   let scan_kind = function
     | Scanl -> true
-    | Foldl -> false
+    | Foldl | Reduce -> false
     | k -> reject "AGG is a %s, not a left scan or fold" (soac_kind_name k)
   in
   (* S2 first: its inner scan runs over the outer state, and [D] reads
@@ -203,6 +222,8 @@ let derive (p : Expr.program) =
     | Soac { kind; _ } -> reject "AGG is a %s, not a seeded left scan or fold" (soac_kind_name kind)
     | e -> reject "AGG is %s, not a seeded left scan or fold" (show e)
   in
+  if finish <> None && (scan || layered <> None) then
+    reject "only a one-level fold takes a FINISH, let x = FOLD in FINISH";
   (* token data: one component per distinct variable the sequence zips;
      a map parameter is the request's own stream, and an input is owned
      by each request when served *)
@@ -217,42 +238,59 @@ let derive (p : Expr.program) =
   let sources =
     List.fold_left (fun acc v -> if List.mem v acc then acc else acc @ [ v ]) [] seq_vars
   in
+  (* a map parameter the cell reads but the sequence does not zip is a
+     per-request constant, carried in every token after the streams *)
+  let d_params = Option.fold ~none:[] ~some:snd layered in
+  let cell_reads =
+    List.filter (fun v -> not (List.mem v ((st :: tps) @ d_params))) (free_vars cell)
+  in
+  let consts = List.filter (fun v -> List.mem v cell_reads && not (List.mem v sources)) params in
   List.iter
-    (fun v -> if not (List.mem v sources) then reject "map parameter %s is not in the sequence" v)
+    (fun v ->
+      if not (List.mem v sources || List.mem v consts) then
+        reject "map parameter %s is neither in the sequence nor read by the cell" v)
     params;
+  let tok_names = sources @ consts in
   let param v = List.find_index (String.equal v) params in
-  let index v = Option.get (List.find_index (String.equal v) sources) in
+  let index v = Option.get (List.find_index (String.equal v) tok_names) in
   let elem what = function List_ty (n, t) -> (n, t) | _ -> reject "%s is not a list" what in
   let env =
     List.map2 (fun v r -> (v, snd (elem r (List.assoc r p.inputs)))) params rows @ p.inputs
   in
   let seq_len, elem_ty = elem "the sequence" (Typecheck.infer env seq) in
-  let tok_cols =
-    Array.of_list
-      (List.map (fun v -> row_cols ("token " ^ v) (snd (elem v (List.assoc v env)))) sources)
+  let leaf what = function
+    | Tensor_ty s -> s
+    | ty -> reject "%s is %s; a request carries tensor leaves" what (ty_to_string ty)
   in
-  let tok_tuple = Array.length tok_cols > 1 in
+  let tok_ty v = if List.mem v consts then List.assoc v env else snd (elem v (List.assoc v env)) in
+  let tok_tys = Array.of_list (List.map tok_ty tok_names) in
+  let tok_shapes = Array.mapi (fun k ty -> leaf ("token " ^ List.nth tok_names k) ty) tok_tys in
+  let tok_tuple = Array.length tok_shapes > 1 in
   let shared = List.filter (fun (v, _) -> not (List.mem v rows || List.mem v sources)) p.inputs in
-  let shared_only what e =
+  let shared_only what reads =
     List.iter
       (fun v ->
         if not (List.mem_assoc v shared) then
           reject "the %s reads %s, which carries requests" what v)
-      (free_vars e)
+      reads
   in
-  shared_only "seed" seed;
+  shared_only "seed" (free_vars seed);
+  shared_only "cell" (List.filter (fun v -> not (List.mem v consts)) cell_reads);
+  Option.iter
+    (fun (v, fin) -> shared_only "FINISH" (List.filter (( <> ) v) (free_vars fin)))
+    finish;
   let st_ty = Typecheck.infer shared seed in
-  let st_tuple, st_cols =
-    match st_ty with
-    | Tuple_ty ts -> (true, Array.of_list (List.map (row_cols "a state part") ts))
-    | t -> (false, [| row_cols "the state" t |])
+  let st_tuple, st_tys =
+    match st_ty with Tuple_ty ts -> (true, Array.of_list ts) | t -> (false, [| t |])
   in
+  let st_shapes = Array.map (leaf "a state part") st_tys in
   (* step names, fresh for everything the program binds *)
   let used = List.map fst p.inputs @ names_in p.body [] in
   let rec fresh b = if List.mem b used then fresh (b ^ "'") else b in
-  let names base cols = Array.mapi (fun k _ -> fresh (Printf.sprintf "%s%d" base k)) cols in
-  let tok_in = names "tok" tok_cols and t_par = names "t" tok_cols in
-  let st_in = names "st" st_cols and s_par = names "s" st_cols in
+  let names base n = Array.init n (fun k -> fresh (Printf.sprintf "%s%d" base k)) in
+  let n_tok = Array.length tok_shapes and n_st = Array.length st_shapes in
+  let tok_in = names "tok" n_tok and t_par = names "t" n_tok in
+  let st_in = names "st" n_st and s_par = names "s" n_st and ss_par = names "ss" n_st in
   let below = fresh "below" in
   let vars names = List.map (fun v -> Var v) (Array.to_list names) in
   let elem_of names =
@@ -262,8 +300,8 @@ let derive (p : Expr.program) =
   in
   (* the cell's token parameters: one binds the whole element, k
      destructure it *)
-  let tok_binds =
-    let e = if layered = None then elem_of t_par else Var below in
+  let tok_binds toks =
+    let e = if layered = None then elem_of toks else Var below in
     match (tps, elem_ty) with
     | [], _ -> []
     | [ tp ], ty -> [ (tp, e, ty) ]
@@ -275,44 +313,75 @@ let derive (p : Expr.program) =
     match layered with
     | None -> (1, [], [])
     | Some (d, dps) ->
-        shared_only "layer sequence" d;
+        shared_only "layer sequence" (free_vars d);
         if List.length dps <> List.length (comps d) then
           reject "the layer parameters must bind each component of %s" (show d);
         let ls = List.map (fun c -> elem (show c) (Typecheck.infer shared c)) (comps d) in
         (fst (List.hd ls), List.combine dps (List.map snd ls), comps d)
   in
-  let tenv = ((st, st_ty) :: List.map (fun (v, _, ty) -> (v, ty)) tok_binds) @ d_binds @ shared in
-  let cenv =
-    ((st, row_cls st_ty) :: List.map (fun (v, _, ty) -> (v, row_cls ty)) tok_binds)
-    @ List.map (fun (v, _) -> (v, Shared)) (d_binds @ shared)
+  (* the layout: widened when every per-request leaf is one row and the
+     cell is row-independent, else per slot *)
+  let widened =
+    let binds = tok_binds tok_in in
+    let const_tys = List.map (fun c -> (c, tok_tys.(index c))) consts in
+    let tenv =
+      ((st, st_ty) :: List.map (fun (v, _, ty) -> (v, ty)) binds)
+      @ const_tys @ d_binds @ shared
+    in
+    let cenv =
+      ((st, row_cls st_ty) :: List.map (fun (v, _, ty) -> (v, row_cls ty)) binds)
+      @ List.map (fun (v, ty) -> (v, row_cls ty)) const_tys
+      @ List.map (fun (v, _) -> (v, Shared)) (d_binds @ shared)
+    in
+    match
+      Array.iter (one_row "a per-request leaf") (Array.append tok_tys st_tys);
+      row_check tenv cenv cell = row_cls st_ty
+    with
+    | ok -> ok
+    | exception (Reject _ | Typecheck.Type_error _) -> false
   in
-  if row_check tenv cenv cell <> row_cls st_ty then
-    reject "the cell's new state does not depend on the request in every component";
+  let cols s = Shape.dim s 1 in
   let state = if st_tuple then Tuple (vars s_par) else Var s_par.(0) in
-  let body = subst ((st, state) :: List.map (fun (v, e, _) -> (v, e)) tok_binds) cell in
+  (* the cell over step names: [toks] names the token components *)
+  let body toks =
+    subst
+      (((st, state) :: List.map (fun (v, e, _) -> (v, e)) (tok_binds toks))
+      @ List.map (fun c -> (c, Var toks.(index c))) consts)
+      cell
+  in
   let step_shared =
-    let fv = free_vars body @ List.concat_map free_vars d_comps in
+    let fv = free_vars (body t_par) @ List.concat_map free_vars d_comps in
     List.filter (fun (v, _) -> List.mem v fv) shared
   in
   let step width =
-    let ins names cols wrap =
-      Array.to_list
-        (Array.mapi (fun k v -> (v, wrap (Tensor_ty (shape [ width; cols.(k) ])))) names)
-    in
+    let ins names tys wrap = Array.to_list (Array.mapi (fun k v -> (v, wrap tys.(k))) names) in
     let over n ty = List_ty (n, ty) in
+    let row s = Tensor_ty (shape [ width; cols s ]) in
+    let layer_scan toks sts =
+      scanl_e ~init:(elem_of toks)
+        ~params:((below :: List.map fst d_binds) @ Array.to_list s_par)
+        ~body:(body toks) (Zip (d_comps @ vars sts))
+    in
     let inputs, body =
-      match layered with
-      | None ->
-          (* the builder wants a collection operator, so the batch block
-             rides as a one-element map *)
-          ( ins st_in st_cols (over 1) @ ins tok_in tok_cols (over 1),
-            map_e ~params:(Array.to_list (Array.append s_par t_par)) ~body
+      match (layered, widened) with
+      | None, _ ->
+          (* widened, the batch block rides as a one-element map (the
+             builder wants a collection operator); per slot, the map
+             runs over the slots *)
+          let lay s = if widened then over 1 (row s) else over width (Tensor_ty s) in
+          ( ins st_in st_shapes lay @ ins tok_in tok_shapes lay,
+            map_e ~params:(Array.to_list (Array.append s_par t_par)) ~body:(body t_par)
               (Zip (vars st_in @ vars tok_in)) )
-      | Some _ ->
-          ( ins tok_in tok_cols Fun.id @ ins st_in st_cols (over layers),
-            scanl_e ~init:(elem_of tok_in)
-              ~params:((below :: List.map fst d_binds) @ Array.to_list s_par)
-              ~body (Zip (d_comps @ vars st_in)) )
+      | Some _, true ->
+          ( ins tok_in tok_shapes row @ ins st_in st_shapes (fun s -> over layers (row s)),
+            layer_scan tok_in st_in )
+      | Some _, false ->
+          ( ins tok_in tok_shapes (fun s -> over width (Tensor_ty s))
+            @ ins st_in st_shapes (fun s -> over width (over layers (Tensor_ty s))),
+            map_e
+              ~params:(Array.to_list (Array.append t_par ss_par))
+              ~body:(layer_scan t_par ss_par)
+              (Zip (vars tok_in @ vars st_in)) )
     in
     { name = step_name p width; inputs = inputs @ step_shared; body }
   in
@@ -320,81 +389,101 @@ let derive (p : Expr.program) =
   | _ -> ()
   | exception (Build.Unsupported m | Typecheck.Type_error m) ->
       reject "the derived step program does not compile: %s" m);
-  (* Generated values.  An S2 request carries one state per layer; the
-     leaf pickers of mux and demux are fixed here, so a tick does only
-     the row blits. *)
+  (* Generated values.  An S2 request carries one state per layer.  A
+     per-request constant is drawn once and carried in every token. *)
   let shared_v = shared_values shared in
   let seed = Interp.eval shared_v seed in
   let stacked = Option.is_some layered in
   let state0 = if stacked then Fractal.tabulate layers (fun _ -> seed) else seed in
-  let tok_shapes = Array.map (fun c -> shape [ 1; c ]) tok_cols in
-  let token gen =
-    assemble ~tuple:tok_tuple (Array.length tok_shapes) (fun k -> gen tok_shapes.(k))
+  let n_src = List.length sources in
+  let tokens gen len =
+    let consts = Array.init (n_tok - n_src) (fun k -> Fractal.Leaf (gen tok_shapes.(n_src + k))) in
+    Array.init len (fun _ ->
+        assemble ~tuple:tok_tuple n_tok (fun k ->
+            if k < n_src then Fractal.Leaf (gen tok_shapes.(k)) else consts.(k - n_src)))
   in
   let step_env = List.filter (fun (v, _) -> List.mem_assoc v step_shared) shared_v in
-  let toks =
-    Array.mapi (fun j x -> (x, tok_cols.(j), fun (_, tok) -> part ~tuple:tok_tuple tok j)) tok_in
+  let tok k (_, tok) = part ~tuple:tok_tuple tok k in
+  let st_part k d (st, _) = part ~tuple:st_tuple (if stacked then Fractal.get st d else st) k in
+  let per_layer f = if stacked then Fractal.Node (Array.init layers f) else f 0 in
+  (* a tick's inputs from the slots' (state, token) rows, and each
+     slot's new state from leaf [d] of output [k] *)
+  let env state token =
+    let rec toks k = if k = n_tok then sts 0 else (tok_in.(k), token k) :: toks (k + 1)
+    and sts k = if k = n_st then step_env else (st_in.(k), state k) :: sts (k + 1) in
+    toks 0
   in
-  let states =
-    Array.mapi
-      (fun k x ->
-        let pick d =
-          if stacked then fun (st, _) -> part ~tuple:st_tuple (Fractal.get st d) k
-          else fun (st, _) -> part ~tuple:st_tuple st k
-        in
-        (x, st_cols.(k), Array.init layers pick))
-      st_in
-  in
-  let sv_env ~width rows =
-    let pack cols pick = pack_rows ~width ~cols pick rows in
-    let state (x, cols, picks) env = (x, Fractal.Node (Array.map (pack cols) picks)) :: env in
-    let token (x, cols, pick) env =
-      (x, if stacked then pack cols pick else Fractal.Node [| pack cols pick |]) :: env
-    in
-    Array.fold_right token toks (Array.fold_right state states step_env)
-  in
-  let sv_demux ~width outs =
+  let demux leaf ~width outs =
     (* a one-component state is the only output *)
     let out k =
       if st_tuple then List.assoc (Printf.sprintf "%s.%d" (step_name p width) k) outs
       else snd (List.hd outs)
     in
-    let outs =
-      Array.mapi (fun k _ -> Array.map Fractal.as_leaf (Fractal.children (out k))) st_cols
-    in
-    let leaf i d k = Fractal.Leaf (slice_row ~cols:st_cols.(k) outs.(k).(d) i) in
+    let outs = Array.init n_st (fun k -> leaf k (out k)) in
     let state i d =
-      if st_tuple then Fractal.Node (Array.init (Array.length st_cols) (leaf i d))
-      else leaf i d 0
+      if st_tuple then Fractal.Node (Array.map (fun o -> o d i) outs) else outs.(0) d i
     in
-    Array.init width (fun i ->
-        if stacked then Fractal.Node (Array.init layers (state i)) else state i 0)
+    Array.init width (fun i -> per_layer (state i))
+  in
+  let sv_env, sv_demux =
+    if widened then
+      (* slot [i] is row [i]; the leaf pickers are fixed here, so a
+         tick does only the row blits *)
+      let tensor pick r = Fractal.as_leaf (pick r) in
+      let st_picks = Array.init n_st (fun k -> Array.init layers (fun d -> tensor (st_part k d))) in
+      let tok_picks = Array.init n_tok (fun k -> tensor (tok k)) in
+      ( (fun ~width rows ->
+          env
+            (fun k ->
+              let cols = cols st_shapes.(k) in
+              Fractal.Node (Array.map (fun pick -> pack_rows ~width ~cols pick rows) st_picks.(k)))
+            (fun k ->
+              let t = pack_rows ~width ~cols:(cols tok_shapes.(k)) tok_picks.(k) rows in
+              if stacked then t else Fractal.Node [| t |])),
+        demux (fun k o ->
+            let ls = Array.map Fractal.as_leaf (Fractal.children o) in
+            let cols = cols st_shapes.(k) in
+            fun d i -> Fractal.Leaf (slice_row ~cols ls.(d) i)) )
+    else
+      (* per slot: the slots' own leaves, and the outputs by index *)
+      let slots rows f = Fractal.Node (Array.map f rows) in
+      ( (fun ~width:_ rows ->
+          env
+            (fun k -> slots rows (fun r -> per_layer (fun d -> st_part k d r)))
+            (fun k -> slots rows (tok k))),
+        demux (fun _ o d i ->
+            let o = Fractal.get o i in
+            if stacked then Fractal.get o d else o) )
   in
   (* the response: the source's output at the request's last token *)
   let last len v = Fractal.get v (len - 1) in
+  let sv_finish =
+    match finish with
+    | Some (v, fin) ->
+        let env = List.filter (fun (x, _) -> List.mem x (free_vars fin)) shared_v in
+        fun st -> Interp.eval ((v, st) :: env) fin
+    | None -> if stacked && not scan then last layers else Fun.id
+  in
   let sv =
     {
       sv_name = p.name;
       sv_seq_len = seq_len;
       sv_shared = shared_v;
-      sv_new_request =
-        (fun rng ~len ->
-          let gen = Tensor.rand rng in
-          (state0, Array.init len (fun _ -> token gen)));
-      sv_pad = (state0, token Tensor.zeros);
+      sv_new_request = (fun rng ~len -> (state0, tokens (Tensor.rand rng) len));
+      sv_pad = (state0, (tokens Tensor.zeros 1).(0));
       sv_step = step;
       sv_env;
       sv_demux;
-      sv_finish = (if stacked && not scan then last layers else Fun.id);
+      sv_finish;
     }
   in
   let reference tokens =
-    let stream v =
-      Fractal.Node (Array.map (fun t -> Fractal.Leaf (part ~tuple:tok_tuple t (index v))) tokens)
-    in
+    let component t v = part ~tuple:tok_tuple t (index v) in
+    let stream v = Fractal.Node (Array.map (fun t -> component t v) tokens) in
+    let request v = if List.mem v consts then component tokens.(0) v else stream v in
     let value (v, _) =
       match List.find_index (String.equal v) rows with
-      | Some j -> (v, Fractal.Node [| stream (List.nth params j) |])
+      | Some j -> (v, Fractal.Node [| request (List.nth params j) |])
       | None when List.mem v sources -> (v, stream v)
       | None -> (v, List.assoc v shared_v)
     in
@@ -407,93 +496,20 @@ let derive (p : Expr.program) =
   let batch_rows inputs =
     let get v = List.assoc v inputs in
     Array.init (Fractal.length (get (List.hd rows))) (fun i ->
-        let seq v =
+        let value v =
           match param v with Some j -> Fractal.get (get (List.nth rows j)) i | None -> get v
         in
-        let seqs = Array.of_list (List.map seq sources) in
+        let vals = Array.of_list (List.map value tok_names) in
         Array.init seq_len (fun t ->
-            assemble ~tuple:tok_tuple (Array.length seqs) (fun k ->
-                Fractal.as_leaf (Fractal.get seqs.(k) t))))
+            assemble ~tuple:tok_tuple n_tok (fun k ->
+                if k < n_src then Fractal.get vals.(k) t else vals.(k))))
   in
   { sv; reference; rows = batch_rows }
-
-(* ----------------------- attention block -------------------------- *)
-
-(* The exception, recognized by name: a request is one query block with
-   (q, k, v) tokens — K/V are shared in the source but owned by each
-   request when served.  The state is the reduce's accumulator, the step
-   one online-softmax accumulation per slot, and the source's finishing
-   divide is the response. *)
-let attention (p : Expr.program) =
-  let qk, seq_len =
-    match (List.assoc_opt "qs" p.inputs, List.assoc_opt "ks" p.inputs) with
-    | Some (List_ty (_, Tensor_ty q)), Some (List_ty (len, _)) when Shape.rank q = 2 ->
-        (q, len)
-    | _ -> reject "expected qs: [N]f32[r,d] and ks: [L]f32[r,d]"
-  in
-  let col = shape [ Shape.dim qk 0; 1 ] in
-  let leaves ts = Fractal.Node (Array.map (fun t -> Fractal.Leaf t) ts) in
-  let zero_state = leaves [| Tensor.full col (-1e30); Tensor.zeros col; Tensor.zeros qk |] in
-  let step width =
-    let over ty = Expr.List_ty (width, Tensor_ty ty) in
-    {
-      Expr.name = step_name p width;
-      inputs =
-        [
-          ("qs", over qk); ("ms", over col); ("ss", over col); ("os", over qk);
-          ("ks", over qk); ("vs", over qk);
-        ];
-      body =
-        Parse.expr
-          {|zip(qs, ms, ss, os, ks, vs).map { |q, m, s, o, k, v|
-              let t1 = q @T k in
-              let m2 = max(m, rowmax(t1)) in
-              let p = exp(t1 - m2) in
-              let a = exp(m - m2) in
-              (m2, a * s + rowsum(p), a * o + p @ v) }|};
-    }
-  in
-  let column slots f i = Fractal.Node (Array.map (fun slot -> Fractal.get (f slot) i) slots) in
-  let sv =
-    {
-      sv_name = p.name;
-      sv_seq_len = seq_len;
-      sv_shared = [];
-      sv_new_request =
-        (fun rng ~len ->
-          let q = Tensor.rand rng qk in
-          let token _ = leaves [| q; Tensor.rand rng qk; Tensor.rand rng qk |] in
-          (zero_state, Array.init len token));
-      sv_pad = (zero_state, leaves (Array.init 3 (fun _ -> Tensor.zeros qk)));
-      sv_step = step;
-      sv_env =
-        (fun ~width:_ slots ->
-          let st = column slots fst and tok = column slots snd in
-          [
-            ("qs", tok 0); ("ms", st 0); ("ss", st 1); ("os", st 2);
-            ("ks", tok 1); ("vs", tok 2);
-          ]);
-      sv_demux =
-        (fun ~width outs ->
-          let out k = List.assoc (Printf.sprintf "%s.%d" (step_name p width) k) outs in
-          Array.init width (fun w -> Fractal.Node (Array.init 3 (fun k -> Fractal.get (out k) w))));
-      sv_finish =
-        (fun st ->
-          let acc k = Fractal.as_leaf (Fractal.get st k) in
-          Fractal.Leaf (Tensor.div (acc 2) (acc 1)));
-    }
-  in
-  let reference tokens =
-    let tok = column tokens Fun.id in
-    source_row p
-      [ ("qs", Fractal.Node [| Fractal.get tokens.(0) 0 |]); ("ks", tok 1); ("vs", tok 2) ]
-  in
-  { sv; reference; rows = (fun _ -> invalid_arg "Servable.rows: attention_block") }
 
 (* ------------------------- entry points --------------------------- *)
 
 let recognize (p : Expr.program) =
-  match if p.name = "attention_block" then attention p else derive p with
+  match derive p with
   | d -> Ok d
   | exception e ->
       let m =

@@ -2,15 +2,23 @@
     per-tick {e step program} over a shared batch dimension, derived
     from the program's own left fold.  {!of_program} accepts a body
     [X.map { |params| AGG }] — the [map] is the request axis — with
-    [AGG] either (S1) [SEQ.scanl|foldl(seed) { |h, tok..| CELL }] or
-    (S2) [D.scanl|foldl(SEQ) { |ss, d..| ss.scanl(seed) { |st, tok..| CELL } }]
+    [AGG] either (S1) [SEQ.scanl|foldl|reduce(seed) { |h, tok..| CELL }]
+    or (S2) [D.scanl|foldl|reduce(SEQ) { |ss, d..| ss.scanl(seed) { |st, tok..| CELL } }]
     with [D] shared, whose step swaps the scans and carries one state
-    per layer.  [SEQ] zips map parameters and inputs; an input it reads
-    is token data, owned by each request.  The step widens every
-    per-request [1,C] leaf to [W,C], which needs a row-independent
-    [CELL] (DESIGN.md, "Serving"): row [i] of a batched run is then
-    bitwise the solo run of slot [i].  [attention_block] is the one
-    program recognized by name. *)
+    per layer.  A seeded [reduce] is a left fold.  An S1 fold may be
+    bound, [let x = FOLD in FINISH]: FINISH, over [x] and the shared
+    inputs, is the response.  [SEQ] zips map parameters and inputs; an
+    input it reads is token data, owned by each request.  A map
+    parameter the cell reads but [SEQ] does not zip is a per-request
+    constant, carried in every token.
+
+    The step takes one of two layouts, chosen from the cell alone.
+    {e Widened}: every per-request leaf is a [[1,C]] row and the cell
+    is row-independent (DESIGN.md, "Serving"), so slot [i] is row [i]
+    of one [[W,C]] tensor per leaf.  {e Per slot}: otherwise, the cell
+    maps over [[W]] lists of each request's own leaves.  Either way a
+    batched run is bitwise the solo run of every slot.  Nothing is
+    recognized by its name. *)
 
 type t = {
   sv_name : string;
@@ -25,11 +33,13 @@ type t = {
   sv_step : int -> Expr.program;  (** the step program at a width *)
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
-      (** executor inputs from per-slot (state, token) rows *)
+      (** executor inputs from per-slot (state, token) rows: row blits
+          when widened, the slots' own leaves when per slot *)
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
       (** per-slot new state out of one executor run *)
   sv_finish : Fractal.t -> Fractal.t;
-      (** the response: a pure function of the final carried state *)
+      (** the response: a pure function of the final carried state
+          (FINISH, when the program binds one) *)
 }
 
 val of_program : Expr.program -> (t, string) result
@@ -46,14 +56,13 @@ val reference : Expr.program -> Fractal.t array -> Fractal.t
 
 val rows : Expr.program -> (string * Fractal.t) list -> Fractal.t array array
 (** The tokens of each batch row of the program's inputs, to serve the
-    rows as requests.  @raise Invalid_argument as {!reference}, and on
-    [attention_block]. *)
+    rows as requests.  @raise Invalid_argument as {!reference}. *)
 
 val builtin : string -> t option
 (** The servable of a {!builtin_program}. *)
 
 val builtin_program : string -> Expr.program option
-(** Serving-sized [.ft] sources of the builtin workloads — the
-    [ftc serve --bench] path needs no file. *)
+(** Serving-sized [.ft] sources of the builtin workloads: [ftc serve NAME]
+    and the serve benchmark need no file. *)
 
 val builtin_names : string list

@@ -43,13 +43,7 @@ let prepared t ~width =
           (Pipeline.tuned_config_for key)
           ~default:Tile.default_config
       in
-      let opts =
-        {
-          t.ssn_opts with
-          Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
-          fuse = tile.Tile.cfg_fuse;
-        }
-      in
+      let opts = Run_opts.with_tile tile t.ssn_opts in
       let g = Build.build prog in
       Executor.prepare_cached ~key:(t.ssn_tenant ^ ":" ^ key) ~opts g)
 

@@ -42,16 +42,7 @@ let rec random_value rng (ty : Expr.ty) : Fractal.t =
 let measure_runner ~device ~plan_of ~graph ~env (c : Knobs.candidate) =
   let sim_ms = Executor.time_ms ~device (plan_of c) in
   let tile = c.Knobs.c_tile in
-  let pr =
-    Executor.prepare
-      ~opts:
-        {
-          Run_opts.default with
-          Run_opts.chunk = Some tile.Tile.cfg_vm_chunk;
-          fuse = tile.Tile.cfg_fuse;
-        }
-      graph
-  in
+  let pr = Executor.prepare ~opts:(Run_opts.with_tile tile Run_opts.default) graph in
   let t0 = Unix.gettimeofday () in
   ignore (Executor.execute pr env);
   let vm_ms = (Unix.gettimeofday () -. t0) *. 1e3 in

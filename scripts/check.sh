@@ -126,6 +126,15 @@ if grep -rnE 'python3 +-(c|$| |<)' scripts; then
   exit 1
 fi
 
+# Serving derives every step program from the program's own fold:
+# nothing in lib/serve recognizes a program by its name.
+echo "guard: lib/serve compares no program name"
+if grep -nE '(\.name|sv_name)\b[^;]*(=|<>|==|!=) *"|"[^"]*" *(=|<>|==|!=) *[A-Za-z_.]*(\.name|sv_name)\b|String\.(equal|compare)\b[^;]*(\.name|sv_name)\b|match [^;]*(\.name|sv_name) +with' \
+  lib/serve/*.ml; then
+  echo "check.sh: a servable is recognized by its program's name" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 

@@ -289,19 +289,53 @@ let differential_tests =
 
 (* --------------- served response = the interpreter ---------------- *)
 
+(* Programs the row rule refuses, so they serve per slot: a cell
+   mixing rows, a per-request leaf wider than one row, and RNNs whose
+   state is a [32,1] column, one level (S1) and stacked (S2). *)
+let per_slot_sources =
+  [
+    ( "a cell mixing rows",
+      {|program mix
+input xss: [2][5]f32[1,1]
+return xss.map { |xs| xs.scanl(zeros[1,1]) { |s, x| s @T x + x } }|} );
+    ( "a per-request leaf wider than one row",
+      {|program wide
+input xss: [2][5]f32[2,4]
+return xss.map { |xs| xs.scanl(zeros[2,4]) { |s, x| s + x } }|} );
+    ( "a [32,1]-state RNN",
+      {|program rnn_col
+input xss: [4][8]f32[32,1]
+input w: f32[32,32]
+return xss.map { |xs| xs.scanl(zeros[32,1]) { |h, x| tanh(w @ h + x) } }|} );
+    ( "a stacked [32,1]-state RNN",
+      {|program stacked_rnn_col
+input xss: [4][6]f32[32,1]
+input ws: [3]f32[32,32]
+return xss.map { |xs|
+  ws.scanl(xs) { |sbar, w| sbar.scanl(zeros[32,1]) { |s, x| tanh(w @ x + s) } } }|} );
+  ]
+
+let example f = Parse.program_file ("../examples/programs/" ^ f ^ ".ft")
+
+(* [attention_block.ft] under another name: nothing recognizes a
+   program by its name. *)
+let attention_renamed () = { (example "attention_block") with Expr.name = "attn_renamed" }
+
 (* Every served response must be bitwise the reference interpreter's
    output on the source program, declared at the request's length with
    the request's tokens in batch slot 0 — batched and solo, at every
-   domain count.  Programs covered: the example files the derivation
-   accepts by shape alone, and every builtin. *)
+   domain count.  Programs covered: the example files that derive,
+   every builtin, and the per-slot programs above. *)
 let oracle_tests =
   let sources =
     List.map
-      (fun f -> (f ^ ".ft", fun () -> Parse.program_file ("../examples/programs/" ^ f ^ ".ft")))
-      [ "stacked_rnn"; "selective_scan" ]
+      (fun f -> (f ^ ".ft", fun () -> example f))
+      [ "stacked_rnn"; "selective_scan"; "attention_block" ]
+    @ [ ("attention_block.ft renamed", attention_renamed) ]
     @ List.map
         (fun n -> ("builtin " ^ n, fun () -> Option.get (Servable.builtin_program n)))
         Servable.builtin_names
+    @ List.map (fun (what, src) -> (what, fun () -> Parse.program src)) per_slot_sources
   in
   List.concat_map
     (fun (label, source) ->
@@ -351,6 +385,27 @@ return xss.map { |xs|
   ws.scanl(xs) { |sbar, w|
     sbar.scanl(zeros[1,32]) { |s, x|
       x @ w + s } } }|}
+
+(* The reference the derived attention step is pinned to: one online
+   softmax accumulation per slot, written by hand with named inputs. *)
+let attention_step width =
+  let over s = Expr.List_ty (width, Expr.Tensor_ty (Shape.of_array s)) in
+  {
+    Expr.name = Printf.sprintf "attention_block.step%d" width;
+    inputs =
+      [
+        ("qs", over [| 16; 32 |]); ("ms", over [| 16; 1 |]); ("ss", over [| 16; 1 |]);
+        ("os", over [| 16; 32 |]); ("ks", over [| 16; 32 |]); ("vs", over [| 16; 32 |]);
+      ];
+    body =
+      Parse.expr
+        {|zip(qs, ms, ss, os, ks, vs).map { |q, m, s, o, k, v|
+            let t1 = q @T k in
+            let m2 = max(m, rowmax(t1)) in
+            let p = exp(t1 - m2) in
+            let a = exp(m - m2) in
+            (m2, a * s + rowsum(p), a * o + p @ v) }|};
+  }
 
 let rejects what src fragment =
   Alcotest.test_case ("rejects " ^ what) `Quick (fun () ->
@@ -411,16 +466,72 @@ input xs: [4]f32[8,16]
 input w: f32[16,16]
 return xs.map { |x| x @ w }|}
       "not a seeded left scan or fold";
-    rejects "a cell mixing rows"
-      {|program mix
-input xss: [2][5]f32[1,1]
-return xss.map { |xs| xs.scanl(zeros[1,1]) { |s, x| s @T x } }|}
-      "matmul_t is not row-independent";
-    rejects "a per-request leaf wider than one row"
-      {|program wide
-input xss: [2][5]f32[2,4]
-return xss.map { |xs| xs.scanl(zeros[2,4]) { |s, x| s + x } }|}
-      "widening needs per-request [1,C] leaves";
+    Alcotest.test_case "attention_block: the derived per-slot step computes \
+                        the hand-written step bit for bit at widths 1, 2, 4, 8"
+      `Quick (fun () ->
+        List.iter
+          (fun (label, p) ->
+            let sv = Result.get_ok (Servable.of_program p) in
+            List.iter
+              (fun w ->
+                let step = sv.Servable.sv_step w in
+                let blk = Shape.of_array [| 16; 32 |] and col = Shape.of_array [| 16; 1 |] in
+                let over s = Expr.List_ty (w, Expr.Tensor_ty s) in
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s width %d: inputs" label w)
+                  [ "st0"; "st1"; "st2"; "tok0"; "tok1"; "tok2" ]
+                  (List.map fst step.Expr.inputs);
+                checkb "per-slot input types" true
+                  (List.map snd step.Expr.inputs
+                  = [ over col; over col; over blk; over blk; over blk; over blk ]);
+                let rng = Rng.create w in
+                let slots s = Fractal.tabulate w (fun _ -> Fractal.Leaf (Tensor.rand rng s)) in
+                let m = slots col and l = slots col and o = slots blk in
+                let k = slots blk and v = slots blk and q = slots blk in
+                let derived =
+                  Executor.run (Build.build step)
+                    [ ("st0", m); ("st1", l); ("st2", o); ("tok0", k); ("tok1", v); ("tok2", q) ]
+                in
+                let hand =
+                  Executor.run (Build.build (attention_step w))
+                    [ ("qs", q); ("ms", m); ("ss", l); ("os", o); ("ks", k); ("vs", v) ]
+                in
+                checki "three outputs" 3 (List.length derived);
+                List.iter2
+                  (fun (_, a) (_, b) -> checkb "bitwise" true (Fractal.equal_exact a b))
+                  derived hand)
+              [ 1; 2; 4; 8 ])
+          [
+            ("attention_block", example "attention_block");
+            ("attn_renamed", attention_renamed ());
+          ]);
+    Alcotest.test_case "a seeded reduce is a left fold and a FINISH is the \
+                        response" `Quick (fun () ->
+        let p =
+          Parse.program
+            {|program fin
+input xss: [3][5]f32[1,4]
+input b: f32[1,4]
+return xss.map { |xs|
+  let h = xs.reduce(zeros[1,4]) { |s, x| tanh(s * x + x) } in h * b + h }|}
+        in
+        let sv = Result.get_ok (Servable.of_program p) in
+        let st = Fractal.Leaf (Tensor.rand (Rng.create 1) (Shape.of_array [| 1; 4 |])) in
+        let b = Fractal.as_leaf (List.assoc "b" sv.Servable.sv_shared) in
+        let h = Fractal.as_leaf st in
+        checkb "sv_finish evaluates FINISH over the state" true
+          (Fractal.equal_exact (sv.Servable.sv_finish st)
+             (Fractal.Leaf (Interp.eval_prim Add [ Interp.eval_prim Mul [ h; b ]; h ]))));
+    rejects "a FINISH after a scan"
+      {|program fin_scan
+input xss: [2][5]f32[1,4]
+return xss.map { |xs| let hs = xs.scanl(zeros[1,4]) { |s, x| s + x } in hs }|}
+      "only a one-level fold takes a FINISH";
+    rejects "a FINISH reading the request"
+      {|program fin_req
+input xss: [2][5]f32[1,4]
+return xss.map { |xs| let h = xs.foldl(zeros[1,4]) { |s, x| s + x } in h + xs[0] }|}
+      "FINISH reads xs";
     rejects "a sequence through an access operator"
       {|program strided
 input xss: [2][6]f32[1,4]
