@@ -114,6 +114,9 @@ type t = {
   ex_chunk : int option;
   ex_fallbacks : string list;
   ex_copies : copy list ref list;  (* every op's copy cache, for [reset] *)
+  ex_outputs : (string * Fractal.t) list;
+      (* the [Output] cells, wrapped once: the cells are never rebound *)
+  ex_keyed : string list;  (* inputs whose aligned copies are identity-keyed *)
 }
 
 (* Elementwise ops whose [_into] kernel may run with [dst] aliasing the
@@ -212,7 +215,7 @@ let compile ?(arena = true) ?schedule ?chunk
       buffers
   in
   (* ---- per-block compilation ---- *)
-  let fallbacks = ref [] and copies = ref [] in
+  let fallbacks = ref [] and copies = ref [] and keyed = ref [] in
   let compile_block (b : Ir.block) =
     let all_points = Domain.enumerate b.Ir.blk_domain in
     let dim =
@@ -456,6 +459,12 @@ let compile ?(arena = true) ?schedule ?chunk
           && Shape.rank stores.(si).cs_buffer.Ir.buf_elem = 2
       | _ -> false
     in
+    let key_input = function
+      | S_cell (si, _) ->
+          let name = stores.(si).cs_buffer.Ir.buf_name in
+          if not (List.mem name !keyed) then keyed := name :: !keyed
+      | S_fixed _ | S_scratch _ -> ()
+    in
     let cell_span (o : Ir.op_node) i =
       match List.nth_opt o.Ir.operands i with
       | Some (Ir.O_var tag) -> (
@@ -557,6 +566,7 @@ let compile ?(arena = true) ?schedule ?chunk
                           ~dst args.(0) pb)
               | Expr.Matmul when fuse && input_rank2_cell srcs 1 ->
                   incr packed_count;
+                  key_input srcs.(1);
                   let cap = 2 * cell_span o 1 in
                   Array.init workers (fun _ ->
                       let packed = packed_of_arg ~cap ~transposed:false in
@@ -565,6 +575,7 @@ let compile ?(arena = true) ?schedule ?chunk
                           ~dst args.(0) (packed args.(1)))
               | Expr.Matmul_t when fuse && input_rank2_cell srcs 1 ->
                   incr packed_count;
+                  key_input srcs.(1);
                   let cap = 2 * cell_span o 1 in
                   Array.init workers (fun _ ->
                       let packed = packed_of_arg ~cap ~transposed:true in
@@ -893,6 +904,16 @@ let compile ?(arena = true) ?schedule ?chunk
     ex_chunk = chunk;
     ex_fallbacks = List.rev !fallbacks;
     ex_copies = !copies;
+    ex_outputs =
+      List.filter_map
+        (fun st ->
+          if st.cs_buffer.Ir.buf_role <> Ir.Output then None
+          else
+            Some
+              ( st.cs_buffer.Ir.buf_name,
+                Vm.of_cells st.cs_buffer.Ir.buf_dims (fun pos -> st.cs_cells.(pos)) ))
+        (Array.to_list stores);
+    ex_keyed = List.sort compare !keyed;
   }
 
 (* ------------------------------ running ------------------------------ *)
@@ -974,19 +995,23 @@ let execute ?pool ?shadow exe =
           run_block exe.ex_chunk pool (Array.unsafe_get blocks bi)
         done
 
-let outputs exe =
-  List.filter_map
-    (fun st ->
-      let name = st.cs_buffer.Ir.buf_name in
-      if st.cs_buffer.Ir.buf_role = Ir.Output then
-        Some
-          ( name,
-            Vm.of_cells st.cs_buffer.Ir.buf_dims (fun pos ->
-                if Bytes.get st.cs_written pos = '\000' then
-                  err "output buffer %s has an unwritten cell" name;
-                Tensor.copy st.cs_cells.(pos)) )
-      else None)
-    (Array.to_list exe.ex_stores)
+(* A loop, not [Bytes.contains]: the steady state allocates nothing. *)
+let borrowed_outputs exe =
+  let stores = exe.ex_stores in
+  for si = 0 to Array.length stores - 1 do
+    let st = Array.unsafe_get stores si in
+    if st.cs_buffer.Ir.buf_role = Ir.Output then
+      for pos = 0 to Bytes.length st.cs_written - 1 do
+        if Bytes.unsafe_get st.cs_written pos = '\000' then
+          err "output buffer %s has an unwritten cell" st.cs_buffer.Ir.buf_name
+      done
+  done;
+  exe.ex_outputs
+
+let copy_outputs outs =
+  List.map (fun (name, v) -> (name, Fractal.map_leaves Tensor.copy v)) outs
+
+let outputs exe = copy_outputs (borrowed_outputs exe)
 
 let run ?pool ?shadow exe inputs =
   load exe inputs;
@@ -1026,6 +1051,7 @@ let arena_floats exe =
   match exe.ex_arena with Some a -> Arena.floats a | None -> 0
 
 let workers exe = exe.ex_workers
+let identity_keyed_inputs exe = exe.ex_keyed
 let stats exe = Array.to_list (Array.map (fun cb -> cb.cb_stats) exe.ex_blocks)
 let sequential_fallbacks exe = exe.ex_fallbacks
 

@@ -91,9 +91,19 @@ val execute : ?pool:Domain_pool.t -> ?shadow:Shadow.t -> t -> unit
     of an [Ordered] schedule is its own front).
     @raise Vm.Execution_error on unwritten reads / double writes. *)
 
+val borrowed_outputs : t -> (string * Fractal.t) list
+(** Every [Output] buffer, in buffer order, as the executable's own
+    cells — not copied.  The list and its tensors are the same on
+    every call; the next {!execute} overwrites them.  Allocates
+    nothing.
+    @raise Vm.Execution_error if an output cell is unwritten. *)
+
+val copy_outputs : (string * Fractal.t) list -> (string * Fractal.t) list
+(** A copy of every leaf, the structure kept. *)
+
 val outputs : t -> (string * Fractal.t) list
-(** The contents of every [Output] buffer (copied — safe across
-    subsequent runs), in buffer order.
+(** [copy_outputs (borrowed_outputs exe)]: safe across subsequent
+    runs.
     @raise Vm.Execution_error if an output cell is unwritten. *)
 
 val run :
@@ -143,6 +153,14 @@ val arena_floats : t -> int
     [arena:false] or when no intermediate was placed). *)
 
 val workers : t -> int
+
+val identity_keyed_inputs : t -> string list
+(** The [Input] buffers, by name and sorted, read as a GEMM right-hand
+    operand through an aligned copy memoized on the bound tensor's
+    identity.  Such an input must be bound to a fresh tensor to change
+    its values: a tensor rebound after an in-place change is read as
+    it was first copied (until {!reset}).  Empty when compiled with
+    [fuse:false]. *)
 
 val stats : t -> Vm.block_stats list
 (** Per-block schedule shape, in dataflow order. *)

@@ -44,16 +44,18 @@ let cross_check g sh =
       err "shadow memory contradicts the static analysis: %s"
         (String.concat "; " issues)
 
-let execute pr inputs =
-  let pool = pr.pr_pool in
+let execute_borrowed pr inputs =
+  let exe = pr.pr_exe and pool = pr.pr_pool in
+  Compiled.load exe inputs;
   if shadow_wanted pr.pr_opts then begin
-    let g = pr.pr_graph in
-    let sh = Shadow.create g in
-    let outs = Compiled.run ?pool ~shadow:sh pr.pr_exe inputs in
-    cross_check g sh;
-    outs
+    let sh = Shadow.create pr.pr_graph in
+    Compiled.execute ?pool ~shadow:sh exe;
+    cross_check pr.pr_graph sh
   end
-  else Compiled.run ?pool pr.pr_exe inputs
+  else Compiled.execute ?pool exe;
+  Compiled.borrowed_outputs exe
+
+let execute pr inputs = Compiled.copy_outputs (execute_borrowed pr inputs)
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 

@@ -26,21 +26,34 @@ val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
     rank, a write into an input, a stored-shape mismatch, an operand
     with no edge or literal). *)
 
-val execute :
+val execute_borrowed :
   prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
 (** One run over the named inputs; returns every [Output] buffer in
-    buffer order, as fresh copies.  Honors the prepared options: domains
-    (pool), chunk, shadow; the race guard always runs.  Input tensors
+    buffer order as the executable's own cells
+    ({!Compiled.borrowed_outputs}): the same list and tensors on every
+    run, valid until this [prepared] runs again, which overwrites
+    them.  Honors the prepared options: domains (pool), chunk, shadow;
+    the race guard always runs.
+
+    Input tensors bound to an input of {!Compiled.identity_keyed_inputs}
     must not be mutated in place between two runs of one [prepared]:
-    the aligned copies of GEMM operands are keyed by tensor identity
-    and outlive the run, so a tensor bound again is read as it was when
-    first copied.  Bind a fresh tensor to change an input's values.
+    the aligned copies of those GEMM right operands are keyed by tensor
+    identity and outlive the run, so a tensor bound again is read as it
+    was when first copied.  Bind a fresh tensor to change such an
+    input's values.  Every other input is read afresh on each run, so
+    a caller may refill its tensors in place and bind them again.
+
     When shadow recording is active (explicitly, or [FT_SHADOW=1]
     under the default [Shadow_env] policy) the run is
     recorded, finished and cross-checked against the static analysis;
     a contradiction raises [Vm.Execution_error].
     @raise Vm.Execution_error on missing inputs / un-executable blocks
     @raise Shadow.Violation on a recorded same-front overlap *)
+
+val execute :
+  prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
+(** {!execute_borrowed}, then a copy of every output leaf: the result
+    is the caller's, safe across subsequent runs. *)
 
 val run :
   ?opts:Run_opts.t ->

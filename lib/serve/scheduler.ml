@@ -53,6 +53,11 @@ let admit t =
                r.Request.rq_join_tick <- tick
            | None -> assert false (* pop_ready bounded by free *))
 
+(* A running request's state may be the servable's buffer, which the
+   next tick at that width overwrites; a request that leaves the loop
+   takes a copy. *)
+let keep = Fractal.map_leaves Tensor.copy
+
 (* One executed tick over the current occupants.  Returns the requests
    completed this tick, in slot order. *)
 let step t =
@@ -70,7 +75,7 @@ let step t =
   let env = sv.Servable.sv_env ~width rows in
   let pr = Session.prepared t.sch_session ~width in
   let t0 = Unix.gettimeofday () in
-  let outs = Executor.execute pr env in
+  let outs = Executor.execute_borrowed pr env in
   let exec_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let states = sv.Servable.sv_demux ~width outs in
   let active = ref 0 and finished = ref [] in
@@ -82,6 +87,7 @@ let step t =
         r.Request.rq_state <- states.(i);
         r.Request.rq_pos <- r.Request.rq_pos + 1;
         if Request.finished r then begin
+          r.Request.rq_state <- keep r.Request.rq_state;
           r.Request.rq_response <- Some (sv.Servable.sv_finish r.Request.rq_state);
           r.Request.rq_status <- Request.Done;
           r.Request.rq_done_s <- Unix.gettimeofday ();
@@ -107,10 +113,10 @@ let pace t t_tick0 =
   end
 
 (* Serve until the broker is closed and every admitted request has
-   completed.  Returns completions in completion order. *)
+   completed.  Completions go to [on_complete] only: a long run holds
+   no more requests than its batch and broker do. *)
 let run ?(on_complete = fun _ -> ()) t =
   Metrics.start t.sch_metrics;
-  let completed = ref [] in
   let rec loop () =
     let t_tick0 = Unix.gettimeofday () in
     admit t;
@@ -126,12 +132,7 @@ let run ?(on_complete = fun _ -> ()) t =
       end
     end
     else begin
-      let finished = step t in
-      List.iter
-        (fun r ->
-          completed := r :: !completed;
-          on_complete r)
-        finished;
+      List.iter on_complete (step t);
       Atomic.incr t.sch_tick;
       pace t t_tick0;
       if t.sch_max_ticks > 0 && now t >= t.sch_max_ticks then ()
@@ -139,5 +140,9 @@ let run ?(on_complete = fun _ -> ()) t =
     end
   in
   loop ();
-  Metrics.stop t.sch_metrics;
-  List.rev !completed
+  (* stopped by [max_ticks]: the requests still running keep their own
+     state *)
+  Array.iter
+    (Option.iter (fun (r : Request.t) -> r.Request.rq_state <- keep r.Request.rq_state))
+    (Batch.slots t.sch_batch);
+  Metrics.stop t.sch_metrics

@@ -27,7 +27,11 @@ val create :
 val now : t -> int
 (** The current virtual tick (readable from any domain). *)
 
-val run : ?on_complete:(Request.t -> unit) -> t -> Request.t list
+val run : ?on_complete:(Request.t -> unit) -> t -> unit
 (** Serve until the broker is drained (closed and empty) and every
-    admitted request has completed; returns completions in completion
-    order.  Must be called from exactly one domain. *)
+    admitted request has completed (or [max_ticks] passed); each
+    completion goes to [on_complete], in completion order, and nothing
+    else keeps it.  A request that completes, or is still running when
+    [run] returns, holds its own copy of its carried state, never a
+    buffer of the servable.  Must be called from exactly one domain,
+    and no other scheduler may run the same servable meanwhile. *)

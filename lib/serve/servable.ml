@@ -7,7 +7,9 @@
    depends on input row [i] alone).  Per slot: the cell maps over [W]
    lists of each request's own leaves, always legal.  Either way a
    batched run is bitwise the solo run of every slot, and pad slots
-   never perturb live ones. *)
+   never perturb live ones.  Widened, each width keeps its inputs and
+   per-slot states, so a tick only blits rows into them, and out of
+   the executor's borrowed outputs. *)
 
 let shape l = Shape.of_array (Array.of_list l)
 
@@ -21,30 +23,50 @@ type t = {
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
+  sv_rebound : string list;
   sv_finish : Fractal.t -> Fractal.t;
 }
 
-(* [pack_rows] gathers one [1,cols] leaf per slot into row [i] of a
-   [width, cols] tensor; [slice_row] cuts a row back out.  Both are raw
-   blits on the underlying bigarray buffers.  (A view of the row would
-   skip a copy, but its small custom block paces the major GC so much
-   slower that peak RSS doubled on the served stacked RNN.) *)
-let pack_rows ~width ~cols pick rows =
-  let dst = Tensor.uninit (shape [ width; cols ]) in
-  let db = Tensor.buffer dst in
-  Array.iteri
-    (fun i r ->
-      Bigarray.Array1.blit (Tensor.buffer (pick r))
-        (Bigarray.Array1.sub db (i * cols) cols))
-    rows;
-  Fractal.Leaf dst
+(* Row [src_row] of [src] into row [dst_row] of [dst], both [_, cols]:
+   a plain loop over the bigarray buffers that allocates nothing.  (A
+   sub-array view of the row is a custom block per call, and those pace
+   the major GC so much slower that peak RSS doubled on the served
+   stacked RNN; scripts/check.sh rejects one in lib/serve.) *)
+let blit_row ~cols src src_row dst dst_row =
+  let s = Tensor.buffer src and d = Tensor.buffer dst in
+  let so = src_row * cols and o = dst_row * cols in
+  for j = 0 to cols - 1 do
+    d.{o + j} <- s.{so + j}
+  done
 
-let slice_row ~cols t i =
-  let dst = Tensor.uninit (shape [ 1; cols ]) in
-  Bigarray.Array1.blit
-    (Bigarray.Array1.sub (Tensor.buffer t) (i * cols) cols)
-    (Tensor.buffer dst);
-  dst
+(* Above the measured peak of live widths (see DESIGN.md, "Caches"). *)
+let width_limit = 16
+
+(* [make width] once per width, behind a [Bounded_cache]; the width of
+   the last call answers without a lookup, so a tick at a steady width
+   allocates nothing. *)
+let per_width make =
+  let cache = Bounded_cache.create ~limit:width_limit and last = ref None in
+  fun width ->
+    match !last with
+    | Some (w, b) when w = width -> b
+    | _ ->
+        let b = Bounded_cache.find_or_add cache width (fun () -> make width) in
+        last := Some (width, b);
+        b
+
+(* A widened step's buffers at one width: the [W,C] inputs (state part
+   [k], layer [d]; token part [k]), the executor env wrapping them, the
+   output carrying each state part, and per slot [i] its new state over
+   one [1,C] row per part and layer. *)
+type tick_buffers = {
+  tb_st : Tensor.t array array;
+  tb_tok : Tensor.t array;
+  tb_env : (string * Fractal.t) list;
+  tb_out : string array;
+  tb_rows : Tensor.t array array array;
+  tb_states : Fractal.t array;
+}
 
 (* A state or a token is one leaf, or a flat tuple of leaves. *)
 let part ~tuple v k = if tuple then Fractal.get v k else v
@@ -406,54 +428,95 @@ let derive (p : Expr.program) =
   let tok k (_, tok) = part ~tuple:tok_tuple tok k in
   let st_part k d (st, _) = part ~tuple:st_tuple (if stacked then Fractal.get st d else st) k in
   let per_layer f = if stacked then Fractal.Node (Array.init layers f) else f 0 in
-  (* a tick's inputs from the slots' (state, token) rows, and each
-     slot's new state from leaf [d] of output [k] *)
+  (* a tick's inputs: state part [k] and token part [k] *)
   let env state token =
     let rec toks k = if k = n_tok then sts 0 else (tok_in.(k), token k) :: toks (k + 1)
     and sts k = if k = n_st then step_env else (st_in.(k), state k) :: sts (k + 1) in
     toks 0
   in
-  let demux leaf ~width outs =
-    (* a one-component state is the only output *)
-    let out k =
-      if st_tuple then List.assoc (Printf.sprintf "%s.%d" (step_name p width) k) outs
-      else snd (List.hd outs)
-    in
-    let outs = Array.init n_st (fun k -> leaf k (out k)) in
-    let state i d =
-      if st_tuple then Fractal.Node (Array.map (fun o -> o d i) outs) else outs.(0) d i
-    in
-    Array.init width (fun i -> per_layer (state i))
-  in
-  let sv_env, sv_demux =
+  (* the output carrying state part [k]: a one-component state is the
+     only output *)
+  let out_names width = Array.init n_st (fun k -> Printf.sprintf "%s.%d" (step_name p width) k) in
+  let out names outs k = if st_tuple then List.assoc names.(k) outs else snd (List.hd outs) in
+  let sv_env, sv_demux, sv_rebound =
     if widened then
-      (* slot [i] is row [i]; the leaf pickers are fixed here, so a
-         tick does only the row blits *)
-      let tensor pick r = Fractal.as_leaf (pick r) in
-      let st_picks = Array.init n_st (fun k -> Array.init layers (fun d -> tensor (st_part k d))) in
-      let tok_picks = Array.init n_tok (fun k -> tensor (tok k)) in
+      (* slot [i] is row [i]; every width keeps its buffers, so a tick
+         only blits rows: the slots' states and tokens into the inputs,
+         the outputs into the slots' rows *)
+      let st_cols = Array.map cols st_shapes and tok_cols = Array.map cols tok_shapes in
+      let buffers =
+        per_width (fun width ->
+            let rows n c = Tensor.zeros (shape [ n; c ]) in
+            let st = Array.map (fun c -> Array.init layers (fun _ -> rows width c)) st_cols in
+            let tok = Array.map (rows width) tok_cols in
+            let slot_rows =
+              Array.init width (fun _ ->
+                  Array.map (fun c -> Array.init layers (fun _ -> rows 1 c)) st_cols)
+            in
+            let leaf t = Fractal.Leaf t in
+            {
+              tb_st = st;
+              tb_tok = tok;
+              tb_env =
+                env
+                  (fun k -> Fractal.Node (Array.map leaf st.(k)))
+                  (fun k -> if stacked then leaf tok.(k) else Fractal.Node [| leaf tok.(k) |]);
+              tb_out = out_names width;
+              tb_rows = slot_rows;
+              tb_states =
+                Array.map
+                  (fun r ->
+                    per_layer (fun d -> assemble ~tuple:st_tuple n_st (fun k -> leaf r.(k).(d))))
+                  slot_rows;
+            })
+      in
       ( (fun ~width rows ->
-          env
-            (fun k ->
-              let cols = cols st_shapes.(k) in
-              Fractal.Node (Array.map (fun pick -> pack_rows ~width ~cols pick rows) st_picks.(k)))
-            (fun k ->
-              let t = pack_rows ~width ~cols:(cols tok_shapes.(k)) tok_picks.(k) rows in
-              if stacked then t else Fractal.Node [| t |])),
-        demux (fun k o ->
-            let ls = Array.map Fractal.as_leaf (Fractal.children o) in
-            let cols = cols st_shapes.(k) in
-            fun d i -> Fractal.Leaf (slice_row ~cols ls.(d) i)) )
+          if Array.length rows <> width then invalid_arg "Servable.sv_env: one row per slot";
+          let b = buffers width in
+          for i = 0 to width - 1 do
+            let r = rows.(i) in
+            for k = 0 to n_st - 1 do
+              for d = 0 to layers - 1 do
+                blit_row ~cols:st_cols.(k) (Fractal.as_leaf (st_part k d r)) 0 b.tb_st.(k).(d) i
+              done
+            done;
+            for k = 0 to n_tok - 1 do
+              blit_row ~cols:tok_cols.(k) (Fractal.as_leaf (tok k r)) 0 b.tb_tok.(k) i
+            done
+          done;
+          b.tb_env),
+        (fun ~width outs ->
+          let b = buffers width in
+          for k = 0 to n_st - 1 do
+            let o = out b.tb_out outs k in
+            for d = 0 to layers - 1 do
+              let src = Fractal.as_leaf (Fractal.get o d) in
+              for i = 0 to width - 1 do
+                blit_row ~cols:st_cols.(k) src i b.tb_rows.(i).(k).(d) 0
+              done
+            done
+          done;
+          b.tb_states),
+        Array.to_list (Array.append tok_in st_in) )
     else
-      (* per slot: the slots' own leaves, and the outputs by index *)
+      (* per slot: the slots' own leaves in, and out a copy of each
+         slot's leaves.  A copy, not a reused buffer: a cell may take a
+         per-request leaf as a GEMM right operand, whose aligned copy is
+         keyed by the tensor's identity. *)
       let slots rows f = Fractal.Node (Array.map f rows) in
       ( (fun ~width:_ rows ->
           env
             (fun k -> slots rows (fun r -> per_layer (fun d -> st_part k d r)))
             (fun k -> slots rows (tok k))),
-        demux (fun _ o d i ->
-            let o = Fractal.get o i in
-            if stacked then Fractal.get o d else o) )
+        (fun ~width outs ->
+          let names = out_names width in
+          let outs = Array.init n_st (out names outs) in
+          Array.init width (fun i ->
+              per_layer (fun d ->
+                  assemble ~tuple:st_tuple n_st (fun k ->
+                      let v = Fractal.get outs.(k) i in
+                      Fractal.map_leaves Tensor.copy (if stacked then Fractal.get v d else v))))),
+        [] )
   in
   (* the response: the source's output at the request's last token *)
   let last len v = Fractal.get v (len - 1) in
@@ -474,6 +537,7 @@ let derive (p : Expr.program) =
       sv_step = step;
       sv_env;
       sv_demux;
+      sv_rebound;
       sv_finish;
     }
   in

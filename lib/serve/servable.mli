@@ -18,7 +18,12 @@
     of one [[W,C]] tensor per leaf.  {e Per slot}: otherwise, the cell
     maps over [[W]] lists of each request's own leaves.  Either way a
     batched run is bitwise the solo run of every slot.  Nothing is
-    recognized by its name. *)
+    recognized by its name.
+
+    A servable is stateful: widened, [sv_env] and [sv_demux] fill
+    buffers the servable keeps per width (at most {!width_limit}
+    widths), and hand them out again on the next tick at that width.
+    One scheduler at a time may use a servable. *)
 
 type t = {
   sv_name : string;
@@ -33,14 +38,32 @@ type t = {
   sv_step : int -> Expr.program;  (** the step program at a width *)
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
-      (** executor inputs from per-slot (state, token) rows: row blits
-          when widened, the slots' own leaves when per slot *)
+      (** executor inputs from [width] per-slot (state, token) rows.
+          Widened: the rows blitted into the width's own [[W,C]]
+          inputs, returned in the same env list every time and valid
+          until the next [sv_env] at that width; allocates nothing
+          once the width is buffered.  Per slot: the slots' own
+          leaves. *)
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
-      (** per-slot new state out of one executor run *)
+      (** per-slot new state out of one executor run, which may be the
+          executor's borrowed outputs: demux never keeps them.
+          Widened: the rows blitted into the width's own per-slot
+          states, the same array every time and overwritten by the
+          next [sv_demux] at that width (copy a state to keep it);
+          allocates nothing once the width is buffered.  Per slot:
+          fresh copies of each slot's leaves. *)
+  sv_rebound : string list;
+      (** the step inputs [sv_env] refills in place from tick to tick
+          (every per-request input when widened, none per slot); none
+          may be among {!Compiled.identity_keyed_inputs} *)
   sv_finish : Fractal.t -> Fractal.t;
       (** the response: a pure function of the final carried state
           (FINISH, when the program binds one) *)
 }
+
+val width_limit : int
+(** Most widths whose buffers a servable keeps (a {!Bounded_cache});
+    a width evicted and asked for again gets fresh buffers. *)
 
 val of_program : Expr.program -> (t, string) result
 (** Derive the servable of a type-checked program at the dimensions it

@@ -58,11 +58,12 @@ let serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ?max_ticks sv
   in
   let t0 = Unix.gettimeofday () in
   let finish_drive = drive broker sch in
-  let completed = Scheduler.run sch in
+  let completed = ref [] in
+  Scheduler.run ~on_complete:(fun r -> completed := r :: !completed) sch;
   let shed = finish_drive () in
   {
     oc_metrics = metrics;
-    oc_completed = completed;
+    oc_completed = List.rev !completed;
     oc_wall_s = Unix.gettimeofday () -. t0;
     oc_engine =
       (match Session.widths_prepared session with

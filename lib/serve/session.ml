@@ -9,8 +9,8 @@
    and single-consumer), while within a tenant every width is compiled
    once and reused for as long as the width ladder fits the cache. *)
 
-(* Above the measured peak of live widths (see DESIGN.md, "Caches"). *)
-let width_limit = 16
+(* Every prepared width has its servable's buffers. *)
+let width_limit = Servable.width_limit
 
 type t = {
   ssn_tenant : string;
@@ -45,7 +45,21 @@ let prepared t ~width =
       in
       let opts = Run_opts.with_tile tile t.ssn_opts in
       let g = Build.build prog in
-      Executor.prepare_cached ~key:(t.ssn_tenant ^ ":" ^ key) ~opts g)
+      let pr = Executor.prepare_cached ~key:(t.ssn_tenant ^ ":" ^ key) ~opts g in
+      (* An input refilled in place must not feed an identity-keyed
+         aligned copy, or every tick after the first reads the first
+         tick's values.  The row rule admits [@]/[@T] only with a
+         shared right operand, so this never fires on a derived step. *)
+      let keyed = Option.fold ~none:[] ~some:Compiled.identity_keyed_inputs (Executor.compiled pr) in
+      (match List.find_opt (fun v -> List.mem v keyed) t.ssn_servable.Servable.sv_rebound with
+      | Some v ->
+          invalid_arg
+            (Printf.sprintf
+               "Session.prepared: %s is refilled in place every tick, but the step at width %d \
+                reads it as a GEMM right operand through an aligned copy keyed by identity"
+               v width)
+      | None -> ());
+      pr)
 
 let widths_prepared t = List.sort compare (Bounded_cache.keys t.ssn_prepared)
 let cache_stats t = Bounded_cache.stats t.ssn_prepared

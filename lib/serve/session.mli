@@ -8,7 +8,8 @@
     process. *)
 
 val width_limit : int
-(** Most widths a session keeps prepared (a {!Bounded_cache}). *)
+(** Most widths a session keeps prepared (a {!Bounded_cache}):
+    {!Servable.width_limit}. *)
 
 type t
 
@@ -17,7 +18,11 @@ val servable : t -> Servable.t
 
 val prepared : t -> width:int -> Executor.prepared
 (** Compile-once access; the tuned config (when the tune DB is
-    installed) supplies chunk/fuse, [opts] everything else. *)
+    installed) supplies chunk/fuse, [opts] everything else.
+    @raise Invalid_argument naming the input when one of the
+    servable's [sv_rebound] inputs is among the step's
+    {!Compiled.identity_keyed_inputs}: refilled in place, it would be
+    read stale. *)
 
 val widths_prepared : t -> int list
 val cache_stats : t -> Bounded_cache.stats

@@ -135,6 +135,16 @@ if grep -nE '(\.name|sv_name)\b[^;]*(=|<>|==|!=) *"|"[^"]*" *(=|<>|==|!=) *[A-Za
   exit 1
 fi
 
+# A serving tick moves rows with plain loops into buffers kept per
+# width: a bigarray sub-array view per row is a custom block, and those
+# pace the major GC so much slower that peak RSS doubled on the served
+# stacked RNN.
+echo "guard: no Bigarray.Array1.sub in lib/serve/"
+if grep -nE 'Array1\.sub\b' lib/serve/*.ml; then
+  echo "check.sh: a per-row bigarray view in the serving tick" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 

@@ -230,6 +230,47 @@ let compiled_tests =
             checkb (name ^ " under shadow") true
               (outputs_equal_exact reference got))
           [ List.nth (workloads ()) 1; List.nth (workloads ()) 2 ]);
+    Alcotest.test_case
+      "borrowed outputs are overwritten by the next run; execute's copies \
+       are not" `Quick (fun () ->
+        let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
+        let binds seed =
+          Stacked_rnn.bindings
+            (Stacked_rnn.gen_inputs (Rng.create seed) Stacked_rnn.default)
+        in
+        let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
+        let first = Executor.execute_borrowed pr (binds 1) in
+        let kept = Compiled.copy_outputs first in
+        let copied = Executor.execute pr (binds 1) in
+        checkb "execute = execute_borrowed, copied" true
+          (outputs_equal_exact kept copied);
+        let second = Executor.execute_borrowed pr (binds 2) in
+        checkb "the same cells every run" true (first == second);
+        checkb "the next run overwrote them" false
+          (outputs_equal_exact kept first);
+        checkb "they hold the next run's outputs" true
+          (outputs_equal_exact first (Executor.run g (binds 2)));
+        checkb "execute's copies are untouched" true
+          (outputs_equal_exact kept copied));
+    Alcotest.test_case
+      "identity_keyed_inputs: the inputs read through an identity-keyed \
+       aligned copy" `Quick (fun () ->
+        let p =
+          Parse.program
+            {|program keyed
+input xs: [4]f32[1,8]
+input w: f32[8,8]
+input vs: [4]f32[8,8]
+return zip(xs, vs).map { |x, v| x @ w + x @T v }|}
+        in
+        let keyed o =
+          match Executor.compiled (Executor.prepare ~opts:o (Build.build p)) with
+          | Some exe -> Compiled.identity_keyed_inputs exe
+          | None -> Alcotest.fail "should compile"
+        in
+        Alcotest.(check (list string)) "fused" [ "vs"; "w" ] (keyed (opts ~domains:1 ()));
+        Alcotest.(check (list string)) "fuse:false" []
+          (keyed (opts ~domains:1 ~fuse:false ())));
     Alcotest.test_case "missing inputs are reported" `Quick (fun () ->
         let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
         checkb "raises" true

@@ -597,6 +597,173 @@ let serving_tests =
           (r1.Request.rq_join_tick < r0.Request.rq_done_tick));
   ]
 
+(* ------------------ tick buffers and borrowed outputs ------------- *)
+
+let copy = Fractal.map_leaves Tensor.copy
+
+(* Minor words [f] allocates, less [Gc.minor_words]'s own boxed float. *)
+let minor_words f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let c = Gc.minor_words () in
+  f ();
+  let d = Gc.minor_words () in
+  d -. c -. (b -. a)
+
+(* Every program a step derives from, to check the stale-input guard
+   on: the builtins, the examples, the corpus, and conform's generated
+   programs (the serve oracle's draw: seed 11, 300 programs). *)
+let derivable_programs () =
+  let files dir =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".ft")
+    |> List.map (fun f -> (f, Parse.program_file (Filename.concat dir f)))
+  in
+  let rng = Rng.create 11 in
+  List.map (fun n -> (n, Option.get (Servable.builtin_program n))) Servable.builtin_names
+  @ files "../examples/programs" @ files "corpus"
+  @ List.init 300 (fun i -> (Printf.sprintf "generated %d" i, Gen.program (Gen.generate rng)))
+  |> List.filter_map (fun (label, p) ->
+         match Servable.of_program p with Ok sv -> Some (label, sv) | Error _ -> None)
+
+(* A per-slot cell whose GEMM right operand is the request's own state:
+   its aligned copy is keyed by the state tensor's identity, so a demux
+   that refilled one tensor per slot would serve the first tick's state
+   forever. *)
+let per_request_rhs =
+  {|program per_request_rhs
+input xss: [3][6]f32[2,2]
+return xss.map { |xs| xs.scanl(zeros[2,2]) { |s, x| tanh(x @ s + x) } }|}
+
+let buffer_tests =
+  List.concat_map
+    (fun (name, domains) ->
+      [
+        Alcotest.test_case
+          (Printf.sprintf "%s: a widened mux + demux at a steady width \
+                           allocates 0 minor words (domains %d)" name domains)
+          `Quick (fun () ->
+            let sv = Option.get (Servable.builtin name) in
+            let opts = { Run_opts.default with Run_opts.domains = Some domains } in
+            let width = 4 in
+            checkb "widened" true (sv.Servable.sv_rebound <> []);
+            let pr = Session.prepared (Session.create ~tenant:"alloc" ~opts sv) ~width in
+            let rows = Array.make width sv.Servable.sv_pad in
+            let outs = Executor.execute_borrowed pr (sv.Servable.sv_env ~width rows) in
+            let tick () =
+              ignore (sv.Servable.sv_env ~width rows);
+              ignore (sv.Servable.sv_demux ~width outs)
+            in
+            tick ();
+            tick ();
+            Alcotest.(check (float 0.)) "minor words per tick" 0. (minor_words tick));
+      ])
+    [ ("stacked_rnn", 1); ("stacked_rnn", 2); ("stacked_lstm", 1); ("stacked_lstm", 2) ]
+  @ [
+      Alcotest.test_case "a servable keeps width_limit widths of buffers, \
+                          evicting the least recently used" `Quick (fun () ->
+          let sv = Option.get (Servable.builtin "stacked_rnn") in
+          let env width = sv.Servable.sv_env ~width (Array.make width sv.Servable.sv_pad) in
+          let limit = Servable.width_limit in
+          let first = Array.init limit (fun w -> env (w + 1)) in
+          checkb "a width answers with its own buffers" true (env limit == first.(limit - 1));
+          checkb "the first width is still buffered" true (env 1 == first.(0));
+          ignore (env (limit + 1));
+          checkb "the touched width stays" true (env 1 == first.(0));
+          checkb "a later width stays" true (env 3 == first.(2));
+          checkb "the least recently used got fresh buffers" true (env 2 != first.(1));
+          let outs = Executor.execute_borrowed
+              (Session.prepared (Session.create ~tenant:"limit" sv) ~width:2) (env 2) in
+          checki "a fresh width demuxes every slot" 2
+            (Array.length (sv.Servable.sv_demux ~width:2 outs)));
+      Alcotest.test_case "completed and stopped requests keep their state and \
+                          response after the servable serves again" `Quick
+        (fun () ->
+          List.iter
+            (fun name ->
+              let sv = Option.get (Servable.builtin name) in
+              let plan seed =
+                Loadgen.plan ~seed ~n:6 ~rate:0.8
+                  ~len_lo:(Stdlib.max 1 (sv.Servable.sv_seq_len / 2))
+                  ~len_hi:sv.Servable.sv_seq_len
+              in
+              let first = Serve.run_requests ~max_batch:4 sv (Loadgen.requests sv ~seed:3 (plan 3)) in
+              let snapshot (r : Request.t) =
+                (copy r.Request.rq_state, Option.map copy r.Request.rq_response)
+              in
+              let kept = List.map snapshot first.Serve.oc_completed in
+              (* a run stopped by [max_ticks] leaves requests mid-flight *)
+              let stopped = Loadgen.requests sv ~seed:5 (plan 5) in
+              let broker = Broker.create ~capacity:6 in
+              Loadgen.submit_all broker stopped;
+              Scheduler.run
+                (Scheduler.create ~max_ticks:2 ~session:(Session.create sv) ~broker ~max_batch:4
+                   ~metrics:(Metrics.create ()) ());
+              let running = List.filter (fun r -> r.Request.rq_pos > 0) (Array.to_list stopped) in
+              checkb "some request was stopped mid-flight" true (running <> []);
+              let kept_running = List.map snapshot running in
+              ignore (Serve.run_requests ~max_batch:4 sv (Loadgen.requests sv ~seed:4 (plan 4)));
+              List.iter2
+                (fun r (st, resp) ->
+                  checkb (name ^ ": state") true (Fractal.equal_exact r.Request.rq_state st);
+                  checkb (name ^ ": response") true
+                    (match (r.Request.rq_response, resp) with
+                    | Some a, Some b -> Fractal.equal_exact a b
+                    | _ -> false))
+                first.Serve.oc_completed kept;
+              List.iter2
+                (fun r (st, _) ->
+                  checkb (name ^ ": stopped state") true (Fractal.equal_exact r.Request.rq_state st))
+                running kept_running)
+            Servable.builtin_names);
+      Alcotest.test_case "a per-request GEMM right operand serves per slot: \
+                          batched = solo = Interp over >= 3 ticks" `Quick (fun () ->
+          let p = Parse.program per_request_rhs in
+          let sv = Result.get_ok (Servable.of_program p) in
+          checkb "per slot: nothing refilled in place" true (sv.Servable.sv_rebound = []);
+          let keyed =
+            Compiled.identity_keyed_inputs
+              (Option.get (Executor.compiled (Session.prepared (Session.create sv) ~width:2)))
+          in
+          checkb "the state is an identity-keyed right operand" true (List.mem "st0" keyed);
+          List.iter
+            (fun domains ->
+              let opts = { Run_opts.default with Run_opts.domains = Some domains } in
+              let pl = Loadgen.plan ~seed:domains ~n:5 ~rate:0.8 ~len_lo:3 ~len_hi:6 in
+              let b = Serve.run_requests ~opts ~max_batch:4 sv (Loadgen.requests sv ~seed:9 pl) in
+              let s = Serve.solo ~opts sv (Loadgen.requests sv ~seed:9 pl) in
+              checkb "at least 3 ticks" true (Metrics.ticks b.Serve.oc_metrics >= 3);
+              checki "everything served" 5 (List.length b.Serve.oc_completed);
+              checki "batched vs solo" 0 (Serve.mismatches b.Serve.oc_completed s.Serve.oc_completed);
+              checki "batched vs Interp" 0 (Serve.reference_mismatches p b.Serve.oc_completed);
+              checki "solo vs Interp" 0 (Serve.reference_mismatches p s.Serve.oc_completed))
+            [ 1; 2 ]);
+      Alcotest.test_case "no derived step refills an identity-keyed input \
+                          (builtins, examples, corpus, generated)" `Quick (fun () ->
+          let servables = derivable_programs () in
+          let widened = List.filter (fun (_, sv) -> sv.Servable.sv_rebound <> []) servables in
+          checkb "some widened servables" true (List.length widened >= 10);
+          List.iter
+            (fun (label, sv) ->
+              let session = Session.create ~tenant:"guard" sv in
+              List.iter
+                (fun width ->
+                  match Session.prepared session ~width with
+                  | _ -> ()
+                  | exception Invalid_argument m -> Alcotest.failf "%s: %s" label m)
+                [ 1; 2; 4 ])
+            servables);
+      Alcotest.test_case "the stale-input guard names a refilled \
+                          identity-keyed input" `Quick (fun () ->
+          let sv = Result.get_ok (Servable.of_program (Parse.program per_request_rhs)) in
+          let sv = { sv with Servable.sv_rebound = [ "tok0"; "st0" ] } in
+          match Session.prepared (Session.create ~tenant:"stale" sv) ~width:2 with
+          | _ -> Alcotest.fail "a refilled identity-keyed input was prepared"
+          | exception Invalid_argument m ->
+              checkb (Printf.sprintf "%S names st0" m) true
+                (Str.string_match (Str.regexp ".*st0 is refilled in place") m 0));
+    ]
+
 (* -------------- shared pool under concurrent clients -------------- *)
 
 (* The scheduler's executor runs share the global domain pool with any
@@ -656,5 +823,6 @@ let suites =
     ("serve-oracle", oracle_tests);
     ("serve-derive", derive_tests);
     ("serve-behaviour", serving_tests);
+    ("serve-buffers", buffer_tests);
     ("serve-pool", pool_concurrency_tests);
   ]
