@@ -617,11 +617,10 @@ let elementwise rng =
 (* Wall-clock GFLOP/s of the native GEMM tier against the OCaml
    reference loops it must match bit for bit, at the per-cell shapes the
    workloads actually run.  Every candidate's baseline is the OCaml
-   reference: native unpacked, native on an aligned copy of [b]
-   ([gemm-native-packed], {!Tensor.pack_b}), and the native GEMM on the
-   aligned copy with a fused bias+tanh epilogue (against the reference
-   GEMM followed by separate bias and tanh passes).  The aligned copy
-   vs native unpacked is recorded as an ungated ratio per shape.  Each timed sample
+   reference: the native GEMM ([gemm-native]) and the native GEMM with
+   a fused bias+tanh epilogue ([gemm-bias-tanh], against the reference
+   GEMM followed by separate bias and tanh passes).  Operands are
+   ordinary tensors, born 64-byte aligned.  Each timed sample
    executes the kernel [iters] times so that tiny shapes (an LSTM gate
    GEMM is 73 Kflop) rise above clock granularity; rounds interleave
    every variant of a shape so machine drift hits both sides of every
@@ -689,29 +688,13 @@ let kernels () =
       let dst () = Tensor.zeros (Shape.of_array [| m; n |]) in
       let d0 = dst () and d1 = dst () and d2 = dst () in
       let flops = 2.0 *. float_of_int (m * k * n) in
-      (* copy once outside the timed region — that is the reuse the
-         compiled engine gets across a front *)
-      let pb = Tensor.pack_b b in
       let reference () = Tensor.Reference.matmul_into ~beta:0.0 ~dst:d0 a b in
       let native () = Tensor.matmul_into ~beta:0.0 ~dst:d1 a b in
-      let packed () = Tensor.matmul_packed_into ~beta:0.0 ~dst:d2 a pb in
-      let iters, mss = timed ~flops [ reference; native; packed ] in
+      let iters, mss = timed ~flops [ reference; native ] in
       reference ();
       native ();
-      packed ();
       report ~shape ~kernel:"gemm-native" ~flops ~iters
         ~bitwise:(Tensor.equal_bits d1 d0) mss.(0) mss.(1);
-      report ~shape ~kernel:"gemm-native-packed" ~flops ~iters
-        ~bitwise:(Tensor.equal_bits d2 d0) mss.(0) mss.(2);
-      (* native on the aligned copy vs native unpacked: what the copy
-         buys; not gated *)
-      record ~workload:shape ~layer:"gemm-native-packed/candidate"
-        ~metric:"speedup_vs_native_unpacked" ~unit_:"x" ~statistic:"ratio"
-        ~domains:1
-        ~bitwise:(Tensor.equal_bits d2 d1)
-        (mss.(1) /. mss.(2));
-      Format.printf "  %-40s %.2fx@." "native aligned copy vs native unpacked"
-        (mss.(1) /. mss.(2));
       (* fused epilogue vs the reference three-kernel chain *)
       let ep = Tensor.epilogue ~bias ~act:Tensor.Utanh () in
       let chain () =
@@ -719,9 +702,7 @@ let kernels () =
         Tensor.Reference.binop_into Tensor.Badd d0 bias ~dst:d0;
         Tensor.Reference.unop_into Tensor.Utanh d0 ~dst:d0
       in
-      let fused () =
-        Tensor.matmul_packed_into ~beta:0.0 ~epilogue:ep ~dst:d2 a pb
-      in
+      let fused () = Tensor.matmul_into ~beta:0.0 ~epilogue:ep ~dst:d2 a b in
       let iters, mss = timed ~flops [ chain; fused ] in
       chain ();
       fused ();

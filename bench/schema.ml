@@ -168,8 +168,8 @@ let kernels rs : row list =
       cands
 
 (* A GEMM with the fused bias+tanh epilogue keeps at least half the
-   GFLOP/s of the same GEMM on the aligned copy without one, on every
-   shape: the elementwise tail costs at most as much as the GEMM. *)
+   GFLOP/s of the same native GEMM without one, on every shape: the
+   elementwise tail costs at most as much as the GEMM. *)
 let gemm_epilogue rs : row list =
   let gflops workload kernel =
     Option.map
@@ -184,11 +184,11 @@ let gemm_epilogue rs : row list =
   else
     List.map
       (fun wl ->
-        match (gflops wl "gemm-bias-tanh", gflops wl "gemm-native-packed") with
+        match (gflops wl "gemm-bias-tanh", gflops wl "gemm-native") with
         | Some e, Some p ->
             ( e >= 0.5 *. p,
               Printf.sprintf
-                "gemm-bias-tanh %s: %.2f GFLOP/s, %.2fx gemm-native-packed (floor 0.50x)"
+                "gemm-bias-tanh %s: %.2f GFLOP/s, %.2fx gemm-native (floor 0.50x)"
                 wl e (e /. p) )
         | _ -> (false, Printf.sprintf "gemm-bias-tanh %s: missing a GFLOP/s record" wl))
       shapes

@@ -143,24 +143,24 @@ let kernel_tests =
         check_fail "empty" (Schema.kernels []));
   ]
 
-let epilogue_rows ~fused ~packed =
+let epilogue_rows ~fused ~native =
   [
     rec_ ~workload:"s" ~layer:"gemm-bias-tanh/candidate" "gflops" fused;
-    rec_ ~workload:"s" ~layer:"gemm-native-packed/candidate" "gflops" packed;
+    rec_ ~workload:"s" ~layer:"gemm-native/candidate" "gflops" native;
   ]
 
 let epilogue_tests =
   [
-    Alcotest.test_case "gemm_epilogue: 0.5x packed passes, 0.499x fails" `Quick
+    Alcotest.test_case "gemm_epilogue: 0.5x native passes, 0.499x fails" `Quick
       (fun () ->
         check_pass "at floor"
-          (Schema.gemm_epilogue (epilogue_rows ~fused:5.0 ~packed:10.0));
+          (Schema.gemm_epilogue (epilogue_rows ~fused:5.0 ~native:10.0));
         check_fail "below"
-          (Schema.gemm_epilogue (epilogue_rows ~fused:4.99 ~packed:10.0)));
-    Alcotest.test_case "gemm_epilogue: a shape without its packed row fails"
+          (Schema.gemm_epilogue (epilogue_rows ~fused:4.99 ~native:10.0)));
+    Alcotest.test_case "gemm_epilogue: a shape without its native row fails"
       `Quick (fun () ->
-        check_fail "no packed"
-          (Schema.gemm_epilogue [ List.hd (epilogue_rows ~fused:5.0 ~packed:1.0) ]);
+        check_fail "no native"
+          (Schema.gemm_epilogue [ List.hd (epilogue_rows ~fused:5.0 ~native:1.0) ]);
         check_fail "empty" (Schema.gemm_epilogue []));
   ]
 

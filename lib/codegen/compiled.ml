@@ -30,13 +30,16 @@
      chain produces the same bits as the buffered one.  On top of
      that, [Matmul]/[Matmul_t] heads swallow a fused
      fixed-bias [Add] and/or activation tail into a GEMM epilogue
-     ({!Tensor.apply_epilogue} — same per-element value chain), and
-     fixed (block-constant) B operands are copied at compile time to
-     an aligned buffer shared read-only by every point, front and
-     worker ({!Tensor.pack_b}); both transformations are
-     bitwise-neutral by construction.  Composed with the write-in-place
-     redirect, an entire fused chain computes directly in its
-     destination cell. *)
+     ({!Tensor.apply_epilogue} — same per-element value chain), which
+     is bitwise-neutral by construction.  Composed with the
+     write-in-place redirect, an entire fused chain computes directly
+     in its destination cell.
+   - No operand is copied to be aligned: tensors and the arena are
+     born 64-byte aligned ({!Aligned}), so a GEMM reads its right
+     operand where it lives — an input cell, an intermediate or a
+     block constant.  Nothing outlives a run but the executable's own
+     storage, so an input tensor changed in place is read afresh by
+     the next run. *)
 
 module A = Bigarray.Array1
 
@@ -49,13 +52,8 @@ type src =
   | S_cell of int * int array
       (* store index + flat-offset weights [base; w_0 .. w_{dim-1}] *)
 
-(* What an input cell, or a released copy, points at between runs. *)
+(* What an input cell points at between runs. *)
 let unbound = Tensor.scalar 0.0
-
-(* An input operand's aligned copy and the tensor it was copied from;
-   [unbound] once {!reset} released it, to be refilled in place from
-   the next tensor of its dims. *)
-type copy = { mutable cp_key : Tensor.t; cp_packed : Tensor.packed_b }
 
 type store = {
   cs_buffer : Ir.buffer;
@@ -90,7 +88,6 @@ type fusion_stats = {
   fs_groups : int;  (* fusion groups with >= 2 members *)
   fs_fused_ops : int;  (* ops coalesced into another op's slot *)
   fs_swallowed : int;  (* tails folded into GEMM epilogues *)
-  fs_packed : int;  (* GEMMs dispatched through an aligned B copy *)
 }
 
 type cblock = {
@@ -113,10 +110,8 @@ type t = {
   ex_workers : int;
   ex_chunk : int option;
   ex_fallbacks : string list;
-  ex_copies : copy list ref list;  (* every op's copy cache, for [reset] *)
   ex_outputs : (string * Fractal.t) list;
       (* the [Output] cells, wrapped once: the cells are never rebound *)
-  ex_keyed : string list;  (* inputs whose aligned copies are identity-keyed *)
 }
 
 (* Elementwise ops whose [_into] kernel may run with [dst] aliasing the
@@ -215,7 +210,7 @@ let compile ?(arena = true) ?schedule ?chunk
       buffers
   in
   (* ---- per-block compilation ---- *)
-  let fallbacks = ref [] and copies = ref [] and keyed = ref [] in
+  let fallbacks = ref [] in
   let compile_block (b : Ir.block) =
     let all_points = Domain.enumerate b.Ir.blk_domain in
     let dim =
@@ -432,93 +427,14 @@ let compile ?(arena = true) ?schedule ?chunk
                     b.Ir.blk_name tag))
     in
     let noop_kernel = fun (_ : Tensor.t array) (_ : Tensor.t) -> () in
-    let packed_count = ref 0 in
-    let fixed_rank2 srcs i =
-      i < Array.length srcs
-      &&
-      match srcs.(i) with
-      | S_fixed t -> Shape.rank (Tensor.shape t) = 2
-      | _ -> false
-    in
-    (* A read of rank-2 [Input] cells: the bound tensors change only
-       at [load] (input cells are flagged written at load time, so an
-       in-run write would fault), and the access map reaches a small,
-       statically-known set of cells — LSTM/RNN weight matrices are
-       the canonical case (one cell per layer/gate).  Such operands
-       are packed lazily, memoized per worker on the bound tensor's
-       identity: the first front after a [load] packs each distinct
-       weight once, the steady state reuses.  [cell_span] bounds the
-       cache so stale entries from previous loads are dropped without
-       ever evicting a live one. *)
-    let input_rank2_cell srcs i =
-      i < Array.length srcs
-      &&
-      match srcs.(i) with
-      | S_cell (si, _) ->
-          stores.(si).cs_buffer.Ir.buf_role = Ir.Input
-          && Shape.rank stores.(si).cs_buffer.Ir.buf_elem = 2
-      | _ -> false
-    in
-    let key_input = function
-      | S_cell (si, _) ->
-          let name = stores.(si).cs_buffer.Ir.buf_name in
-          if not (List.mem name !keyed) then keyed := name :: !keyed
-      | S_fixed _ | S_scratch _ -> ()
-    in
-    let cell_span (o : Ir.op_node) i =
-      match List.nth_opt o.Ir.operands i with
-      | Some (Ir.O_var tag) -> (
-          match Hashtbl.find_opt reads tag with
-          | Some e ->
-              let tbl = Hashtbl.create 8 in
-              List.iter
-                (fun p ->
-                  Hashtbl.replace tbl
-                    (Array.to_list (Access_map.apply e.Ir.e_access p))
-                    ())
-                all_points;
-              Hashtbl.length tbl
-          | None -> 1)
-      | _ -> 1
-    in
-    (* args.(1) -> its aligned copy, copying on first sight.  The
-       cache walk is a handful of pointer compares against GEMM-sized
-       work, and allocates nothing on a hit (no [assq_opt] option
-       boxing — the steady state must stay at zero minor words);
-       [cap] (2x the live cell count) only triggers on re-load
-       churn.  A copy {!reset} released is refilled in place, so a
-       re-bound executable repacks without allocating. *)
-    let packed_of_arg ~cap ~transposed =
-      let cache = ref [] in
-      copies := cache :: !copies;
-      let released b e =
-        e.cp_key == unbound
-        && Tensor.packed_dims e.cp_packed
-           = (let s = Tensor.shape b in
-              let r = Shape.dim s 0 and c = Shape.dim s 1 in
-              if transposed then (c, r) else (r, c))
-      in
-      let pack b =
-        match List.find_opt (released b) !cache with
-        | Some e ->
-            Tensor.repack_b ~transposed e.cp_packed b;
-            e.cp_key <- b;
-            e.cp_packed
-        | None ->
-            let pb =
-              Tensor.pack_b
-                (if transposed then Tensor.transpose b else b)
-            in
-            if List.length !cache >= cap then cache := [];
-            cache := { cp_key = b; cp_packed = pb } :: !cache;
-            pb
-      in
-      let rec find (b : Tensor.t) = function
-        | e :: _ when e.cp_key == b -> e.cp_packed
-        | _ :: tl -> find b tl
-        | [] -> pack b
-      in
-      fun (b : Tensor.t) -> find b !cache
+    (* An [@T]'s block-constant right operand, which {!Lower.kernel}
+       transposes once for every worker. *)
+    let fixed_b (o : Ir.op_node) srcs =
+      match (o.Ir.op, srcs) with
+      | Expr.Matmul_t, [| _; S_fixed t |]
+        when Shape.rank (Tensor.shape t) = 2 ->
+          Some t
+      | _ -> None
     in
     let cops =
       Array.mapi
@@ -533,84 +449,12 @@ let compile ?(arena = true) ?schedule ?chunk
           else begin
             let rs = List.map resolve o.Ir.operands in
             let srcs = Array.of_list (List.map fst rs) in
-            let ep = epilogues.(oi) in
-            let kernels =
-              match o.Ir.op with
-              | Expr.Matmul when fuse && fixed_rank2 srcs 1 ->
-                  (* Copy the block-constant B once; the aligned copy
-                     is read-only and shared by every point, front and
-                     worker. *)
-                  let bt =
-                    match srcs.(1) with S_fixed t -> t | _ -> assert false
-                  in
-                  let pb = Tensor.pack_b bt in
-                  incr packed_count;
-                  Array.init workers (fun _ ->
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.matmul_packed_into ~beta:0.0 ?epilogue:ep
-                          ~dst args.(0) pb)
-              | Expr.Matmul_t when fuse && fixed_rank2 srcs 1 ->
-                  (* The interpreter materialises bT then runs the
-                     plain GEMM; packing the materialised transpose
-                     reproduces that exact float sequence. *)
-                  let bt =
-                    match srcs.(1) with
-                    | S_fixed t -> Tensor.transpose t
-                    | _ -> assert false
-                  in
-                  let pb = Tensor.pack_b bt in
-                  incr packed_count;
-                  Array.init workers (fun _ ->
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.matmul_packed_into ~beta:0.0 ?epilogue:ep
-                          ~dst args.(0) pb)
-              | Expr.Matmul when fuse && input_rank2_cell srcs 1 ->
-                  incr packed_count;
-                  key_input srcs.(1);
-                  let cap = 2 * cell_span o 1 in
-                  Array.init workers (fun _ ->
-                      let packed = packed_of_arg ~cap ~transposed:false in
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.matmul_packed_into ~beta:0.0 ?epilogue:ep
-                          ~dst args.(0) (packed args.(1)))
-              | Expr.Matmul_t when fuse && input_rank2_cell srcs 1 ->
-                  incr packed_count;
-                  key_input srcs.(1);
-                  let cap = 2 * cell_span o 1 in
-                  Array.init workers (fun _ ->
-                      let packed = packed_of_arg ~cap ~transposed:true in
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.matmul_packed_into ~beta:0.0 ?epilogue:ep
-                          ~dst args.(0) (packed args.(1)))
-              | Expr.Matmul when ep <> None ->
-                  Array.init workers (fun _ ->
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.matmul_into ~beta:0.0 ?epilogue:ep ~dst
-                          args.(0) args.(1))
-              | Expr.Matmul_t when ep <> None ->
-                  (* Lower's private scratch transpose, plus the
-                     epilogue. *)
-                  let b_shape = List.nth o.Ir.operand_shapes 1 in
-                  if Shape.rank b_shape <> 2 then
-                    err "block %s: matmul_t operand b has rank %d"
-                      b.Ir.blk_name (Shape.rank b_shape);
-                  let bt_shape =
-                    Shape.of_array
-                      [| Shape.dim b_shape 1; Shape.dim b_shape 0 |]
-                  in
-                  Array.init workers (fun _ ->
-                      let btc = Tensor.uninit bt_shape in
-                      fun (args : Tensor.t array) dst ->
-                        Tensor.transpose_into args.(1) ~dst:btc;
-                        Tensor.matmul_into ~beta:0.0 ?epilogue:ep ~dst
-                          args.(0) btc)
-              | _ ->
-                  let factory =
-                    Lower.kernel o.Ir.op ~operand_shapes:o.Ir.operand_shapes
-                      ~result_shape:o.Ir.result_shape
-                  in
-                  Array.init workers (fun _ -> factory ())
+            let factory =
+              Lower.kernel ?epilogue:epilogues.(oi) ?fixed_b:(fixed_b o srcs)
+                o.Ir.op ~operand_shapes:o.Ir.operand_shapes
+                ~result_shape:o.Ir.result_shape
             in
+            let kernels = Array.init workers (fun _ -> factory ()) in
             {
               co_srcs = srcs;
               co_edges = Array.of_list (List.map snd rs);
@@ -657,7 +501,6 @@ let compile ?(arena = true) ?schedule ?chunk
         fs_groups = Hashtbl.length finals;
         fs_fused_ops = !fused_ops;
         fs_swallowed = !swallow_count;
-        fs_packed = !packed_count;
       }
     in
     (* ---- write edges ---- *)
@@ -722,7 +565,7 @@ let compile ?(arena = true) ?schedule ?chunk
        per-front dispatch cost (scratch/offset lookups, closure
        calls) is paid once per range, not once per point, and the N
        homogeneous points of an anti-chain stream through the same
-       kernels and aligned B copies as a single batched loop. *)
+       kernels as a single batched loop. *)
     let exec_range w lo hi =
       let scr = scratch.(w) in
       let offs = woffs.(w) in
@@ -903,7 +746,6 @@ let compile ?(arena = true) ?schedule ?chunk
     ex_workers = workers;
     ex_chunk = chunk;
     ex_fallbacks = List.rev !fallbacks;
-    ex_copies = !copies;
     ex_outputs =
       List.filter_map
         (fun st ->
@@ -913,7 +755,6 @@ let compile ?(arena = true) ?schedule ?chunk
               ( st.cs_buffer.Ir.buf_name,
                 Vm.of_cells st.cs_buffer.Ir.buf_dims (fun pos -> st.cs_cells.(pos)) ))
         (Array.to_list stores);
-    ex_keyed = List.sort compare !keyed;
   }
 
 (* ------------------------------ running ------------------------------ *)
@@ -1026,8 +867,7 @@ let reset exe =
       if st.cs_buffer.Ir.buf_role = Ir.Input then
         Array.fill st.cs_cells 0 (Array.length st.cs_cells) unbound;
       Bytes.fill st.cs_written 0 (Bytes.length st.cs_written) '\000')
-    exe.ex_stores;
-  List.iter (fun c -> List.iter (fun e -> e.cp_key <- unbound) !c) exe.ex_copies
+    exe.ex_stores
 
 let exec_range exe block lo hi = exe.ex_blocks.(block).cb_exec_range 0 lo hi
 
@@ -1051,7 +891,6 @@ let arena_floats exe =
   match exe.ex_arena with Some a -> Arena.floats a | None -> 0
 
 let workers exe = exe.ex_workers
-let identity_keyed_inputs exe = exe.ex_keyed
 let stats exe = Array.to_list (Array.map (fun cb -> cb.cb_stats) exe.ex_blocks)
 let sequential_fallbacks exe = exe.ex_fallbacks
 

@@ -27,12 +27,15 @@
       their producer's scratch slot (the chain computes in one tensor,
       often directly in the destination cell via the write-in-place
       redirect); GEMMs swallow a fused fixed-bias [Add] and/or
-      activation into a {!Tensor.matmul_into} epilogue; a block-constant
-      B operand is copied once to an aligned buffer ({!Tensor.pack_b})
-      shared by every point, front and worker, and a B operand read
-      from an input cell is copied once per load into a per-worker
-      cache (transposed for [Matmul_t]); and each front executes as one batched range loop rather than a
-      closure call per point;
+      activation into a {!Tensor.matmul_into} epilogue; and each front
+      executes as one batched range loop rather than a closure call per
+      point;
+    - {b GEMM operands}: a GEMM reads its right operand where it lives
+      — tensors and the arena are born 64-byte aligned ({!Aligned}),
+      so nothing is copied to align it.  [Matmul_t] materialises [bᵀ]
+      as the interpreter does: once at compile time for a block
+      constant, shared by every worker, else per call into a
+      per-worker scratch;
     - {b results}: bitwise identical to the reference interpreter
       ({!Interp}) after projection — the kernels reproduce its exact
       float operation order, and every fusion transformation preserves
@@ -72,15 +75,16 @@ val compile :
     (default 1): how many domains may execute fronts concurrently —
     sizes the per-worker kernel scratch;
     {!execute}'s pool must not be larger.  [fuse] (default [true]):
-    enable scratch-slot coalescing, GEMM epilogue swallowing and
-    aligned B-operand copies — bitwise-neutral; turn off only for
-    differential testing.
+    enable scratch-slot coalescing and GEMM epilogue swallowing —
+    bitwise-neutral; turn off only for differential testing.
     @raise Vm.Execution_error naming the block on a graph no engine can
     run (see above, and an operand with no edge or literal). *)
 
 val load : t -> (string * Fractal.t) list -> unit
 (** Bind the named input FractalTensors (leaves are aliased, not
-    copied), clearing all intermediate/output cells.
+    copied, and read afresh by every run: a tensor changed in place
+    between two runs is read with its new values), clearing all
+    intermediate/output cells.
     @raise Vm.Execution_error on a missing or mis-shaped input. *)
 
 val execute : ?pool:Domain_pool.t -> ?shadow:Shadow.t -> t -> unit
@@ -125,10 +129,8 @@ val run :
 
 val reset : t -> unit
 (** Mark every cell of every store unwritten, inputs included, and
-    release the input bindings and the packed panels' source tensors —
-    the executable then holds none of a caller's tensors, and the next
-    run repacks (in place) whatever it is bound to, so a tensor changed
-    in place since is read afresh. *)
+    release the input bindings: the executable then holds none of a
+    caller's tensors. *)
 
 val exec_range : t -> int -> int -> int -> unit
 (** [exec_range exe block lo hi] runs points [lo, hi) of the block on
@@ -154,14 +156,6 @@ val arena_floats : t -> int
 
 val workers : t -> int
 
-val identity_keyed_inputs : t -> string list
-(** The [Input] buffers, by name and sorted, read as a GEMM right-hand
-    operand through an aligned copy memoized on the bound tensor's
-    identity.  Such an input must be bound to a fresh tensor to change
-    its values: a tensor rebound after an in-place change is read as
-    it was first copied (until {!reset}).  Empty when compiled with
-    [fuse:false]. *)
-
 val stats : t -> Vm.block_stats list
 (** Per-block schedule shape, in dataflow order. *)
 
@@ -173,7 +167,6 @@ type fusion_stats = {
   fs_groups : int;  (** fusion groups with >= 2 members *)
   fs_fused_ops : int;  (** ops coalesced into another op's slot *)
   fs_swallowed : int;  (** tails folded into GEMM epilogues *)
-  fs_packed : int;  (** GEMMs dispatched through a prepacked B panel *)
 }
 
 val fusion_stats : t -> fusion_stats list

@@ -35,13 +35,8 @@ val execute_borrowed :
     them.  Honors the prepared options: domains (pool), chunk, shadow;
     the race guard always runs.
 
-    Input tensors bound to an input of {!Compiled.identity_keyed_inputs}
-    must not be mutated in place between two runs of one [prepared]:
-    the aligned copies of those GEMM right operands are keyed by tensor
-    identity and outlive the run, so a tensor bound again is read as it
-    was when first copied.  Bind a fresh tensor to change such an
-    input's values.  Every other input is read afresh on each run, so
-    a caller may refill its tensors in place and bind them again.
+    Inputs are read afresh on each run: a caller may refill its
+    tensors in place and bind them again.
 
     When shadow recording is active (explicitly, or [FT_SHADOW=1]
     under the default [Shadow_env] policy) the run is

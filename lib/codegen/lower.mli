@@ -18,6 +18,8 @@ exception Unsupported of string
     block. *)
 
 val kernel :
+  ?epilogue:Tensor.epilogue ->
+  ?fixed_b:Tensor.t ->
   Expr.prim ->
   operand_shapes:Shape.t list ->
   result_shape:Shape.t ->
@@ -27,11 +29,16 @@ val kernel :
   unit
 (** [kernel p ~operand_shapes ~result_shape] validates the combination
     at plan time and returns a {e factory}: each application [()]
-    yields a fresh kernel instance [fun args dst -> ...] with its own
-    private scratch (e.g. the materialised transpose of [a @ bᵀ], kept
-    so the contraction runs in the interpreter's exact accumulation
-    order).  The compiled executor instantiates one kernel per worker,
-    making concurrent points race-free without sharing.
+    yields a kernel [fun args dst -> ...].  The compiled executor
+    instantiates one per worker; an instance that needs scratch (the
+    materialised [bᵀ] of [a @T b], kept so the contraction runs in the
+    interpreter's exact accumulation order) gets its own, so concurrent
+    points are race-free without sharing.
+
+    For [Matmul] and [Matmul_t] only, [epilogue] is fused into the
+    {!Tensor.matmul_into} call.  For [Matmul_t] only, [fixed_b], a
+    block-constant rank-2 right operand, is transposed once and shared
+    by every instance; the kernel then ignores [args.(1)].
 
     The kernel reads [Array.length operand_shapes] operands from
     [args] and writes the full [result_shape] destination; it never

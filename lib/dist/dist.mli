@@ -56,10 +56,9 @@ val run :
     one) and reports the entry's race-guard downgrades through the
     fallback handler again.  An entry is checked out while it runs, so
     concurrent calls on one graph each get their own; failures to
-    prepare are not cached.  Inputs are read afresh on every call —
-    a tensor changed in place since the last call, weights included,
-    is repacked — and no entry keeps a caller's tensor once the call
-    returns.  Outputs are fresh tensors with off-heap data; their bytes
+    prepare are not cached.  Inputs are read afresh on every call,
+    weights changed in place included, and no entry keeps a caller's
+    tensor once the call returns.  Outputs are fresh tensors with off-heap data; their bytes
     are counted, and once 1 MiB of them has been handed out the next
     call starts with a minor collection ([Gc.minor]) — without it the
     dead outputs of earlier calls would float up to the runtime's own

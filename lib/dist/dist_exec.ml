@@ -327,9 +327,8 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
 
 let log pr = pr.pr_log
 
-(* Forget the call: no device store, binding or packed copy keeps a
-   caller's tensor, so the next call starts clean even after a failure
-   and sees inputs changed in place since. *)
+(* Forget the call: no device store or binding keeps a caller's
+   tensor, so the next call starts clean even after a failure. *)
 let release pr =
   Array.iter
     (fun cells -> Array.fill cells 0 (Array.length cells) unbound)

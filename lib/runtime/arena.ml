@@ -5,8 +5,7 @@ type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
 type t = { data : buffer }
 
 let create ~floats =
-  let n = Stdlib.max 0 floats in
-  let data = A.create Bigarray.Float64 Bigarray.C_layout n in
+  let data = Aligned.create (Stdlib.max 0 floats) in
   A.fill data 0.0;
   { data }
 

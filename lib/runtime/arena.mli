@@ -16,8 +16,10 @@ type buffer =
 type t
 
 val create : floats:int -> t
-(** An arena of [max 0 floats] float64 cells.  Contents start zeroed so
-    view creation order can never leak uninitialised memory between
+(** An arena of [max 0 floats] float64 cells, from {!Aligned.create}:
+    from 64 cells on it starts on a 64-byte boundary, so a view whose
+    offset is a multiple of 8 floats does too.  Contents start zeroed
+    so view creation order can never leak uninitialised memory between
     plans. *)
 
 val floats : t -> int

@@ -23,7 +23,6 @@ type t = {
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
-  sv_rebound : string list;
   sv_finish : Fractal.t -> Fractal.t;
 }
 
@@ -438,7 +437,7 @@ let derive (p : Expr.program) =
      only output *)
   let out_names width = Array.init n_st (fun k -> Printf.sprintf "%s.%d" (step_name p width) k) in
   let out names outs k = if st_tuple then List.assoc names.(k) outs else snd (List.hd outs) in
-  let sv_env, sv_demux, sv_rebound =
+  let sv_env, sv_demux =
     if widened then
       (* slot [i] is row [i]; every width keeps its buffers, so a tick
          only blits rows: the slots' states and tokens into the inputs,
@@ -496,13 +495,11 @@ let derive (p : Expr.program) =
               done
             done
           done;
-          b.tb_states),
-        Array.to_list (Array.append tok_in st_in) )
+          b.tb_states) )
     else
       (* per slot: the slots' own leaves in, and out a copy of each
-         slot's leaves.  A copy, not a reused buffer: a cell may take a
-         per-request leaf as a GEMM right operand, whose aligned copy is
-         keyed by the tensor's identity. *)
+         slot's leaves.  A copy, because the outputs may be the
+         executor's borrowed cells, which the next run overwrites. *)
       let slots rows f = Fractal.Node (Array.map f rows) in
       ( (fun ~width:_ rows ->
           env
@@ -515,8 +512,7 @@ let derive (p : Expr.program) =
               per_layer (fun d ->
                   assemble ~tuple:st_tuple n_st (fun k ->
                       let v = Fractal.get outs.(k) i in
-                      Fractal.map_leaves Tensor.copy (if stacked then Fractal.get v d else v))))),
-        [] )
+                      Fractal.map_leaves Tensor.copy (if stacked then Fractal.get v d else v))))) )
   in
   (* the response: the source's output at the request's last token *)
   let last len v = Fractal.get v (len - 1) in
@@ -537,7 +533,6 @@ let derive (p : Expr.program) =
       sv_step = step;
       sv_env;
       sv_demux;
-      sv_rebound;
       sv_finish;
     }
   in

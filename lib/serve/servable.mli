@@ -52,10 +52,6 @@ type t = {
           next [sv_demux] at that width (copy a state to keep it);
           allocates nothing once the width is buffered.  Per slot:
           fresh copies of each slot's leaves. *)
-  sv_rebound : string list;
-      (** the step inputs [sv_env] refills in place from tick to tick
-          (every per-request input when widened, none per slot); none
-          may be among {!Compiled.identity_keyed_inputs} *)
   sv_finish : Fractal.t -> Fractal.t;
       (** the response: a pure function of the final carried state
           (FINISH, when the program binds one) *)

@@ -18,11 +18,7 @@ val servable : t -> Servable.t
 
 val prepared : t -> width:int -> Executor.prepared
 (** Compile-once access; the tuned config (when the tune DB is
-    installed) supplies chunk/fuse, [opts] everything else.
-    @raise Invalid_argument naming the input when one of the
-    servable's [sv_rebound] inputs is among the step's
-    {!Compiled.identity_keyed_inputs}: refilled in place, it would be
-    read stale. *)
+    installed) supplies chunk/fuse, [opts] everything else. *)
 
 val widths_prepared : t -> int list
 val cache_stats : t -> Bounded_cache.stats

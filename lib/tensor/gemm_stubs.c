@@ -1,5 +1,5 @@
-/* Native GEMM accumulation for Tensor.matmul_into (non-transposed) and
-   Tensor.matmul_packed_into.
+/* Native GEMM accumulation for Tensor.matmul_into (non-transposed), and
+   the blocked copy behind Tensor.transpose_into.
 
    The stub computes dst[i,j] += alpha * a[i,p] * b[p,j] with the exact
    per-element float sequence of the OCaml reference loop in tensor.ml:
@@ -14,7 +14,7 @@
    stub returns the number of NaNs in dst and the OCaml caller re-runs
    the reference loop whenever that count is non-zero.
 
-   The kernel is cloned per ISA (AVX-512F, AVX2, baseline x86-64) and
+   The kernels are cloned per ISA (AVX-512F, AVX2, baseline x86-64) and
    the clone is picked once, when the library is loaded.
 
    Shape checks, the alias check, beta and the epilogue stay in OCaml;
@@ -89,17 +89,16 @@ static intnat count_nans(const double *d, long len)
   return nans;
 }
 
-/* The contraction blocking of the OCaml loop (tensor.ml).  b is a
-   row-major [k, n] operand starting boff doubles into its buffer: 0 for
-   a tensor, the aligned start of the copy for a Tensor.pack_b. */
+/* The contraction blocking of the OCaml loop (tensor.ml); b is a
+   row-major [k, n] operand. */
 #define KC 256
 
-intnat ft_gemm_acc(value vd, value va, value vb, intnat boff, intnat m,
-                   intnat k, intnat n, double alpha)
+intnat ft_gemm_acc(value vd, value va, value vb, intnat m, intnat k,
+                   intnat n, double alpha)
 {
   double *d = (double *)Caml_ba_data_val(vd);
   const double *a = (const double *)Caml_ba_data_val(va);
-  const double *b = (const double *)Caml_ba_data_val(vb) + boff;
+  const double *b = (const double *)Caml_ba_data_val(vb);
   for (long pp = 0; pp < k; pp += KC) {
     long ek = k - pp < KC ? k - pp : KC;
     ft_gemm_block(d, n, a + pp, k, b + pp * n, n, m, ek, n, alpha);
@@ -112,15 +111,36 @@ value ft_gemm_acc_byte(value *argv, int argn)
   (void)argn;
   return Val_long(ft_gemm_acc(argv[0], argv[1], argv[2], Long_val(argv[3]),
                               Long_val(argv[4]), Long_val(argv[5]),
-                              Long_val(argv[6]), Double_val(argv[7])));
+                              Double_val(argv[6])));
 }
 
-/* How many doubles to skip from the start of a buffer to reach a 64-byte
-   boundary: where Tensor.pack_b starts its copy. */
-intnat ft_align_pad(value vb)
+/* d = transpose of the row-major [m, n] s, in 8x8 blocks: a full block
+   reads 8 rows and writes 8 rows of one cache line each, where a
+   row-at-a-time copy writes one element per line of d.  Values are
+   moved, never computed, so the copy is bit-exact. */
+#define TB 8
+
+__attribute__((target_clones("avx512f", "avx2", "default"))) void
+ft_transpose(value vd, value vs, intnat m, intnat n)
 {
-  uintptr_t addr = (uintptr_t)Caml_ba_data_val(vb);
-  return (intnat)(((64 - addr % 64) % 64) / sizeof(double));
+  double *restrict d = (double *)Caml_ba_data_val(vd);
+  const double *restrict s = (const double *)Caml_ba_data_val(vs);
+  for (long i0 = 0; i0 < m; i0 += TB)
+    for (long j0 = 0; j0 < n; j0 += TB) {
+      if (i0 + TB <= m && j0 + TB <= n) {
+        for (int j = 0; j < TB; j++)
+          for (int i = 0; i < TB; i++)
+            d[(j0 + j) * m + i0 + i] = s[(i0 + i) * n + j0 + j];
+      } else {
+        long i1 = i0 + TB < m ? i0 + TB : m, j1 = j0 + TB < n ? j0 + TB : n;
+        for (long j = j0; j < j1; j++)
+          for (long i = i0; i < i1; i++) d[j * m + i] = s[i * n + j];
+      }
+    }
 }
 
-value ft_align_pad_byte(value vb) { return Val_long(ft_align_pad(vb)); }
+value ft_transpose_byte(value vd, value vs, value vm, value vn)
+{
+  ft_transpose(vd, vs, Long_val(vm), Long_val(vn));
+  return Val_unit;
+}

@@ -148,10 +148,13 @@ type t = { shape : Shape.t; data : buffer }
 
 (* Bigarray payloads: the GC never scans tensor contents, and the
    in-place kernels below can hand out sub-views without copying.
-   [A.create] leaves memory uninitialised — every constructor here
+   Payloads come from {!Aligned}, so every tensor of at least
+   [Aligned.floor] elements starts on a 64-byte boundary and any
+   operand the native kernels are handed reads whole cache lines.
+   [Aligned.create] leaves memory uninitialised — every constructor here
    either fills or completely overwrites it. *)
 
-let alloc n : buffer = A.create Bigarray.Float64 Bigarray.C_layout n
+let alloc = Aligned.create
 
 let uninit shape = { shape; data = alloc (Shape.numel shape) }
 
@@ -213,6 +216,7 @@ let buffer t = t.data
 let data t = Array.init (numel t) (fun i -> A.unsafe_get t.data i)
 let get t idx = A.unsafe_get t.data (Shape.ravel t.shape idx)
 let get1 t i = A.get t.data i
+let is_aligned t = Aligned.is_aligned t.data
 
 
 let to_scalar t =
@@ -440,10 +444,10 @@ let epilogue_bias_ok ~bias ~dst =
 
    - The OCaml loops below are the reference.  [matmul] (the
      interpreter's GEMM) and the {!Reference} functions run only them.
-   - [matmul_into] and [matmul_packed_into] hand the accumulation of a
-     [beta = 0.] call to the native kernel in gemm_stubs.c, which keeps
-     the same per-element order and never fuse a multiply and an add.
-     Their results differ from the reference only when a NaN meets a
+   - [matmul_into] hands the accumulation of a [beta = 0.] call to the
+     native kernel in gemm_stubs.c, which keeps the same per-element
+     order and never fuses a multiply and an add.
+     Its results differ from the reference only when a NaN meets a
      NaN (the C compiler may swap the operands of a commutative op, and
      x86 keeps the first operand's payload).  A NaN that enters the sum
      stays in the output, so the stub returns the NaN count of [dst];
@@ -478,13 +482,12 @@ let check_matmul_into ~transpose_b ~dst a b =
   let n = Shape.dim b.shape (if transpose_b then 0 else 1) in
   check_gemm "Tensor.matmul_into" ~dst ~m ~k ~k' ~n
 
-(* The reference accumulation, [b] read as a row-major [k,n] operand
-   starting [boff] into [bd].  The k-major inner loop streams rows of
-   [b]; blocking the [p] loop bounds the [b] working set for the larger
-   shapes without changing the per-element accumulation order (pp
-   ascends, p within pp ascends — the order of the unblocked loop). *)
-let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) ~boff (dd : buffer) ~m ~k
-    ~n =
+(* The reference accumulation, [b] a row-major [k,n] operand.  The
+   k-major inner loop streams rows of [b]; blocking the [p] loop bounds
+   the [b] working set for the larger shapes without changing the
+   per-element accumulation order (pp ascends, p within pp ascends —
+   the order of the unblocked loop). *)
+let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k ~n =
   let kc = 256 in
   let pp = ref 0 in
   while !pp < k do
@@ -494,7 +497,7 @@ let gemm_acc_ocaml ~alpha (ad : buffer) (bd : buffer) ~boff (dd : buffer) ~m ~k
       for p = !pp to p_hi - 1 do
         let av = alpha *. A.unsafe_get ad (arow + p) in
         if av <> 0.0 then begin
-          let brow = boff + (p * n) in
+          let brow = p * n in
           for j = 0 to n - 1 do
             A.unsafe_set dd (orow + j)
               (A.unsafe_get dd (orow + j) +. (av *. A.unsafe_get bd (brow + j)))
@@ -520,47 +523,6 @@ let gemm_acc_transposed ~alpha (ad : buffer) (bd : buffer) (dd : buffer) ~m ~k
       A.unsafe_set dd (orow + j) (A.unsafe_get dd (orow + j) +. (alpha *. !acc))
     done
   done
-
-(* Packed GEMM --------------------------------------------------------
-
-   [pack_b] copies a [k,n] B operand once, row-major, to a 64-byte
-   boundary; [matmul_packed_into] runs [matmul_into]'s accumulation
-   against the copy.  Values are copied unchanged, so results are
-   bit-identical to [matmul_into] on the source. *)
-
-type packed_b = {
-  pb_k : int;
-  pb_n : int;
-  pb_off : int;  (* where the copy starts in [pb_data] *)
-  pb_data : buffer;
-}
-
-let packed_dims pb = (pb.pb_k, pb.pb_n)
-
-(* [pack_b]'s copy, refilled in place; with [transposed] the operand is
-   [b]ᵀ, read straight from [b]. *)
-let repack_b ?(transposed = false) pb b =
-  require_rank2 "Tensor.repack_b" b;
-  let r = Shape.dim b.shape 0 and c = Shape.dim b.shape 1 in
-  let k, n = if transposed then (c, r) else (r, c) in
-  if k <> pb.pb_k || n <> pb.pb_n then
-    invalid_arg "Tensor.repack_b: dims differ from the copy's";
-  let data = pb.pb_data and bd = b.data and off = pb.pb_off in
-  let sp, sj = if transposed then (1, k) else (n, 1) in
-  for p = 0 to k - 1 do
-    let row = off + (p * n) in
-    for j = 0 to n - 1 do
-      A.unsafe_set data (row + j) (A.unsafe_get bd ((p * sp) + (j * sj)))
-    done
-  done
-
-let check_matmul_packed_into ~dst a pb =
-  require_rank2 "Tensor.matmul_packed_into" a;
-  require_rank2 "Tensor.matmul_packed_into" dst;
-  if dst.data == a.data then
-    invalid_arg "Tensor.matmul_packed_into: dst must not alias an operand";
-  check_gemm "Tensor.matmul_packed_into" ~dst ~m:(Shape.dim a.shape 0)
-    ~k:(Shape.dim a.shape 1) ~k':pb.pb_k ~n:pb.pb_n
 
 (* Softmax of rows [lo, hi) of an [_, n] source.  Works in place: the
    max pass only reads, the exp pass reads index [base+j] just before
@@ -744,14 +706,7 @@ module Reference = struct
     let ad = a.data and bd = b.data and dd = dst.data in
     apply_beta beta dd (m * n);
     if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
-    else gemm_acc_ocaml ~alpha ad bd ~boff:0 dd ~m ~k ~n;
-    match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
-
-  let matmul_packed_into ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst a pb =
-    check_matmul_packed_into ~dst a pb;
-    let m = Shape.dim a.shape 0 and k = pb.pb_k and n = pb.pb_n in
-    apply_beta beta dst.data (m * n);
-    gemm_acc_ocaml ~alpha a.data pb.pb_data ~boff:pb.pb_off dst.data ~m ~k ~n;
+    else gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n;
     match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 end
 
@@ -850,17 +805,6 @@ let softmax t =
    Loop order matches the allocating variant in each case, and none of them
    allocate (no [Bigarray.Array1.sub], whose view header is a heap
    block — plain element loops instead). *)
-
-let transpose_into src ~dst =
-  require_rank2 "Tensor.transpose" src;
-  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
-  require_dims2 "Tensor.transpose_into" dst n m;
-  let sd = src.data and dd = dst.data in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      A.unsafe_set dd ((j * m) + i) (A.unsafe_get sd ((i * n) + j))
-    done
-  done
 
 let slice_cols_into src lo hi ~dst =
   require_rank2 "Tensor.slice_cols" src;
@@ -1041,8 +985,9 @@ let to_string t = Format.asprintf "%a" pp t
 (* The native tier ------------------------------------------------------
 
    Everything below may reach C.  The elementwise kernels hand their
-   loops to elementwise_stubs.c after the shape checks; the GEMMs hand a
-   [beta = 0.] accumulation to gemm_stubs.c.  Each C loop computes the
+   loops to elementwise_stubs.c after the shape checks; the GEMM hands a
+   [beta = 0.] accumulation, and [transpose_into] its copy, to
+   gemm_stubs.c.  Each C loop computes the
    reference's float sequence per element, and each entry point sends
    the call back to {!Reference} where the two could differ: a binary op
    meeting two NaNs. *)
@@ -1105,13 +1050,13 @@ external gemm_acc_native :
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
   (float[@unboxed]) ->
   (int[@untagged]) = "ft_gemm_acc_byte" "ft_gemm_acc"
 [@@noalloc]
 
-external align_pad : buffer -> (int[@untagged])
-  = "ft_align_pad_byte" "ft_align_pad"
+external transpose_native :
+  buffer -> buffer -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "ft_transpose_byte" "ft_transpose"
 [@@noalloc]
 
 external set_exp_table : buffer -> unit = "ft_set_exp_table" [@@noalloc]
@@ -1237,11 +1182,11 @@ let softmax_inplace t = softmax_into t ~dst:t
 (* The accumulation of a native GEMM: [beta = 0.] calls run the C
    kernel, whose NaN count sends the call back to the OCaml loop on a
    refilled [dst]. *)
-let gemm_acc ~alpha ~beta ad bd ~boff dd ~m ~k ~n =
-  if beta <> 0.0 then gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
-  else if gemm_acc_native dd ad bd boff m k n alpha > 0 then begin
+let gemm_acc ~alpha ~beta ad bd dd ~m ~k ~n =
+  if beta <> 0.0 then gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
+  else if gemm_acc_native dd ad bd m k n alpha > 0 then begin
     A.fill dd 0.0;
-    gemm_acc_ocaml ~alpha ad bd ~boff dd ~m ~k ~n
+    gemm_acc_ocaml ~alpha ad bd dd ~m ~k ~n
   end
 
 let matmul_into ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false) ?epilogue
@@ -1252,25 +1197,15 @@ let matmul_into ?(alpha = 1.0) ?(beta = 1.0) ?(transpose_b = false) ?epilogue
   let ad = a.data and bd = b.data and dd = dst.data in
   apply_beta beta dd (m * n);
   if transpose_b then gemm_acc_transposed ~alpha ad bd dd ~m ~k ~n
-  else gemm_acc ~alpha ~beta ad bd ~boff:0 dd ~m ~k ~n;
+  else gemm_acc ~alpha ~beta ad bd dd ~m ~k ~n;
   match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
 
-let pack_b b =
-  require_rank2 "Tensor.pack_b" b;
-  let k = Shape.dim b.shape 0 and n = Shape.dim b.shape 1 in
-  (* The copy starts [pb_off] doubles in, on a 64-byte boundary: a
-     full-width AVX-512 load that straddles two cache lines halves the
-     native kernel's throughput (24 against 12-14 GFLOP/s on 4x96x96).
-     An offset, not a [Bigarray.Array1.sub] view: a view per copy cost
-     the compile-heavy e2e workload 0.5 MB of peak RSS. *)
-  let data = alloc (Stdlib.max 1 (k * n) + 7) in
-  let pb = { pb_k = k; pb_n = n; pb_off = align_pad data; pb_data = data } in
-  repack_b pb b;
-  pb
-
-let matmul_packed_into ?(alpha = 1.0) ?(beta = 1.0) ?epilogue ~dst a pb =
-  check_matmul_packed_into ~dst a pb;
-  let m = Shape.dim a.shape 0 and k = pb.pb_k and n = pb.pb_n in
-  apply_beta beta dst.data (m * n);
-  gemm_acc ~alpha ~beta a.data pb.pb_data ~boff:pb.pb_off dst.data ~m ~k ~n;
-  match epilogue with None -> () | Some ep -> apply_epilogue ep ~dst
+(* A copy, so bitwise by construction; 8x8 blocks in C, where the
+   [transpose] loop above strides a whole column of [dst] per row. *)
+let transpose_into src ~dst =
+  require_rank2 "Tensor.transpose" src;
+  let m = Shape.dim src.shape 0 and n = Shape.dim src.shape 1 in
+  require_dims2 "Tensor.transpose_into" dst n m;
+  if dst.data == src.data then
+    invalid_arg "Tensor.transpose_into: dst must not alias the source";
+  transpose_native dst.data src.data m n

@@ -8,7 +8,12 @@
     destination-passing variants ([matmul_into], [add_into], …) let
     the hot cell functions ({!Kernels}) run without allocating
     per-intermediate temporaries.  Numerical semantics are unchanged
-    from the [float array] backend: the same loops in the same order. *)
+    from the [float array] backend: the same loops in the same order.
+
+    Every payload this module allocates comes from {!Aligned.create}:
+    from [Aligned.floor] (64) elements on, it starts on a 64-byte
+    boundary, so the native kernels read whole cache lines from any
+    tensor built here.  {!of_buffer} wraps whatever it is given. *)
 
 type t
 
@@ -89,6 +94,9 @@ val data : t -> float array
 val get : t -> int array -> float
 val get1 : t -> int -> float
 (** Flat row-major access. *)
+
+val is_aligned : t -> bool
+(** Whether the payload starts on a 64-byte boundary. *)
 
 val to_scalar : t -> float
 (** @raise Invalid_argument unless the tensor holds exactly one element. *)
@@ -183,8 +191,11 @@ val row_sum_into : t -> dst:t -> unit
 (** {!row_sum} into a preallocated [[m,1]] destination; allocation-free. *)
 
 val transpose_into : t -> dst:t -> unit
-(** {!transpose} into a preallocated [[n,m]] destination (must not
-    alias the source); allocation-free. *)
+(** {!transpose} into a preallocated [[n,m]] destination; allocation-free.
+    A copy in 8x8 blocks in native code, so bitwise equal to
+    {!transpose}.
+    @raise Invalid_argument on a shape mismatch or if [dst] is the
+    source. *)
 
 val slice_cols_into : t -> int -> int -> dst:t -> unit
 (** {!slice_cols} into a preallocated [[m,hi-lo]] destination;
@@ -264,47 +275,6 @@ val matmul_into :
     @raise Invalid_argument on shape mismatch or if [dst] aliases an
     operand. *)
 
-(** {2 Packed GEMM}
-
-    [pack_b] copies a [[k,n]] B operand once, row-major, into a buffer
-    of its own that starts on a 64-byte boundary, so every subsequent
-    [matmul_packed_into] against it — across the rows of a wavefront,
-    across points, across workers — reads aligned rows.  Tensors that
-    come back through [Marshal] or another [malloc]'d buffer are not
-    64-byte aligned, and the native kernel's full-width loads then
-    straddle cache lines.  The copy holds the values unchanged and the
-    accumulation is {!matmul_into}'s, so results are bit-identical to
-    {!matmul_into} on the source. *)
-
-type packed_b
-(** A B operand copied to an aligned buffer; read-only and safe to
-    share across domains. *)
-
-val pack_b : t -> packed_b
-(** Copy a rank-2 [[k,n]] tensor.  Allocates the copy (do it at plan
-    time, not on the hot path). *)
-
-val repack_b : ?transposed:bool -> packed_b -> t -> unit
-(** Refill a copy in place from a tensor of the same dims — or, with
-    [transposed] (default [false]), from the tensor whose
-    {!transpose} has them — with no allocation.
-    @raise Invalid_argument when the operand's dims differ from the
-    copy's. *)
-
-val packed_dims : packed_b -> int * int
-(** The [(k, n)] dims of the copied operand. *)
-
-val matmul_packed_into :
-  ?alpha:float -> ?beta:float -> ?epilogue:epilogue -> dst:t -> t -> packed_b
-  -> unit
-(** [matmul_packed_into ~dst a pb] computes
-    [dst <- alpha * a@b + beta * dst] against a packed B;
-    allocation-free and bitwise-identical to {!matmul_into} on the
-    source operand.  Tiers as in {!matmul_into}: a [beta = 0.] call
-    runs the same native kernel on the aligned copy, with the same NaN
-    fallback to {!Reference.matmul_packed_into}.
-    @raise Invalid_argument on shape mismatch or if [dst] aliases [a]. *)
-
 (** {2 The OCaml reference tier}
 
     The OCaml loops every native kernel must match bit for bit, and the
@@ -335,10 +305,6 @@ module Reference : sig
     t ->
     unit
   (** Applies an [epilogue] with the reference elementwise loops. *)
-
-  val matmul_packed_into :
-    ?alpha:float -> ?beta:float -> ?epilogue:epilogue -> dst:t -> t -> packed_b
-    -> unit
 end
 
 (** {1 Linear algebra} *)

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Kernel micro-benchmark: wall-clock GFLOP/s of the native GEMM tier
-# (unpacked; gemm-native-packed, native on an aligned copy of b; and
-# the aligned copy with a fused bias+tanh epilogue) against the OCaml
-# reference loops, at the per-cell shapes the workloads actually run
-# (LSTM gate, RNN cell, FFN block, back-to-back GEMM), plus the aligned
-# copy vs native unpacked as an ungated ratio; then ns per element of
+# (gemm-native, and gemm-bias-tanh with a fused bias+tanh epilogue)
+# against the OCaml reference loops, at the per-cell shapes the
+# workloads actually run (LSTM gate, RNN cell, FFN block, back-to-back
+# GEMM), on tensors born 64-byte aligned; then ns per element of
 # the native elementwise kernels (ew-add, ew-mul, ew-tanh, ew-sigmoid,
 # ew-exp, ew-bias-tanh) against the Tensor.Reference loops at the
 # cell-tail shapes [1,64], [1,128], [16,128] and [32,32].
 # Median-of-N with warmup, every pair checked bitwise; records go to
 # BENCH_kernels.json.  The kernels gate (every candidate bitwise-equal
-# and >= 1.0x its baseline; gemm-bias-tanh >= 0.5x gemm-native-packed
+# and >= 1.0x its baseline; gemm-bias-tanh >= 0.5x gemm-native
 # GFLOP/s on every shape) prints one ok/FAIL line per row and fails
 # the script on any FAIL.
 #

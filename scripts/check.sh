@@ -84,8 +84,9 @@ if grep -nE '[A-Za-z0-9_]_into\b|\bKernels\.' lib/fractal/*.ml; then
 fi
 # Every Tensor value the interpreter uses (Tensor.add, Tensor.softmax,
 # Tensor.row_max, …) is defined in tensor.ml above the first
-# `external`, so it can reach only OCaml code: Tensor.Reference, not a
-# native kernel.
+# `external`, so it computes only in OCaml: Tensor.Reference, not a
+# native kernel.  (Its payloads come from the C allocator in
+# aligned.ml, which computes no value.)
 echo "guard: the Tensor values lib/fractal uses are defined above tensor.ml's first external"
 tensor_ml=lib/tensor/tensor.ml
 first_external=$( (grep -n '^external' "$tensor_ml" || true) | head -1 | cut -d: -f1)
@@ -104,6 +105,16 @@ done
 if [ -n "$stray" ]; then
   echo "below line $first_external:$stray"
   echo "check.sh: an interpreter operation may reach native code" >&2
+  exit 1
+fi
+
+# Alignment comes from allocation: tensors and the arena are born
+# 64-byte aligned (lib/tensor/aligned.ml), so nothing keeps an aligned
+# copy of an operand on the side, and no cache is keyed by a tensor's
+# identity (such a copy is read stale once its source changes in place).
+echo "guard: no packed GEMM copies or identity-keyed inputs in lib/ or bin/"
+if grep -rnE 'pack_b|packed_b|matmul_packed_into|identity_keyed' lib bin; then
+  echo "check.sh: an aligned-copy cache crept back in" >&2
   exit 1
 fi
 
@@ -147,6 +158,32 @@ fi
 
 dune build
 dune runtest
+
+# The C stubs are cloned per ISA and the loader runs only the host's
+# clone, so the AVX2 and baseline clones would otherwise never run
+# here.  Rebuild a copy of the tree with every stub pinned to AVX2,
+# then to no target at all (the baseline), and rerun the suites that
+# reach native code.
+pinned="$(mktemp -d)"
+trap 'rm -rf "$pinned"' EXIT
+for target in 'target("avx2")' ''; do
+  echo "native stubs pinned to '${target:-baseline}'"
+  rm -rf "$pinned/tree"
+  mkdir "$pinned/tree"
+  tar --exclude=./_build --exclude=./.git -cf - . | tar -xf - -C "$pinned/tree"
+  sed -i "s/target_clones(\"avx512f\", \"avx2\", \"default\")/$target/" \
+    "$pinned"/tree/lib/tensor/*.c
+  if grep -n 'target_clones' "$pinned"/tree/lib/tensor/*.c; then
+    echo "check.sh: a stub kept its clones; the pinned build would test the host's" >&2
+    exit 1
+  fi
+  (cd "$pinned/tree" && dune build --root . test/test_main.exe 2>&1 \
+    && cd _build/default/test \
+    && ./test_main.exe test 'tensor-native|tensor-aligned|fmath|kernels|compiled' \
+      > /dev/null)
+done
+rm -rf "$pinned"
+trap - EXIT
 
 # Differential suite at both ends of the domain-count range: the
 # compiled engine in wavefront order must be bitwise-identical to the
@@ -294,12 +331,11 @@ dune exec --no-build bin/ftc.exe -- cache stats
 #           (Interp.run_program) and stays bitwise-identical to it in
 #           the interpreter's view; fused is >= 0.90x unfused (clock
 #           noise on a workload with no fusible tail)
-#   kernels every native GEMM row (unpacked; gemm-native-packed,
-#           native on an aligned copy of b; the aligned copy with a
-#           fused epilogue) and every native elementwise row (ew-*) is
-#           bitwise-equal to, and at least as fast as, its OCaml
-#           reference baseline; gemm-bias-tanh keeps >= 0.5x
-#           gemm-native-packed's GFLOP/s on every shape
+#   kernels every native GEMM row (gemm-native; gemm-bias-tanh, the
+#           same GEMM with a fused epilogue) and every native
+#           elementwise row (ew-*) is bitwise-equal to, and at least as
+#           fast as, its OCaml reference baseline; gemm-bias-tanh keeps
+#           >= 0.5x gemm-native's GFLOP/s on every shape
 #   serve   batched service is bitwise-identical to solo service and
 #           the open-loop p99 stays finite under deliberate overload
 #           on every workload; the bounded queue sheds somewhere

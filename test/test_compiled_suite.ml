@@ -121,32 +121,47 @@ let compiled_tests =
         checkb "run 3" true (outputs_equal_exact first third));
     Alcotest.test_case "steady-state execute allocates zero minor words"
       `Quick (fun () ->
-        let g = Build.build (Stacked_lstm.program Stacked_lstm.default) in
-        let binds =
-          Stacked_lstm.bindings
-            (Stacked_lstm.gen_inputs (Rng.create 5) Stacked_lstm.default)
+        (* the LSTM's GEMMs read input-cell weights; flash attention's
+           [@T] transposes a per-point operand into worker scratch *)
+        let cases =
+          [
+            ( "stacked_lstm",
+              Build.build (Stacked_lstm.program Stacked_lstm.default),
+              Stacked_lstm.bindings
+                (Stacked_lstm.gen_inputs (Rng.create 5) Stacked_lstm.default) );
+            ( "flash_attention",
+              Build.build (Flash_attention.program Flash_attention.default),
+              Flash_attention.bindings
+                (Flash_attention.gen_inputs (Rng.create 5)
+                   Flash_attention.default) );
+          ]
         in
-        let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
-        let exe =
-          match Executor.compiled pr with
-          | Some e -> e
-          | None -> Alcotest.fail "stacked_lstm should compile"
-        in
-        Compiled.load exe binds;
-        (* warm-up: fault in any lazy runtime state *)
-        Compiled.execute exe;
-        Compiled.execute exe;
-        (* [Gc.minor_words ()] boxes its float result on the minor
-           heap, so bracket an empty section first and subtract that
-           constant. *)
-        let a = Gc.minor_words () in
-        let b = Gc.minor_words () in
-        let overhead = b -. a in
-        let c = Gc.minor_words () in
-        Compiled.execute exe;
-        let d = Gc.minor_words () in
-        let allocated = d -. c -. overhead in
-        Alcotest.(check (float 0.0)) "minor words per execute" 0.0 allocated);
+        List.iter
+          (fun (name, g, binds) ->
+            let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
+            let exe =
+              match Executor.compiled pr with
+              | Some e -> e
+              | None -> Alcotest.fail (name ^ " should compile")
+            in
+            Compiled.load exe binds;
+            (* warm-up: fault in any lazy runtime state *)
+            Compiled.execute exe;
+            Compiled.execute exe;
+            (* [Gc.minor_words ()] boxes its float result on the minor
+               heap, so bracket an empty section first and subtract
+               that constant. *)
+            let a = Gc.minor_words () in
+            let b = Gc.minor_words () in
+            let overhead = b -. a in
+            let c = Gc.minor_words () in
+            Compiled.execute exe;
+            let d = Gc.minor_words () in
+            let allocated = d -. c -. overhead in
+            Alcotest.(check (float 0.0))
+              (name ^ ": minor words per execute")
+              0.0 allocated)
+          cases);
     Alcotest.test_case "arena is live: intermediates share one backing"
       `Quick (fun () ->
         let g =
@@ -176,7 +191,7 @@ let compiled_tests =
             in
             checkb name true (outputs_equal_exact fused unfused))
           (workloads ()));
-    Alcotest.test_case "fusion stats: ops fuse, GEMMs pack, tails swallow"
+    Alcotest.test_case "fusion stats: ops fuse, tails swallow"
       `Quick (fun () ->
         let stats_of o g =
           match Executor.compiled (Executor.prepare ~opts:o g) with
@@ -184,16 +199,13 @@ let compiled_tests =
           | None -> Alcotest.fail "workload should compile"
         in
         let total f = List.fold_left (fun a s -> a + f s) 0 in
-        (* the LSTM coalesces its gate chains and packs its weight
-           GEMMs; its biases arrive as input cells, so epilogue
-           swallowing needs the RNN, whose [Lit] bias is a block
-           constant *)
+        (* the LSTM coalesces its gate chains; its biases arrive as
+           input cells, so epilogue swallowing needs the RNN, whose
+           [Lit] bias is a block constant *)
         let lstm = Build.build (Stacked_lstm.program Stacked_lstm.default) in
         let fused = stats_of (opts ~domains:1 ()) lstm in
         checkb "some ops coalesced" true
           (total (fun s -> s.Compiled.fs_fused_ops) fused > 0);
-        checkb "some GEMMs run prepacked" true
-          (total (fun s -> s.Compiled.fs_packed) fused > 0);
         let rnn = Build.build (Stacked_rnn.program Stacked_rnn.default) in
         checkb "some epilogue tails swallowed" true
           (total
@@ -204,7 +216,7 @@ let compiled_tests =
           (fun s ->
             checkb (s.Compiled.fs_block ^ " all zeros under fuse:false") true
               (s.Compiled.fs_groups = 0 && s.Compiled.fs_fused_ops = 0
-              && s.Compiled.fs_swallowed = 0 && s.Compiled.fs_packed = 0))
+              && s.Compiled.fs_swallowed = 0))
           (stats_of (opts ~domains:1 ~fuse:false ()) lstm));
     Alcotest.test_case "prepare_cached: one entry per key and options"
       `Quick (fun () ->
@@ -253,24 +265,44 @@ let compiled_tests =
         checkb "execute's copies are untouched" true
           (outputs_equal_exact kept copied));
     Alcotest.test_case
-      "identity_keyed_inputs: the inputs read through an identity-keyed \
-       aligned copy" `Quick (fun () ->
-        let p =
-          Parse.program
-            {|program keyed
-input xs: [4]f32[1,8]
-input w: f32[8,8]
-input vs: [4]f32[8,8]
-return zip(xs, vs).map { |x, v| x @ w + x @T v }|}
-        in
-        let keyed o =
-          match Executor.compiled (Executor.prepare ~opts:o (Build.build p)) with
-          | Some exe -> Compiled.identity_keyed_inputs exe
-          | None -> Alcotest.fail "should compile"
-        in
-        Alcotest.(check (list string)) "fused" [ "vs"; "w" ] (keyed (opts ~domains:1 ()));
-        Alcotest.(check (list string)) "fuse:false" []
-          (keyed (opts ~domains:1 ~fuse:false ())));
+      "a GEMM right operand changed in place is read afresh by the next \
+       run (@ and @T, 1 and 2 domains)" `Quick (fun () ->
+        List.iter
+          (fun op ->
+            let p =
+              Parse.program
+                (Printf.sprintf
+                   "program stale\ninput xs: [4]f32[2,8]\ninput w: f32[8,8]\n\
+                    return xs.map { |x| x %s w }\n"
+                   op)
+            in
+            let g = Build.build p in
+            let r = Rng.create 21 in
+            let x () = Fractal.Leaf (Tensor.rand r (Shape.of_array [| 2; 8 |])) in
+            let w = Tensor.rand r (Shape.of_array [| 8; 8 |]) in
+            let binds =
+              [ ("xs", Fractal.Node (Array.init 4 (fun _ -> x ()))); ("w", Fractal.Leaf w) ]
+            in
+            List.iter
+              (fun domains ->
+                let label what = Printf.sprintf "%s, %d domain(s): %s" op domains what in
+                let pr = Executor.prepare ~opts:(opts ~domains ()) g in
+                let first = Executor.execute pr binds in
+                let wb = Tensor.buffer w in
+                for i = 0 to Bigarray.Array1.dim wb - 1 do
+                  wb.{i} <- 2.0 *. wb.{i}
+                done;
+                let second = Executor.execute pr binds in
+                let fresh = Executor.run ~opts:(opts ~domains ()) g binds in
+                checkb (label "the doubled w changed the result") false
+                  (outputs_equal_exact first second);
+                checkb (label "= a fresh prepare") true (outputs_equal_exact second fresh);
+                checkb (label "= Interp") true
+                  (match Oracles.value p second with
+                  | Some v -> Fractal.equal_exact v (Interp.run_program p binds)
+                  | None -> false))
+              [ 1; 2 ])
+          [ "@"; "@T" ]);
     Alcotest.test_case "missing inputs are reported" `Quick (fun () ->
         let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
         checkb "raises" true

@@ -455,85 +455,12 @@ let into_tests =
              (Tensor.add (Tensor.matmul x w) b)));
   ]
 
-(* Packed GEMM and fused epilogues: bitwise identity against the
-   reference kernels for arbitrary shapes (edge tiles, the alpha-zero
-   skip) — the invariant the compiled engine's fusion pass relies on. *)
-let packed_tests =
+(* Fused epilogues: bitwise identity against the separate reference
+   passes for arbitrary shapes (edge tiles, every bias broadcast) — the
+   invariant the compiled engine's fusion pass relies on. *)
+let epilogue_tests =
   let sh m n = Shape.of_array [| m; n |] in
-  let sparse_rand r shape =
-    (* Exact zeros with ~25% probability, to exercise the zero-skip. *)
-    Tensor.init shape (fun _ ->
-        if Rng.int r 4 = 0 then 0.0 else Rng.uniform r ~lo:(-1.0) ~hi:1.0)
-  in
   [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:150
-         ~name:"matmul_packed_into = matmul_into bitwise"
-         QCheck2.Gen.(
-           pair
-             (triple (int_range 1 9) (int_range 1 19) (int_range 1 13))
-             (int_bound 1000))
-         (fun ((m, k, n), seed) ->
-           let r = Rng.create (seed + 1) in
-           let a = sparse_rand r (sh m k) and b = Tensor.rand r (sh k n) in
-           let want = Tensor.uninit (sh m n) in
-           Tensor.matmul_into ~beta:0.0 ~dst:want a b;
-           let pb = Tensor.pack_b b in
-           let got = Tensor.uninit (sh m n) in
-           Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
-           Tensor.equal_bits got want));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:60
-         ~name:"matmul_packed_into alpha/beta accumulate bitwise"
-         QCheck2.Gen.(pair (triple (int_range 1 6) (int_range 1 10) (int_range 1 8)) (int_bound 1000))
-         (fun ((m, k, n), seed) ->
-           let r = Rng.create (seed + 7) in
-           let a = sparse_rand r (sh m k) and b = Tensor.rand r (sh k n) in
-           let acc0 = Tensor.rand r (sh m n) in
-           let want = Tensor.copy acc0 in
-           Tensor.matmul_into ~alpha:2.0 ~beta:1.0 ~dst:want a b;
-           let got = Tensor.copy acc0 in
-           let pb = Tensor.pack_b b in
-           Tensor.matmul_packed_into ~alpha:2.0 ~beta:1.0 ~dst:got a pb;
-           Tensor.equal_bits got want));
-    Alcotest.test_case "repack_b refills a panel as pack_b packs it" `Quick
-      (fun () ->
-        let r = Rng.create 43 in
-        let b = Tensor.rand r (sh 7 11) and b' = Tensor.rand r (sh 7 11) in
-        let a = Tensor.rand r (sh 4 7) in
-        let pb = Tensor.pack_b b in
-        Tensor.repack_b pb b';
-        let want = Tensor.uninit (sh 4 11) and got = Tensor.uninit (sh 4 11) in
-        Tensor.matmul_packed_into ~beta:0.0 ~dst:want a (Tensor.pack_b b');
-        Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
-        checkb "bitwise" true (Tensor.equal_bits got want);
-        Alcotest.check_raises "other dims"
-          (Invalid_argument "Tensor.repack_b: dims differ from the copy's")
-          (fun () -> Tensor.repack_b pb (Tensor.rand r (sh 11 7)));
-        (* transposed: refilled from the untransposed tensor *)
-        let c = Tensor.rand r (sh 11 7) and c' = Tensor.rand r (sh 11 7) in
-        let pt = Tensor.pack_b (Tensor.transpose c) in
-        let against x =
-          Tensor.matmul_packed_into ~beta:0.0 ~dst:want a
-            (Tensor.pack_b (Tensor.transpose x));
-          Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pt;
-          Tensor.equal_bits got want
-        in
-        checkb "packed transpose" true (against c);
-        Tensor.repack_b ~transposed:true pt c';
-        checkb "transposed repack" true (against c'));
-    Alcotest.test_case "pack_b matches at workload shapes"
-      `Quick (fun () ->
-        let r = Rng.create 41 in
-        List.iter
-          (fun (m, k, n) ->
-            let a = Tensor.rand r (sh m k) and b = Tensor.rand r (sh k n) in
-            let want = Tensor.uninit (sh m n) in
-            Tensor.matmul_into ~beta:0.0 ~dst:want a b;
-            let got = Tensor.uninit (sh m n) in
-            Tensor.matmul_packed_into ~beta:0.0 ~dst:got a (Tensor.pack_b b);
-            checkb "bitwise" true (Tensor.equal_bits got want))
-          [ (1, 96, 96); (4, 96, 96); (64, 512, 512); (3, 300, 260) ]);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:80
          ~name:"epilogue fusion = separate bias/act passes bitwise"
@@ -602,8 +529,8 @@ let packed_tests =
    values cover signed zeros (the zero-skip), infinities (which make
    NaNs inside the sum) and NaNs with random payloads and signs in [a],
    in [b] and in both — where only the NaN fallback keeps the tiers
-   equal.  [pack_b] and [repack_b] also copy sources that start off a
-   64-byte boundary, the one job packing keeps. *)
+   equal.  Operands that start off a 64-byte boundary (an [of_buffer]
+   view) run the same kernels. *)
 let native_tests =
   let sh m n = Shape.of_array [| m; n |] in
   let shapes =
@@ -670,15 +597,7 @@ let native_tests =
                 Tensor.Reference.matmul_into ~alpha ~beta:0.0 ~dst:want a b;
                 let got = Tensor.full (sh m n) nan in
                 Tensor.matmul_into ~alpha ~beta:0.0 ~dst:got a b;
-                checkb (label "unpacked") true (Tensor.equal_bits got want);
-                let pb = Tensor.pack_b b in
-                let reference = Tensor.uninit (sh m n) in
-                Tensor.Reference.matmul_packed_into ~alpha ~beta:0.0
-                  ~dst:reference a pb;
-                checkb (label "packed reference") true
-                  (Tensor.equal_bits reference want);
-                Tensor.matmul_packed_into ~alpha ~beta:0.0 ~dst:got a pb;
-                checkb (label "packed") true (Tensor.equal_bits got want))
+                checkb (label "native") true (Tensor.equal_bits got want))
               (alphas_for i))
           kinds)
   in
@@ -698,33 +617,23 @@ let native_tests =
           Tensor.Reference.matmul_into ~beta:0.0 ~transpose_b:true ~dst:want a bt;
           Tensor.matmul_into ~beta:0.0 ~transpose_b:true ~dst:got a bt;
           checkb "transpose_b" true (Tensor.equal_bits got want));
-      Alcotest.test_case "pack_b and repack_b of a misaligned source" `Quick
-        (fun () ->
+      Alcotest.test_case "matmul_into and transpose_into of a misaligned source"
+        `Quick (fun () ->
           let r = Rng.create 11 in
           let m, k, n = (5, 37, 45) in
           let a = operand r ~inf:false ~nan:false (sh m k) in
-          (* a [rows,cols] source starting [shift] doubles into its
-             buffer: shifts 0..7 cover every 8-byte residue of a 64-byte
-             line, so seven of them start 1-7 doubles off the boundary *)
+          (* a [rows,cols] view starting [shift] doubles past a 64-byte
+             boundary: shifts 0..7 cover every 8-byte residue of a
+             64-byte line *)
           let shifted ~nan shift rows cols =
             let src = operand r ~inf:false ~nan (sh rows cols) in
-            let buf =
-              Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-                ((rows * cols) + shift)
-            in
-            let view = Bigarray.Array1.sub buf shift (rows * cols) in
+            let base = Tensor.buffer (Tensor.uninit (sh 1 ((rows * cols) + 8))) in
+            checkb "aligned base" true (Aligned.is_aligned base);
+            let view = Bigarray.Array1.sub base shift (rows * cols) in
             Bigarray.Array1.blit (Tensor.buffer src) view;
             Tensor.of_buffer (sh rows cols) view
           in
           let want = Tensor.uninit (sh m n) and got = Tensor.uninit (sh m n) in
-          let check label pb b =
-            Tensor.Reference.matmul_into ~beta:0.0 ~dst:want a b;
-            Tensor.matmul_packed_into ~beta:0.0 ~dst:got a pb;
-            checkb (label ^ ", native") true (Tensor.equal_bits got want);
-            Tensor.Reference.matmul_packed_into ~beta:0.0 ~dst:got a pb;
-            checkb (label ^ ", reference") true (Tensor.equal_bits got want)
-          in
-          let pt = Tensor.pack_b (Tensor.zeros (sh k n)) in
           List.iter
             (fun nan ->
               for shift = 0 to 7 do
@@ -732,10 +641,20 @@ let native_tests =
                   Printf.sprintf "%s, shift %d, nan %b" what shift nan
                 in
                 let b = shifted ~nan shift k n in
-                check (label "pack_b") (Tensor.pack_b b) b;
+                checkb (label "view offset") (shift = 0) (Tensor.is_aligned b);
+                Tensor.Reference.matmul_into ~beta:0.0 ~dst:want a b;
+                Tensor.matmul_into ~beta:0.0 ~dst:got a b;
+                checkb (label "matmul_into") true (Tensor.equal_bits got want);
                 let c = shifted ~nan shift n k in
-                Tensor.repack_b ~transposed:true pt c;
-                check (label "repack_b transposed") pt (Tensor.transpose c)
+                let ct = Tensor.uninit (sh k n) in
+                Tensor.transpose_into c ~dst:ct;
+                checkb (label "transpose_into") true
+                  (Tensor.equal_bits ct (Tensor.transpose c));
+                Tensor.Reference.matmul_into ~beta:0.0 ~dst:want a
+                  (Tensor.transpose c);
+                Tensor.matmul_into ~beta:0.0 ~dst:got a ct;
+                checkb (label "matmul_into on the transpose") true
+                  (Tensor.equal_bits got want)
               done)
             [ false; true ]);
     ]
@@ -1123,13 +1042,131 @@ let fmath_tests =
           Tensor.[ Uexp; Utanh; Usigmoid ]);
   ]
 
+(* Payloads are born 64-byte aligned from [Aligned.floor] doubles on,
+   and the GC is told their size: an allocate-and-drop loop keeps the
+   process's peak RSS flat.  [transpose_into], the native copy behind
+   [@T], is bitwise the interpreter's [transpose]. *)
+let aligned_tests =
+  let sh m n = Shape.of_array [| m; n |] in
+  let fl = Aligned.floor in
+  let vm_hwm_kb () =
+    let ic = open_in "/proc/self/status" in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let rec find () =
+          match input_line ic with
+          | l when String.starts_with ~prefix:"VmHWM:" l ->
+              Scanf.sscanf l "VmHWM: %d kB" Fun.id
+          | _ -> find ()
+          | exception End_of_file -> Alcotest.fail "no VmHWM line"
+        in
+        find ())
+  in
+  [
+    Alcotest.test_case "payloads start on a 64-byte boundary from the floor on"
+      `Quick (fun () ->
+        let r = Rng.create 3 in
+        List.iter
+          (fun n ->
+            let label what = Printf.sprintf "%s of %d" what n in
+            (* many of each: one aligned malloc could be luck *)
+            for _ = 1 to 32 do
+              let u = Tensor.uninit (sh 1 n) and z = Tensor.zeros (sh 1 n) in
+              let x = Tensor.rand r (sh n 1) in
+              let c = Tensor.copy x and t = Tensor.transpose x in
+              checkb (label "copy") true (Tensor.equal_bits c x);
+              checki (label "numel") n (Tensor.numel u);
+              let a = Arena.create ~floats:n in
+              let v = Arena.view a ~off:0 ~len:n in
+              checkb (label "arena zeroed") true
+                (Tensor.equal_bits (Tensor.of_buffer (sh 1 n) v) z);
+              if n >= fl then begin
+                checkb (label "uninit") true (Tensor.is_aligned u);
+                checkb (label "zeros") true (Tensor.is_aligned z);
+                checkb (label "copy") true (Tensor.is_aligned c);
+                checkb (label "transpose") true (Tensor.is_aligned t);
+                checkb (label "arena") true (Aligned.is_aligned v)
+              end
+            done)
+          [ 1; fl - 1; fl; fl + 1; 1000; 40_000 ]);
+    Alcotest.test_case "tensors read back through Marshal are aligned"
+      `Quick (fun () ->
+        let r = Rng.create 4 in
+        let ts = List.init 32 (fun i -> Tensor.rand r (sh 1 (fl - 16 + i))) in
+        let ints = Bigarray.(Array1.init int c_layout 100 Fun.id) in
+        let ts', ints' =
+          Marshal.from_string (Marshal.to_string (ts, ints) []) 0
+        in
+        List.iter2
+          (fun t t' ->
+            let n = Tensor.numel t in
+            checkb (Printf.sprintf "%d values" n) true (Tensor.equal_bits t t');
+            if n >= fl then
+              checkb (Printf.sprintf "%d aligned" n) true (Tensor.is_aligned t'))
+          ts ts';
+        checkb "other bigarrays unchanged" true (ints = ints'));
+    Alcotest.test_case "allocate-and-drop churn keeps peak RSS flat" `Quick
+      (fun () ->
+        (* ~200 MB allocated, touched and dropped in 25k tensors of
+           64..2047 doubles: a payload the GC did not account would
+           pile up between collections *)
+        let before = vm_hwm_kb () in
+        let r = Rng.create 5 in
+        let sink = ref 0.0 in
+        for _ = 1 to 25_000 do
+          let n = fl + Rng.int r (2048 - fl) in
+          let t = Tensor.zeros (sh 1 n) in
+          sink := !sink +. Tensor.get1 t (n - 1)
+        done;
+        checkf "zeros" 0.0 !sink;
+        let grown_mb = float_of_int (vm_hwm_kb () - before) /. 1024.0 in
+        checkb (Printf.sprintf "VmHWM grew %.1f MB (bound 16)" grown_mb) true
+          (grown_mb < 16.0));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"transpose_into = transpose bitwise"
+         QCheck2.Gen.(pair (pair (int_range 1 27) (int_range 1 27)) (int_bound 1000))
+         (fun ((m, n), seed) ->
+           let r = Rng.create (seed + 1) in
+           (* NaN payloads and signed zeros must survive the copy *)
+           let src =
+             Tensor.init (sh m n) (fun _ ->
+                 match Rng.int r 8 with
+                 | 0 -> Int64.float_of_bits (Int64.logor 0x7FF0_0000_0000_0001L (Rng.int64 r))
+                 | 1 -> -0.0
+                 | _ -> Rng.uniform r ~lo:(-1.0) ~hi:1.0)
+           in
+           let got = Tensor.uninit (sh n m) in
+           Tensor.transpose_into src ~dst:got;
+           Tensor.equal_bits got (Tensor.transpose src)));
+    Alcotest.test_case "transpose_into at workload shapes, and its checks" `Quick
+      (fun () ->
+        let r = Rng.create 9 in
+        List.iter
+          (fun (m, n) ->
+            let src = Tensor.rand r (sh m n) in
+            let got = Tensor.uninit (sh n m) in
+            Tensor.transpose_into src ~dst:got;
+            checkb (Printf.sprintf "%dx%d" m n) true
+              (Tensor.equal_bits got (Tensor.transpose src)))
+          [ (32, 64); (64, 32); (96, 96); (1, 300); (300, 1); (257, 129) ];
+        let sq = Tensor.rand r (sh 8 8) in
+        Alcotest.check_raises "aliased"
+          (Invalid_argument "Tensor.transpose_into: dst must not alias the source")
+          (fun () -> Tensor.transpose_into sq ~dst:sq);
+        Alcotest.check_raises "shape"
+          (Invalid_argument "Tensor.transpose_into: dst shape mismatch")
+          (fun () -> Tensor.transpose_into (Tensor.rand r (sh 3 5)) ~dst:(Tensor.uninit (sh 3 5))));
+  ]
+
 let suites =
   [
     ("shape", shape_tests @ shape_props);
     ("rng", rng_tests);
     ("tensor", tensor_tests @ tensor_props);
     ("tensor-into", into_tests);
-    ("tensor-packed", packed_tests);
+    ("tensor-epilogue", epilogue_tests);
+    ("tensor-aligned", aligned_tests);
     ("tensor-native", native_tests @ elementwise_tests);
     ("kernels", kernels_tests);
     ("fmath", fmath_tests);
