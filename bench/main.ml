@@ -759,7 +759,7 @@ let tuned () =
   List.iter
     (fun (fig, title, p) ->
       let rep =
-        Tuner.tune_program ~seed ~strategy:Search.Greedy ~budget ~oracle:Tuner.Sim p
+        Tuner.tune_program ~seed ~strategy:Search.Greedy ~budget p
       in
       let res = rep.Tuner.rp_result in
       let dflt = res.Search.r_default.Search.e_cost in

@@ -212,6 +212,17 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* The tuned-config line of [ftc run] and [ftc profile].  A tuned config
+   is model output: it picks the simulated plan whose metrics are
+   printed, and the executed run never reads it. *)
+let tuned_line = function
+  | None -> "tuned config: none"
+  | Some t ->
+      Printf.sprintf
+        "tuned config: %s (selects the simulated plan only; execution \
+         uses the default options)"
+        (Tile.config_to_string t)
+
 (* Asking for more domains than the machine has cores buys contention,
    not parallelism — flag it once the pool size is settled. *)
 let warn_if_oversubscribed () =
@@ -424,17 +435,15 @@ let run_cmd =
                   (List.length g.Ir.g_blocks)
             | Error es ->
                 List.iter (Format.eprintf "invariant violated: %s@.") es);
-            (* a tuned config in the database (FT_TUNE_DB) applies
-               transparently: no search runs here, only a lookup *)
+            (* a tuned config in the database (FT_TUNE_DB) selects the
+               simulated plan below: no search runs here, only a
+               lookup, and execution never reads it *)
             Tune_db.install ();
             let tuned =
               Pipeline.tuned_config_for (Pipeline.source_key (read_file path))
             in
             let tile = Option.value tuned ~default:Tile.default_config in
-            Option.iter
-              (fun t ->
-                Format.printf "tuned: %s@." (Tile.config_to_string t))
-              tuned;
+            if tuned <> None then Format.printf "%s@." (tuned_line tuned);
             let plan = Pipeline.plan_of_graph ~tile g in
             Format.printf "compiled: %a@." Engine.pp_metrics
               (Executor.metrics plan);
@@ -448,10 +457,7 @@ let run_cmd =
                 ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential }
                 g env
             in
-            (* a tuned config also carries the compiled engine's fusion
-               knob — bitwise-neutral, so the differential check below
-               is unaffected *)
-            let pr = Executor.prepare ~opts:(Run_opts.with_tile tile Run_opts.default) g in
+            let pr = Executor.prepare g in
             let par = Executor.execute pr env in
             let wave_ok =
               List.length seq = List.length par
@@ -527,7 +533,9 @@ let profile_cmd =
                skips the whole compile — the trace then has no compiler
                spans, only simulation and vm ones.  A tuned config in
                the database (FT_TUNE_DB) resolves first and shifts the
-               cache key, so tuned and default plans coexist. *)
+               cache key, so tuned and default plans coexist.  The
+               config selects that plan only; execution below runs
+               with the default options. *)
             Tune_db.install ~device ();
             let src = read_file path in
             let tuned = Pipeline.tuned_config_for (Pipeline.source_key src) in
@@ -553,19 +561,17 @@ let profile_cmd =
               List.map (fun (x, t) -> (x, random_value r t)) p.Expr.inputs
             in
             let g = Build.build p in
-            let pr = Executor.prepare ~opts:(Run_opts.with_tile tile Run_opts.default) g in
+            let pr = Executor.prepare g in
             Trace.with_sink sink (fun () -> ignore (Executor.execute pr env));
             let prof = Executor.profile ~device plan in
             let tuned_str =
-              match tuned with
-              | Some t -> Tile.config_to_string t
-              | None -> "none"
+              Option.fold ~none:"none" ~some:Tile.config_to_string tuned
             in
             (match format with
             | `Text ->
                 Format.printf "plan cache: %s@."
                   (if cached then "hit" else "miss");
-                Format.printf "tuned config: %s@." tuned_str;
+                Format.printf "%s@." (tuned_line tuned);
                 print_string (Profile.to_text prof);
                 print_newline ();
                 print_string (Trace.to_text sink)
@@ -650,11 +656,9 @@ let analyze_cmd =
     Term.(const run $ Cli_args.ft_file $ Cli_args.format_arg)
 
 let tune_cmd =
-  let run path budget strategy oracle seed device format =
+  let run path budget strategy seed device format =
     Cli_args.require_at_least_1 "tune" "budget" budget;
-    match
-      Tuner.tune_file ~device ~seed ~strategy ~budget ~oracle path
-    with
+    match Tuner.tune_file ~device ~seed ~strategy ~budget path with
     | exception Parse.Syntax_error { line; col; message } ->
         Format.eprintf "%s:%d:%d: %s@." path line col message;
         exit 1
@@ -688,27 +692,20 @@ let tune_cmd =
              when the lattice exceeds the budget), greedy (coordinate \
              descent) or evolve (seeded evolutionary search)")
   in
-  let oracle =
-    Arg.(
-      value
-      & opt (enum [ ("sim", Tuner.Sim); ("measure", Tuner.Measure) ]) Tuner.Sim
-      & info [ "oracle" ] ~docv:"ORACLE"
-          ~doc:
-            "Cost oracle: sim (analytical roofline on the device model, \
-             instant) or measure (simulated device time plus wall-clock of \
-             the reference VM, median of 3)")
-  in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Search the tile/chunk knob space of a .ft program for the \
-          best-cost configuration under an evaluation budget, report the \
-          cost trajectory, and record the winner in the tuning database \
-          (set \\$(b,FT_TUNE_DB) to a directory to persist it); \
-          subsequent \\$(b,ftc run) / \\$(b,ftc profile) of the same file \
-          apply it without re-searching")
+         "Search the simulator-visible knob space of a .ft program (GEMM \
+          tile shapes, elementwise chunk, reuse collapsing) for the least \
+          modelled device time (analytical roofline, microseconds) under \
+          an evaluation budget, report the cost trajectory, and record the \
+          winner in the tuning database (set \\$(b,FT_TUNE_DB) to a \
+          directory to persist it); subsequent \\$(b,ftc run) / \
+          \\$(b,ftc profile) of the same file select the simulated plan \
+          with it, without re-searching.  Costs are model output, not \
+          measurements, and execution never reads a tuned config")
     Term.(
-      const run $ Cli_args.ft_file $ budget $ strategy $ oracle
+      const run $ Cli_args.ft_file $ budget $ strategy
       $ Cli_args.seed_arg ~default:2024 $ Cli_args.device_arg
       $ Cli_args.format_arg)
 
@@ -972,9 +969,6 @@ let serve_cmd =
     Cli_args.check_domains "serve" domains;
     Domain_pool.set_num_domains domains;
     warn_if_oversubscribed ();
-    (* tuned configs apply transparently to the serving session's
-       prepared step programs, exactly as they do to [ftc run] *)
-    Tune_db.install ();
     let opts = { Run_opts.default with Run_opts.domains } in
     if files = [] then begin
       Format.eprintf "serve: need a FILE.ft (or builtin: %s)@."

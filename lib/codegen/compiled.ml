@@ -108,7 +108,6 @@ type t = {
   ex_stores : store array;
   ex_arena : Arena.t option;
   ex_workers : int;
-  ex_chunk : int option;
   ex_fallbacks : string list;
   ex_outputs : (string * Fractal.t) list;
       (* the [Output] cells, wrapped once: the cells are never rebound *)
@@ -135,10 +134,9 @@ let un_op_of_prim (p : Expr.prim) =
   | Expr.Scale k -> Some (Tensor.Uscale k)
   | _ -> None
 
-let compile ?(arena = true) ?schedule ?chunk
-    ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
+let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
+    (g : Ir.graph) =
   let workers = Stdlib.max 1 workers in
-  let chunk = match chunk with Some c when c > 0 -> Some c | _ -> None in
   let dummy = Tensor.scalar 0.0 in
   (* ---- storage: one preallocated tensor per buffer cell ---- *)
   let role_names role =
@@ -744,7 +742,6 @@ let compile ?(arena = true) ?schedule ?chunk
     ex_stores = stores;
     ex_arena = arena_t;
     ex_workers = workers;
-    ex_chunk = chunk;
     ex_fallbacks = List.rev !fallbacks;
     ex_outputs =
       List.filter_map
@@ -773,16 +770,16 @@ let load exe inputs =
       | Ir.Intermediate | Ir.Output -> ())
     exe.ex_stores
 
-let run_front chunk pool cb lo hi =
+let run_front pool cb lo hi =
   if cb.cb_parallel && hi - lo > 1 then
     match pool with
-    | Some p -> Domain_pool.parallel_for_workers ?chunk p ~lo ~hi cb.cb_exec
+    | Some p -> Domain_pool.parallel_for_workers p ~lo ~hi cb.cb_exec
     | None -> cb.cb_exec_range 0 lo hi
   else cb.cb_exec_range 0 lo hi
 
-let run_block chunk pool cb =
+let run_block pool cb =
   for f = 0 to Array.length cb.cb_fronts - 2 do
-    run_front chunk pool cb
+    run_front pool cb
       (Array.unsafe_get cb.cb_fronts f)
       (Array.unsafe_get cb.cb_fronts (f + 1))
   done
@@ -790,15 +787,15 @@ let run_block chunk pool cb =
 (* Wavefront-scheduled blocks emit one "vm.block" span and one
    "vm.front" per anti-chain; sequential (ordered or downgraded) blocks
    emit nothing. *)
-let run_block_traced chunk pool cb =
-  if not cb.cb_parallel then run_block chunk pool cb
+let run_block_traced pool cb =
+  if not cb.cb_parallel then run_block pool cb
   else
     Vm.block_span cb.cb_name cb.cb_stats (fun () ->
         for f = 0 to Array.length cb.cb_fronts - 2 do
           let lo = cb.cb_fronts.(f) and hi = cb.cb_fronts.(f + 1) in
           Vm.front_span ~block:cb.cb_name ~front:cb.cb_front_ids.(f)
             ~width:(hi - lo) pool
-            (fun () -> run_front chunk pool cb lo hi)
+            (fun () -> run_front pool cb lo hi)
         done)
 
 let execute ?pool ?shadow exe =
@@ -829,11 +826,11 @@ let execute ?pool ?shadow exe =
   | None ->
       if Trace.active () then
         for bi = 0 to Array.length blocks - 1 do
-          run_block_traced exe.ex_chunk pool (Array.unsafe_get blocks bi)
+          run_block_traced pool (Array.unsafe_get blocks bi)
         done
       else
         for bi = 0 to Array.length blocks - 1 do
-          run_block exe.ex_chunk pool (Array.unsafe_get blocks bi)
+          run_block pool (Array.unsafe_get blocks bi)
         done
 
 (* A loop, not [Bytes.contains]: the steady state allocates nothing. *)

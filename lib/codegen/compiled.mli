@@ -56,7 +56,6 @@ type t
 val compile :
   ?arena:bool ->
   ?schedule:(Ir.block -> int array list -> Vm.schedule * string option) ->
-  ?chunk:int ->
   ?workers:int ->
   ?fuse:bool ->
   Ir.graph ->
@@ -71,7 +70,7 @@ val compile :
     {!Executor} picks [Run_opts.order] this way, and a caller compiling
     several executables of one graph computes it once, so the race
     guard reports once and every executable numbers points alike.
-    [chunk]: the pool claim size for parallel fronts.  [workers]
+    Parallel fronts take the pool's default claim size.  [workers]
     (default 1): how many domains may execute fronts concurrently —
     sizes the per-worker kernel scratch;
     {!execute}'s pool must not be larger.  [fuse] (default [true]):

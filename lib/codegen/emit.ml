@@ -229,26 +229,6 @@ let block_kernels ?(others = []) ?(collapse_reuse = true)
       | Some (_, n, k) -> n >= Tile.base_tile && k >= Tile.base_tile
       | None -> false
     in
-    (* With kernel fusion off (the [cfg_fuse] knob), elementwise tails
-       the compiled engine would have coalesced into their producer's
-       slot or a GEMM epilogue each round-trip their result through L1
-       instead.  Model that as one extra read+write pass per
-       elementwise body op; fusion on adds nothing, so default-config
-       emission is unchanged. *)
-    let nofuse_l1_per_cell =
-      if tile.Tile.cfg_fuse then 0.0
-      else
-        List.fold_left
-          (fun acc (o : Ir.op_node) ->
-            match o.Ir.op with
-            | Expr.Add | Expr.Sub | Expr.Mul | Expr.Div | Expr.Maximum
-            | Expr.Tanh | Expr.Sigmoid | Expr.Exp | Expr.Neg | Expr.Relu
-            | Expr.Scale _ | Expr.Softmax ->
-                acc
-                +. (2.0 *. Tile.bytes_of_elems (Shape.numel o.Ir.result_shape))
-            | _ -> acc)
-          0.0 b.Ir.blk_body
-    in
     let steps = Reorder.sequential_steps r in
     let self_written id =
       List.exists
@@ -289,10 +269,9 @@ let block_kernels ?(others = []) ?(collapse_reuse = true)
             0.0 accesses
         in
         let l1 =
-          (if l1_per_cell > 0.0 then
-             (2.0 *. access_bytes) +. (l1_per_cell *. float_of_int cells)
-           else Tile.elementwise_l1_bytes access_bytes)
-          +. (nofuse_l1_per_cell *. float_of_int cells)
+          if l1_per_cell > 0.0 then
+            (2.0 *. access_bytes) +. (l1_per_cell *. float_of_int cells)
+          else Tile.elementwise_l1_bytes access_bytes
         in
         Some
           (Plan.kernel ~l1_bytes:l1 ~tensor_core ~launch_free:(k > 0)

@@ -22,8 +22,8 @@ let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let workers = match pool with Some p -> Domain_pool.size p | None -> 1 in
   let schedule = Vm.guarded_schedule g opts.Run_opts.order in
   let exe =
-    Compiled.compile ~arena:opts.Run_opts.arena ~schedule
-      ?chunk:opts.Run_opts.chunk ~workers ~fuse:opts.Run_opts.fuse g
+    Compiled.compile ~arena:opts.Run_opts.arena ~schedule ~workers
+      ~fuse:opts.Run_opts.fuse g
   in
   { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_exe = exe }
 

@@ -32,7 +32,7 @@ val execute_borrowed :
     buffer order as the executable's own cells
     ({!Compiled.borrowed_outputs}): the same list and tensors on every
     run, valid until this [prepared] runs again, which overwrites
-    them.  Honors the prepared options: domains (pool), chunk, shadow;
+    them.  Honors the prepared options: domains (pool), shadow;
     the race guard always runs.
 
     Inputs are read afresh on each run: a caller may refill its

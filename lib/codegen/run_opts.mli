@@ -20,28 +20,23 @@ type t = {
   domains : int option;
       (** pool size; [None] uses the ambient {!Domain_pool.num_domains}.
           [Some 1] guarantees a pool-free, allocation-free run loop. *)
-  chunk : int option;
-      (** points of a front one domain claims at a time (the tuner's
-          [vm_chunk] knob); [None] or non-positive = pool default. *)
   shadow : shadow;
   arena : bool;
       (** back compiled intermediates with the single liveness-sized
           {!Arena} (zero steady-state allocation); [false] gives each
           cell its own preallocated tensor. *)
   fuse : bool;
-      (** scratch-slot coalescing, GEMM epilogue swallowing and aligned
-          B-operand copies ({!Compiled.compile}'s [fuse]).
-          Bitwise-neutral; [false] exists for differential testing and
-          the [compiled-nofuse] oracle. *)
+      (** scratch-slot coalescing and GEMM epilogue swallowing
+          ({!Compiled.compile}'s [fuse]).  Bitwise-neutral; [false]
+          exists for differential testing, the [compiled-nofuse]
+          oracle and the benchmark's no-fusion ablation rows. *)
 }
 
 val default : t
-(** [Wavefront], ambient domains, default chunking, [Shadow_env],
-    arena on, fusion on. *)
-
-val with_tile : Tile.config -> t -> t
-(** [o] with a tuned config's compiled-engine knobs: [chunk] from
-    [cfg_vm_chunk], [fuse] from [cfg_fuse].  Both are bitwise-neutral. *)
+(** [Wavefront], ambient domains, [Shadow_env], arena on, fusion on.
+    Parallel fronts always take the pool's default claim size, and no
+    tuned config reaches these options: the tuner searches only what
+    the device model prices. *)
 
 val to_string : t -> string
 (** One-line rendering for reports and traces. *)

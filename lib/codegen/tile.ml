@@ -45,8 +45,6 @@ type config = {
   cfg_tiles : (string * tiles) list;
   cfg_default : tiles option;
   cfg_elem_chunk : int;
-  cfg_vm_chunk : int;
-  cfg_fuse : bool;
 }
 
 let default_tiles = { t_m = default_tile; t_n = default_tile; t_k = 32 }
@@ -56,8 +54,6 @@ let default_config =
     cfg_tiles = [];
     cfg_default = None;
     cfg_elem_chunk = 0;
-    cfg_vm_chunk = 0;
-    cfg_fuse = true;
   }
 
 let is_default c = c = default_config
@@ -77,13 +73,10 @@ let config_to_string c =
     @ (match c.cfg_default with
       | Some t -> [ "*=" ^ tiles_to_string t ]
       | None -> [])
-    @ (if c.cfg_elem_chunk > 0 then
-         [ Printf.sprintf "elem_chunk=%d" c.cfg_elem_chunk ]
-       else [])
-    @ (if c.cfg_vm_chunk > 0 then
-         [ Printf.sprintf "vm_chunk=%d" c.cfg_vm_chunk ]
-       else [])
-    @ if c.cfg_fuse then [] else [ "fuse=off" ]
+    @
+    if c.cfg_elem_chunk > 0 then
+      [ Printf.sprintf "elem_chunk=%d" c.cfg_elem_chunk ]
+    else []
   in
   if parts = [] then "default" else String.concat "," parts
 

@@ -51,8 +51,9 @@ val bytes_of_elems : int -> float
 (** {1 Tile configurations}
 
     A {!config} is the knob vector the tuner searches: per-block cache
-    tile shapes for GEMM-bearing kernels, a chunk size for elementwise
-    kernels, and the reference executor's front chunk.  The emitter
+    tile shapes for GEMM-bearing kernels and a chunk size for
+    elementwise kernels — only what the device model prices; the CPU
+    engine never reads a config.  The emitter
     ({!Emit.emit_plan}) takes a config; {!default_config} reproduces
     the legacy untiled emission exactly (one thread block per
     iteration cell, whole-problem staging), so plans only change when
@@ -71,15 +72,6 @@ type config = {
       (** elementwise kernels split each cell's output into chunks of
           this many elements (more thread blocks, higher occupancy);
           [0] = one task per cell *)
-  cfg_vm_chunk : int;
-      (** chunk size the reference executor passes to
-          {!Domain_pool.parallel_for} per wavefront; [0] = pool
-          default *)
-  cfg_fuse : bool;
-      (** the compiled engine's kernel-fusion knob (scratch-slot
-          coalescing, GEMM epilogue swallowing, aligned B copies) —
-          bitwise-neutral, searchable for speed; the emitter models the
-          extra elementwise round-trips of [false] *)
 }
 
 val default_tiles : tiles

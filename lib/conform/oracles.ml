@@ -134,38 +134,37 @@ let value (p : Expr.program) outs =
 (* The compiled engine through the front door, Run_opts defaults
    otherwise: [Shadow_env] keeps corpus replay under FT_SHADOW=1
    cross-checking the recorded accesses against the static analysis. *)
-let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?chunk
-    ?(arena = true) ?(fuse = true) (p : Expr.program) g inputs =
+let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?(arena = true)
+    ?(fuse = true) (p : Expr.program) g inputs =
   let opts =
-    { Run_opts.default with
-      Run_opts.order; domains = Some domains; chunk; arena; fuse }
+    { Run_opts.default with Run_opts.order; domains = Some domains; arena; fuse }
   in
   Value (List.assoc p.Expr.name (Executor.run ~opts g inputs))
 
 let tuned_oracle (p : Expr.program) g inputs =
-  (* Store a deliberately non-default configuration, resolve it back
-     through the installed database, and demand that compiling and
-     running under it changes nothing. *)
+  (* Store a deliberately non-default, simulator-visible configuration,
+     resolve it back through the installed database, compile the tuned
+     plan, and demand that the run next to it changes nothing: a tuned
+     config selects a simulated plan, never the engine's options. *)
   Tune_db.install ();
   let key = Pipeline.program_key p in
-  let device = Tune_db.device_digest Device.a100 in
+  let tile = { Tile.default_config with Tile.cfg_elem_chunk = 4096 } in
   Tune_db.store
     {
       Tune_db.tr_key = key;
-      tr_device = device;
-      tr_tile = { Tile.default_config with Tile.cfg_vm_chunk = 1 };
-      tr_collapse = true;
+      tr_device = Tune_db.device_digest Device.a100;
+      tr_tile = tile;
+      tr_collapse = false;
       tr_cost = 0.0;
-      tr_oracle = "conform";
       tr_strategy = "pinned";
       tr_budget = 0;
       tr_seed = 0;
     };
   match Pipeline.tuned_config_for key with
-  | None -> Failed "stored tuned config did not resolve through Tune_db"
-  | Some tile ->
+  | Some t when t = tile ->
       ignore (Pipeline.plan_cached ~tune:true p);
-      compiled_oracle ~domains:2 ~chunk:tile.Tile.cfg_vm_chunk p g inputs
+      compiled_oracle ~domains:2 p g inputs
+  | _ -> Failed "stored tuned config did not resolve through Tune_db"
 
 (* The compiled engine under the shadow recorder: every cell access is
    logged with its anti-chain, same-front overlaps raise immediately,

@@ -20,12 +20,15 @@
                      static verdicts of [Effects] after the run — a
                      static/dynamic contradiction fails the oracle
                      even when the output value is right;
-    - ["tuned"]    — a tuned configuration is stored in the tuning
-                     database for the program, resolved through
-                     [Tune_db.install] / [Pipeline.tuned_config_for],
-                     the plan compiled with [~tune:true] and the
-                     compiled engine run at 2 domains with the tuned
-                     [cfg_vm_chunk] (tuning transparency);
+    - ["tuned"]    — a non-default, simulator-visible configuration
+                     ([cfg_elem_chunk = 4096], reuse collapsing off)
+                     is stored in the tuning database for the program,
+                     resolved through [Tune_db.install] /
+                     [Pipeline.tuned_config_for], the plan compiled
+                     with [~tune:true], and the compiled engine run at
+                     2 domains with the default options: a tuned
+                     config reaches the simulated plan only (tuning
+                     transparency);
     - ["cache-rt"] — the plan is compiled, round-tripped through the
                      [FT_PLAN_CACHE] disk cache (memory cleared, then
                      reloaded), the two plans compared structurally,
@@ -45,7 +48,7 @@
     - ["compiled-nofuse"]
                    — the compiled engine with [fuse = false]: every
                      op runs as its own kernel through its own scratch
-                     slot, no epilogues, no aligned B copies — fusion
+                     slot, no epilogues — fusion
                      must not change a single bit;
     - ["sharded2"] / ["sharded4"]
                    — the distributed executor ([lib/dist]) over 2 / 4

@@ -1,28 +1,9 @@
-(* Candidate cost models for the auto-tuner.
-
-   Three implementations behind one closure type:
-
-   - [analytical]: a pure roofline over the plan's kernels — wave-
-     quantized compute against the device's occupancy granularity, and
-     byte counts against the memory-level bandwidths.  Instant, and
-     (at fixed tiles) monotone non-decreasing in problem size, which
-     the property tests rely on.
-   - [simulated]: [Executor.time_ms] — the full simulator including the
-     L2 residency model.  Still fast, but stateful across kernels.
-   - [measured]: caller-supplied runner (wall-clock of the compiled
-     engine and/or the simulator), median of [repeats] runs.
-
-   Costs are microseconds (analytical/simulated) or whatever the
-   runner returns (measured) — searches only compare, never mix
-   oracles. *)
-
-type t = {
-  o_name : string;
-  o_eval : Knobs.candidate -> float;
-}
-
-let name o = o.o_name
-let eval o c = o.o_eval c
+(* The auto-tuner's cost model: a pure roofline over the plan's
+   kernels — wave-quantized compute against the device's occupancy
+   granularity, and byte counts against the memory-level bandwidths.
+   Instant, and (at fixed tiles) monotone non-decreasing in problem
+   size, which the property tests rely on.  Costs are microseconds of
+   modelled device time. *)
 
 (* --------------------- analytical kernel model --------------------- *)
 
@@ -101,29 +82,5 @@ let gemm_cost ?(device = Device.a100) ?(tensor_core = true) ~tiles ~m ~n ~k ()
   let t_l1 = l1 /. bytes_per_us device.Device.l1_bw_gbs in
   Stdlib.max t_compute (Stdlib.max t_dram t_l1)
 
-(* ----------------------------- oracles ----------------------------- *)
-
-let analytical ?(device = Device.a100) plan_of =
-  {
-    o_name = "analytical";
-    o_eval = (fun c -> plan_cost ~device (plan_of c));
-  }
-
-let simulated ?(device = Device.a100) plan_of =
-  {
-    o_name = "simulated";
-    o_eval = (fun c -> Executor.time_ms ~device (plan_of c) *. 1e3);
-  }
-
-let median xs =
-  match List.sort compare xs with
-  | [] -> invalid_arg "Cost_oracle.median: empty"
-  | sorted -> List.nth sorted (List.length sorted / 2)
-
-let measured ?(repeats = 3) run =
-  let repeats = Stdlib.max 1 repeats in
-  {
-    o_name = "measured";
-    o_eval =
-      (fun c -> median (List.init repeats (fun _ -> run c)));
-  }
+let analytical ?(device = Device.a100) plan_of c =
+  plan_cost ~device (plan_of c)

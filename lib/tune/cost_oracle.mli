@@ -1,28 +1,15 @@
-(** Candidate cost models for the auto-tuner.
+(** The auto-tuner's cost model: modelled A100 device time.
 
-    An oracle maps a {!Knobs.candidate} to a scalar cost (lower is
-    better).  Searches only ever {e compare} costs from one oracle, so
-    the unit is the oracle's own: microseconds of modeled device time
-    for {!analytical} and {!simulated}, whatever the runner returns
-    for {!measured}. *)
+    A cost is microseconds of modelled device time, lower is better,
+    from the analytical roofline below.  It is model output, never a
+    measurement of this host: the tuner searches only the knobs the
+    model prices (tile sites, elementwise chunk, reuse collapsing). *)
 
-type t
-
-val name : t -> string
-val eval : t -> Knobs.candidate -> float
-
-val analytical : ?device:Device.t -> (Knobs.candidate -> Plan.t) -> t
-(** Pure roofline over the candidate's plan ({!plan_cost}): instant,
-    stateless, and — at fixed tiles — monotone non-decreasing in
-    problem size. *)
-
-val simulated : ?device:Device.t -> (Knobs.candidate -> Plan.t) -> t
-(** [Executor.time_ms] on the candidate's plan (µs): the full simulator
-    including the L2 residency model. *)
-
-val measured : ?repeats:int -> (Knobs.candidate -> float) -> t
-(** Median of [repeats] (default 3) calls to the supplied runner —
-    e.g. wall-clock of the compiled engine executing the candidate. *)
+val analytical :
+  ?device:Device.t -> (Knobs.candidate -> Plan.t) -> Knobs.candidate -> float
+(** [analytical plan_of c]: {!plan_cost} of [plan_of c] — instant,
+    stateless, and (at fixed tiles) monotone non-decreasing in problem
+    size. *)
 
 val plan_cost : ?device:Device.t -> Plan.t -> float
 (** The analytical model itself: per kernel, the max of wave-quantized

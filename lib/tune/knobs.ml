@@ -2,8 +2,9 @@
 
    A knob space is extracted from the default-config plan: every
    kernel that carries a per-cell matmul becomes a tile site (one
-   [Tile.tiles] choice per block), and three global axes — elementwise
-   chunk, VM front chunk, reuse collapsing — complete the space.  A
+   [Tile.tiles] choice per block), and two global axes — elementwise
+   chunk and reuse collapsing — complete the space.  Every axis is one
+   the device model prices; nothing here reaches the CPU engine.  A
    point in the space is a mixed-radix index vector; index 0 on every
    axis is the default (legacy emission, no chunking, reuse on), so
    the all-zeros point always decodes to the configuration the
@@ -15,9 +16,7 @@ type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;
   s_elem_chunks : int list;
-  s_vm_chunks : int list;
   s_collapse : bool list;
-  s_fuse : bool list;
   s_smem_limit : int;
 }
 
@@ -43,7 +42,6 @@ let tile_menu =
     [ 16; 32; 64; 128; 256 ]
 
 let elem_chunk_menu = [ 0; 4096; 16384; 65536 ]
-let vm_chunk_menu = [ 0; 1; 2; 4 ]
 
 let site_of_kernel (ks : Plan.kernel_spec) =
   match ks.Plan.ks_gemm with
@@ -68,27 +66,20 @@ let of_plan ?(device = Device.a100) (p : Plan.t) =
     s_sites = sites;
     s_tiles = tile_menu;
     s_elem_chunks = elem_chunk_menu;
-    s_vm_chunks = vm_chunk_menu;
     s_collapse = [ true; false ];
-    s_fuse = [ true; false ];
     s_smem_limit = device.Device.l1_bytes_per_sm;
   }
 
 (* ------------------------- point encoding ------------------------- *)
 
 (* Axis order: one axis per gemm site (values: 0 = legacy, i =
-   s_tiles[i-1]), then elem chunk, vm chunk, collapse, fuse. *)
+   s_tiles[i-1]), then elem chunk, collapse. *)
 
 let axes sp =
   let site_axis = List.length sp.s_tiles + 1 in
   Array.of_list
     (List.map (fun _ -> site_axis) sp.s_sites
-    @ [
-        List.length sp.s_elem_chunks;
-        List.length sp.s_vm_chunks;
-        List.length sp.s_collapse;
-        List.length sp.s_fuse;
-      ])
+    @ [ List.length sp.s_elem_chunks; List.length sp.s_collapse ])
 
 let default_point sp = Array.make (Array.length (axes sp)) 0
 
@@ -110,18 +101,9 @@ let decode sp pt =
          sp.s_sites)
   in
   let elem = List.nth sp.s_elem_chunks pt.(n_sites) in
-  let vm = List.nth sp.s_vm_chunks pt.(n_sites + 1) in
-  let collapse = List.nth sp.s_collapse pt.(n_sites + 2) in
-  let fuse = List.nth sp.s_fuse pt.(n_sites + 3) in
+  let collapse = List.nth sp.s_collapse pt.(n_sites + 1) in
   {
-    c_tile =
-      {
-        Tile.cfg_tiles;
-        cfg_default = None;
-        cfg_elem_chunk = elem;
-        cfg_vm_chunk = vm;
-        cfg_fuse = fuse;
-      };
+    c_tile = { Tile.cfg_tiles; cfg_default = None; cfg_elem_chunk = elem };
     c_collapse = collapse;
   }
 

@@ -4,11 +4,11 @@
     A space is extracted from the {e default-config} plan of a program
     ({!of_plan}): every kernel carrying a per-cell matmul
     ([Plan.ks_gemm]) contributes a {e tile site} — one
-    {!Tile.tiles} choice for that block — and four global axes
-    complete the space: elementwise chunk size, VM front chunk size,
-    reuse collapsing (the §5.2 ablation knob, here a searchable
-    boolean) and the compiled engine's kernel-fusion switch
-    (bitwise-neutral — it moves only time).
+    {!Tile.tiles} choice for that block — and two global axes
+    complete the space: elementwise chunk size and reuse collapsing
+    (the §5.2 ablation knob, here a searchable boolean).  Every axis
+    is one the device model prices; the CPU engine reads none of
+    them.
 
     Points are mixed-radix index vectors ([int array]); index 0 on
     every axis is the default value, so the all-zeros point decodes to
@@ -29,9 +29,7 @@ type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;   (** the tile menu, site axes index into it *)
   s_elem_chunks : int list;    (** always starts with 0 = unchunked *)
-  s_vm_chunks : int list;      (** always starts with 0 = pool default *)
   s_collapse : bool list;      (** [true] first: reuse collapsing on *)
-  s_fuse : bool list;          (** [true] first: compiled kernel fusion on *)
   s_smem_limit : int;          (** device shared memory per SM, bytes *)
 }
 
@@ -50,7 +48,7 @@ val of_plan : ?device:Device.t -> Plan.t -> space
 
 val axes : space -> int array
 (** Axis sizes, in order: one per site ([|s_tiles| + 1]: 0 is
-    "untiled"), then elem chunks, VM chunks, collapse, fuse. *)
+    "untiled"), then elem chunks, collapse. *)
 
 val default_point : space -> int array
 (** All zeros. *)
@@ -87,5 +85,5 @@ val crossover : Rng.t -> int array -> int array -> int array
 
 val to_string : candidate -> string
 (** Human-readable config, e.g.
-    ["blk=cell:128x64x32,elem_chunk=4096,vm_chunk=2"] — ["default"]
+    ["blk=cell:128x64x32,elem_chunk=4096"] — ["default"]
     for the untuned candidate. *)

@@ -41,17 +41,17 @@ exception Budget_exhausted
 
 type evaluator = {
   ev_space : Knobs.space;
-  ev_oracle : Cost_oracle.t;
+  ev_cost : Knobs.candidate -> float;
   ev_budget : int;
   ev_memo : (string, float) Hashtbl.t;
   mutable ev_count : int;
   mutable ev_log : eval list;  (* reversed *)
 }
 
-let evaluator space oracle budget =
+let evaluator space cost budget =
   {
     ev_space = space;
-    ev_oracle = oracle;
+    ev_cost = cost;
     ev_budget = budget;
     ev_memo = Hashtbl.create 64;
     ev_count = 0;
@@ -68,7 +68,7 @@ let evaluate ev pt =
   | None ->
       if ev.ev_count >= ev.ev_budget then raise Budget_exhausted;
       let c = Knobs.decode ev.ev_space pt in
-      let cost = Cost_oracle.eval ev.ev_oracle c in
+      let cost = ev.ev_cost c in
       let e =
         { e_index = ev.ev_count; e_point = Array.copy pt;
           e_candidate = c; e_cost = cost }
@@ -207,9 +207,9 @@ let evolve ev rng =
 
 (* ------------------------------ run ------------------------------- *)
 
-let run ?(seed = 2024) strategy ~budget space oracle =
+let run ?(seed = 2024) strategy ~budget space cost =
   if budget < 1 then invalid_arg "Search.run: budget must be >= 1";
-  let ev = evaluator space oracle budget in
+  let ev = evaluator space cost budget in
   let rng = Rng.create seed in
   (* the default point is always evaluation 0, so the reported best is
      never worse than the untuned configuration *)

@@ -2,9 +2,9 @@
 
     Three strategies over a {!Knobs.space}, all driven by one seeded
     {!Rng} stream and a shared memoizing evaluator — repeated points
-    are free, only distinct oracle calls consume budget.  No
+    are free, only distinct cost evaluations consume budget.  No
     wall-clock or ambient randomness is consulted anywhere, so a
-    (seed, budget, strategy, space, oracle) tuple fully determines the
+    (seed, budget, strategy, space, cost) tuple fully determines the
     result, including the evaluation order — the reproducibility the
     determinism tests assert bitwise.
 
@@ -53,7 +53,9 @@ val run :
   strategy ->
   budget:int ->
   Knobs.space ->
-  Cost_oracle.t ->
+  (Knobs.candidate -> float) ->
   result
-(** Search the space (default seed 2024).  [budget] is the maximum
-    number of oracle evaluations (≥ 1). *)
+(** [run strategy ~budget space cost] searches the space (default
+    seed 2024) for the candidate of least [cost] — in the tuner,
+    {!Cost_oracle.analytical}.  [budget] is the maximum number of
+    cost evaluations (≥ 1). *)

@@ -12,10 +12,11 @@
 
 let env_var = "FT_TUNE_DB"
 
-(* 3: Tile.config lost its pack-blocking field (2 had added it with
-   cfg_fuse).  Records under Marshal are layout-sensitive; version skew
-   reads as a miss, never an error. *)
-let version = 3
+(* 4: Tile.config lost its two CPU-engine fields (front chunk and
+   fusion) and the record its oracle name (3 had dropped the
+   pack-blocking field).  Records under Marshal are layout-sensitive;
+   version skew reads as a miss, never an error. *)
+let version = 4
 
 type record = {
   tr_key : string;
@@ -23,7 +24,6 @@ type record = {
   tr_tile : Tile.config;
   tr_collapse : bool;
   tr_cost : float;
-  tr_oracle : string;
   tr_strategy : string;
   tr_budget : int;
   tr_seed : int;

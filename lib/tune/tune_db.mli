@@ -13,8 +13,9 @@
     the lower cost, so the database is monotone in quality.
 
     {!install} registers the database as {!Pipeline.set_tune_source},
-    after which compiles passing [~tune:true] transparently pick up
-    the best-known config — no search runs at compile time. *)
+    after which plan compiles passing [~tune:true] transparently pick
+    up the best-known config — no search runs at compile time.  A
+    config selects a simulated plan only; no executor reads it. *)
 
 val env_var : string
 (** ["FT_TUNE_DB"]. *)
@@ -28,8 +29,9 @@ type record = {
   tr_device : string;    (** {!device_digest} of the target device *)
   tr_tile : Tile.config;
   tr_collapse : bool;
-  tr_cost : float;       (** the winning evaluation's cost *)
-  tr_oracle : string;
+  tr_cost : float;
+      (** the winning evaluation's cost: modelled A100 µs from
+          {!Cost_oracle.analytical}, so any two records compare *)
   tr_strategy : string;
   tr_budget : int;
   tr_seed : int;

@@ -118,6 +118,16 @@ if grep -rnE 'pack_b|packed_b|matmul_packed_into|identity_keyed' lib bin; then
   exit 1
 fi
 
+# Tuning is a simulator-only concern: the tuner searches what the device
+# model prices (tile sites, elementwise chunk, reuse collapsing) under
+# one analytical cost model, and no tuned config reaches the CPU engine.
+echo "guard: no CPU tuning knobs or measured tuning oracle in lib/, bin/ or bench/main.ml"
+if grep -rnE 'cfg_vm_chunk|cfg_fuse|with_tile|Cost_oracle\.measured|Tuner\.Measure|oracle_kind' \
+    lib bin bench/main.ml; then
+  echo "check.sh: a tuned knob reaches the CPU engine again" >&2
+  exit 1
+fi
+
 # Outputs do not depend on the host's libm: exp, tanh and sigmoid are
 # Tensor.Fmath's in OCaml and their transcriptions in the C stubs.
 echo "guard: no libm exp or tanh in lib/"
@@ -302,19 +312,20 @@ for f in examples/programs/*.ft; do
 done
 
 # Budgeted smoke tune: search the demo program's knob space with the
-# analytical oracle under a tiny fixed budget, validate the JSON
+# analytical cost model under a tiny fixed budget, validate the JSON
 # report, then profile through the same FT_TUNE_DB so the stored
-# config is applied without re-searching (the report must name it).
+# config selects the simulated plan without re-searching (the report
+# must name it).
 FT_TUNE_DB="$(mktemp -d)"
 export FT_TUNE_DB
 trap 'rm -rf "$FT_PLAN_CACHE" "$FT_TUNE_DB"' EXIT
 tune_target=examples/programs/ffn_block.ft
-echo "tune $tune_target (budget 8, grid, sim oracle, seed 2024)"
+echo "tune $tune_target (budget 8, grid, seed 2024)"
 dune exec --no-build bin/ftc.exe -- tune "$tune_target" \
-  --budget 8 --strategy grid --oracle sim --seed 2024 --format text
+  --budget 8 --strategy grid --seed 2024 --format text
 if command -v python3 > /dev/null 2>&1; then
   dune exec --no-build bin/ftc.exe -- tune "$tune_target" \
-    --budget 8 --strategy grid --oracle sim --seed 2024 --format json \
+    --budget 8 --strategy grid --seed 2024 --format json \
     | python3 -m json.tool > /dev/null
 fi
 echo "profile $tune_target with the tuned config applied"

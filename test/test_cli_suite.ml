@@ -15,8 +15,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Run `ftc args`, capturing exit code, stdout and stderr. *)
-let run_ftc args =
+(* Run `ftc args` under the environment assignments [env] (shell
+   syntax, e.g. ["FT_TUNE_DB=/tmp/x "]), capturing exit code, stdout
+   and stderr. *)
+let run_ftc ?(env = "") args =
   let out = Filename.temp_file "ftc-cli" ".out" in
   let err = Filename.temp_file "ftc-cli" ".err" in
   Fun.protect
@@ -25,11 +27,16 @@ let run_ftc args =
       try Sys.remove err with Sys_error _ -> ())
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s > %s 2> %s" (Filename.quote ftc) args
+        Printf.sprintf "%s%s %s > %s 2> %s" env (Filename.quote ftc) args
           (Filename.quote out) (Filename.quote err)
       in
       let code = Sys.command cmd in
       (code, read_file out, read_file err))
+
+let contains s sub =
+  match Str.search_forward (Str.regexp_string sub) s 0 with
+  | _ -> true
+  | exception Not_found -> false
 
 let check_json what s =
   match Jsonw.validate (String.trim s) with
@@ -259,5 +266,54 @@ let cli_tests =
            | _ -> true
            | exception Not_found -> false));
   ]
+
+(* A tuned config selects the simulated plan only: `ftc run` prints it
+   as such, and the run's bitwise verdicts are those of an untuned
+   run. *)
+let tuned_run_unchanged () =
+  let dir = Filename.temp_file "ftc-cli-tune" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let prog = example "mlp_chain" in
+      let with_db = Printf.sprintf "FT_TUNE_DB=%s " (Filename.quote dir) in
+      let code, out, _ =
+        run_ftc ~env:with_db ("tune " ^ prog ^ " --budget 16 --strategy greedy")
+      in
+      checki "tune exit code" 0 code;
+      checkb "tune names the cost unit" true
+        (contains out "modelled A100-SXM4-40GB µs (analytical)");
+      checkb "tune finds a non-default config" false
+        (contains out "(1.00x)  default\n");
+      let tuned_code, tuned, _ = run_ftc ~env:with_db ("run " ^ prog) in
+      let plain_code, plain, _ = run_ftc ~env:"FT_TUNE_DB= " ("run " ^ prog) in
+      checki "tuned run exit code" 0 tuned_code;
+      checki "untuned run exit code" 0 plain_code;
+      checkb "tuned line labelled as selecting the simulated plan" true
+        (contains tuned "tuned config: "
+        && contains tuned "(selects the simulated plan only;");
+      checkb "untuned run prints no tuned line" false
+        (contains plain "tuned config:");
+      let verdicts s =
+        List.filter
+          (fun l -> contains l "bitwise" || contains l "DIFFERS")
+          (String.split_on_char '\n' s)
+      in
+      checki "two verdicts" 2 (List.length (verdicts tuned));
+      Alcotest.(check (list string))
+        "verdicts unchanged by the tuned config" (verdicts plain)
+        (verdicts tuned))
+
+let cli_tests =
+  cli_tests
+  @ [
+      Alcotest.test_case "tune then run: the tuned line selects the \
+                          simulated plan, verdicts unchanged" `Quick
+        tuned_run_unchanged;
+    ]
 
 let suites = [ ("cli", cli_tests) ]

@@ -96,9 +96,17 @@ let default_point_is_default () =
   checkb "all-zeros decodes to untuned" true (Tile.is_default c.Knobs.c_tile);
   checkb "collapse on by default" true c.Knobs.c_collapse;
   checks "prints as default" "default" (Knobs.to_string c);
-  checkb "cardinality covers the grid" true
-    (Knobs.cardinality sp
-    = Array.fold_left ( * ) 1 (Knobs.axes sp))
+  (* one axis per tile site, then the two global axes the device
+     model prices: elementwise chunk and reuse collapsing *)
+  let n_sites = List.length sp.Knobs.s_sites in
+  checki "one axis per site plus two global axes" (n_sites + 2)
+    (Array.length (Knobs.axes sp));
+  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+  checki "cardinality covers the grid"
+    (pow (List.length sp.Knobs.s_tiles + 1) n_sites
+    * List.length sp.Knobs.s_elem_chunks
+    * List.length sp.Knobs.s_collapse)
+    (Knobs.cardinality sp)
 
 (* ---------------------------------------------------------------- *)
 (* Analytical model: weakly monotone in problem size at fixed tiles. *)
@@ -182,8 +190,7 @@ let search_contract () =
 let tuner_deterministic () =
   let p = Lazy.force ffn_program in
   let t () =
-    Tuner.tune_program ~seed:11 ~strategy:Search.Evolve ~budget:10
-      ~oracle:Tuner.Sim p
+    Tuner.tune_program ~seed:11 ~strategy:Search.Evolve ~budget:10 p
   in
   let a = t () and b = t () in
   checks "tuner picks identical config"
@@ -223,7 +230,6 @@ let sample_record ~cost =
       };
     tr_collapse = true;
     tr_cost = cost;
-    tr_oracle = "sim";
     tr_strategy = "greedy";
     tr_budget = 8;
     tr_seed = 2024;
