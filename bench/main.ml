@@ -766,11 +766,7 @@ let tuned () =
       let best = res.Search.r_best.Search.e_cost in
       let cfg = res.Search.r_best.Search.e_candidate in
       let sim_default = Executor.time_ms (Pipeline.plan p) in
-      let sim_tuned =
-        Executor.time_ms
-          (Pipeline.plan ~collapse_reuse:cfg.Knobs.c_collapse
-             ~tile:cfg.Knobs.c_tile p)
-      in
+      let sim_tuned = Executor.time_ms (Pipeline.plan ~tile:cfg p) in
       let speedup = if best > 0. then dflt /. best else 1. in
       print_row title
         [

@@ -57,7 +57,7 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Size of the domain pool the wavefront executor runs on \
-           (default: \\$(b,FT_NUM_DOMAINS) when set, else the machine's \
+           (default: $(b,FT_NUM_DOMAINS) when set, else the machine's \
            recommended domain count)")
 
 let device_arg =

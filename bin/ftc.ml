@@ -223,6 +223,14 @@ let tuned_line = function
          uses the default options)"
         (Tile.config_to_string t)
 
+(* The best-known tile config for a .ft source on a device, looked up
+   in the tuning database (FT_TUNE_DB): no search runs here. *)
+let tuned_tile ?(device = Device.a100) src =
+  Option.map
+    (fun r -> r.Tune_db.tr_tile)
+    (Tune_db.lookup ~key:(Pipeline.source_key src)
+       ~device:(Tune_db.device_digest device))
+
 (* Asking for more domains than the machine has cores buys contention,
    not parallelism — flag it once the pool size is settled. *)
 let warn_if_oversubscribed () =
@@ -438,10 +446,7 @@ let run_cmd =
             (* a tuned config in the database (FT_TUNE_DB) selects the
                simulated plan below: no search runs here, only a
                lookup, and execution never reads it *)
-            Tune_db.install ();
-            let tuned =
-              Pipeline.tuned_config_for (Pipeline.source_key (read_file path))
-            in
+            let tuned = tuned_tile (read_file path) in
             let tile = Option.value tuned ~default:Tile.default_config in
             if tuned <> None then Format.printf "%s@." (tuned_line tuned);
             let plan = Pipeline.plan_of_graph ~tile g in
@@ -532,18 +537,17 @@ let profile_cmd =
             (* plan cache: a hit (in-memory or FT_PLAN_CACHE on disk)
                skips the whole compile — the trace then has no compiler
                spans, only simulation and vm ones.  A tuned config in
-               the database (FT_TUNE_DB) resolves first and shifts the
-               cache key, so tuned and default plans coexist.  The
+               the database (FT_TUNE_DB) is looked up first and shifts
+               the cache key, so tuned and default plans coexist.  The
                config selects that plan only; execution below runs
                with the default options. *)
-            Tune_db.install ~device ();
             let src = read_file path in
-            let tuned = Pipeline.tuned_config_for (Pipeline.source_key src) in
+            let tuned = tuned_tile ~device src in
             let tile = Option.value tuned ~default:Tile.default_config in
             let key = Pipeline.source_key ~tile src in
             let cached = Pipeline.Cache.mem key || Pipeline.Cache.on_disk key in
             let plan =
-              if cached then Pipeline.plan_file ~tune:true path
+              if cached then Pipeline.plan_file ~tile path
               else begin
                 let t = Pipeline.compile ~trace:sink ~tile p in
                 Pipeline.Cache.store key t.Pipeline.p_plan;
@@ -593,7 +597,7 @@ let profile_cmd =
           the simulated device, and report per-pass wall-clock, the \
           simulated kernel timeline, and a per-kernel/per-block roofline \
           profile.  Compiled plans are cached (keyed on source contents; \
-          set \\$(b,FT_PLAN_CACHE) to a directory to persist across \
+          set $(b,FT_PLAN_CACHE) to a directory to persist across \
           processes); the wavefront executor also runs under the trace, \
           contributing a \"vm\" track of per-front spans")
     Term.(
@@ -696,12 +700,12 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:
          "Search the simulator-visible knob space of a .ft program (GEMM \
-          tile shapes, elementwise chunk, reuse collapsing) for the least \
+          tile shapes, elementwise chunk) for the least \
           modelled device time (analytical roofline, microseconds) under \
           an evaluation budget, report the cost trajectory, and record the \
-          winner in the tuning database (set \\$(b,FT_TUNE_DB) to a \
-          directory to persist it); subsequent \\$(b,ftc run) / \
-          \\$(b,ftc profile) of the same file select the simulated plan \
+          winner in the tuning database (set $(b,FT_TUNE_DB) to a \
+          directory to persist it); subsequent $(b,ftc run) / \
+          $(b,ftc profile) of the same file select the simulated plan \
           with it, without re-searching.  Costs are model output, not \
           measurements, and execution never reads a tuned config")
     Term.(
@@ -709,107 +713,60 @@ let tune_cmd =
       $ Cli_args.seed_arg ~default:2024 $ Cli_args.device_arg
       $ Cli_args.format_arg)
 
-let plan_cache_disk_entries () =
-  match Sys.getenv_opt "FT_PLAN_CACHE" with
-  | None | Some "" -> None
-  | Some d -> (
-      match Sys.readdir d with
-      | exception Sys_error _ -> Some (d, [])
-      | fs ->
-          Some
-            ( d,
-              Array.to_list fs
-              |> List.filter (fun f ->
-                     String.length f > 7
-                     && String.sub f 0 7 = "ftplan-"
-                     && Filename.check_suffix f ".bin") ))
+(* The two disk-backed stores [ftc cache] reports on and clears. *)
+let stores : (string * (module Disk_store.S)) list =
+  [ ("plan cache", (module Pipeline.Cache)); ("tune db", (module Tune_db.Db)) ]
+
+let store_stats_jsonv (module S : Disk_store.S) =
+  let s = S.stats () in
+  Jsonw.Obj
+    [
+      ("dir", Option.fold ~none:Jsonw.Null ~some:(fun d -> Jsonw.String d)
+                (S.dir ()));
+      ("disk_entries", Jsonw.Int (List.length (S.disk_entries ())));
+      ("hits", Jsonw.Int s.hits);
+      ("misses", Jsonw.Int s.misses);
+      ("disk_hits", Jsonw.Int s.disk_hits);
+      ("stores", Jsonw.Int s.stores);
+      ("evictions", Jsonw.Int s.evictions);
+    ]
+
+let print_store_stats (name, (module S : Disk_store.S)) =
+  (match S.dir () with
+  | None -> Format.printf "%-11s %s unset (memory only)@." (name ^ ":") S.env_var
+  | Some d ->
+      Format.printf "%-11s %d disk entrie(s) under %s@." (name ^ ":")
+        (List.length (S.disk_entries ())) d);
+  let s = S.stats () in
+  Format.printf
+    "  this process: %d hit(s), %d miss(es), %d disk hit(s), %d store(s), \
+     %d eviction(s)@."
+    s.hits s.misses s.disk_hits s.stores s.evictions
 
 let cache_cmd =
   let run action disk json =
     match action with
     | `Stats when json ->
-        let cs = Pipeline.Cache.stats () in
-        let ts = Tune_db.stats () in
-        let plan_dir, plan_entries =
-          match plan_cache_disk_entries () with
-          | None -> (Jsonw.Null, 0)
-          | Some (d, fs) -> (Jsonw.String d, List.length fs)
-        in
-        let tune_dir =
-          match Sys.getenv_opt Tune_db.env_var with
-          | None | Some "" -> Jsonw.Null
-          | Some d -> Jsonw.String d
-        in
         print_endline
           (Jsonw.to_string
              (Jsonw.Obj
-                [
-                  ( "plan_cache",
-                    Jsonw.Obj
-                      [
-                        ("dir", plan_dir);
-                        ("disk_entries", Jsonw.Int plan_entries);
-                        ("hits", Jsonw.Int cs.Pipeline.Cache.hits);
-                        ("misses", Jsonw.Int cs.Pipeline.Cache.misses);
-                        ("disk_hits", Jsonw.Int cs.Pipeline.Cache.disk_hits);
-                      ] );
-                  ( "tune_db",
-                    Jsonw.Obj
-                      [
-                        ("dir", tune_dir);
-                        ( "disk_entries",
-                          Jsonw.Int (List.length (Tune_db.disk_entries ())) );
-                        ("hits", Jsonw.Int ts.Tune_db.hits);
-                        ("misses", Jsonw.Int ts.Tune_db.misses);
-                        ("disk_hits", Jsonw.Int ts.Tune_db.disk_hits);
-                        ("stores", Jsonw.Int ts.Tune_db.stores);
-                      ] );
-                ]))
-    | `Stats ->
-        let cs = Pipeline.Cache.stats () in
-        (match plan_cache_disk_entries () with
-        | None ->
-            Format.printf "plan cache: FT_PLAN_CACHE unset (memory only)@."
-        | Some (d, fs) ->
-            Format.printf "plan cache: %d disk entrie(s) under %s@."
-              (List.length fs) d);
-        Format.printf
-          "  this process: %d hit(s), %d miss(es), %d disk hit(s)@."
-          cs.Pipeline.Cache.hits cs.Pipeline.Cache.misses
-          cs.Pipeline.Cache.disk_hits;
-        let ts = Tune_db.stats () in
-        (match Sys.getenv_opt Tune_db.env_var with
-        | None | Some "" ->
-            Format.printf "tune db:    %s unset (memory only)@."
-              Tune_db.env_var
-        | Some d ->
-            Format.printf "tune db:    %d disk entrie(s) under %s@."
-              (List.length (Tune_db.disk_entries ())) d);
-        Format.printf
-          "  this process: %d hit(s), %d miss(es), %d disk hit(s), %d \
-           store(s)@."
-          ts.Tune_db.hits ts.Tune_db.misses ts.Tune_db.disk_hits
-          ts.Tune_db.stores
+                (List.map
+                   (fun (name, st) ->
+                     ( String.map (function ' ' -> '_' | c -> c) name,
+                       store_stats_jsonv st ))
+                   stores)))
+    | `Stats -> List.iter print_store_stats stores
     | `Clear ->
-        (* in-memory state dies with this process anyway; Cache.clear /
-           clear_memory never touch disk — only --disk does *)
-        Pipeline.Cache.clear ();
-        Tune_db.clear_memory ();
-        if disk then begin
-          let plans =
-            match plan_cache_disk_entries () with
-            | None -> 0
-            | Some (d, fs) ->
-                List.iter
-                  (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
-                  fs;
-                List.length fs
-          in
-          let tunes = Tune_db.clear_disk () in
-          Format.printf "cleared %d plan(s) and %d tune record(s) from disk@."
-            plans tunes
-        end
-        else
+        (* in-memory state dies with this process anyway; [clear] never
+           touches disk — only --disk does *)
+        List.iter
+          (fun (name, (module S : Disk_store.S)) ->
+            S.clear ();
+            if disk then
+              Format.printf "%s: cleared %d disk entrie(s)@." name
+                (S.clear_disk ()))
+          stores;
+        if not disk then
           Format.printf
             "cleared in-memory caches (disk entries untouched; pass --disk \
              to delete them)@."
@@ -832,8 +789,8 @@ let cache_cmd =
   Cmd.v
     (Cmd.info "cache"
        ~doc:
-         "Inspect or clear the compiled-plan cache (\\$(b,FT_PLAN_CACHE)) \
-          and the tuning database (\\$(b,FT_TUNE_DB))")
+         "Inspect or clear the compiled-plan cache ($(b,FT_PLAN_CACHE)) \
+          and the tuning database ($(b,FT_TUNE_DB))")
     Term.(const run $ action $ disk $ Cli_args.json_flag)
 
 let conform_cmd =

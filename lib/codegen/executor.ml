@@ -59,20 +59,6 @@ let execute pr inputs = Compiled.copy_outputs (execute_borrowed pr inputs)
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 
-(* ---- prepared cache (in-memory: compiled closures cannot marshal) ---- *)
-
-(* Above the measured peak of live entries (see DESIGN.md, "Caches"). *)
-let cache_limit = 128
-let cache : (string, prepared) Bounded_cache.t =
-  Bounded_cache.create ~limit:cache_limit
-
-let prepare_cached ~key ?(opts = Run_opts.default) g =
-  Bounded_cache.find_or_add cache
-    (key ^ "\x00" ^ Run_opts.to_string opts)
-    (fun () -> prepare ~opts g)
-
-let cache_stats () = Bounded_cache.stats cache
-
 (* ------------------------------ introspection ------------------------ *)
 
 let engine _ = "compiled"

@@ -57,17 +57,6 @@ val run :
   (string * Fractal.t) list
 (** [execute (prepare ?opts g) inputs] — the one-shot spelling. *)
 
-val prepare_cached : key:string -> ?opts:Run_opts.t -> Ir.graph -> prepared
-(** Like {!prepare}, memoised on [(key, opts)] in a {!Bounded_cache}
-    of {!cache_limit} entries.  [key] must identify the graph — use
-    {!Pipeline.program_key} / {!Pipeline.source_key} digests (compiled
-    closures cannot be marshalled, so unlike the plan cache this table
-    is in-memory only).  Callers sharing a cached [prepared] must not
-    execute it concurrently. *)
-
-val cache_limit : int
-val cache_stats : unit -> Bounded_cache.stats
-
 (** {1 Introspection} *)
 
 val engine : prepared -> string

@@ -83,16 +83,6 @@ let run_stage g = function
       let rs, g' = Reorder.reorder g in
       (g', Some rs)
 
-(* The ambient tuned-config source: given a program/source digest
-   (computed at the default tile config), the best-known tile config
-   for it, if any.  [Tune_db.install] (lib/tune) registers the
-   FT_TUNE_DB lookup here; compiles passing [~tune:true] consult it.
-   A hook rather than a direct call: the tuning database lives above
-   this library. *)
-let tune_source : (string -> Tile.config option) ref = ref (fun _ -> None)
-let set_tune_source f = tune_source := f
-let tuned_config_for key = !tune_source key
-
 let compile_from ~stage_checks ~emit_check ~fatal ~collapse_reuse ~tile ~stages
     ~init_results g0 =
   let results = ref (List.rev init_results) in
@@ -158,26 +148,9 @@ let source_key ?(verify = true) ?(collapse_reuse = true)
     (Digest.string
        (Marshal.to_string ("source", src, verify, collapse_reuse, tile) []))
 
-(* [~tune:true] with no explicit tile: look the program up in the
-   registered tuning database (keyed at the default config) and apply
-   the best-known tile config — no search happens here. *)
-let resolve_tile ~verify ~collapse_reuse ~tune ~tile ~base_key =
-  match tile with
-  | Some t -> t
-  | None ->
-      if tune then
-        Option.value
-          (tuned_config_for (base_key ~verify ~collapse_reuse ()))
-          ~default:Tile.default_config
-      else Tile.default_config
-
 let compile ?(verify = true) ?(fatal = true) ?trace ?(collapse_reuse = true)
-    ?tile ?(tune = false) ?(stages = default_stages) (p : Expr.program) =
-  let tile =
-    resolve_tile ~verify ~collapse_reuse ~tune ~tile
-      ~base_key:(fun ~verify ~collapse_reuse () ->
-        program_key ~verify ~collapse_reuse p)
-  in
+    ?(tile = Tile.default_config) ?(stages = default_stages)
+    (p : Expr.program) =
   with_trace trace (fun () ->
       let t0 = now_ms () in
       let g = Build.build p in
@@ -211,107 +184,23 @@ let plan ?(verify = true) ?(collapse_reuse = true)
 
 (* ---------------------------- plan cache --------------------------- *)
 
-module Cache = struct
-  type stats = { hits : int; misses : int; disk_hits : int; evictions : int }
+(* Bump [version] when Plan.t (or anything reachable from it) changes
+   layout: stale disk entries then fail the version check and
+   recompile.  v2: kernel_spec gained ks_gemm.  v3: the
+   compiled-executor release.  [limit] sits above the measured peak of
+   live entries (see DESIGN.md, "Caches"). *)
+module Cache = Disk_store.Make (struct
+  type value = Plan.t
 
-  (* Bump when Plan.t (or anything reachable from it) changes layout:
-     stale disk entries then fail the version check and recompile.
-     v2: kernel_spec gained ks_gemm.
-     v3: the compiled-executor release — {!Executor} keys its in-memory
-     executable cache by the same program/source digests, so bumping
-     here keeps disk plans and compiled artifacts in lockstep. *)
+  let env_var = "FT_PLAN_CACHE"
+  let prefix = "ftplan-"
+  let suffix = ".bin"
   let version = 3
-
-  (* Above the measured peak of live entries (see DESIGN.md, "Caches"). *)
   let limit = 64
-  let table : (string, Plan.t) Bounded_cache.t = Bounded_cache.create ~limit
+end)
 
-  (* A memory miss answered from disk is a disk hit, not a miss. *)
-  let disk_hits = Atomic.make 0
-
-  let stats () =
-    let { Bounded_cache.hits; misses; evictions; _ } =
-      Bounded_cache.stats table
-    in
-    let disk_hits = Atomic.get disk_hits in
-    { hits; misses = misses - disk_hits; disk_hits; evictions }
-
-  let clear () =
-    Bounded_cache.clear table;
-    Atomic.set disk_hits 0
-
-  let dir () =
-    match Sys.getenv_opt "FT_PLAN_CACHE" with
-    | None | Some "" -> None
-    | d -> d
-  let disk_path d key = Filename.concat d ("ftplan-" ^ key ^ ".bin")
-
-  (* A disk entry is Marshal of (version, plan).  Any failure — missing
-     file, truncation, version skew, unmarshalable bytes — reads as a
-     miss; the cache never turns corruption into an error. *)
-  let disk_read key =
-    match dir () with
-    | None -> None
-    | Some d -> (
-        match open_in_bin (disk_path d key) with
-        | exception Sys_error _ -> None
-        | ic -> (
-            let r =
-              match Marshal.from_channel ic with
-              | exception _ -> None
-              | v, (plan : Plan.t) -> if v = version then Some plan else None
-            in
-            close_in_noerr ic;
-            r))
-
-  let disk_write key (plan : Plan.t) =
-    match dir () with
-    | None -> ()
-    | Some d -> (
-        try
-          if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-          let path = disk_path d key in
-          let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-          let oc = open_out_bin tmp in
-          Marshal.to_channel oc (version, plan) [];
-          close_out oc;
-          Sys.rename tmp path
-        with Sys_error _ | Unix.Unix_error _ -> ())
-
-  (* Shared hit/miss path.  [compute] runs outside the lock (compiles
-     can be slow and may themselves take other locks); a racing miss on
-     the same key just compiles twice and last-write-wins — both
-     results are equal by construction. *)
-  let find_or_compile key compute =
-    Bounded_cache.find_or_add table key (fun () ->
-        match disk_read key with
-        | Some plan ->
-            Atomic.incr disk_hits;
-            plan
-        | None ->
-            let plan = compute () in
-            disk_write key plan;
-            plan)
-
-  let mem key = Bounded_cache.peek table key <> None
-
-  let store key (plan : Plan.t) =
-    Bounded_cache.put table key plan;
-    disk_write key plan
-
-  let on_disk key =
-    match dir () with
-    | None -> false
-    | Some d -> Sys.file_exists (disk_path d key)
-end
-
-let plan_cached ?(verify = true) ?(collapse_reuse = true) ?tile
-    ?(tune = false) (p : Expr.program) =
-  let tile =
-    resolve_tile ~verify ~collapse_reuse ~tune ~tile
-      ~base_key:(fun ~verify ~collapse_reuse () ->
-        program_key ~verify ~collapse_reuse p)
-  in
+let plan_cached ?(verify = true) ?(collapse_reuse = true)
+    ?(tile = Tile.default_config) (p : Expr.program) =
   Cache.find_or_compile
     (program_key ~verify ~collapse_reuse ~tile p)
     (fun () -> plan ~verify ~collapse_reuse ~tile p)
@@ -322,14 +211,9 @@ let read_source path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let plan_file ?(verify = true) ?(collapse_reuse = true) ?tile ?(tune = false)
-    path =
+let plan_file ?(verify = true) ?(collapse_reuse = true)
+    ?(tile = Tile.default_config) path =
   let src = read_source path in
-  let tile =
-    resolve_tile ~verify ~collapse_reuse ~tune ~tile
-      ~base_key:(fun ~verify ~collapse_reuse () ->
-        source_key ~verify ~collapse_reuse src)
-  in
   let key = source_key ~verify ~collapse_reuse ~tile src in
   Cache.find_or_compile key (fun () ->
       let p = Parse.program src in

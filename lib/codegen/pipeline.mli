@@ -64,7 +64,6 @@ val compile :
   ?trace:Trace.sink ->
   ?collapse_reuse:bool ->
   ?tile:Tile.config ->
-  ?tune:bool ->
   ?stages:stage list ->
   Expr.program ->
   t
@@ -77,10 +76,8 @@ val compile :
     duration, capturing each pass (and emission) as spans.
     [collapse_reuse:false] is the §5.2 deferred-materialization
     ablation knob.  [tile] selects the emission tile config (default
-    {!Tile.default_config}); [tune:true] (default off), when no [tile]
-    is given, consults the registered tuning-database source
-    ({!set_tune_source}) and applies the best-known config — no search
-    runs at compile time. *)
+    {!Tile.default_config}); a caller that wants the best-known config
+    looks it up in the tuning database ([lib/tune]) and passes it. *)
 
 val plan :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
@@ -95,23 +92,6 @@ val plan_of_graph :
   Ir.graph -> Plan.t
 (** {!plan} for an already-built ETDG. *)
 
-(** {1 Tuned-config source}
-
-    The auto-tuner's database ([lib/tune], [FT_TUNE_DB]) lives above
-    this library, so transparent application of tuned configs goes
-    through a registered hook: [Tune_db.install] supplies a lookup
-    from a program/source digest (computed at the default tile config)
-    to the best-known {!Tile.config}.  Compiles passing [~tune:true]
-    consult it; everything else ignores it. *)
-
-val set_tune_source : (string -> Tile.config option) -> unit
-(** Register the ambient tuned-config lookup (replaces any previous
-    one). *)
-
-val tuned_config_for : string -> Tile.config option
-(** Query the registered source directly (identity when none is
-    registered: always [None]). *)
-
 (** {1 Compiled-plan cache}
 
     Recompiling an unchanged [.ft] program re-runs build, coarsening
@@ -119,38 +99,10 @@ val tuned_config_for : string -> Tile.config option
     and the option set.  The cache keys a plan by a digest of its
     compile inputs and reuses it across calls — and, when the
     [FT_PLAN_CACHE] environment variable names a directory, across
-    processes.  Disk entries are versioned Marshal blobs written
-    atomically (temp + rename); any read failure — missing file,
-    version skew, corruption — counts as a miss and recompiles, so the
-    cache can only ever cost a compile, never an error. *)
+    processes: see {!Disk_store}, which this is an instance of (files
+    [ftplan-<key>.bin]). *)
 
-module Cache : sig
-  type stats = { hits : int; misses : int; disk_hits : int; evictions : int }
-  (** [hits]: served from memory; [disk_hits]: loaded from
-      [FT_PLAN_CACHE] (then kept in memory); [misses]: compiled. *)
-
-  val limit : int
-  (** Most plans kept in memory; disk entries are never evicted. *)
-
-  val stats : unit -> stats
-  val clear : unit -> unit
-  (** Drop all in-memory entries and zero the counters (disk entries
-      are left alone). *)
-
-  val find_or_compile : string -> (unit -> Plan.t) -> Plan.t
-  (** Memory, then disk, then [compute ()] (written to disk). *)
-
-  val mem : string -> bool
-  (** Is this key in the in-memory table? *)
-
-  val on_disk : string -> bool
-  (** Does [FT_PLAN_CACHE] hold an entry file for this key? *)
-
-  val store : string -> Plan.t -> unit
-  (** Insert a plan under a key (memory, and disk when [FT_PLAN_CACHE]
-      is set) — for callers that compiled through another path (e.g.
-      [ftc profile]'s traced {!compile}) and want the result reused. *)
-end
+module Cache : Disk_store.S with type value = Plan.t
 
 val program_key :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
@@ -166,18 +118,16 @@ val source_key :
 
 val plan_cached :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  ?tune:bool -> Expr.program -> Plan.t
-(** {!plan} through the cache.  [tune:true] without an explicit [tile]
-    resolves the tile config through {!tuned_config_for} first (the
-    cache then keys on the resolved config, so tuned and default plans
-    coexist). *)
+  Expr.program -> Plan.t
+(** {!plan} through the cache; the key covers [tile], so tuned and
+    default plans coexist. *)
 
 val plan_file :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  ?tune:bool -> string -> Plan.t
+  string -> Plan.t
 (** Compile a [.ft] file to a plan through the cache, keyed on the
     file's {e contents} (not its path or mtime).  On a hit even the
-    parse is skipped.  [tune] as in {!plan_cached}.
+    parse is skipped.
     @raise Parse.Syntax_error / [Typecheck.Type_error] on a miss with
     an invalid program. *)
 

@@ -49,16 +49,16 @@ let create ?(oracles = all_oracles) () =
       if not (List.mem o all_oracles) then
         invalid_arg (Printf.sprintf "Oracles.create: unknown oracle %S" o))
     oracles;
-  let prev_cache = Sys.getenv_opt "FT_PLAN_CACHE" in
-  let prev_tune = Sys.getenv_opt Tune_db.env_var in
+  let prev_cache = Sys.getenv_opt Pipeline.Cache.env_var in
+  let prev_tune = Sys.getenv_opt Tune_db.Db.env_var in
   let cache_dir = fresh_dir "cache" in
   let tune_dir = fresh_dir "tune" in
-  Unix.putenv "FT_PLAN_CACHE" cache_dir;
-  Unix.putenv Tune_db.env_var tune_dir;
+  Unix.putenv Pipeline.Cache.env_var cache_dir;
+  Unix.putenv Tune_db.Db.env_var tune_dir;
   (* a fresh context must not inherit plans or tunings from earlier
      runs in the same process *)
   Pipeline.Cache.clear ();
-  Tune_db.clear_memory ();
+  Tune_db.Db.clear ();
   {
     cx_oracles = oracles;
     cx_cache_dir = cache_dir;
@@ -75,10 +75,11 @@ let close ctx =
     ctx.cx_closed <- true;
     remove_dir ctx.cx_cache_dir;
     remove_dir ctx.cx_tune_dir;
-    Unix.putenv "FT_PLAN_CACHE" (Option.value ctx.cx_prev_cache ~default:"");
-    Unix.putenv Tune_db.env_var (Option.value ctx.cx_prev_tune ~default:"");
+    Unix.putenv Pipeline.Cache.env_var
+      (Option.value ctx.cx_prev_cache ~default:"");
+    Unix.putenv Tune_db.Db.env_var (Option.value ctx.cx_prev_tune ~default:"");
     Pipeline.Cache.clear ();
-    Tune_db.clear_memory ())
+    Tune_db.Db.clear ())
 
 (* ---------------------------------------------------------------- *)
 (* Projection: raw engine output -> interpreter view                 *)
@@ -143,26 +144,25 @@ let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?(arena = true)
 
 let tuned_oracle (p : Expr.program) g inputs =
   (* Store a deliberately non-default, simulator-visible configuration,
-     resolve it back through the installed database, compile the tuned
-     plan, and demand that the run next to it changes nothing: a tuned
-     config selects a simulated plan, never the engine's options. *)
-  Tune_db.install ();
+     look it back up, compile the tuned plan, and demand that the run
+     next to it changes nothing: a tuned config selects a simulated
+     plan, never the engine's options. *)
   let key = Pipeline.program_key p in
+  let device = Tune_db.device_digest Device.a100 in
   let tile = { Tile.default_config with Tile.cfg_elem_chunk = 4096 } in
   Tune_db.store
     {
       Tune_db.tr_key = key;
-      tr_device = Tune_db.device_digest Device.a100;
+      tr_device = device;
       tr_tile = tile;
-      tr_collapse = false;
       tr_cost = 0.0;
       tr_strategy = "pinned";
       tr_budget = 0;
       tr_seed = 0;
     };
-  match Pipeline.tuned_config_for key with
-  | Some t when t = tile ->
-      ignore (Pipeline.plan_cached ~tune:true p);
+  match Tune_db.lookup ~key ~device with
+  | Some r when r.Tune_db.tr_tile = tile ->
+      ignore (Pipeline.plan_cached ~tile p);
       compiled_oracle ~domains:2 p g inputs
   | _ -> Failed "stored tuned config did not resolve through Tune_db"
 

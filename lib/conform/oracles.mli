@@ -21,11 +21,10 @@
                      static/dynamic contradiction fails the oracle
                      even when the output value is right;
     - ["tuned"]    — a non-default, simulator-visible configuration
-                     ([cfg_elem_chunk = 4096], reuse collapsing off)
-                     is stored in the tuning database for the program,
-                     resolved through [Tune_db.install] /
-                     [Pipeline.tuned_config_for], the plan compiled
-                     with [~tune:true], and the compiled engine run at
+                     ([cfg_elem_chunk = 4096]) is stored in the
+                     tuning database for the program, looked back up
+                     with [Tune_db.lookup], the plan compiled with
+                     that [~tile], and the compiled engine run at
                      2 domains with the default options: a tuned
                      config reaches the simulated plan only (tuning
                      transparency);

@@ -23,6 +23,7 @@ type t = {
   sv_env :
     width:int -> (Fractal.t * Fractal.t) array -> (string * Fractal.t) list;
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
+  sv_reserve : width:int -> unit;
   sv_finish : Fractal.t -> Fractal.t;
 }
 
@@ -437,7 +438,7 @@ let derive (p : Expr.program) =
      only output *)
   let out_names width = Array.init n_st (fun k -> Printf.sprintf "%s.%d" (step_name p width) k) in
   let out names outs k = if st_tuple then List.assoc names.(k) outs else snd (List.hd outs) in
-  let sv_env, sv_demux =
+  let sv_env, sv_demux, sv_reserve =
     if widened then
       (* slot [i] is row [i]; every width keeps its buffers, so a tick
          only blits rows: the slots' states and tokens into the inputs,
@@ -495,7 +496,8 @@ let derive (p : Expr.program) =
               done
             done
           done;
-          b.tb_states) )
+          b.tb_states),
+        fun ~width -> ignore (buffers width) )
     else
       (* per slot: the slots' own leaves in, and out a copy of each
          slot's leaves.  A copy, because the outputs may be the
@@ -512,7 +514,8 @@ let derive (p : Expr.program) =
               per_layer (fun d ->
                   assemble ~tuple:st_tuple n_st (fun k ->
                       let v = Fractal.get outs.(k) i in
-                      Fractal.map_leaves Tensor.copy (if stacked then Fractal.get v d else v))))) )
+                      Fractal.map_leaves Tensor.copy (if stacked then Fractal.get v d else v))))),
+        fun ~width:_ -> () )
   in
   (* the response: the source's output at the request's last token *)
   let last len v = Fractal.get v (len - 1) in
@@ -533,6 +536,7 @@ let derive (p : Expr.program) =
       sv_step = step;
       sv_env;
       sv_demux;
+      sv_reserve;
       sv_finish;
     }
   in

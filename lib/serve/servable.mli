@@ -52,6 +52,11 @@ type t = {
           next [sv_demux] at that width (copy a state to keep it);
           allocates nothing once the width is buffered.  Per slot:
           fresh copies of each slot's leaves. *)
+  sv_reserve : width:int -> unit;
+      (** allocate the width's buffers now (widened; nothing per
+          slot), as {!Session.prepared} does next to the width's
+          executable, so the first tick at the width allocates
+          nothing *)
   sv_finish : Fractal.t -> Fractal.t;
       (** the response: a pure function of the final carried state
           (FINISH, when the program binds one) *)

@@ -2,13 +2,13 @@
 
    A knob space is extracted from the default-config plan: every
    kernel that carries a per-cell matmul becomes a tile site (one
-   [Tile.tiles] choice per block), and two global axes — elementwise
-   chunk and reuse collapsing — complete the space.  Every axis is one
-   the device model prices; nothing here reaches the CPU engine.  A
-   point in the space is a mixed-radix index vector; index 0 on every
-   axis is the default (legacy emission, no chunking, reuse on), so
-   the all-zeros point always decodes to the configuration the
-   compiler uses when no tuning has happened. *)
+   [Tile.tiles] choice per block), and one global axis — elementwise
+   chunk — completes the space.  Every axis is one the device model
+   prices; nothing here reaches the CPU engine.  A point in the space
+   is a mixed-radix index vector; index 0 on every axis is the default
+   (legacy emission, no chunking), so the all-zeros point always
+   decodes to the configuration the compiler uses when no tuning has
+   happened. *)
 
 type gemm_site = { g_block : string; g_m : int; g_n : int; g_k : int }
 
@@ -16,14 +16,10 @@ type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;
   s_elem_chunks : int list;
-  s_collapse : bool list;
   s_smem_limit : int;
 }
 
-type candidate = { c_tile : Tile.config; c_collapse : bool }
-
-let default_candidate =
-  { c_tile = Tile.default_config; c_collapse = true }
+type candidate = Tile.config
 
 (* The tile menu: every base-tile-aligned shape in a small power-of-two
    lattice.  Alignment is guaranteed by construction; the shared-memory
@@ -66,20 +62,19 @@ let of_plan ?(device = Device.a100) (p : Plan.t) =
     s_sites = sites;
     s_tiles = tile_menu;
     s_elem_chunks = elem_chunk_menu;
-    s_collapse = [ true; false ];
     s_smem_limit = device.Device.l1_bytes_per_sm;
   }
 
 (* ------------------------- point encoding ------------------------- *)
 
 (* Axis order: one axis per gemm site (values: 0 = legacy, i =
-   s_tiles[i-1]), then elem chunk, collapse. *)
+   s_tiles[i-1]), then elem chunk. *)
 
 let axes sp =
   let site_axis = List.length sp.s_tiles + 1 in
   Array.of_list
     (List.map (fun _ -> site_axis) sp.s_sites
-    @ [ List.length sp.s_elem_chunks; List.length sp.s_collapse ])
+    @ [ List.length sp.s_elem_chunks ])
 
 let default_point sp = Array.make (Array.length (axes sp)) 0
 
@@ -101,11 +96,7 @@ let decode sp pt =
          sp.s_sites)
   in
   let elem = List.nth sp.s_elem_chunks pt.(n_sites) in
-  let collapse = List.nth sp.s_collapse pt.(n_sites + 1) in
-  {
-    c_tile = { Tile.cfg_tiles; cfg_default = None; cfg_elem_chunk = elem };
-    c_collapse = collapse;
-  }
+  { Tile.cfg_tiles; cfg_default = None; cfg_elem_chunk = elem }
 
 (* A point is valid when every selected tile, clamped to its site's
    dimensions, fits the device's shared memory, and every side is
@@ -122,8 +113,8 @@ let valid_point sp pt =
                ~k:s.g_k t)
        sp.s_sites)
 
-let valid sp c =
-  c.c_tile.Tile.cfg_default = None
+let valid sp (c : candidate) =
+  c.Tile.cfg_default = None
   && List.for_all
        (fun (name, t) ->
          match List.find_opt (fun s -> s.g_block = name) sp.s_sites with
@@ -131,7 +122,7 @@ let valid sp c =
          | Some s ->
              Tile.valid_tiles ~smem_limit:sp.s_smem_limit ~m:s.g_m ~n:s.g_n
                ~k:s.g_k t)
-       c.c_tile.Tile.cfg_tiles
+       c.Tile.cfg_tiles
 
 let point_key pt = String.concat "," (List.map string_of_int (Array.to_list pt))
 
@@ -161,6 +152,4 @@ let crossover rng a b =
   Array.init (Array.length a) (fun i ->
       if Rng.int rng 2 = 0 then a.(i) else b.(i))
 
-let to_string c =
-  Tile.config_to_string c.c_tile
-  ^ if c.c_collapse then "" else ",collapse_reuse=off"
+let to_string = Tile.config_to_string

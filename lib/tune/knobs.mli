@@ -4,11 +4,11 @@
     A space is extracted from the {e default-config} plan of a program
     ({!of_plan}): every kernel carrying a per-cell matmul
     ([Plan.ks_gemm]) contributes a {e tile site} — one
-    {!Tile.tiles} choice for that block — and two global axes
-    complete the space: elementwise chunk size and reuse collapsing
-    (the §5.2 ablation knob, here a searchable boolean).  Every axis
-    is one the device model prices; the CPU engine reads none of
-    them.
+    {!Tile.tiles} choice for that block — and one global axis
+    completes the space: elementwise chunk size.  Every axis is one
+    the device model prices; the CPU engine reads none of them.
+    Reuse collapsing is not an axis: turning it off never lowers the
+    modelled cost.
 
     Points are mixed-radix index vectors ([int array]); index 0 on
     every axis is the default value, so the all-zeros point decodes to
@@ -29,18 +29,11 @@ type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;   (** the tile menu, site axes index into it *)
   s_elem_chunks : int list;    (** always starts with 0 = unchunked *)
-  s_collapse : bool list;      (** [true] first: reuse collapsing on *)
   s_smem_limit : int;          (** device shared memory per SM, bytes *)
 }
 
-type candidate = {
-  c_tile : Tile.config;
-  c_collapse : bool;  (** [collapse_reuse] compile flag *)
-}
-
-val default_candidate : candidate
-(** {!Tile.default_config} with reuse collapsing on — what an untuned
-    compile does. *)
+type candidate = Tile.config
+(** A decoded point: the emission tile config it selects. *)
 
 val of_plan : ?device:Device.t -> Plan.t -> space
 (** Extract the knob space of a plan (default device: {!Device.a100},
@@ -48,7 +41,7 @@ val of_plan : ?device:Device.t -> Plan.t -> space
 
 val axes : space -> int array
 (** Axis sizes, in order: one per site ([|s_tiles| + 1]: 0 is
-    "untiled"), then elem chunks, collapse. *)
+    "untiled"), then elem chunks. *)
 
 val default_point : space -> int array
 (** All zeros. *)
@@ -84,6 +77,6 @@ val crossover : Rng.t -> int array -> int array -> int array
     probability. *)
 
 val to_string : candidate -> string
-(** Human-readable config, e.g.
+(** {!Tile.config_to_string}, e.g.
     ["blk=cell:128x64x32,elem_chunk=4096"] — ["default"]
     for the untuned candidate. *)

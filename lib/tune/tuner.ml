@@ -14,10 +14,7 @@ let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
     ?(budget = 32) ~key (p : Expr.program) =
   let base_plan = Pipeline.plan p in
   let space = Knobs.of_plan ~device base_plan in
-  let plan_of (c : Knobs.candidate) =
-    Pipeline.plan ~verify:false ~collapse_reuse:c.Knobs.c_collapse
-      ~tile:c.Knobs.c_tile p
-  in
+  let plan_of tile = Pipeline.plan ~verify:false ~tile p in
   let result =
     Search.run ~seed strategy ~budget space
       (Cost_oracle.analytical ~device plan_of)
@@ -28,8 +25,7 @@ let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
     {
       Tune_db.tr_key = key;
       tr_device = dev_digest;
-      tr_tile = best.Search.e_candidate.Knobs.c_tile;
-      tr_collapse = best.Search.e_candidate.Knobs.c_collapse;
+      tr_tile = best.Search.e_candidate;
       tr_cost = best.Search.e_cost;
       tr_strategy = Search.strategy_name strategy;
       tr_budget = budget;
@@ -41,7 +37,7 @@ let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
     rp_device = device;
     rp_space = space;
     rp_result = result;
-    rp_db_path = Tune_db.entry_path ~key ~device:dev_digest;
+    rp_db_path = Tune_db.Db.path (Tune_db.entry_key ~key ~device:dev_digest);
   }
 
 let tune_program ?device ?seed ?strategy ?budget (p : Expr.program) =
@@ -65,8 +61,7 @@ let tune_file ?device ?seed ?strategy ?budget path =
 let cost_unit r =
   Printf.sprintf "modelled %s µs (analytical)" r.rp_device.Device.name
 
-let config_to_jsonv (c : Knobs.candidate) =
-  let t = c.Knobs.c_tile in
+let config_to_jsonv (t : Knobs.candidate) =
   Jsonw.Obj
     [
       ( "tiles",
@@ -82,8 +77,7 @@ let config_to_jsonv (c : Knobs.candidate) =
                  ])
              t.Tile.cfg_tiles) );
       ("elem_chunk", Jsonw.Int t.Tile.cfg_elem_chunk);
-      ("collapse_reuse", Jsonw.Bool c.Knobs.c_collapse);
-      ("pretty", Jsonw.String (Knobs.to_string c));
+      ("pretty", Jsonw.String (Knobs.to_string t));
     ]
 
 let report_to_jsonv (r : report) =
@@ -158,5 +152,5 @@ let report_to_text (r : report) =
   | Some p -> Printf.bprintf b "db:       %s\n" p
   | None ->
       Printf.bprintf b "db:       in-memory only (set %s to persist)\n"
-        Tune_db.env_var);
+        Tune_db.Db.env_var);
   Buffer.contents b

@@ -6,8 +6,8 @@
     {!Cost_oracle.analytical} (modelled device µs) under a fixed seed
     and budget, store the best
     configuration in the {!Tune_db} (keyed by [Pipeline.program_key] /
-    [source_key] at the default config, so untuned compiles with
-    [~tune:true] find it), and return a {!report} with the full cost
+    [source_key] at the default config, where [ftc run] and
+    [ftc profile] look it up), and return a {!report} with the full cost
     trajectory.  Everything is deterministic given (seed, budget,
     strategy): two identical invocations pick the identical
     configuration.

@@ -50,6 +50,24 @@ if [ -n "$stray" ]; then
   echo "check.sh: a pool created outside the Domain_pool registry" >&2
   exit 1
 fi
+# One disk layer: plans and tuned configs persist through Disk_store,
+# and whoever wants a tuned config looks it up and passes it — no
+# ambient tune-source hook, no never-applied collapse flag, no
+# process-wide table of stateful executables.
+echo "guard: no tune-source hook, collapse knob or prepared-executable table"
+if grep -rnE 'set_tune_source|tuned_config_for|Tune_db\.install|tr_collapse|c_collapse|prepare_cached' \
+  lib bin bench/main.ml; then
+  echo "check.sh: a retired tuning or caching path crept back in" >&2
+  exit 1
+fi
+echo "guard: cache files read and written only by Disk_store"
+stray=$(grep -rnE 'Marshal\.(to|from)_channel' lib bin \
+  | grep -v '^lib/runtime/disk_store\.ml:' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a second disk layer outside Disk_store" >&2
+  exit 1
+fi
 
 # Native kernels stay under the bitwise contract: every C stub stanza
 # is built without multiply-add contraction and without flags that

@@ -122,6 +122,17 @@ let cli_tests =
         same "--domains" [ "run"; "profile" ];
         same "--device" [ "simulate"; "profile"; "tune"; "shard" ];
         same "--json" [ "conform"; "cache"; "shard" ]);
+    Alcotest.test_case "--help: no markup printed literally" `Quick
+      (fun () ->
+        (* an escaped $(b,...) in a doc string reaches the reader as
+           those very characters instead of bold text *)
+        List.iter
+          (fun cmd ->
+            let code, out, _ = run_ftc (cmd ^ " --help=plain") in
+            checki (cmd ^ " --help exit code") 0 code;
+            checkb (cmd ^ " --help has no literal $(b,") false
+              (contains out "$(b,"))
+          [ "run"; "profile"; "tune"; "cache" ]);
     Alcotest.test_case "analyze --format json: clean stdout, exit 0" `Quick
       (fun () ->
         let code, out, err = run_ftc ("analyze " ^ example "stacked_rnn" ^ " --format json") in

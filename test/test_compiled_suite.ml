@@ -218,17 +218,6 @@ let compiled_tests =
               (s.Compiled.fs_groups = 0 && s.Compiled.fs_fused_ops = 0
               && s.Compiled.fs_swallowed = 0))
           (stats_of (opts ~domains:1 ~fuse:false ()) lstm));
-    Alcotest.test_case "prepare_cached: one entry per key and options"
-      `Quick (fun () ->
-        let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
-        let o = opts ~domains:1 () in
-        let p1 = Executor.prepare_cached ~key:"test-rnn" ~opts:o g in
-        let p2 = Executor.prepare_cached ~key:"test-rnn" ~opts:o g in
-        checkb "cached hit is the same prepared" true (p1 == p2);
-        let p3 =
-          Executor.prepare_cached ~key:"test-rnn" ~opts:(opts ~domains:2 ()) g
-        in
-        checkb "different opts, different entry" true (p1 != p3));
     Alcotest.test_case "shadow recording over the compiled engine is clean"
       `Quick (fun () ->
         List.iter

@@ -108,12 +108,14 @@ let tune_test name =
   Alcotest.test_case ("tune json: " ^ name) `Quick (fun () ->
       (* keep the search off any ambient database: no disk persistence,
          and the in-memory store is wiped afterwards *)
-      let saved = Sys.getenv_opt Tune_db.env_var in
-      Unix.putenv Tune_db.env_var "";
+      let saved = Sys.getenv_opt Tune_db.Db.env_var in
+      Unix.putenv Tune_db.Db.env_var "";
       Fun.protect
         ~finally:(fun () ->
-          (match saved with Some v -> Unix.putenv Tune_db.env_var v | None -> ());
-          Tune_db.clear_memory ())
+          (match saved with
+          | Some v -> Unix.putenv Tune_db.Db.env_var v
+          | None -> ());
+          Tune_db.Db.clear ())
         (fun () ->
           let p = Parse.program_file (example_path name) in
           ignore (Typecheck.check_program p);

@@ -454,27 +454,29 @@ let plan_cache_tests =
         checki "misses" (limit + 1) s.Pipeline.Cache.misses;
         checki "evictions" 1 s.Pipeline.Cache.evictions;
         Pipeline.Cache.clear ());
-    Alcotest.test_case "prepare_cached keeps cache_limit executables, \
-                        evicting the least recently used" `Quick (fun () ->
-        let g = Build.build (prog ()) in
-        let limit = Executor.cache_limit in
-        let prep i = Executor.prepare_cached ~key:(Printf.sprintf "limit-%d" i) g in
-        let s0 = Executor.cache_stats () in
-        let prs = Array.init limit prep in
-        (* whatever other callers left is now older than every key here *)
-        let s1 = Executor.cache_stats () in
-        checki "full" limit s1.Bounded_cache.entries;
-        checki "earlier entries evicted" s0.Bounded_cache.entries
-          (s1.Bounded_cache.evictions - s0.Bounded_cache.evictions);
-        checkb "hit" true (prep 0 == prs.(0));
-        ignore (prep limit);
-        checkb "the least recently used goes" false (prep 1 == prs.(1));
-        let s2 = Executor.cache_stats () in
-        checki "hits" 1 (s2.Bounded_cache.hits - s1.Bounded_cache.hits);
-        checki "misses" 2 (s2.Bounded_cache.misses - s1.Bounded_cache.misses);
-        checki "evictions" 2
-          (s2.Bounded_cache.evictions - s1.Bounded_cache.evictions);
-        checki "still full" limit s2.Bounded_cache.entries);
+    Alcotest.test_case "a failed disk write compiles, counts a miss and \
+                        leaves no temp file" `Quick (fun () ->
+        with_disk_cache (fun dir ->
+            with_ft_file ft_source (fun path ->
+                (* a directory where the entry goes: the rename fails *)
+                let src = In_channel.with_open_bin path In_channel.input_all in
+                let entry =
+                  Option.get (Pipeline.Cache.path (Pipeline.source_key src))
+                in
+                Unix.mkdir entry 0o700;
+                Fun.protect
+                  ~finally:(fun () -> Unix.rmdir entry)
+                  (fun () ->
+                    Pipeline.Cache.clear ();
+                    let plan = Pipeline.plan_file path in
+                    checki "compiled"
+                      (Plan.total_kernels (Pipeline.plan (Parse.program src)))
+                      (Plan.total_kernels plan);
+                    let s = Pipeline.Cache.stats () in
+                    checki "one miss" 1 s.Pipeline.Cache.misses;
+                    checki "no disk hit" 0 s.Pipeline.Cache.disk_hits;
+                    checkb "nothing but the directory is left" true
+                      (Sys.readdir dir = [| Filename.basename entry |])))));
   ]
 
 let suites =

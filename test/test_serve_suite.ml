@@ -226,44 +226,51 @@ let session_tests =
         checkb "widths tracked" true
           (List.mem 2 (Session.widths_prepared sa));
         checkb "engine known" true (Session.engine sa ~width:2 <> ""));
+    Alcotest.test_case "two sessions of one tenant get distinct executables"
+      `Quick (fun () ->
+        (* a prepared executable is stateful: sharing one across
+           sessions would let their ticks overwrite each other *)
+        let sv = selective_scan ~seq_len:4 ~hidden:4 in
+        let s1 = Session.create ~tenant:"same" sv in
+        let s2 = Session.create ~tenant:"same" sv in
+        checkb "distinct" true
+          (Session.prepared s1 ~width:2 != Session.prepared s2 ~width:2));
     Alcotest.test_case "a stored tuned record reaches neither the plan \
                         cache nor the session" `Quick (fun () ->
         (* serving runs Build.build's graph with the session's options:
            no tuned-config lookup and no plan warm-up *)
         let sv = selective_scan ~seq_len:4 ~hidden:4 in
         let key = Pipeline.program_key (sv.Servable.sv_step 2) in
-        let saved = Sys.getenv_opt Tune_db.env_var in
-        Unix.putenv Tune_db.env_var "";
+        let saved = Sys.getenv_opt Tune_db.Db.env_var in
+        Unix.putenv Tune_db.Db.env_var "";
         Fun.protect
           ~finally:(fun () ->
-            Unix.putenv Tune_db.env_var (Option.value saved ~default:"");
-            Tune_db.clear_memory ())
+            Unix.putenv Tune_db.Db.env_var (Option.value saved ~default:"");
+            Tune_db.Db.clear ())
           (fun () ->
-            Tune_db.install ();
             Tune_db.store
               {
                 Tune_db.tr_key = key;
                 tr_device = Tune_db.device_digest Device.a100;
                 tr_tile =
                   { Tile.default_config with Tile.cfg_elem_chunk = 4096 };
-                tr_collapse = false;
                 tr_cost = 0.0;
                 tr_strategy = "pinned";
                 tr_budget = 0;
                 tr_seed = 0;
               };
             Pipeline.Cache.clear ();
-            let before = Tune_db.stats () in
+            let before = Tune_db.Db.stats () in
             ignore
               (Session.prepared (Session.create ~tenant:"tuned" sv) ~width:2);
-            let after = Tune_db.stats () in
+            let after = Tune_db.Db.stats () in
             let c = Pipeline.Cache.stats () in
             checki "no plan compiled or looked up" 0
               (c.Pipeline.Cache.hits + c.Pipeline.Cache.misses
               + c.Pipeline.Cache.disk_hits);
             checki "no tuning-database lookup"
-              (before.Tune_db.hits + before.Tune_db.misses)
-              (after.Tune_db.hits + after.Tune_db.misses)));
+              (before.Tune_db.Db.hits + before.Tune_db.Db.misses)
+              (after.Tune_db.Db.hits + after.Tune_db.Db.misses)));
     Alcotest.test_case "a session keeps width_limit widths, evicting the \
                         least recently used" `Quick (fun () ->
         let sv = selective_scan ~seq_len:4 ~hidden:4 in

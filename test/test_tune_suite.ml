@@ -28,9 +28,7 @@ let ffn_space =
 
 let ffn_oracle () =
   let p = Lazy.force ffn_program in
-  Cost_oracle.analytical (fun c ->
-      Pipeline.plan ~verify:false ~collapse_reuse:c.Knobs.c_collapse
-        ~tile:c.Knobs.c_tile p)
+  Cost_oracle.analytical (fun tile -> Pipeline.plan ~verify:false ~tile p)
 
 (* ---------------------------------------------------------------- *)
 (* Tile arithmetic: partial edge tiles must be charged, not dropped. *)
@@ -93,19 +91,17 @@ let mutated_points_valid =
 let default_point_is_default () =
   let sp = Lazy.force ffn_space in
   let c = Knobs.decode sp (Knobs.default_point sp) in
-  checkb "all-zeros decodes to untuned" true (Tile.is_default c.Knobs.c_tile);
-  checkb "collapse on by default" true c.Knobs.c_collapse;
+  checkb "all-zeros decodes to untuned" true (Tile.is_default c);
   checks "prints as default" "default" (Knobs.to_string c);
-  (* one axis per tile site, then the two global axes the device
-     model prices: elementwise chunk and reuse collapsing *)
+  (* one axis per tile site, then the one global axis the device
+     model prices: elementwise chunk *)
   let n_sites = List.length sp.Knobs.s_sites in
-  checki "one axis per site plus two global axes" (n_sites + 2)
+  checki "one axis per site plus one global axis" (n_sites + 1)
     (Array.length (Knobs.axes sp));
   let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
   checki "cardinality covers the grid"
     (pow (List.length sp.Knobs.s_tiles + 1) n_sites
-    * List.length sp.Knobs.s_elem_chunks
-    * List.length sp.Knobs.s_collapse)
+    * List.length sp.Knobs.s_elem_chunks)
     (Knobs.cardinality sp)
 
 (* ---------------------------------------------------------------- *)
@@ -208,14 +204,14 @@ let with_db_dir f =
       (Printf.sprintf "ftune-test-%d" (Unix.getpid ()))
   in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Unix.putenv Tune_db.env_var dir;
-  Tune_db.clear_memory ();
-  ignore (Tune_db.clear_disk ());
+  Unix.putenv Tune_db.Db.env_var dir;
+  Tune_db.Db.clear ();
+  ignore (Tune_db.Db.clear_disk ());
   Fun.protect
     ~finally:(fun () ->
-      ignore (Tune_db.clear_disk ());
-      Tune_db.clear_memory ();
-      Unix.putenv Tune_db.env_var "";
+      ignore (Tune_db.Db.clear_disk ());
+      Tune_db.Db.clear ();
+      Unix.putenv Tune_db.Db.env_var "";
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
@@ -228,7 +224,6 @@ let sample_record ~cost =
         Tile.default_config with
         Tile.cfg_tiles = [ ("blk", { Tile.t_m = 64; t_n = 64; t_k = 32 }) ];
       };
-    tr_collapse = true;
     tr_cost = cost;
     tr_strategy = "greedy";
     tr_budget = 8;
@@ -241,9 +236,9 @@ let db_roundtrip () =
       checkb "starts empty" true
         (Tune_db.lookup ~key:"deadbeef" ~device = None);
       Tune_db.store (sample_record ~cost:10.0);
-      checki "one disk entry" 1 (List.length (Tune_db.disk_entries ()));
+      checki "one disk entry" 1 (List.length (Tune_db.Db.disk_entries ()));
       (* drop memory: the disk copy must answer *)
-      Tune_db.clear_memory ();
+      Tune_db.Db.clear ();
       (match Tune_db.lookup ~key:"deadbeef" ~device with
       | Some r ->
           checkb "disk roundtrip cost" true (r.Tune_db.tr_cost = 10.0);
@@ -266,14 +261,14 @@ let db_corruption_is_miss () =
       let device = Tune_db.device_digest Device.a100 in
       Tune_db.store (sample_record ~cost:10.0);
       let path =
-        match Tune_db.entry_path ~key:"deadbeef" ~device with
+        match Tune_db.Db.path (Tune_db.entry_key ~key:"deadbeef" ~device) with
         | Some p -> p
         | None -> Alcotest.fail "no entry path with FT_TUNE_DB set"
       in
       let oc = open_out_bin path in
       output_string oc "not a marshal blob";
       close_out oc;
-      Tune_db.clear_memory ();
+      Tune_db.Db.clear ();
       checkb "corrupt entry reads as miss" true
         (Tune_db.lookup ~key:"deadbeef" ~device = None);
       (* unrelated garbage in the directory is ignored too *)
@@ -281,7 +276,7 @@ let db_corruption_is_miss () =
       let oc = open_out stray in
       close_out oc;
       checkb "stray file not listed" true
-        (not (List.mem "stray.txt" (Tune_db.disk_entries ())));
+        (not (List.mem "stray.txt" (Tune_db.Db.disk_entries ())));
       Sys.remove stray)
 
 (* The two corruption shapes the blanket test above does not reach:
@@ -292,7 +287,7 @@ let db_truncated_and_version_skew () =
   with_db_dir (fun _dir ->
       let device = Tune_db.device_digest Device.a100 in
       let entry () =
-        match Tune_db.entry_path ~key:"deadbeef" ~device with
+        match Tune_db.Db.path (Tune_db.entry_key ~key:"deadbeef" ~device) with
         | Some p -> p
         | None -> Alcotest.fail "no entry path with FT_TUNE_DB set"
       in
@@ -300,7 +295,7 @@ let db_truncated_and_version_skew () =
         let oc = open_out_bin (entry ()) in
         output_string oc bytes;
         close_out oc;
-        Tune_db.clear_memory ()
+        Tune_db.Db.clear ()
       in
       (* truncated: keep only the first 4 bytes of a real entry *)
       Tune_db.store (sample_record ~cost:10.0);
@@ -319,37 +314,37 @@ let db_truncated_and_version_skew () =
         (Tune_db.lookup ~key:"deadbeef" ~device = None);
       (* a fresh store overwrites the bad entry and reads back *)
       Tune_db.store (sample_record ~cost:3.0);
-      Tune_db.clear_memory ();
+      Tune_db.Db.clear ();
       match Tune_db.lookup ~key:"deadbeef" ~device with
       | Some r -> checkb "recovered" true (r.Tune_db.tr_cost = 3.0)
       | None -> Alcotest.fail "store did not recover a corrupt entry")
 
-(* The in-memory table keeps Tune_db.limit records, the least recently
+(* The in-memory table keeps Tune_db.Db.limit records, the least recently
    used going first; memory only, so no disk entry answers a miss. *)
 let db_at_limit () =
-  Unix.putenv Tune_db.env_var "";
-  Tune_db.clear_memory ();
+  Unix.putenv Tune_db.Db.env_var "";
+  Tune_db.Db.clear ();
   let device = Tune_db.device_digest Device.a100 in
   let key i = Printf.sprintf "limit-%d" i in
   let store i =
     Tune_db.store { (sample_record ~cost:1.0) with Tune_db.tr_key = key i }
   in
   let found i = Tune_db.lookup ~key:(key i) ~device <> None in
-  for i = 0 to Tune_db.limit - 1 do
+  for i = 0 to Tune_db.Db.limit - 1 do
     store i
   done;
   checkb "hit" true (found 0);
-  store Tune_db.limit;
+  store Tune_db.Db.limit;
   checkb "the least recently used goes" false (found 1);
   checkb "the touched record stays" true (found 0);
-  checkb "the newest is in" true (found Tune_db.limit);
-  let s = Tune_db.stats () in
-  checki "hits" 3 s.Tune_db.hits;
-  checki "misses" 1 s.Tune_db.misses;
-  checki "disk hits" 0 s.Tune_db.disk_hits;
-  checki "stores" (Tune_db.limit + 1) s.Tune_db.stores;
-  checki "evictions" 1 s.Tune_db.evictions;
-  Tune_db.clear_memory ()
+  checkb "the newest is in" true (found Tune_db.Db.limit);
+  let s = Tune_db.Db.stats () in
+  checki "hits" 3 s.Tune_db.Db.hits;
+  checki "misses" 1 s.Tune_db.Db.misses;
+  checki "disk hits" 0 s.Tune_db.Db.disk_hits;
+  checki "stores" (Tune_db.Db.limit + 1) s.Tune_db.Db.stores;
+  checki "evictions" 1 s.Tune_db.Db.evictions;
+  Tune_db.Db.clear ()
 
 (* ---------------------------------------------------------------- *)
 (* Pipeline plumbing: tile configs key the cache; defaults unchanged. *)
