@@ -468,7 +468,11 @@ let vm () =
         fun () -> Some v
       in
       let compiled pr () =
-        let outs = Executor.execute pr binds in
+        let outs =
+          List.map
+            (fun (n, v) -> (n, Fractal.map_leaves Tensor.copy v))
+            (Executor.execute pr binds)
+        in
         fun () -> Oracles.value program outs
       in
       let record_cfg ?interleaved ~layer ~domains ~bitwise med speedup =

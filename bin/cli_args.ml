@@ -85,14 +85,12 @@ let strategy_arg =
         (enum
            [ ("auto", None); ("batch", Some Shard.Batch);
              ("sequence", Some Shard.Sequence);
-             ("pipeline", Some Shard.Pipeline);
              ("replicate", Some Shard.Replicate) ])
         None
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
           "Partitioning strategy: auto (per-block), batch (free axis), \
-           sequence (dependence axis + halo), pipeline (blocks \
-           round-robin) or replicate")
+           sequence (dependence axis + halo) or replicate")
 
 let link_arg =
   Arg.(

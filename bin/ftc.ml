@@ -463,7 +463,13 @@ let run_cmd =
                 g env
             in
             let pr = Executor.prepare g in
-            let par = Executor.execute pr env in
+            (* a copy: the --repeat runs below overwrite the executable's
+               output cells *)
+            let par =
+              List.map
+                (fun (n, v) -> (n, Fractal.map_leaves Tensor.copy v))
+                (Executor.execute pr env)
+            in
             let wave_ok =
               List.length seq = List.length par
               && List.for_all2
@@ -713,35 +719,26 @@ let tune_cmd =
       $ Cli_args.seed_arg ~default:2024 $ Cli_args.device_arg
       $ Cli_args.format_arg)
 
-(* The two disk-backed stores [ftc cache] reports on and clears. *)
+(* The two disk-backed stores [ftc cache] reports on and clears.  Only
+   the disk says anything here: this process has looked nothing up, so
+   its in-memory counters would always read 0. *)
 let stores : (string * (module Disk_store.S)) list =
   [ ("plan cache", (module Pipeline.Cache)); ("tune db", (module Tune_db.Db)) ]
 
 let store_stats_jsonv (module S : Disk_store.S) =
-  let s = S.stats () in
   Jsonw.Obj
     [
       ("dir", Option.fold ~none:Jsonw.Null ~some:(fun d -> Jsonw.String d)
                 (S.dir ()));
       ("disk_entries", Jsonw.Int (List.length (S.disk_entries ())));
-      ("hits", Jsonw.Int s.hits);
-      ("misses", Jsonw.Int s.misses);
-      ("disk_hits", Jsonw.Int s.disk_hits);
-      ("stores", Jsonw.Int s.stores);
-      ("evictions", Jsonw.Int s.evictions);
     ]
 
 let print_store_stats (name, (module S : Disk_store.S)) =
-  (match S.dir () with
+  match S.dir () with
   | None -> Format.printf "%-11s %s unset (memory only)@." (name ^ ":") S.env_var
   | Some d ->
       Format.printf "%-11s %d disk entrie(s) under %s@." (name ^ ":")
-        (List.length (S.disk_entries ())) d);
-  let s = S.stats () in
-  Format.printf
-    "  this process: %d hit(s), %d miss(es), %d disk hit(s), %d store(s), \
-     %d eviction(s)@."
-    s.hits s.misses s.disk_hits s.stores s.evictions
+        (List.length (S.disk_entries ())) d
 
 let cache_cmd =
   let run action disk json =
@@ -905,9 +902,8 @@ let conform_cmd =
          "Differential + metamorphic conformance run: seeded random programs \
           executed by every back end (the reference interpreter; the \
           compiled engine in sequential order, in wavefront order at 1, 2 \
-          and 4 domains, under the shadow recorder, without the arena, \
-          with and without fusion, with tuned configs and across plan-cache \
-          round trips; sharded across 2 and 4 devices) with bitwise \
+          and 4 domains, under the shadow recorder, with and without \
+          fusion, with tuned configs and across plan-cache round trips; sharded across 2 and 4 devices) with bitwise \
           comparison, shrinking, and a minimized-repro corpus")
     Term.(
       const run

@@ -39,7 +39,11 @@
      operand where it lives — an input cell, an intermediate or a
      block constant.  Nothing outlives a run but the executable's own
      storage, so an input tensor changed in place is read afresh by
-     the next run. *)
+     the next run.
+   - Shadow recording adds no second engine: before a front runs, each
+     of its points reports the block's live read edges and then its
+     write edges through their access maps; the front then runs through
+     the same point loop, fusion and redirect included. *)
 
 module A = Bigarray.Array1
 
@@ -69,7 +73,6 @@ let unwritten name st =
 
 type cop = {
   co_srcs : src array;
-  co_edges : Ir.edge option array;  (* read edge per operand, for shadow *)
   co_kernels : (Tensor.t array -> Tensor.t -> unit) array;  (* per worker *)
   co_args : Tensor.t array array;  (* per worker *)
 }
@@ -79,8 +82,6 @@ type cwrite = {
   cw_weights : int array;
   cw_src : src;
   cw_alias : int;  (* scratch slot redirected in place, or -1 *)
-  cw_edge : Ir.edge;
-  cw_redge : Ir.edge option;  (* read edge behind the result operand *)
 }
 
 type fusion_stats = {
@@ -96,10 +97,13 @@ type cblock = {
   cb_front_ids : int array;  (* schedule front id per front *)
   cb_parallel : bool;
   cb_stats : Vm.block_stats;
+  cb_dim : int;
+  cb_points : int array;  (* [cb_dim] coordinates per point, schedule order *)
+  cb_reads : Ir.edge list;  (* {!Vm.live_reads}, for shadow recording *)
+  cb_writes : Ir.edge list;  (* {!Ir.writes}, for shadow recording *)
   cb_exec : int -> int -> unit;  (* worker, point index *)
   cb_exec_range : int -> int -> int -> unit;
       (* worker, lo, hi: a whole front (or chunk) as one batched loop *)
-  cb_shadow : Shadow.t -> int -> int -> unit;  (* recorder, front id, point *)
   cb_fusion : fusion_stats;
 }
 
@@ -134,8 +138,7 @@ let un_op_of_prim (p : Expr.prim) =
   | Expr.Scale k -> Some (Tensor.Uscale k)
   | _ -> None
 
-let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
-    (g : Ir.graph) =
+let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
   let workers = Stdlib.max 1 workers in
   let dummy = Tensor.scalar 0.0 in
   (* ---- storage: one preallocated tensor per buffer cell ---- *)
@@ -146,27 +149,24 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
       g.Ir.g_buffers
   in
   let arena_t, slot_of =
-    if not arena then (None, fun _ -> None)
-    else begin
-      (* [Liveness.layout] speaks the 4-byte/f32 convention of
-         [Effects.buffer_bytes]; real cells are float64.  Dividing the
-         64-aligned byte offsets by 4 converts them to float64 element
-         offsets scaled by the 8/4 ratio — a linear map, so slot
-         disjointness and containment carry over verbatim. *)
-      let intervals =
-        Liveness.intervals ~live_in:(role_names Ir.Input)
-          ~live_out:(role_names Ir.Output) (Analyze.steps g)
-      in
-      let ar = Liveness.layout intervals in
-      if ar.Liveness.ar_slots = [] then (None, fun _ -> None)
-      else
-        let a = Arena.create ~floats:((ar.Liveness.ar_total + 3) / 4) in
-        ( Some a,
-          fun name ->
-            List.find_opt
-              (fun s -> s.Liveness.sl_buffer = name)
-              ar.Liveness.ar_slots )
-    end
+    (* [Liveness.layout] speaks the 4-byte/f32 convention of
+       [Effects.buffer_bytes]; real cells are float64.  Dividing the
+       64-aligned byte offsets by 4 converts them to float64 element
+       offsets scaled by the 8/4 ratio — a linear map, so slot
+       disjointness and containment carry over verbatim. *)
+    let intervals =
+      Liveness.intervals ~live_in:(role_names Ir.Input)
+        ~live_out:(role_names Ir.Output) (Analyze.steps g)
+    in
+    let ar = Liveness.layout intervals in
+    if ar.Liveness.ar_slots = [] then (None, fun _ -> None)
+    else
+      let a = Arena.create ~floats:((ar.Liveness.ar_total + 3) / 4) in
+      ( Some a,
+        fun name ->
+          List.find_opt
+            (fun s -> s.Liveness.sl_buffer = name)
+            ar.Liveness.ar_slots )
   in
   let buffers = Array.of_list g.Ir.g_buffers in
   let store_ix = Hashtbl.create 16 in
@@ -410,16 +410,16 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
         ops;
     let resolve (o : Ir.operand) =
       match o with
-      | Ir.O_const t -> (S_fixed t, None)
-      | Ir.O_op k -> (S_scratch tg.(k), None)
+      | Ir.O_const t -> S_fixed t
+      | Ir.O_op k -> S_scratch tg.(k)
       | Ir.O_var tag -> (
           match List.assoc_opt tag b.Ir.blk_consts with
-          | Some t -> (S_fixed t, None)
+          | Some t -> S_fixed t
           | None -> (
               match Hashtbl.find_opt reads tag with
               | Some e ->
                   let sti, w = weights_of e in
-                  (S_cell (sti, w), Some e)
+                  S_cell (sti, w)
               | None ->
                   err "block %s: operand %s has no edge or literal"
                     b.Ir.blk_name tag))
@@ -440,13 +440,11 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
           if swallowed.(oi) then
             {
               co_srcs = [||];
-              co_edges = [||];
               co_kernels = Array.make workers noop_kernel;
               co_args = Array.make workers [||];
             }
           else begin
-            let rs = List.map resolve o.Ir.operands in
-            let srcs = Array.of_list (List.map fst rs) in
+            let srcs = Array.of_list (List.map resolve o.Ir.operands) in
             let factory =
               Lower.kernel ?epilogue:epilogues.(oi) ?fixed_b:(fixed_b o srcs)
                 o.Ir.op ~operand_shapes:o.Ir.operand_shapes
@@ -455,11 +453,9 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
             let kernels = Array.init workers (fun _ -> factory ()) in
             {
               co_srcs = srcs;
-              co_edges = Array.of_list (List.map snd rs);
               co_kernels = kernels;
               co_args =
-                Array.init workers (fun _ ->
-                    Array.make (List.length rs) dummy);
+                Array.init workers (fun _ -> Array.make (Array.length srcs) dummy);
             }
           end)
         ops
@@ -520,7 +516,7 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
                err "block %s writes input buffer %d" b.Ir.blk_name
                  w.Ir.e_buffer;
              let elem = stores.(sti).cs_buffer.Ir.buf_elem in
-             let src, redge = resolve result in
+             let src = resolve result in
              let src_shape =
                match src with
                | S_scratch k -> ops.(k).Ir.result_shape
@@ -540,14 +536,7 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
                    k
                | _ -> -1
              in
-             {
-               cw_store = sti;
-               cw_weights = wt;
-               cw_src = src;
-               cw_alias = alias;
-               cw_edge = w;
-               cw_redge = redge;
-             })
+             { cw_store = sti; cw_weights = wt; cw_src = src; cw_alias = alias })
            writes b.Ir.blk_results)
     in
     let nwrites = Array.length cwrites in
@@ -651,81 +640,18 @@ let compile ?(arena = true) ?schedule ?(workers = 1) ?(fuse = true)
       done
     in
     let exec w i = exec_range w i (i + 1) in
-    (* ---- the shadow path: sequential, schedule event order ---- *)
-    let flat (ws : int array) (point : int array) =
-      let off = ref ws.(0) in
-      for k = 0 to dim - 1 do
-        off := !off + (ws.(k + 1) * point.(k))
-      done;
-      !off
-    in
-    let shadow_exec sh front i =
-      let p = i * dim in
-      let point = Array.init dim (fun k -> pts.(p + k)) in
-      let scr = scratch.(0) in
-      for bi = 0 to nbody - 1 do
-        let oi = body_ops.(bi) in
-        let cop = cops.(oi) in
-        let args = cop.co_args.(0) in
-        for ai = 0 to Array.length cop.co_srcs - 1 do
-          (match cop.co_edges.(ai) with
-          | Some e ->
-              let idx = Access_map.apply e.Ir.e_access point in
-              Shadow.on_read sh ~block:name ~front ~point
-                ~buffer:e.Ir.e_buffer idx
-          | None -> ());
-          match cop.co_srcs.(ai) with
-          | S_fixed t -> args.(ai) <- t
-          | S_scratch k -> args.(ai) <- scr.(k)
-          | S_cell (si, ws) ->
-              let st = stores.(si) in
-              let off = flat ws point in
-              if Bytes.get st.cs_written off = '\000' then
-                unwritten name st;
-              args.(ai) <- st.cs_cells.(off)
-        done;
-        cop.co_kernels.(0) args scr.(tg.(oi))
-      done;
-      for wi = 0 to nwrites - 1 do
-        let cw = cwrites.(wi) in
-        let st = stores.(cw.cw_store) in
-        let idx = Access_map.apply cw.cw_edge.Ir.e_access point in
-        Shadow.on_write sh ~block:name ~front ~point
-          ~buffer:cw.cw_edge.Ir.e_buffer idx;
-        let off = flat cw.cw_weights point in
-        if Bytes.get st.cs_written off <> '\000' then
-          err "block %s writes a cell twice — single assignment violated"
-            name;
-        (match cw.cw_redge with
-        | Some e ->
-            let ridx = Access_map.apply e.Ir.e_access point in
-            Shadow.on_read sh ~block:name ~front ~point
-              ~buffer:e.Ir.e_buffer ridx
-        | None -> ());
-        let v =
-          match cw.cw_src with
-          | S_scratch k -> scr.(k)
-          | S_fixed t -> t
-          | S_cell (si, ws) ->
-              let sst = stores.(si) in
-              let soff = flat ws point in
-              if Bytes.get sst.cs_written soff = '\000' then
-                unwritten name sst;
-              sst.cs_cells.(soff)
-        in
-        Tensor.copy_into v ~dst:st.cs_cells.(off);
-        Bytes.set st.cs_written off '\001'
-      done
-    in
     {
       cb_name = name;
       cb_fronts = fronts;
       cb_front_ids = front_ids;
       cb_parallel = parallel;
       cb_stats = stats;
+      cb_dim = dim;
+      cb_points = pts;
+      cb_reads = Vm.live_reads b;
+      cb_writes = writes;
       cb_exec = exec;
       cb_exec_range = exec_range;
-      cb_shadow = shadow_exec;
       cb_fusion = fusion;
     }
   in
@@ -770,32 +696,48 @@ let load exe inputs =
       | Ir.Intermediate | Ir.Output -> ())
     exe.ex_stores
 
-let run_front pool cb lo hi =
+(* Shadow recording of front [f]: per point, the live read edges, then
+   the write edges, through the access maps — what the point loop reads
+   and writes, described by the IR rather than by the engine. *)
+let record sh cb f =
+  let dim = cb.cb_dim and front = cb.cb_front_ids.(f) in
+  for i = cb.cb_fronts.(f) to cb.cb_fronts.(f + 1) - 1 do
+    let point = Array.sub cb.cb_points (i * dim) dim in
+    let note on_access (e : Ir.edge) =
+      on_access sh ~block:cb.cb_name ~front ~point ~buffer:e.Ir.e_buffer
+        (Access_map.apply e.Ir.e_access point)
+    in
+    List.iter (note Shadow.on_read) cb.cb_reads;
+    List.iter (note Shadow.on_write) cb.cb_writes
+  done
+
+let run_front pool shadow cb f =
+  (match shadow with Some sh -> record sh cb f | None -> ());
+  let lo = Array.unsafe_get cb.cb_fronts f
+  and hi = Array.unsafe_get cb.cb_fronts (f + 1) in
   if cb.cb_parallel && hi - lo > 1 then
     match pool with
     | Some p -> Domain_pool.parallel_for_workers p ~lo ~hi cb.cb_exec
     | None -> cb.cb_exec_range 0 lo hi
   else cb.cb_exec_range 0 lo hi
 
-let run_block pool cb =
+let run_block pool shadow cb =
   for f = 0 to Array.length cb.cb_fronts - 2 do
-    run_front pool cb
-      (Array.unsafe_get cb.cb_fronts f)
-      (Array.unsafe_get cb.cb_fronts (f + 1))
+    run_front pool shadow cb f
   done
 
 (* Wavefront-scheduled blocks emit one "vm.block" span and one
    "vm.front" per anti-chain; sequential (ordered or downgraded) blocks
    emit nothing. *)
-let run_block_traced pool cb =
-  if not cb.cb_parallel then run_block pool cb
+let run_block_traced pool shadow cb =
+  if not cb.cb_parallel then run_block pool shadow cb
   else
     Vm.block_span cb.cb_name cb.cb_stats (fun () ->
         for f = 0 to Array.length cb.cb_fronts - 2 do
-          let lo = cb.cb_fronts.(f) and hi = cb.cb_fronts.(f + 1) in
           Vm.front_span ~block:cb.cb_name ~front:cb.cb_front_ids.(f)
-            ~width:(hi - lo) pool
-            (fun () -> run_front pool cb lo hi)
+            ~width:(cb.cb_fronts.(f + 1) - cb.cb_fronts.(f))
+            pool
+            (fun () -> run_front pool shadow cb f)
         done)
 
 let execute ?pool ?shadow exe =
@@ -811,30 +753,17 @@ let execute ?pool ?shadow exe =
       Bytes.fill st.cs_written 0 (Bytes.length st.cs_written) '\000'
   done;
   let blocks = exe.ex_blocks in
-  match shadow with
-  | Some sh ->
-      Array.iter
-        (fun cb ->
-          for f = 0 to Array.length cb.cb_fronts - 2 do
-            let lo = cb.cb_fronts.(f) and hi = cb.cb_fronts.(f + 1) in
-            let front = cb.cb_front_ids.(f) in
-            for i = lo to hi - 1 do
-              cb.cb_shadow sh front i
-            done
-          done)
-        blocks
-  | None ->
-      if Trace.active () then
-        for bi = 0 to Array.length blocks - 1 do
-          run_block_traced pool (Array.unsafe_get blocks bi)
-        done
-      else
-        for bi = 0 to Array.length blocks - 1 do
-          run_block pool (Array.unsafe_get blocks bi)
-        done
+  if Trace.active () then
+    for bi = 0 to Array.length blocks - 1 do
+      run_block_traced pool shadow (Array.unsafe_get blocks bi)
+    done
+  else
+    for bi = 0 to Array.length blocks - 1 do
+      run_block pool shadow (Array.unsafe_get blocks bi)
+    done
 
 (* A loop, not [Bytes.contains]: the steady state allocates nothing. *)
-let borrowed_outputs exe =
+let outputs exe =
   let stores = exe.ex_stores in
   for si = 0 to Array.length stores - 1 do
     let st = Array.unsafe_get stores si in
@@ -845,16 +774,6 @@ let borrowed_outputs exe =
       done
   done;
   exe.ex_outputs
-
-let copy_outputs outs =
-  List.map (fun (name, v) -> (name, Fractal.map_leaves Tensor.copy v)) outs
-
-let outputs exe = copy_outputs (borrowed_outputs exe)
-
-let run ?pool ?shadow exe inputs =
-  load exe inputs;
-  execute ?pool ?shadow exe;
-  outputs exe
 
 (* ------------------------ external placement ------------------------ *)
 

@@ -15,9 +15,7 @@
       whole iteration domain at compile time;
     - {b storage}: intermediate buffers live in a single {!Arena} sized
       by the static liveness layout ({!Liveness.layout}), so the
-      steady-state run loop performs {e zero} heap allocation (the
-      [arena:false] variant preallocates per-cell tensors instead —
-      same schedule, same values, for differential testing);
+      steady-state run loop performs {e zero} heap allocation;
     - {b schedule}: each block's schedule ({!Vm.schedule} in any
       {!Vm.order}, wavefront by default) is precomputed into flat int
       arrays, and blocks whose same-front disjointness is not
@@ -41,8 +39,9 @@
       float operation order, and every fusion transformation preserves
       the per-element value chain.
 
-    An executable owns its storage: it is reusable across runs
-    ([load] / [execute] / [outputs]) but not thread-safe — callers that
+    An executable owns its storage, output cells included: it is
+    reusable across runs ([load] / [execute] / [outputs]), each run
+    overwriting the previous run's outputs, but not thread-safe — callers that
     want concurrent runs compile one executable each.  A graph no
     engine can run — partial buffer access, an access arity that does
     not match the domain, an index out of extent, an operand of the
@@ -54,16 +53,13 @@
 type t
 
 val compile :
-  ?arena:bool ->
   ?schedule:(Ir.block -> int array list -> Vm.schedule * string option) ->
   ?workers:int ->
   ?fuse:bool ->
   Ir.graph ->
   t
 (** [compile g] builds an executable for the wavefront schedule, or
-    for whatever schedule [schedule] gives.
-    [arena] (default [true]): back intermediates with the single
-    liveness-sized arena.  [schedule b points]: block [b]'s guarded
+    for whatever schedule [schedule] gives.  [schedule b points]: block [b]'s guarded
     schedule over its enumerated [points] and the downgrade reason, as
     {!Vm.guarded_schedule} gives them (default: the race-guarded
     [Wavefront] order, unproven blocks downgraded to sequential) —
@@ -89,33 +85,21 @@ val load : t -> (string * Fractal.t) list -> unit
 val execute : ?pool:Domain_pool.t -> ?shadow:Shadow.t -> t -> unit
 (** One run over the loaded inputs.  Without [pool] (or with a pool of
     size 1) every front runs inline on the caller — this path allocates
-    zero minor words.  With [shadow], the run records every cell access
-    in schedule order (sequentially, preserving front ids; every point
-    of an [Ordered] schedule is its own front).
-    @raise Vm.Execution_error on unwritten reads / double writes. *)
-
-val borrowed_outputs : t -> (string * Fractal.t) list
-(** Every [Output] buffer, in buffer order, as the executable's own
-    cells — not copied.  The list and its tensors are the same on
-    every call; the next {!execute} overwrites them.  Allocates
-    nothing.
-    @raise Vm.Execution_error if an output cell is unwritten. *)
-
-val copy_outputs : (string * Fractal.t) list -> (string * Fractal.t) list
-(** A copy of every leaf, the structure kept. *)
+    zero minor words.  With [shadow], before each front runs, every one
+    of its points records the block's {!Vm.live_reads} and then its
+    {!Ir.writes}, each at the cell its access map gives (front ids
+    preserved; every point of an [Ordered] schedule is its own front);
+    the front then runs as without it.
+    @raise Vm.Execution_error on unwritten reads / double writes.
+    @raise Shadow.Violation on a recorded same-front overlap. *)
 
 val outputs : t -> (string * Fractal.t) list
-(** [copy_outputs (borrowed_outputs exe)]: safe across subsequent
-    runs.
+(** Every [Output] buffer, in buffer order, as the executable's own
+    cells — not copied.  The list and its tensors are the same on
+    every call and stay valid until the next {!execute}, which
+    overwrites them; a caller that keeps a result across runs copies
+    it.  Allocates nothing.
     @raise Vm.Execution_error if an output cell is unwritten. *)
-
-val run :
-  ?pool:Domain_pool.t ->
-  ?shadow:Shadow.t ->
-  t ->
-  (string * Fractal.t) list ->
-  (string * Fractal.t) list
-(** [load]; [execute]; [outputs]. *)
 
 (** {1 External placement}
 
@@ -150,8 +134,8 @@ val written_cell : t -> store:int -> int -> Tensor.t option
 (** {1 Introspection} *)
 
 val arena_floats : t -> int
-(** Arena capacity in float64 elements (0 when compiled with
-    [arena:false] or when no intermediate was placed). *)
+(** Arena capacity in float64 elements (0 when no intermediate was
+    placed). *)
 
 val workers : t -> int
 

@@ -22,8 +22,7 @@ let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let workers = match pool with Some p -> Domain_pool.size p | None -> 1 in
   let schedule = Vm.guarded_schedule g opts.Run_opts.order in
   let exe =
-    Compiled.compile ~arena:opts.Run_opts.arena ~schedule ~workers
-      ~fuse:opts.Run_opts.fuse g
+    Compiled.compile ~schedule ~workers ~fuse:opts.Run_opts.fuse g
   in
   { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_exe = exe }
 
@@ -44,7 +43,7 @@ let cross_check g sh =
       err "shadow memory contradicts the static analysis: %s"
         (String.concat "; " issues)
 
-let execute_borrowed pr inputs =
+let execute pr inputs =
   let exe = pr.pr_exe and pool = pr.pr_pool in
   Compiled.load exe inputs;
   if shadow_wanted pr.pr_opts then begin
@@ -53,9 +52,7 @@ let execute_borrowed pr inputs =
     cross_check pr.pr_graph sh
   end
   else Compiled.execute ?pool exe;
-  Compiled.borrowed_outputs exe
-
-let execute pr inputs = Compiled.copy_outputs (execute_borrowed pr inputs)
+  Compiled.outputs exe
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 

@@ -26,14 +26,14 @@ val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
     rank, a write into an input, a stored-shape mismatch, an operand
     with no edge or literal). *)
 
-val execute_borrowed :
+val execute :
   prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
 (** One run over the named inputs; returns every [Output] buffer in
-    buffer order as the executable's own cells
-    ({!Compiled.borrowed_outputs}): the same list and tensors on every
-    run, valid until this [prepared] runs again, which overwrites
-    them.  Honors the prepared options: domains (pool), shadow;
-    the race guard always runs.
+    buffer order as the executable's own cells ({!Compiled.outputs}):
+    the same list and tensors on every run, valid until this
+    [prepared] runs again, which overwrites them — a caller that keeps
+    a result across runs copies it.  Honors the prepared options:
+    domains (pool), shadow; the race guard always runs.
 
     Inputs are read afresh on each run: a caller may refill its
     tensors in place and bind them again.
@@ -45,17 +45,14 @@ val execute_borrowed :
     @raise Vm.Execution_error on missing inputs / un-executable blocks
     @raise Shadow.Violation on a recorded same-front overlap *)
 
-val execute :
-  prepared -> (string * Fractal.t) list -> (string * Fractal.t) list
-(** {!execute_borrowed}, then a copy of every output leaf: the result
-    is the caller's, safe across subsequent runs. *)
-
 val run :
   ?opts:Run_opts.t ->
   Ir.graph ->
   (string * Fractal.t) list ->
   (string * Fractal.t) list
-(** [execute (prepare ?opts g) inputs] — the one-shot spelling. *)
+(** [execute (prepare ?opts g) inputs] — the one-shot spelling; the
+    outputs are the caller's, since nothing else holds the
+    executable. *)
 
 (** {1 Introspection} *)
 

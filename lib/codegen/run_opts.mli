@@ -2,7 +2,7 @@
     {!Executor} front door.  Callers build one with
     [{ Run_opts.default with ... }] and hand it to {!Executor.run}.
     Every choice runs the one value engine, {!Compiled}; the knobs pick
-    its schedule, parallelism and storage, never a different engine. *)
+    its schedule, parallelism and fusion, never a different engine. *)
 
 (** Shadow-memory recording: [Shadow_off] never records, [Shadow_env]
     (the default) records when [FT_SHADOW] is [1], [true] or [on] —
@@ -21,10 +21,6 @@ type t = {
       (** pool size; [None] uses the ambient {!Domain_pool.num_domains}.
           [Some 1] guarantees a pool-free, allocation-free run loop. *)
   shadow : shadow;
-  arena : bool;
-      (** back compiled intermediates with the single liveness-sized
-          {!Arena} (zero steady-state allocation); [false] gives each
-          cell its own preallocated tensor. *)
   fuse : bool;
       (** scratch-slot coalescing and GEMM epilogue swallowing
           ({!Compiled.compile}'s [fuse]).  Bitwise-neutral; [false]
@@ -33,10 +29,7 @@ type t = {
 }
 
 val default : t
-(** [Wavefront], ambient domains, [Shadow_env], arena on, fusion on.
+(** [Wavefront], ambient domains, [Shadow_env], fusion on.
     Parallel fronts always take the pool's default claim size, and no
     tuned config reaches these options: the tuner searches only what
     the device model prices. *)
-
-val to_string : t -> string
-(** One-line rendering for reports and traces. *)

@@ -1,8 +1,9 @@
 (** Dynamic shadow memory for the compiled engine (debug mode).
 
     When enabled ([FT_SHADOW=1], or an explicit recorder passed to
-    {!Compiled.execute}), the engine reports every cell-level read and write
-    together with the anti-chain (front) it executed in.  The recorder
+    {!Compiled.execute}), every point of a front records, before the
+    front runs, the cells its live read edges and its write edges
+    reach, together with the anti-chain (front) it executes in.  The recorder
     detects, deterministically and independently of thread interleaving:
 
     - a same-front {b write-write} overlap: two iteration points of one

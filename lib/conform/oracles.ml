@@ -9,7 +9,7 @@ type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 
 let all_oracles =
   [ "interp"; "compiled-seq"; "shadow"; "tuned"; "cache-rt"; "compiled";
-    "compiled2"; "compiled4"; "compiled-noarena"; "compiled-nofuse";
+    "compiled2"; "compiled4"; "compiled-nofuse";
     "sharded2"; "sharded4"; "serve" ]
 
 (* ---------------------------------------------------------------- *)
@@ -135,10 +135,11 @@ let value (p : Expr.program) outs =
 (* The compiled engine through the front door, Run_opts defaults
    otherwise: [Shadow_env] keeps corpus replay under FT_SHADOW=1
    cross-checking the recorded accesses against the static analysis. *)
-let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?(arena = true)
-    ?(fuse = true) (p : Expr.program) g inputs =
+let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1)
+    ?(shadow = Run_opts.Shadow_env) ?(fuse = true) (p : Expr.program) g inputs
+    =
   let opts =
-    { Run_opts.default with Run_opts.order; domains = Some domains; arena; fuse }
+    { Run_opts.order; domains = Some domains; shadow; fuse }
   in
   Value (List.assoc p.Expr.name (Executor.run ~opts g inputs))
 
@@ -165,21 +166,6 @@ let tuned_oracle (p : Expr.program) g inputs =
       ignore (Pipeline.plan_cached ~tile p);
       compiled_oracle ~domains:2 p g inputs
   | _ -> Failed "stored tuned config did not resolve through Tune_db"
-
-(* The compiled engine under the shadow recorder: every cell access is
-   logged with its anti-chain, same-front overlaps raise immediately,
-   and the recorded footprints/liveness must agree with the static
-   verdicts of Effects — a contradiction fails the oracle even when
-   the output value is right. *)
-let shadow_oracle (p : Expr.program) g inputs =
-  let sh = Shadow.create g in
-  let outs = Compiled.run ~shadow:sh (Compiled.compile g) inputs in
-  match Shadow.cross_check g (Shadow.finish sh) sh with
-  | [] -> Value (List.assoc p.Expr.name outs)
-  | issues ->
-      Failed
-        ("shadow memory contradicts the static analysis: "
-        ^ String.concat "; " issues)
 
 (* Distributed execution over N simulated devices: auto-partitioned
    shards on real domains, pull-based transfers between per-device
@@ -242,13 +228,12 @@ let run_one (p : Expr.program) inputs graph name =
           try
             match name with
             | "compiled-seq" -> compiled_oracle ~order:Vm.Sequential p g inputs
-            | "shadow" -> shadow_oracle p g inputs
+            | "shadow" -> compiled_oracle ~shadow:Run_opts.Shadow_on p g inputs
             | "tuned" -> tuned_oracle p g inputs
             | "cache-rt" -> cache_rt_oracle p g inputs
             | "compiled" -> compiled_oracle p g inputs
             | "compiled2" -> compiled_oracle ~domains:2 p g inputs
             | "compiled4" -> compiled_oracle ~domains:4 p g inputs
-            | "compiled-noarena" -> compiled_oracle ~arena:false p g inputs
             | "compiled-nofuse" -> compiled_oracle ~fuse:false p g inputs
             | "sharded2" -> sharded_oracle ~devices:2 p g inputs
             | "sharded4" -> sharded_oracle ~devices:4 p g inputs

@@ -13,9 +13,11 @@
                    — the compiled engine in [Sequential] order at one
                      domain, through {!Executor}: the naive order every
                      other back end must match bitwise;
-    - ["shadow"]   — the compiled engine ({!Compiled.run}) under an
-                     explicit {!Shadow} cell-level recorder: a
-                     same-front overlap raises at the access, and the
+    - ["shadow"]   — the compiled engine ({!Executor} at one domain
+                     with [Shadow_on]) under the {!Shadow} cell-level
+                     recorder: every point records its live reads and
+                     its writes, a same-front overlap raises at the
+                     access, and the
                      recorded footprints are cross-checked against the
                      static verdicts of [Effects] after the run — a
                      static/dynamic contradiction fails the oracle
@@ -35,15 +37,11 @@
                      transparency);
     - ["compiled"] / ["compiled2"] / ["compiled4"]
                    — the compiled engine ({!Executor} with the default
-                     [Run_opts]: wavefront order, arena on) at an
+                     [Run_opts]: wavefront order, fusion on) at an
                      explicit 1/2/4-domain pool: schedule and
                      parallelism must not change a single bit.  Under
                      [FT_SHADOW=1] the run is also recorded and
                      cross-checked against the static analysis;
-    - ["compiled-noarena"]
-                   — the compiled engine with [arena = false]
-                     (dedicated per-cell tensors): storage layout must
-                     not change a single bit;
     - ["compiled-nofuse"]
                    — the compiled engine with [fuse = false]: every
                      op runs as its own kernel through its own scratch

@@ -14,7 +14,7 @@ type report = {
   rp_log : Dist_exec.log;
   rp_xfers : int;
   rp_xfer_gb : float;
-  rp_device_xfers : int;  (* halo / pipeline traffic, endpoints on devices *)
+  rp_device_xfers : int;  (* halo / re-shard traffic, endpoints on devices *)
   rp_sim : Engine.dist_metrics;
 }
 

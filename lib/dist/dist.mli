@@ -34,7 +34,7 @@ type report = {
   rp_log : Dist_exec.log;
   rp_xfers : int;          (** total transfers, scatter/gather included *)
   rp_xfer_gb : float;
-  rp_device_xfers : int;   (** device↔device only: halo / pipeline traffic *)
+  rp_device_xfers : int;   (** device↔device only: halo / re-shard traffic *)
   rp_sim : Engine.dist_metrics;
 }
 

@@ -409,8 +409,9 @@ let xfer_totals log =
     (0, 0.0) log.lg_events
 
 let device_xfers log =
-  (* transfers with both endpoints on devices: the halo-exchange and
-     pipeline traffic, as opposed to input scatter / output gather *)
+  (* transfers with both endpoints on devices: halo exchange and
+     re-sharding between blocks, as opposed to input scatter / output
+     gather *)
   List.filter
     (function
       | E_xfer x -> x.x_src <> host && x.x_dst <> host

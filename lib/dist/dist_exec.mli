@@ -72,8 +72,9 @@ val execute :
   prepared ->
   (string * Fractal.t) list ->
   (string * Fractal.t) list
-(** One run.  Outputs are in buffer order, exactly as {!Compiled.outputs}
-    returns them.  When it returns or raises, the prepared value holds none
+(** One run.  Outputs are in buffer order, as {!Compiled.outputs}
+    lists them, but copied: they are the caller's, unchanged by later
+    runs.  When it returns or raises, the prepared value holds none
     of the inputs ({!Compiled.reset}), so the next call reads its inputs
     afresh.  Without a pool the per-device shards of a front run on the
     coordinator (still sharded, still transferred — just not concurrent).
@@ -87,5 +88,6 @@ val xfer_totals : log -> int * float
 (** (transfer count, total bytes) over the whole run. *)
 
 val device_xfers : log -> int
-(** Transfers with both endpoints on devices — halo-exchange and
-    pipeline traffic, excluding input scatter and output gather. *)
+(** Transfers with both endpoints on devices — halo exchange and
+    re-sharding between blocks, excluding input scatter and output
+    gather. *)

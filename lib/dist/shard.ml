@@ -10,8 +10,6 @@
    - [Sequence]: the dependence-carrying axis splits; each device owns
      a contiguous span and reads a halo of [sh_halo] boundary cells
      produced by its neighbour — the halo-exchange pattern;
-   - [Pipeline]: whole blocks pin to devices round-robin in dataflow
-     order — depth pipelining across stacked layers;
    - [Replicate]: the degenerate plan (everything on device 0), the
      fallback when a block has nothing shardable.
 
@@ -21,18 +19,16 @@
    halos widen only reads — and a declared halo must cover every
    dependence distance along the sharded axis. *)
 
-type strategy = Batch | Sequence | Pipeline | Replicate
+type strategy = Batch | Sequence | Replicate
 
 let strategy_name = function
   | Batch -> "batch"
   | Sequence -> "sequence"
-  | Pipeline -> "pipeline"
   | Replicate -> "replicate"
 
 let strategy_of_name = function
   | "batch" -> Some Batch
   | "sequence" -> Some Sequence
-  | "pipeline" -> Some Pipeline
   | "replicate" -> Some Replicate
   | _ -> None
 
@@ -44,15 +40,14 @@ type block_shard = {
   sh_hi : int;    (* axis upper bound, exclusive *)
   sh_chunk : int; (* axis points per device (last device may get less) *)
   sh_halo : int;  (* read halo along [sh_axis] (Sequence) *)
-  sh_pin : int;   (* owning device when not axis-sharded *)
   sh_devices : int;
 }
 
 let owner sh (p : int array) =
   match sh.sh_strategy with
-  | Replicate | Pipeline -> sh.sh_pin
+  | Replicate -> 0
   | Batch | Sequence ->
-      if sh.sh_axis < 0 || sh.sh_axis >= Array.length p then sh.sh_pin
+      if sh.sh_axis < 0 || sh.sh_axis >= Array.length p then 0
       else
         Stdlib.min (sh.sh_devices - 1)
           ((p.(sh.sh_axis) - sh.sh_lo) / sh.sh_chunk)
@@ -75,7 +70,7 @@ let block_shard plan name =
 let axis_free dvs i =
   List.for_all (fun d -> i >= Array.length d || d.(i) = 0) dvs
 
-let replicate ~devices name pin =
+let replicate ~devices name =
   {
     sh_block = name;
     sh_strategy = Replicate;
@@ -84,7 +79,6 @@ let replicate ~devices name pin =
     sh_hi = 0;
     sh_chunk = 1;
     sh_halo = 0;
-    sh_pin = pin;
     sh_devices = devices;
   }
 
@@ -104,9 +98,9 @@ let pick_axis ext pred =
 let partition ?strategy ~devices (g : Ir.graph) =
   if devices < 1 then invalid_arg "Shard.partition: need at least one device";
   let blocks = Ir.dataflow_order g in
-  let shard_of k (b : Ir.block) =
+  let shard_of (b : Ir.block) =
     let name = b.Ir.blk_name in
-    let fallback = replicate ~devices name 0 in
+    let fallback = replicate ~devices name in
     match Domain.rect_extents b.Ir.blk_domain with
     | None -> fallback (* non-rectangular domains stay whole *)
     | Some ext ->
@@ -121,7 +115,6 @@ let partition ?strategy ~devices (g : Ir.graph) =
             sh_hi = h;
             sh_chunk = (h - l + devices - 1) / devices;
             sh_halo = halo;
-            sh_pin = 0;
             sh_devices = devices;
           }
         in
@@ -146,7 +139,6 @@ let partition ?strategy ~devices (g : Ir.graph) =
         let or_fallback = Option.value ~default:fallback in
         (match strategy with
         | Some Replicate -> fallback
-        | Some Pipeline -> { fallback with sh_strategy = Pipeline; sh_pin = k mod devices }
         | Some Batch -> or_fallback (batch ())
         | Some Sequence -> or_fallback (sequence ())
         | None ->
@@ -159,7 +151,7 @@ let partition ?strategy ~devices (g : Ir.graph) =
     pl_devices = devices;
     pl_forced = strategy;
     pl_blocks =
-      List.mapi (fun k b -> (b.Ir.blk_name, shard_of k b)) blocks;
+      List.map (fun b -> (b.Ir.blk_name, shard_of b)) blocks;
   }
 
 (* ------------------------------ legality ----------------------------- *)
@@ -194,7 +186,7 @@ let verify (g : Ir.graph) plan =
       let sh = block_shard plan b.Ir.blk_name in
       let ctx = b.Ir.blk_name in
       match (sh.sh_strategy, Domain.rect_extents b.Ir.blk_domain) with
-      | (Replicate | Pipeline), _ | _, None -> ()
+      | Replicate, _ | _, None -> ()
       | (Batch | Sequence), Some ext ->
           let ndev = active_devices sh in
           if ndev > 1 then begin
@@ -281,8 +273,7 @@ let legal diags = Diagnostic.count_errors diags = 0
 
 let pp_shard fmt sh =
   match sh.sh_strategy with
-  | Replicate -> Format.fprintf fmt "%s: replicate on device %d" sh.sh_block sh.sh_pin
-  | Pipeline -> Format.fprintf fmt "%s: pipeline stage on device %d" sh.sh_block sh.sh_pin
+  | Replicate -> Format.fprintf fmt "%s: replicate on device 0" sh.sh_block
   | Batch | Sequence ->
       Format.fprintf fmt "%s: %s axis %d [%d,%d) chunk %d%s over %d device(s)"
         sh.sh_block

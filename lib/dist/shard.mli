@@ -9,9 +9,7 @@
     - [Sequence] takes a dependence-carrying axis and declares a read
       halo wide enough to cover the largest dependence distance along
       it — the halo-exchange pattern of sequence-parallel scans;
-    - [Pipeline] pins whole blocks to devices round-robin in dataflow
-      order — depth pipelining over stacked layers;
-    - [Replicate] keeps a block whole on one device — the always-legal
+    - [Replicate] keeps a block whole on device 0 — the always-legal
       fallback ([partition] never fails).
 
     {!verify} decides legality statically: per-device {e write}
@@ -24,7 +22,7 @@
     (error), D401 insufficient halo (error), D402 unproven disjointness
     (note), D403 sequential-order downgrade (note). *)
 
-type strategy = Batch | Sequence | Pipeline | Replicate
+type strategy = Batch | Sequence | Replicate
 
 val strategy_name : strategy -> string
 val strategy_of_name : string -> strategy option
@@ -37,13 +35,12 @@ type block_shard = {
   sh_hi : int;    (** axis upper bound, exclusive *)
   sh_chunk : int; (** axis points per device (last device may get fewer) *)
   sh_halo : int;  (** read halo along [sh_axis] ([Sequence] only) *)
-  sh_pin : int;   (** owning device when not axis-sharded *)
   sh_devices : int;
 }
 
 val owner : block_shard -> int array -> int
 (** Device owning iteration point [p]: contiguous chunks along
-    [sh_axis], the pinned device otherwise. *)
+    [sh_axis], device 0 otherwise. *)
 
 type plan = {
   pl_devices : int;

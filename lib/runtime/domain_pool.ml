@@ -125,14 +125,14 @@ let run_job pool job =
     Mutex.unlock pool.submit_m
   end
 
-(* [run_chunk c clo chi] over the [nchunks] chunks of [chunk] indices
+(* [run_chunk clo chi] over the [nchunks] chunks of [chunk] indices
    from [lo], claimed through an atomic cursor — inline on a trivial
    pool, for one chunk, or from inside a worker.  The first exception
    is re-raised, with its backtrace, once the loop quiesces. *)
 let run_chunks pool ~lo ~chunk ~nchunks run_chunk =
   if pool.nworkers = 0 || nchunks = 1 || Domain.DLS.get in_worker_key then
     for c = 0 to nchunks - 1 do
-      run_chunk c (lo + (c * chunk)) (lo + ((c + 1) * chunk))
+      run_chunk (lo + (c * chunk)) (lo + ((c + 1) * chunk))
     done
   else begin
     let next = Atomic.make 0 and exn_slot = Atomic.make None in
@@ -143,7 +143,7 @@ let run_chunks pool ~lo ~chunk ~nchunks run_chunk =
           if c >= nchunks then continue := false
           else if Atomic.get exn_slot = None then begin
             let clo = lo + (c * chunk) in
-            try run_chunk c clo (clo + chunk)
+            try run_chunk clo (clo + chunk)
             with e ->
               let bt = Printexc.get_raw_backtrace () in
               ignore (Atomic.compare_and_set exn_slot None (Some (e, bt)))
@@ -174,7 +174,7 @@ let parallel_for_workers ?chunk pool ~lo ~hi f =
   else begin
     let chunk = chunk_size ~default:(Stdlib.max 1 (n / (size pool * 4))) chunk in
     run_chunks pool ~lo ~chunk ~nchunks:((n + chunk - 1) / chunk)
-      (fun _ clo chi ->
+      (fun clo chi ->
         let w = Domain.DLS.get worker_ix_key in
         for i = clo to Stdlib.min hi chi - 1 do
           f w i
@@ -183,27 +183,6 @@ let parallel_for_workers ?chunk pool ~lo ~hi f =
 
 let parallel_for ?chunk pool ~lo ~hi f =
   parallel_for_workers ?chunk pool ~lo ~hi (fun _ i -> f i)
-
-(* The default reduce chunk is a pure function of the range length so
-   that the chunk partials — and therefore the float association — are
-   identical at every domain count. *)
-let map_reduce ?chunk pool ~lo ~hi ~map ~combine ~init =
-  let n = hi - lo in
-  if n <= 0 then init
-  else begin
-    let chunk = chunk_size ~default:(Stdlib.max 1 ((n + 63) / 64)) chunk in
-    let nchunks = (n + chunk - 1) / chunk in
-    let partials = Array.make nchunks init in
-    let fold_chunk c clo chi =
-      let acc = ref init in
-      for i = clo to Stdlib.min hi chi - 1 do
-        acc := combine !acc (map i)
-      done;
-      partials.(c) <- !acc
-    in
-    run_chunks pool ~lo ~chunk ~nchunks fold_chunk;
-    Array.fold_left combine init partials
-  end
 
 let map_array pool f a =
   let n = Array.length a in

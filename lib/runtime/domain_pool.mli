@@ -6,10 +6,7 @@
     multiple cores.  Design constraints, in order:
 
     - {b determinism}: [parallel_for] writes to disjoint indices, so
-      its result never depends on scheduling; [map_reduce] combines
-      fixed-size chunk partials in chunk-index order, so the same
-      [(lo, hi, chunk)] gives a bitwise-identical float result at any
-      domain count;
+      its result never depends on scheduling;
     - {b fixed workers}: [size - 1] domains are spawned once at
       {!create} and reused for every loop — no per-loop spawn cost;
     - {b safe nesting}: a loop issued from inside a worker runs inline
@@ -59,25 +56,6 @@ val parallel_for_workers :
     are race-free.  The inline paths (pool of one, single iteration,
     call issued from inside a worker) always pass [worker = 0] and
     allocate nothing. *)
-
-val map_reduce :
-  ?chunk:int ->
-  t ->
-  lo:int ->
-  hi:int ->
-  map:(int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** [map_reduce pool ~lo ~hi ~map ~combine ~init] is
-    [fold_left combine init (List.map map [lo..hi-1])] with a fixed,
-    scheduling-independent association: the range is split into chunks
-    of [chunk] (default: a pure function of [hi - lo], {e not} of the
-    pool size), each chunk folds its indices in ascending order
-    starting from [init], and the chunk partials are combined left to
-    right in chunk order.  With the same [chunk] the result is
-    bitwise-identical at any domain count, provided [init] is a
-    neutral element of [combine]. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f a] is [Array.map f a] with the elements computed

@@ -75,7 +75,7 @@ let step t =
   let env = sv.Servable.sv_env ~width rows in
   let pr = Session.prepared t.sch_session ~width in
   let t0 = Unix.gettimeofday () in
-  let outs = Executor.execute_borrowed pr env in
+  let outs = Executor.execute pr env in
   let exec_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
   let states = sv.Servable.sv_demux ~width outs in
   let active = ref 0 and finished = ref [] in

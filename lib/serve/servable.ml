@@ -500,8 +500,8 @@ let derive (p : Expr.program) =
         fun ~width -> ignore (buffers width) )
     else
       (* per slot: the slots' own leaves in, and out a copy of each
-         slot's leaves.  A copy, because the outputs may be the
-         executor's borrowed cells, which the next run overwrites. *)
+         slot's leaves.  A copy, because the outputs are the
+         executor's own cells, which the next run overwrites. *)
       let slots rows f = Fractal.Node (Array.map f rows) in
       ( (fun ~width:_ rows ->
           env

@@ -45,8 +45,8 @@ type t = {
           once the width is buffered.  Per slot: the slots' own
           leaves. *)
   sv_demux : width:int -> (string * Fractal.t) list -> Fractal.t array;
-      (** per-slot new state out of one executor run, which may be the
-          executor's borrowed outputs: demux never keeps them.
+      (** per-slot new state out of one executor run, whose outputs are the
+          executor's own cells: demux never keeps them.
           Widened: the rows blitted into the width's own per-slot
           states, the same array every time and overwritten by the
           next [sv_demux] at that width (copy a state to keep it);

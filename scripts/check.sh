@@ -146,6 +146,17 @@ if grep -rnE 'cfg_vm_chunk|cfg_fuse|with_tile|Cost_oracle\.measured|Tuner\.Measu
   exit 1
 fi
 
+# The compiled engine has one point loop (shadow recording rides on it),
+# one storage layout (the liveness arena) and one output contract (the
+# executable's own cells); the round-robin shard strategy and the unused
+# pool reduction are gone with their tests.
+echo "guard: one point loop, one storage layout, one output contract in lib/, bin/ or bench/main.ml"
+if grep -rnE 'execute_borrowed|copy_outputs|shadow_exec|cb_shadow|compiled-noarena|Shard\.Pipeline|map_reduce|~arena:' \
+    lib bin bench/main.ml; then
+  echo "check.sh: a second engine path, storage layout or output copy crept back in" >&2
+  exit 1
+fi
+
 # Outputs do not depend on the host's libm: exp, tanh and sigmoid are
 # Tensor.Fmath's in OCaml and their transcriptions in the C stubs.
 echo "guard: no libm exp or tanh in lib/"
@@ -225,8 +236,8 @@ done
 
 # Conformance sweep: seeded random programs through every oracle
 # (interpreter; the compiled engine in sequential order, in wavefront
-# order at 1/2/4 domains, under the shadow-memory recorder, without
-# the arena, with and without fusion, with tuned configs and across a
+# order at 1/2/4 domains, under the shadow-memory recorder, with and
+# without fusion, with tuned configs and across a
 # plan-cache roundtrip; sharded over 2 and 4 devices) plus the
 # metamorphic access laws.
 # The text report includes the per-oracle pass counts.  Then replay

@@ -1,8 +1,8 @@
 (* The compiled executor: for every workload, the straight-line
    closure engine must be *bitwise* identical to the reference
-   interpreter and to its own sequential order — with and without the
-   arena, at one and several domains — and its steady-state execute
-   loop must allocate zero minor words. *)
+   interpreter and to its own sequential order — with and without
+   fusion, at one and several domains, under the shadow recorder — and
+   its steady-state execute loop must allocate zero minor words. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -63,9 +63,18 @@ let sequential =
     ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential;
             domains = Some 1 }
 
-let opts ?(arena = true) ?domains ?(shadow = Run_opts.Shadow_off)
-    ?(fuse = true) () =
-  { Run_opts.default with Run_opts.domains; arena; shadow; fuse }
+let opts ?domains ?(shadow = Run_opts.Shadow_off) ?(fuse = true) () =
+  { Run_opts.default with Run_opts.domains; shadow; fuse }
+
+(* [execute] hands out the executable's own cells; a result kept
+   across runs of one prepared value is a copy. *)
+let copy outs =
+  List.map (fun (n, v) -> (n, Fractal.map_leaves Tensor.copy v)) outs
+
+let compile_exn pr =
+  match Executor.compiled pr with
+  | Some e -> e
+  | None -> Alcotest.fail "should compile"
 
 let compiled_tests =
   [
@@ -97,15 +106,6 @@ let compiled_tests =
                   (outputs_equal_exact reference got))
               [ 2; 4 ])
           (workloads ()));
-    Alcotest.test_case "arena off = arena on, bitwise" `Quick (fun () ->
-        List.iter
-          (fun (name, g, binds) ->
-            let w = Executor.run ~opts:(opts ~domains:1 ()) g binds in
-            let wo =
-              Executor.run ~opts:(opts ~arena:false ~domains:1 ()) g binds
-            in
-            checkb name true (outputs_equal_exact w wo))
-          (workloads ()));
     Alcotest.test_case "executable reuse across runs is stable" `Quick
       (fun () ->
         let g = Build.build (Stacked_lstm.program Stacked_lstm.default) in
@@ -114,8 +114,8 @@ let compiled_tests =
             (Stacked_lstm.gen_inputs (Rng.create 11) Stacked_lstm.default)
         in
         let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
-        let first = Executor.execute pr binds in
-        let second = Executor.execute pr binds in
+        let first = copy (Executor.execute pr binds) in
+        let second = copy (Executor.execute pr binds) in
         let third = Executor.execute pr binds in
         checkb "run 2" true (outputs_equal_exact first second);
         checkb "run 3" true (outputs_equal_exact first third));
@@ -138,11 +138,8 @@ let compiled_tests =
         in
         List.iter
           (fun (name, g, binds) ->
-            let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
             let exe =
-              match Executor.compiled pr with
-              | Some e -> e
-              | None -> Alcotest.fail (name ^ " should compile")
+              compile_exn (Executor.prepare ~opts:(opts ~domains:1 ()) g)
             in
             Compiled.load exe binds;
             (* warm-up: fault in any lazy runtime state *)
@@ -167,20 +164,8 @@ let compiled_tests =
         let g =
           Build.build (Flash_attention.program Flash_attention.default)
         in
-        let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
-        let exe =
-          match Executor.compiled pr with
-          | Some e -> e
-          | None -> Alcotest.fail "should compile"
-        in
-        checkb "arena sized" true (Compiled.arena_floats exe > 0);
-        let pr' = Executor.prepare ~opts:(opts ~arena:false ~domains:1 ()) g in
-        let exe' =
-          match Executor.compiled pr' with
-          | Some e -> e
-          | None -> Alcotest.fail "should compile"
-        in
-        checkb "arena:false has none" true (Compiled.arena_floats exe' = 0));
+        let exe = compile_exn (Executor.prepare ~opts:(opts ~domains:1 ()) g) in
+        checkb "arena sized" true (Compiled.arena_floats exe > 0));
     Alcotest.test_case "fusion off = fusion on, bitwise, every workload"
       `Quick (fun () ->
         List.iter
@@ -218,41 +203,85 @@ let compiled_tests =
               (s.Compiled.fs_groups = 0 && s.Compiled.fs_fused_ops = 0
               && s.Compiled.fs_swallowed = 0))
           (stats_of (opts ~domains:1 ~fuse:false ()) lstm));
-    Alcotest.test_case "shadow recording over the compiled engine is clean"
-      `Quick (fun () ->
+    Alcotest.test_case
+      "shadow recording over the compiled engine is clean, fused and \
+       unfused, every workload" `Quick (fun () ->
         List.iter
           (fun (name, g, binds) ->
             let reference = sequential g binds in
-            let got =
-              Executor.run
-                ~opts:(opts ~domains:1 ~shadow:Run_opts.Shadow_on ())
-                g binds
-            in
-            checkb (name ^ " under shadow") true
-              (outputs_equal_exact reference got))
-          [ List.nth (workloads ()) 1; List.nth (workloads ()) 2 ]);
+            List.iter
+              (fun fuse ->
+                let got =
+                  Executor.run
+                    ~opts:(opts ~domains:1 ~shadow:Run_opts.Shadow_on ~fuse ())
+                    g binds
+                in
+                checkb
+                  (Printf.sprintf "%s under shadow, fuse=%b" name fuse)
+                  true
+                  (outputs_equal_exact reference got))
+              [ true; false ])
+          (workloads ()));
     Alcotest.test_case
-      "borrowed outputs are overwritten by the next run; execute's copies \
-       are not" `Quick (fun () ->
+      "shadow records each point's live reads and its writes, every \
+       workload" `Quick (fun () ->
+        List.iter
+          (fun (name, g, binds) ->
+            let exe =
+              compile_exn (Executor.prepare ~opts:(opts ~domains:1 ()) g)
+            in
+            let sh = Shadow.create g in
+            Compiled.load exe binds;
+            Compiled.execute ~shadow:sh exe;
+            let summary = Shadow.finish sh in
+            let blocks = Ir.dataflow_order g in
+            let writes =
+              List.fold_left
+                (fun a (b : Ir.block) ->
+                  a
+                  + List.length (Domain.enumerate b.Ir.blk_domain)
+                    * List.length (Ir.writes b))
+                0 blocks
+            in
+            let buf_name id =
+              (List.find (fun bf -> bf.Ir.buf_id = id) g.Ir.g_buffers)
+                .Ir.buf_name
+            in
+            let read_buffers =
+              List.concat_map
+                (fun b ->
+                  List.map (fun (e : Ir.edge) -> buf_name e.Ir.e_buffer)
+                    (Vm.live_reads b))
+                blocks
+              |> List.sort_uniq compare
+            in
+            Alcotest.(check int)
+              (name ^ ": one write event per point and write edge")
+              writes summary.Shadow.sh_writes;
+            Alcotest.(check (list string))
+              (name ^ ": the buffers of the live reads")
+              read_buffers summary.Shadow.sh_read_buffers)
+          (workloads ()));
+    Alcotest.test_case
+      "execute's outputs are the executable's cells, overwritten by the \
+       next run; a copy is not" `Quick (fun () ->
         let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
         let binds seed =
           Stacked_rnn.bindings
             (Stacked_rnn.gen_inputs (Rng.create seed) Stacked_rnn.default)
         in
         let pr = Executor.prepare ~opts:(opts ~domains:1 ()) g in
-        let first = Executor.execute_borrowed pr (binds 1) in
-        let kept = Compiled.copy_outputs first in
-        let copied = Executor.execute pr (binds 1) in
-        checkb "execute = execute_borrowed, copied" true
-          (outputs_equal_exact kept copied);
-        let second = Executor.execute_borrowed pr (binds 2) in
+        let first = Executor.execute pr (binds 1) in
+        let kept = copy first in
+        checkb "the copy equals the run" true (outputs_equal_exact kept first);
+        let second = Executor.execute pr (binds 2) in
         checkb "the same cells every run" true (first == second);
         checkb "the next run overwrote them" false
           (outputs_equal_exact kept first);
         checkb "they hold the next run's outputs" true
           (outputs_equal_exact first (Executor.run g (binds 2)));
-        checkb "execute's copies are untouched" true
-          (outputs_equal_exact kept copied));
+        checkb "the copy is untouched" true
+          (outputs_equal_exact kept (Executor.run g (binds 1))));
     Alcotest.test_case
       "a GEMM right operand changed in place is read afresh by the next \
        run (@ and @T, 1 and 2 domains)" `Quick (fun () ->
@@ -276,7 +305,7 @@ let compiled_tests =
               (fun domains ->
                 let label what = Printf.sprintf "%s, %d domain(s): %s" op domains what in
                 let pr = Executor.prepare ~opts:(opts ~domains ()) g in
-                let first = Executor.execute pr binds in
+                let first = copy (Executor.execute pr binds) in
                 let wb = Tensor.buffer w in
                 for i = 0 to Bigarray.Array1.dim wb - 1 do
                   wb.{i} <- 2.0 *. wb.{i}

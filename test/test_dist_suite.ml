@@ -20,22 +20,6 @@ input ks: [5]f32[4,8]
 return qs.map { |q| ks.reduce(zeros[4,4]) { |acc, k| acc + q @T k } }
 |}
 
-(* A chain of top-level map blocks — pipeline fodder. *)
-let chain_src =
-  {|
-program chain
-input xs: [6]f32[4,16]
-input w1: f32[16,16]
-input w2: f32[16,16]
-input w3: f32[16,16]
-input w4: f32[16,8]
-return
-  let h1 = xs.map { |x| relu(x @ w1) } in
-  let h2 = h1.map { |h| relu(h @ w2) } in
-  let h3 = h2.map { |h| relu(h @ w3) } in
-  h3.map { |h| h @ w4 }
-|}
-
 let graph_and_inputs ?(seed = 7) src =
   let p = Parse.program src in
   let g = Build.build p in
@@ -150,10 +134,20 @@ let model_tests =
 let axis_sharded sh =
   match sh.Shard.sh_strategy with
   | Shard.Batch | Shard.Sequence -> true
-  | Shard.Pipeline | Shard.Replicate -> false
+  | Shard.Replicate -> false
 
 let shard_tests =
   [
+    Alcotest.test_case "strategy names round-trip; no other name parses"
+      `Quick (fun () ->
+        List.iter
+          (fun s ->
+            checkb (Shard.strategy_name s) true
+              (Shard.strategy_of_name (Shard.strategy_name s) = Some s))
+          [ Shard.Batch; Shard.Sequence; Shard.Replicate ];
+        List.iter
+          (fun n -> checkb n true (Shard.strategy_of_name n = None))
+          [ "pipeline"; "auto"; ""; "Batch" ]);
     Alcotest.test_case "auto partition takes the free axis (batch)" `Quick
       (fun () ->
         let g, _ = graph_and_inputs foldy_src in
@@ -406,7 +400,7 @@ let double_write () =
       pl_blocks =
         [ ( "dup",
             { Shard.sh_block = "dup"; sh_strategy = Shard.Batch; sh_axis = 0;
-              sh_lo = 0; sh_hi = 2; sh_chunk = 1; sh_halo = 0; sh_pin = 0;
+              sh_lo = 0; sh_hi = 2; sh_chunk = 1; sh_halo = 0;
               sh_devices = 2 } ) ];
     }
   in
@@ -501,7 +495,7 @@ let exec_tests =
           (fun s ->
             let _, ok = Dist.differential ~strategy:s ~devices:2 g binds in
             checkb (Shard.strategy_name s) true ok)
-          [ Shard.Batch; Shard.Sequence; Shard.Pipeline; Shard.Replicate ]);
+          [ Shard.Batch; Shard.Sequence; Shard.Replicate ]);
     Alcotest.test_case "sequence sharding exchanges halos; batch does not"
       `Quick (fun () ->
         let g, binds = (List.assoc "stacked_rnn" workloads) (Rng.create 3) in
@@ -511,18 +505,6 @@ let exec_tests =
           Dist.differential ~strategy:Shard.Sequence ~devices:2 g binds
         in
         checkb "sequence: halo traffic" true (s.Dist.rp_device_xfers > 0));
-    Alcotest.test_case "pipeline pins blocks round-robin and forwards \
-                        activations" `Quick (fun () ->
-        let g, binds = graph_and_inputs chain_src in
-        let rep, ok =
-          Dist.differential ~strategy:Shard.Pipeline ~devices:2 g binds
-        in
-        checkb "bitwise" true ok;
-        checkb "stage traffic" true (rep.Dist.rp_device_xfers > 0);
-        let pins =
-          List.map (fun (_, sh) -> sh.Shard.sh_pin) rep.Dist.rp_plan.Shard.pl_blocks
-        in
-        Alcotest.(check (list int)) "round robin" [ 0; 1; 0; 1 ] pins);
     Alcotest.test_case "the executor stays bitwise even under a plan the \
                         verifier refuses" `Quick (fun () ->
         (* pull-based fetch makes any ownership partition value-correct;

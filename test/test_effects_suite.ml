@@ -384,6 +384,29 @@ let shadow_tests =
            with
           | () -> false
           | exception Shadow.Violation _ -> true));
+    Alcotest.test_case
+      "a recorded engine run reports a same-front double write before the \
+       front runs" `Quick (fun () ->
+        (* the race guard bypassed: all four points write ys[0] in one
+           front *)
+        let g = ww_racy_graph () in
+        let exe =
+          Compiled.compile
+            ~schedule:(fun b pts -> (Vm.schedule Vm.Wavefront b pts, None))
+            g
+        in
+        let xs = Fractal.tabulate 4 (fun i -> Fractal.Leaf (Tensor.scalar (float i))) in
+        let run shadow =
+          Compiled.load exe [ ("xs", xs) ];
+          match Compiled.execute ?shadow exe with
+          | () -> "ran"
+          | exception Shadow.Violation _ -> "violation"
+          | exception Vm.Execution_error _ -> "engine error"
+        in
+        checks "unrecorded: the engine's single-assignment check" "engine error"
+          (run None);
+        checks "recorded: the recorder, before any point runs" "violation"
+          (run (Some (Shadow.create g))));
     Alcotest.test_case "recorder raises on a same-front sibling read"
       `Quick (fun () ->
         let sh = Shadow.create (rw_racy_graph ()) in
@@ -468,7 +491,10 @@ let shadow_tests =
         let g = Build.build (Stacked_rnn.program cfg) in
         let env = Stacked_rnn.bindings inp in
         let sh = Shadow.create g in
-        let par = Compiled.run ~shadow:sh (Compiled.compile g) env in
+        let exe = Compiled.compile g in
+        Compiled.load exe env;
+        Compiled.execute ~shadow:sh exe;
+        let par = Compiled.outputs exe in
         let summary = Shadow.finish sh in
         checkb "no static/dynamic contradiction" true
           (Shadow.cross_check g summary sh = []);

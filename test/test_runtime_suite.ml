@@ -39,28 +39,6 @@ let runtime_tests =
         with_pool 4 (fun pool ->
             Domain_pool.parallel_for pool ~lo:0 ~hi:0 (fun _ -> assert false);
             Domain_pool.parallel_for pool ~lo:5 ~hi:2 (fun _ -> assert false)));
-    Alcotest.test_case "map_reduce is bitwise-identical at any pool size"
-      `Quick (fun () ->
-        (* values chosen so naive reassociation changes the float sum *)
-        let rng = Rng.create 17 in
-        let xs =
-          Array.init 1000 (fun _ -> Rng.uniform rng ~lo:(-1e8) ~hi:1e8)
-        in
-        let sum pool =
-          Domain_pool.map_reduce pool ~lo:0 ~hi:(Array.length xs)
-            ~map:(fun i -> xs.(i))
-            ~combine:( +. ) ~init:0.0
-        in
-        let s1 = with_pool 1 sum in
-        let s4 = with_pool 4 sum in
-        checkb "bitwise" true
-          (Int64.equal (Int64.bits_of_float s1) (Int64.bits_of_float s4)));
-    Alcotest.test_case "map_reduce of an empty range is init" `Quick (fun () ->
-        with_pool 4 (fun pool ->
-            checki "init" 42
-              (Domain_pool.map_reduce pool ~lo:3 ~hi:3
-                 ~map:(fun _ -> assert false)
-                 ~combine:( + ) ~init:42)));
     Alcotest.test_case "exceptions in workers reach the caller" `Quick
       (fun () ->
         with_pool 4 (fun pool ->
@@ -75,6 +53,35 @@ let runtime_tests =
             let a = Array.make 10 0 in
             Domain_pool.parallel_for pool ~lo:0 ~hi:10 (fun i -> a.(i) <- 1);
             checki "sum" 10 (Array.fold_left ( + ) 0 a)));
+    Alcotest.test_case "map_array of an empty array calls nothing" `Quick
+      (fun () ->
+        with_pool 4 (fun pool ->
+            checki "length" 0
+              (Array.length
+                 (Domain_pool.map_array pool (fun _ -> assert false) [||]))));
+    Alcotest.test_case "parallel_for_workers hands each domain its own \
+                        worker index" `Quick (fun () ->
+        List.iter
+          (fun domains ->
+            with_pool domains (fun pool ->
+                (* per-worker partial counts, indexed by the worker the
+                   body receives: race-free only if no two domains
+                   share an index *)
+                let n = 4000 in
+                let partial = Array.make domains 0 in
+                let seen = Array.make n (-1) in
+                Domain_pool.parallel_for_workers ~chunk:7 pool ~lo:0 ~hi:n
+                  (fun w i ->
+                    partial.(w) <- partial.(w) + 1;
+                    seen.(i) <- w);
+                checki "partials cover the range" n
+                  (Array.fold_left ( + ) 0 partial);
+                checkb "worker indices in [0, size)" true
+                  (Array.for_all (fun w -> w >= 0 && w < domains) seen);
+                if domains = 1 then
+                  checkb "a pool of one is worker 0" true
+                    (Array.for_all (( = ) 0) seen)))
+          [ 1; 4 ]);
     Alcotest.test_case "map_array preserves order" `Quick (fun () ->
         with_pool 4 (fun pool ->
             let xs = Array.init 100 string_of_int in
@@ -127,7 +134,12 @@ let runtime_tests =
           Array.map
             (fun pr ->
               Stdlib.Domain.spawn (fun () ->
-                  List.init 5 (fun _ -> Executor.execute pr binds)))
+                  (* a copy of each run: the next run overwrites the
+                     prepared value's output cells *)
+                  List.init 5 (fun _ ->
+                      List.map
+                        (fun (n, v) -> (n, Fractal.map_leaves Tensor.copy v))
+                        (Executor.execute pr binds))))
             prs
         in
         let bitwise outs =
@@ -259,16 +271,12 @@ let runtime_props =
                    a.(k) <- a.(k) + 1);
                Array.fold_left ( + ) 0 a = len)));
     QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:50
-         ~name:"map_reduce equals the sequential fold"
-         QCheck2.Gen.(pair (int_range 0 200) (int_range 1 50))
-         (fun (n, chunk) ->
-           let seq = List.fold_left ( + ) 0 (List.init n (fun i -> i * i)) in
-           with_pool 4 (fun pool ->
-               Domain_pool.map_reduce ~chunk pool ~lo:0 ~hi:n
-                 ~map:(fun i -> i * i)
-                 ~combine:( + ) ~init:0
-               = seq)));
+      (QCheck2.Test.make ~count:50 ~name:"map_array equals Array.map"
+         QCheck2.Gen.(array_size (int_range 0 300) (int_range (-1000) 1000))
+         (fun xs ->
+           let f x = (x * x) - (3 * x) in
+           with_pool 4 (fun pool -> Domain_pool.map_array pool f xs)
+           = Array.map f xs));
   ]
 
 (* ------------------------------ plan cache ------------------------- *)

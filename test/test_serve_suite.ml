@@ -697,7 +697,7 @@ let buffer_tests =
             checkb "widened" true (widened sv);
             let pr = Session.prepared (Session.create ~tenant:"alloc" ~opts sv) ~width in
             let rows = Array.make width sv.Servable.sv_pad in
-            let outs = Executor.execute_borrowed pr (sv.Servable.sv_env ~width rows) in
+            let outs = Executor.execute pr (sv.Servable.sv_env ~width rows) in
             let tick () =
               ignore (sv.Servable.sv_env ~width rows);
               ignore (sv.Servable.sv_demux ~width outs)
@@ -720,7 +720,7 @@ let buffer_tests =
           checkb "the touched width stays" true (env 1 == first.(0));
           checkb "a later width stays" true (env 3 == first.(2));
           checkb "the least recently used got fresh buffers" true (env 2 != first.(1));
-          let outs = Executor.execute_borrowed
+          let outs = Executor.execute
               (Session.prepared (Session.create ~tenant:"limit" sv) ~width:2) (env 2) in
           checki "a fresh width demuxes every slot" 2
             (Array.length (sv.Servable.sv_demux ~width:2 outs)));
@@ -823,25 +823,24 @@ let pool_concurrency_tests =
             checkb "every index written exactly its value" true
               (Array.for_all2 ( = ) out
                  (Array.init (clients * n) (fun i -> i + 1)))));
-    Alcotest.test_case "map_reduce deterministic under concurrent clients"
+    Alcotest.test_case "map_array deterministic under concurrent clients"
       `Quick (fun () ->
         let pool = Domain_pool.create ~domains:3 in
         Fun.protect
           ~finally:(fun () -> Domain_pool.shutdown pool)
           (fun () ->
-            let n = 5000 in
-            let expect = n * (n - 1) / 2 in
+            let xs = Array.init 5000 Fun.id in
+            let expect = Array.map (fun x -> (2 * x) + 1) xs in
             let ds =
               Array.init 4 (fun _ ->
                   Stdlib.Domain.spawn (fun () ->
                       Array.init 5 (fun _ ->
-                          Domain_pool.map_reduce pool ~lo:0 ~hi:n
-                            ~map:Fun.id ~combine:( + ) ~init:0)))
+                          Domain_pool.map_array pool (fun x -> (2 * x) + 1) xs)))
             in
             Array.iter
               (fun d ->
                 Array.iter
-                  (fun got -> checki "sum" expect got)
+                  (fun got -> checkb "every element its value" true (got = expect))
                   (Stdlib.Domain.join d))
               ds));
   ]
