@@ -206,8 +206,10 @@ let checkout ?strategy ~link ~device ~devices g =
    else collects earlier: the dead outputs of earlier calls then hold
    that much memory.  So the bytes of the outputs handed out are
    counted, and once they reach [output_budget] the next call asks for
-   one minor collection first. *)
-let output_budget = 1024 * 1024
+   one minor collection first.  256 KiB keeps peak RSS flat as calls
+   get cheaper; a much smaller budget collects so often that more
+   survivors are promoted and RSS grows again. *)
+let output_budget = 256 * 1024
 let output_bytes = Atomic.make 0
 
 let account_outputs bytes =

@@ -16,7 +16,18 @@
       submission lock (the job board holds one job at a time), so a
       second submitter blocks until the first loop quiesces instead of
       corrupting it.  This is what the serving layer's broker/scheduler
-      domains rely on.
+      domains rely on;
+    - {b cheap fork/join}: a loop's state lives in the pool record, so
+      handing a loop to the workers and joining them allocates nothing
+      (unless a body raises).  A waiting domain — an idle worker, or
+      the caller once its own share is done — spins on an atomic with
+      [Domain.cpu_relax] for about 10 µs (a duration fixed in code,
+      converted to a spin count once per pool), then blocks on a
+      condition, so loops issued back to back never sleep and an idle
+      pool burns no CPU.  A pool larger than
+      [Domain.recommended_domain_count ()] never spins: it blocks at
+      once, since a spinning domain would hold the core the domain it
+      waits for needs.
 
     One registry holds a pool per domain count ({!sized}); the ambient
     pool ({!get}) is sized by [FT_NUM_DOMAINS] (or {!set_num_domains},
@@ -34,8 +45,9 @@ val size : t -> int
 (** The total parallelism, including the calling domain. *)
 
 val shutdown : t -> unit
-(** Stop and join the workers.  Idempotent.  Loops submitted after
-    shutdown run inline on the caller. *)
+(** Stop and join the workers, after any loop in flight has
+    quiesced.  Idempotent.  Loops submitted after shutdown run inline
+    on the caller. *)
 
 val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [parallel_for pool ~lo ~hi f] runs [f i] for every [lo <= i < hi],
@@ -53,9 +65,9 @@ val parallel_for_workers :
     body receives [f worker i] where [worker] identifies the domain
     running the iteration: [0] for the calling domain, [1..size-1] for
     spawned workers.  Bodies that index per-worker scratch by [worker]
-    are race-free.  The inline paths (pool of one, single iteration,
-    call issued from inside a worker) always pass [worker = 0] and
-    allocate nothing. *)
+    are race-free.  The inline paths (pool of one, single chunk, call
+    issued from inside a worker) always pass [worker = 0].  Neither
+    the inline nor the forked path allocates unless [f] raises. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f a] is [Array.map f a] with the elements computed

@@ -69,6 +69,17 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+# The pool's spin bound is a duration fixed in code, not a knob: the
+# only setting Domain_pool reads is the ambient pool size.
+echo "guard: Domain_pool reads no environment variable but FT_NUM_DOMAINS"
+stray=$(grep -nE '\b(getenv|getenv_opt|unsafe_getenv|environment)\b' \
+  lib/runtime/domain_pool.ml | grep -v '"FT_NUM_DOMAINS"' || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: the worker pool grew an environment knob" >&2
+  exit 1
+fi
+
 # Native kernels stay under the bitwise contract: every C stub stanza
 # is built without multiply-add contraction and without flags that
 # tie the binary to the build host or let the compiler reassociate,
@@ -362,8 +373,9 @@ dune exec --no-build bin/ftc.exe -- profile "$tune_target" --format text \
   | grep "tuned config:"
 dune exec --no-build bin/ftc.exe -- cache stats
 
-# Bench smokes: each script regenerates its BENCH file, and
-# bench/main.exe gates its own records before it exits — one ok/FAIL
+# Bench smokes: each script writes its records to a temporary file
+# (the committed BENCH files are regenerated deliberately, never by a
+# check), and bench/main.exe gates its own records before it exits — one ok/FAIL
 # line per row, exit 1 on any FAIL.  The floors live in bench/schema.ml
 # and bench/test_schema.ml tests each one at its limit:
 #   vm      the compiled wavefront engine at one domain, fused or not,
@@ -391,19 +403,19 @@ validate_json() {
     echo "  (python3 not found; skipping JSON validation of $1)"
   fi
 }
-serve_smoke="$(mktemp)"
-trap 'rm -rf "$FT_PLAN_CACHE" "$FT_TUNE_DB" "$serve_smoke"' EXIT
+smokes="$(mktemp -d)"
+trap 'rm -rf "$FT_PLAN_CACHE" "$FT_TUNE_DB" "$smokes"' EXIT
 echo "bench_vm smoke (repeat 5, domains 1,2,4)"
-scripts/bench_vm.sh 5 1,2,4 BENCH_vm.json | gate_lines
-validate_json BENCH_vm.json
+scripts/bench_vm.sh 5 1,2,4 "$smokes/vm.json" | gate_lines
+validate_json "$smokes/vm.json"
 echo "bench_kernels smoke (repeat 5)"
-scripts/bench_kernels.sh 5 BENCH_kernels.json | gate_lines
-validate_json BENCH_kernels.json
+scripts/bench_kernels.sh 5 "$smokes/kernels.json" | gate_lines
+validate_json "$smokes/kernels.json"
 echo "bench_serve smoke (repeat 3, requests 16)"
-scripts/bench_serve.sh 3 16 "$serve_smoke" | gate_lines
-validate_json "$serve_smoke"
+scripts/bench_serve.sh 3 16 "$smokes/serve.json" | gate_lines
+validate_json "$smokes/serve.json"
 echo "bench_dist smoke (devices 1,2,4,8)"
-scripts/bench_dist.sh 1,2,4,8 BENCH_dist.json | gate_lines
-validate_json BENCH_dist.json
+scripts/bench_dist.sh 1,2,4,8 "$smokes/dist.json" | gate_lines
+validate_json "$smokes/dist.json"
 
 echo "check.sh: all green"

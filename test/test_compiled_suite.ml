@@ -136,28 +136,38 @@ let compiled_tests =
                    Flash_attention.default) );
           ]
         in
+        (* at 2 domains every front wider than one point forks and
+           joins on the pool, so the fork/join must not allocate
+           either *)
         List.iter
           (fun (name, g, binds) ->
-            let exe =
-              compile_exn (Executor.prepare ~opts:(opts ~domains:1 ()) g)
-            in
-            Compiled.load exe binds;
-            (* warm-up: fault in any lazy runtime state *)
-            Compiled.execute exe;
-            Compiled.execute exe;
-            (* [Gc.minor_words ()] boxes its float result on the minor
-               heap, so bracket an empty section first and subtract
-               that constant. *)
-            let a = Gc.minor_words () in
-            let b = Gc.minor_words () in
-            let overhead = b -. a in
-            let c = Gc.minor_words () in
-            Compiled.execute exe;
-            let d = Gc.minor_words () in
-            let allocated = d -. c -. overhead in
-            Alcotest.(check (float 0.0))
-              (name ^ ": minor words per execute")
-              0.0 allocated)
+            List.iter
+              (fun domains ->
+                let name = Printf.sprintf "%s@%d" name domains in
+                let pool =
+                  if domains = 1 then None else Some (Domain_pool.sized domains)
+                in
+                let exe =
+                  compile_exn (Executor.prepare ~opts:(opts ~domains ()) g)
+                in
+                Compiled.load exe binds;
+                (* warm-up: fault in any lazy runtime state *)
+                Compiled.execute ?pool exe;
+                Compiled.execute ?pool exe;
+                (* [Gc.minor_words ()] boxes its float result on the minor
+                   heap, so bracket an empty section first and subtract
+                   that constant. *)
+                let a = Gc.minor_words () in
+                let b = Gc.minor_words () in
+                let overhead = b -. a in
+                let c = Gc.minor_words () in
+                Compiled.execute ?pool exe;
+                let d = Gc.minor_words () in
+                let allocated = d -. c -. overhead in
+                Alcotest.(check (float 0.0))
+                  (name ^ ": minor words per execute")
+                  0.0 allocated)
+              [ 1; 2 ])
           cases);
     Alcotest.test_case "arena is live: intermediates share one backing"
       `Quick (fun () ->

@@ -12,6 +12,22 @@ let with_pool domains f =
   let pool = Domain_pool.create ~domains in
   Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
 
+(* Process CPU time, every domain included. *)
+let cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* CPU the process burns over 50 ms of sleep right after one loop on
+   [pool]: a waiting domain may spin for ~10 us, then must block. *)
+let idle_cpu_ms pool =
+  let a = Array.make 64 0 in
+  Domain_pool.parallel_for pool ~lo:0 ~hi:64 (fun i -> a.(i) <- i);
+  let c0 = cpu_s () in
+  Unix.sleepf 0.05;
+  (cpu_s () -. c0) *. 1e3
+
+exception Boom of int
+
 let runtime_tests =
   [
     Alcotest.test_case "parallel_for fills every index exactly once" `Quick
@@ -95,6 +111,61 @@ let runtime_tests =
                 Domain_pool.parallel_for pool ~lo:0 ~hi:8 (fun j ->
                     a.((i * 8) + j) <- 1));
             checki "all" 64 (Array.fold_left ( + ) 0 a)));
+    Alcotest.test_case "an idle pool stops spinning" `Quick (fun () ->
+        with_pool 2 (fun pool ->
+            let ms = idle_cpu_ms pool in
+            checkb (Printf.sprintf "%.1f ms of CPU over 50 ms idle" ms) true
+              (ms < 10.)));
+    Alcotest.test_case "a pool larger than the host never spins" `Quick
+      (fun () ->
+        with_pool (Stdlib.Domain.recommended_domain_count () + 1) (fun pool ->
+            let ms = idle_cpu_ms pool in
+            checkb (Printf.sprintf "%.1f ms of CPU over 50 ms idle" ms) true
+              (ms < 10.)));
+    Alcotest.test_case "two submitters, 10^5 tiny loops: every index once, \
+                        first exception re-raised" `Quick (fun () ->
+        (* the calling domain and one spawned submitter share a pool of
+           two: at most three domains in all *)
+        with_pool 2 (fun pool ->
+            let loops = 50_000 and n = 4 in
+            let submit () =
+              let a = Array.make n 0 and raised = ref 0 in
+              for l = 1 to loops do
+                if l mod 1000 = 0 then
+                  match
+                    Domain_pool.parallel_for pool ~lo:0 ~hi:n (fun i ->
+                        if i >= 2 then raise (Boom l))
+                  with
+                  | () -> ()
+                  | exception Boom l' when l' = l -> incr raised
+                else
+                  Domain_pool.parallel_for pool ~lo:0 ~hi:n (fun i ->
+                      a.(i) <- a.(i) + 1)
+              done;
+              (a, !raised)
+            in
+            let other = Stdlib.Domain.spawn submit in
+            let mine = submit () in
+            List.iter
+              (fun (a, raised) ->
+                checkb "every index once per loop" true
+                  (Array.for_all (( = ) (loops - (loops / 1000))) a);
+                checki "every failing loop raised" (loops / 1000) raised)
+              [ mine; Stdlib.Domain.join other ]));
+    Alcotest.test_case "shutdown of a spinning pool joins promptly" `Quick
+      (fun () ->
+        for _ = 1 to 20 do
+          let pool = Domain_pool.create ~domains:2 in
+          let a = Array.make 8 0 in
+          Domain_pool.parallel_for pool ~lo:0 ~hi:8 (fun i -> a.(i) <- 1);
+          (* the worker is still spinning on the next generation *)
+          let t0 = Unix.gettimeofday () in
+          Domain_pool.shutdown pool;
+          let s = Unix.gettimeofday () -. t0 in
+          checkb (Printf.sprintf "joined in %.3f s" s) true (s < 0.5);
+          Domain_pool.parallel_for pool ~lo:0 ~hi:8 (fun i -> a.(i) <- 2);
+          checki "runs inline after shutdown" 16 (Array.fold_left ( + ) 0 a)
+        done);
     Alcotest.test_case "FT_NUM_DOMAINS and set_num_domains drive the global \
                         pool" `Quick (fun () ->
         Unix.putenv "FT_NUM_DOMAINS" "3";
