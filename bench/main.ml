@@ -928,7 +928,7 @@ let serve () =
         List.iter
           (fun (metric, unit_, statistic, v) ->
             record ~workload:sv.Servable.sv_name
-              ~layer:(b.Serve.oc_engine ^ "/" ^ layer)
+              ~layer:("compiled/" ^ layer)
               ~metric ~unit_ ~statistic ?repeat ?warmup ?interleaved ~domains
               ?bitwise v)
           rows

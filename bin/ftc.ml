@@ -902,9 +902,11 @@ let conform_cmd =
          "Differential + metamorphic conformance run: seeded random programs \
           executed by every back end (the reference interpreter; the \
           compiled engine in sequential order, in wavefront order at 1, 2 \
-          and 4 domains, under the shadow recorder, with and without \
-          fusion, with tuned configs and across plan-cache round trips; sharded across 2 and 4 devices) with bitwise \
-          comparison, shrinking, and a minimized-repro corpus")
+          and 4 domains, with and without fusion, with tuned configs and \
+          across plan-cache round trips; sharded across 2 and 4 devices) \
+          with bitwise comparison, the values-free shadow-memory check of \
+          each schedule (oracle $(b,shadow)), shrinking, and a \
+          minimized-repro corpus")
     Term.(
       const run
       $ Cli_args.seed_arg ~default:42
@@ -951,8 +953,7 @@ let serve_cmd =
             let bad = Serve.mismatches o.oc_completed s.oc_completed in
             let bad_ref = Serve.reference_mismatches p o.oc_completed in
             bad_total := !bad_total + bad + bad_ref;
-            Format.printf "workload %s (engine %s)@." sv.Servable.sv_name
-              o.Serve.oc_engine;
+            Format.printf "workload %s@." sv.Servable.sv_name;
             Format.printf "%a@." Metrics.pp o.Serve.oc_metrics;
             Format.printf "batched %s solo service (%d request(s))@."
               (if bad = 0 then "bitwise-matches" else "DIFFERS from")

@@ -39,11 +39,7 @@
      operand where it lives — an input cell, an intermediate or a
      block constant.  Nothing outlives a run but the executable's own
      storage, so an input tensor changed in place is read afresh by
-     the next run.
-   - Shadow recording adds no second engine: before a front runs, each
-     of its points reports the block's live read edges and then its
-     write edges through their access maps; the front then runs through
-     the same point loop, fusion and redirect included. *)
+     the next run. *)
 
 module A = Bigarray.Array1
 
@@ -97,10 +93,6 @@ type cblock = {
   cb_front_ids : int array;  (* schedule front id per front *)
   cb_parallel : bool;
   cb_stats : Vm.block_stats;
-  cb_dim : int;
-  cb_points : int array;  (* [cb_dim] coordinates per point, schedule order *)
-  cb_reads : Ir.edge list;  (* {!Vm.live_reads}, for shadow recording *)
-  cb_writes : Ir.edge list;  (* {!Ir.writes}, for shadow recording *)
   cb_exec : int -> int -> unit;  (* worker, point index *)
   cb_exec_range : int -> int -> int -> unit;
       (* worker, lo, hi: a whole front (or chunk) as one batched loop *)
@@ -221,11 +213,11 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
     in
     if fell_back <> None then fallbacks := b.Ir.blk_name :: !fallbacks;
     let stats = Vm.stats_of_schedule b.Ir.blk_name sched in
-    (* Sequential orders give every point its own front id, so the
-       shadow recorder never sees two points share an anti-chain. *)
+    (* A sequential order is one front, run in order by one range
+       call and kept off the pool. *)
     let fronts_list, parallel =
       match sched with
-      | Vm.Ordered ps -> (List.mapi (fun i p -> (i, [| p |])) ps, false)
+      | Vm.Ordered ps -> ([ (0, Array.of_list ps) ], false)
       | Vm.Fronts fs -> (fs, true)
     in
     let nfronts = List.length fronts_list in
@@ -646,10 +638,6 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
       cb_front_ids = front_ids;
       cb_parallel = parallel;
       cb_stats = stats;
-      cb_dim = dim;
-      cb_points = pts;
-      cb_reads = Vm.live_reads b;
-      cb_writes = writes;
       cb_exec = exec;
       cb_exec_range = exec_range;
       cb_fusion = fusion;
@@ -696,23 +684,7 @@ let load exe inputs =
       | Ir.Intermediate | Ir.Output -> ())
     exe.ex_stores
 
-(* Shadow recording of front [f]: per point, the live read edges, then
-   the write edges, through the access maps — what the point loop reads
-   and writes, described by the IR rather than by the engine. *)
-let record sh cb f =
-  let dim = cb.cb_dim and front = cb.cb_front_ids.(f) in
-  for i = cb.cb_fronts.(f) to cb.cb_fronts.(f + 1) - 1 do
-    let point = Array.sub cb.cb_points (i * dim) dim in
-    let note on_access (e : Ir.edge) =
-      on_access sh ~block:cb.cb_name ~front ~point ~buffer:e.Ir.e_buffer
-        (Access_map.apply e.Ir.e_access point)
-    in
-    List.iter (note Shadow.on_read) cb.cb_reads;
-    List.iter (note Shadow.on_write) cb.cb_writes
-  done
-
-let run_front pool shadow cb f =
-  (match shadow with Some sh -> record sh cb f | None -> ());
+let run_front pool cb f =
   let lo = Array.unsafe_get cb.cb_fronts f
   and hi = Array.unsafe_get cb.cb_fronts (f + 1) in
   if cb.cb_parallel && hi - lo > 1 then
@@ -721,26 +693,26 @@ let run_front pool shadow cb f =
     | None -> cb.cb_exec_range 0 lo hi
   else cb.cb_exec_range 0 lo hi
 
-let run_block pool shadow cb =
+let run_block pool cb =
   for f = 0 to Array.length cb.cb_fronts - 2 do
-    run_front pool shadow cb f
+    run_front pool cb f
   done
 
 (* Wavefront-scheduled blocks emit one "vm.block" span and one
    "vm.front" per anti-chain; sequential (ordered or downgraded) blocks
    emit nothing. *)
-let run_block_traced pool shadow cb =
-  if not cb.cb_parallel then run_block pool shadow cb
+let run_block_traced pool cb =
+  if not cb.cb_parallel then run_block pool cb
   else
     Vm.block_span cb.cb_name cb.cb_stats (fun () ->
         for f = 0 to Array.length cb.cb_fronts - 2 do
           Vm.front_span ~block:cb.cb_name ~front:cb.cb_front_ids.(f)
             ~width:(cb.cb_fronts.(f + 1) - cb.cb_fronts.(f))
             pool
-            (fun () -> run_front pool shadow cb f)
+            (fun () -> run_front pool cb f)
         done)
 
-let execute ?pool ?shadow exe =
+let execute ?pool exe =
   (match pool with
   | Some p when Domain_pool.size p > exe.ex_workers ->
       err "compiled executable supports %d worker(s), pool has %d"
@@ -755,11 +727,11 @@ let execute ?pool ?shadow exe =
   let blocks = exe.ex_blocks in
   if Trace.active () then
     for bi = 0 to Array.length blocks - 1 do
-      run_block_traced pool shadow (Array.unsafe_get blocks bi)
+      run_block_traced pool (Array.unsafe_get blocks bi)
     done
   else
     for bi = 0 to Array.length blocks - 1 do
-      run_block pool shadow (Array.unsafe_get blocks bi)
+      run_block pool (Array.unsafe_get blocks bi)
     done
 
 (* A loop, not [Bytes.contains]: the steady state allocates nothing. *)

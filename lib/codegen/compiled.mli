@@ -82,16 +82,12 @@ val load : t -> (string * Fractal.t) list -> unit
     intermediate/output cells.
     @raise Vm.Execution_error on a missing or mis-shaped input. *)
 
-val execute : ?pool:Domain_pool.t -> ?shadow:Shadow.t -> t -> unit
+val execute : ?pool:Domain_pool.t -> t -> unit
 (** One run over the loaded inputs.  Without [pool] (or with a pool of
     size 1) every front runs inline on the caller — this path allocates
-    zero minor words.  With [shadow], before each front runs, every one
-    of its points records the block's {!Vm.live_reads} and then its
-    {!Ir.writes}, each at the cell its access map gives (front ids
-    preserved; every point of an [Ordered] schedule is its own front);
-    the front then runs as without it.
-    @raise Vm.Execution_error on unwritten reads / double writes.
-    @raise Shadow.Violation on a recorded same-front overlap. *)
+    zero minor words.  An [Ordered] block runs as one front, in order,
+    never on the pool.
+    @raise Vm.Execution_error on unwritten reads / double writes. *)
 
 val outputs : t -> (string * Fractal.t) list
 (** Every [Output] buffer, in buffer order, as the executable's own

@@ -1,8 +1,4 @@
-let err fmt = Format.kasprintf (fun s -> raise (Vm.Execution_error s)) fmt
-
 type prepared = {
-  pr_graph : Ir.graph;
-  pr_opts : Run_opts.t;
   pr_pool : Domain_pool.t option;  (* resolved once, at prepare time *)
   pr_exe : Compiled.t;
 }
@@ -24,41 +20,18 @@ let prepare ?(opts = Run_opts.default) (g : Ir.graph) =
   let exe =
     Compiled.compile ~schedule ~workers ~fuse:opts.Run_opts.fuse g
   in
-  { pr_graph = g; pr_opts = opts; pr_pool = pool; pr_exe = exe }
-
-let shadow_wanted (opts : Run_opts.t) =
-  match opts.Run_opts.shadow with
-  | Run_opts.Shadow_on -> true
-  | Run_opts.Shadow_env -> (
-      match Sys.getenv_opt "FT_SHADOW" with
-      | Some ("1" | "true" | "on") -> true
-      | _ -> false)
-  | Run_opts.Shadow_off -> false
-
-let cross_check g sh =
-  let summary = Shadow.finish sh in
-  match Shadow.cross_check g summary sh with
-  | [] -> ()
-  | issues ->
-      err "shadow memory contradicts the static analysis: %s"
-        (String.concat "; " issues)
+  { pr_pool = pool; pr_exe = exe }
 
 let execute pr inputs =
-  let exe = pr.pr_exe and pool = pr.pr_pool in
+  let exe = pr.pr_exe in
   Compiled.load exe inputs;
-  if shadow_wanted pr.pr_opts then begin
-    let sh = Shadow.create pr.pr_graph in
-    Compiled.execute ?pool ~shadow:sh exe;
-    cross_check pr.pr_graph sh
-  end
-  else Compiled.execute ?pool exe;
+  Compiled.execute ?pool:pr.pr_pool exe;
   Compiled.outputs exe
 
 let run ?opts g inputs = execute (prepare ?opts g) inputs
 
 (* ------------------------------ introspection ------------------------ *)
 
-let engine _ = "compiled"
 let compiled pr = Some pr.pr_exe
 
 (* ------------------------------ simulator front ----------------------- *)

@@ -6,16 +6,14 @@
     arena-backed storage, zero steady-state allocation, scheduled in
     [Run_opts.order] by the one race guard ({!Vm.guarded_schedule}).
     Its outputs are checked bitwise against the reference interpreter
-    ({!Interp}) by [ftc run] and [ftc conform].
-
-    This module resolves the pool and owns the shadow policy:
-    [FT_SHADOW] is read here and nowhere else. *)
+    ({!Interp}) by [ftc run] and [ftc conform].  This module resolves
+    the pool. *)
 
 type prepared
-(** A graph readied for repeated execution: the compiled executable, the
-    resolved pool ({!Domain_pool.sized}; once reset, fronts run inline),
-    and the shadow policy.  Stateful — reusable across
-    sequential [execute] calls, not thread-safe. *)
+(** A graph readied for repeated execution: the compiled executable and
+    the resolved pool ({!Domain_pool.sized}; once reset, fronts run
+    inline).  Stateful — reusable across sequential [execute] calls,
+    not thread-safe. *)
 
 val prepare : ?opts:Run_opts.t -> Ir.graph -> prepared
 (** Resolve options (default {!Run_opts.default}) and compile: this is
@@ -32,18 +30,12 @@ val execute :
     buffer order as the executable's own cells ({!Compiled.outputs}):
     the same list and tensors on every run, valid until this
     [prepared] runs again, which overwrites them — a caller that keeps
-    a result across runs copies it.  Honors the prepared options:
-    domains (pool), shadow; the race guard always runs.
+    a result across runs copies it.  Runs on the prepared pool; the
+    race guard ran at prepare.
 
     Inputs are read afresh on each run: a caller may refill its
     tensors in place and bind them again.
-
-    When shadow recording is active (explicitly, or [FT_SHADOW=1]
-    under the default [Shadow_env] policy) the run is
-    recorded, finished and cross-checked against the static analysis;
-    a contradiction raises [Vm.Execution_error].
-    @raise Vm.Execution_error on missing inputs / un-executable blocks
-    @raise Shadow.Violation on a recorded same-front overlap *)
+    @raise Vm.Execution_error on missing inputs / un-executable blocks *)
 
 val run :
   ?opts:Run_opts.t ->
@@ -55,10 +47,6 @@ val run :
     executable. *)
 
 (** {1 Introspection} *)
-
-val engine : prepared -> string
-(** The engine that runs: always ["compiled"] (serving reports name
-    it). *)
 
 val compiled : prepared -> Compiled.t option
 (** The underlying executable — always [Some]; the option type is kept

@@ -4,23 +4,14 @@
     Every choice runs the one value engine, {!Compiled}; the knobs pick
     its schedule, parallelism and fusion, never a different engine. *)
 
-(** Shadow-memory recording: [Shadow_off] never records, [Shadow_env]
-    (the default) records when [FT_SHADOW] is [1], [true] or [on] —
-    {!Executor} is the only place that reads it — and [Shadow_on]
-    records and cross-checks unconditionally. *)
-type shadow = Shadow_off | Shadow_env | Shadow_on
-
 type t = {
   order : Vm.order;
       (** the schedule every block follows ({!Vm.order}): [Wavefront]
           (the default) fans each anti-chain out over the pool,
-          [Sequential] runs the naive directional order on one domain,
-          [Reverse] is the illegal order tests use to show an unwritten
-          read is caught. *)
+          [Sequential] runs the naive directional order on one domain. *)
   domains : int option;
       (** pool size; [None] uses the ambient {!Domain_pool.num_domains}.
           [Some 1] guarantees a pool-free, allocation-free run loop. *)
-  shadow : shadow;
   fuse : bool;
       (** scratch-slot coalescing and GEMM epilogue swallowing
           ({!Compiled.compile}'s [fuse]).  Bitwise-neutral; [false]
@@ -29,7 +20,7 @@ type t = {
 }
 
 val default : t
-(** [Wavefront], ambient domains, [Shadow_env], fusion on.
+(** [Wavefront], ambient domains, fusion on.
     Parallel fronts always take the pool's default claim size, and no
     tuned config reaches these options: the tuner searches only what
     the device model prices. *)

@@ -1,4 +1,4 @@
-type order = Sequential | Wavefront | Reverse
+type order = Sequential | Wavefront
 
 exception Execution_error of string
 
@@ -49,8 +49,7 @@ let of_cells dims cell =
 
 (* How a block's points run:
    - [Ordered]: one strict sequence (the naive directional
-     lexicographic order, or its reverse for the illegal-schedule
-     tests);
+     lexicographic order);
    - [Fronts]: wavefront anti-chains in hyperplane order.  Points
      inside one front are mutually independent whenever the schedule
      is legal — the schedule-legality verifier (lib/analysis) is the
@@ -85,7 +84,6 @@ let directional_points (b : Ir.block) points =
 let schedule order (b : Ir.block) points =
   match order with
   | Sequential -> Ordered (directional_points b points)
-  | Reverse -> Ordered (List.rev (directional_points b points))
   | Wavefront ->
       let dvs = Dependence.block_distance_vectors b in
       if dvs = [] then
@@ -199,15 +197,18 @@ let race_downgrade g b =
   | Effects.Unproven m -> Some ("same-front disjointness unproven: " ^ m)
   | Effects.Race (_, m) -> Some ("statically-proven race: " ^ m)
 
-let guarded_schedule g order (b : Ir.block) points =
+let guard g order (b : Ir.block) points =
   match schedule order b points with
   | Fronts _ as s -> (
       match race_downgrade g b with
       | None -> (s, None)
-      | Some why as reason ->
-          report_fallback b.Ir.blk_name why;
-          (schedule Sequential b points, reason))
+      | reason -> (schedule Sequential b points, reason))
   | s -> (s, None)
+
+let guarded_schedule g order (b : Ir.block) points =
+  let (_, reason) as guarded = guard g order b points in
+  Option.iter (report_fallback b.Ir.blk_name) reason;
+  guarded
 
 (* The read edges evaluation consults: per operand label, the block's
    last read edge, unless a [blk_consts] literal shadows the label or

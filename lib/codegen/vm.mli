@@ -10,7 +10,7 @@
     statistics, the trace spans, the row-major cell walk of a nested
     FractalTensor, and {!Execution_error}.
 
-    Three orders are supported:
+    Two orders are supported:
     - [Sequential]: directional lexicographic over each block's
       original domain — right-directional dimensions (foldr/scanr)
       iterate descending, everything else ascending — the naive order,
@@ -24,11 +24,11 @@
       distinct cell of the single-assignment buffers, so parallel
       execution is race-free and — because each point's value does not
       depend on the order its siblings run — bitwise identical to
-      [Sequential] for legal schedules;
-    - [Reverse]: reverse lexicographic — illegal for any
-      dependence-carrying block; used by tests to show the engine
-      detects bad schedules (reads of unwritten cells) instead of
-      silently producing garbage.
+      [Sequential] for legal schedules.
+
+    An illegal order (a test builds one and hands it to
+    {!Compiled.compile}'s [schedule]) is detected, not mis-computed:
+    the engine refuses a read of an unwritten cell.
 
     When a {!Trace} sink is installed, [Wavefront] runs emit spans on
     track ["vm"]: one ["vm.block"] span per block (args: points,
@@ -36,7 +36,7 @@
     ["vm.front"] span per anti-chain (args: block, front, width,
     domains).  [ftc profile] surfaces these. *)
 
-type order = Sequential | Wavefront | Reverse
+type order = Sequential | Wavefront
 
 exception Execution_error of string
 (** Raised by every value engine: at prepare time on a graph no engine
@@ -58,7 +58,7 @@ val of_cells : int array -> (int -> Tensor.t) -> Fractal.t
 (** {1 Schedules} *)
 
 (** How a block's points run: [Ordered] is one strict sequence (the
-    directional lexicographic order or its reverse); [Fronts] is the
+    directional lexicographic order); [Fronts] is the
     wavefront anti-chains in hyperplane order, each an array of
     mutually-independent points.  {!Compiled} flattens it to int
     arrays at plan time; the sharded runner places its points. *)
@@ -70,8 +70,7 @@ val schedule : order -> Ir.block -> int array list -> schedule
 (** [schedule order b points] groups the block's iteration points for
     [order]: directional lexicographic for
     [Sequential] (right-directional foldr/scanr dimensions descend),
-    its reverse for [Reverse], hyperplane anti-chains for
-    [Wavefront]. *)
+    hyperplane anti-chains for [Wavefront]. *)
 
 type block_stats = {
   bs_block : string;  (** block name *)
@@ -114,13 +113,19 @@ val race_downgrade : Ir.graph -> Ir.block -> string option
 (** Why the race guard runs this block sequentially; [None] when
     {!Effects.block_race} proves same-front disjointness. *)
 
+val guard :
+  Ir.graph -> order -> Ir.block -> int array list ->
+  schedule * string option
+(** The one race guard: {!schedule}, except that [Fronts] with a
+    {!race_downgrade} reason become the sequential schedule, with the
+    reason.  Reports nothing ([Shadow.check] walks this schedule
+    without repeating the engine's report). *)
+
 val guarded_schedule :
   Ir.graph -> order -> Ir.block -> int array list ->
   schedule * string option
-(** The one race guard of {!Compiled.compile} and [Dist_exec.prepare]:
-    {!schedule}, except that [Fronts] with a {!race_downgrade} reason
-    become the sequential schedule, with the reason (also reported to
-    the fallback handler). *)
+(** {!guard}, with a downgrade also reported to the fallback handler:
+    the schedule of {!Compiled.compile} and [Dist_exec.prepare]. *)
 
 (** {1 Reads} *)
 

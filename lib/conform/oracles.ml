@@ -133,15 +133,22 @@ let value (p : Expr.program) outs =
 (* ---------------------------------------------------------------- *)
 
 (* The compiled engine through the front door, Run_opts defaults
-   otherwise: [Shadow_env] keeps corpus replay under FT_SHADOW=1
-   cross-checking the recorded accesses against the static analysis. *)
-let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1)
-    ?(shadow = Run_opts.Shadow_env) ?(fuse = true) (p : Expr.program) g inputs
-    =
-  let opts =
-    { Run_opts.order; domains = Some domains; shadow; fuse }
-  in
+   otherwise. *)
+let compiled_oracle ?(order = Vm.Wavefront) ?(domains = 1) ?(fuse = true)
+    (p : Expr.program) g inputs =
+  let opts = { Run_opts.order; domains = Some domains; fuse } in
   Value (List.assoc p.Expr.name (Executor.run ~opts g inputs))
+
+(* The schedule the engine compiles, checked without values: a
+   same-front overlap raises [Shadow.Violation], a contradiction of the
+   static analysis fails. *)
+let shadow_oracle g =
+  match Shadow.check g with
+  | _, [] -> Held
+  | _, issues ->
+      Failed
+        ("shadow memory contradicts the static analysis: "
+        ^ String.concat "; " issues)
 
 let tuned_oracle (p : Expr.program) g inputs =
   (* Store a deliberately non-default, simulator-visible configuration,
@@ -228,7 +235,7 @@ let run_one (p : Expr.program) inputs graph name =
           try
             match name with
             | "compiled-seq" -> compiled_oracle ~order:Vm.Sequential p g inputs
-            | "shadow" -> compiled_oracle ~shadow:Run_opts.Shadow_on p g inputs
+            | "shadow" -> shadow_oracle g
             | "tuned" -> tuned_oracle p g inputs
             | "cache-rt" -> cache_rt_oracle p g inputs
             | "compiled" -> compiled_oracle p g inputs

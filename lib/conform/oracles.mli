@@ -13,15 +13,14 @@
                    — the compiled engine in [Sequential] order at one
                      domain, through {!Executor}: the naive order every
                      other back end must match bitwise;
-    - ["shadow"]   — the compiled engine ({!Executor} at one domain
-                     with [Shadow_on]) under the {!Shadow} cell-level
-                     recorder: every point records its live reads and
-                     its writes, a same-front overlap raises at the
-                     access, and the
-                     recorded footprints are cross-checked against the
-                     static verdicts of [Effects] after the run — a
-                     static/dynamic contradiction fails the oracle
-                     even when the output value is right;
+    - ["shadow"]   — {!Shadow.check} on the graph, no values: every
+                     point of the race-guarded wavefront schedule the
+                     engine compiles records its live reads and its
+                     writes, a same-front overlap fails the oracle,
+                     and the recorded footprints are cross-checked
+                     against the static verdicts of [Effects] — a
+                     contradiction fails the oracle.  It checks
+                     itself ({!Held});
     - ["tuned"]    — a non-default, simulator-visible configuration
                      ([cfg_elem_chunk = 4096]) is stored in the
                      tuning database for the program, looked back up
@@ -39,9 +38,7 @@
                    — the compiled engine ({!Executor} with the default
                      [Run_opts]: wavefront order, fusion on) at an
                      explicit 1/2/4-domain pool: schedule and
-                     parallelism must not change a single bit.  Under
-                     [FT_SHADOW=1] the run is also recorded and
-                     cross-checked against the static analysis;
+                     parallelism must not change a single bit;
     - ["compiled-nofuse"]
                    — the compiled engine with [fuse = false]: every
                      op runs as its own kernel through its own scratch
@@ -60,7 +57,7 @@
                      It checks itself ({!Held}); an underivable program
                      is {!Skipped}.
 
-    Every oracle but ["interp"] and ["serve"] returns the {e raw} engine output,
+    Every oracle but ["interp"], ["shadow"] and ["serve"] returns the {e raw} engine output,
     which materialises fold/reduce accumulator history; {!project}
     maps it down to the interpreter's view.  The driver compares them
     raw against ["compiled-seq"] (invariance) and projected
@@ -68,7 +65,7 @@
 
 type outcome =
   | Value of Fractal.t  (** raw output of this back end *)
-  | Held  (** the oracle's own bitwise check held (["serve"]) *)
+  | Held  (** the oracle's own check held (["shadow"], ["serve"]) *)
   | Unsupported of string
       (** the program is outside the compiled fragment
           ([Build.Unsupported]) — fine for interpreter-only programs,

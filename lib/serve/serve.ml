@@ -41,7 +41,6 @@ type outcome = {
   oc_metrics : Metrics.t;
   oc_completed : Request.t list;  (** completion order *)
   oc_wall_s : float;
-  oc_engine : string;
   oc_shed : int;  (** open-loop only: arrivals dropped at the door *)
 }
 
@@ -65,10 +64,6 @@ let serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ?max_ticks sv
     oc_metrics = metrics;
     oc_completed = List.rev !completed;
     oc_wall_s = Unix.gettimeofday () -. t0;
-    oc_engine =
-      (match Session.widths_prepared session with
-      | w :: _ -> Session.engine session ~width:w
-      | [] -> "idle");
     oc_shed = shed;
   }
 

@@ -12,7 +12,6 @@ type outcome = {
   oc_metrics : Metrics.t;
   oc_completed : Request.t list;  (** completion order *)
   oc_wall_s : float;
-  oc_engine : string;
   oc_shed : int;  (** open-loop only: arrivals dropped at the door *)
 }
 

@@ -43,5 +43,3 @@ let prepared t ~width =
 
 let widths_prepared t = List.sort compare (Bounded_cache.keys t.ssn_prepared)
 let cache_stats t = Bounded_cache.stats t.ssn_prepared
-
-let engine t ~width = Executor.engine (prepared t ~width)

@@ -24,5 +24,3 @@ val prepared : t -> width:int -> Executor.prepared
 
 val widths_prepared : t -> int list
 val cache_stats : t -> Bounded_cache.stats
-val engine : t -> width:int -> string
-(** The engine that runs one width's step program ({!Executor.engine}). *)

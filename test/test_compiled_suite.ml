@@ -1,8 +1,9 @@
 (* The compiled executor: for every workload, the straight-line
    closure engine must be *bitwise* identical to the reference
    interpreter and to its own sequential order — with and without
-   fusion, at one and several domains, under the shadow recorder — and
-   its steady-state execute loop must allocate zero minor words. *)
+   fusion, at one and several domains — its schedule must record one
+   shadow write per point and write edge, and its steady-state execute
+   loop must allocate zero minor words. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -63,8 +64,8 @@ let sequential =
     ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential;
             domains = Some 1 }
 
-let opts ?domains ?(shadow = Run_opts.Shadow_off) ?(fuse = true) () =
-  { Run_opts.default with Run_opts.domains; shadow; fuse }
+let opts ?domains ?(fuse = true) () =
+  { Run_opts.default with Run_opts.domains; fuse }
 
 (* [execute] hands out the executable's own cells; a result kept
    across runs of one prepared value is a copy. *)
@@ -214,36 +215,60 @@ let compiled_tests =
               && s.Compiled.fs_swallowed = 0))
           (stats_of (opts ~domains:1 ~fuse:false ()) lstm));
     Alcotest.test_case
-      "shadow recording over the compiled engine is clean, fused and \
-       unfused, every workload" `Quick (fun () ->
+      "the shadow check walks the schedule the engine compiles, and the \
+       engine over it is bitwise, fused and unfused, every workload" `Quick
+      (fun () ->
         List.iter
           (fun (name, g, binds) ->
             let reference = sequential g binds in
+            (* the check's own default schedule *)
+            let default = Shadow.check g in
+            Alcotest.(check (list string)) (name ^ ": no contradiction") []
+              (snd default);
             List.iter
               (fun fuse ->
-                let got =
-                  Executor.run
-                    ~opts:(opts ~domains:1 ~shadow:Run_opts.Shadow_on ~fuse ())
-                    g binds
+                (* the engine's default schedule, logged by block *)
+                let compiled = ref [] in
+                let logged (b : Ir.block) pts =
+                  let s = Vm.guarded_schedule g Vm.Wavefront b pts in
+                  compiled := (b.Ir.blk_name, (pts, fst s)) :: !compiled;
+                  s
+                in
+                let exe = Compiled.compile ~schedule:logged ~fuse g in
+                let replay (b : Ir.block) pts =
+                  let pts', s = List.assoc b.Ir.blk_name !compiled in
+                  checkb (b.Ir.blk_name ^ ": same points") true (pts = pts');
+                  (s, None)
                 in
                 checkb
-                  (Printf.sprintf "%s under shadow, fuse=%b" name fuse)
+                  (Printf.sprintf "%s: the default check is the check of \
+                                   the engine's schedule, fuse=%b" name fuse)
                   true
-                  (outputs_equal_exact reference got))
+                  (Shadow.check ~schedule:replay g = default);
+                List.iter
+                  (fun (blk, (pts, s)) ->
+                    let b =
+                      List.find (fun b -> b.Ir.blk_name = blk)
+                        (Ir.dataflow_order g)
+                    in
+                    checkb
+                      (Printf.sprintf "%s/%s: the unreported guard gives \
+                                       the engine's schedule" name blk)
+                      true
+                      (fst (Vm.guard g Vm.Wavefront b pts) = s))
+                  !compiled;
+                Compiled.load exe binds;
+                Compiled.execute exe;
+                checkb (Printf.sprintf "%s bitwise, fuse=%b" name fuse) true
+                  (outputs_equal_exact reference (Compiled.outputs exe)))
               [ true; false ])
           (workloads ()));
     Alcotest.test_case
       "shadow records each point's live reads and its writes, every \
        workload" `Quick (fun () ->
         List.iter
-          (fun (name, g, binds) ->
-            let exe =
-              compile_exn (Executor.prepare ~opts:(opts ~domains:1 ()) g)
-            in
-            let sh = Shadow.create g in
-            Compiled.load exe binds;
-            Compiled.execute ~shadow:sh exe;
-            let summary = Shadow.finish sh in
+          (fun (name, g, _) ->
+            let summary, _ = Shadow.check g in
             let blocks = Ir.dataflow_order g in
             let writes =
               List.fold_left

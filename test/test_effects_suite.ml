@@ -1,6 +1,7 @@
 (* Tests for the static memory-effect analysis: footprints, wavefront
    race verdicts (positive and negative paths), flow checks, buffer
-   liveness / arena layout, and the VM shadow-memory cross-checker. *)
+   liveness / arena layout, and the values-free shadow check of a
+   schedule. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -48,9 +49,9 @@ let ww_racy_graph () =
     g_blocks = [ block ];
   }
 
-(* Every point reads cell 0 of the buffer the block itself writes
-   (identity): points 1..3 read what their same-front sibling 0
-   writes — a read-write race. *)
+(* Every point adds cell 0 of the buffer the block itself writes
+   (identity) to its input: points 1..3 read what their same-front
+   sibling 0 writes — a read-write race. *)
 let rw_racy_graph () =
   let block =
     {
@@ -70,8 +71,8 @@ let rw_racy_graph () =
         ];
       blk_children = [];
       blk_body =
-        [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
-            operand_shapes = [ Shape.scalar ];
+        [ { Ir.op = Expr.Add; operands = [ Ir.O_var "x"; Ir.O_var "peek" ];
+            operand_shapes = [ Shape.scalar; Shape.scalar ];
             result_shape = Shape.scalar } ];
       blk_results = [ Ir.O_op 0 ];
       blk_consts = [];
@@ -370,68 +371,81 @@ let liveness_tests =
 
 (* --------------------------- shadow memory ------------------------- *)
 
+(* The race guard bypassed: every block's wavefront anti-chains as the
+   hyperplane gives them. *)
+let unguarded b pts = (Vm.schedule Vm.Wavefront b pts, None)
+
+let unguarded_outcome g =
+  match Shadow.check ~schedule:unguarded g with
+  | _ -> "clean"
+  | exception Shadow.Violation m -> m
+
+let has sub s = Str.string_match (Str.regexp (".*" ^ Str.quote sub)) s 0
+
+(* The guarded default runs a racy block sequentially: one front per
+   point, no overlap, and the downgrade is the compile's to report, not
+   the check's. *)
+let guarded_silent g =
+  let fired, (_, issues) = capture_fallbacks (fun () -> Shadow.check g) in
+  fired = [] && issues = []
+
 let shadow_tests =
   [
-    Alcotest.test_case "recorder raises on a same-front double write"
-      `Quick (fun () ->
-        let sh = Shadow.create (ww_racy_graph ()) in
-        Shadow.on_write sh ~block:"clobber" ~front:0 ~point:[| 0 |]
-          ~buffer:1 [| 0 |];
-        checkb "second write raises" true
-          (match
-             Shadow.on_write sh ~block:"clobber" ~front:0 ~point:[| 1 |]
-               ~buffer:1 [| 0 |]
-           with
-          | () -> false
-          | exception Shadow.Violation _ -> true));
     Alcotest.test_case
-      "a recorded engine run reports a same-front double write before the \
-       front runs" `Quick (fun () ->
-        (* the race guard bypassed: all four points write ys[0] in one
-           front *)
-        let g = ww_racy_graph () in
-        let exe =
-          Compiled.compile
-            ~schedule:(fun b pts -> (Vm.schedule Vm.Wavefront b pts, None))
+      "the shadow check is clean on every workload, example program and \
+       corpus program" `Quick (fun () ->
+        let files dir =
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".ft")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 (f, Build.build (Parse.program_file (Filename.concat dir f))))
+        in
+        let graphs =
+          List.map (fun (name, g, _) -> (name, g))
+            (Test_compiled_suite.workloads ())
+          @ files example_dir @ files corpus_dir
+        in
+        checkb "ten families, the examples and the repros" true
+          (List.length graphs >= 20);
+        List.iter
+          (fun (name, g) ->
+            let _, issues = Shadow.check g in
+            Alcotest.(check (list string)) (name ^ ": no contradiction") []
+              issues)
+          graphs);
+    Alcotest.test_case
+      "the shadow check reports a same-front double write without running \
+       anything" `Quick (fun () ->
+        checkb "ww: all four points write ys[0] in one front" true
+          (has "write-write" (unguarded_outcome (ww_racy_graph ())));
+        (* the engine's own single-assignment check rejects this double
+           write only at run time *)
+        checkb "guarded: no violation, nothing reported" true
+          (guarded_silent (ww_racy_graph ())));
+    Alcotest.test_case
+      "the shadow check reports a same-front sibling read without running \
+       anything" `Quick (fun () ->
+        checkb "rw: points 1..3 read what sibling 0 writes" true
+          (has "read-write" (unguarded_outcome (rw_racy_graph ())));
+        checkb "guarded: no violation, nothing reported" true
+          (guarded_silent (rw_racy_graph ())));
+    Alcotest.test_case
+      "the shadow check holds on a dead store and flags a point outside \
+       the static footprint" `Quick (fun () ->
+        let g = dead_store_graph () in
+        let summary, issues = Shadow.check g in
+        Alcotest.(check (list string)) "the dead store is never read" []
+          issues;
+        Alcotest.(check (list string)) "only the input is read" [ "xs" ]
+          summary.Shadow.sh_read_buffers;
+        (* a schedule that leaves the 4-point domain touches cells no
+           static footprint covers *)
+        let _, issues =
+          Shadow.check
+            ~schedule:(fun _ _ -> (Vm.Ordered [ [| 0 |]; [| 5 |] ], None))
             g
         in
-        let xs = Fractal.tabulate 4 (fun i -> Fractal.Leaf (Tensor.scalar (float i))) in
-        let run shadow =
-          Compiled.load exe [ ("xs", xs) ];
-          match Compiled.execute ?shadow exe with
-          | () -> "ran"
-          | exception Shadow.Violation _ -> "violation"
-          | exception Vm.Execution_error _ -> "engine error"
-        in
-        checks "unrecorded: the engine's single-assignment check" "engine error"
-          (run None);
-        checks "recorded: the recorder, before any point runs" "violation"
-          (run (Some (Shadow.create g))));
-    Alcotest.test_case "recorder raises on a same-front sibling read"
-      `Quick (fun () ->
-        let sh = Shadow.create (rw_racy_graph ()) in
-        Shadow.on_write sh ~block:"peek" ~front:3 ~point:[| 0 |] ~buffer:1
-          [| 0 |];
-        checkb "foreign same-front read raises" true
-          (match
-             Shadow.on_read sh ~block:"peek" ~front:3 ~point:[| 2 |]
-               ~buffer:1 [| 0 |]
-           with
-          | () -> false
-          | exception Shadow.Violation _ -> true);
-        (* the writing point may re-read its own cell *)
-        Shadow.on_read sh ~block:"peek" ~front:3 ~point:[| 0 |] ~buffer:1
-          [| 0 |];
-        (* and any point may read it from a later front *)
-        Shadow.on_read sh ~block:"peek" ~front:4 ~point:[| 2 |] ~buffer:1
-          [| 0 |]);
-    Alcotest.test_case "cross_check flags a dynamically-read dead store"
-      `Quick (fun () ->
-        let g = dead_store_graph () in
-        let sh = Shadow.create g in
-        Shadow.on_read sh ~block:"keep" ~front:0 ~point:[| 0 |] ~buffer:1
-          [| 0 |];
-        let issues = Shadow.cross_check g (Shadow.finish sh) sh in
         checkb "contradiction reported" true (issues <> []));
     Alcotest.test_case "race guard downgrades a racy block to sequential"
       `Quick (fun () ->
@@ -484,30 +498,27 @@ let shadow_tests =
           (Dist.bitwise_equal seq_outs compiled_outs);
         checkb "sharded values" true
           (Dist.bitwise_equal seq_outs rep.Dist.rp_outputs));
-    Alcotest.test_case "FT_SHADOW wavefront run matches sequential" `Quick
-      (fun () ->
+    Alcotest.test_case
+      "stacked_rnn's schedule passes the shadow check and its wavefront run \
+       matches sequential" `Quick (fun () ->
         let cfg = Stacked_rnn.default in
         let inp = Stacked_rnn.gen_inputs (Rng.create 11) cfg in
         let g = Build.build (Stacked_rnn.program cfg) in
         let env = Stacked_rnn.bindings inp in
-        let sh = Shadow.create g in
-        let exe = Compiled.compile g in
-        Compiled.load exe env;
-        Compiled.execute ~shadow:sh exe;
-        let par = Compiled.outputs exe in
-        let summary = Shadow.finish sh in
-        checkb "no static/dynamic contradiction" true
-          (Shadow.cross_check g summary sh = []);
+        let summary, issues = Shadow.check g in
+        checkb "no static/dynamic contradiction" true (issues = []);
         checkb "events recorded" true
           (summary.Shadow.sh_reads > 0 && summary.Shadow.sh_writes > 0);
+        let exe = Compiled.compile g in
+        Compiled.load exe env;
+        Compiled.execute exe;
+        let par = Compiled.outputs exe in
         let seq =
           Executor.run
-            ~opts:
-              { Run_opts.default with
-                Run_opts.order = Vm.Sequential; shadow = Run_opts.Shadow_off }
+            ~opts:{ Run_opts.default with Run_opts.order = Vm.Sequential }
             g env
         in
-        checkb "bitwise equal under the recorder" true
+        checkb "bitwise equal" true
           (List.for_all2
              (fun (n1, v1) (n2, v2) -> n1 = n2 && Fractal.equal_exact v1 v2)
              seq par));

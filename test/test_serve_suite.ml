@@ -224,8 +224,7 @@ let session_tests =
         checkb "same tenant+width memoized" true (pa == pa');
         checkb "tenants isolated" true (pa != pb);
         checkb "widths tracked" true
-          (List.mem 2 (Session.widths_prepared sa));
-        checkb "engine known" true (Session.engine sa ~width:2 <> ""));
+          (List.mem 2 (Session.widths_prepared sa)));
     Alcotest.test_case "two sessions of one tenant get distinct executables"
       `Quick (fun () ->
         (* a prepared executable is stateful: sharing one across

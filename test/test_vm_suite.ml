@@ -118,11 +118,21 @@ let vm_tests =
       (fun () ->
         let cfg = Stacked_rnn.default in
         let inp = Stacked_rnn.gen_inputs (Rng.create 3) cfg in
+        (* the naive order reversed: every recurrence reads before its
+           producer ran *)
+        let reversed b pts =
+          match Vm.schedule Vm.Sequential b pts with
+          | Vm.Ordered ps -> (Vm.Ordered (List.rev ps), None)
+          | s -> (s, None)
+        in
+        let exe =
+          Compiled.compile ~schedule:reversed
+            (Build.build (Stacked_rnn.program cfg))
+        in
+        Compiled.load exe (Stacked_rnn.bindings inp);
         checkb "raises" true
           (try
-             ignore
-               (run ~order:Vm.Reverse (Stacked_rnn.program cfg)
-                  (Stacked_rnn.bindings inp));
+             Compiled.execute exe;
              false
            with Vm.Execution_error _ -> true));
     Alcotest.test_case "missing inputs are reported" `Quick (fun () ->
