@@ -50,15 +50,14 @@ let buffer_bytes (bf : Ir.buffer) =
 let vec_to_string v =
   "[" ^ String.concat "," (Array.to_list (Array.map string_of_int v)) ^ "]"
 
-(* A read edge whose label is bound in blk_consts never executes: the
-   VM resolves the operand to the literal before consulting the edge
-   table.  Mirror that here so footprints and race proofs describe
-   exactly what runs. *)
+(* Every write edge and the reads evaluation consults ({!Ir.live_reads}):
+   a read shadowed by a literal, used by no operand or superseded by a
+   later same-label edge never executes, so footprints and race proofs
+   describe exactly what runs. *)
 let live_edges (b : Ir.block) =
+  let live = Ir.live_reads b in
   List.filter
-    (fun (e : Ir.edge) ->
-      e.Ir.e_dir = Ir.Write
-      || not (List.mem_assoc e.Ir.e_label b.Ir.blk_consts))
+    (fun (e : Ir.edge) -> e.Ir.e_dir = Ir.Write || List.memq e live)
     b.Ir.blk_edges
 
 (* Minimal well-formedness for doing arithmetic with an edge; anything

@@ -1,11 +1,21 @@
 (* The compiled executor.  See compiled.mli for the contract; the
    load-bearing invariants of the implementation:
 
-   - Point execution ([cb_exec]) is straight-line: flat-offset
+   - Point execution ([cb_exec_range]) is straight-line: flat-offset
      arithmetic over precomputed weight vectors, opcode kernels from
      {!Lower}, preallocated per-worker scratch, and byte flags for the
      single-assignment/unwritten-read checks.  Nothing in that path
      allocates — verified by the Gc assertion in the test suite.
+   - No two workers write one cache line of engine state.  A worker
+     writes two arrays of a block per point, both from [lanes], which
+     pads them past their last line: its slots (the scratch-slot table,
+     then every op's operands from the op's [co_base]) and its write
+     offsets.  Every per-worker scratch tensor owns its lines
+     ({!Tensor.uninit_exclusive}).  Unpadded, the small arrays of the
+     workers of one front, or of the per-device executables of a
+     sharded run, share lines of one size-class pool, written on every
+     point.  One slot array rather than one array per op also keeps
+     the lines a point touches few.
    - Every closure is built once, at compile time.  [execute] itself
      only walks int arrays and calls stored closures, so a steady-state
      run allocates zero minor words at [workers = 1].
@@ -69,8 +79,9 @@ let unwritten name st =
 
 type cop = {
   co_srcs : src array;
-  co_kernels : (Tensor.t array -> Tensor.t -> unit) array;  (* per worker *)
-  co_args : Tensor.t array array;  (* per worker *)
+  co_kernels : (Tensor.t array -> int -> Tensor.t -> unit) array;
+      (* per worker *)
+  co_base : int;  (* where the op's operands start in a worker's slots *)
 }
 
 type cwrite = {
@@ -93,7 +104,6 @@ type cblock = {
   cb_front_ids : int array;  (* schedule front id per front *)
   cb_parallel : bool;
   cb_stats : Vm.block_stats;
-  cb_exec : int -> int -> unit;  (* worker, point index *)
   cb_exec_range : int -> int -> int -> unit;
       (* worker, lo, hi: a whole front (or chunk) as one batched loop *)
   cb_fusion : fusion_stats;
@@ -129,6 +139,17 @@ let un_op_of_prim (p : Expr.prim) =
   | Expr.Relu -> Some Tensor.Urelu
   | Expr.Scale k -> Some (Tensor.Uscale k)
   | _ -> None
+
+(* Trailing slots of every per-worker array: two 64-byte lines, since
+   the adjacent-line prefetcher moves lines in pairs.  Whatever the
+   allocator places after an array, another worker's array included,
+   starts past them. *)
+let line_pad = 16
+
+(* One [n]-slot array of [x] per worker, each padded by [line_pad]:
+   the only way the engine allocates per-worker mutable state. *)
+let lanes workers n x =
+  Array.init workers (fun _ -> Array.make (n + line_pad) x)
 
 let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
   let workers = Stdlib.max 1 workers in
@@ -242,9 +263,8 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
     (* ---- operand resolution: strides folded to flat weights ---- *)
     let reads = Hashtbl.create 8 in
     List.iter
-      (fun (e : Ir.edge) ->
-        if e.Ir.e_dir = Ir.Read then Hashtbl.replace reads e.Ir.e_label e)
-      b.Ir.blk_edges;
+      (fun (e : Ir.edge) -> Hashtbl.replace reads e.Ir.e_label e)
+      (Ir.live_reads b);
     let weights_of (e : Ir.edge) =
       let sti =
         match Hashtbl.find_opt store_ix e.Ir.e_buffer with
@@ -297,7 +317,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
        op [j] joins producer [k]'s group when [O_op k] is the
        full-shape chain operand, shapes match along the chain, and
        [j] is [k]'s only consumer (counting block results).  Kernels
-       then write [scr.(tg.(oi))], so the whole chain computes in
+       then write [sl.(tg.(oi))], so the whole chain computes in
        one tensor — and, composed with the write-in-place redirect,
        often directly in the destination cell. *)
     let tg = Array.init (Stdlib.max 1 nops) (fun i -> i) in
@@ -416,7 +436,6 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
                   err "block %s: operand %s has no edge or literal"
                     b.Ir.blk_name tag))
     in
-    let noop_kernel = fun (_ : Tensor.t array) (_ : Tensor.t) -> () in
     (* An [@T]'s block-constant right operand, which {!Lower.kernel}
        transposes once for every worker. *)
     let fixed_b (o : Ir.op_node) srcs =
@@ -426,15 +445,14 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
           Some t
       | _ -> None
     in
+    (* A worker's slots: the scratch-slot table [0, nops), then each
+       executed op's operands from its [co_base]. *)
+    let nslots = ref nops in
     let cops =
       Array.mapi
         (fun oi (o : Ir.op_node) ->
           if swallowed.(oi) then
-            {
-              co_srcs = [||];
-              co_kernels = Array.make workers noop_kernel;
-              co_args = Array.make workers [||];
-            }
+            { co_srcs = [||]; co_kernels = [||]; co_base = 0 }
           else begin
             let srcs = Array.of_list (List.map resolve o.Ir.operands) in
             let factory =
@@ -443,12 +461,9 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
                 ~result_shape:o.Ir.result_shape
             in
             let kernels = Array.init workers (fun _ -> factory ()) in
-            {
-              co_srcs = srcs;
-              co_kernels = kernels;
-              co_args =
-                Array.init workers (fun _ -> Array.make (Array.length srcs) dummy);
-            }
+            let base = !nslots in
+            nslots := base + Array.length srcs;
+            { co_srcs = srcs; co_kernels = kernels; co_base = base }
           end)
         ops
     in
@@ -465,14 +480,16 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
     (* Coalesced slots share their group final's tensor; only finals
        get real scratch (the run loop never reads or writes a
        non-final slot). *)
-    let scratch =
-      Array.init workers (fun _ ->
-          Array.mapi
-            (fun i (o : Ir.op_node) ->
-              if tg.(i) = i then Tensor.uninit o.Ir.result_shape else dummy)
-            ops)
-    in
-    let scratch_orig = Array.map Array.copy scratch in
+    let slots = lanes workers !nslots dummy in
+    Array.iter
+      (fun sl ->
+        Array.iteri
+          (fun i (o : Ir.op_node) ->
+            if tg.(i) = i then
+              sl.(i) <- Tensor.uninit_exclusive o.Ir.result_shape)
+          ops)
+      slots;
+    let slots_orig = Array.map Array.copy slots in
     let fusion =
       let fused_ops = ref 0 in
       let finals = Hashtbl.create 4 in
@@ -535,9 +552,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
     let alias_slots =
       Array.of_seq (Hashtbl.to_seq_keys aliased)
     in
-    let woffs =
-      Array.init workers (fun _ -> Array.make (Stdlib.max 1 nwrites) 0)
-    in
+    let woffs = lanes workers nwrites 0 in
     let name = b.Ir.blk_name in
     (* ---- the straight-line point loop (the hot path) ----
        One closure executes a whole range of a front's points: the
@@ -546,9 +561,9 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
        homogeneous points of an anti-chain stream through the same
        kernels as a single batched loop. *)
     let exec_range w lo hi =
-      let scr = scratch.(w) in
+      let sl = slots.(w) in
       let offs = woffs.(w) in
-      let orig = Array.unsafe_get scratch_orig w in
+      let orig = Array.unsafe_get slots_orig w in
       for i = lo to hi - 1 do
         let p = i * dim in
         (* write destinations: single-assignment check + in-place
@@ -568,7 +583,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
               name;
           Array.unsafe_set offs wi !off;
           if cw.cw_alias >= 0 then
-            scr.(cw.cw_alias) <- Array.unsafe_get st.cs_cells !off
+            sl.(cw.cw_alias) <- Array.unsafe_get st.cs_cells !off
         done;
         (* body ops into (possibly redirected, possibly coalesced)
            scratch; swallowed tails are skipped — their value is
@@ -576,12 +591,13 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
         for bi = 0 to nbody - 1 do
           let oi = Array.unsafe_get body_ops bi in
           let cop = Array.unsafe_get cops oi in
-          let args = Array.unsafe_get cop.co_args w in
+          let base = cop.co_base in
           let srcs = cop.co_srcs in
           for ai = 0 to Array.length srcs - 1 do
             match Array.unsafe_get srcs ai with
-            | S_fixed t -> Array.unsafe_set args ai t
-            | S_scratch k -> Array.unsafe_set args ai (Array.unsafe_get scr k)
+            | S_fixed t -> Array.unsafe_set sl (base + ai) t
+            | S_scratch k ->
+                Array.unsafe_set sl (base + ai) (Array.unsafe_get sl k)
             | S_cell (si, ws) ->
                 let st = Array.unsafe_get stores si in
                 let off = ref (Array.unsafe_get ws 0) in
@@ -593,10 +609,11 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
                 done;
                 if Bytes.unsafe_get st.cs_written !off = '\000' then
                   unwritten name st;
-                Array.unsafe_set args ai (Array.unsafe_get st.cs_cells !off)
+                Array.unsafe_set sl (base + ai)
+                  (Array.unsafe_get st.cs_cells !off)
           done;
-          (Array.unsafe_get cop.co_kernels w) args
-            (Array.unsafe_get scr (Array.unsafe_get tg oi))
+          (Array.unsafe_get cop.co_kernels w) sl base
+            (Array.unsafe_get sl (Array.unsafe_get tg oi))
         done;
         (* epilogue: copy non-redirected results, set written flags *)
         for wi = 0 to nwrites - 1 do
@@ -606,7 +623,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
           if cw.cw_alias < 0 then begin
             let v =
               match cw.cw_src with
-              | S_scratch k -> Array.unsafe_get scr k
+              | S_scratch k -> Array.unsafe_get sl k
               | S_fixed t -> t
               | S_cell (si, ws) ->
                   let sst = Array.unsafe_get stores si in
@@ -627,18 +644,16 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
         done;
         for k = 0 to Array.length alias_slots - 1 do
           let s = Array.unsafe_get alias_slots k in
-          scr.(s) <- Array.unsafe_get orig s
+          sl.(s) <- Array.unsafe_get orig s
         done
       done
     in
-    let exec w i = exec_range w i (i + 1) in
     {
       cb_name = name;
       cb_fronts = fronts;
       cb_front_ids = front_ids;
       cb_parallel = parallel;
       cb_stats = stats;
-      cb_exec = exec;
       cb_exec_range = exec_range;
       cb_fusion = fusion;
     }
@@ -689,7 +704,7 @@ let run_front pool cb f =
   and hi = Array.unsafe_get cb.cb_fronts (f + 1) in
   if cb.cb_parallel && hi - lo > 1 then
     match pool with
-    | Some p -> Domain_pool.parallel_for_workers p ~lo ~hi cb.cb_exec
+    | Some p -> Domain_pool.parallel_chunks p ~lo ~hi cb.cb_exec_range
     | None -> cb.cb_exec_range 0 lo hi
   else cb.cb_exec_range 0 lo hi
 

@@ -37,7 +37,15 @@
     - {b results}: bitwise identical to the reference interpreter
       ({!Interp}) after projection — the kernels reproduce its exact
       float operation order, and every fusion transformation preserves
-      the per-element value chain.
+      the per-element value chain;
+    - {b per-worker layout}: no two workers ever write one 64-byte
+      line of engine state.  A worker's per-point state in a block is
+      two arrays, padded past their last line — its slots (the
+      scratch-slot table, then every op's operands) and its write
+      offsets — and its scratch tensors own their lines
+      ({!Tensor.uninit_exclusive}), whatever the worker count, so the
+      workers of one front, and the per-device executables of a
+      sharded run, never false-share.
 
     An executable owns its storage, output cells included: it is
     reusable across runs ([load] / [execute] / [outputs]), each run

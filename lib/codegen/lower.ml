@@ -9,7 +9,11 @@ let normalize_col n i = if i < 0 then n + i else i
    opcode-dispatch [_into] variants, so a compiled run is bitwise
    identical to the interpreter while allocating nothing per point.
    Work before the factory's [()] is shared by every worker; a kernel
-   that keeps no scratch is one closure for all of them. *)
+   that keeps no scratch is one closure for all of them, and one that
+   does takes it from {!Tensor.uninit_exclusive}, so two workers'
+   scratch never shares a cache line.  A kernel [fun args o dst] reads
+   its [nargs] operands at [args.(o) .. args.(o + nargs - 1)]: the
+   engine keeps every operand of a block in one array per worker. *)
 let kernel ?epilogue ?fixed_b (p : Expr.prim) ~operand_shapes ~result_shape =
   ignore result_shape;
   let nargs = List.length operand_shapes in
@@ -21,18 +25,19 @@ let kernel ?epilogue ?fixed_b (p : Expr.prim) ~operand_shapes ~result_shape =
   let shared k () = k in
   let binop op =
     expect 2;
-    shared (fun (args : Tensor.t array) dst ->
-        Tensor.binop_into op args.(0) args.(1) ~dst)
+    shared (fun (args : Tensor.t array) o dst ->
+        Tensor.binop_into op args.(o) args.(o + 1) ~dst)
   in
   let unop op =
     expect 1;
-    shared (fun (args : Tensor.t array) dst -> Tensor.unop_into op args.(0) ~dst)
+    shared (fun (args : Tensor.t array) o dst ->
+        Tensor.unop_into op args.(o) ~dst)
   in
   match p with
   | Expr.Matmul ->
       expect 2;
-      shared (fun (args : Tensor.t array) dst ->
-          Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(0) args.(1))
+      shared (fun (args : Tensor.t array) o dst ->
+          Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(o) args.(o + 1))
   | Expr.Matmul_t -> (
       expect 2;
       (* The interpreter materialises bᵀ and runs the plain k-blocked
@@ -47,17 +52,17 @@ let kernel ?epilogue ?fixed_b (p : Expr.prim) ~operand_shapes ~result_shape =
       match fixed_b with
       | Some b ->
           let bt = Tensor.transpose b in
-          shared (fun (args : Tensor.t array) dst ->
-              Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(0) bt)
+          shared (fun (args : Tensor.t array) o dst ->
+              Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(o) bt)
       | None ->
           let bt_shape =
             Shape.of_array [| Shape.dim b_shape 1; Shape.dim b_shape 0 |]
           in
           fun () ->
-            let bt = Tensor.uninit bt_shape in
-            fun (args : Tensor.t array) dst ->
-              Tensor.transpose_into args.(1) ~dst:bt;
-              Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(0) bt)
+            let bt = Tensor.uninit_exclusive bt_shape in
+            fun (args : Tensor.t array) o dst ->
+              Tensor.transpose_into args.(o + 1) ~dst:bt;
+              Tensor.matmul_into ~beta:0.0 ?epilogue ~dst args.(o) bt)
   | Expr.Add -> binop Tensor.Badd
   | Expr.Sub -> binop Tensor.Bsub
   | Expr.Mul -> binop Tensor.Bmul
@@ -71,16 +76,16 @@ let kernel ?epilogue ?fixed_b (p : Expr.prim) ~operand_shapes ~result_shape =
   | Expr.Scale k -> unop (Tensor.Uscale k)
   | Expr.Softmax ->
       expect 1;
-      shared (fun args dst -> Tensor.softmax_into args.(0) ~dst)
+      shared (fun args o dst -> Tensor.softmax_into args.(o) ~dst)
   | Expr.Row_max ->
       expect 1;
-      shared (fun args dst -> Tensor.row_max_into args.(0) ~dst)
+      shared (fun args o dst -> Tensor.row_max_into args.(o) ~dst)
   | Expr.Row_sum ->
       expect 1;
-      shared (fun args dst -> Tensor.row_sum_into args.(0) ~dst)
+      shared (fun args o dst -> Tensor.row_sum_into args.(o) ~dst)
   | Expr.Transpose ->
       expect 1;
-      shared (fun args dst -> Tensor.transpose_into args.(0) ~dst)
+      shared (fun args o dst -> Tensor.transpose_into args.(o) ~dst)
   | Expr.Cols (lo, hi) ->
       expect 1;
       let a_shape = List.hd operand_shapes in
@@ -90,7 +95,8 @@ let kernel ?epilogue ?fixed_b (p : Expr.prim) ~operand_shapes ~result_shape =
       let lo = normalize_col n lo and hi = normalize_col n hi in
       if lo < 0 || hi > n || lo >= hi then
         unsup "cols: [%d,%d) out of %d columns" lo hi n;
-      shared (fun args dst -> Tensor.slice_cols_into args.(0) lo hi ~dst)
+      shared (fun args o dst -> Tensor.slice_cols_into args.(o) lo hi ~dst)
   | Expr.Concat_cols ->
       if nargs = 0 then unsup "concat_cols: no operands";
-      shared (fun args dst -> Tensor.concat_cols_into args ~dst)
+      shared (fun args o dst ->
+          Tensor.concat_cols_into args ~pos:o ~n:nargs ~dst)

@@ -25,11 +25,12 @@ val kernel :
   result_shape:Shape.t ->
   unit ->
   Tensor.t array ->
+  int ->
   Tensor.t ->
   unit
 (** [kernel p ~operand_shapes ~result_shape] validates the combination
     at plan time and returns a {e factory}: each application [()]
-    yields a kernel [fun args dst -> ...].  The compiled executor
+    yields a kernel [fun args o dst -> ...].  The compiled executor
     instantiates one per worker; an instance that needs scratch (the
     materialised [bᵀ] of [a @T b], kept so the contraction runs in the
     interpreter's exact accumulation order) gets its own, so concurrent
@@ -38,9 +39,12 @@ val kernel :
     For [Matmul] and [Matmul_t] only, [epilogue] is fused into the
     {!Tensor.matmul_into} call.  For [Matmul_t] only, [fixed_b], a
     block-constant rank-2 right operand, is transposed once and shared
-    by every instance; the kernel then ignores [args.(1)].
+    by every instance; the kernel then ignores its second operand.
 
-    The kernel reads [Array.length operand_shapes] operands from
-    [args] and writes the full [result_shape] destination; it never
-    reads stale [dst] contents.
+    The kernel reads its [List.length operand_shapes] operands at
+    [args.(o)], [args.(o + 1)], ... (the compiled executor keeps every
+    operand of a block in one array per worker) and writes the full
+    [result_shape] destination; it never reads stale [dst] contents.
+    Per-instance scratch shares no cache line with another instance's
+    ({!Tensor.uninit_exclusive}).
     @raise Unsupported at plan time on uncovered combinations. *)

@@ -156,7 +156,7 @@ let check ?schedule (g : Ir.graph) =
   List.iter
     (fun (b : Ir.block) ->
       let block = b.Ir.blk_name in
-      let reads = Vm.live_reads b and writes = Ir.writes b in
+      let reads = Ir.live_reads b and writes = Ir.writes b in
       let record front point =
         let note on_access (e : Ir.edge) =
           on_access t ~block ~front ~point ~buffer:e.Ir.e_buffer

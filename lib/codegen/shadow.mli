@@ -5,7 +5,7 @@
     the schedule — neither on any value.  {!check} therefore needs no
     inputs and runs nothing: it walks every block's schedule in
     dataflow order and, for each point, records the cells its
-    {!Vm.live_reads} edges and then its {!Ir.writes} edges reach,
+    {!Ir.live_reads} edges and then its {!Ir.writes} edges reach,
     together with the front it belongs to.  It detects, deterministically:
 
     - a same-front {b write-write} overlap: two iteration points of one

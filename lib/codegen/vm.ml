@@ -209,26 +209,3 @@ let guarded_schedule g order (b : Ir.block) points =
   let (_, reason) as guarded = guard g order b points in
   Option.iter (report_fallback b.Ir.blk_name) reason;
   guarded
-
-(* The read edges evaluation consults: per operand label, the block's
-   last read edge, unless a [blk_consts] literal shadows the label or
-   no operand uses it — a dead edge no execution ever reads. *)
-let live_reads (b : Ir.block) =
-  let reads = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Ir.edge) ->
-      if e.Ir.e_dir = Ir.Read then Hashtbl.replace reads e.Ir.e_label e)
-    b.Ir.blk_edges;
-  let used = Hashtbl.create 8 in
-  let use = function
-    | Ir.O_var tag when not (List.mem_assoc tag b.Ir.blk_consts) ->
-        Hashtbl.replace used tag ()
-    | Ir.O_var _ | Ir.O_op _ | Ir.O_const _ -> ()
-  in
-  List.iter
-    (fun (o : Ir.op_node) -> List.iter use o.Ir.operands)
-    b.Ir.blk_body;
-  List.iter use b.Ir.blk_results;
-  Hashtbl.fold
-    (fun tag e acc -> if Hashtbl.mem used tag then e :: acc else acc)
-    reads []

@@ -6,7 +6,7 @@
     device.  [Interp] stays the reference semantics both are checked
     against.  This module holds what they share: the iteration orders
     and the schedules they induce, the one race guard
-    ({!guarded_schedule}), the live read edges, per-block schedule
+    ({!guarded_schedule}), per-block schedule
     statistics, the trace spans, the row-major cell walk of a nested
     FractalTensor, and {!Execution_error}.
 
@@ -127,8 +127,3 @@ val guarded_schedule :
 (** {!guard}, with a downgrade also reported to the fallback handler:
     the schedule of {!Compiled.compile} and [Dist_exec.prepare]. *)
 
-(** {1 Reads} *)
-
-val live_reads : Ir.block -> Ir.edge list
-(** The read edges a point's evaluation consults (no dead or
-    literal-shadowed labels). *)

@@ -202,7 +202,7 @@ let prepare ~(plan : Shard.plan) (g : Ir.graph) =
     let b = blocks.(bi) in
     let pts = points.(bi) in
     let tally = Hashtbl.create 16 and pulls = ref [] in
-    let live_reads = Vm.live_reads b in
+    let live_reads = Ir.live_reads b in
     Array.iter
       (fun i ->
         let d = owner.(i) in

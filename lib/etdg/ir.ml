@@ -53,6 +53,32 @@ let block_dim b = Array.length b.blk_ops
 let reads b = List.filter (fun e -> e.e_dir = Read) b.blk_edges
 let writes b = List.filter (fun e -> e.e_dir = Write) b.blk_edges
 
+(* A read edge is live when an operand or result names its label, no
+   literal shadows the label and no later read edge takes it over.
+   Blocks have a handful of edges and ops, and the verifier asks per
+   block and per analysis: list walks, no table. *)
+let live_reads b =
+  let names tag = function O_var t -> t = tag | O_op _ | O_const _ -> false in
+  let used tag =
+    (not (List.mem_assoc tag b.blk_consts))
+    && (List.exists (fun o -> List.exists (names tag) o.operands) b.blk_body
+       || List.exists (names tag) b.blk_results)
+  in
+  let rec live = function
+    | [] -> []
+    | e :: later ->
+        let rest = live later in
+        if
+          e.e_dir = Read && used e.e_label
+          && not
+               (List.exists
+                  (fun l -> l.e_dir = Read && l.e_label = e.e_label)
+                  later)
+        then e :: rest
+        else rest
+  in
+  live b.blk_edges
+
 let rec descend b = b :: List.concat_map descend b.blk_children
 
 let all_blocks g = List.concat_map descend g.g_blocks

@@ -83,6 +83,13 @@ val block_dim : block -> int
 val reads : block -> edge list
 val writes : block -> edge list
 
+val live_reads : block -> edge list
+(** The read edges a point's evaluation consults, in edge order: per
+    operand label the block's last read edge, unless a [blk_consts]
+    literal shadows the label or no operand or result uses it.  The one
+    read set of the compiled engine, the sharded planner, the shadow
+    check and the static race proofs ({!Effects}). *)
+
 val all_blocks : graph -> block list
 (** Every block, parents before children. *)
 

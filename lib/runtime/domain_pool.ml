@@ -32,10 +32,10 @@ type t = {
   sleepers : int Atomic.t; (* workers blocked (or about to) on work_cv *)
   blocked : bool Atomic.t; (* the submitter is blocked on done_cv *)
   (* The current loop, written by the submitter under [submit_m] before
-     it bumps [gen]: [body w i] for [lo <= i < hi] in [nchunks] chunks
-     of [chunk] indices, claimed through [cursor]; the first exception
-     lands in [failure]. *)
-  mutable body : int -> int -> unit;
+     it bumps [gen]: [body w clo chi] once per chunk [clo, chi) of
+     [lo, hi), [nchunks] chunks of [chunk] indices claimed through
+     [cursor]; the first exception lands in [failure]. *)
+  mutable body : int -> int -> int -> unit;
   mutable lo : int;
   mutable hi : int;
   mutable chunk : int;
@@ -67,7 +67,7 @@ let calibrate_spins () =
   let round_ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int rounds in
   Stdlib.max 1 (int_of_float (spin_ns /. Float.max round_ns 1.))
 
-let no_body _ _ = ()
+let no_body _ _ _ = ()
 
 (* Run chunks of the current loop until the cursor passes the last
    one.  After a failure the remaining chunks are claimed and
@@ -79,11 +79,8 @@ let rec claim pool w =
     | Some _ -> ()
     | None -> (
         let clo = pool.lo + (c * pool.chunk) in
-        let chi = Stdlib.min pool.hi (clo + pool.chunk) and f = pool.body in
-        try
-          for i = clo to chi - 1 do
-            f w i
-          done
+        let chi = Stdlib.min pool.hi (clo + pool.chunk) in
+        try pool.body w clo chi
         with e ->
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set pool.failure None (Some (e, bt)))));
@@ -211,9 +208,7 @@ let fork_join pool f ~lo ~hi ~chunk ~nchunks =
   Mutex.lock pool.submit_m;
   if Atomic.get pool.stop then begin
     Mutex.unlock pool.submit_m;
-    for i = lo to hi - 1 do
-      f 0 i
-    done
+    f 0 lo hi
   end
   else begin
     pool.body <- f;
@@ -249,29 +244,27 @@ let chunk_size ~default = function
   | None -> default
 
 (* The body also receives the index of the domain running it — the
-   compiled engine uses it to pick per-worker scratch buffers.  The
-   inline path (trivial pool, single chunk, issued from a worker)
-   passes 0; that path is what makes `domains=1` a strict no-op
-   passthrough. *)
-let parallel_for_workers ?chunk pool ~lo ~hi f =
+   compiled engine uses it to pick per-worker scratch buffers — and a
+   whole chunk at a time, so per-range set-up is paid once per chunk.
+   The inline path (trivial pool, single chunk, issued from a worker)
+   is one call on worker 0; that path is what makes `domains=1` a
+   strict no-op passthrough. *)
+let parallel_chunks ?chunk pool ~lo ~hi f =
   let n = hi - lo in
   if n <= 0 then ()
   else if pool.nworkers = 0 || n = 1 || Domain.DLS.get in_worker_key then
-    for i = lo to hi - 1 do
-      f 0 i
-    done
+    f 0 lo hi
   else begin
     let chunk = chunk_size ~default:(Stdlib.max 1 (n / (size pool * 4))) chunk in
     let nchunks = (n + chunk - 1) / chunk in
-    if nchunks = 1 then
-      for i = lo to hi - 1 do
-        f 0 i
-      done
-    else fork_join pool f ~lo ~hi ~chunk ~nchunks
+    if nchunks = 1 then f 0 lo hi else fork_join pool f ~lo ~hi ~chunk ~nchunks
   end
 
 let parallel_for ?chunk pool ~lo ~hi f =
-  parallel_for_workers ?chunk pool ~lo ~hi (fun _ i -> f i)
+  parallel_chunks ?chunk pool ~lo ~hi (fun _ clo chi ->
+      for i = clo to chi - 1 do
+        f i
+      done)
 
 let map_array pool f a =
   let n = Array.length a in

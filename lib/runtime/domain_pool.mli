@@ -59,15 +59,16 @@ val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
     raised by any [f i] is re-raised in the caller (with its
     backtrace) after the loop quiesces. *)
 
-val parallel_for_workers :
-  ?chunk:int -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [parallel_for_workers pool ~lo ~hi f] is {!parallel_for} except the
-    body receives [f worker i] where [worker] identifies the domain
-    running the iteration: [0] for the calling domain, [1..size-1] for
-    spawned workers.  Bodies that index per-worker scratch by [worker]
-    are race-free.  The inline paths (pool of one, single chunk, call
-    issued from inside a worker) always pass [worker = 0].  Neither
-    the inline nor the forked path allocates unless [f] raises. *)
+val parallel_chunks :
+  ?chunk:int -> t -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
+(** [parallel_chunks pool ~lo ~hi f] is {!parallel_for} one chunk at a
+    time: the body receives [f worker clo chi] for each claimed chunk
+    [clo, chi), where [worker] identifies the domain running it: [0]
+    for the calling domain, [1..size-1] for spawned workers.  Bodies
+    that index per-worker scratch by [worker] are race-free.  The
+    inline paths (pool of one, single chunk, call issued from inside a
+    worker) make one call [f 0 lo hi].  Neither the inline nor the
+    forked path allocates unless [f] raises. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array pool f a] is [Array.map f a] with the elements computed

@@ -26,5 +26,13 @@ val create : int -> buffer
     boundary when [n >= floor].
     @raise Invalid_argument if [n < 0]. *)
 
+val exclusive : int -> buffer
+(** [exclusive n] is {!create} for per-worker scratch: an uninitialised
+    [n]-element buffer on a 64-byte boundary at any size, whose
+    allocation is rounded up to whole 64-byte lines, so no other
+    payload shares a cache line with it.  Two domains writing two such
+    buffers never contend for a line.
+    @raise Invalid_argument if [n < 0]. *)
+
 val is_aligned : buffer -> bool
 (** Whether the buffer's first element starts on a 64-byte boundary. *)

@@ -10,7 +10,9 @@
    frees the payload, allocated through caml_alloc_custom_mem, so the
    GC is told the payload's size and paces the major heap by it.  The
    result is an ordinary Bigarray.Array1: Marshal, sub, blit and
-   equality treat it like any other.
+   equality treat it like any other.  ft_alloc_lines is the same with
+   the block rounded up to whole cache lines, for per-worker scratch
+   that no other domain's data may share a line with.
 
    A float64 bigarray read back by Marshal gets its payload from the
    malloc in caml_ba_deserialize.  ft_register_deserializer registers
@@ -34,10 +36,10 @@
 /* Aligned.floor: the least element count that is aligned. */
 static uintnat floor_elts;
 
-value ft_alloc_aligned(value vn)
+/* An n-element float64 bigarray whose payload is a posix_memalign
+   block of [bytes] >= n * 8 bytes. */
+static value alloc_aligned(intnat n, uintnat bytes)
 {
-  intnat n = Long_val(vn);
-  uintnat bytes = (uintnat)n * sizeof(double);
   void *data = NULL;
   if (posix_memalign(&data, ALIGN, bytes == 0 ? ALIGN : bytes) != 0)
     caml_raise_out_of_memory();
@@ -50,6 +52,22 @@ value ft_alloc_aligned(value vn)
   b->proxy = NULL;
   b->dim[0] = n;
   return res;
+}
+
+value ft_alloc_aligned(value vn)
+{
+  intnat n = Long_val(vn);
+  return alloc_aligned(n, (uintnat)n * sizeof(double));
+}
+
+/* The block is rounded up to whole lines, so the next allocation's
+   payload starts on a line of its own: no other payload shares a
+   cache line with this one. */
+value ft_alloc_lines(value vn)
+{
+  intnat n = Long_val(vn);
+  uintnat bytes = (uintnat)n * sizeof(double);
+  return alloc_aligned(n, (bytes + ALIGN - 1) / ALIGN * ALIGN);
 }
 
 /* How many doubles lie between the start of a buffer and the next

@@ -157,6 +157,8 @@ type t = { shape : Shape.t; data : buffer }
 let alloc = Aligned.create
 
 let uninit shape = { shape; data = alloc (Shape.numel shape) }
+let uninit_exclusive shape =
+  { shape; data = Aligned.exclusive (Shape.numel shape) }
 
 let fill t v = A.fill t.data v
 
@@ -822,17 +824,18 @@ let slice_cols_into src lo hi ~dst =
     done
   done
 
-let concat_cols_into ts ~dst =
-  if Array.length ts = 0 then invalid_arg "Tensor.concat_cols: empty list";
-  require_rank2 "Tensor.concat_cols" ts.(0);
-  let m = Shape.dim ts.(0).shape 0 in
+let concat_cols_into ts ~pos ~n:n_ts ~dst =
+  if n_ts <= 0 || pos < 0 || pos + n_ts > Array.length ts then
+    invalid_arg "Tensor.concat_cols_into: operand range";
+  require_rank2 "Tensor.concat_cols" ts.(pos);
+  let m = Shape.dim ts.(pos).shape 0 in
   require_rank2 "Tensor.concat_cols_into" dst;
   if Shape.dim dst.shape 0 <> m then
     invalid_arg "Tensor.concat_cols_into: dst shape mismatch";
   let total = Shape.dim dst.shape 1 in
   let dd = dst.data in
   let col = ref 0 in
-  for ti = 0 to Array.length ts - 1 do
+  for ti = pos to pos + n_ts - 1 do
     let t = ts.(ti) in
     require_rank2 "Tensor.concat_cols" t;
     if Shape.dim t.shape 0 <> m then

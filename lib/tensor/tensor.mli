@@ -70,6 +70,11 @@ val uninit : Shape.t -> t
 (** An {e uninitialised} tensor: every cell must be written before it
     is read.  For scratch space in destination-passing kernels. *)
 
+val uninit_exclusive : Shape.t -> t
+(** {!uninit} on {!Aligned.exclusive}: the payload shares no cache line
+    with any other, so per-worker scratch written by two domains at
+    once never false-shares, whatever its size. *)
+
 val init : Shape.t -> (int array -> float) -> t
 (** [init shape f] fills each multi-index [idx] with [f idx]. *)
 
@@ -201,9 +206,13 @@ val slice_cols_into : t -> int -> int -> dst:t -> unit
 (** {!slice_cols} into a preallocated [[m,hi-lo]] destination;
     allocation-free (plain element loops, no sub-views). *)
 
-val concat_cols_into : t array -> dst:t -> unit
-(** {!concat_cols} into a preallocated destination whose column count
-    is the sum of the operands'; allocation-free. *)
+val concat_cols_into : t array -> pos:int -> n:int -> dst:t -> unit
+(** {!concat_cols} of the [n] operands [ts.(pos) .. ts.(pos + n - 1)]
+    into a preallocated destination whose column count is their sum;
+    allocation-free.  The range lets the compiled engine keep a whole
+    block's operands in one array.
+    @raise Invalid_argument on an empty or out-of-bounds range, or on a
+    shape mismatch. *)
 
 val tanh_inplace : t -> unit
 val sigmoid_inplace : t -> unit

@@ -164,10 +164,25 @@ fi
 # schedule (Shadow.check), not a run mode of the engine: no recorder
 # argument, per-point layout, shadow policy or recorder mutex, no
 # reversed order, and no engine-name accessor that only said "compiled".
+# A pooled front runs each claimed chunk as one range call: no
+# per-point entry (cb_exec) and no per-index pool body.
 echo "guard: one point loop, one storage layout, one output contract in lib/, bin/ or bench/main.ml"
-if grep -rnE 'execute_borrowed|copy_outputs|shadow_exec|cb_shadow|compiled-noarena|Shard\.Pipeline|map_reduce|~arena:|FT_SHADOW|Shadow_env|Shadow_on|Shadow_off|~shadow:|\?shadow|shadow_wanted|shadow : shadow|\bcb_(dim|points|reads|writes)\b|let record sh cb|Mutex\.protect t\.m\b|Vm\.Reverse|order = [^=]*\| Reverse|oc_engine|(Executor|Session)\.engine\b|let engine (_ = "compiled"|t ~width)' \
+if grep -rnE 'execute_borrowed|copy_outputs|shadow_exec|cb_shadow|compiled-noarena|Shard\.Pipeline|map_reduce|~arena:|FT_SHADOW|Shadow_env|Shadow_on|Shadow_off|~shadow:|\?shadow|shadow_wanted|shadow : shadow|\bcb_(dim|points|reads|writes)\b|let record sh cb|Mutex\.protect t\.m\b|Vm\.Reverse|order = [^=]*\| Reverse|oc_engine|(Executor|Session)\.engine\b|let engine (_ = "compiled"|t ~width)|\bcb_exec\b|parallel_for_workers' \
     lib bin bench/main.ml; then
   echo "check.sh: a second engine path, storage layout, output copy or shadow run mode crept back in" >&2
+  exit 1
+fi
+
+# No two workers write one cache line of engine state: every array a
+# worker writes per point comes from Compiled's one padded helper,
+# `lanes`, which pads it past its last line.  A per-worker array made
+# any other way lands next to another worker's in one size-class pool,
+# and the two domains of a front then false-share it on every point.
+echo "guard: per-worker arrays in the compiled engine come from its padded helper"
+if grep -v '^  Array.init workers (fun _ -> Array.make (n + line_pad) x)$' \
+    lib/codegen/compiled.ml | tr '\n' ' ' | tr -s ' ' \
+    | grep -oE 'Array\.(init|make) workers \(( ?fun [a-z_]+ -> )?\(?(Array\.[a-z_]+|Bytes\.[a-z_]+|Tensor\.uninit )'; then
+  echo "check.sh: a per-worker array of lib/codegen/compiled.ml bypasses lanes" >&2
   exit 1
 fi
 
@@ -216,7 +231,8 @@ dune runtest
 # clone, so the AVX2 and baseline clones would otherwise never run
 # here.  Rebuild a copy of the tree with every stub pinned to AVX2,
 # then to no target at all (the baseline), and rerun the suites that
-# reach native code.
+# reach native code, with the files they read (the test-deps alias of
+# test/dune).
 pinned="$(mktemp -d)"
 trap 'rm -rf "$pinned"' EXIT
 for target in 'target("avx2")' ''; do
@@ -230,7 +246,7 @@ for target in 'target("avx2")' ''; do
     echo "check.sh: a stub kept its clones; the pinned build would test the host's" >&2
     exit 1
   fi
-  (cd "$pinned/tree" && dune build --root . test/test_main.exe 2>&1 \
+  (cd "$pinned/tree" && dune build --root . test/test_main.exe @test/test-deps 2>&1 \
     && cd _build/default/test \
     && ./test_main.exe test 'tensor-native|tensor-aligned|fmath|kernels|compiled' \
       > /dev/null)

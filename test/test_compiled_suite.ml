@@ -77,6 +77,36 @@ let compile_exn pr =
   | Some e -> e
   | None -> Alcotest.fail "should compile"
 
+(* Kernels that read their operands at an offset of the engine's
+   padded per-worker slot array: a four-operand [concat_cols], the one
+   kernel that reads a whole operand range; a per-point [@T], whose
+   transpose lands in per-worker scratch; and a GEMM whose bias and
+   [tanh] tails become its epilogue. *)
+let padded_programs () =
+  List.map
+    (fun (name, src) -> (name, Parse.program src))
+    [
+      ( "concat_cols",
+        "program concat_rows\n\
+         input xs: [6]f32[4,8]\n\
+         input ys: [6]f32[4,8]\n\
+         input zs: [6]f32[4,16]\n\
+         return zip(xs, ys, zs).map { |x, y, z| concat_cols(x, tanh(y), z, \
+         x * y) }\n" );
+      ( "matmul_t",
+        "program matmul_t_rows\n\
+         input qs: [6]f32[4,8]\n\
+         input ks: [6]f32[4,8]\n\
+         return zip(qs, ks).map { |q, k| q @T k }\n" );
+      ( "epilogue",
+        "program epilogue_rows\n\
+         input xs: [6]f32[4,8]\n\
+         input w: f32[8,8]\n\
+         return xs.map { |x| tanh(x @ w + full[4,8](0.25)) }\n" );
+    ]
+
+let corpus_dir = "corpus"
+
 let compiled_tests =
   [
     Alcotest.test_case "compiled = interpreter bitwise, every workload" `Quick
@@ -123,9 +153,14 @@ let compiled_tests =
     Alcotest.test_case "steady-state execute allocates zero minor words"
       `Quick (fun () ->
         (* the LSTM's GEMMs read input-cell weights; flash attention's
-           [@T] transposes a per-point operand into worker scratch *)
+           [@T] transposes a per-point operand into worker scratch;
+           [concat_cols] reads its operand range of the slot array *)
+        let concat = List.assoc "concat_cols" (padded_programs ()) in
         let cases =
           [
+            ( "concat_cols",
+              Build.build concat,
+              Corpus.inputs_for concat 5 );
             ( "stacked_lstm",
               Build.build (Stacked_lstm.program Stacked_lstm.default),
               Stacked_lstm.bindings
@@ -170,6 +205,37 @@ let compiled_tests =
                   0.0 allocated)
               [ 1; 2 ])
           cases);
+    Alcotest.test_case
+      "padded operand arrays: concat_cols, @T, an epilogue and the corpus \
+       programs bitwise to the interpreter at 1, 2 and 4 workers" `Quick
+      (fun () ->
+        let corpus =
+          List.map
+            (fun path ->
+              let p, seed = Corpus.load path in
+              (Filename.basename path, p, seed))
+            (Corpus.files corpus_dir)
+        in
+        checkb "the corpus is read" true (List.length corpus >= 4);
+        List.iter
+          (fun (name, p, seed) ->
+            let binds = Corpus.inputs_for p seed in
+            let reference = Interp.run_program p binds in
+            let g = Build.build p in
+            List.iter
+              (fun d ->
+                let pr = Executor.prepare ~opts:(opts ~domains:d ()) g in
+                checkb (Printf.sprintf "%s @ %d workers" name d) true
+                  (match Oracles.value p (Executor.execute pr binds) with
+                  | Some v -> Fractal.equal_exact v reference
+                  | None -> false);
+                if name = "epilogue" then
+                  checkb "the tails are swallowed" true
+                    (List.exists
+                       (fun s -> s.Compiled.fs_swallowed = 2)
+                       (Compiled.fusion_stats (compile_exn pr))))
+              [ 1; 2; 4 ])
+          (List.map (fun (n, p) -> (n, p, 7)) (padded_programs ()) @ corpus));
     Alcotest.test_case "arena is live: intermediates share one backing"
       `Quick (fun () ->
         let g =
@@ -286,7 +352,7 @@ let compiled_tests =
               List.concat_map
                 (fun b ->
                   List.map (fun (e : Ir.edge) -> buf_name e.Ir.e_buffer)
-                    (Vm.live_reads b))
+                    (Ir.live_reads b))
                 blocks
               |> List.sort_uniq compare
             in

@@ -84,6 +84,33 @@ let rw_racy_graph () =
     g_blocks = [ block ];
   }
 
+(* [rw_racy_graph] with the racy read of ys[0] dead: [unused] keeps it
+   under a label no operand uses, [superseded] under [peek] ahead of a
+   later [peek] edge that reads the input.  Evaluation never makes the
+   read, so neither block races. *)
+let dead_read_graph variant =
+  let g = rw_racy_graph () in
+  let b = List.hd g.Ir.g_blocks in
+  let racy =
+    { Ir.e_buffer = 1; e_dir = Ir.Read;
+      e_access = Access_map.make [| [| 0 |] |] [| 0 |]; e_label = "peek" }
+  in
+  let x = { racy with Ir.e_buffer = 0; e_access = Access_map.identity 1 } in
+  let y =
+    { Ir.e_buffer = 1; e_dir = Ir.Write; e_access = Access_map.identity 1;
+      e_label = "y" }
+  in
+  let edges, body =
+    match variant with
+    | `Unused ->
+        ( [ { x with Ir.e_label = "x" }; racy; y ],
+          [ { (List.hd b.Ir.blk_body) with
+              Ir.operands = [ Ir.O_var "x"; Ir.O_var "x" ] } ] )
+    | `Superseded ->
+        ( [ { x with Ir.e_label = "x" }; racy; x; y ], b.Ir.blk_body )
+  in
+  { g with Ir.g_blocks = [ { b with Ir.blk_edges = edges; blk_body = body } ] }
+
 (* One block writes an intermediate nobody reads; a second block maps
    the input straight to the output.  `tmp` is a dead store. *)
 let dead_store_graph () =
@@ -232,6 +259,27 @@ let race_tests =
           | _ -> false);
         checkb "V301 error emitted" true
           (has_code "V301" (Effects.race_diagnostics g)));
+    Alcotest.test_case
+      "a read no evaluation makes (unused or superseded) is no V301 race"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, variant) ->
+            let g = dead_read_graph variant in
+            let rr = List.hd (Effects.race_check g) in
+            checks (name ^ ": verdict") "proven-disjoint"
+              (Effects.verdict_name rr.Effects.rr_verdict);
+            checkb (name ^ ": no V301") false
+              (has_code "V301" (Effects.race_diagnostics g));
+            let fp = List.hd (Effects.footprints g) in
+            checkb (name ^ ": the footprint reads only xs") true
+              (List.for_all
+                 (fun r -> r.Effects.rg_name = "xs")
+                 fp.Effects.fp_reads);
+            checkb (name ^ ": every live read is of xs") true
+              (List.for_all
+                 (fun (e : Ir.edge) -> e.Ir.e_buffer = 0)
+                 (Ir.live_reads (List.hd g.Ir.g_blocks))))
+          [ ("unused", `Unused); ("superseded", `Superseded) ]);
     Alcotest.test_case "stacked_rnn state offset is not a false positive"
       `Quick (fun () ->
         let g = Build.build (Stacked_rnn.program Stacked_rnn.default) in
@@ -410,9 +458,20 @@ let shadow_tests =
           (List.length graphs >= 20);
         List.iter
           (fun (name, g) ->
-            let _, issues = Shadow.check g in
+            let summary, issues = Shadow.check g in
             Alcotest.(check (list string)) (name ^ ": no contradiction") []
-              issues)
+              issues;
+            (* both read through [Ir.live_reads]: the static footprints
+               name exactly the buffers the schedule reads *)
+            let static_reads =
+              List.concat_map
+                (fun fp ->
+                  List.map (fun r -> r.Effects.rg_name) fp.Effects.fp_reads)
+                (Effects.footprints g)
+              |> List.sort_uniq compare
+            in
+            Alcotest.(check (list string)) (name ^ ": read buffers agree")
+              summary.Shadow.sh_read_buffers static_reads)
           graphs);
     Alcotest.test_case
       "the shadow check reports a same-front double write without running \

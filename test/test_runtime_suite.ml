@@ -75,8 +75,8 @@ let runtime_tests =
             checki "length" 0
               (Array.length
                  (Domain_pool.map_array pool (fun _ -> assert false) [||]))));
-    Alcotest.test_case "parallel_for_workers hands each domain its own \
-                        worker index" `Quick (fun () ->
+    Alcotest.test_case "parallel_chunks hands each domain its own worker \
+                        index and whole chunks" `Quick (fun () ->
         List.iter
           (fun domains ->
             with_pool domains (fun pool ->
@@ -86,17 +86,27 @@ let runtime_tests =
                 let n = 4000 in
                 let partial = Array.make domains 0 in
                 let seen = Array.make n (-1) in
-                Domain_pool.parallel_for_workers ~chunk:7 pool ~lo:0 ~hi:n
-                  (fun w i ->
-                    partial.(w) <- partial.(w) + 1;
-                    seen.(i) <- w);
+                let calls = Atomic.make 0 and empty = Atomic.make 0 in
+                (* Alcotest is not domain-safe: bodies only count *)
+                Domain_pool.parallel_chunks ~chunk:7 pool ~lo:0 ~hi:n
+                  (fun w clo chi ->
+                    Atomic.incr calls;
+                    if clo >= chi then Atomic.incr empty;
+                    for i = clo to chi - 1 do
+                      partial.(w) <- partial.(w) + 1;
+                      seen.(i) <- w
+                    done);
+                checki "no empty chunk" 0 (Atomic.get empty);
                 checki "partials cover the range" n
                   (Array.fold_left ( + ) 0 partial);
                 checkb "worker indices in [0, size)" true
                   (Array.for_all (fun w -> w >= 0 && w < domains) seen);
-                if domains = 1 then
+                if domains = 1 then begin
                   checkb "a pool of one is worker 0" true
-                    (Array.for_all (( = ) 0) seen)))
+                    (Array.for_all (( = ) 0) seen);
+                  checki "a pool of one makes one call" 1 (Atomic.get calls)
+                end
+                else checki "one call per chunk" ((n + 6) / 7) (Atomic.get calls)))
           [ 1; 4 ]);
     Alcotest.test_case "map_array preserves order" `Quick (fun () ->
         with_pool 4 (fun pool ->
