@@ -70,6 +70,8 @@ type store = {
   cs_dims : int array;
   cs_cells : Tensor.t array;
   cs_written : Bytes.t;
+  cs_arena : int * int;
+      (* the arena floats [lo, hi) its cells occupy; empty off the arena *)
 }
 
 (* The read-before-write error of an illegal order. *)
@@ -191,12 +193,13 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
       (fun (bf : Ir.buffer) ->
         let ncells = Stdlib.max 1 (Array.fold_left ( * ) 1 bf.Ir.buf_dims) in
         let cellfloats = Shape.numel bf.Ir.buf_elem in
-        let cells =
+        let cells, span =
           match bf.Ir.buf_role with
-          | Ir.Input -> Array.make ncells dummy
+          | Ir.Input -> (Array.make ncells dummy, (0, 0))
           | Ir.Output | Ir.Intermediate -> (
               let dedicated () =
-                Array.init ncells (fun _ -> Tensor.uninit bf.Ir.buf_elem)
+                ( Array.init ncells (fun _ -> Tensor.uninit bf.Ir.buf_elem),
+                  (0, 0) )
               in
               if bf.Ir.buf_role = Ir.Output then dedicated ()
               else
@@ -205,11 +208,12 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
                   when sl.Liveness.sl_bytes = 4 * ncells * cellfloats
                        && sl.Liveness.sl_offset mod 4 = 0 ->
                     let base = sl.Liveness.sl_offset / 4 in
-                    Array.init ncells (fun ci ->
-                        Tensor.of_buffer bf.Ir.buf_elem
-                          (Arena.view a
-                             ~off:(base + (ci * cellfloats))
-                             ~len:cellfloats))
+                    ( Array.init ncells (fun ci ->
+                          Tensor.of_buffer bf.Ir.buf_elem
+                            (Arena.view a
+                               ~off:(base + (ci * cellfloats))
+                               ~len:cellfloats)),
+                      (base, base + (ncells * cellfloats)) )
                 | _ -> dedicated ())
         in
         {
@@ -217,6 +221,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
           cs_dims = bf.Ir.buf_dims;
           cs_cells = cells;
           cs_written = Bytes.make ncells '\000';
+          cs_arena = span;
         })
       buffers
   in
@@ -786,9 +791,15 @@ let copy_cell ~src ~dst ~store off =
     Bytes.set d.cs_written off '\001'
   end
 
-let written_cell exe ~store off =
-  let st = exe.ex_stores.(store) in
-  if Bytes.get st.cs_written off = '\000' then None else Some st.cs_cells.(off)
+let cell exe ~store off = exe.ex_stores.(store).cs_cells.(off)
+
+let written exe ~store off =
+  Bytes.get exe.ex_stores.(store).cs_written off <> '\000'
+
+let shares_storage exe a b =
+  let lo_a, hi_a = exe.ex_stores.(a).cs_arena
+  and lo_b, hi_b = exe.ex_stores.(b).cs_arena in
+  a <> b && lo_a < hi_b && lo_b < hi_a
 
 let arena_floats exe =
   match exe.ex_arena with Some a -> Arena.floats a | None -> 0

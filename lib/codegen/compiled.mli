@@ -132,8 +132,17 @@ val copy_cell : src:t -> dst:t -> store:int -> int -> unit
     executables of the same graph and mark it written in [dst]; an
     unwritten source cell copies nothing. *)
 
-val written_cell : t -> store:int -> int -> Tensor.t option
-(** The cell's tensor (not copied), when written. *)
+val cell : t -> store:int -> int -> Tensor.t
+(** The cell's tensor, not copied, written or not.  An [Output] cell is
+    the same tensor for the executable's lifetime. *)
+
+val written : t -> store:int -> int -> bool
+(** Whether the cell is marked written. *)
+
+val shares_storage : t -> int -> int -> bool
+(** Whether the cells of two distinct stores share memory: the liveness
+    arena placed buffers with disjoint lifetimes over the same bytes.
+    Input and output stores share with none. *)
 
 (** {1 Introspection} *)
 

@@ -13,25 +13,28 @@ let strides dims =
   st
 
 (* Row-major walk of a nested FractalTensor that must be shaped
-   [dims]: [f pos t] for every leaf. *)
-let iter_cells dims value f =
-  let pos = ref 0 in
-  let rec go depth v =
-    match v with
-    | Fractal.Leaf t ->
-        if depth <> Array.length dims then
-          err "input nesting depth does not match the buffer rank";
-        f !pos t;
-        incr pos
-    | Fractal.Node elems ->
-        if depth >= Array.length dims then
-          err "input nesting exceeds the buffer rank";
-        if Array.length elems <> dims.(depth) then
-          err "input extent %d differs from buffer extent %d"
-            (Array.length elems) dims.(depth);
-        Array.iter (go (depth + 1)) elems
-  in
-  go 0 value
+   [dims]: [f pos t] for every leaf.  The position is threaded through
+   the recursion, so the walk itself allocates nothing. *)
+let rec iter_from dims f depth pos v =
+  match v with
+  | Fractal.Leaf t ->
+      if depth <> Array.length dims then
+        err "input nesting depth does not match the buffer rank";
+      f pos t;
+      pos + 1
+  | Fractal.Node elems ->
+      if depth >= Array.length dims then
+        err "input nesting exceeds the buffer rank";
+      if Array.length elems <> dims.(depth) then
+        err "input extent %d differs from buffer extent %d"
+          (Array.length elems) dims.(depth);
+      let p = ref pos in
+      for i = 0 to Array.length elems - 1 do
+        p := iter_from dims f (depth + 1) !p (Array.unsafe_get elems i)
+      done;
+      !p
+
+let iter_cells dims value f = ignore (iter_from dims f 0 0 value : int)
 
 (* The nested FractalTensor shaped [dims] whose row-major leaves are
    [cell pos]. *)

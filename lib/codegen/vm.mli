@@ -50,7 +50,8 @@ val strides : int array -> int array
 
 val iter_cells : int array -> Fractal.t -> (int -> Tensor.t -> unit) -> unit
 (** [f pos t] for every leaf in row-major order; raises
-    [Execution_error] unless the value is shaped [dims]. *)
+    [Execution_error] unless the value is shaped [dims].  The walk
+    allocates nothing beyond what [f] does. *)
 
 val of_cells : int array -> (int -> Tensor.t) -> Fractal.t
 (** The value shaped [dims] whose row-major leaves are [cell pos]. *)

@@ -50,9 +50,10 @@ type t = {
 let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* How long a waiting domain spins before it blocks: loops issued
-   every few microseconds (wavefront fronts, sharded phases) never
-   meet a futex.  Much longer spins show up as CPU time beyond wall
-   time in whatever runs on the caller right after a loop. *)
+   every few microseconds (wavefront fronts) and the waits between a
+   sharded run's devices never meet a futex.  Much longer spins show
+   up as CPU time beyond wall time in whatever runs on the caller right
+   after a loop. *)
 let spin_ns = 10_000.
 
 (* The spin count that lasts [spin_ns]: one spin round is a
@@ -161,6 +162,7 @@ let create ~domains =
   pool
 
 let size pool = pool.nworkers + 1
+let spins pool = pool.spins
 
 (* Taking [submit_m] waits out a loop in flight, so the workers are all
    idle when they see [stop], and no loop can be published between a

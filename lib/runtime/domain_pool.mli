@@ -44,6 +44,12 @@ val create : domains:int -> t
 val size : t -> int
 (** The total parallelism, including the calling domain. *)
 
+val spins : t -> int
+(** The [Domain.cpu_relax] rounds a waiting domain of this pool spins
+    before it blocks (about 10 µs): [0] for a pool of one domain or
+    one larger than [Domain.recommended_domain_count ()].  A runner
+    that waits inside a loop body ({!Progress.await}) spins as long. *)
+
 val shutdown : t -> unit
 (** Stop and join the workers, after any loop in flight has
     quiesced.  Idempotent.  Loops submitted after shutdown run inline

@@ -186,6 +186,24 @@ if grep -v '^  Array.init workers (fun _ -> Array.make (n + line_pad) x)$' \
   exit 1
 fi
 
+# A sharded run forks once per call: each device walks its own phases
+# and waits only on the pulls its plan names, so no fork (and no
+# barrier) sits between phases, and the per-phase fan-out flag stays
+# gone.  Any pool loop in Dist_exec after a loop header in the same
+# top-level definition counts as a fork inside the phase iteration.
+echo "guard: Dist_exec forks once per call, never per phase"
+stray=$(awk '
+  /^let / { looped = 0 }
+  /(^|[^a-z_])(for [a-z_]+ = |while )|(Array|List)\.(iter|iteri|fold_left|map|mapi) / { looped = 1 }
+  /Domain_pool\.(parallel_for|parallel_chunks)/ && looped { print FILENAME ":" FNR ": " $0 }
+  /ph_fan_out/ { print FILENAME ":" FNR ": " $0 }
+' lib/dist/dist_exec.ml)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: Dist_exec forks per phase again" >&2
+  exit 1
+fi
+
 # Outputs do not depend on the host's libm: exp, tanh and sigmoid are
 # Tensor.Fmath's in OCaml and their transcriptions in the C stubs.
 echo "guard: no libm exp or tanh in lib/"

@@ -805,10 +805,186 @@ let prepared_tests =
         Dist.clear_cache ());
   ]
 
+(* ------------------------------ the walk ------------------------------ *)
+
+(* Three chained scans, each sharded by sequence: every device hands
+   its last state of each to the next device (a halo pull).  The
+   liveness arena puts [t2] over the bytes of [hs], dead once [t1] has
+   read it, and a device's share of [t2] needs nothing from another
+   device: device 0 must not write [t2] before device 1 has pulled its
+   halo cell of [hs].  No workload pulls a buffer whose bytes a later
+   one reuses, so this is the graph that needs the write-after-read
+   wait. *)
+let halo_arena_src =
+  {|
+program halo_arena
+input gs: [16]f32[1,8]
+input us: [16]f32[1,8]
+return
+  let hs = zip(gs, us).scanl(zeros[1,8]) { |h, a, b| a * h + b } in
+  let t1 = hs.scanl(zeros[1,8]) { |s, h| tanh(s + h) } in
+  let t2 = t1.scanl(zeros[1,8]) { |s, x| s * x + x } in
+  t2.map { |h| h + h }
+|}
+
+(* Hand-built graphs whose points fail on both devices of the auto
+   plan.  [scalar_graph blocks buffers]: 1-D scalar tanh blocks
+   [(name, extent, src, read map, dst, write map)]. *)
+let scalar_graph name buffers blocks =
+  let buf (id, n, extent, role) =
+    { Ir.buf_id = id; buf_name = n; buf_dims = [| extent |];
+      buf_elem = Shape.scalar; buf_role = role }
+  in
+  let block i (n, extent, src, read, dst, write) =
+    {
+      Ir.blk_id = i;
+      blk_name = n;
+      blk_ops = [| Expr.Map |];
+      blk_domain = Domain.of_extents [| extent |];
+      blk_edges =
+        [ { Ir.e_buffer = src; e_dir = Ir.Read; e_access = read; e_label = "x" };
+          { Ir.e_buffer = dst; e_dir = Ir.Write; e_access = write;
+            e_label = "y" } ];
+      blk_children = [];
+      blk_body =
+        [ { Ir.op = Expr.Tanh; operands = [ Ir.O_var "x" ];
+            operand_shapes = [ Shape.scalar ]; result_shape = Shape.scalar } ];
+      blk_results = [ Ir.O_op 0 ];
+      blk_consts = [];
+    }
+  in
+  { Ir.g_name = name; g_buffers = List.map buf buffers;
+    g_blocks = List.mapi block blocks }
+
+let id1 = Access_map.identity 1
+let affine a b = Access_map.make [| [| a |] |] [| b |]
+
+(* "fill" writes cells 0 and 4 of [ts]; "spread" reads all eight, so
+   each device's half of its one front reads a cell nobody wrote. *)
+let both_fail_one_front () =
+  scalar_graph "both-fail"
+    [ (0, "xs", 2, Ir.Input); (1, "ts", 8, Ir.Intermediate);
+      (2, "zs", 8, Ir.Output) ]
+    [ ("fill", 2, 0, id1, 1, affine 4 0); ("spread", 8, 1, id1, 2, id1) ]
+
+(* Device 1 fails in block "a" (cells 2 and 3 of [ts] are unwritten);
+   device 0 fails later, in block "b" (it reads [ts] backwards), and
+   nothing it runs waits on device 1 after "a", so it may fail first. *)
+let both_fail_two_phases () =
+  scalar_graph "fail-order"
+    [ (0, "xs", 2, Ir.Input); (1, "ts", 4, Ir.Intermediate);
+      (2, "us", 4, Ir.Intermediate); (3, "vs", 4, Ir.Output) ]
+    [ ("fill", 2, 0, id1, 1, id1); ("a", 4, 1, id1, 2, id1);
+      ("b", 4, 1, affine (-1) 3, 3, id1) ]
+
+let walk_tests =
+  [
+    Alcotest.test_case "halo pulls and arena reuse stay bitwise under every \
+                        mapping of devices to domains" `Quick (fun () ->
+        let seq name = (name, Some Shard.Sequence, (List.assoc name workloads) (Rng.create 3)) in
+        let cases =
+          [ seq "stacked_rnn"; seq "selective_scan";
+            ("halo_arena", None, graph_and_inputs halo_arena_src) ]
+        in
+        List.iter
+          (fun (name, strategy, (g, binds)) ->
+            let expected = Executor.run g binds in
+            List.iter
+              (fun devices ->
+                let pr =
+                  Dist_exec.prepare
+                    ~plan:(Shard.partition ?strategy ~devices g) g
+                in
+                let tag = Printf.sprintf "%s N=%d" name devices in
+                checkb (tag ^ " pulls between devices") true
+                  (Dist_exec.device_xfers (Dist_exec.log pr) > 0);
+                let pooled n () =
+                  Dist_exec.execute ~pool:(Domain_pool.sized n) pr binds
+                in
+                (* a loop issued from a worker runs inline on it *)
+                let in_worker () =
+                  let out = ref [] in
+                  Domain_pool.parallel_for ~chunk:1 (Domain_pool.sized 2) ~lo:0
+                    ~hi:2 (fun i ->
+                      if i = 1 then out := pooled devices ());
+                  !out
+                in
+                List.iter
+                  (fun (mode, run) ->
+                    for i = 1 to 300 do
+                      if not (Dist.bitwise_equal (run ()) expected) then
+                        Alcotest.failf "%s, %s: run %d differs" tag mode i
+                    done)
+                  (List.map
+                     (fun n -> (Printf.sprintf "pool of %d" n, pooled n))
+                     (List.sort_uniq compare [ 1; 2; devices ])
+                  @ [ ("inside a pool worker", in_worker) ]))
+              [ 2; 4; 8 ])
+          cases);
+    Alcotest.test_case "the failure reported is the lowest (phase, device), \
+                        on every call" `Quick (fun () ->
+        let xs =
+          Fractal.tabulate 2 (fun i -> Fractal.Leaf (Tensor.scalar (float i)))
+        in
+        List.iter
+          (fun (g, expected) ->
+            for i = 1 to 200 do
+              match Dist.run ~devices:2 g [ ("xs", xs) ] with
+              | _ -> Alcotest.failf "%s: a read of an unwritten cell executed" expected
+              | exception Vm.Execution_error m ->
+                  if not (contains m expected) then
+                    Alcotest.failf "call %d reports %S, not %s" i m expected
+            done)
+          [ (both_fail_one_front (), "device 0, block spread");
+            (both_fail_two_phases (), "device 1, block a") ]);
+    Alcotest.test_case "a warm execute allocates nothing on any domain but \
+                        the output copies" `Quick (fun () ->
+        (* [Gc.minor] is a stop-the-world collection that folds every
+           domain's allocation into [Gc.quick_stat]; both sides of the
+           comparison pay the same bracket *)
+        let words f =
+          Gc.minor ();
+          let a = (Gc.quick_stat ()).Gc.minor_words in
+          let r = f () in
+          Gc.minor ();
+          ((Gc.quick_stat ()).Gc.minor_words -. a, r)
+        in
+        let copies outs =
+          List.map (fun (n, v) -> (n, Fractal.map_leaves Tensor.copy v)) outs
+        in
+        List.iter
+          (fun (name, strategy, (g, binds)) ->
+            List.iter
+              (fun (devices, pool) ->
+                let tag =
+                  Printf.sprintf "%s N=%d pool %s" name devices
+                    (match pool with
+                    | None -> "none"
+                    | Some p -> string_of_int (Domain_pool.size p))
+                in
+                let pr =
+                  Dist_exec.prepare
+                    ~plan:(Shard.partition ?strategy ~devices g) g
+                in
+                for _ = 1 to 3 do
+                  ignore (Dist_exec.execute ?pool pr binds)
+                done;
+                let run, outs =
+                  words (fun () -> Dist_exec.execute ?pool pr binds)
+                in
+                let copy, _ = words (fun () -> copies outs) in
+                Alcotest.(check (float 0.)) (tag ^ ": minor words") copy run)
+              [ (2, Some (Domain_pool.sized 2)); (2, Some (Domain_pool.sized 1));
+                (2, None); (1, None) ])
+          [ ("stacked_rnn", None, (List.assoc "stacked_rnn" workloads) (Rng.create 3));
+            ("halo_arena", None, graph_and_inputs halo_arena_src) ]);
+  ]
+
 let suites =
   [
     ("dist.model", model_tests);
     ("dist.shard", shard_tests);
     ("dist.exec", exec_tests);
     ("dist.prepared", prepared_tests);
+    ("dist.walk", walk_tests);
   ]

@@ -1,6 +1,6 @@
 (* The multicore runtime: Domain_pool's loops (correctness,
    determinism, chunking edge cases, exception propagation) and its
-   registry, Bounded_cache's two modes, and the caches at their limits:
+   registry, Progress's counters, Bounded_cache's two modes, and the caches at their limits:
    the compiled-plan cache (hit/miss accounting, option-sensitive keys,
    the FT_PLAN_CACHE disk roundtrip) and the prepared-executable
    cache. *)
@@ -176,6 +176,30 @@ let runtime_tests =
           Domain_pool.parallel_for pool ~lo:0 ~hi:8 (fun i -> a.(i) <- 2);
           checki "runs inline after shutdown" 16 (Array.fold_left ( + ) 0 a)
         done);
+    Alcotest.test_case "Progress: two domains hand a counter back and forth, \
+                        spinning or blocking" `Quick (fun () ->
+        (* [at_least p c v]: counter [c] has reached [v] *)
+        let at_least (p, v) c = Progress.get p c >= v in
+        List.iter
+          (fun spins ->
+            let p = Progress.create 2 in
+            let rounds = 2000 in
+            (* each side publishes round [i] once the other has *)
+            let side me other () =
+              for i = 0 to rounds - 1 do
+                if me = 1 || i > 0 then
+                  Progress.await p ~spins at_least (p, i - 1 + me) other;
+                Progress.publish p me i
+              done
+            in
+            let d = Stdlib.Domain.spawn (side 1 0) in
+            side 0 1 ();
+            Stdlib.Domain.join d;
+            checki "first counter" (rounds - 1) (Progress.get p 0);
+            checki "second counter" (rounds - 1) (Progress.get p 1);
+            Progress.reset p;
+            checki "reset" (-1) (Progress.get p 0))
+          [ 0; 1000 ]);
     Alcotest.test_case "FT_NUM_DOMAINS and set_num_domains drive the global \
                         pool" `Quick (fun () ->
         Unix.putenv "FT_NUM_DOMAINS" "3";
