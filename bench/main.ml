@@ -719,14 +719,14 @@ let kernels () =
 (* Tuned: default vs auto-tuned configuration per workload             *)
 (* ------------------------------------------------------------------ *)
 
-(* One search per workload — analytical oracle, fixed seed, fixed
-   budget — then both configs through the full simulator.  Everything
-   here is deterministic: rerunning the experiment reproduces the
-   exact trajectory and winner. *)
+(* One search per workload — analytical oracle, coordinate descent,
+   fixed budget — then both configs through the full simulator.
+   Everything here is deterministic: rerunning the experiment
+   reproduces the exact trajectory and winner. *)
 let tuned () =
-  let budget = 32 and seed = 2024 in
-  start "tuned" (Some seed);
-  section "Tuned: default vs auto-tuned configs (analytical oracle, greedy, seed 2024)";
+  let budget = 32 in
+  start "tuned" None;
+  section "Tuned: default vs auto-tuned configs (analytical oracle, coordinate descent)";
   let cases =
     [
       ( "fig2",
@@ -757,14 +757,12 @@ let tuned () =
            return xs.map { |x| x @ w }\n" );
     ]
   in
-  Format.printf "budget %d evaluations per workload, seed %d@.@." budget seed;
+  Format.printf "budget %d evaluations per workload@.@." budget;
   print_row "workload"
     [ "default"; "tuned"; "speedup"; "sim default"; "sim tuned" ];
   List.iter
     (fun (fig, title, p) ->
-      let rep =
-        Tuner.tune_program ~seed ~strategy:Search.Greedy ~budget p
-      in
+      let rep = Tuner.tune_program ~budget p in
       let res = rep.Tuner.rp_result in
       let dflt = res.Search.r_default.Search.e_cost in
       let best = res.Search.r_best.Search.e_cost in
@@ -781,12 +779,11 @@ let tuned () =
           ms sim_tuned;
         ];
       Format.printf "    config: %s@." (Knobs.to_string cfg);
-      let strategy = Search.strategy_name res.Search.r_strategy in
       let tuned = "tuned " ^ Knobs.to_string cfg in
       List.iter
         (fun (config, metric, unit_, statistic, v) ->
           record ~workload:title
-            ~layer:(Printf.sprintf "%s %s/sim %s" fig strategy config)
+            ~layer:(Printf.sprintf "%s/sim %s" fig config)
             ~metric ~unit_ ~source:Schema.Simulated ~statistic ~repeat:1
             ~warmup:0 ~interleaved:false v)
         [
@@ -902,14 +899,14 @@ let serve () =
       let walls =
         interleaved_medians
           [
-            sample 0 (Serve.run_requests ~tenant:"bench" ~max_batch sv);
-            sample 1 (Serve.solo ~tenant:"bench" sv);
+            sample 0 (Serve.run_requests ~max_batch sv);
+            sample 1 (Serve.solo sv);
           ]
       in
       let b = Option.get last.(0) and s = Option.get last.(1) in
       let bad = Serve.mismatches b.Serve.oc_completed s.Serve.oc_completed in
       let o =
-        Serve.run_open_loop ~tenant:"bench" ~max_batch ~queue ~tick_ms sv
+        Serve.run_open_loop ~max_batch ~queue ~tick_ms sv
           (Loadgen.requests sv ~seed:(seed + 1)
              (plan (seed + 1) (!requests * 2) rate))
       in

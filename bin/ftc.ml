@@ -666,9 +666,9 @@ let analyze_cmd =
     Term.(const run $ Cli_args.ft_file $ Cli_args.format_arg)
 
 let tune_cmd =
-  let run path budget strategy seed device format =
+  let run path budget device format =
     Cli_args.require_at_least_1 "tune" "budget" budget;
-    match Tuner.tune_file ~device ~seed ~strategy ~budget path with
+    match Tuner.tune_file ~device ~budget path with
     | exception Parse.Syntax_error { line; col; message } ->
         Format.eprintf "%s:%d:%d: %s@." path line col message;
         exit 1
@@ -688,25 +688,11 @@ let tune_cmd =
       & info [ "budget" ] ~docv:"N"
           ~doc:"Maximum number of candidate evaluations (default 32)")
   in
-  let strategy =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("grid", Search.Grid); ("greedy", Search.Greedy);
-               ("evolve", Search.Evolve) ])
-          Search.Grid
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:
-            "Search strategy: grid (exhaustive, or a seeded uniform sample \
-             when the lattice exceeds the budget), greedy (coordinate \
-             descent) or evolve (seeded evolutionary search)")
-  in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Search the simulator-visible knob space of a .ft program (GEMM \
-          tile shapes, elementwise chunk) for the least \
+         "Search the simulator-visible knob space of a .ft program (one \
+          GEMM tile shape per site) by coordinate descent for the least \
           modelled device time (analytical roofline, microseconds) under \
           an evaluation budget, report the cost trajectory, and record the \
           winner in the tuning database (set $(b,FT_TUNE_DB) to a \
@@ -715,8 +701,7 @@ let tune_cmd =
           with it, without re-searching.  Costs are model output, not \
           measurements, and execution never reads a tuned config")
     Term.(
-      const run $ Cli_args.ft_file $ budget $ strategy
-      $ Cli_args.seed_arg ~default:2024 $ Cli_args.device_arg
+      const run $ Cli_args.ft_file $ budget $ Cli_args.device_arg
       $ Cli_args.format_arg)
 
 (* The two disk-backed stores [ftc cache] reports on and clears.  Only

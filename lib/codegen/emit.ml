@@ -206,23 +206,12 @@ let block_kernels ?(others = []) ?(collapse_reuse = true)
       | Some (m, n, _), None -> float_of_int (4 * m * n)
       | None, _ -> 0.0
     in
-    (* thread blocks per iteration cell: one in the legacy emission;
-       one per output tile under explicit tiles; one per elementwise
-       chunk when the config chunks streaming kernels *)
+    (* thread blocks per iteration cell: one in the legacy emission,
+       one per output tile under explicit tiles *)
     let tasks_per_cell =
       match (gemm_dims, block_tiles) with
       | Some (m, n, _), Some tl -> Tile.gemm_tile_tasks tl ~m ~n
-      | Some _, None -> 1
-      | None, _ ->
-          if tile.Tile.cfg_elem_chunk <= 0 then 1
-          else (
-            match List.rev b.Ir.blk_body with
-            | last :: _ ->
-                Stdlib.max 1
-                  (Tile.ceil_div
-                     (Shape.numel last.Ir.result_shape)
-                     tile.Tile.cfg_elem_chunk)
-            | [] -> 1)
+      | _ -> 1
     in
     let tensor_core =
       match first_matmul_dims b with

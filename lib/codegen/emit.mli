@@ -30,8 +30,8 @@ val emit_plan : ?collapse_reuse:bool -> ?tile:Tile.config -> Ir.graph -> Plan.t
     per-kernel traffic.  [collapse_reuse:false] disables the null-space
     reuse analysis (every access materialises per iteration) — the
     ablation knob for §5.2's deferred materialization.  [tile]
-    (default {!Tile.default_config}) selects cache-tile shapes and
-    chunking per block: under the default config emission is
+    (default {!Tile.default_config}) selects cache-tile shapes per
+    block: under the default config emission is
     bitwise-identical to the untiled emitter; explicit tiles — the
     auto-tuner's output — switch the affected blocks to the
     {!Tile.gemm_tile_l1_bytes} staging model and one thread block per

@@ -136,19 +136,16 @@ let with_trace trace f =
    program (or source text) plus the option set, tile config included.
    Expr.program is pure data — no closures — so Marshal is
    deterministic; Bigarray literals serialise dims + contents. *)
-let program_key ?(verify = true) ?(collapse_reuse = true)
-    ?(tile = Tile.default_config) (p : Expr.program) =
+let program_key ?(verify = true) ?(tile = Tile.default_config)
+    (p : Expr.program) =
   Digest.to_hex
-    (Digest.string
-       (Marshal.to_string ("program", p, verify, collapse_reuse, tile) []))
+    (Digest.string (Marshal.to_string ("program", p, verify, tile) []))
 
-let source_key ?(verify = true) ?(collapse_reuse = true)
-    ?(tile = Tile.default_config) src =
+let source_key ?(verify = true) ?(tile = Tile.default_config) src =
   Digest.to_hex
-    (Digest.string
-       (Marshal.to_string ("source", src, verify, collapse_reuse, tile) []))
+    (Digest.string (Marshal.to_string ("source", src, verify, tile) []))
 
-let compile ?(verify = true) ?(fatal = true) ?trace ?(collapse_reuse = true)
+let compile ?(verify = true) ?(fatal = true) ?trace
     ?(tile = Tile.default_config) ?(stages = default_stages)
     (p : Expr.program) =
   with_trace trace (fun () ->
@@ -168,7 +165,7 @@ let compile ?(verify = true) ?(fatal = true) ?trace ?(collapse_reuse = true)
             sr_diagnostics = ds } ]
       in
       compile_from ~stage_checks:verify ~emit_check:verify ~fatal
-        ~collapse_reuse ~tile ~stages ~init_results:init g)
+        ~collapse_reuse:true ~tile ~stages ~init_results:init g)
 
 (* The terse compile-to-plan paths verify the graph once, just before
    emission — per-stage checking is [compile]'s job. *)
@@ -178,9 +175,8 @@ let plan_of_graph ?(verify = true) ?(collapse_reuse = true)
      ~collapse_reuse ~tile ~stages:[ Group; Merge ] ~init_results:[] g)
     .p_plan
 
-let plan ?(verify = true) ?(collapse_reuse = true)
-    ?(tile = Tile.default_config) (p : Expr.program) =
-  plan_of_graph ~verify ~collapse_reuse ~tile (Build.build p)
+let plan ?(verify = true) ?(tile = Tile.default_config) (p : Expr.program) =
+  plan_of_graph ~verify ~tile (Build.build p)
 
 (* ---------------------------- plan cache --------------------------- *)
 
@@ -199,11 +195,10 @@ module Cache = Disk_store.Make (struct
   let limit = 64
 end)
 
-let plan_cached ?(verify = true) ?(collapse_reuse = true)
-    ?(tile = Tile.default_config) (p : Expr.program) =
-  Cache.find_or_compile
-    (program_key ~verify ~collapse_reuse ~tile p)
-    (fun () -> plan ~verify ~collapse_reuse ~tile p)
+let plan_cached ?(verify = true) ?(tile = Tile.default_config)
+    (p : Expr.program) =
+  Cache.find_or_compile (program_key ~verify ~tile p) (fun () ->
+      plan ~verify ~tile p)
 
 let read_source path =
   let ic = open_in_bin path in
@@ -211,14 +206,13 @@ let read_source path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let plan_file ?(verify = true) ?(collapse_reuse = true)
-    ?(tile = Tile.default_config) path =
+let plan_file ?(verify = true) ?(tile = Tile.default_config) path =
   let src = read_source path in
-  let key = source_key ~verify ~collapse_reuse ~tile src in
+  let key = source_key ~verify ~tile src in
   Cache.find_or_compile key (fun () ->
       let p = Parse.program src in
       ignore (Typecheck.check_program p);
-      plan ~verify ~collapse_reuse ~tile p)
+      plan ~verify ~tile p)
 
 let stage_graph t st =
   List.find_map

@@ -62,7 +62,6 @@ val compile :
   ?verify:bool ->
   ?fatal:bool ->
   ?trace:Trace.sink ->
-  ?collapse_reuse:bool ->
   ?tile:Tile.config ->
   ?stages:stage list ->
   Expr.program ->
@@ -73,15 +72,12 @@ val compile :
     with [fatal] (default) any error raises
     {!Verify.Verification_failed}, with [fatal:false] diagnostics are
     collected in the results instead.  [trace] installs a sink for the
-    duration, capturing each pass (and emission) as spans.
-    [collapse_reuse:false] is the §5.2 deferred-materialization
-    ablation knob.  [tile] selects the emission tile config (default
+    duration, capturing each pass (and emission) as spans.  [tile]
+    selects the emission tile config (default
     {!Tile.default_config}); a caller that wants the best-known config
     looks it up in the tuning database ([lib/tune]) and passes it. *)
 
-val plan :
-  ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  Expr.program -> Plan.t
+val plan : ?verify:bool -> ?tile:Tile.config -> Expr.program -> Plan.t
 (** Terse compile-to-plan: build, group, merge, emit.  [verify]
     (default on) checks the coarsened graph once before emission and
     raises {!Verify.Verification_failed} on any violation — per-stage
@@ -90,7 +86,10 @@ val plan :
 val plan_of_graph :
   ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
   Ir.graph -> Plan.t
-(** {!plan} for an already-built ETDG. *)
+(** {!plan} for an already-built ETDG.  [collapse_reuse:false]
+    (default [true]) turns off the null-space reuse analysis
+    ({!Emit.emit_plan}): the §5.2 deferred-materialization ablation,
+    which no other entry point offers. *)
 
 (** {1 Compiled-plan cache}
 
@@ -104,27 +103,19 @@ val plan_of_graph :
 
 module Cache : Disk_store.S with type value = Plan.t
 
-val program_key :
-  ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  Expr.program -> string
+val program_key : ?verify:bool -> ?tile:Tile.config -> Expr.program -> string
 (** The cache key {!plan_cached} uses: a hex digest of the marshalled
     program and option set.  The key at [Tile.default_config] (the
     default) is also the tuning-database key for the program. *)
 
-val source_key :
-  ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  string -> string
+val source_key : ?verify:bool -> ?tile:Tile.config -> string -> string
 (** The cache key {!plan_file} uses, over raw [.ft] source text. *)
 
-val plan_cached :
-  ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  Expr.program -> Plan.t
+val plan_cached : ?verify:bool -> ?tile:Tile.config -> Expr.program -> Plan.t
 (** {!plan} through the cache; the key covers [tile], so tuned and
     default plans coexist. *)
 
-val plan_file :
-  ?verify:bool -> ?collapse_reuse:bool -> ?tile:Tile.config ->
-  string -> Plan.t
+val plan_file : ?verify:bool -> ?tile:Tile.config -> string -> Plan.t
 (** Compile a [.ft] file to a plan through the cache, keyed on the
     file's {e contents} (not its path or mtime).  On a hit even the
     parse is skipped.

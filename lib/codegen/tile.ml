@@ -41,44 +41,23 @@ let bytes_of_elems n = float_of_int (4 * n)
 
 type tiles = { t_m : int; t_n : int; t_k : int }
 
-type config = {
-  cfg_tiles : (string * tiles) list;
-  cfg_default : tiles option;
-  cfg_elem_chunk : int;
-}
+type config = { cfg_tiles : (string * tiles) list }
 
-let default_tiles = { t_m = default_tile; t_n = default_tile; t_k = 32 }
-
-let default_config =
-  {
-    cfg_tiles = [];
-    cfg_default = None;
-    cfg_elem_chunk = 0;
-  }
+let default_config = { cfg_tiles = [] }
 
 let is_default c = c = default_config
 
-let tiles_for c name =
-  match List.assoc_opt name c.cfg_tiles with
-  | Some t -> Some t
-  | None -> c.cfg_default
+let tiles_for c name = List.assoc_opt name c.cfg_tiles
 
 let tiles_to_string t = Printf.sprintf "%dx%dx%d" t.t_m t.t_n t.t_k
 
 let config_to_string c =
-  let parts =
-    List.map
-      (fun (b, t) -> Printf.sprintf "%s=%s" b (tiles_to_string t))
-      c.cfg_tiles
-    @ (match c.cfg_default with
-      | Some t -> [ "*=" ^ tiles_to_string t ]
-      | None -> [])
-    @
-    if c.cfg_elem_chunk > 0 then
-      [ Printf.sprintf "elem_chunk=%d" c.cfg_elem_chunk ]
-    else []
-  in
-  if parts = [] then "default" else String.concat "," parts
+  if c.cfg_tiles = [] then "default"
+  else
+    String.concat ","
+      (List.map
+         (fun (b, t) -> Printf.sprintf "%s=%s" b (tiles_to_string t))
+         c.cfg_tiles)
 
 let aligned t = t > 0 && t mod base_tile = 0
 

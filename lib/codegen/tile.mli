@@ -50,10 +50,9 @@ val bytes_of_elems : int -> float
 
 (** {1 Tile configurations}
 
-    A {!config} is the knob vector the tuner searches: per-block cache
-    tile shapes for GEMM-bearing kernels and a chunk size for
-    elementwise kernels — only what the device model prices; the CPU
-    engine never reads a config.  The emitter
+    A {!config} is what the tuner searches: per-block cache tile
+    shapes for GEMM-bearing kernels — only what the device model
+    prices; the CPU engine never reads a config.  The emitter
     ({!Emit.emit_plan}) takes a config; {!default_config} reproduces
     the legacy untiled emission exactly (one thread block per
     iteration cell, whole-problem staging), so plans only change when
@@ -64,29 +63,18 @@ type tiles = { t_m : int; t_n : int; t_k : int }
 
 type config = {
   cfg_tiles : (string * tiles) list;
-      (** per-ETDG-block overrides, keyed by block name *)
-  cfg_default : tiles option;
-      (** tiles for blocks without an override; [None] = legacy
-          whole-problem emission for those blocks *)
-  cfg_elem_chunk : int;
-      (** elementwise kernels split each cell's output into chunks of
-          this many elements (more thread blocks, higher occupancy);
-          [0] = one task per cell *)
+      (** per-ETDG-block tiles, keyed by block name; a block without
+          an entry emits untiled *)
 }
 
-val default_tiles : tiles
-(** The §5.3 seed point: [default_tile × default_tile × 32]. *)
-
 val default_config : config
-(** No overrides, no explicit default tiles, no chunking — emission
-    under this config is bitwise-identical to the pre-tuning
-    emitter. *)
+(** No tiles — emission under this config is bitwise-identical to the
+    pre-tuning emitter. *)
 
 val is_default : config -> bool
 
 val tiles_for : config -> string -> tiles option
-(** The tiles a block emits under: its override, else the config
-    default, else [None] (legacy emission). *)
+(** The tiles a block emits under, or [None] (legacy emission). *)
 
 val tiles_to_string : tiles -> string
 (** ["128x128x32"]. *)

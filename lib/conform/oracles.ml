@@ -150,6 +150,14 @@ let shadow_oracle g =
         ("shadow memory contradicts the static analysis: "
         ^ String.concat "; " issues)
 
+let pinned_tile (p : Expr.program) =
+  let block =
+    match (Knobs.of_plan (Pipeline.plan p)).Knobs.s_sites with
+    | s :: _ -> s.Knobs.g_block
+    | [] -> p.Expr.name
+  in
+  { Tile.cfg_tiles = [ (block, { Tile.t_m = 16; t_n = 16; t_k = 16 }) ] }
+
 let tuned_oracle (p : Expr.program) g inputs =
   (* Store a deliberately non-default, simulator-visible configuration,
      look it back up, compile the tuned plan, and demand that the run
@@ -157,16 +165,14 @@ let tuned_oracle (p : Expr.program) g inputs =
      plan, never the engine's options. *)
   let key = Pipeline.program_key p in
   let device = Tune_db.device_digest Device.a100 in
-  let tile = { Tile.default_config with Tile.cfg_elem_chunk = 4096 } in
+  let tile = pinned_tile p in
   Tune_db.store
     {
       Tune_db.tr_key = key;
       tr_device = device;
       tr_tile = tile;
       tr_cost = 0.0;
-      tr_strategy = "pinned";
       tr_budget = 0;
-      tr_seed = 0;
     };
   match Tune_db.lookup ~key ~device with
   | Some r when r.Tune_db.tr_tile = tile ->

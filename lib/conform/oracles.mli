@@ -22,7 +22,8 @@
                      contradiction fails the oracle.  It checks
                      itself ({!Held});
     - ["tuned"]    — a non-default, simulator-visible configuration
-                     ([cfg_elem_chunk = 4096]) is stored in the
+                     (one 16x16x16 tile, on the program's first GEMM
+                     site when it has one) is stored in the
                      tuning database for the program, looked back up
                      with [Tune_db.lookup], the plan compiled with
                      that [~tile], and the compiled engine run at
@@ -78,6 +79,12 @@ type outcome =
                           trip, tuned config not resolved) *)
 
 type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
+
+val pinned_tile : Expr.program -> Tile.config
+(** The non-default config the ["tuned"] oracle stores: one 16x16x16
+    tile on the program's first GEMM site, so the tuned plan differs
+    from the default.  Without a GEMM site the tile is keyed by the
+    program's name, and the plan is the default one. *)
 
 val all_oracles : string list
 (** In registry order; ["interp"] first. *)

@@ -30,7 +30,7 @@ let plan ~seed ~n ~rate ~len_lo ~len_hi =
       let len = len_lo + Rng.int rng (len_hi - len_lo + 1) in
       { ld_arrival = int_of_float !t; ld_len = len })
 
-let requests ?(tenant = "default") ?(id0 = 0) sv ~seed (pl : plan) =
+let requests ?(id0 = 0) sv ~seed (pl : plan) =
   Array.mapi
     (fun i it ->
       (* Each request draws from its own stream so content does not
@@ -39,8 +39,7 @@ let requests ?(tenant = "default") ?(id0 = 0) sv ~seed (pl : plan) =
       let state0, tokens =
         sv.Servable.sv_new_request rng ~len:it.ld_len
       in
-      Request.make ~id:(id0 + i) ~tenant ~arrival:it.ld_arrival ~state0
-        ~tokens ())
+      Request.make ~id:(id0 + i) ~arrival:it.ld_arrival ~state0 ~tokens ())
     pl
 
 (* Deterministic drive: everything queued before the first tick; the

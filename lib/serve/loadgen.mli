@@ -10,9 +10,7 @@ val plan :
     @raise Invalid_argument on a non-positive rate or bad length
     range. *)
 
-val requests :
-  ?tenant:string -> ?id0:int -> Servable.t -> seed:int -> plan ->
-  Request.t array
+val requests : ?id0:int -> Servable.t -> seed:int -> plan -> Request.t array
 (** Materialize a plan: each request's contents come from its own
     seeded stream, independent of plan order. *)
 

@@ -10,7 +10,6 @@ type status = Queued | Running | Done | Rejected
 
 type t = {
   rq_id : int;
-  rq_tenant : string;
   rq_arrival : int;
       (* earliest tick at which admission is allowed (virtual time);
          0 = immediately.  Wall-clock arrival is [rq_submit_s]. *)
@@ -27,12 +26,11 @@ type t = {
   mutable rq_done_tick : int;
 }
 
-let make ~id ?(tenant = "default") ?(arrival = 0) ~state0 ~tokens () =
+let make ~id ?(arrival = 0) ~state0 ~tokens () =
   if Array.length tokens = 0 then
     invalid_arg "Request.make: a request needs at least one token";
   {
     rq_id = id;
-    rq_tenant = tenant;
     rq_arrival = arrival;
     rq_len = Array.length tokens;
     rq_state0 = state0;

@@ -10,7 +10,6 @@ type status = Queued | Running | Done | Rejected
 
 type t = {
   rq_id : int;
-  rq_tenant : string;
   rq_arrival : int;
       (** earliest tick at which admission is allowed (virtual time) *)
   rq_len : int;
@@ -28,7 +27,6 @@ type t = {
 
 val make :
   id:int ->
-  ?tenant:string ->
   ?arrival:int ->
   state0:Fractal.t ->
   tokens:Fractal.t array ->

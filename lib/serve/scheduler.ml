@@ -22,12 +22,11 @@ type t = {
   sch_metrics : Metrics.t;
   sch_tick : int Atomic.t;
   sch_tick_ms : float;
-  sch_compact : bool;
   sch_max_ticks : int;
 }
 
-let create ?(tick_ms = 0.) ?(compact = true) ?(max_ticks = 0) ~session ~broker
-    ~max_batch ~metrics () =
+let create ?(tick_ms = 0.) ?(max_ticks = 0) ~session ~broker ~max_batch
+    ~metrics () =
   {
     sch_session = session;
     sch_broker = broker;
@@ -35,7 +34,6 @@ let create ?(tick_ms = 0.) ?(compact = true) ?(max_ticks = 0) ~session ~broker
     sch_metrics = metrics;
     sch_tick = Atomic.make 0;
     sch_tick_ms = tick_ms;
-    sch_compact = compact;
     sch_max_ticks = max_ticks;
   }
 
@@ -101,8 +99,7 @@ let step t =
   (* Repack only when it pays: dropping to a smaller bucket shrinks the
      next executor run.  Row positions only matter within one tick, so
      moving requests here is invisible to results. *)
-  if t.sch_compact && Batch.span batch > Batch.occupancy batch then
-    Batch.compact batch;
+  if Batch.span batch > Batch.occupancy batch then Batch.compact batch;
   List.rev !finished
 
 let pace t t_tick0 =

@@ -11,7 +11,6 @@ type t
 
 val create :
   ?tick_ms:float ->
-  ?compact:bool ->
   ?max_ticks:int ->
   session:Session.t ->
   broker:Broker.t ->
@@ -20,9 +19,9 @@ val create :
   unit ->
   t
 (** [tick_ms > 0] pins each tick to a wall-time deadline (otherwise the
-    loop runs flat out); [compact] (default on) repacks slots between
-    ticks when eviction holes would inflate the bucketed width;
-    [max_ticks > 0] is a safety valve for open-ended runs. *)
+    loop runs flat out); [max_ticks > 0] is a safety valve for
+    open-ended runs.  Slots are repacked between ticks whenever
+    eviction holes would inflate the bucketed width. *)
 
 val now : t -> int
 (** The current virtual tick (readable from any domain). *)

@@ -46,14 +46,13 @@ type outcome = {
 
 (* One scheduler run over a fresh broker and session; [drive] feeds the
    broker while the scheduler runs and returns the count it shed. *)
-let serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ?max_ticks sv
-    drive =
+let serve ~opts ~max_batch ~queue ~tick_ms ?max_ticks sv drive =
   let broker = Broker.create ~capacity:queue in
-  let session = Session.create ~tenant ~opts sv in
+  let session = Session.create ~opts sv in
   let metrics = Metrics.create () in
   let sch =
-    Scheduler.create ~tick_ms ~compact ?max_ticks ~session ~broker ~max_batch
-      ~metrics ()
+    Scheduler.create ~tick_ms ?max_ticks ~session ~broker ~max_batch ~metrics
+      ()
   in
   let t0 = Unix.gettimeofday () in
   let finish_drive = drive broker sch in
@@ -67,23 +66,22 @@ let serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ?max_ticks sv
     oc_shed = shed;
   }
 
-let run_requests ?(tenant = "default") ?(opts = Run_opts.default)
-    ?(max_batch = 8) ?queue ?(tick_ms = 0.) ?(compact = true) sv rs =
+let run_requests ?(opts = Run_opts.default) ?(max_batch = 8) ?queue
+    ?(tick_ms = 0.) sv rs =
   let queue = Option.value queue ~default:(Stdlib.max 1 (Array.length rs)) in
-  serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact sv (fun broker _ ->
+  serve ~opts ~max_batch ~queue ~tick_ms sv (fun broker _ ->
       Loadgen.submit_all broker rs;
       fun () -> 0)
 
 (* Each request served entirely alone — the reference semantics the
    batched path must reproduce bit for bit. *)
-let solo ?(tenant = "default") ?(opts = Run_opts.default) sv rs =
+let solo ?tenant:_ ?(opts = Run_opts.default) sv rs =
   Array.iter Request.reset rs;
-  run_requests ~tenant ~opts ~max_batch:1 sv rs
+  run_requests ~opts ~max_batch:1 sv rs
 
-let run_open_loop ?(tenant = "default") ?(opts = Run_opts.default)
-    ?(max_batch = 8) ~queue ?(tick_ms = 0.) ?(compact = true)
-    ?(max_ticks = 0) sv rs =
-  serve ~tenant ~opts ~max_batch ~queue ~tick_ms ~compact ~max_ticks sv
+let run_open_loop ?(opts = Run_opts.default) ?(max_batch = 8) ~queue
+    ?(tick_ms = 0.) ?(max_ticks = 0) sv rs =
+  serve ~opts ~max_batch ~queue ~tick_ms ~max_ticks sv
     (fun broker sch ->
       let producer =
         Loadgen.spawn broker ~clock:(fun () -> Scheduler.now sch) rs

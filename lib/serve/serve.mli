@@ -16,12 +16,10 @@ type outcome = {
 }
 
 val run_requests :
-  ?tenant:string ->
   ?opts:Run_opts.t ->
   ?max_batch:int ->
   ?queue:int ->
   ?tick_ms:float ->
-  ?compact:bool ->
   Servable.t ->
   Request.t array ->
   outcome
@@ -32,15 +30,16 @@ val solo :
   ?tenant:string -> ?opts:Run_opts.t -> Servable.t -> Request.t array ->
   outcome
 (** Reset and serve each request entirely alone ([max_batch = 1]) —
-    the sequential baseline and the bitwise reference. *)
+    the sequential baseline and the bitwise reference.  [tenant] is
+    accepted and ignored, as by {!Session.create}: nothing is selected
+    by a caller's name.  It stays because the end-to-end benchmark
+    passes it. *)
 
 val run_open_loop :
-  ?tenant:string ->
   ?opts:Run_opts.t ->
   ?max_batch:int ->
   queue:int ->
   ?tick_ms:float ->
-  ?compact:bool ->
   ?max_ticks:int ->
   Servable.t ->
   Request.t array ->

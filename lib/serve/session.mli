@@ -14,8 +14,9 @@ val width_limit : int
 type t
 
 val create : ?tenant:string -> ?opts:Run_opts.t -> Servable.t -> t
-(** [tenant] names the caller; it selects nothing, since no session
-    shares its executables. *)
+(** [tenant] is accepted and ignored: it selects nothing, since no
+    session shares its executables.  It stays because the end-to-end
+    benchmark passes it. *)
 
 val servable : t -> Servable.t
 

@@ -763,14 +763,6 @@ let transpose t =
   done;
   out
 
-let dot a b =
-  if numel a <> numel b then invalid_arg "Tensor.dot: size mismatch";
-  let acc = ref 0.0 in
-  for i = 0 to numel a - 1 do
-    acc := !acc +. (A.unsafe_get a.data i *. A.unsafe_get b.data i)
-  done;
-  !acc
-
 let sum t =
   let acc = ref 0.0 in
   for i = 0 to numel t - 1 do
@@ -1117,9 +1109,7 @@ let unop_into op src ~dst =
   else unop_native (un_code op) (un_factor op) dst.data src.data (numel src)
 
 let add_into a b ~dst = binop_into Badd a b ~dst
-let sub_into a b ~dst = binop_into Bsub a b ~dst
 let mul_into a b ~dst = binop_into Bmul a b ~dst
-let map_inplace f t = map_into f t ~dst:t
 let tanh_inplace t = unop_into Utanh t ~dst:t
 let sigmoid_inplace t = unop_into Usigmoid t ~dst:t
 

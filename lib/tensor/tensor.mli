@@ -145,13 +145,11 @@ val copy_into : t -> dst:t -> unit
 (** Blit the contents of a same-shape tensor into [dst]. *)
 
 val map_into : (float -> float) -> t -> dst:t -> unit
-val map_inplace : (float -> float) -> t -> unit
 
 val map2_into : (float -> float -> float) -> t -> t -> dst:t -> unit
 (** Same broadcasting as {!map2}; [dst] must have the result shape. *)
 
 val add_into : t -> t -> dst:t -> unit
-val sub_into : t -> t -> dst:t -> unit
 val mul_into : t -> t -> dst:t -> unit
 
 (** {2 Opcode-dispatch kernels}
@@ -325,9 +323,6 @@ val matmul : t -> t -> t
 
 val transpose : t -> t
 (** 2-D transpose. *)
-
-val dot : t -> t -> float
-(** Inner product of two same-shape tensors viewed flat. *)
 
 (** {1 Reductions} *)
 

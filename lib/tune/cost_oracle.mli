@@ -2,8 +2,8 @@
 
     A cost is microseconds of modelled device time, lower is better,
     from the analytical roofline below.  It is model output, never a
-    measurement of this host: the tuner searches only the knobs the
-    model prices (tile sites, elementwise chunk, reuse collapsing). *)
+    measurement of this host: the tuner searches only what the model
+    prices, the GEMM tile sites. *)
 
 val analytical :
   ?device:Device.t -> (Knobs.candidate -> Plan.t) -> Knobs.candidate -> float

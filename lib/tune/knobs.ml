@@ -2,20 +2,17 @@
 
    A knob space is extracted from the default-config plan: every
    kernel that carries a per-cell matmul becomes a tile site (one
-   [Tile.tiles] choice per block), and one global axis — elementwise
-   chunk — completes the space.  Every axis is one the device model
-   prices; nothing here reaches the CPU engine.  A point in the space
-   is a mixed-radix index vector; index 0 on every axis is the default
-   (legacy emission, no chunking), so the all-zeros point always
-   decodes to the configuration the compiler uses when no tuning has
-   happened. *)
+   [Tile.tiles] choice per block, or none).  Tile sites are the only
+   axes; nothing here reaches the CPU engine.  A point in the space is
+   a mixed-radix index vector; index 0 on every axis is "untiled", so
+   the all-zeros point always decodes to the configuration the
+   compiler uses when no tuning has happened. *)
 
 type gemm_site = { g_block : string; g_m : int; g_n : int; g_k : int }
 
 type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;
-  s_elem_chunks : int list;
   s_smem_limit : int;
 }
 
@@ -36,8 +33,6 @@ let tile_menu =
             [ 16; 32; 64 ])
         [ 16; 32; 64; 128; 256 ])
     [ 16; 32; 64; 128; 256 ]
-
-let elem_chunk_menu = [ 0; 4096; 16384; 65536 ]
 
 let site_of_kernel (ks : Plan.kernel_spec) =
   match ks.Plan.ks_gemm with
@@ -61,20 +56,15 @@ let of_plan ?(device = Device.a100) (p : Plan.t) =
   {
     s_sites = sites;
     s_tiles = tile_menu;
-    s_elem_chunks = elem_chunk_menu;
     s_smem_limit = device.Device.l1_bytes_per_sm;
   }
 
 (* ------------------------- point encoding ------------------------- *)
 
-(* Axis order: one axis per gemm site (values: 0 = legacy, i =
-   s_tiles[i-1]), then elem chunk. *)
-
+(* One axis per gemm site: 0 = untiled, i = s_tiles[i-1]. *)
 let axes sp =
   let site_axis = List.length sp.s_tiles + 1 in
-  Array.of_list
-    (List.map (fun _ -> site_axis) sp.s_sites
-    @ [ List.length sp.s_elem_chunks ])
+  Array.of_list (List.map (fun _ -> site_axis) sp.s_sites)
 
 let default_point sp = Array.make (Array.length (axes sp)) 0
 
@@ -85,7 +75,6 @@ let site_tiles sp pt i =
   if v = 0 then None else Some (List.nth sp.s_tiles (v - 1))
 
 let decode sp pt =
-  let n_sites = List.length sp.s_sites in
   let cfg_tiles =
     List.concat
       (List.mapi
@@ -95,8 +84,7 @@ let decode sp pt =
            | Some t -> [ (s.g_block, t) ])
          sp.s_sites)
   in
-  let elem = List.nth sp.s_elem_chunks pt.(n_sites) in
-  { Tile.cfg_tiles; cfg_default = None; cfg_elem_chunk = elem }
+  { Tile.cfg_tiles }
 
 (* A point is valid when every selected tile, clamped to its site's
    dimensions, fits the device's shared memory, and every side is
@@ -114,42 +102,15 @@ let valid_point sp pt =
        sp.s_sites)
 
 let valid sp (c : candidate) =
-  c.Tile.cfg_default = None
-  && List.for_all
-       (fun (name, t) ->
-         match List.find_opt (fun s -> s.g_block = name) sp.s_sites with
-         | None -> false
-         | Some s ->
-             Tile.valid_tiles ~smem_limit:sp.s_smem_limit ~m:s.g_m ~n:s.g_n
-               ~k:s.g_k t)
-       c.Tile.cfg_tiles
+  List.for_all
+    (fun (name, t) ->
+      match List.find_opt (fun s -> s.g_block = name) sp.s_sites with
+      | None -> false
+      | Some s ->
+          Tile.valid_tiles ~smem_limit:sp.s_smem_limit ~m:s.g_m ~n:s.g_n
+            ~k:s.g_k t)
+    c.Tile.cfg_tiles
 
 let point_key pt = String.concat "," (List.map string_of_int (Array.to_list pt))
-
-(* ------------------------- deterministic moves -------------------- *)
-
-let sample_point sp rng =
-  let ax = axes sp in
-  let rec draw tries =
-    let pt = Array.map (fun n -> Rng.int rng n) ax in
-    if valid_point sp pt || tries > 64 then pt else draw (tries + 1)
-  in
-  let pt = draw 0 in
-  if valid_point sp pt then pt else default_point sp
-
-let mutate sp rng pt =
-  let ax = axes sp in
-  let rec go tries =
-    let pt' = Array.copy pt in
-    let d = Rng.int rng (Array.length ax) in
-    pt'.(d) <- Rng.int rng ax.(d);
-    if valid_point sp pt' || tries > 64 then pt' else go (tries + 1)
-  in
-  let pt' = go 0 in
-  if valid_point sp pt' then pt' else Array.copy pt
-
-let crossover rng a b =
-  Array.init (Array.length a) (fun i ->
-      if Rng.int rng 2 = 0 then a.(i) else b.(i))
 
 let to_string = Tile.config_to_string

@@ -3,20 +3,19 @@
 
     A space is extracted from the {e default-config} plan of a program
     ({!of_plan}): every kernel carrying a per-cell matmul
-    ([Plan.ks_gemm]) contributes a {e tile site} — one
-    {!Tile.tiles} choice for that block — and one global axis
-    completes the space: elementwise chunk size.  Every axis is one
-    the device model prices; the CPU engine reads none of them.
-    Reuse collapsing is not an axis: turning it off never lowers the
-    modelled cost.
+    ([Plan.ks_gemm]) contributes a {e tile site} — one {!Tile.tiles}
+    choice for that block, or none.  Tile sites are the only axes: they
+    are what the device model prices, and the CPU engine reads none of
+    them.  Reuse collapsing is not an axis: turning it off never lowers
+    the modelled cost.
 
     Points are mixed-radix index vectors ([int array]); index 0 on
-    every axis is the default value, so the all-zeros point decodes to
-    exactly the configuration an untuned compile uses.  Validity —
-    base-tile alignment and the shared-memory capacity of the device,
-    with tiles clamped to the site's dimensions first — is a predicate
-    over points, not baked into the axes, so searches must call
-    {!valid_point} (the samplers already do). *)
+    every axis is "untiled", so the all-zeros point decodes to exactly
+    the configuration an untuned compile uses.  Validity — base-tile
+    alignment and the shared-memory capacity of the device, with tiles
+    clamped to the site's dimensions first — is a predicate over
+    points, not baked into the axes, so searches must call
+    {!valid_point}. *)
 
 type gemm_site = {
   g_block : string;  (** block name (kernel name minus [".waveN"]) *)
@@ -28,7 +27,6 @@ type gemm_site = {
 type space = {
   s_sites : gemm_site list;
   s_tiles : Tile.tiles list;   (** the tile menu, site axes index into it *)
-  s_elem_chunks : int list;    (** always starts with 0 = unchunked *)
   s_smem_limit : int;          (** device shared memory per SM, bytes *)
 }
 
@@ -40,8 +38,7 @@ val of_plan : ?device:Device.t -> Plan.t -> space
     whose L1/shared capacity becomes the validity limit). *)
 
 val axes : space -> int array
-(** Axis sizes, in order: one per site ([|s_tiles| + 1]: 0 is
-    "untiled"), then elem chunks. *)
+(** Axis sizes, one per site: [|s_tiles| + 1], 0 being "untiled". *)
 
 val default_point : space -> int array
 (** All zeros. *)
@@ -63,20 +60,6 @@ val valid : space -> candidate -> bool
 val point_key : int array -> string
 (** Canonical memo key for a point. *)
 
-val sample_point : space -> Rng.t -> int array
-(** Uniform draw over the grid, rejection-sampled to validity
-    (deterministic given the Rng state; falls back to the default
-    point if 64 draws all fail). *)
-
-val mutate : space -> Rng.t -> int array -> int array
-(** Re-draw one uniformly chosen axis; rejection-sampled to validity
-    (returns a copy of the input if 64 tries all fail). *)
-
-val crossover : Rng.t -> int array -> int array -> int array
-(** Uniform crossover: each coordinate from either parent with equal
-    probability. *)
-
 val to_string : candidate -> string
-(** {!Tile.config_to_string}, e.g.
-    ["blk=cell:128x64x32,elem_chunk=4096"] — ["default"]
+(** {!Tile.config_to_string}, e.g. ["blk=128x64x32"] — ["default"]
     for the untuned candidate. *)

@@ -8,13 +8,12 @@ type record = {
   tr_device : string;
   tr_tile : Tile.config;
   tr_cost : float;
-  tr_strategy : string;
   tr_budget : int;
-  tr_seed : int;
 }
 
-(* Version 5: the record lost its reuse-collapse flag (4 had dropped
-   the CPU fields and the oracle name).  [limit] sits above the
+(* Version 6: the record lost its strategy name and seed, and its tile
+   config the elementwise chunk and default tiles (5 had dropped the
+   reuse-collapse flag, 4 the CPU fields and the oracle name).  [limit] sits above the
    measured peak of live records (see DESIGN.md, "Caches"). *)
 module Db = Disk_store.Make (struct
   type value = record
@@ -22,7 +21,7 @@ module Db = Disk_store.Make (struct
   let env_var = "FT_TUNE_DB"
   let prefix = ""
   let suffix = ".ftune"
-  let version = 5
+  let version = 6
   let limit = 64
 end)
 

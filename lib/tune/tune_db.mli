@@ -21,9 +21,7 @@ type record = {
   tr_cost : float;
       (** the winning evaluation's cost: modelled A100 µs from
           {!Cost_oracle.analytical}, so any two records compare *)
-  tr_strategy : string;
-  tr_budget : int;
-  tr_seed : int;
+  tr_budget : int;  (** the search budget that found it *)
 }
 
 module Db : Disk_store.S with type value = record

@@ -1,5 +1,5 @@
-(* The tuner's front door: wire a program to a space, the analytical
-   cost model and a strategy, run the search, persist the winner. *)
+(* The tuner's front door: wire a program to a space and the analytical
+   cost model, run the search, persist the winner. *)
 
 type report = {
   rp_program : string;
@@ -10,14 +10,12 @@ type report = {
   rp_db_path : string option;  (** where the record persisted, if disk *)
 }
 
-let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
-    ?(budget = 32) ~key (p : Expr.program) =
+let tune ?(device = Device.a100) ?(budget = 32) ~key (p : Expr.program) =
   let base_plan = Pipeline.plan p in
   let space = Knobs.of_plan ~device base_plan in
   let plan_of tile = Pipeline.plan ~verify:false ~tile p in
   let result =
-    Search.run ~seed strategy ~budget space
-      (Cost_oracle.analytical ~device plan_of)
+    Search.run ~budget space (Cost_oracle.analytical ~device plan_of)
   in
   let best = result.Search.r_best in
   let dev_digest = Tune_db.device_digest device in
@@ -27,9 +25,7 @@ let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
       tr_device = dev_digest;
       tr_tile = best.Search.e_candidate;
       tr_cost = best.Search.e_cost;
-      tr_strategy = Search.strategy_name strategy;
       tr_budget = budget;
-      tr_seed = seed;
     };
   {
     rp_program = p.Expr.name;
@@ -40,8 +36,8 @@ let tune ?(device = Device.a100) ?(seed = 2024) ?(strategy = Search.Grid)
     rp_db_path = Tune_db.Db.path (Tune_db.entry_key ~key ~device:dev_digest);
   }
 
-let tune_program ?device ?seed ?strategy ?budget (p : Expr.program) =
-  tune ?device ?seed ?strategy ?budget ~key:(Pipeline.program_key p) p
+let tune_program ?device ?budget (p : Expr.program) =
+  tune ?device ?budget ~key:(Pipeline.program_key p) p
 
 let read_file path =
   let ic = open_in_bin path in
@@ -49,11 +45,11 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let tune_file ?device ?seed ?strategy ?budget path =
+let tune_file ?device ?budget path =
   let src = read_file path in
   let p = Parse.program src in
   ignore (Typecheck.check_program p);
-  tune ?device ?seed ?strategy ?budget ~key:(Pipeline.source_key src) p
+  tune ?device ?budget ~key:(Pipeline.source_key src) p
 
 (* ----------------------------- reports ----------------------------- *)
 
@@ -76,7 +72,6 @@ let config_to_jsonv (t : Knobs.candidate) =
                    ("tile_k", Jsonw.Int tl.Tile.t_k);
                  ])
              t.Tile.cfg_tiles) );
-      ("elem_chunk", Jsonw.Int t.Tile.cfg_elem_chunk);
       ("pretty", Jsonw.String (Knobs.to_string t));
     ]
 
@@ -90,8 +85,6 @@ let report_to_jsonv (r : report) =
       ("key", Jsonw.String r.rp_key);
       ("device", Jsonw.String r.rp_device.Device.name);
       ("cost_unit", Jsonw.String (cost_unit r));
-      ("strategy", Jsonw.String (Search.strategy_name res.Search.r_strategy));
-      ("seed", Jsonw.Int res.Search.r_seed);
       ("budget", Jsonw.Int res.Search.r_budget);
       ("evaluations", Jsonw.Int (List.length res.Search.r_evals));
       ("space_sites", Jsonw.Int (List.length r.rp_space.Knobs.s_sites));
@@ -131,9 +124,8 @@ let report_to_text (r : report) =
   Printf.bprintf b "space:    %d gemm site(s), %d lattice points\n"
     (List.length r.rp_space.Knobs.s_sites)
     (Knobs.cardinality r.rp_space);
-  Printf.bprintf b "search:   %s, budget %d, seed %d\n"
-    (Search.strategy_name res.Search.r_strategy)
-    res.Search.r_budget res.Search.r_seed;
+  Printf.bprintf b "search:   coordinate descent, budget %d\n"
+    res.Search.r_budget;
   Printf.bprintf b "cost:     %s\n" (cost_unit r);
   Printf.bprintf b "evals:    %d (distinct configurations)\n"
     (List.length res.Search.r_evals);

@@ -2,15 +2,14 @@
     the winner.
 
     [tune_program] / [tune_file] extract the {!Knobs.space} from the
-    program's default-config plan, run a {!Search} strategy against
-    {!Cost_oracle.analytical} (modelled device µs) under a fixed seed
-    and budget, store the best
+    program's default-config plan, run the {!Search} coordinate
+    descent against {!Cost_oracle.analytical} (modelled device µs)
+    under a fixed budget, store the best
     configuration in the {!Tune_db} (keyed by [Pipeline.program_key] /
     [source_key] at the default config, where [ftc run] and
     [ftc profile] look it up), and return a {!report} with the full cost
-    trajectory.  Everything is deterministic given (seed, budget,
-    strategy): two identical invocations pick the identical
-    configuration.
+    trajectory.  Everything is deterministic given the budget: two
+    identical invocations pick the identical configuration.
 
     Every cost is model output, not a measurement of this host, and a
     stored config selects only which simulated plan a compile
@@ -26,22 +25,10 @@ type report = {
       (** the record's [FT_TUNE_DB] file, when persistence is on *)
 }
 
-val tune_program :
-  ?device:Device.t ->
-  ?seed:int ->
-  ?strategy:Search.strategy ->
-  ?budget:int ->
-  Expr.program ->
-  report
-(** Defaults: a100, seed 2024, grid, budget 32. *)
+val tune_program : ?device:Device.t -> ?budget:int -> Expr.program -> report
+(** Defaults: a100, budget 32. *)
 
-val tune_file :
-  ?device:Device.t ->
-  ?seed:int ->
-  ?strategy:Search.strategy ->
-  ?budget:int ->
-  string ->
-  report
+val tune_file : ?device:Device.t -> ?budget:int -> string -> report
 (** Parse, type-check and tune a [.ft] file; the database key is the
     source digest, matching what [ftc run] / [ftc profile] look up.
     @raise Parse.Syntax_error / [Typecheck.Type_error] on an invalid
@@ -51,8 +38,8 @@ val config_to_jsonv : Knobs.candidate -> Jsonw.t
 
 val report_to_jsonv : report -> Jsonw.t
 (** The [ftc tune --format json] document: program, key, device, the
-    cost unit (["modelled <device> µs (analytical)"]), search
-    parameters, default/best cost, best config, and the full cost
+    cost unit (["modelled <device> µs (analytical)"]), budget,
+    default/best cost, best config, and the full cost
     trajectory. *)
 
 val report_to_text : report -> string

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Auto-tuning benchmark: default vs best-found configuration on the
 # paper workloads (fig2/fig7/fig8) plus the blockwise-FFN demo, under
-# the analytical oracle with a fixed seed.  Writes BENCH_tuned.json.
+# the analytical oracle, by deterministic coordinate descent at a fixed
+# budget.  Writes BENCH_tuned.json.
 #
 #   scripts/bench_tuned.sh [extra bench flags...]
 set -euo pipefail

@@ -148,12 +148,27 @@ if grep -rnE 'pack_b|packed_b|matmul_packed_into|identity_keyed' lib bin; then
 fi
 
 # Tuning is a simulator-only concern: the tuner searches what the device
-# model prices (tile sites, elementwise chunk, reuse collapsing) under
-# one analytical cost model, and no tuned config reaches the CPU engine.
+# model prices (GEMM tile sites) under one analytical cost model, and
+# no tuned config reaches the CPU engine.
 echo "guard: no CPU tuning knobs or measured tuning oracle in lib/, bin/ or bench/main.ml"
 if grep -rnE 'cfg_vm_chunk|cfg_fuse|with_tile|Cost_oracle\.measured|Tuner\.Measure|oracle_kind' \
     lib bin bench/main.ml; then
   echo "check.sh: a tuned knob reaches the CPU engine again" >&2
+  exit 1
+fi
+
+# The tuner keeps only what can change its answer: one tile choice per
+# GEMM site, searched by one deterministic coordinate descent.  The
+# elementwise-chunk axis, the untouched default-tiles field and the
+# seeded explorers never changed a best cost, so they stay gone
+# (lib/dist's shard strategies are a different vocabulary).
+echo "guard: no tuning chunk axis, default-tiles field or seeded explorer in lib/ or bin/"
+stray=$( { grep -rnE '\bEvolve\b|cfg_elem_chunk|cfg_default|Search\.(strategy|Grid|Greedy)' lib bin
+  grep -rn 'strategy_of_name' lib bin \
+    | grep -v -e '^lib/dist/shard\.mli\?:' -e 'Shard\.strategy_of_name'; } || true)
+if [ -n "$stray" ]; then
+  echo "$stray"
+  echo "check.sh: a tuning axis or explorer that never changed an answer crept back in" >&2
   exit 1
 fi
 
@@ -398,12 +413,12 @@ FT_TUNE_DB="$(mktemp -d)"
 export FT_TUNE_DB
 trap 'rm -rf "$FT_PLAN_CACHE" "$FT_TUNE_DB"' EXIT
 tune_target=examples/programs/ffn_block.ft
-echo "tune $tune_target (budget 8, grid, seed 2024)"
+echo "tune $tune_target (budget 8)"
 dune exec --no-build bin/ftc.exe -- tune "$tune_target" \
-  --budget 8 --strategy grid --seed 2024 --format text
+  --budget 8 --format text
 if command -v python3 > /dev/null 2>&1; then
   dune exec --no-build bin/ftc.exe -- tune "$tune_target" \
-    --budget 8 --strategy grid --seed 2024 --format json \
+    --budget 8 --format json \
     | python3 -m json.tool > /dev/null
 fi
 echo "profile $tune_target with the tuned config applied"

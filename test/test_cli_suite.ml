@@ -118,7 +118,7 @@ let cli_tests =
                 rest
         in
         same "--format" [ "lint"; "analyze"; "tune" ];
-        same "--seed" [ "run"; "profile"; "tune"; "conform"; "shard" ];
+        same "--seed" [ "run"; "profile"; "conform"; "shard" ];
         same "--domains" [ "run"; "profile" ];
         same "--device" [ "simulate"; "profile"; "tune"; "shard" ];
         same "--json" [ "conform"; "cache"; "shard" ]);
@@ -239,6 +239,16 @@ let cli_tests =
             checki flags 124 code;
             checkb (flags ^ ": stdout is silent") true (String.trim out = ""))
           [ "--bench"; "--json"; "--repeat 3"; "--queue 4" ]);
+    Alcotest.test_case "tune has one deterministic search: --strategy and \
+                        --seed are usage errors" `Quick (fun () ->
+        List.iter
+          (fun flags ->
+            let code, out, _ =
+              run_ftc ("tune " ^ example "ffn_block" ^ " " ^ flags)
+            in
+            checki flags 124 code;
+            checkb (flags ^ ": stdout is silent") true (String.trim out = ""))
+          [ "--strategy grid"; "--strategy x"; "--seed 1" ]);
     Alcotest.test_case "serve: --requests below 0 is a diagnostic, exit 1"
       `Quick (fun () -> serve_rejects "--requests=-1" "--requests");
     Alcotest.test_case "serve: --max-batch below 1 is a diagnostic, exit 1"
@@ -293,7 +303,7 @@ let tuned_run_unchanged () =
       let prog = example "mlp_chain" in
       let with_db = Printf.sprintf "FT_TUNE_DB=%s " (Filename.quote dir) in
       let code, out, _ =
-        run_ftc ~env:with_db ("tune " ^ prog ^ " --budget 16 --strategy greedy")
+        run_ftc ~env:with_db ("tune " ^ prog ^ " --budget 16")
       in
       checki "tune exit code" 0 code;
       checkb "tune names the cost unit" true

@@ -119,7 +119,7 @@ let tune_test name =
         (fun () ->
           let p = Parse.program_file (example_path name) in
           ignore (Typecheck.check_program p);
-          let report = Tuner.tune_program ~seed:2024 ~budget:6 p in
+          let report = Tuner.tune_program ~budget:6 p in
           let full = Tuner.report_to_jsonv report in
           check_valid ("tune " ^ name) (Jsonw.to_string full);
           check_golden ("tune-" ^ name) (Jsonw.to_string (redact full))))

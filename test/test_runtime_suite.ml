@@ -438,9 +438,6 @@ let plan_cache_tests =
         checki "same kernels" (Plan.total_kernels direct) (Plan.total_kernels a));
     Alcotest.test_case "keys are option-sensitive" `Quick (fun () ->
         let p = prog () in
-        checkb "collapse_reuse" true
-          (Pipeline.program_key ~collapse_reuse:true p
-          <> Pipeline.program_key ~collapse_reuse:false p);
         checkb "programs" true
           (Pipeline.program_key p
           <> Pipeline.program_key (Stacked_rnn.program Stacked_rnn.paper));

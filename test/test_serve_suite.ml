@@ -239,7 +239,8 @@ let session_tests =
         (* serving runs Build.build's graph with the session's options:
            no tuned-config lookup and no plan warm-up *)
         let sv = selective_scan ~seq_len:4 ~hidden:4 in
-        let key = Pipeline.program_key (sv.Servable.sv_step 2) in
+        let step = sv.Servable.sv_step 2 in
+        let key = Pipeline.program_key step in
         let saved = Sys.getenv_opt Tune_db.Db.env_var in
         Unix.putenv Tune_db.Db.env_var "";
         Fun.protect
@@ -251,12 +252,9 @@ let session_tests =
               {
                 Tune_db.tr_key = key;
                 tr_device = Tune_db.device_digest Device.a100;
-                tr_tile =
-                  { Tile.default_config with Tile.cfg_elem_chunk = 4096 };
+                tr_tile = Oracles.pinned_tile step;
                 tr_cost = 0.0;
-                tr_strategy = "pinned";
                 tr_budget = 0;
-                tr_seed = 0;
               };
             Pipeline.Cache.clear ();
             let before = Tune_db.Db.stats () in
@@ -303,11 +301,10 @@ let differential_tests =
     (fun name ->
       let sv = Option.get (Servable.builtin name) in
       List.map
-        (fun (domains, seed, compact) ->
+        (fun (domains, seed) ->
           Alcotest.test_case
-            (Printf.sprintf "%s: batched == solo (domains %d, schedule %d%s)"
-               name domains seed
-               (if compact then ", compacting" else ""))
+            (Printf.sprintf "%s: batched == solo (domains %d, schedule %d)"
+               name domains seed)
             `Quick
             (fun () ->
               let opts =
@@ -320,7 +317,7 @@ let differential_tests =
               in
               let rs = Loadgen.requests sv ~seed pl in
               let b =
-                Serve.run_requests ~opts ~max_batch:4 ~compact sv rs
+                Serve.run_requests ~opts ~max_batch:4 sv rs
               in
               let rs_solo = Loadgen.requests sv ~seed pl in
               let s = Serve.solo ~opts sv rs_solo in
@@ -328,7 +325,7 @@ let differential_tests =
                 (List.length b.Serve.oc_completed);
               checki "bitwise mismatches" 0
                 (Serve.mismatches b.Serve.oc_completed s.Serve.oc_completed)))
-        [ (1, 42, true); (2, 43, false); (4, 44, true) ])
+        [ (1, 42); (2, 43); (4, 44) ])
     Servable.builtin_names
 
 (* --------------- served response = the interpreter ---------------- *)

@@ -1,9 +1,9 @@
 (* The auto-tuner: knob-space validity, cost-model monotonicity,
-   search determinism and the tuning database.  The QCheck properties
-   are the contract the tuner's reproducibility rests on — a sampled
-   point must satisfy its own constraints, the analytical model must
-   not reward shrinking a problem, and a fixed (seed, budget, strategy)
-   must pick the identical configuration every time. *)
+   search determinism and optimality on the examples, and the tuning
+   database.  The contract the tuner's reproducibility rests on: a
+   valid point decodes to a valid candidate, the analytical model must
+   not reward shrinking a problem, and a fixed budget must pick the
+   identical configuration every time. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -64,44 +64,34 @@ let smem_validity () =
     (Tile.valid_tiles { Tile.t_m = 48; t_n = 17; t_k = 16 })
 
 (* ---------------------------------------------------------------- *)
-(* Knob space: sampled and mutated points satisfy their constraints. *)
+(* Knob space: one axis per tile site, valid points decode valid.    *)
 
-let sampled_points_valid =
-  QCheck2.Test.make ~count:200 ~name:"sampled points satisfy constraints"
-    QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let sp = Lazy.force ffn_space in
-      let rng = Rng.create seed in
-      let pt = Knobs.sample_point sp rng in
-      Knobs.valid_point sp pt
-      && Knobs.valid sp (Knobs.decode sp pt)
-      && Array.length pt = Array.length (Knobs.axes sp))
-
-let mutated_points_valid =
-  QCheck2.Test.make ~count:200 ~name:"mutated points stay valid"
-    QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let sp = Lazy.force ffn_space in
-      let rng = Rng.create seed in
-      let pt = Knobs.sample_point sp rng in
-      let pt' = Knobs.mutate sp rng pt in
-      Knobs.valid_point sp pt'
-      && Knobs.valid_point sp (Knobs.crossover rng pt pt'))
+let valid_points_decode_valid () =
+  let sp = Lazy.force ffn_space in
+  checki "one site" 1 (List.length sp.Knobs.s_sites);
+  let n = (Knobs.axes sp).(0) in
+  let valid = ref 0 in
+  for v = 0 to n - 1 do
+    if Knobs.valid_point sp [| v |] then begin
+      incr valid;
+      checkb (Printf.sprintf "point %d decodes valid" v) true
+        (Knobs.valid sp (Knobs.decode sp [| v |]))
+    end
+  done;
+  (* the menu's largest tiles overflow shared memory on this site *)
+  checkb "some points invalid" true (!valid < n);
+  checkb "untiled and some tiles valid" true (!valid > 1)
 
 let default_point_is_default () =
   let sp = Lazy.force ffn_space in
   let c = Knobs.decode sp (Knobs.default_point sp) in
   checkb "all-zeros decodes to untuned" true (Tile.is_default c);
   checks "prints as default" "default" (Knobs.to_string c);
-  (* one axis per tile site, then the one global axis the device
-     model prices: elementwise chunk *)
   let n_sites = List.length sp.Knobs.s_sites in
-  checki "one axis per site plus one global axis" (n_sites + 1)
-    (Array.length (Knobs.axes sp));
+  checki "one axis per site" n_sites (Array.length (Knobs.axes sp));
   let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
   checki "cardinality covers the grid"
-    (pow (List.length sp.Knobs.s_tiles + 1) n_sites
-    * List.length sp.Knobs.s_elem_chunks)
+    (pow (List.length sp.Knobs.s_tiles + 1) n_sites)
     (Knobs.cardinality sp)
 
 (* ---------------------------------------------------------------- *)
@@ -143,57 +133,104 @@ let trajectory r =
 
 let search_deterministic () =
   let sp = Lazy.force ffn_space in
-  List.iter
-    (fun strat ->
-      let run () = Search.run ~seed:7 strat ~budget:12 sp (ffn_oracle ()) in
-      let a = run () and b = run () in
-      checkb
-        (Search.strategy_name strat ^ " trajectory identical")
-        true
-        (trajectory a = trajectory b);
-      checks
-        (Search.strategy_name strat ^ " best point identical")
-        (Knobs.point_key a.Search.r_best.Search.e_point)
-        (Knobs.point_key b.Search.r_best.Search.e_point);
-      checkb
-        (Search.strategy_name strat ^ " best cost identical")
-        true
-        (a.Search.r_best.Search.e_cost = b.Search.r_best.Search.e_cost))
-    [ Search.Grid; Search.Greedy; Search.Evolve ]
+  let run () = Search.run ~budget:12 sp (ffn_oracle ()) in
+  let a = run () and b = run () in
+  checkb "trajectory identical" true (trajectory a = trajectory b);
+  checks "best point identical"
+    (Knobs.point_key a.Search.r_best.Search.e_point)
+    (Knobs.point_key b.Search.r_best.Search.e_point);
+  checkb "best cost identical" true
+    (a.Search.r_best.Search.e_cost = b.Search.r_best.Search.e_cost)
 
 let search_contract () =
   let sp = Lazy.force ffn_space in
-  List.iter
-    (fun strat ->
-      let r = Search.run ~seed:2024 strat ~budget:16 sp (ffn_oracle ()) in
-      let n = Search.strategy_name strat in
-      checkb (n ^ " respects budget") true (List.length r.Search.r_evals <= 16);
-      checkb (n ^ " default is eval 0") true
-        (r.Search.r_default.Search.e_index = 0);
-      checkb (n ^ " default point is all zeros") true
-        (Array.for_all (( = ) 0) r.Search.r_default.Search.e_point);
-      checkb
-        (n ^ " best <= default")
-        true
-        (r.Search.r_best.Search.e_cost <= r.Search.r_default.Search.e_cost))
-    [ Search.Grid; Search.Greedy; Search.Evolve ];
+  let r = Search.run ~budget:16 sp (ffn_oracle ()) in
+  checkb "respects budget" true (List.length r.Search.r_evals <= 16);
+  checkb "default is eval 0" true (r.Search.r_default.Search.e_index = 0);
+  checkb "default point is all zeros" true
+    (Array.for_all (( = ) 0) r.Search.r_default.Search.e_point);
+  checkb "best <= default" true
+    (r.Search.r_best.Search.e_cost <= r.Search.r_default.Search.e_cost);
   (* the FFN space has a real win, so the search must actually find
      something strictly better than untuned *)
-  let r = Search.run ~seed:2024 Search.Greedy ~budget:32 sp (ffn_oracle ()) in
-  checkb "greedy finds a strict win on ffn" true
+  let r = Search.run ~budget:32 sp (ffn_oracle ()) in
+  checkb "finds a strict win on ffn" true
     (r.Search.r_best.Search.e_cost < r.Search.r_default.Search.e_cost)
 
 let tuner_deterministic () =
   let p = Lazy.force ffn_program in
-  let t () =
-    Tuner.tune_program ~seed:11 ~strategy:Search.Evolve ~budget:10 p
-  in
+  let t () = Tuner.tune_program ~budget:10 p in
   let a = t () and b = t () in
   checks "tuner picks identical config"
     (Knobs.to_string a.Tuner.rp_result.Search.r_best.Search.e_candidate)
     (Knobs.to_string b.Tuner.rp_result.Search.r_best.Search.e_candidate);
   checkb "tuner costs identical" true
     (trajectory a.Tuner.rp_result = trajectory b.Tuner.rp_result)
+
+(* The evidence that one explorer is enough: on every example program
+   the search at the default budget reaches the least cost of an
+   exhaustive enumeration of the program's knob space.  A program
+   without a GEMM site has a one-point space, and its only evaluation
+   is the default. *)
+let example_dir = "../examples/programs"
+
+let exhaustive_min sp cost =
+  let ax = Knobs.axes sp in
+  let pt = Array.make (Array.length ax) 0 in
+  let best = ref infinity in
+  let rec go i =
+    if i = Array.length ax then begin
+      if Knobs.valid_point sp pt then
+        best := Float.min !best (cost (Knobs.decode sp pt))
+    end
+    else
+      for v = 0 to ax.(i) - 1 do
+        pt.(i) <- v;
+        go (i + 1)
+      done
+  in
+  go 0;
+  !best
+
+let search_reaches_exhaustive_min () =
+  let files =
+    Sys.readdir example_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ft")
+    |> List.sort compare
+  in
+  checkb "examples found" true (files <> []);
+  let saved = Sys.getenv_opt Tune_db.Db.env_var in
+  Unix.putenv Tune_db.Db.env_var "";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv Tune_db.Db.env_var (Option.value saved ~default:"");
+      Tune_db.Db.clear ())
+    (fun () ->
+      List.iter
+        (fun f ->
+          let p = Parse.program_file (Filename.concat example_dir f) in
+          ignore (Typecheck.check_program p);
+          let rep = Tuner.tune_program p in
+          let sp = rep.Tuner.rp_space and res = rep.Tuner.rp_result in
+          let sites = List.length sp.Knobs.s_sites in
+          if sites = 1 then
+            checkb (f ^ ": at most 76 points") true
+              (Knobs.cardinality sp <= 76);
+          if sites = 0 then begin
+            checki (f ^ ": one-point space") 1 (Knobs.cardinality sp);
+            checki (f ^ ": one evaluation") 1
+              (List.length res.Search.r_evals);
+            checkb (f ^ ": it is the default") true
+              (Tile.is_default res.Search.r_best.Search.e_candidate)
+          end;
+          let cost =
+            Cost_oracle.analytical (fun tile ->
+                Pipeline.plan ~verify:false ~tile p)
+          in
+          Alcotest.(check (float 0.))
+            (f ^ ": best = exhaustive minimum")
+            (exhaustive_min sp cost) res.Search.r_best.Search.e_cost)
+        files)
 
 (* ---------------------------------------------------------------- *)
 (* Tuning database: roundtrip, monotone store, corruption = miss.    *)
@@ -220,14 +257,9 @@ let sample_record ~cost =
     Tune_db.tr_key = "deadbeef";
     tr_device = Tune_db.device_digest Device.a100;
     tr_tile =
-      {
-        Tile.default_config with
-        Tile.cfg_tiles = [ ("blk", { Tile.t_m = 64; t_n = 64; t_k = 32 }) ];
-      };
+      { Tile.cfg_tiles = [ ("blk", { Tile.t_m = 64; t_n = 64; t_k = 32 }) ] };
     tr_cost = cost;
-    tr_strategy = "greedy";
     tr_budget = 8;
-    tr_seed = 2024;
   }
 
 let db_roundtrip () =
@@ -353,8 +385,8 @@ let tile_keys () =
   let p = Lazy.force ffn_program in
   let custom =
     {
-      Tile.default_config with
-      Tile.cfg_tiles = [ ("ffn_block.region0", { Tile.t_m = 16; t_n = 64; t_k = 16 }) ];
+      Tile.cfg_tiles =
+        [ ("ffn_block.region0", { Tile.t_m = 16; t_n = 64; t_k = 16 }) ];
     }
   in
   let k_default = Pipeline.program_key p in
@@ -378,17 +410,19 @@ let suites =
         Alcotest.test_case "edge tiles use ceiling division" `Quick edge_tiles;
         Alcotest.test_case "tile validity: alignment + smem" `Quick
           smem_validity;
-        QCheck_alcotest.to_alcotest sampled_points_valid;
-        QCheck_alcotest.to_alcotest mutated_points_valid;
+        Alcotest.test_case "valid points decode to valid candidates" `Quick
+          valid_points_decode_valid;
         Alcotest.test_case "default point decodes to untuned" `Quick
           default_point_is_default;
         QCheck_alcotest.to_alcotest cost_monotone;
-        Alcotest.test_case "search deterministic under fixed seed" `Quick
+        Alcotest.test_case "search deterministic" `Quick
           search_deterministic;
         Alcotest.test_case "search contract: budget, default, best" `Quick
           search_contract;
         Alcotest.test_case "tuner end-to-end deterministic" `Quick
           tuner_deterministic;
+        Alcotest.test_case "search reaches the exhaustive minimum on every \
+                            example" `Quick search_reaches_exhaustive_min;
         Alcotest.test_case "db roundtrip + monotone store" `Quick db_roundtrip;
         Alcotest.test_case "db corruption reads as miss" `Quick
           db_corruption_is_miss;
