@@ -719,14 +719,14 @@ let kernels () =
 (* Tuned: default vs auto-tuned configuration per workload             *)
 (* ------------------------------------------------------------------ *)
 
-(* One search per workload — analytical oracle, coordinate descent,
-   fixed budget — then both configs through the full simulator.
-   Everything here is deterministic: rerunning the experiment
-   reproduces the exact trajectory and winner. *)
+(* One search per workload — coordinate descent over the simulator's
+   time, fixed budget — so a reported cost is the simulated time of that
+   config's plan.  Everything here is deterministic: rerunning the
+   experiment reproduces the exact trajectory and winner. *)
 let tuned () =
   let budget = 32 in
   start "tuned" None;
-  section "Tuned: default vs auto-tuned configs (analytical oracle, coordinate descent)";
+  section "Tuned: default vs auto-tuned configs (simulated time, coordinate descent)";
   let cases =
     [
       ( "fig2",
@@ -758,8 +758,7 @@ let tuned () =
     ]
   in
   Format.printf "budget %d evaluations per workload@.@." budget;
-  print_row "workload"
-    [ "default"; "tuned"; "speedup"; "sim default"; "sim tuned" ];
+  print_row "workload" [ "default"; "tuned"; "speedup" ];
   List.iter
     (fun (fig, title, p) ->
       let rep = Tuner.tune_program ~budget p in
@@ -767,16 +766,12 @@ let tuned () =
       let dflt = res.Search.r_default.Search.e_cost in
       let best = res.Search.r_best.Search.e_cost in
       let cfg = res.Search.r_best.Search.e_candidate in
-      let sim_default = Executor.time_ms (Pipeline.plan p) in
-      let sim_tuned = Executor.time_ms (Pipeline.plan ~tile:cfg p) in
       let speedup = if best > 0. then dflt /. best else 1. in
       print_row title
         [
           Printf.sprintf "%.1f us" dflt;
           Printf.sprintf "%.1f us" best;
           Printf.sprintf "%.2fx" speedup;
-          ms sim_default;
-          ms sim_tuned;
         ];
       Format.printf "    config: %s@." (Knobs.to_string cfg);
       let tuned = "tuned " ^ Knobs.to_string cfg in
@@ -788,9 +783,7 @@ let tuned () =
             ~warmup:0 ~interleaved:false v)
         [
           ("default", "cost_us", "us", "model", dflt);
-          ("default", "sim_time_ms", "ms", "model", sim_default);
           (tuned, "cost_us", "us", "model", best);
-          (tuned, "sim_time_ms", "ms", "model", sim_tuned);
           (tuned, "speedup_vs_default", "x", "ratio", speedup);
           ( tuned, "evaluations", "count", "count",
             float_of_int (List.length res.Search.r_evals) );

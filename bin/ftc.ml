@@ -693,8 +693,9 @@ let tune_cmd =
        ~doc:
          "Search the simulator-visible knob space of a .ft program (one \
           GEMM tile shape per site) by coordinate descent for the least \
-          modelled device time (analytical roofline, microseconds) under \
-          an evaluation budget, report the cost trajectory, and record the \
+          simulated device time (microseconds: the time $(b,ftc run) and \
+          $(b,ftc profile) print for that plan) under an evaluation \
+          budget, report the cost trajectory, and record the \
           winner in the tuning database (set $(b,FT_TUNE_DB) to a \
           directory to persist it); subsequent $(b,ftc run) / \
           $(b,ftc profile) of the same file select the simulated plan \

@@ -34,18 +34,6 @@ let cudnn =
   { fw_name = "cuDNN"; host_us = 2.0; fuse_elementwise = true;
     fuse_cell = true; wavefront = true; tensor_core = false }
 
-let cublas =
-  { fw_name = "cuBLAS"; host_us = 2.0; fuse_elementwise = true;
-    fuse_cell = false; wavefront = false; tensor_core = true }
-
-let cutlass =
-  { fw_name = "CUTLASS"; host_us = 2.0; fuse_elementwise = true;
-    fuse_cell = true; wavefront = false; tensor_core = true }
-
-let flash_attention2 =
-  { fw_name = "FlashAttention-2"; host_us = 2.0; fuse_elementwise = true;
-    fuse_cell = true; wavefront = false; tensor_core = true }
-
 let fractaltensor =
   { fw_name = "FractalTensor"; host_us = 1.0; fuse_elementwise = true;
     fuse_cell = true; wavefront = true; tensor_core = true }

@@ -25,9 +25,6 @@ val tensorflow : t
 val tvm : t
 val triton : t
 val cudnn : t
-val cublas : t
-val cutlass : t
-val flash_attention2 : t
 val fractaltensor : t
 (** Used only for labelling; FractalTensor plans come from
     {!Pipeline.plan_of_graph}. *)

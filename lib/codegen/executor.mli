@@ -60,7 +60,14 @@ val simulate : ?device:Device.t -> ?trace:Trace.sink -> Plan.t -> Exec.report
     ["gpu"]-track spans. *)
 
 val metrics : ?device:Device.t -> Plan.t -> Engine.metrics
+
+val time_us : ?device:Device.t -> Plan.t -> float
+(** The simulated time of {!simulate}, in microseconds, bit for bit,
+    without mirroring anything onto an installed {!Trace} sink — the
+    cost the tuner searches. *)
+
 val time_ms : ?device:Device.t -> Plan.t -> float
+(** [time_us p /. 1e3]: [(metrics p).time_ms], bit for bit. *)
 
 val profile : ?device:Device.t -> Plan.t -> Profile.t
 (** The per-kernel / per-block roofline report of {!simulate}'s

@@ -71,5 +71,3 @@ let scale f ks =
   }
 
 let total_kernels p = List.length p.kernels
-
-let digest p = Digest.to_hex (Digest.string (Marshal.to_string p []))

@@ -69,7 +69,3 @@ val scale : float -> kernel_spec -> kernel_spec
     @raise Invalid_argument outside [0, 1]. *)
 
 val total_kernels : t -> int
-
-val digest : t -> string
-(** Stable hex digest of the whole plan (structure and costs) — the
-    {!Executor} prepared-cache and tooling key for "same plan". *)

@@ -35,8 +35,6 @@ let gemm_tasks ?(tile_m = default_tile) ?(tile_n = default_tile) ~m ~n () =
 
 let elementwise_l1_bytes touched = 2.0 *. touched
 
-let bytes_of_elems n = float_of_int (4 * n)
-
 (* ------------------------- tile configurations --------------------- *)
 
 type tiles = { t_m : int; t_n : int; t_k : int }

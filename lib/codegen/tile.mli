@@ -24,15 +24,6 @@ val default_tile : int
 
 val ceil_div : int -> int -> int
 
-val eff : int -> int -> int
-(** [eff t d]: the effective tile side for a dimension of extent [d] —
-    [t] clamped into [1..d]; [t <= 0] means "whole dimension". *)
-
-val padded : int -> int -> int
-(** [padded d t]: [d] rounded up to whole effective tiles of side [t]
-    — the extent a tiled kernel actually stages, edge tiles
-    included.  Equals [d] whenever [eff t d] divides [d]. *)
-
 val gemm_l1_bytes : ?tile_m:int -> ?tile_n:int -> m:int -> n:int -> k:int -> unit -> float
 (** Shared-memory staging traffic of a tiled GEMM, in bytes.  Edge
     tiles count as whole tiles (ceiling division), so the model is
@@ -44,9 +35,6 @@ val gemm_tasks : ?tile_m:int -> ?tile_n:int -> m:int -> n:int -> unit -> int
 val elementwise_l1_bytes : float -> float
 (** Streaming elementwise kernels move each byte through L1 once
     in and once out: [2x] the touched bytes. *)
-
-val bytes_of_elems : int -> float
-(** fp32: 4 bytes per element. *)
 
 (** {1 Tile configurations}
 
@@ -103,9 +91,8 @@ val valid_tiles :
 val gemm_tile_l1_bytes : tiles -> m:int -> n:int -> k:int -> float
 (** Per-cell staging traffic of a GEMM emitted under explicit tiles:
     padded result round-trip plus operand strips re-staged once per
-    tile row / column.  This is the quantity both the emitter (for
-    explicitly-tiled blocks) and the tuner's analytical oracle use, so
-    tuned costs and emitted plans agree. *)
+    tile row / column: what the emitter charges an explicitly-tiled
+    block, and so what the simulator prices for a tuned plan. *)
 
 val gemm_tile_tasks : tiles -> m:int -> n:int -> int
 (** Output tiles per cell = thread blocks per cell under explicit

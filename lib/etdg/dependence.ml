@@ -45,8 +45,6 @@ let block_distance_vectors (b : Ir.block) =
     b.Ir.blk_edges;
   distance_vectors ~strides b.Ir.blk_ops
 
-let is_fully_parallel b = block_distance_vectors b = []
-
 let legal_schedule a dvs =
   List.for_all
     (fun dv ->

@@ -19,8 +19,6 @@ val block_distance_vectors : Ir.block -> int array list
     self-edges: a read of the block's own output at offset [-s] along an
     aggregate dimension yields distance [s] there. *)
 
-val is_fully_parallel : Ir.block -> bool
-
 val legal_schedule : int array -> int array list -> bool
 (** [legal_schedule a dvs]: the hyperplane [π(t) = a·t] respects every
     dependence iff [a · d >= 1] for each distance vector [d]

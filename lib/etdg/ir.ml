@@ -48,7 +48,6 @@ type graph = {
 }
 
 let buffer g id = List.find (fun b -> b.buf_id = id) g.g_buffers
-let buffer_by_name g name = List.find (fun b -> b.buf_name = name) g.g_buffers
 let block_dim b = Array.length b.blk_ops
 let reads b = List.filter (fun e -> e.e_dir = Read) b.blk_edges
 let writes b = List.filter (fun e -> e.e_dir = Write) b.blk_edges

@@ -74,9 +74,6 @@ type graph = {
 val buffer : graph -> int -> buffer
 (** @raise Not_found *)
 
-val buffer_by_name : graph -> string -> buffer
-(** @raise Not_found *)
-
 val block_dim : block -> int
 (** The dimension [d] of a block node. *)
 

@@ -66,16 +66,10 @@ let mat_vec m v =
       done;
       !acc)
 
-let transpose_mat m =
-  let r, c = dims m in
-  Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
-
 let vec_add a b =
   if Array.length a <> Array.length b then
     invalid_arg "Linalg.vec_add: length mismatch";
   Array.init (Array.length a) (fun i -> a.(i) + b.(i))
-
-let vec_equal (a : int array) b = a = b
 
 let to_q m = Array.map (Array.map Q.of_int) m
 

@@ -46,9 +46,7 @@ end
 val identity : int -> int array array
 val matmul : int array array -> int array array -> int array array
 val mat_vec : int array array -> int array -> int array
-val transpose_mat : 'a array array -> 'a array array
 val vec_add : int array -> int array -> int array
-val vec_equal : int array -> int array -> bool
 
 val determinant : int array array -> Q.t
 (** @raise Invalid_argument on a non-square matrix. *)

@@ -573,4 +573,3 @@ let read_file path =
   src
 
 let program_file path = program (read_file path)
-let program_file_spanned path = program_spanned (read_file path)

@@ -80,6 +80,3 @@ val input_spans : spans -> (string * span) list
 
 val program_spanned : string -> Expr.program * spans
 (** As {!program}, with the span table. *)
-
-val program_file_spanned : string -> Expr.program * spans
-(** As {!program_file}, with the span table. *)

@@ -51,27 +51,22 @@ let breakdown dev k =
        else Float.max dev.Device.kernel_launch_us k.host_overhead_us);
   }
 
-let exec_time_us dev k =
-  let bd = breakdown dev k in
+(* The roofline: a kernel runs as long as its slowest term. *)
+let exec_us bd =
   Float.max
     (Float.max bd.bd_compute_us bd.bd_dram_us)
     (Float.max bd.bd_l2_us bd.bd_l1_us)
 
+let exec_time_us dev k = exec_us (breakdown dev k)
+
 let total_time_us dev k =
   let bd = breakdown dev k in
-  Float.max
-    (Float.max bd.bd_compute_us bd.bd_dram_us)
-    (Float.max bd.bd_l2_us bd.bd_l1_us)
-  +. bd.bd_overhead_us
+  exec_us bd +. bd.bd_overhead_us
 
 (* The roofline term a kernel's time sits on — what to optimise next. *)
 let bound_name dev k =
   let bd = breakdown dev k in
-  let exec =
-    Float.max
-      (Float.max bd.bd_compute_us bd.bd_dram_us)
-      (Float.max bd.bd_l2_us bd.bd_l1_us)
-  in
+  let exec = exec_us bd in
   if bd.bd_overhead_us > exec then "launch"
   else if exec = bd.bd_compute_us then "compute"
   else if exec = bd.bd_dram_us then "dram"

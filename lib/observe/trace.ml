@@ -47,9 +47,6 @@ let with_sink s f =
 let emit_span ?track ?cat ?args name ~ts_us ~dur_us =
   List.iter (fun s -> add_span ?track ?cat ?args s name ~ts_us ~dur_us) !sinks
 
-let emit_counter ?track name ~ts_us ~value =
-  List.iter (fun s -> add_counter ?track s name ~ts_us ~value) !sinks
-
 let timed ?track ?(cat = "pass") ?(args = []) name f =
   if !sinks = [] then f ()
   else begin

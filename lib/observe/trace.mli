@@ -3,9 +3,9 @@
     renderers.
 
     A {!sink} is an in-memory event collector.  Producers never talk to
-    a sink directly: they call {!timed} / {!emit_span} /
-    {!emit_counter}, which write to every {e installed} sink and cost
-    one list check when none is installed — the same zero-cost-ambient
+    a sink directly: they call {!timed} / {!emit_span}, which write to
+    every {e installed} sink and cost one list check when none is
+    installed — the same zero-cost-ambient
     pattern as {!Verify_hook}.  {!Pipeline.compile} and [Executor.simulate]
     accept a [?trace] sink and install it for the duration of the call.
 
@@ -66,8 +66,8 @@ val add_counter :
 
 val install : sink -> unit
 (** Process-wide registration; every subsequent {!timed} /
-    {!emit_span} / {!emit_counter} writes into it (stacked on top of
-    any sink already installed). *)
+    {!emit_span} writes into it (stacked on top of any sink already
+    installed). *)
 
 val uninstall : unit -> unit
 (** Remove the most recently installed sink (no-op when none). *)
@@ -103,7 +103,6 @@ val emit_span :
 (** Append a span (with producer-supplied timestamps) to every
     installed sink. *)
 
-val emit_counter : ?track:string -> string -> ts_us:float -> value:float -> unit
 
 val gpu_cursor : sink -> float
 (** Current end of the sink's simulated-GPU timeline (µs). *)

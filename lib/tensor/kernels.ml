@@ -110,5 +110,3 @@ let attention ~q ~k ~v =
   out
 
 let matmul_flops ~m ~n ~k = 2 * m * n * k
-let elementwise_flops s = Shape.numel s
-let softmax_flops ~m ~n = 4 * m * n

@@ -64,9 +64,3 @@ val attention : q:Tensor.t -> k:Tensor.t -> v:Tensor.t -> Tensor.t
 
 val matmul_flops : m:int -> n:int -> k:int -> int
 (** [2*m*n*k]. *)
-
-val elementwise_flops : Shape.t -> int
-(** One FLOP per element. *)
-
-val softmax_flops : m:int -> n:int -> int
-(** Max, exp, sum and divide passes: ~[4*m*n]. *)

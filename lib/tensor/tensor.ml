@@ -205,13 +205,6 @@ let rand rng shape =
   done;
   t
 
-let randn rng shape =
-  let t = uninit shape in
-  for i = 0 to Shape.numel shape - 1 do
-    A.unsafe_set t.data i (Rng.normal rng)
-  done;
-  t
-
 let shape t = t.shape
 let numel t = A.dim t.data
 let buffer t = t.data

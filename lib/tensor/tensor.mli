@@ -81,9 +81,6 @@ val init : Shape.t -> (int array -> float) -> t
 val rand : Rng.t -> Shape.t -> t
 (** I.i.d. uniform values in [-1, 1), drawn from the given stream. *)
 
-val randn : Rng.t -> Shape.t -> t
-(** I.i.d. standard-normal values. *)
-
 (** {1 Observation} *)
 
 val shape : t -> Shape.t

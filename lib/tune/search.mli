@@ -35,5 +35,6 @@ type result = {
 val run :
   budget:int -> Knobs.space -> (Knobs.candidate -> float) -> result
 (** [run ~budget space cost] searches the space for the candidate of
-    least [cost] — in the tuner, {!Cost_oracle.analytical}.  [budget]
-    is the maximum number of cost evaluations (≥ 1). *)
+    least [cost] — in the tuner, the simulated time of the candidate's
+    plan ({!Executor.time_us}).  [budget] is the maximum number of cost
+    evaluations (≥ 1). *)

@@ -11,17 +11,19 @@ type record = {
   tr_budget : int;
 }
 
-(* Version 6: the record lost its strategy name and seed, and its tile
-   config the elementwise chunk and default tiles (5 had dropped the
-   reuse-collapse flag, 4 the CPU fields and the oracle name).  [limit] sits above the
-   measured peak of live records (see DESIGN.md, "Caches"). *)
+(* Version 7: costs are the simulator's time, no longer the analytical
+   roofline's, and [store] compares them (6 had dropped the strategy name
+   and seed, and the tile config's elementwise chunk and default tiles; 5
+   the reuse-collapse flag, 4 the CPU fields and the oracle name).
+   [limit] sits above the measured peak of live records (see DESIGN.md,
+   "Caches"). *)
 module Db = Disk_store.Make (struct
   type value = record
 
   let env_var = "FT_TUNE_DB"
   let prefix = ""
   let suffix = ".ftune"
-  let version = 6
+  let version = 7
   let limit = 64
 end)
 

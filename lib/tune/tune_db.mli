@@ -19,8 +19,8 @@ type record = {
   tr_device : string;    (** {!device_digest} of the target device *)
   tr_tile : Tile.config;
   tr_cost : float;
-      (** the winning evaluation's cost: modelled A100 µs from
-          {!Cost_oracle.analytical}, so any two records compare *)
+      (** the winning evaluation's cost: the simulated device µs of
+          its plan ({!Executor.time_us}), so any two records compare *)
   tr_budget : int;  (** the search budget that found it *)
 }
 

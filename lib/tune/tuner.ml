@@ -1,5 +1,5 @@
-(* The tuner's front door: wire a program to a space and the analytical
-   cost model, run the search, persist the winner. *)
+(* The tuner's front door: wire a program to a space and the simulator's
+   time, run the search, persist the winner. *)
 
 type report = {
   rp_program : string;
@@ -15,7 +15,7 @@ let tune ?(device = Device.a100) ?(budget = 32) ~key (p : Expr.program) =
   let space = Knobs.of_plan ~device base_plan in
   let plan_of tile = Pipeline.plan ~verify:false ~tile p in
   let result =
-    Search.run ~budget space (Cost_oracle.analytical ~device plan_of)
+    Search.run ~budget space (fun c -> Executor.time_us ~device (plan_of c))
   in
   let best = result.Search.r_best in
   let dev_digest = Tune_db.device_digest device in
@@ -54,8 +54,7 @@ let tune_file ?device ?budget path =
 (* ----------------------------- reports ----------------------------- *)
 
 (* Every cost is model output; reports say so next to the numbers. *)
-let cost_unit r =
-  Printf.sprintf "modelled %s µs (analytical)" r.rp_device.Device.name
+let cost_unit r = Printf.sprintf "modelled %s µs" r.rp_device.Device.name
 
 let config_to_jsonv (t : Knobs.candidate) =
   Jsonw.Obj

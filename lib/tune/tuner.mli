@@ -3,13 +3,15 @@
 
     [tune_program] / [tune_file] extract the {!Knobs.space} from the
     program's default-config plan, run the {!Search} coordinate
-    descent against {!Cost_oracle.analytical} (modelled device µs)
-    under a fixed budget, store the best
-    configuration in the {!Tune_db} (keyed by [Pipeline.program_key] /
-    [source_key] at the default config, where [ftc run] and
-    [ftc profile] look it up), and return a {!report} with the full cost
-    trajectory.  Everything is deterministic given the budget: two
-    identical invocations pick the identical configuration.
+    descent against the simulator's time ({!Executor.time_us} of each
+    candidate's plan, modelled device µs) under a fixed budget, store
+    the best configuration in the {!Tune_db} (keyed by
+    [Pipeline.program_key] / [source_key] at the default config, where
+    [ftc run] and [ftc profile] look it up), and return a {!report}
+    with the full cost trajectory.  Everything is deterministic given the budget: two
+    identical invocations pick the identical configuration.  The cost
+    reported for a configuration is the simulated time [ftc run] and
+    [ftc profile] print for its plan.
 
     Every cost is model output, not a measurement of this host, and a
     stored config selects only which simulated plan a compile
@@ -38,7 +40,7 @@ val config_to_jsonv : Knobs.candidate -> Jsonw.t
 
 val report_to_jsonv : report -> Jsonw.t
 (** The [ftc tune --format json] document: program, key, device, the
-    cost unit (["modelled <device> µs (analytical)"]), budget,
+    cost unit (["modelled <device> µs"]), budget,
     default/best cost, best config, and the full cost
     trajectory. *)
 

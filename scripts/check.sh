@@ -148,12 +148,22 @@ if grep -rnE 'pack_b|packed_b|matmul_packed_into|identity_keyed' lib bin; then
 fi
 
 # Tuning is a simulator-only concern: the tuner searches what the device
-# model prices (GEMM tile sites) under one analytical cost model, and
-# no tuned config reaches the CPU engine.
+# model prices (GEMM tile sites), and no tuned config reaches the CPU
+# engine.
 echo "guard: no CPU tuning knobs or measured tuning oracle in lib/, bin/ or bench/main.ml"
-if grep -rnE 'cfg_vm_chunk|cfg_fuse|with_tile|Cost_oracle\.measured|Tuner\.Measure|oracle_kind' \
+if grep -rnE 'cfg_vm_chunk|cfg_fuse|with_tile|Tuner\.Measure|oracle_kind' \
     lib bin bench/main.ml; then
   echo "check.sh: a tuned knob reaches the CPU engine again" >&2
+  exit 1
+fi
+
+# One model prices a plan: the tuner searches the simulator's time, the
+# number ftc run and ftc profile print.  A second roofline priced the
+# same plans differently and once picked a config the simulator ran
+# slower than the default.
+echo "guard: no second cost model (Cost_oracle, \"(analytical\") in lib/, bin/ or bench/main.ml"
+if grep -rnE 'Cost_oracle|\(analytical' lib bin bench/main.ml; then
+  echo "check.sh: a second cost model is back; price plans with the simulator" >&2
   exit 1
 fi
 
@@ -404,8 +414,8 @@ for f in examples/programs/*.ft; do
   fi
 done
 
-# Budgeted smoke tune: search the demo program's knob space with the
-# analytical cost model under a tiny fixed budget, validate the JSON
+# Budgeted smoke tune: search the demo program's knob space over the
+# simulator's time under a tiny fixed budget, validate the JSON
 # report, then profile through the same FT_TUNE_DB so the stored
 # config selects the simulated plan without re-searching (the report
 # must name it).

@@ -307,7 +307,7 @@ let tuned_run_unchanged () =
       in
       checki "tune exit code" 0 code;
       checkb "tune names the cost unit" true
-        (contains out "modelled A100-SXM4-40GB µs (analytical)");
+        (contains out "cost:     modelled A100-SXM4-40GB µs\n");
       checkb "tune finds a non-default config" false
         (contains out "(1.00x)  default\n");
       let tuned_code, tuned, _ = run_ftc ~env:with_db ("run " ^ prog) in

@@ -1,16 +1,16 @@
-(* The auto-tuner: knob-space validity, cost-model monotonicity,
-   search determinism and optimality on the examples, and the tuning
-   database.  The contract the tuner's reproducibility rests on: a
-   valid point decodes to a valid candidate, the analytical model must
-   not reward shrinking a problem, and a fixed budget must pick the
-   identical configuration every time. *)
+(* The auto-tuner: knob-space validity, search determinism and
+   optimality on the examples, tuned plans never simulating slower than
+   the default, and the tuning database.  The contract the tuner's
+   reproducibility rests on: a valid point decodes to a valid candidate,
+   the cost is the simulator's time and nothing else, and a fixed budget
+   must pick the identical configuration every time. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
 (* The demo program with a per-cell GEMM fat enough that tile choices
-   move the analytical cost (the recurrent examples' per-cell matmuls
+   move the simulated time (the recurrent examples' per-cell matmuls
    are vector-sized, where the default rightly wins). *)
 let ffn_src =
   "program ffn_block\n\
@@ -26,9 +26,10 @@ let ffn_space =
      ignore (Typecheck.check_program p);
      Knobs.of_plan (Pipeline.plan p))
 
-let ffn_oracle () =
-  let p = Lazy.force ffn_program in
-  Cost_oracle.analytical (fun tile -> Pipeline.plan ~verify:false ~tile p)
+(* The tuner's cost: the simulated µs of a candidate's plan. *)
+let sim_cost p tile = Executor.time_us (Pipeline.plan ~verify:false ~tile p)
+
+let ffn_oracle () = sim_cost (Lazy.force ffn_program)
 
 (* ---------------------------------------------------------------- *)
 (* Tile arithmetic: partial edge tiles must be charged, not dropped. *)
@@ -93,35 +94,6 @@ let default_point_is_default () =
   checki "cardinality covers the grid"
     (pow (List.length sp.Knobs.s_tiles + 1) n_sites)
     (Knobs.cardinality sp)
-
-(* ---------------------------------------------------------------- *)
-(* Analytical model: weakly monotone in problem size at fixed tiles. *)
-
-let cost_monotone =
-  let gen =
-    QCheck2.Gen.(
-      let* m = int_range 1 32 in
-      let* n = int_range 1 32 in
-      let* k = int_range 1 32 in
-      let* tiles =
-        oneofl
-          [
-            None;
-            Some { Tile.t_m = 16; t_n = 16; t_k = 16 };
-            Some { Tile.t_m = 64; t_n = 64; t_k = 32 };
-            Some { Tile.t_m = 128; t_n = 128; t_k = 32 };
-          ]
-      in
-      return (16 * m, 16 * n, 16 * k, tiles))
-  in
-  QCheck2.Test.make ~count:200
-    ~name:"gemm cost monotone in m/n/k at fixed tiles" gen
-    (fun (m, n, k, tiles) ->
-      let c ~m ~n ~k = Cost_oracle.gemm_cost ~tiles ~m ~n ~k () in
-      let base = c ~m ~n ~k in
-      base <= c ~m:(m + 16) ~n ~k
-      && base <= c ~m ~n:(n + 16) ~k
-      && base <= c ~m ~n ~k:(k + 16))
 
 (* ---------------------------------------------------------------- *)
 (* Search: determinism, budget respect, best never worse than default. *)
@@ -192,23 +164,30 @@ let exhaustive_min sp cost =
   go 0;
   !best
 
-let search_reaches_exhaustive_min () =
-  let files =
-    Sys.readdir example_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".ft")
-    |> List.sort compare
-  in
-  checkb "examples found" true (files <> []);
+(* The .ft files under [dir], as paths, in name order. *)
+let ft_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ft")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* Run [f] with the tuning database in memory only, emptied after. *)
+let with_memory_db f =
   let saved = Sys.getenv_opt Tune_db.Db.env_var in
   Unix.putenv Tune_db.Db.env_var "";
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv Tune_db.Db.env_var (Option.value saved ~default:"");
       Tune_db.Db.clear ())
-    (fun () ->
+    f
+
+let search_reaches_exhaustive_min () =
+  let files = ft_files example_dir in
+  checkb "examples found" true (files <> []);
+  with_memory_db (fun () ->
       List.iter
         (fun f ->
-          let p = Parse.program_file (Filename.concat example_dir f) in
+          let p = Parse.program_file f in
           ignore (Typecheck.check_program p);
           let rep = Tuner.tune_program p in
           let sp = rep.Tuner.rp_space and res = rep.Tuner.rp_result in
@@ -223,14 +202,58 @@ let search_reaches_exhaustive_min () =
             checkb (f ^ ": it is the default") true
               (Tile.is_default res.Search.r_best.Search.e_candidate)
           end;
-          let cost =
-            Cost_oracle.analytical (fun tile ->
-                Pipeline.plan ~verify:false ~tile p)
-          in
           Alcotest.(check (float 0.))
             (f ^ ": best = exhaustive minimum")
-            (exhaustive_min sp cost) res.Search.r_best.Search.e_cost)
+            (exhaustive_min sp (sim_cost p)) res.Search.r_best.Search.e_cost)
         files)
+
+(* One model prices a plan: on every .ft program the tree carries, the
+   tuned config simulates no slower than the default, and the reported
+   best and default costs are the simulated times of those two plans,
+   the numbers `ftc run` and `ftc profile` print. *)
+let tuned_never_slower () =
+  let files =
+    List.concat_map ft_files
+      [ example_dir; "../bench/e2e/programs"; "corpus" ]
+  in
+  checki "the .ft files" 29 (List.length files);
+  with_memory_db (fun () ->
+      List.iter
+        (fun f ->
+          let p = Parse.program_file f in
+          ignore (Typecheck.check_program p);
+          let res = (Tuner.tune_program ~budget:32 p).Tuner.rp_result in
+          let best = res.Search.r_best in
+          let t_default = Executor.time_ms (Pipeline.plan p) in
+          let t_tuned =
+            Executor.time_ms (Pipeline.plan ~tile:best.Search.e_candidate p)
+          in
+          checkb (f ^ ": tuned <= default") true (t_tuned <= t_default);
+          Alcotest.(check (float 1e-9))
+            (f ^ ": best cost = simulated time") (t_tuned *. 1e3)
+            best.Search.e_cost;
+          Alcotest.(check (float 1e-9))
+            (f ^ ": default cost = simulated time") (t_default *. 1e3)
+            res.Search.r_default.Search.e_cost)
+        files)
+
+(* Pricing a candidate builds no timeline: under an installed sink the
+   tuner adds its "tune" spans and no "gpu" ones. *)
+let tune_adds_no_gpu_spans () =
+  let sink = Trace.make () in
+  let res =
+    Trace.with_sink sink (fun () ->
+        (Tuner.tune_program ~budget:8 (Lazy.force ffn_program))
+          .Tuner.rp_result)
+  in
+  let tracks =
+    List.filter_map
+      (function Trace.Span { track; _ } -> Some track | _ -> None)
+      (Trace.events sink)
+  in
+  checki "one tune span per evaluation" (List.length res.Search.r_evals)
+    (List.length (List.filter (( = ) "tune") tracks));
+  checkb "no gpu spans" false (List.mem "gpu" tracks)
 
 (* ---------------------------------------------------------------- *)
 (* Tuning database: roundtrip, monotone store, corruption = miss.    *)
@@ -398,9 +421,9 @@ let tile_keys () =
   let digest pl = Digest.to_hex (Digest.string (Marshal.to_string pl [])) in
   checks "default tile plan identical" (digest (Pipeline.plan p))
     (digest (Pipeline.plan ~tile:Tile.default_config p));
-  (* a tuned tile config actually lowers the analytical cost on ffn *)
-  let c_default = Cost_oracle.plan_cost (Pipeline.plan p) in
-  let c_tuned = Cost_oracle.plan_cost (Pipeline.plan ~tile:custom p) in
+  (* a tuned tile config actually lowers the simulated time on ffn *)
+  let c_default = Executor.time_ms (Pipeline.plan p) in
+  let c_tuned = Executor.time_ms (Pipeline.plan ~tile:custom p) in
   checkb "tuned plan cheaper on ffn" true (c_tuned < c_default)
 
 let suites =
@@ -414,7 +437,6 @@ let suites =
           valid_points_decode_valid;
         Alcotest.test_case "default point decodes to untuned" `Quick
           default_point_is_default;
-        QCheck_alcotest.to_alcotest cost_monotone;
         Alcotest.test_case "search deterministic" `Quick
           search_deterministic;
         Alcotest.test_case "search contract: budget, default, best" `Quick
@@ -423,6 +445,10 @@ let suites =
           tuner_deterministic;
         Alcotest.test_case "search reaches the exhaustive minimum on every \
                             example" `Quick search_reaches_exhaustive_min;
+        Alcotest.test_case "tuned plans simulate no slower than the \
+                            default on every .ft" `Quick tuned_never_slower;
+        Alcotest.test_case "tuning adds no gpu spans to a trace" `Quick
+          tune_adds_no_gpu_spans;
         Alcotest.test_case "db roundtrip + monotone store" `Quick db_roundtrip;
         Alcotest.test_case "db corruption reads as miss" `Quick
           db_corruption_is_miss;
