@@ -280,8 +280,8 @@ let verify_cmd =
        ~doc:"Check the interpreter against the imperative reference")
     Term.(const run $ arg)
 
-(* The --stage vocabulary is Pipeline's: the same names label verifier
-   hooks, trace spans and these flags. *)
+(* The --stage vocabulary is Pipeline's: the same names label
+   per-stage diagnostics, trace spans and these flags. *)
 let stage_arg =
   Arg.(
     value
@@ -321,8 +321,8 @@ let verify_flag =
     & info [ "verify" ] ~docv:"BOOL"
         ~doc:
           "Run the static verifier on every intermediate ETDG (after \
-           build, coarsening and reordering).  On by default; \
-           --verify=false disables it.")
+           build and each coarsening stage, and before emission).  On \
+           by default; --verify=false disables it.")
 
 let compile_one verify failed w =
   let t = Pipeline.compile ~verify ~fatal:false (w.w_program ()) in
@@ -341,16 +341,13 @@ let compile_one verify failed w =
     (List.length merged.Ir.g_blocks);
   List.iter
     (fun b ->
-      match List.assoc_opt b.Ir.blk_name t.Pipeline.p_reorder with
-      | None -> ()
-      | Some (r : Reorder.result) ->
-          Format.printf "  %-40s p=[%s]%s@." b.Ir.blk_name
-            (String.concat ","
-               (Array.to_list (Array.map Expr.soac_kind_name b.Ir.blk_ops)))
-            (if r.Reorder.wavefront then
-               Printf.sprintf " wavefront, %d steps"
-                 (Reorder.sequential_steps r)
-             else " fully parallel"))
+      let r = Reorder.apply b in
+      Format.printf "  %-40s p=[%s]%s@." b.Ir.blk_name
+        (String.concat ","
+           (Array.to_list (Array.map Expr.soac_kind_name b.Ir.blk_ops)))
+        (if r.Reorder.wavefront then
+           Printf.sprintf " wavefront, %d steps" (Reorder.sequential_steps r)
+         else " fully parallel"))
     merged.Ir.g_blocks;
   if verify then
     List.iter
@@ -891,7 +888,8 @@ let conform_cmd =
           and 4 domains, with and without fusion, with tuned configs and \
           across plan-cache round trips; sharded across 2 and 4 devices) \
           with bitwise comparison, the values-free shadow-memory check of \
-          each schedule (oracle $(b,shadow)), shrinking, and a \
+          each schedule (oracle $(b,shadow)), the per-stage static \
+          verifier (oracle $(b,stages)), shrinking, and a \
           minimized-repro corpus")
     Term.(
       const run

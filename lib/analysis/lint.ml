@@ -126,8 +126,7 @@ let source ?path:_ text =
                 @ [ Diagnostic.info "L300"
                       (Printf.sprintf
                          "outside the compiled fragment (interpreter only): %s"
-                         msg) ]
-            | exception Verify.Verification_failed (_, ds) -> scope @ ds))
+                         msg) ]))
 
 let file path =
   let ic = open_in path in

@@ -337,28 +337,13 @@ let schedules ?stage (g : Ir.graph) =
 
 (* ------------------------------ driver ----------------------------- *)
 
-let graph ?stage ?(check_schedules = true) ?(check_races = true) g =
-  structure ?stage g @ access_maps ?stage g
-  @ (if check_schedules then schedules ?stage g else [])
-  (* Wavefront race proofs only make sense in original coordinates:
-     reordered graphs' maps are already transformed, like schedules.
-     A structurally broken graph gets its V0xx findings first; the
+let graph ?stage ?(check_races = true) g =
+  structure ?stage g @ access_maps ?stage g @ schedules ?stage g
+  (* A structurally broken graph gets its V0xx findings first; the
      race prover skips edges it cannot do arithmetic with. *)
-  @ if check_schedules && check_races then Effects.race_diagnostics ?stage g
-    else []
+  @ if check_races then Effects.race_diagnostics ?stage g else []
 
-let graph_exn ?stage ?check_schedules ?check_races g =
-  let ds = graph ?stage ?check_schedules ?check_races g in
+let graph_exn ?stage ?check_races g =
+  let ds = graph ?stage ?check_races g in
   if List.exists Diagnostic.is_error ds then
     raise (Verification_failed (Option.value stage ~default:"verify", ds))
-
-let install ?(fatal = true) () =
-  Verify_hook.register (fun ~stage g ->
-      (* Reordered graphs carry transformed access maps; recomputing a
-         transform for them is not meaningful. *)
-      let check_schedules = stage <> "reorder" in
-      let ds = graph ~stage ~check_schedules g in
-      if fatal && List.exists Diagnostic.is_error ds then
-        raise (Verification_failed (stage, ds)))
-
-let uninstall () = Verify_hook.clear ()

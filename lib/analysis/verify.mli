@@ -1,11 +1,11 @@
 (** ETDG schedule-legality and well-formedness verifier.
 
-    The compiler's passes (§5.1–§5.3: build → coarsen → reorder →
-    emit) each rewrite the ETDG; nothing in the passes themselves
-    proves the rewrite legal.  This module makes legality a static
-    check that runs between every stage, in the spirit of polyhedral
-    systems that validate every schedule against the dependence
-    relation before emitting code:
+    The compiler's passes (§5.1–§5.3: build → coarsen → emit, which
+    reorders each block as it goes) each rewrite the ETDG; nothing in
+    the passes themselves proves the rewrite legal.  This module makes
+    legality a static check that runs between every stage, in the
+    spirit of polyhedral systems that validate every schedule against
+    the dependence relation before emitting code:
 
     - {b structural invariants} (V0xx): the five {!Ir.validate}
       conditions, operation-node arity and operand resolution,
@@ -19,7 +19,10 @@
       matrix must be unimodular ({!Linalg.is_unimodular}) and map every
       Table-4 dependence distance vector to a lexicographically
       positive vector; a non-identity transform's first row must
-      satisfy Lamport's hyperplane condition [π · d ≥ 1].
+      satisfy Lamport's hyperplane condition [π · d ≥ 1].  This is
+      decided on the block before it is reordered, against its own
+      dependences; that the transform itself is exact ([M' T = M],
+      reordered domain [= T D]) is checked by the test suite, not here.
 
     Checks whose exact decision would require enumerating a full-size
     iteration space are bounded: beyond a small-volume threshold they
@@ -30,15 +33,8 @@ exception Verification_failed of string * Diagnostic.t list
 (** Stage name and the diagnostics (at least one error) of a fatal
     verification failure. *)
 
-val structure : ?stage:string -> Ir.graph -> Diagnostic.t list
-(** Structural invariants (V001–V006). *)
-
 val access_maps : ?stage:string -> Ir.graph -> Diagnostic.t list
 (** Domain non-emptiness and access-map checks (V010–V012). *)
-
-val schedules : ?stage:string -> Ir.graph -> Diagnostic.t list
-(** Schedule legality of every top-level block's reordering transform,
-    as computed by {!Reorder.transform_matrix} (V020–V023). *)
 
 val schedule :
   ?stage:string ->
@@ -53,29 +49,21 @@ val schedule :
 
 val graph :
   ?stage:string ->
-  ?check_schedules:bool ->
   ?check_races:bool ->
   Ir.graph ->
   Diagnostic.t list
-(** All of the above, plus {!Effects.race_diagnostics} (V3xx): proven
-    same-front races are errors, unproven disjointness a note.
-    [check_schedules] defaults to [true]; pass [false] for graphs whose
-    blocks are already reordered (their access maps are expressed in
-    transformed coordinates, so recomputing a transform for them is
-    meaningless) — race proofs are skipped there too.  [check_races]
-    (default [true]) gates the V3xx pass independently. *)
+(** Structural invariants (V001–V006), {!access_maps}, the schedule
+    legality of every top-level block's reordering transform as
+    computed by {!Reorder.transform_matrix} (V020–V023), plus
+    {!Effects.race_diagnostics} (V3xx): proven same-front races are
+    errors, unproven disjointness a note.  The graph is in original
+    (pre-reorder) coordinates: emission reorders each block itself, so
+    no reordered graph is ever checked.  [check_races] (default
+    [true]) gates the V3xx pass independently. *)
 
 val graph_exn :
   ?stage:string ->
-  ?check_schedules:bool ->
   ?check_races:bool ->
   Ir.graph ->
   unit
 (** @raise Verification_failed when {!graph} reports any error. *)
-
-val install : ?fatal:bool -> unit -> unit
-(** Register the verifier on {!Verify_hook} so that every subsequent
-    pass run in the process is checked.  With [fatal] (default), any
-    error raises {!Verification_failed} out of the offending pass. *)
-
-val uninstall : unit -> unit

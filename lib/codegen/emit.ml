@@ -281,9 +281,10 @@ let block_kernels ?(others = []) ?(collapse_reuse = true)
 
 let block_plan g b = block_kernels g b
 
-(* The plan for an already-coarsened graph.  Not a user entry point:
-   {!Pipeline.compile} is the one compile path and calls this after
-   running (and optionally verifying) the coarsening stages. *)
+(* The plan for an already-coarsened graph, reordering each block as it
+   goes (block_kernels).  Not a user entry point: {!Pipeline.compile}
+   is the one compile path and calls this after running (and
+   optionally verifying) the coarsening stages. *)
 let emit_plan ?(collapse_reuse = true) ?(tile = Tile.default_config)
     (g : Ir.graph) =
   Trace.timed ~cat:"pass" "emit" (fun () ->

@@ -38,9 +38,12 @@ val emit_plan : ?collapse_reuse:bool -> ?tile:Tile.config -> Ir.graph -> Plan.t
     output tile.  Emission is recorded as the ["emit"] span on
     installed trace sinks.
 
-    This is the back half of the compiler, not a user entry point:
-    call {!Pipeline.compile} (or {!Pipeline.plan}), which runs the
-    coarsening stages and the verifier before emitting. *)
+    Emission is where §5.2's reordering happens: each block goes
+    through {!Reorder.apply} here, and no reordered graph exists
+    outside it.  This is the back half of the compiler, not a user
+    entry point: call {!Pipeline.compile} (or {!Pipeline.plan}), which
+    runs the coarsening stages and the verifier (on the graph in
+    original coordinates) before emitting. *)
 
 val block_plan : Ir.graph -> Ir.block -> Plan.kernel_spec list
 (** Kernels for a single block (exposed for tests and ablations). *)

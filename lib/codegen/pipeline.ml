@@ -16,17 +16,17 @@ let stage_of_name = function
   | _ -> None
 
 let all_stages = [ Build; Lower; Group; Merge; Reorder ]
-let default_stages = [ Group; Merge; Reorder ]
+let default_stages = [ Group; Merge ]
 
 (* The production prefix ending at a stage: what `ftc show --stage`
    compiles.  Lower is a diagnostic view off the production path, so
-   its prefix is just itself. *)
+   its prefix is just itself; Reorder is a view of the emitted graph,
+   so its prefix is the whole production pipeline. *)
 let stages_until = function
   | Build -> []
   | Lower -> [ Lower ]
   | Group -> [ Group ]
-  | Merge -> [ Group; Merge ]
-  | Reorder -> default_stages
+  | Merge | Reorder -> default_stages
 
 type stage_result = {
   sr_stage : stage;
@@ -37,7 +37,6 @@ type stage_result = {
 
 type t = {
   p_stages : stage_result list;
-  p_reorder : (string * Reorder.result) list;
   p_emit_graph : Ir.graph;
   p_plan : Plan.t;
   p_emit_diagnostics : Diagnostic.t list option;
@@ -45,86 +44,50 @@ type t = {
 
 let now_ms () = Unix.gettimeofday () *. 1e3
 
-let check ~fatal sname ds =
-  if fatal && List.exists Diagnostic.is_error ds then
-    raise (Verify.Verification_failed (sname, ds))
-
-(* Per-stage checks, mirroring what Verify.install hooks run: full
-   graph checks everywhere except after Reorder, where access maps are
-   already in transformed coordinates — there we re-check structure
-   and bounds on the reordered graph and validate each block's actual
-   transform against its pre-reorder dependences. *)
-let verify_stage ~prev stage g reorder_results =
-  let sname = stage_name stage in
-  match stage with
-  | Reorder ->
-      Verify.structure ~stage:sname g
-      @ Verify.access_maps ~stage:sname g
-      @ List.concat_map
-          (fun (name, (r : Reorder.result)) ->
-            match
-              List.find_opt
-                (fun b -> b.Ir.blk_name = name)
-                prev.Ir.g_blocks
-            with
-            | Some b -> Verify.schedule ~stage:sname b r.Reorder.transform
-            | None -> [])
-          reorder_results
-  | _ -> Verify.graph ~stage:sname g
+(* The one per-stage check: [Verify.graph] on the graph a stage
+   produced, in original coordinates. *)
+let verify_graph ~on ~fatal sname g =
+  if not on then None
+  else begin
+    let ds = Verify.graph ~stage:sname g in
+    if fatal && List.exists Diagnostic.is_error ds then
+      raise (Verify.Verification_failed (sname, ds));
+    Some ds
+  end
 
 let run_stage g = function
   | Build ->
       invalid_arg
         "Pipeline: Build runs implicitly; pass a program to compile"
-  | Lower -> (Coarsen.lower g, None)
-  | Group -> (Coarsen.group_regions g, None)
-  | Merge -> (Coarsen.merge_only g, None)
   | Reorder ->
-      let rs, g' = Reorder.reorder g in
-      (g', Some rs)
+      invalid_arg
+        "Pipeline: Reorder is a view of the emitted graph; read it with \
+         stage_graph"
+  | Lower -> Coarsen.lower g
+  | Group -> Coarsen.group_regions g
+  | Merge -> Coarsen.merge_only g
 
 let compile_from ~stage_checks ~emit_check ~fatal ~collapse_reuse ~tile ~stages
     ~init_results g0 =
   let results = ref (List.rev init_results) in
-  let reorder_acc = ref [] in
-  let emit_graph = ref g0 in
-  let prev = ref g0 in
-  List.iter
-    (fun st ->
-      let t0 = now_ms () in
-      let g', rs = run_stage !prev st in
-      let wall = now_ms () -. t0 in
-      (match rs with Some r -> reorder_acc := r | None -> ());
-      let ds =
-        if stage_checks then begin
-          let d =
-            verify_stage ~prev:!prev st g'
-              (match rs with Some r -> r | None -> [])
-          in
-          check ~fatal (stage_name st) d;
-          Some d
-        end
-        else None
-      in
-      if st <> Reorder then emit_graph := g';
-      results :=
-        { sr_stage = st; sr_graph = g'; sr_wall_ms = wall; sr_diagnostics = ds }
-        :: !results;
-      prev := g')
-    stages;
-  let emit_ds =
-    if emit_check then begin
-      let d = Verify.graph ~stage:"emit" !emit_graph in
-      check ~fatal "emit" d;
-      Some d
-    end
-    else None
+  let g =
+    List.fold_left
+      (fun prev st ->
+        let t0 = now_ms () in
+        let g' = run_stage prev st in
+        let wall = now_ms () -. t0 in
+        let ds = verify_graph ~on:stage_checks ~fatal (stage_name st) g' in
+        results :=
+          { sr_stage = st; sr_graph = g'; sr_wall_ms = wall; sr_diagnostics = ds }
+          :: !results;
+        g')
+      g0 stages
   in
-  let plan = Emit.emit_plan ~collapse_reuse ~tile !emit_graph in
+  let emit_ds = verify_graph ~on:emit_check ~fatal "emit" g in
+  let plan = Emit.emit_plan ~collapse_reuse ~tile g in
   {
     p_stages = List.rev !results;
-    p_reorder = !reorder_acc;
-    p_emit_graph = !emit_graph;
+    p_emit_graph = g;
     p_plan = plan;
     p_emit_diagnostics = emit_ds;
   }
@@ -152,14 +115,7 @@ let compile ?(verify = true) ?(fatal = true) ?trace
       let t0 = now_ms () in
       let g = Build.build p in
       let wall = now_ms () -. t0 in
-      let ds =
-        if verify then begin
-          let d = Verify.graph ~stage:"build" g in
-          check ~fatal "build" d;
-          Some d
-        end
-        else None
-      in
+      let ds = verify_graph ~on:verify ~fatal "build" g in
       let init =
         [ { sr_stage = Build; sr_graph = g; sr_wall_ms = wall;
             sr_diagnostics = ds } ]
@@ -172,7 +128,7 @@ let compile ?(verify = true) ?(fatal = true) ?trace
 let plan_of_graph ?(verify = true) ?(collapse_reuse = true)
     ?(tile = Tile.default_config) g =
   (compile_from ~stage_checks:false ~emit_check:verify ~fatal:true
-     ~collapse_reuse ~tile ~stages:[ Group; Merge ] ~init_results:[] g)
+     ~collapse_reuse ~tile ~stages:default_stages ~init_results:[] g)
     .p_plan
 
 let plan ?(verify = true) ?(tile = Tile.default_config) (p : Expr.program) =
@@ -214,10 +170,20 @@ let plan_file ?(verify = true) ?(tile = Tile.default_config) path =
       ignore (Typecheck.check_program p);
       plan ~verify ~tile p)
 
-let stage_graph t st =
-  List.find_map
-    (fun sr -> if sr.sr_stage = st then Some sr.sr_graph else None)
-    t.p_stages
+(* The reordered graph is what emission sees block by block
+   ([Emit] calls [Reorder.apply] itself); nothing compiles or checks it
+   as a whole. *)
+let stage_graph t = function
+  | Reorder ->
+      let g = t.p_emit_graph in
+      Some
+        { g with
+          Ir.g_blocks =
+            List.map (fun b -> (Reorder.apply b).Reorder.block) g.Ir.g_blocks }
+  | st ->
+      List.find_map
+        (fun sr -> if sr.sr_stage = st then Some sr.sr_graph else None)
+        t.p_stages
 
 let stage_diagnostics t =
   List.map

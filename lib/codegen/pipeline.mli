@@ -8,11 +8,18 @@
 
     {v
       program --build--> ETDG --coarsen.group--> --coarsen.merge-->
-              --reorder--> (verified) --emit--> Plan.t
+              (verified) --emit--> Plan.t
     v}
 
-    Stage names here are {e the} stage vocabulary: they are the
-    {!Verify_hook} stage labels, the span names on {!Trace} sinks, and
+    Emission reorders each block itself ({!Reorder.apply}, paper §5.2);
+    [reorder] names that per-block view of the emitted graph, not a
+    pass that rewrites the graph.  Schedule legality is checked at every
+    stage against the block's own (pre-reorder) dependences
+    ({!Verify.graph}); that the transform is exact — [M' T = M], the
+    reordered domain is [T D] — is a test, not a run-time check.
+
+    Stage names here are {e the} stage vocabulary: they are the span
+    names on {!Trace} sinks, the labels of per-stage diagnostics and
     the values of [ftc]'s [--stage] flags.  {!Coarsen}'s individual
     passes remain exported for targeted tests, but production
     compilation goes through {!compile} (full stage results,
@@ -23,21 +30,24 @@ type stage = Build | Lower | Group | Merge | Reorder
 
 val stage_name : stage -> string
 (** ["build"], ["coarsen.lower"], ["coarsen.group"], ["coarsen.merge"],
-    ["reorder"] — matching {!Verify_hook} and {!Trace} span names. *)
+    ["reorder"] — the {!Trace} span names of the passes ([reorder] has
+    no span: it is a view, see {!stage_graph}). *)
 
 val stage_of_name : string -> stage option
 
 val all_stages : stage list
 
 val default_stages : stage list
-(** The production pipeline after build: [[Group; Merge; Reorder]].
+(** The production pipeline after build: [[Group; Merge]].
     ({!Coarsen.lower} is subsumed by region grouping and appears only
     when requested explicitly, e.g. [ftc show --stage coarsen.lower].) *)
 
 val stages_until : stage -> stage list
 (** The production prefix that ends at a stage — what [ftc show
     --stage] compiles.  [Build] maps to [[]] (build always runs);
-    [Lower] to [[Lower]] (a diagnostic view off the production path). *)
+    [Lower] to [[Lower]] (a diagnostic view off the production path);
+    [Reorder] to {!default_stages} (its graph is a view of the emitted
+    one). *)
 
 type stage_result = {
   sr_stage : stage;
@@ -49,11 +59,9 @@ type stage_result = {
 
 type t = {
   p_stages : stage_result list;  (** in execution order *)
-  p_reorder : (string * Reorder.result) list;
-      (** per-block reorder decisions, when [Reorder] ran *)
   p_emit_graph : Ir.graph;
-      (** the graph emission consumed: after the last non-[Reorder]
-          stage (emission reorders per block itself) *)
+      (** the graph emission consumed: after the last stage (emission
+          reorders per block itself) *)
   p_plan : Plan.t;
   p_emit_diagnostics : Diagnostic.t list option;
 }
@@ -67,7 +75,8 @@ val compile :
   Expr.program ->
   t
 (** Compile a program through [Build] and [stages] (default
-    {!default_stages}), then emit.  [verify] (default on) runs the
+    {!default_stages}; [Build] and [Reorder] are not passes and raise
+    [Invalid_argument] here), then emit.  [verify] (default on) runs the
     {!Verify} checks after every stage and once more before emission;
     with [fatal] (default) any error raises
     {!Verify.Verification_failed}, with [fatal:false] diagnostics are
@@ -123,7 +132,9 @@ val plan_file : ?verify:bool -> ?tile:Tile.config -> string -> Plan.t
     an invalid program. *)
 
 val stage_graph : t -> stage -> Ir.graph option
-(** The graph after a given stage, when that stage ran. *)
+(** The graph after a given stage, when that stage ran.  [Reorder] is
+    always available: {!Reorder.apply} mapped over the blocks of
+    [p_emit_graph], the same call emission makes. *)
 
 val stage_diagnostics : t -> (string * Diagnostic.t list) list
 (** [(stage name, diagnostics)] per executed stage ([[]] where the

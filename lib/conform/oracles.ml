@@ -8,7 +8,7 @@ type outcome =
 type run = { r_oracle : string; r_outcome : outcome; r_wall_ms : float }
 
 let all_oracles =
-  [ "interp"; "compiled-seq"; "shadow"; "tuned"; "cache-rt"; "compiled";
+  [ "interp"; "compiled-seq"; "shadow"; "stages"; "tuned"; "cache-rt"; "compiled";
     "compiled2"; "compiled4"; "compiled-nofuse";
     "sharded2"; "sharded4"; "serve" ]
 
@@ -150,6 +150,20 @@ let shadow_oracle g =
         ("shadow memory contradicts the static analysis: "
         ^ String.concat "; " issues)
 
+(* The per-stage static checks ftc compile and ftc profile run: no stage
+   of the compile pipeline may report an error on the program. *)
+let stages_oracle p =
+  match
+    List.find_map
+      (fun (stage, ds) ->
+        Option.map (fun d -> (stage, d)) (List.find_opt Diagnostic.is_error ds))
+      (Pipeline.verify_stages p)
+  with
+  | None -> Held
+  | Some (stage, d) ->
+      Failed
+        (Format.asprintf "stage %s: %a" stage (Diagnostic.pp ?path:None) d)
+
 let pinned_tile (p : Expr.program) =
   let block =
     match (Knobs.of_plan (Pipeline.plan p)).Knobs.s_sites with
@@ -242,6 +256,7 @@ let run_one (p : Expr.program) inputs graph name =
             match name with
             | "compiled-seq" -> compiled_oracle ~order:Vm.Sequential p g inputs
             | "shadow" -> shadow_oracle g
+            | "stages" -> stages_oracle p
             | "tuned" -> tuned_oracle p g inputs
             | "cache-rt" -> cache_rt_oracle p g inputs
             | "compiled" -> compiled_oracle p g inputs

@@ -21,6 +21,11 @@
                      against the static verdicts of [Effects] — a
                      contradiction fails the oracle.  It checks
                      itself ({!Held});
+    - ["stages"]   — {!Pipeline.verify_stages} on the program, no
+                     values: the static verifier after build, each
+                     coarsening stage and before emission (what
+                     [ftc compile] and [ftc profile] run) must report
+                     no error.  It checks itself ({!Held});
     - ["tuned"]    — a non-default, simulator-visible configuration
                      (one 16x16x16 tile, on the program's first GEMM
                      site when it has one) is stored in the
@@ -58,7 +63,8 @@
                      It checks itself ({!Held}); an underivable program
                      is {!Skipped}.
 
-    Every oracle but ["interp"], ["shadow"] and ["serve"] returns the {e raw} engine output,
+    Every oracle but ["interp"], ["shadow"], ["stages"] and ["serve"]
+    returns the {e raw} engine output,
     which materialises fold/reduce accumulator history; {!project}
     maps it down to the interpreter's view.  The driver compares them
     raw against ["compiled-seq"] (invariance) and projected
@@ -66,7 +72,8 @@
 
 type outcome =
   | Value of Fractal.t  (** raw output of this back end *)
-  | Held  (** the oracle's own check held (["shadow"], ["serve"]) *)
+  | Held
+      (** the oracle's own check held (["shadow"], ["stages"], ["serve"]) *)
   | Unsupported of string
       (** the program is outside the compiled fragment
           ([Build.Unsupported]) — fine for interpreter-only programs,

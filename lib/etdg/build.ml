@@ -791,14 +791,9 @@ let build (p : Expr.program) : Ir.graph =
     | e -> e
   in
   let _bufs, _levels = walk ctx env tyenv [] ~name:p.name ~role:Ir.Output body in
-  let g =
-    { Ir.g_name = p.name; g_buffers = List.rev ctx.buffers;
-      g_blocks = List.rev ctx.blocks }
-  in
-  Verify_hook.fire ~stage:"build" g;
-  g
+  { Ir.g_name = p.name; g_buffers = List.rev ctx.buffers;
+    g_blocks = List.rev ctx.blocks }
 
 (* Observability: time the pass into any installed trace sink.  The
-   span name is the stage vocabulary shared with Verify_hook and
-   Pipeline. *)
+   span name is Pipeline's stage vocabulary. *)
 let build p = Trace.timed ~cat:"pass" "build" (fun () -> build p)

@@ -210,13 +210,9 @@ let lower_block (g : Ir.graph) (b : Ir.block) : Ir.block =
 
 let lower (g : Ir.graph) : Ir.graph =
   let lowered_blocks = List.map (lower_block g) g.Ir.g_blocks in
-  let g =
-    { g with
-      Ir.g_buffers = List.map promote_buffer g.Ir.g_buffers;
-      g_blocks = lowered_blocks }
-  in
-  Verify_hook.fire ~stage:"coarsen.lower" g;
-  g
+  { g with
+    Ir.g_buffers = List.map promote_buffer g.Ir.g_buffers;
+    g_blocks = lowered_blocks }
 
 let lower g = Trace.timed ~cat:"pass" "coarsen.lower" (fun () -> lower g)
 
@@ -647,9 +643,7 @@ let fuse_access_maps (g : Ir.graph) : Ir.graph =
   }
 
 let merge_only (g : Ir.graph) : Ir.graph =
-  let g = { g with Ir.g_blocks = merge_fixpoint g.Ir.g_blocks } in
-  Verify_hook.fire ~stage:"coarsen.merge" g;
-  g
+  { g with Ir.g_blocks = merge_fixpoint g.Ir.g_blocks }
 
 let merge_only g =
   Trace.timed ~cat:"pass" "coarsen.merge" (fun () -> merge_only g)
@@ -714,18 +708,7 @@ let group_regions (g : Ir.graph) : Ir.graph =
           blk_results = pairs_results pairs;
         }
   in
-  let g = { g with Ir.g_blocks = List.rev_map fuse !order } in
-  Verify_hook.fire ~stage:"coarsen.group" g;
-  g
+  { g with Ir.g_blocks = List.rev_map fuse !order }
 
 let group_regions g =
   Trace.timed ~cat:"pass" "coarsen.group" (fun () -> group_regions g)
-
-let coarsen (g : Ir.graph) : Ir.graph =
-  let g = fuse_access_maps g in
-  let g = lower g in
-  let g = { g with Ir.g_blocks = merge_fixpoint g.Ir.g_blocks } in
-  Verify_hook.fire ~stage:"coarsen" g;
-  g
-
-let coarsen g = Trace.timed ~cat:"pass" "coarsen" (fun () -> coarsen g)

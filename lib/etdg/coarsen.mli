@@ -42,10 +42,10 @@ val lower : Ir.graph -> Ir.graph
     non-unit static axes promoted to programmable dimensions so the
     extended access maps stay well-formed.
 
-    Exported for targeted tests and graph surgery; production
-    compilation chains the coarsening stages through
-    [Pipeline.compile] (stage [Lower], span ["coarsen.lower"]) rather
-    than calling this directly. *)
+    Off the production path: region grouping subsumes it, so
+    [Pipeline] runs it only as the diagnostic stage [Lower] (span
+    ["coarsen.lower"], e.g. [ftc show --stage coarsen.lower]) and
+    targeted tests call it directly. *)
 
 val merge_horizontal : Ir.block -> Ir.block -> Ir.block option
 (** Merge two independent sibling blocks (same operator vector, equal
@@ -88,10 +88,3 @@ val merge_only : Ir.graph -> Ir.graph
 
     Runs as [Pipeline] stage [Merge] (span ["coarsen.merge"]); don't
     chain it by hand outside targeted tests. *)
-
-val coarsen : Ir.graph -> Ir.graph
-(** The full pass: {!lower}, then repeated horizontal and vertical
-    merging to a fixed point.  (The production pipeline reaches the
-    emitter through [Pipeline.compile]'s [Group]/[Merge] stages
-    instead; [coarsen] is the self-contained whole-pass entry used by
-    pass-level tests, traced as span ["coarsen"].) *)

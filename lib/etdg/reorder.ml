@@ -107,15 +107,6 @@ let apply (b : Ir.block) : result =
     wavefront = not identity;
   }
 
-let reorder (g : Ir.graph) =
-  let results = List.map (fun b -> (b.Ir.blk_name, apply b)) g.Ir.g_blocks in
-  let blocks = List.map (fun (_, r) -> r.block) results in
-  let g' = { g with Ir.g_blocks = blocks } in
-  Verify_hook.fire ~stage:"reorder" g';
-  (results, g')
-
-let reorder g = Trace.timed ~cat:"pass" "reorder" (fun () -> reorder g)
-
 let sequential_steps r =
   if not r.wavefront then 1 else sequential_extent r.block.Ir.blk_domain
 

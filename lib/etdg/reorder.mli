@@ -39,10 +39,6 @@ val apply : Ir.block -> result
     unimodular and every dependence distance stays lexicographically
     positive. *)
 
-val reorder : Ir.graph -> (string * result) list * Ir.graph
-(** Apply to every top-level block; returns the per-block results and
-    the rewritten graph. *)
-
 val sequential_steps : result -> int
 (** Extent of the transformed outermost (sequential) dimension — the
     number of wavefront steps the emitter must serialise.  1 for a

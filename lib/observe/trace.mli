@@ -5,8 +5,7 @@
     A {!sink} is an in-memory event collector.  Producers never talk to
     a sink directly: they call {!timed} / {!emit_span}, which write to
     every {e installed} sink and cost one list check when none is
-    installed — the same zero-cost-ambient
-    pattern as {!Verify_hook}.  {!Pipeline.compile} and [Executor.simulate]
+    installed.  {!Pipeline.compile} and [Executor.simulate]
     accept a [?trace] sink and install it for the duration of the call.
 
     Two time bases share one trace, on separate tracks:

@@ -267,6 +267,17 @@ if grep -nE 'Array1\.sub\b' lib/serve/*.ml; then
   exit 1
 fi
 
+# One compile path checks what it emits: emission reorders each block
+# itself, so no whole-graph reorder stage or reorder results kept on the
+# side, and no process-global verifier hook (nor its opt-out from the
+# schedule check) runs or checks a graph that is never emitted.
+echo "guard: no verifier hook or whole-graph reorder stage in lib/ or bin/"
+if grep -rnE 'Verify_hook|Reorder\.reorder\b|p_reorder|check_schedules|Verify\.install' \
+    lib bin; then
+  echo "check.sh: a second verification route or an unemitted reorder graph is back" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 
@@ -310,9 +321,9 @@ done
 # Conformance sweep: seeded random programs through every oracle
 # (interpreter; the compiled engine in sequential order, in wavefront
 # order at 1/2/4 domains, the values-free shadow check of the
-# schedule, with and without fusion, with tuned configs and across a
-# plan-cache roundtrip; sharded over 2 and 4 devices) plus the
-# metamorphic access laws.
+# schedule, the per-stage static verifier, with and without fusion,
+# with tuned configs and across a plan-cache roundtrip; sharded over 2
+# and 4 devices) plus the metamorphic access laws.
 # The text report includes the per-oracle pass counts.  Then replay
 # the minimized-repro corpus — the regression programs the harness
 # wrote for previously-found compiler bugs.

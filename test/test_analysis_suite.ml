@@ -105,14 +105,6 @@ let verify_tests =
                false
              with Verify.Verification_failed ("test", ds) ->
                Diagnostic.count_errors ds > 0));
-      Alcotest.test_case "installed hook makes passes fatal" `Quick (fun () ->
-          Verify.install ();
-          Fun.protect ~finally:Verify.uninstall (fun () ->
-              checkb "hook active" true (Verify_hook.active ());
-              (* A legal program flows through every pass untouched. *)
-              let g = merged_graph (Conv1d.program Conv1d.default) in
-              checkb "pass ran" true (g.Ir.g_blocks <> []));
-          checkb "hook removed" false (Verify_hook.active ()));
       QCheck_alcotest.to_alcotest
         (QCheck2.Test.make ~count:100
            ~name:"row-scaled transforms are never unimodular"

@@ -73,6 +73,30 @@ let count_rejected cmd args name values =
         values)
 let bad_syntax_ft = "fixtures/cli-bad-syntax.ft"
 
+let ft_files_in dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ft")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* Right-directional variants of the examples (scanr, foldr): committed
+   fixtures under test/fixtures/rd-*.ft. *)
+let right_directional_fixtures () =
+  match
+    List.filter
+      (fun f -> String.starts_with ~prefix:"rd-" (Filename.basename f))
+      (ft_files_in "fixtures")
+  with
+  | fs when List.length fs >= 4 -> fs
+  | fs -> Alcotest.failf "expected 4 fixtures/rd-*.ft, found %d" (List.length fs)
+
+(* Every program the repository ships, plus the right-directional
+   variants. *)
+let all_programs () =
+  List.concat_map ft_files_in
+    [ "../examples/programs"; "../bench/e2e/programs"; "corpus" ]
+  @ right_directional_fixtures ()
+
 (* The doc paragraph of [flag] in `ftc cmd --help=plain`: the option
    line plus its indented description, whitespace-normalized, with the
    per-command default hidden (seed defaults legitimately differ). *)
@@ -205,6 +229,33 @@ let cli_tests =
         in
         checki "exit code" 0 code;
         check_json "conform replay" out);
+    Alcotest.test_case "profile --format json: every program, exit 0"
+      `Quick (fun () ->
+        let failed =
+          List.filter_map
+            (fun f ->
+              let code, out, err =
+                run_ftc ("profile " ^ Filename.quote f ^ " --format json")
+              in
+              if code <> 0 then
+                Some (Printf.sprintf "%s: exit %d: %s" f code (String.trim err))
+              else (
+                check_json ("profile " ^ f) out;
+                None))
+            (all_programs ())
+        in
+        if failed <> [] then
+          Alcotest.failf "profile failed on %d file(s):@.%s"
+            (List.length failed) (String.concat "\n" failed));
+    Alcotest.test_case "run on a right-directional program matches the \
+                        interpreter" `Quick (fun () ->
+        List.iter
+          (fun f ->
+            let code, out, _ = run_ftc ("run " ^ Filename.quote f) in
+            checki (f ^ ": exit code") 0 code;
+            checkb (f ^ ": bitwise verdict") true
+              (contains out "bitwise-matches the interpreter"))
+          (right_directional_fixtures ()));
     Alcotest.test_case "serve an underivable program: the failed rule \
                         on stderr, exit 1" `Quick (fun () ->
         let code, out, err = run_ftc ("serve " ^ example "ffn_block") in

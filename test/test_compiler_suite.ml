@@ -432,10 +432,137 @@ let reorder_tests =
           g.Ir.g_blocks);
   ]
 
+(* ---------------- Reordering is exact (§5.2, Table 5) ------------- *)
+
+(* Emission reorders every block of the emitted graph through
+   [Reorder.apply], and nothing re-checks the reordered graph: schedule
+   legality is verified before the transform, against the block's own
+   dependences.  What a post-reorder bounds check would add is that the
+   transform is exact, so that the image of [M T^-1] over [T D] is the
+   image of [M] over [D]; this suite proves it on every block of the
+   programs the repository compiles. *)
+
+let workload_programs =
+  [
+    Stacked_rnn.program Stacked_rnn.default;
+    Stacked_rnn.program Stacked_rnn.paper;
+    Stacked_lstm.program Stacked_lstm.default;
+    Stacked_lstm.program Stacked_lstm.paper;
+    Dilated_rnn.program Dilated_rnn.default;
+    Dilated_rnn.program Dilated_rnn.paper;
+    Grid_rnn.program Grid_rnn.default;
+    Grid_rnn.program Grid_rnn.paper;
+    B2b_gemm.program B2b_gemm.default;
+    B2b_gemm.program B2b_gemm.paper;
+    Flash_attention.program Flash_attention.default;
+    Flash_attention.program Flash_attention.paper;
+    Conv1d.program Conv1d.default;
+    Conv1d.program Conv1d.large;
+    Selective_scan.program Selective_scan.default;
+    Selective_scan.program Selective_scan.large;
+    Retention.program Retention.default;
+    Retention.program Retention.large;
+    Bigbird.program Bigbird.default;
+    Bigbird.program Bigbird.paper;
+  ]
+
+let ft_files () =
+  List.concat_map
+    (fun dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".ft")
+      |> List.sort compare
+      |> List.map (Filename.concat dir))
+    [ "../examples/programs"; "../bench/e2e/programs"; "corpus" ]
+
+let file_program path =
+  let p = Parse.program_file path in
+  ignore (Typecheck.check_program p);
+  p
+
+(* The compiled programs among 200 seeded draws of the conformance
+   generator. *)
+let generated_programs () =
+  let rng = Rng.create 42 in
+  List.filter_map
+    (fun _ ->
+      let sp = Gen.generate rng in
+      if Gen.compiled_expected sp then Some (Gen.program sp) else None)
+    (List.init 200 Fun.id)
+
+(* Domains are enumerated point for point up to this many points of the
+   original domain's bounding box; larger ones get the matrix check. *)
+let max_enumerated = 4096
+
+let box_volume (d : Domain.t) =
+  Option.map
+    (Array.fold_left (fun acc (lo, hi) -> acc * (hi - lo + 1)) 1)
+    (Domain.rect_extents d)
+
+(* Returns whether a non-identity transform's domain was small enough
+   to enumerate. *)
+let check_exact ctx (b : Ir.block) =
+  let r = Reorder.apply b in
+  let t = r.Reorder.transform in
+  let b' = r.Reorder.block in
+  checki (ctx ^ ": edge count") (List.length b.Ir.blk_edges)
+    (List.length b'.Ir.blk_edges);
+  List.iter2
+    (fun (e : Ir.edge) (e' : Ir.edge) ->
+      let a = e.Ir.e_access and a' = e'.Ir.e_access in
+      let what = Printf.sprintf "%s edge %s" ctx e.Ir.e_label in
+      Alcotest.check mat (what ^ ": M' T = M") a.Access_map.matrix
+        (if Array.length a'.Access_map.matrix = 0 then [||]
+         else Linalg.matmul a'.Access_map.matrix t);
+      Alcotest.check vec (what ^ ": offset unchanged") a.Access_map.offset
+        a'.Access_map.offset)
+    b.Ir.blk_edges b'.Ir.blk_edges;
+  match box_volume b.Ir.blk_domain with
+  | Some v when v <= max_enumerated ->
+      let sorted = List.sort compare in
+      checkb (ctx ^ ": reordered domain = T D") true
+        (sorted (Domain.enumerate b'.Ir.blk_domain)
+        = sorted
+            (List.map (Linalg.mat_vec t) (Domain.enumerate b.Ir.blk_domain)));
+      r.Reorder.wavefront
+  | _ -> false
+
+(* Every block of the emitted graph, i.e. what emission reorders. *)
+let check_program_exact (p : Expr.program) =
+  let g = (Pipeline.compile ~verify:false p).Pipeline.p_emit_graph in
+  List.fold_left
+    (fun (blocks, wavefronts) b ->
+      let ctx = p.Expr.name ^ "/" ^ b.Ir.blk_name in
+      (blocks + 1, if check_exact ctx b then wavefronts + 1 else wavefronts))
+    (0, 0) g.Ir.g_blocks
+
+let exact_case name programs =
+  Alcotest.test_case name `Quick (fun () ->
+      let blocks, wavefronts =
+        List.fold_left
+          (fun (n, m) p ->
+            let n', m' = check_program_exact (p ()) in
+            (n + n', m + m'))
+          (0, 0) (programs ())
+      in
+      checkb "some block checked" true (blocks > 0);
+      checkb "some wavefront domain enumerated" true (wavefronts > 0))
+
+let exactness_tests =
+  [
+    exact_case "every workload block reorders exactly (default, paper)"
+      (fun () -> List.map (fun p () -> p) workload_programs);
+    exact_case "every .ft block reorders exactly" (fun () ->
+        List.map (fun f () -> file_program f) (ft_files ()));
+    exact_case "every generated block reorders exactly (seed 42, 200)"
+      (fun () -> List.map (fun p () -> p) (generated_programs ()));
+  ]
+
 let suites =
   [
     ("build", build_tests);
     ("coarsen", coarsen_tests);
     ("dependence", dependence_tests);
     ("reorder", reorder_tests);
+    ("reorder-exact", exactness_tests);
   ]

@@ -330,11 +330,11 @@ let parallel_scan_tests =
 
 let pipeline_tests =
   [
-    Alcotest.test_case "full coarsen pass runs on every workload" `Quick
+    Alcotest.test_case "lowering never reduces depth on any workload" `Quick
       (fun () ->
         List.iter
           (fun g ->
-            let c = Coarsen.coarsen g in
+            let c = Coarsen.lower g in
             checkb (g.Ir.g_name ^ " depth grows by lowering") true
               (Ir.depth c >= Ir.depth g))
           [

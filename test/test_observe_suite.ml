@@ -271,7 +271,7 @@ let pipeline_tests =
           Pipeline.compile ~verify:true
             (Stacked_rnn.program Stacked_rnn.default)
         in
-        checki "stages" 4 (List.length t.Pipeline.p_stages);
+        checki "stages" 3 (List.length t.Pipeline.p_stages);
         List.iter
           (fun sr ->
             match sr.Pipeline.sr_diagnostics with
@@ -305,7 +305,7 @@ let pipeline_tests =
         checkb "names" true
           (List.map fst
              (Pipeline.verify_stages (Stacked_rnn.program Stacked_rnn.default))
-          = [ "build"; "coarsen.group"; "coarsen.merge"; "reorder" ]));
+          = [ "build"; "coarsen.group"; "coarsen.merge" ]));
     Alcotest.test_case "compile records trace spans for every stage" `Quick
       (fun () ->
         let sink = Trace.make () in
@@ -322,7 +322,8 @@ let pipeline_tests =
         List.iter
           (fun expected ->
             checkb (expected ^ " traced") true (List.mem expected names))
-          [ "build"; "coarsen.group"; "coarsen.merge"; "reorder"; "emit" ]);
+          [ "build"; "coarsen.group"; "coarsen.merge"; "emit" ];
+        checkb "no whole-graph reorder span" false (List.mem "reorder" names));
     Alcotest.test_case "stage-selection prefixes reach the right graph"
       `Quick (fun () ->
         let p = Stacked_rnn.program Stacked_rnn.default in
