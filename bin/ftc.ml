@@ -1114,8 +1114,20 @@ let () =
     Cmd.info "ftc" ~version:"1.0"
       ~doc:"FractalTensor compiler driver (SOSP 2024 reproduction)"
   in
+  (* cmdliner would turn an escaping verifier failure into an internal
+     error (exit 125); the one handler prints its findings and exits 1,
+     and every other exception still ends as that internal error. *)
+  let cmd =
+    Cmd.group ~default info
+      [ list_cmd; verify_cmd; show_cmd; compile_cmd; simulate_cmd;
+        run_cmd; profile_cmd; analyze_cmd; tune_cmd; cache_cmd;
+        lint_cmd; conform_cmd; serve_cmd; shard_cmd ]
+  in
   exit
-    (Cmd.eval (Cmd.group ~default info
-                 [ list_cmd; verify_cmd; show_cmd; compile_cmd; simulate_cmd;
-                   run_cmd; profile_cmd; analyze_cmd; tune_cmd; cache_cmd;
-                   lint_cmd; conform_cmd; serve_cmd; shard_cmd ]))
+    (match Verify.exit_on_failure (fun () -> Cmd.eval ~catch:false cmd) with
+    | code -> code
+    | exception e ->
+        Format.eprintf "ftc: internal error, uncaught exception:@\n%s@\n%s@."
+          (Printexc.to_string e)
+          (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

@@ -181,7 +181,8 @@ let structure ?stage (g : Ir.graph) =
 
 (* --------------------- access maps and domains --------------------- *)
 
-let check_access_map ?stage (g : Ir.graph) (b : Ir.block) acc (e : Ir.edge) =
+let check_access_map ?stage (g : Ir.graph) (b : Ir.block) probes acc
+    (e : Ir.edge) =
   let a = e.Ir.e_access in
   let d = Access_map.in_dim a in
   let m = Access_map.out_dim a in
@@ -249,7 +250,7 @@ let check_access_map ?stage (g : Ir.graph) (b : Ir.block) acc (e : Ir.edge) =
                     then bad := Some (r, i, t))
                   idx;
                 !bad)
-              (probe_points b.Ir.blk_domain)
+              (Lazy.force probes)
           in
           (match violation with
           | None -> acc
@@ -272,7 +273,10 @@ let rec check_block_accesses ?stage g acc (b : Ir.block) =
           b.Ir.blk_name
         :: acc
     | `Non_empty | `Unknown ->
-        List.fold_left (check_access_map ?stage g b) acc b.Ir.blk_edges
+        (* one probe set per block, built only if some edge needs it *)
+        let probes = lazy (probe_points b.Ir.blk_domain) in
+        List.fold_left (check_access_map ?stage g b probes) acc
+          b.Ir.blk_edges
   in
   List.fold_left (check_block_accesses ?stage g) acc b.Ir.blk_children
 
@@ -332,7 +336,9 @@ let schedule ?stage ?dvs (b : Ir.block) (tm : int array array) =
 
 let schedules ?stage (g : Ir.graph) =
   List.concat_map
-    (fun b -> schedule ?stage b (Reorder.transform_matrix b))
+    (fun b ->
+      let dvs = Dependence.block_distance_vectors b in
+      schedule ?stage ~dvs b (Reorder.transform_matrix ~dvs b))
     g.Ir.g_blocks
 
 (* ------------------------------ driver ----------------------------- *)
@@ -347,3 +353,12 @@ let graph_exn ?stage ?check_races g =
   let ds = graph ?stage ?check_races g in
   if List.exists Diagnostic.is_error ds then
     raise (Verification_failed (Option.value stage ~default:"verify", ds))
+
+let exit_on_failure ?(ppf = Format.err_formatter) f =
+  match f () with
+  | code -> code
+  | exception Verification_failed (stage, ds) ->
+      Format.fprintf ppf "verification failed after stage %s:@\n%a@." stage
+        (Diagnostic.pp_list ?path:None)
+        ds;
+      1

@@ -67,3 +67,9 @@ val graph_exn :
   Ir.graph ->
   unit
 (** @raise Verification_failed when {!graph} reports any error. *)
+
+val exit_on_failure : ?ppf:Format.formatter -> (unit -> int) -> int
+(** [exit_on_failure f] is [f ()], the exit code of a command, except
+    that a {!Verification_failed} escaping [f] prints the failing stage
+    and its findings on [ppf] (default: stderr) and gives exit code 1
+    — the one handler the [ftc] driver wraps every command in. *)

@@ -13,28 +13,28 @@ type report = {
   rp_arena : Liveness.arena;
 }
 
-let buffer_of g id =
-  List.find (fun bf -> bf.Ir.buf_id = id) g.Ir.g_buffers
-
-(* One liveness step per top-level block: the buffers its footprint
-   touches, at full allocation size (the arena places whole buffers,
-   not regions). *)
+(* One liveness step per top-level block: the buffers its live edges
+   touch, reads first and then writes as a footprint lists them, at
+   full allocation size (the arena places whole buffers, not regions),
+   so no domain is enumerated and no region box computed. *)
 let steps g =
   List.map
     (fun b ->
-      let fp = Effects.block_footprint g b in
-      let acc (r : Effects.region) =
+      let edges = Effects.usable_live_edges g b in
+      let acc (e : Ir.edge) =
+        let bf = Ir.buffer g e.Ir.e_buffer in
         {
-          Liveness.ac_buffer = r.Effects.rg_name;
-          ac_bytes = Effects.buffer_bytes (buffer_of g r.Effects.rg_buffer);
-          ac_write = r.Effects.rg_write;
+          Liveness.ac_buffer = bf.Ir.buf_name;
+          ac_bytes = Effects.buffer_bytes bf;
+          ac_write = e.Ir.e_dir = Ir.Write;
         }
+      in
+      let writes, reads =
+        List.partition (fun (e : Ir.edge) -> e.Ir.e_dir = Ir.Write) edges
       in
       {
         Liveness.sp_name = b.Ir.blk_name;
-        sp_accesses =
-          List.map acc fp.Effects.fp_reads
-          @ List.map acc fp.Effects.fp_writes;
+        sp_accesses = List.map acc reads @ List.map acc writes;
       })
     (Ir.dataflow_order g)
 

@@ -37,7 +37,9 @@ val graph : ?name:string -> Ir.graph -> report
 val steps : Ir.graph -> Liveness.step list
 (** The liveness schedule {!graph} analyzes: one step per top-level
     block in dataflow order, accessing whole buffers at allocation
-    size.  Exposed so the compiled executor ({!Compiled}) can size its
+    size: the buffers of {!Effects.usable_live_edges}, reads then
+    writes (the order a footprint lists its regions in), read straight
+    off the edges.  Exposed so the compiled executor ({!Compiled}) can size its
     arena from exactly the layout the analyzer reports. *)
 
 val program : Expr.program -> report

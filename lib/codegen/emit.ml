@@ -22,12 +22,6 @@ let rec block_point_flops (b : Ir.block) =
     List.fold_left (fun acc c -> acc +. block_point_flops c) own b.Ir.blk_children
   else own
 
-let domain_size (d : Domain.t) =
-  match Domain.rect_extents d with
-  | Some ext ->
-      Array.fold_left (fun acc (lo, hi) -> acc * Stdlib.max 0 (hi - lo)) 1 ext
-  | None -> Domain.card d
-
 let first_matmul_dims b =
   List.find_map
     (fun (o : Ir.op_node) ->
@@ -106,7 +100,7 @@ let is_register_state b (e : Ir.edge) =
    direction; writes of fold/reduce dimensions only materialise the
    final accumulator instance. *)
 let edge_total_bytes ?(collapse_reuse = true) g (b : Ir.block) (e : Ir.edge) =
-  let cells = domain_size b.Ir.blk_domain in
+  let cells = Domain.card b.Ir.blk_domain in
   let ext = block_extents b in
   let per = bytes_per_access g e in
   match e.Ir.e_dir with
@@ -130,7 +124,7 @@ let block_kernels ?(others = []) ?(collapse_reuse = true)
     ?(tile = Tile.default_config) g (b : Ir.block) =
   let r = Reorder.apply b in
   let point_flops = block_point_flops b in
-  let cells_total = domain_size b.Ir.blk_domain in
+  let cells_total = Domain.card b.Ir.blk_domain in
   if cells_total = 0 then []
   else begin
     let touched_elsewhere id =
@@ -300,5 +294,5 @@ let emit_plan ?(collapse_reuse = true) ?(tile = Tile.default_config)
 let graph_flops (g : Ir.graph) =
   List.fold_left
     (fun acc (b : Ir.block) ->
-      acc +. (block_point_flops b *. float_of_int (domain_size b.Ir.blk_domain)))
+      acc +. (block_point_flops b *. float_of_int (Domain.card b.Ir.blk_domain)))
     0.0 g.Ir.g_blocks

@@ -22,8 +22,6 @@ val block_point_flops : Ir.block -> float
 (** FLOPs of one iteration point of a block (its operation nodes plus
     nested children). *)
 
-val domain_size : Domain.t -> int
-
 val emit_plan : ?collapse_reuse:bool -> ?tile:Tile.config -> Ir.graph -> Plan.t
 (** Emit the FractalTensor execution plan for an {e already coarsened}
     graph: reorders every block and materialises access maps into
@@ -50,6 +48,6 @@ val block_plan : Ir.graph -> Ir.block -> Plan.kernel_spec list
 
 val graph_flops : Ir.graph -> float
 (** Total arithmetic cost of one full execution: Σ over blocks of
-    [block_point_flops × domain_size] — the numerator of the
+    [block_point_flops × Domain.card] — the numerator of the
     throughput figures [ftc run --repeat] and the benchmark harness
     report. *)

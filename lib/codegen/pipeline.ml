@@ -83,7 +83,16 @@ let compile_from ~stage_checks ~emit_check ~fatal ~collapse_reuse ~tile ~stages
         g')
       g0 stages
   in
-  let emit_ds = verify_graph ~on:emit_check ~fatal "emit" g in
+  (* The graph emission sees is the last stage's graph: when that stage
+     was checked, its findings are the emit check's, not a repeat of
+     the same check on the same graph. *)
+  let emit_ds =
+    match !results with
+    | { sr_graph; sr_diagnostics = Some ds; _ } :: _
+      when emit_check && sr_graph == g ->
+        Some ds
+    | _ -> verify_graph ~on:emit_check ~fatal "emit" g
+  in
   let plan = Emit.emit_plan ~collapse_reuse ~tile g in
   {
     p_stages = List.rev !results;

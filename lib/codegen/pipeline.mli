@@ -77,9 +77,10 @@ val compile :
 (** Compile a program through [Build] and [stages] (default
     {!default_stages}; [Build] and [Reorder] are not passes and raise
     [Invalid_argument] here), then emit.  [verify] (default on) runs the
-    {!Verify} checks after every stage and once more before emission;
-    with [fatal] (default) any error raises
-    {!Verify.Verification_failed}, with [fatal:false] diagnostics are
+    {!Verify} checks after every stage; the emitted graph is the last
+    stage's graph, so [p_emit_diagnostics] carries that stage's
+    findings rather than checking it a second time.  With [fatal]
+    (default) any error raises {!Verify.Verification_failed}, with [fatal:false] diagnostics are
     collected in the results instead.  [trace] installs a sink for the
     duration, capturing each pass (and emission) as spans.  [tile]
     selects the emission tile config (default

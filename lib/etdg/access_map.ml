@@ -61,11 +61,15 @@ let compose outer inner =
     dims_in = inner.dims_in;
   }
 
-let after_transform a tm =
-  if not (Linalg.is_unimodular tm) then
-    invalid_arg "Access_map.after_transform: matrix is not unimodular";
+let precompose a m =
   if Array.length a.matrix = 0 then a
-  else { a with matrix = Linalg.matmul a.matrix (Linalg.inverse_unimodular tm) }
+  else { a with matrix = Linalg.matmul a.matrix m }
+
+let after_transform a tm =
+  match Linalg.inverse_unimodular tm with
+  | inv -> precompose a inv
+  | exception Invalid_argument _ ->
+      invalid_arg "Access_map.after_transform: matrix is not unimodular"
 
 let reuse_directions a = Linalg.null_space a.matrix
 

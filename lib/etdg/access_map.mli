@@ -40,6 +40,12 @@ val compose : t -> t -> t
 (** [compose outer inner] is the map [t ↦ outer (inner t)] — access-map
     fusion of directly connected buffer nodes (paper §5.1). *)
 
+val precompose : t -> int array array -> t
+(** [precompose a m] is the map [j ↦ a (m j)]: the matrix becomes
+    [M m], the offset stays.  With [m = T⁻¹] it is {!after_transform}
+    without inverting [T] again — what {!Reorder.apply} does for every
+    edge of a block with the one inverse it computed. *)
+
 val after_transform : t -> int array array -> t
 (** [after_transform a tm] is the access map under reordered iterations
     [j = T t]: the matrix becomes [M T⁻¹] (paper §5.2).

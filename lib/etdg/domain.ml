@@ -106,12 +106,13 @@ let bounds d k ~outer =
         invalid_arg
           (Printf.sprintf "Domain.bounds: variable %d is unbounded" k)
 
-let enumerate d =
-  let out = ref [] in
+(* [f point] for every integer point, lexicographic.  [point] is one
+   buffer the walk overwrites: [f] copies what it keeps. *)
+let walk d f =
   let point = Array.make d.dim 0 in
   let rec go k =
     if k = d.dim then begin
-      if mem d (Array.copy point) then out := Array.copy point :: !out
+      if mem d point then f point
     end
     else
       match bounds d k ~outer:point with
@@ -122,15 +123,15 @@ let enumerate d =
             go (k + 1)
           done
   in
+  go 0
+
+let enumerate d =
   if d.dim = 0 then [ [||] ]
   else begin
-    go 0;
+    let out = ref [] in
+    walk d (fun p -> out := Array.copy p :: !out);
     List.rev !out
   end
-
-let card d = List.length (enumerate d)
-
-let is_empty d = enumerate d = []
 
 let extend d extents =
   let extra = Array.length extents in
@@ -181,19 +182,49 @@ let rect_extents d =
     done;
     if !ok then Some out else None
 
-let transform tm d =
-  if not (Linalg.is_unimodular tm) then
-    invalid_arg "Domain.transform: matrix is not unimodular";
-  let inv = Linalg.inverse_unimodular tm in
-  (* t = T^{-1} j, so each constraint c·t + k >= 0 becomes (c·T^{-1})·j + k >= 0. *)
+let box_volume ext =
+  Array.fold_left (fun acc (lo, hi) -> acc * Stdlib.max 0 (hi - lo)) 1 ext
+
+let card d =
+  if d.dim = 0 then 1
+  else
+    match rect_extents d with
+    | Some ext -> box_volume ext
+    | None ->
+        let n = ref 0 in
+        walk d (fun _ -> incr n);
+        !n
+
+exception Nonempty
+
+let is_empty d =
+  d.dim > 0
+  &&
+  match walk d (fun _ -> raise Nonempty) with
+  | () -> true
+  | exception Nonempty -> false
+
+(* t = M j, so each constraint c·t + k >= 0 becomes (c·M)·j + k >= 0. *)
+let preimage m d =
   let cs =
     List.map
       (fun c ->
-        let row = Linalg.matmul [| c.coeffs |] inv in
-        { c with coeffs = row.(0) })
+        let coeffs =
+          Array.init d.dim (fun j ->
+              let acc = ref 0 in
+              Array.iteri (fun i a -> acc := !acc + (a * m.(i).(j))) c.coeffs;
+              !acc)
+        in
+        { c with coeffs })
       d.cs
   in
   { d with cs }
+
+let transform tm d =
+  match Linalg.inverse_unimodular tm with
+  | inv -> preimage inv d
+  | exception Invalid_argument _ ->
+      invalid_arg "Domain.transform: matrix is not unimodular"
 
 let translate d o =
   if Array.length o <> d.dim then invalid_arg "Domain.translate: arity mismatch";

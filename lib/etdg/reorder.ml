@@ -19,34 +19,32 @@ let reuse_dims (b : Ir.block) =
     b.Ir.blk_edges;
   List.filter (fun i -> marks.(i)) (List.init d Fun.id)
 
-let dep_dims_of b =
-  let d = Ir.block_dim b in
-  let dvs = Dependence.block_distance_vectors b in
+let dep_dims_of d dvs =
   List.filter
     (fun i -> List.exists (fun dv -> dv.(i) <> 0) dvs)
     (List.init d Fun.id)
 
-let transform_matrix (b : Ir.block) =
-  let d = Ir.block_dim b in
-  let deps = dep_dims_of b in
-  if deps = [] || d <= 1 then Linalg.identity d
-  else begin
-    let reuse = reuse_dims b in
-    let dvs = Dependence.block_distance_vectors b in
-    (* first row: the hyperplane over the dependence dimensions, with
-       each coefficient signed like its distance so that right-
-       directional aggregates (negative storage distance) reverse *)
-    let first = Array.make d 0 in
+(* The hyperplane over the dependence dimensions, with each
+   coefficient signed like its distance so that right-directional
+   aggregates (negative storage distance) reverse; the identity's first
+   row when the block has no dependence or a single dimension. *)
+let first_row d deps dvs =
+  let first = Array.make d 0 in
+  if deps = [] || d <= 1 then (if d > 0 then first.(0) <- 1)
+  else
     List.iter
       (fun i ->
-        let sign =
-          if
-            List.exists (fun dv -> dv.(i) < 0) dvs
-          then -1
-          else 1
-        in
-        first.(i) <- sign)
+        first.(i) <- (if List.exists (fun dv -> dv.(i) < 0) dvs then -1 else 1))
       deps;
+  first
+
+(* [T] from the facts [apply] derives once: the distance vectors, the
+   dimensions they touch and (forced only for a wavefront) the reuse
+   dimensions. *)
+let transform_of d dvs deps reuse =
+  if deps = [] || d <= 1 then Linalg.identity d
+  else begin
+    let reuse = Lazy.force reuse in
     (* remaining rows: unit vectors for all dims except the last
        dependence dim (absorbed by the hyperplane), reuse dims pushed
        innermost by a stable partition *)
@@ -57,7 +55,7 @@ let transform_matrix (b : Ir.block) =
     in
     let order = no_reuse @ with_reuse in
     let rows =
-      first
+      first_row d deps dvs
       :: List.map
            (fun i ->
              let row = Array.make d 0 in
@@ -68,44 +66,63 @@ let transform_matrix (b : Ir.block) =
     Array.of_list rows
   end
 
+let transform_matrix ?dvs (b : Ir.block) =
+  let d = Ir.block_dim b in
+  let dvs =
+    match dvs with Some v -> v | None -> Dependence.block_distance_vectors b
+  in
+  transform_of d dvs (dep_dims_of d dvs) (lazy (reuse_dims b))
+
+let hyperplane (b : Ir.block) =
+  match Dependence.block_distance_vectors b with
+  | [] -> None
+  | dvs ->
+      let d = Ir.block_dim b in
+      Some (first_row d (dep_dims_of d dvs) dvs)
+
 let sequential_extent (dom : Domain.t) =
   match Domain.bounds dom 0 ~outer:[||] with
   | Some (lo, hi) -> hi - lo + 1
   | None -> 0
 
+(* Every fact is derived once: [T] is inverted once, and the domain and
+   every access map are rewritten with that one inverse. *)
 let apply (b : Ir.block) : result =
-  let tm = transform_matrix b in
   let d = Ir.block_dim b in
-  let identity = tm = Linalg.identity d in
-  if not (Linalg.is_unimodular tm) then
-    invalid_arg
-      (Printf.sprintf "Reorder.apply: non-unimodular transform for %s"
-         b.Ir.blk_name);
   let dvs = Dependence.block_distance_vectors b in
+  let deps = dep_dims_of d dvs in
+  let reuse = reuse_dims b in
+  let tm = transform_of d dvs deps (Lazy.from_val reuse) in
+  let identity = tm = Linalg.identity d in
+  let inv =
+    if identity then None
+    else
+      match Linalg.inverse_unimodular tm with
+      | inv -> Some inv
+      | exception Invalid_argument _ ->
+          invalid_arg
+            (Printf.sprintf "Reorder.apply: non-unimodular transform for %s"
+               b.Ir.blk_name)
+  in
   if not (Dependence.carried ~transform:tm dvs) then
     invalid_arg
       (Printf.sprintf "Reorder.apply: transform for %s violates a dependence"
          b.Ir.blk_name);
   let block =
-    if identity then b
-    else
-      {
-        b with
-        Ir.blk_domain = Domain.transform tm b.Ir.blk_domain;
-        blk_edges =
-          List.map
-            (fun e ->
-              { e with Ir.e_access = Access_map.after_transform e.Ir.e_access tm })
-            b.Ir.blk_edges;
-      }
+    match inv with
+    | None -> b
+    | Some inv ->
+        {
+          b with
+          Ir.blk_domain = Domain.preimage inv b.Ir.blk_domain;
+          blk_edges =
+            List.map
+              (fun e ->
+                { e with Ir.e_access = Access_map.precompose e.Ir.e_access inv })
+              b.Ir.blk_edges;
+        }
   in
-  {
-    transform = tm;
-    block;
-    dep_dims = dep_dims_of b;
-    reuse_dims = reuse_dims b;
-    wavefront = not identity;
-  }
+  { transform = tm; block; dep_dims = deps; reuse_dims = reuse; wavefront = not identity }
 
 let sequential_steps r =
   if not r.wavefront then 1 else sequential_extent r.block.Ir.blk_domain

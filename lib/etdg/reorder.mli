@@ -30,14 +30,26 @@ val reuse_dims : Ir.block -> int list
 (** Dimensions that appear with a non-zero entry in some read edge's
     access-matrix null space — iterating them revisits the same data. *)
 
-val transform_matrix : Ir.block -> int array array
+val transform_matrix : ?dvs:int array list -> Ir.block -> int array array
 (** The unimodular reordering matrix for a block (identity when the
-    block is fully parallel). *)
+    block is fully parallel).  [dvs]: the block's
+    {!Dependence.block_distance_vectors}, when the caller already
+    derived them. *)
+
+val hyperplane : Ir.block -> int array option
+(** The first row of {!transform_matrix} — the hyperplane whose value
+    numbers a point's wavefront — without building the rest of [T];
+    [None] when the block carries no dependence (its whole domain is
+    one anti-chain).  The one definition {!Vm}'s scheduler and the race
+    prover ([Effects]) key fronts on. *)
 
 val apply : Ir.block -> result
 (** Build and apply the transformation.  Asserts legality: [T] is
     unimodular and every dependence distance stays lexicographically
-    positive. *)
+    positive.  The distance vectors, the reuse dimensions and [T⁻¹] are
+    each derived once; the domain goes through {!Domain.preimage} and
+    every access map through {!Access_map.precompose} with that one
+    inverse. *)
 
 val sequential_steps : result -> int
 (** Extent of the transformed outermost (sequential) dimension — the

@@ -126,6 +126,25 @@ let help_entry cmd flag =
 
 let cli_tests =
   [
+    Alcotest.test_case "a verifier failure prints its findings, exit 1"
+      `Quick (fun () ->
+        let buf = Buffer.create 128 in
+        let ppf = Format.formatter_of_buffer buf in
+        let d =
+          Diagnostic.errorf ~context:"coarsen.merge: blk" "V300"
+            "wavefront write-write race: %s" "iterations collide"
+        in
+        let code =
+          Verify.exit_on_failure ~ppf (fun () ->
+              raise (Verify.Verification_failed ("coarsen.merge", [ d ])))
+        in
+        let text = Buffer.contents buf in
+        checki "exit code" 1 code;
+        checkb "names the stage" true (contains text "coarsen.merge");
+        checkb "prints the finding" true
+          (contains text "V300" && contains text "iterations collide");
+        checki "a passing command keeps its code" 3
+          (Verify.exit_on_failure ~ppf (fun () -> 3)));
     Alcotest.test_case "--help: shared flags document identically" `Quick
       (fun () ->
         (* Cli_args declares each shared flag once; the help paragraphs

@@ -10,4 +10,5 @@ let () =
     @ Test_compiled_suite.suites
     @ Test_serve_suite.suites
     @ Test_golden_suite.suites @ Test_conform_suite.suites
-    @ Test_dist_suite.suites @ Test_cli_suite.suites)
+    @ Test_dist_suite.suites @ Test_facts_suite.suites
+    @ Test_cli_suite.suites)
