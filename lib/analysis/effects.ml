@@ -75,26 +75,6 @@ let usable_live_edges g b = List.filter (edge_usable g b) (live_edges b)
 
 (* ------------------------------ footprints ------------------------- *)
 
-(* Per-row range of an affine map over a box: a linear function of
-   independently-ranging variables attains its extremes coordinatewise,
-   so min/max come straight off the coefficient signs. *)
-let row_range row off ext =
-  let lo = ref off and hi = ref off in
-  Array.iteri
-    (fun j c ->
-      let l, h = ext.(j) in
-      (* h is exclusive; domain non-empty means l <= h - 1 *)
-      if c > 0 then begin
-        lo := !lo + (c * l);
-        hi := !hi + (c * (h - 1))
-      end
-      else if c < 0 then begin
-        lo := !lo + (c * (h - 1));
-        hi := !hi + (c * l)
-      end)
-    row;
-  (!lo, !hi)
-
 (* The box is exact (Must) when the map is a partial permutation with
    ±1 entries: every row reads at most one variable, no variable drives
    two rows — then the image over a box is itself a box. *)
@@ -139,7 +119,9 @@ let clip_region bf lo hi =
   in
   (lo', hi', !changed)
 
-let edge_region (g : Ir.graph) (b : Ir.block) points (e : Ir.edge) =
+(* [box] is the domain's {!Domain.rect_extents}; [points], for a
+   general polyhedron, its points when they were enumerated. *)
+let edge_region (g : Ir.graph) ~box points (e : Ir.edge) =
   let bf = Ir.buffer g e.Ir.e_buffer in
   let a = e.Ir.e_access in
   let m = Access_map.out_dim a in
@@ -155,12 +137,12 @@ let edge_region (g : Ir.graph) (b : Ir.block) points (e : Ir.edge) =
       rg_precision = (if clipped then May else prec);
     }
   in
-  match Domain.rect_extents b.Ir.blk_domain with
+  match box with
   | Some ext ->
       let lo = Array.make m 0 and hi = Array.make m 0 in
       Array.iteri
         (fun r row ->
-          let l, h = row_range row a.Access_map.offset.(r) ext in
+          let l, h = Access_map.row_range row a.Access_map.offset.(r) ext in
           lo.(r) <- l;
           hi.(r) <- h)
         a.Access_map.matrix;
@@ -171,12 +153,11 @@ let edge_region (g : Ir.graph) (b : Ir.block) points (e : Ir.edge) =
           let lo = Array.make m max_int and hi = Array.make m min_int in
           List.iter
             (fun p ->
-              let idx = Access_map.apply a p in
-              Array.iteri
-                (fun r v ->
-                  lo.(r) <- Stdlib.min lo.(r) v;
-                  hi.(r) <- Stdlib.max hi.(r) v)
-                idx)
+              for r = 0 to m - 1 do
+                let v = Access_map.row_at a r p in
+                lo.(r) <- Stdlib.min lo.(r) v;
+                hi.(r) <- Stdlib.max hi.(r) v
+              done)
             pts;
           mk lo hi May
       | _ ->
@@ -190,12 +171,13 @@ let edge_region (g : Ir.graph) (b : Ir.block) points (e : Ir.edge) =
    is enumerated, a general polyhedron (they only arise from region
    grouping and stay small) is enumerated once and judged by its
    length.  [points], when the caller already enumerated the domain,
-   stands in for that enumeration. *)
-let domain_points ?(threshold = default_threshold) ?points (d : Domain.t) =
+   stands in for that enumeration; [box] is the domain's
+   {!Domain.rect_extents}. *)
+let domain_points ?(threshold = default_threshold) ?points ~box (d : Domain.t) =
   let all () =
     match points with Some pts -> pts | None -> Domain.enumerate d
   in
-  match Domain.rect_extents d with
+  match box with
   | Some ext ->
       let vol = Domain.box_volume ext in
       (vol, if vol <= threshold then Some (all ()) else None)
@@ -204,9 +186,17 @@ let domain_points ?(threshold = default_threshold) ?points (d : Domain.t) =
       let n = List.length pts in
       (n, if n <= threshold then Some pts else None)
 
+(* The points a region needs: only a general polyhedron's, since a
+   box's regions come off its corners. *)
+let region_points ~box (d : Domain.t) =
+  match box with
+  | Some ext -> (Domain.box_volume ext, None)
+  | None -> domain_points ~box d
+
 let block_footprint (g : Ir.graph) (b : Ir.block) =
-  let count, points = domain_points b.Ir.blk_domain in
-  let regions = List.map (edge_region g b points) (usable_live_edges g b) in
+  let box = Domain.rect_extents b.Ir.blk_domain in
+  let count, points = region_points ~box b.Ir.blk_domain in
+  let regions = List.map (edge_region g ~box points) (usable_live_edges g b) in
   {
     fp_block = b.Ir.blk_name;
     fp_points = count;
@@ -245,7 +235,7 @@ let subrange_region (g : Ir.graph) (_b : Ir.block) ~ext (e : Ir.edge) =
   let lo = Array.make m 0 and hi = Array.make m 0 in
   Array.iteri
     (fun r row ->
-      let l, h = row_range row a.Access_map.offset.(r) ext in
+      let l, h = Access_map.row_range row a.Access_map.offset.(r) ext in
       lo.(r) <- l;
       hi.(r) <- h)
     a.Access_map.matrix;
@@ -313,75 +303,204 @@ let front_list fr =
 
 exception Found of race_kind * string
 
-let in_bounds (bf : Ir.buffer) idx =
-  let ok = ref true in
-  Array.iteri
-    (fun i v ->
-      if i < Array.length bf.Ir.buf_dims
-         && (v < 0 || v >= bf.Ir.buf_dims.(i))
-      then ok := false)
-    idx;
-  !ok
+(* Flat cell keys.  Each buffer the block writes (each rank it is
+   written at) gets a base, and a cell of it the mixed-radix offset of
+   its index over the per-axis range the block's write edges reach, out
+   of bounds included: distinct written cells get distinct ints, so one
+   int-keyed table decides a front.  A read outside that range touches
+   no written cell. *)
+type cell_space = {
+  cs_lo : int array;  (** per-axis range the writes reach, inclusive *)
+  cs_hi : int array;
+  cs_stride : int array;
+  mutable cs_base : int;
+}
+
+type keyed_edge = { ke_edge : Ir.edge; ke_buf : Ir.buffer; ke_space : cell_space }
+
+(* Keys are non-negative and dense within each buffer's range: they
+   are their own hash. *)
+module Cells = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k
+end)
+
+exception Too_many_cells
+
+(* [a * b] and [a + b] for non-negative operands, refused past
+   [max_int]: a key space that large cannot be flattened. *)
+let mul_fits a b = if a <> 0 && b > max_int / a then raise Too_many_cells else a * b
+let add_fits a b = if b > max_int - a then raise Too_many_cells else a + b
+
+(* The keyed write and read edges over the box [ext] (the domain's, or
+   its enumerated points' bounding box), or [None] when the written
+   cells do not fit in an int's range. *)
+let cell_spaces g ext writes reads =
+  let spaces = ref [] in
+  let space_of (e : Ir.edge) =
+    let m = Access_map.out_dim e.Ir.e_access in
+    match List.assoc_opt (e.Ir.e_buffer, m) !spaces with
+    | Some sp -> sp
+    | None ->
+        let sp =
+          {
+            cs_lo = Array.make m max_int;
+            cs_hi = Array.make m min_int;
+            cs_stride = Array.make m 0;
+            cs_base = 0;
+          }
+        in
+        spaces := ((e.Ir.e_buffer, m), sp) :: !spaces;
+        sp
+  in
+  List.iter
+    (fun (e : Ir.edge) ->
+      let a = e.Ir.e_access and sp = space_of e in
+      Array.iteri
+        (fun r row ->
+          let l, h = Access_map.row_range row a.Access_map.offset.(r) ext in
+          sp.cs_lo.(r) <- Stdlib.min sp.cs_lo.(r) l;
+          sp.cs_hi.(r) <- Stdlib.max sp.cs_hi.(r) h)
+        a.Access_map.matrix)
+    writes;
+  let layout base (_, sp) =
+    sp.cs_base <- base;
+    let size = ref 1 in
+    for r = Array.length sp.cs_lo - 1 downto 0 do
+      sp.cs_stride.(r) <- !size;
+      let reach = sp.cs_hi.(r) - sp.cs_lo.(r) in
+      (* a negative reach overflowed *)
+      if reach < 0 then raise Too_many_cells;
+      size := mul_fits !size (add_fits reach 1)
+    done;
+    add_fits base !size
+  in
+  let keyed (e : Ir.edge) =
+    { ke_edge = e; ke_buf = Ir.buffer g e.Ir.e_buffer; ke_space = space_of e }
+  in
+  match List.fold_left layout 0 !spaces with
+  | exception Too_many_cells -> None
+  | _ ->
+      Some
+        ( List.map keyed writes,
+          (* a read of a buffer written only at another rank shares no
+             cell *)
+          List.filter_map
+            (fun (e : Ir.edge) ->
+              if
+                List.mem_assoc
+                  (e.Ir.e_buffer, Access_map.out_dim e.Ir.e_access)
+                  !spaces
+              then Some (keyed e)
+              else None)
+            reads )
+
+(* The bounding box of enumerated points, [(lo, hi_exclusive)] per
+   axis: where a general polyhedron's cell spaces are taken over. *)
+let points_box dim pts =
+  let lo = Array.make dim max_int and hi = Array.make dim min_int in
+  List.iter
+    (fun p ->
+      Array.iteri
+        (fun i v ->
+          lo.(i) <- Stdlib.min lo.(i) v;
+          hi.(i) <- Stdlib.max hi.(i) v)
+        p)
+    pts;
+  Array.init dim (fun i -> (lo.(i), hi.(i) + 1))
+
+(* The key of the cell [k] touches at [p]; for a read, [-1] when the
+   cell is out of bounds (boundary-predicated, never executed) or
+   outside what the writes reach. *)
+let cell_key ~read k p =
+  let a = k.ke_edge.Ir.e_access and sp = k.ke_space in
+  let dims = k.ke_buf.Ir.buf_dims in
+  let key = ref sp.cs_base and r = ref 0 in
+  let m = Array.length sp.cs_lo in
+  while !r < m do
+    let v = Access_map.row_at a !r p in
+    if
+      read
+      && ((!r < Array.length dims && (v < 0 || v >= dims.(!r)))
+         || v < sp.cs_lo.(!r)
+         || v > sp.cs_hi.(!r))
+    then begin
+      key := -1;
+      r := m
+    end
+    else begin
+      key := !key + (sp.cs_stride.(!r) * (v - sp.cs_lo.(!r)));
+      incr r
+    end
+  done;
+  !key
 
 (* Exact decision by enumeration: replay the VM's front grouping and
-   hash every written cell; a duplicate write in one front is a W-W
+   key every written cell; a duplicate write in one front is a W-W
    race, a read of a cell some *other* point of the same front writes
    is an R-W race.  Out-of-bounds reads are boundary-predicated (the
-   region's consts mask them) and skipped. *)
-let enumerate_races g fronts npoints writes reads =
-  try
-    Hashtbl.iter
-      (fun front pts ->
-        let cells = Hashtbl.create 64 in
-        List.iter
-          (fun p ->
+   region's consts mask them) and skipped.  One table serves the
+   block, cleared between fronts; witness text is built only for a
+   race found. *)
+let enumerate_races g ext fronts npoints writes reads =
+  match
+    (* no point, nothing to key (and an empty box has no ranges) *)
+    if Hashtbl.length fronts = 0 then Some ([], [])
+    else cell_spaces g ext writes reads
+  with
+  | None -> Unproven "written cells span more keys than an int holds"
+  | Some (writes, reads) -> (
+      let cells = Cells.create (Stdlib.min 64 (npoints * List.length writes)) in
+      let index k p = vec_to_string (Access_map.apply k.ke_edge.Ir.e_access p) in
+      try
+        Hashtbl.iter
+          (fun front pts ->
+            Cells.clear cells;
             List.iter
-              (fun (e : Ir.edge) ->
-                let idx = Access_map.apply e.Ir.e_access p in
-                let ck = (e.Ir.e_buffer, Array.to_list idx) in
-                match Hashtbl.find_opt cells ck with
-                | Some q ->
-                    raise
-                      (Found
-                         ( WW,
-                           Printf.sprintf
-                             "front %d: iterations %s and %s both write \
-                              %s%s"
-                             front (vec_to_string q) (vec_to_string p)
-                             (Ir.buffer g e.Ir.e_buffer).Ir.buf_name
-                             (vec_to_string idx) ))
-                | None -> Hashtbl.add cells ck p)
-              writes)
-          pts;
-        List.iter
-          (fun p ->
+              (fun p ->
+                List.iter
+                  (fun k ->
+                    let key = cell_key ~read:false k p in
+                    match Cells.find_opt cells key with
+                    | Some q ->
+                        raise
+                          (Found
+                             ( WW,
+                               Printf.sprintf
+                                 "front %d: iterations %s and %s both write \
+                                  %s%s"
+                                 front (vec_to_string q) (vec_to_string p)
+                                 k.ke_buf.Ir.buf_name (index k p) ))
+                    | None -> Cells.add cells key p)
+                  writes)
+              pts;
             List.iter
-              (fun (e : Ir.edge) ->
-                let bf = Ir.buffer g e.Ir.e_buffer in
-                let idx = Access_map.apply e.Ir.e_access p in
-                if in_bounds bf idx then
-                  match
-                    Hashtbl.find_opt cells (e.Ir.e_buffer, Array.to_list idx)
-                  with
-                  | Some q when q <> p ->
-                      raise
-                        (Found
-                           ( RW,
-                             Printf.sprintf
-                               "front %d: iteration %s reads %s%s, \
-                                written by sibling %s"
-                               front (vec_to_string p) bf.Ir.buf_name
-                               (vec_to_string idx) (vec_to_string q) ))
-                  | _ -> ())
-              reads)
-          pts)
-      fronts;
-    Proven
-      (Printf.sprintf
-         "enumerated %d iterations over %d fronts: all same-front cells \
-          disjoint"
-         npoints (Hashtbl.length fronts))
-  with Found (k, m) -> Race (k, m)
+              (fun p ->
+                List.iter
+                  (fun k ->
+                    let key = cell_key ~read:true k p in
+                    if key >= 0 then
+                      match Cells.find_opt cells key with
+                      | Some q when q <> p ->
+                          raise
+                            (Found
+                               ( RW,
+                                 Printf.sprintf
+                                   "front %d: iteration %s reads %s%s, \
+                                    written by sibling %s"
+                                   front (vec_to_string p) k.ke_buf.Ir.buf_name
+                                   (index k p) (vec_to_string q) ))
+                      | _ -> ())
+                  reads)
+              pts)
+          fronts;
+        Proven
+          ("enumerated " ^ string_of_int npoints ^ " iterations over "
+          ^ string_of_int (Hashtbl.length fronts)
+          ^ " fronts: all same-front cells disjoint")
+      with Found (k, m) -> Race (k, m))
 
 (* ---- algebraic path (domains too large to enumerate) --------------- *)
 
@@ -536,8 +655,8 @@ let equal_matrix_pair ext pi kind bufname m o1 o2 =
                  "collision distance %s exceeds the domain box"
                  (vec_to_string d))
 
-let algebraic_races g b ext pi writes reads =
-  let region e = edge_region g b None e in
+let algebraic_races g ext pi writes reads =
+  let region e = edge_region g ~box:(Some ext) None e in
   let boxes_of e =
     let r = region e in
     (r.rg_lo, r.rg_hi)
@@ -608,8 +727,11 @@ let block_race ?(threshold = default_threshold) ?fronts (g : Ir.graph)
         e.Ir.e_dir = Ir.Read && List.mem e.Ir.e_buffer written_bufs)
       edges
   in
+  let box = Domain.rect_extents b.Ir.blk_domain in
   let points = Option.map (fun fr -> fr.fr_points) fronts in
-  let rr_points, points = domain_points ~threshold ?points b.Ir.blk_domain in
+  let rr_points, points =
+    domain_points ~threshold ?points ~box b.Ir.blk_domain
+  in
   let fronts =
     match (fronts, points) with
     | _, None -> None
@@ -621,20 +743,26 @@ let block_race ?(threshold = default_threshold) ?fronts (g : Ir.graph)
     | None, _ -> 1
     | Some _, Some fronts -> Hashtbl.length fronts
     | Some pi, None -> (
-        match Domain.rect_extents b.Ir.blk_domain with
+        match box with
         | Some ext ->
-            let lo, hi = row_range pi 0 ext in
+            let lo, hi = Access_map.row_range pi 0 ext in
             hi - lo + 1
         | None -> 0)
   in
   let verdict =
     if writes = [] then Proven "block writes nothing"
     else
-      match fronts with
-      | Some fronts -> enumerate_races g fronts rr_points writes reads
-      | None -> (
-          match Domain.rect_extents b.Ir.blk_domain with
-          | Some ext -> algebraic_races g b ext pi writes reads
+      match (fronts, points) with
+      | Some fronts, Some pts ->
+          let ext =
+            match box with
+            | Some ext -> ext
+            | None -> points_box b.Ir.blk_domain.Domain.dim pts
+          in
+          enumerate_races g ext fronts rr_points writes reads
+      | _ -> (
+          match box with
+          | Some ext -> algebraic_races g ext pi writes reads
           | None ->
               Unproven
                 (Printf.sprintf
@@ -721,13 +849,16 @@ let flow_diagnostics ?stage (g : Ir.graph) =
      uninitialized cells *)
   (* each block's points once, for its own reads and as a writer *)
   let block_points =
-    List.map (fun (b : Ir.block) -> (b, snd (domain_points b.Ir.blk_domain)))
+    List.map
+      (fun (b : Ir.block) ->
+        let box = Domain.rect_extents b.Ir.blk_domain in
+        (b, (box, snd (region_points ~box b.Ir.blk_domain))))
       g.Ir.g_blocks
   in
   let uninit =
     List.concat_map
       (fun (b : Ir.block) ->
-        let points = List.assq b block_points in
+        let box, points = List.assq b block_points in
         List.filter_map
           (fun (e : Ir.edge) ->
             if e.Ir.e_dir <> Ir.Read || not (edge_usable g b e) then None
@@ -746,10 +877,8 @@ let flow_diagnostics ?stage (g : Ir.graph) =
                             && w.Ir.e_buffer = bf.Ir.buf_id
                             && edge_usable g wb w
                           then
-                            Some
-                              (edge_region g wb
-                                 (List.assq wb block_points)
-                                 w)
+                            let box, points = List.assq wb block_points in
+                            Some (edge_region g ~box points w)
                           else None)
                         wb.Ir.blk_edges)
                     g.Ir.g_blocks
@@ -760,7 +889,7 @@ let flow_diagnostics ?stage (g : Ir.graph) =
                        "read of buffer %s, which no block writes"
                        bf.Ir.buf_name)
                 else
-                  let r = edge_region g b points e in
+                  let r = edge_region g ~box points e in
                   let m = Array.length r.rg_lo in
                   let wlo = Array.make m max_int
                   and whi = Array.make m min_int in

@@ -125,7 +125,10 @@ val block_race : ?threshold:int -> ?fronts:fronts -> Ir.graph -> Ir.block -> rac
     neither the verdict nor the report.  The domain is decided by
     enumeration exactly when its box volume (a box) or its point count
     (a general polyhedron) is at most [threshold]; a box is never
-    enumerated to count it. *)
+    enumerated to count it.  The enumerated proof keys each written
+    cell by one int (a per-buffer base plus the cell's mixed-radix
+    offset over the range the block's writes reach), so when that range
+    spans more cells than an int holds the verdict is [Unproven]. *)
 
 val race_check : ?threshold:int -> Ir.graph -> race_report list
 (** {!block_race} over the top-level blocks in dataflow order. *)

@@ -16,20 +16,7 @@ let small_volume = 4096
 (* Bounding box implied by the single-variable constraints, as in
    Ir.validate: [None] when some dimension has no such bound. *)
 let box_of_domain (d : Domain.t) =
-  let lo = Array.make d.Domain.dim min_int
-  and hi = Array.make d.Domain.dim max_int in
-  List.iter
-    (fun (c : Domain.ineq) ->
-      let nz =
-        Array.to_list c.Domain.coeffs
-        |> List.mapi (fun k a -> (k, a))
-        |> List.filter (fun (_, a) -> a <> 0)
-      in
-      match nz with
-      | [ (k, 1) ] -> lo.(k) <- Stdlib.max lo.(k) (-c.Domain.const)
-      | [ (k, -1) ] -> hi.(k) <- Stdlib.min hi.(k) c.Domain.const
-      | _ -> ())
-    d.Domain.cs;
+  let lo, hi, _ = Domain.unit_bounds d in
   if Array.exists (fun v -> v = min_int) lo || Array.exists (fun v -> v = max_int) hi
   then None
   else Some (lo, hi)
@@ -181,7 +168,7 @@ let structure ?stage (g : Ir.graph) =
 
 (* --------------------- access maps and domains --------------------- *)
 
-let check_access_map ?stage (g : Ir.graph) (b : Ir.block) probes acc
+let check_access_map ?stage (g : Ir.graph) (b : Ir.block) ~box probes acc
     (e : Ir.edge) =
   let a = e.Ir.e_access in
   let d = Access_map.in_dim a in
@@ -238,19 +225,29 @@ let check_access_map ?stage (g : Ir.graph) (b : Ir.block) probes acc
         then acc
         else
           let rank = Array.length bf.Ir.buf_dims in
+          (* Every row inside its extent over the box's corners: no
+             probe can violate, and none is built. *)
+          let inside =
+            match Lazy.force box with
+            | Some ext when Access_map.regular a ->
+                Access_map.corners_inside a ~dims:bf.Ir.buf_dims ext
+            | _ -> false
+          in
           let violation =
-            List.find_map
-              (fun t ->
-                let idx = Access_map.apply a t in
-                let bad = ref None in
-                Array.iteri
-                  (fun r i ->
-                    if !bad = None && r < rank
-                       && (i < 0 || i >= bf.Ir.buf_dims.(r))
-                    then bad := Some (r, i, t))
-                  idx;
-                !bad)
-              (Lazy.force probes)
+            if inside then None
+            else
+              List.find_map
+                (fun t ->
+                  let idx = Access_map.apply a t in
+                  let bad = ref None in
+                  Array.iteri
+                    (fun r i ->
+                      if !bad = None && r < rank
+                         && (i < 0 || i >= bf.Ir.buf_dims.(r))
+                      then bad := Some (r, i, t))
+                    idx;
+                  !bad)
+                (Lazy.force probes)
           in
           (match violation with
           | None -> acc
@@ -273,9 +270,11 @@ let rec check_block_accesses ?stage g acc (b : Ir.block) =
           b.Ir.blk_name
         :: acc
     | `Non_empty | `Unknown ->
-        (* one probe set per block, built only if some edge needs it *)
+        (* one box and one probe set per block, each derived only if
+           some edge needs it *)
+        let box = lazy (Domain.rect_extents b.Ir.blk_domain) in
         let probes = lazy (probe_points b.Ir.blk_domain) in
-        List.fold_left (check_access_map ?stage g b probes) acc
+        List.fold_left (check_access_map ?stage g b ~box probes) acc
           b.Ir.blk_edges
   in
   List.fold_left (check_block_accesses ?stage g) acc b.Ir.blk_children

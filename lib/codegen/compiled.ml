@@ -270,7 +270,12 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
     List.iter
       (fun (e : Ir.edge) -> Hashtbl.replace reads e.Ir.e_label e)
       (Ir.live_reads b);
-    let weights_of (e : Ir.edge) =
+    (* The domain's box, when it is one with at least one point: the
+       operand bounds then come off its corners. *)
+    let box =
+      if all_points = [] then None else Domain.rect_extents b.Ir.blk_domain
+    in
+    let compute_weights (e : Ir.edge) =
       let sti =
         match Hashtbl.find_opt store_ix e.Ir.e_buffer with
         | Some i -> i
@@ -288,19 +293,16 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
           (Access_map.in_dim e.Ir.e_access)
           dim;
       (* Per-axis bounds over the whole domain, proven now so the run
-         loop can use raw flat offsets. *)
-      List.iter
-        (fun p ->
-          let idx = Access_map.apply e.Ir.e_access p in
-          Array.iteri
-            (fun j v ->
-              if v < 0 || v >= st.cs_dims.(j) then
-                err "block %s: buffer %d index %d out of extent %d"
-                  b.Ir.blk_name e.Ir.e_buffer v st.cs_dims.(j))
-            idx)
-        all_points;
-      let sstrides = Vm.strides st.cs_dims in
+         loop can use raw flat offsets: off the box's corners, point by
+         point for a general polyhedron or to name the first point
+         that leaves the buffer. *)
       let am = e.Ir.e_access in
+      (match Access_map.first_outside am ~dims:st.cs_dims ?box all_points with
+      | Some (j, v) ->
+          err "block %s: buffer %d index %d out of extent %d" b.Ir.blk_name
+            e.Ir.e_buffer v st.cs_dims.(j)
+      | None -> ());
+      let sstrides = Vm.strides st.cs_dims in
       let w = Array.make (dim + 1) 0 in
       Array.iteri
         (fun j oj -> w.(0) <- w.(0) + (sstrides.(j) * oj))
@@ -313,6 +315,16 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
         w.(i + 1) <- !acc
       done;
       (sti, w)
+    in
+    (* Each edge proven and folded once, however many operands name it. *)
+    let weights = ref [] in
+    let weights_of (e : Ir.edge) =
+      match List.assq_opt e !weights with
+      | Some w -> w
+      | None ->
+          let w = compute_weights e in
+          weights := (e, w) :: !weights;
+          w
     in
     let ops = Array.of_list b.Ir.blk_body in
     let nops = Array.length ops in
@@ -392,7 +404,7 @@ let compile ?schedule ?(workers = 1) ?(fuse = true) (g : Ir.graph) =
                         match fixed_tensor bo with
                         | Some bt
                           when Tensor.epilogue_bias_ok ~bias:bt
-                                 ~dst:(Tensor.uninit result_shape) ->
+                                 ~dst:result_shape ->
                             (Some (j, bt), succ.(j))
                         | _ -> (None, j))
                     | _ -> (None, j))

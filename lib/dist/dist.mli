@@ -59,7 +59,7 @@ val run :
     prepare are not cached.  Inputs are read afresh on every call,
     weights changed in place included, and no entry keeps a caller's
     tensor once the call returns.  Outputs are fresh tensors with off-heap data; their bytes
-    are counted, and once 1 MiB of them has been handed out the next
+    are counted, and once 256 KiB of them has been handed out the next
     call starts with a minor collection ([Gc.minor]) — without it the
     dead outputs of earlier calls would float up to the runtime's own
     bound, the minor heap's size.

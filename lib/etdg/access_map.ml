@@ -52,6 +52,70 @@ let apply a t =
   if Array.length a.matrix = 0 then [||]
   else Linalg.vec_add (Linalg.mat_vec a.matrix t) a.offset
 
+let row_at a r t =
+  let row = a.matrix.(r) in
+  let acc = ref a.offset.(r) in
+  for j = 0 to Array.length row - 1 do
+    acc := !acc + (row.(j) * t.(j))
+  done;
+  !acc
+
+(* A linear function of independently ranging variables attains its
+   extremes coordinatewise, so min/max come straight off the
+   coefficient signs. *)
+let row_range row off ext =
+  let lo = ref off and hi = ref off in
+  Array.iteri
+    (fun j c ->
+      let l, h = ext.(j) in
+      (* h is exclusive; a non-empty box has l <= h - 1 *)
+      if c > 0 then begin
+        lo := !lo + (c * l);
+        hi := !hi + (c * (h - 1))
+      end
+      else if c < 0 then begin
+        lo := !lo + (c * (h - 1));
+        hi := !hi + (c * l)
+      end)
+    row;
+  (!lo, !hi)
+
+let regular a =
+  Array.length a.offset = Array.length a.matrix
+  && Array.for_all (fun row -> Array.length row = a.dims_in) a.matrix
+
+let corners_inside a ~dims ext =
+  let inside = ref true in
+  for r = 0 to Stdlib.min (Array.length a.matrix) (Array.length dims) - 1 do
+    let lo, hi = row_range a.matrix.(r) a.offset.(r) ext in
+    if lo < 0 || hi >= dims.(r) then inside := false
+  done;
+  !inside
+
+exception Outside of int * int
+
+let first_outside a ~dims ?box points =
+  let check r v = if v < 0 || v >= dims.(r) then raise (Outside (r, v)) in
+  let regular = regular a in
+  let corners_fit =
+    match box with
+    | Some ext when regular -> corners_inside a ~dims ext
+    | _ -> false
+  in
+  match
+    if corners_fit then ()
+    else if regular then
+      List.iter
+        (fun p ->
+          for r = 0 to Array.length a.matrix - 1 do
+            check r (row_at a r p)
+          done)
+        points
+    else List.iter (fun p -> Array.iteri check (apply a p)) points
+  with
+  | () -> None
+  | exception Outside (r, v) -> Some (r, v)
+
 let compose outer inner =
   if in_dim outer <> out_dim inner then
     invalid_arg "Access_map.compose: dimension mismatch";

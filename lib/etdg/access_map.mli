@@ -36,6 +36,37 @@ val out_dim : t -> int
 val apply : t -> int array -> int array
 (** [apply a t = M t + o]. *)
 
+val row_at : t -> int -> int array -> int
+(** [row_at a r t] is row [r] of {!apply}[ a t], computed without
+    allocating; for a {!regular} map and [t] of length [d]. *)
+
+val row_range : int array -> int -> (int * int) array -> int * int
+(** [row_range row off ext] is the inclusive range [(min, max)] of
+    [row · t + off] over the non-empty box [ext] ([(lo, hi_exclusive)]
+    per axis, as {!Domain.rect_extents} gives it): an affine function
+    over a box attains its extremes at the box's corners, so each
+    coefficient's sign picks the end of its axis. *)
+
+val regular : t -> bool
+(** Every matrix row has [d] entries and the offset one per row: the
+    maps {!row_at} and {!row_range} agree with {!apply} on. *)
+
+val corners_inside : t -> dims:int array -> (int * int) array -> bool
+(** [corners_inside a ~dims ext]: whether every row [r] below
+    [Array.length dims] stays in [[0, dims.(r))] over the non-empty box
+    [ext], decided from its {!row_range}.  For a {!regular} map. *)
+
+val first_outside :
+  t -> dims:int array -> ?box:(int * int) array -> int array list ->
+  (int * int) option
+(** [first_outside a ~dims ?box points] is the first [(row, index)],
+    in [points] order and then row order, at which [apply a] leaves
+    [[0, dims.(row))], or [None] when every point stays inside.  [dims]
+    has one extent per row.  [box], the points' domain as a non-empty
+    box ({!Domain.rect_extents}), lets a {!regular} map be proven inside
+    from its row ranges alone ({!row_range}); the points are scanned
+    only when some row range leaves the extent, to name the point. *)
+
 val compose : t -> t -> t
 (** [compose outer inner] is the map [t ↦ outer (inner t)] — access-map
     fusion of directly connected buffer nodes (paper §5.1). *)

@@ -58,14 +58,9 @@ let eliminate d k =
   in
   { d with cs = rest @ combined }
 
-(* Bounds of variable k given fixed outer variables, after eliminating
-   all inner variables. *)
-let bounds d k ~outer =
-  if Array.length outer < k then invalid_arg "Domain.bounds: missing outer values";
-  let projected = ref d in
-  for j = d.dim - 1 downto k + 1 do
-    projected := eliminate !projected j
-  done;
+(* Range of variable [k] under [projected] (the system with variables
+   [k+1..] eliminated) once variables [0..k-1] are fixed to [outer]. *)
+let projected_bounds projected k ~outer =
   let lo = ref None and hi = ref None and feasible = ref true in
   List.iter
     (fun c ->
@@ -96,7 +91,7 @@ let bounds d k ~outer =
         | Some cur -> hi := Some (min cur b)
       end
       else if !fixed < 0 then feasible := false)
-    (!projected).cs;
+    projected.cs;
   if not !feasible then None
   else
     match (!lo, !hi) with
@@ -106,16 +101,30 @@ let bounds d k ~outer =
         invalid_arg
           (Printf.sprintf "Domain.bounds: variable %d is unbounded" k)
 
+let bounds d k ~outer =
+  if Array.length outer < k then invalid_arg "Domain.bounds: missing outer values";
+  let projected = ref d in
+  for j = d.dim - 1 downto k + 1 do
+    projected := eliminate !projected j
+  done;
+  projected_bounds !projected k ~outer
+
 (* [f point] for every integer point, lexicographic.  [point] is one
-   buffer the walk overwrites: [f] copies what it keeps. *)
+   buffer the walk overwrites: [f] copies what it keeps.  Each depth's
+   projection is eliminated once per walk, innermost first, so depth
+   [k] reads the same system {!bounds} derives for it.  The innermost
+   depth reads [d] itself, so every value its range admits satisfies
+   every constraint: a completed point needs no membership test. *)
 let walk d f =
   let point = Array.make d.dim 0 in
+  let levels = Array.make d.dim d in
+  for k = d.dim - 2 downto 0 do
+    levels.(k) <- eliminate levels.(k + 1) (k + 1)
+  done;
   let rec go k =
-    if k = d.dim then begin
-      if mem d point then f point
-    end
+    if k = d.dim then f point
     else
-      match bounds d k ~outer:point with
+      match projected_bounds levels.(k) k ~outer:point with
       | None -> ()
       | Some (lo, hi) ->
           for v = lo to hi do
@@ -124,14 +133,6 @@ let walk d f =
           done
   in
   go 0
-
-let enumerate d =
-  if d.dim = 0 then [ [||] ]
-  else begin
-    let out = ref [] in
-    walk d (fun p -> out := Array.copy p :: !out);
-    List.rev !out
-  end
 
 let extend d extents =
   let extra = Array.length extents in
@@ -146,44 +147,72 @@ let extend d extents =
     extents;
   { dim; cs = !cs }
 
-let rect_extents d =
-  let lo = Array.make d.dim None and hi = Array.make d.dim None in
+let unit_bounds d =
+  let lo = Array.make d.dim min_int and hi = Array.make d.dim max_int in
   let box = ref true in
   List.iter
     (fun c ->
-      let nz =
-        Array.to_list c.coeffs
-        |> List.mapi (fun k a -> (k, a))
-        |> List.filter (fun (_, a) -> a <> 0)
-      in
-      match nz with
-      | [ (k, 1) ] ->
-          lo.(k) <-
-            Some
-              (match lo.(k) with
-              | None -> -c.const
-              | Some cur -> Stdlib.max cur (-c.const))
-      | [ (k, -1) ] ->
-          hi.(k) <-
-            Some
-              (match hi.(k) with
-              | None -> c.const + 1
-              | Some cur -> Stdlib.min cur (c.const + 1))
-      | _ -> box := false)
+      (* the one variable the constraint mentions, or -1 *)
+      let k = ref (-1) and nz = ref 0 in
+      Array.iteri
+        (fun i a ->
+          if a <> 0 then begin
+            incr nz;
+            k := i
+          end)
+        c.coeffs;
+      if !nz <> 1 then box := false
+      else
+        match c.coeffs.(!k) with
+        | 1 -> lo.(!k) <- Stdlib.max lo.(!k) (-c.const)
+        | -1 -> hi.(!k) <- Stdlib.min hi.(!k) c.const
+        | _ -> box := false)
     d.cs;
-  if not !box then None
-  else
-    let out = Array.make d.dim (0, 0) in
-    let ok = ref true in
-    for k = 0 to d.dim - 1 do
-      match (lo.(k), hi.(k)) with
-      | Some a, Some b -> out.(k) <- (a, b)
-      | _ -> ok := false
-    done;
-    if !ok then Some out else None
+  (lo, hi, !box)
+
+let rect_extents d =
+  let lo, hi, box = unit_bounds d in
+  if
+    box
+    && Array.for_all (fun v -> v <> min_int) lo
+    && Array.for_all (fun v -> v <> max_int) hi
+  then Some (Array.init d.dim (fun k -> (lo.(k), hi.(k) + 1)))
+  else None
 
 let box_volume ext =
   Array.fold_left (fun acc (lo, hi) -> acc * Stdlib.max 0 (hi - lo)) 1 ext
+
+(* A box's points by nested loops over its extents, built from the
+   last point back so the list comes out lexicographic unreversed. *)
+let box_points ext =
+  if Array.exists (fun (lo, hi) -> hi <= lo) ext then []
+  else begin
+    let dim = Array.length ext in
+    let point = Array.map (fun (_, hi) -> hi - 1) ext in
+    let out = ref [] in
+    let k = ref 0 in
+    while !k >= 0 do
+      out := Array.copy point :: !out;
+      (* step the odometer back: innermost digits at their low end wrap *)
+      k := dim - 1;
+      while !k >= 0 && point.(!k) = fst ext.(!k) do
+        point.(!k) <- snd ext.(!k) - 1;
+        decr k
+      done;
+      if !k >= 0 then point.(!k) <- point.(!k) - 1
+    done;
+    !out
+  end
+
+let enumerate d =
+  if d.dim = 0 then [ [||] ]
+  else
+    match rect_extents d with
+    | Some ext -> box_points ext
+    | None ->
+        let out = ref [] in
+        walk d (fun p -> out := Array.copy p :: !out);
+        List.rev !out
 
 let card d =
   if d.dim = 0 then 1
@@ -200,9 +229,12 @@ exception Nonempty
 let is_empty d =
   d.dim > 0
   &&
-  match walk d (fun _ -> raise Nonempty) with
-  | () -> true
-  | exception Nonempty -> false
+  match rect_extents d with
+  | Some ext -> Array.exists (fun (lo, hi) -> hi <= lo) ext
+  | None -> (
+      match walk d (fun _ -> raise Nonempty) with
+      | () -> true
+      | exception Nonempty -> false)
 
 (* t = M j, so each constraint c·t + k >= 0 becomes (c·M)·j + k >= 0. *)
 let preimage m d =

@@ -25,9 +25,10 @@ val add_constraint : t -> ineq -> t
 val mem : t -> int array -> bool
 
 val is_empty : t -> bool
-(** True when no integer point satisfies the system.  Walks the
-    loop nest {!bounds} gives and stops at the first point; builds no
-    point list (domains here are always bounded). *)
+(** True when no integer point satisfies the system: a box when some
+    extent is empty, a general polyhedron by walking the loop nest
+    {!bounds} gives up to the first point; builds no point list
+    (domains here are always bounded). *)
 
 val eliminate : t -> int -> t
 (** [eliminate d k] projects out variable [k] (Fourier–Motzkin): the
@@ -42,7 +43,10 @@ val bounds : t -> int -> outer:int array -> (int * int) option
     This is exactly the nested-loop bound the code emitter needs. *)
 
 val enumerate : t -> int array list
-(** All integer points, lexicographic.  Each block's domain is
+(** All integer points, lexicographic: a box ({!rect_extents}) by
+    nested loops over its extents, a general polyhedron by the loop
+    nest {!bounds} describes, with each depth's projection eliminated
+    once per enumeration rather than once per point prefix.  Each block's domain is
     enumerated once when it is prepared for execution ([Compiled],
     [Dist_exec]), and the race guard and the operand bound checks reuse
     that list; the other consumers count ({!card}) or walk a
@@ -56,6 +60,13 @@ val card : t -> int
 val extend : t -> int array -> t
 (** [extend d extents] appends new innermost dimensions, each ranging
     over [[0, extent)]. *)
+
+val unit_bounds : t -> int array * int array * bool
+(** [unit_bounds d] is [(lo, hi, box)]: per variable, the tightest
+    inclusive bounds its unit-coefficient single-variable constraints
+    ([t_k + c >= 0], [-t_k + c >= 0]) give, [min_int] / [max_int] where
+    there is none; [box] tells whether every constraint is one of
+    those.  One pass over the constraints, no list built. *)
 
 val rect_extents : t -> (int * int) array option
 (** When the domain is a box described purely by single-variable

@@ -159,20 +159,7 @@ let validate g =
                of points; overlap is then only checked on small domains
                (tests use small extents on purpose). *)
             let box_volume (d : Domain.t) =
-              let lo = Array.make d.Domain.dim min_int
-              and hi = Array.make d.Domain.dim max_int in
-              List.iter
-                (fun (c : Domain.ineq) ->
-                  let nz =
-                    Array.to_list c.Domain.coeffs
-                    |> List.mapi (fun k a -> (k, a))
-                    |> List.filter (fun (_, a) -> a <> 0)
-                  in
-                  match nz with
-                  | [ (k, 1) ] -> lo.(k) <- Stdlib.max lo.(k) (-c.Domain.const)
-                  | [ (k, -1) ] -> hi.(k) <- Stdlib.min hi.(k) c.Domain.const
-                  | _ -> ())
-                d.Domain.cs;
+              let lo, hi, _ = Domain.unit_bounds d in
               let vol = ref 1 in
               for k = 0 to d.Domain.dim - 1 do
                 if lo.(k) = min_int || hi.(k) = max_int then vol := max_int

@@ -234,15 +234,18 @@ let map f t =
 (* [m,1] against [m,n]: one value per row.  [1,n] against [m,n]: one
    value per column.  These are the only broadcasts DNN cell functions
    in this repository need (e.g. FlashAttention's running max/sum). *)
-let col_vector_against a b =
-  Shape.rank a.shape = 2 && Shape.rank b.shape = 2
-  && Shape.dim b.shape 1 = 1
-  && Shape.dim a.shape 0 = Shape.dim b.shape 0
+let col_vector_shapes a b =
+  Shape.rank a = 2 && Shape.rank b = 2
+  && Shape.dim b 1 = 1
+  && Shape.dim a 0 = Shape.dim b 0
 
-let row_vector_against a b =
-  Shape.rank a.shape = 2 && Shape.rank b.shape = 2
-  && Shape.dim b.shape 0 = 1
-  && Shape.dim a.shape 1 = Shape.dim b.shape 1
+let row_vector_shapes a b =
+  Shape.rank a = 2 && Shape.rank b = 2
+  && Shape.dim b 0 = 1
+  && Shape.dim a 1 = Shape.dim b 1
+
+let col_vector_against a b = col_vector_shapes a.shape b.shape
+let row_vector_against a b = row_vector_shapes a.shape b.shape
 
 (* The shared broadcast dispatch: [dst] carries the full (non-broadcast)
    shape and may alias the same-shape operand — every case reads index
@@ -425,10 +428,10 @@ type epilogue = { ep_bias : t option; ep_act : un_op option }
 let epilogue ?bias ?act () = { ep_bias = bias; ep_act = act }
 
 let epilogue_bias_ok ~bias ~dst =
-  Shape.equal bias.shape dst.shape
+  Shape.equal bias.shape dst
   || Shape.rank bias.shape = 0
-  || col_vector_against dst bias
-  || row_vector_against dst bias
+  || col_vector_shapes dst bias.shape
+  || row_vector_shapes dst bias.shape
 
 (* GEMM ----------------------------------------------------------------
 

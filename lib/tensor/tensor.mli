@@ -235,10 +235,10 @@ val apply_epilogue : epilogue -> dst:t -> unit
     @raise Invalid_argument if the bias shape is not one of the
     supported broadcasts against [dst]. *)
 
-val epilogue_bias_ok : bias:t -> dst:t -> bool
+val epilogue_bias_ok : bias:t -> dst:Shape.t -> bool
 (** Whether [bias] has one of the shapes {!apply_epilogue} accepts
-    against this destination (used by the fusion pass to decide
-    eligibility at plan time). *)
+    against a destination of shape [dst] (used by the fusion pass to
+    decide eligibility at plan time, before any destination exists). *)
 
 val add_bias_act_into : bias:t -> act:un_op -> dst:t -> unit
 (** [dst.(i) <- act (dst.(i) + bias.(..))] in a single pass — the

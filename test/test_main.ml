@@ -11,4 +11,5 @@ let () =
     @ Test_serve_suite.suites
     @ Test_golden_suite.suites @ Test_conform_suite.suites
     @ Test_dist_suite.suites @ Test_facts_suite.suites
+    @ Test_closed_form_suite.suites
     @ Test_cli_suite.suites)
